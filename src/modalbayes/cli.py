@@ -102,8 +102,8 @@ def _build_model_arg(args):
         payload = {
             "shear_building": {
                 "stories": stories,
-                "floor_mass": 100e3,
-                "story_stiffness": 176.729e6,
+                "floor_mass": spec.floor_mass,
+                "story_stiffness": spec.story_stiffness,
                 "unit_scale": unit_scale,
             }
         }

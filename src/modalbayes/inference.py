@@ -27,12 +27,11 @@ from .data import ModalDataset, gamma_t_psi, observation_mask, shape_residual_sq
 from .errors import ConfigurationError, NumericalError
 from .model import (
     StructuralModel,
-    assemble_stiffness,
     build_b,
-    build_F,
-    build_G,
     build_H,
-    build_c,
+    eigen_operators,
+    eigen_residual,
+    frequency_products,
 )
 
 CALIBRATION = "calibration"
@@ -269,19 +268,26 @@ def initialize(
 
 
 def update_mode_shapes(state: InferenceState, dataset: ModalDataset, model: StructuralModel) -> np.ndarray:
-    """Solve (beta F + eta Gamma^T Gamma) Phi = eta Gamma^T Psi_hat."""
-    d = model.d
+    """Solve (beta F + eta Gamma^T Gamma) Phi = eta Gamma^T Psi_hat mode by mode.
+
+    F is block-diagonal with blocks A_i @ A_i (A_i = K - omega2_i M) and
+    Gamma^T Gamma is diagonal, so the system splits into m independent d x d
+    solves (beta A_i A_i + eta q diag(mask_i)) Phi_i = eta (Gamma^T Psi_hat)_i.
+    """
+    d, m = model.d, state.m
     mask = observation_mask(dataset, d)
     if state.beta == 0.0 and np.any(mask == 0.0):
         dof = int(np.argmin(mask)) % d
         raise NumericalError(
             f"mode-shape system is singular: DOF {dof} is unobserved and beta is zero"
         )
-    lhs = build_F(model, state.theta, state.omega2) * state.beta
-    lhs[np.diag_indices_from(lhs)] += state.eta * dataset.q * mask
-    rhs = state.eta * gamma_t_psi(dataset, d)
+    ops = eigen_operators(model, state.theta, state.omega2)
+    lhs = np.matmul(ops, ops) * state.beta
+    diag = np.arange(d)
+    lhs[:, diag, diag] += (state.eta * dataset.q * mask).reshape(m, d)
+    rhs = state.eta * gamma_t_psi(dataset, d).reshape(m, d, 1)
     try:
-        return np.linalg.solve(lhs, rhs)
+        return np.linalg.solve(lhs, rhs).reshape(-1)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"mode-shape update failed: {exc}") from exc
 
@@ -300,18 +306,17 @@ def update_eta(state: InferenceState, dataset: ModalDataset, model: StructuralMo
 
 
 def update_frequencies(state: InferenceState, dataset: ModalDataset, model: StructuralModel) -> np.ndarray:
-    """Solve the m x m system (beta G^T G + T^T E^-1 T) w2 = beta G^T c + T^T E^-1 what2."""
+    """Solve (beta G^T G + T^T E^-1 T) w2 = beta G^T c + T^T E^-1 what2 mode by mode.
+
+    G^T G is diagonal with entries (M Phi_i).(M Phi_i) and (G^T c)_i is
+    (M Phi_i).(K Phi_i), so the m x m system is diagonal.
+    """
     if np.any(state.rho <= 0):
         raise ConfigurationError("frequency precisions must be positive")
-    g = build_G(model, state.phi)
-    c = build_c(model, state.theta, state.phi)
-    lhs = state.beta * (g.T @ g)
-    lhs[np.diag_indices_from(lhs)] += dataset.q * state.rho
-    rhs = state.beta * (g.T @ c) + state.rho * dataset.omega2_segments.sum(axis=0)
-    try:
-        return np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"frequency update failed: {exc}") from exc
+    gtg, gtc = frequency_products(model, state.theta, state.phi)
+    lhs = state.beta * gtg + dataset.q * state.rho
+    rhs = state.beta * gtc + state.rho * dataset.omega2_segments.sum(axis=0)
+    return rhs / lhs
 
 
 def update_rho(state: InferenceState, dataset: ModalDataset,
@@ -365,9 +370,7 @@ def update_beta(state: InferenceState, model: StructuralModel) -> float:
     numerator = d * m + 2.0 * (state.a0 - 1.0)
     if numerator <= 0:
         raise ConfigurationError("beta update undefined: d*m + 2(a0-1) must be positive")
-    k = assemble_stiffness(model, state.theta)
-    modes = state.phi.reshape(m, d)
-    res = modes @ k.T - state.omega2[:, None] * (modes @ model.mass.T)
+    res = eigen_residual(model, state.theta, state.omega2, state.phi)
     return numerator / (2.0 * state.b0 + float(np.sum(res * res)))
 
 
@@ -455,9 +458,7 @@ def objective(state: InferenceState, dataset: ModalDataset, model: StructuralMod
         return math.inf
     j += 0.5 * float(np.sum(terms))
 
-    k = assemble_stiffness(model, state.theta)
-    modes = state.phi.reshape(m, d)
-    res = modes @ k.T - state.omega2[:, None] * (modes @ model.mass.T)
+    res = eigen_residual(model, state.theta, state.omega2, state.phi)
     j += -0.5 * d * m * math.log(state.beta) + 0.5 * state.beta * float(np.sum(res * res))
     return j
 

@@ -1,4 +1,4 @@
-"""Structural model class and the dense matrix/vector builders of the inference engine.
+"""Structural model class and the per-mode operators and builders of the inference engine.
 
 A model is a known mass matrix ``M`` plus a stiffness matrix parameterized as
 
@@ -6,7 +6,9 @@ A model is a known mass matrix ``M`` plus a stiffness matrix parameterized as
 
 with dimensionless scaling parameters ``theta``.  System mode shapes are kept
 as one stacked vector with mode-major blocks (mode 1's d components first);
-every builder here consumes that layout.
+every builder here consumes that layout.  Operators that act on one mode at a
+time, such as the eigen-residual operators K(theta) - omega2_i M, are returned
+as (m, d, d) stacks rather than as block-diagonal (d*m, d*m) matrices.
 
 The generalized eigensolver is used only to manufacture synthetic data; the
 inference path itself never solves an eigenproblem.
@@ -152,9 +154,10 @@ def assemble_stiffness(model: StructuralModel, theta) -> np.ndarray:
 def build_H(model: StructuralModel, phi) -> np.ndarray:
     """(d*m, n) regression matrix with block (i, j) equal to Ksub_j @ Phi_i."""
     modes = _phi_modes(model, phi)
-    # (n, m, d) -> (m, d, n)
-    h = np.einsum("jkl,il->ikj", model.ksub, modes)
-    return h.reshape(modes.shape[0] * model.d, model.n)
+    m, d, n = modes.shape[0], model.d, model.n
+    # one GEMM: row j*d + k, column i holds (Ksub_j @ Phi_i)_k
+    h = model.ksub.reshape(n * d, d) @ modes.T
+    return h.reshape(n, d, m).transpose(2, 1, 0).reshape(m * d, n)
 
 
 def build_b(model: StructuralModel, omega2, phi) -> np.ndarray:
@@ -167,31 +170,29 @@ def build_b(model: StructuralModel, omega2, phi) -> np.ndarray:
     return blocks.reshape(-1)
 
 
-def build_F(model: StructuralModel, theta, omega2) -> np.ndarray:
-    """Block-diagonal (d*m, d*m) matrix of squared eigen-residual operators.
+def eigen_operators(model: StructuralModel, theta, omega2) -> np.ndarray:
+    """(m, d, d) stack of the eigen-residual operators A_i = K(theta) - omega2_i M.
 
-    Block i is (K(theta) - omega2_i M)^2, symmetric positive semidefinite.
+    The squared-residual operator of the mode-shape update is block-diagonal
+    with blocks A_i @ A_i, so it is never formed as one (d*m, d*m) matrix.
     """
     k = assemble_stiffness(model, theta)
     omega2 = np.asarray(omega2, dtype=float)
-    d = model.d
-    m = omega2.size
-    out = np.zeros((d * m, d * m))
-    for i in range(m):
-        a = k - omega2[i] * model.mass
-        out[i * d:(i + 1) * d, i * d:(i + 1) * d] = a @ a
-    return out
+    return k[None, :, :] - omega2[:, None, None] * model.mass[None, :, :]
 
 
-def build_G(model: StructuralModel, phi) -> np.ndarray:
-    """(d*m, m) matrix whose column i holds M @ Phi_i in the mode-i block."""
+def eigen_residual(model: StructuralModel, theta, omega2, phi) -> np.ndarray:
+    """(m, d) array whose row i is (K(theta) - omega2_i M) @ Phi_i.
+
+    Two GEMMs over all modes at once; cheaper per sweep than forming the
+    ``eigen_operators`` stack.
+    """
+    k = assemble_stiffness(model, theta)
     modes = _phi_modes(model, phi)
-    m = modes.shape[0]
-    d = model.d
-    out = np.zeros((d * m, m))
-    for i in range(m):
-        out[i * d:(i + 1) * d, i] = model.mass @ modes[i]
-    return out
+    omega2 = np.asarray(omega2, dtype=float)
+    if omega2.shape != (modes.shape[0],):
+        raise ConfigurationError("phi blocks do not match the number of modes")
+    return modes @ k.T - omega2[:, None] * (modes @ model.mass.T)
 
 
 def build_c(model: StructuralModel, theta, phi) -> np.ndarray:
@@ -199,6 +200,18 @@ def build_c(model: StructuralModel, theta, phi) -> np.ndarray:
     k = assemble_stiffness(model, theta)
     modes = _phi_modes(model, phi)
     return (modes @ k.T).reshape(-1)
+
+
+def frequency_products(model: StructuralModel, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode (M Phi_i).(M Phi_i) and (M Phi_i).(K(theta) Phi_i).
+
+    These are the diagonal of G^T G and the vector G^T c, where column i of G
+    holds M Phi_i in the mode-i block; G^T G has no off-diagonal entries.
+    """
+    modes = _phi_modes(model, phi)
+    mphi = modes @ model.mass.T
+    kphi = build_c(model, theta, phi).reshape(modes.shape)
+    return np.einsum("ij,ij->i", mphi, mphi), np.einsum("ij,ij->i", mphi, kphi)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -237,9 +250,4 @@ def eigen_solve(model: StructuralModel, theta, m: int) -> SystemModalState:
 
 def eigen_residuals(model: StructuralModel, theta, state: SystemModalState) -> np.ndarray:
     """Euclidean norm of (K(theta) - omega2_i M) Phi_i for each mode."""
-    k = assemble_stiffness(model, theta)
-    modes = _phi_modes(model, state.phi)
-    if modes.shape[0] != state.m:
-        raise ConfigurationError("phi blocks do not match the number of modes")
-    res = modes @ k.T - state.omega2[:, None] * (modes @ model.mass.T)
-    return np.linalg.norm(res, axis=1)
+    return np.linalg.norm(eigen_residual(model, theta, state.omega2, state.phi), axis=1)

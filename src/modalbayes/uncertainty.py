@@ -16,18 +16,16 @@ structurally because of the rho-tau coupling.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .data import ModalDataset, gamma_t_psi, observation_mask
 from .errors import NumericalError
 from .model import (
     StructuralModel,
-    assemble_stiffness,
-    build_b,
-    build_F,
-    build_G,
     build_H,
-    build_c,
+    eigen_operators,
+    eigen_residual,
+    frequency_products,
 )
 
 HESSIAN_ASYMMETRY_RTOL = 1e-8
@@ -81,7 +79,10 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel):
     """Full precision matrix of the objective at the MAP, with labels.
 
     Returns (hessian, labels) where the row/column order is
-    [beta, omega2, rho, tau, Phi, eta, nu, theta_free].
+    [beta, omega2, rho, tau, Phi, eta, nu, theta_free].  Every block is
+    assembled from the per-mode operators A_i = K - omega2_i M, the residuals
+    r_i = A_i Phi_i and the regression matrix H, without loops over
+    substructures.
     """
     d, m = model.d, state.m
     q, s = dataset.q, dataset.s
@@ -90,13 +91,12 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel):
     nf = free_idx.size
     dm = d * m
 
-    k = assemble_stiffness(model, state.theta)
     modes = state.phi.reshape(m, d)
-    fmat = build_F(model, state.theta, state.omega2)
-    gmat = build_G(model, state.phi)
-    cvec = build_c(model, state.theta, state.phi)
+    ops = eigen_operators(model, state.theta, state.omega2)
+    resid = eigen_residual(model, state.theta, state.omega2, state.phi)
+    mphi = modes @ model.mass.T
+    gtg, gtc = frequency_products(model, state.theta, state.phi)
     hmat = build_H(model, state.phi)
-    bvec = build_b(model, state.omega2, state.phi)
     mask = observation_mask(dataset, d)
     gpsi = gamma_t_psi(dataset, d)
     w2_sum = dataset.omega2_segments.sum(axis=0)
@@ -113,13 +113,12 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel):
     i_nu = nxi + dm + 1
     i_th = slice(nxi + dm + 2, size)
 
-    gtg = gmat.T @ gmat
-    # (1,1) block
+    # (1,1) block; G^T G is diagonal
     hess[i_b, i_b] = (dm / 2.0 - 1.0 + state.a0) / state.beta**2
-    v_bw = gtg @ state.omega2 - gmat.T @ cvec
+    v_bw = gtg * state.omega2 - gtc
     hess[i_b, i_w] = v_bw
     hess[i_w, i_b] = v_bw
-    hess[i_w, i_w] = state.beta * gtg + np.diag(q * state.rho)
+    hess[i_w, i_w] = np.diag(state.beta * gtg + q * state.rho)
     hess[i_w, i_r] = np.diag(q * state.omega2 - w2_sum)
     hess[i_r, i_w] = np.diag(q * state.omega2 - w2_sum)
     hess[i_r, i_r] = np.diag(0.5 * q / state.rho**2)
@@ -127,8 +126,13 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel):
     hess[i_t, i_r] = np.eye(m)
     hess[i_t, i_t] = np.diag(1.0 / state.tau**2)
 
-    # (2,2) block
-    hess[i_phi, i_phi] = state.beta * fmat + state.eta * q * np.diag(mask)
+    # (2,2) block: F is block-diagonal with blocks A_i A_i
+    sq_ops = np.matmul(ops, ops)
+    for i in range(m):
+        blk = slice(nxi + i * d, nxi + (i + 1) * d)
+        hess[blk, blk] = state.beta * sq_ops[i]
+    phi_idx = np.arange(nxi, nxi + dm)
+    hess[phi_idx, phi_idx] += state.eta * q * mask
     v_pe = q * mask * state.phi - gpsi
     hess[i_phi, i_eta] = v_pe
     hess[i_eta, i_phi] = v_pe
@@ -137,38 +141,31 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel):
     hess[i_nu, i_eta] = 1.0
     hess[i_nu, i_nu] = 1.0 / state.nu**2
     if nf:
-        l3 = np.zeros((dm, nf))
-        for i in range(m):
-            a_i = k - state.omega2[i] * model.mass
-            for col, j in enumerate(free_idx):
-                kj = model.ksub[j]
-                l3[i * d:(i + 1) * d, col] = (a_i @ kj + kj @ a_i) @ modes[i]
+        # (A_i Ksub_j + Ksub_j A_i) Phi_i = A_i (Ksub_j Phi_i) + Ksub_j r_i
+        hf3 = hmat.reshape(m, d, model.n)[:, :, free_idx]
+        l3 = np.matmul(ops, hf3).reshape(dm, nf) + build_H(model, resid.reshape(-1))[:, free_idx]
         hess[i_phi, i_th] = state.beta * l3
         hess[i_th, i_phi] = (state.beta * l3).T
         hf = hmat[:, free_idx]
         hess[i_th, i_th] = state.beta * (hf.T @ hf) + np.diag(1.0 / state.alpha[free_idx])
 
     # (1,2) block
-    v_bphi = fmat @ state.phi
+    v_bphi = np.matmul(sq_ops, modes[:, :, None]).reshape(-1)
     hess[i_b, i_phi] = v_bphi
     hess[i_phi, i_b] = v_bphi
     if nf:
-        resid = hmat @ state.theta - bvec
-        v_bth = (hmat.T @ resid)[free_idx]
+        # H theta - b stacks the residuals r_i
+        v_bth = (hmat.T @ resid.reshape(-1))[free_idx]
         hess[i_b, i_th] = v_bth
         hess[i_th, i_b] = v_bth
     # omega^2-Phi coupling: exact symmetrized mixed partial -beta (M A_i + A_i M) Phi_i
-    for i in range(m):
-        a_i = k - state.omega2[i] * model.mass
-        w_i = -state.beta * ((model.mass @ a_i + a_i @ model.mass) @ modes[i])
-        hess[1 + i, nxi + i * d:nxi + (i + 1) * d] = w_i
-        hess[nxi + i * d:nxi + (i + 1) * d, 1 + i] = w_i
+    w = -state.beta * (resid @ model.mass.T + np.matmul(ops, mphi[:, :, None])[:, :, 0])
+    w_rows = 1 + np.repeat(np.arange(m), d)
+    hess[w_rows, phi_idx] = w.reshape(-1)
+    hess[phi_idx, w_rows] = w.reshape(-1)
     if nf:
-        l2 = np.zeros((m, nf))
-        for i in range(m):
-            mphi = model.mass @ modes[i]
-            for col, j in enumerate(free_idx):
-                l2[i, col] = modes[i] @ (model.ksub[j] @ mphi)
+        # Phi_i^T Ksub_j M Phi_i = (M Phi_i) . (Ksub_j Phi_i)
+        l2 = np.matmul(mphi[:, None, :], hf3)[:, 0, :]
         hess[i_w, i_th] = -state.beta * l2
         hess[i_th, i_w] = (-state.beta * l2).T
 
@@ -180,7 +177,12 @@ def invert_hessian(hess: np.ndarray, state=None) -> np.ndarray:
 
     The raw precision matrix mixes parameter scales spanning many orders
     (e.g. eta vs its reciprocal-scale rate), so it is Jacobi-equilibrated
-    before the condition estimate and factorization.
+    before the condition estimate and factorization.  One Bunch-Kaufman
+    factorization (LAPACK ``dsytrf``) serves both: ``dsycon`` estimates the
+    reciprocal 1-norm condition number of the equilibrated matrix from it,
+    which must not exceed ``MAX_CONDITION`` (the threshold that previously
+    applied to the 2-norm condition number from an SVD), and ``dsytri``
+    forms the inverse.
     """
     scale = np.max(np.abs(hess))
     asym = np.max(np.abs(hess - hess.T))
@@ -194,13 +196,20 @@ def invert_hessian(hess: np.ndarray, state=None) -> np.ndarray:
     else:
         d = np.ones(sym.shape[0])
     scaled = sym * d[:, None] * d[None, :]
-    cond = np.linalg.cond(scaled)
+    anorm = float(np.max(np.sum(np.abs(scaled), axis=0)))
+    # the blocked factorization needs the workspace size LAPACK asks for
+    work, _ = lapack.dsytrf_lwork(scaled.shape[0], lower=1)
+    factor, ipiv, info = lapack.dsytrf(scaled, lower=1, lwork=int(work), overwrite_a=1)
+    # info > 0: an exactly zero pivot, so the matrix is singular
+    rcond = lapack.dsycon(factor, ipiv, anorm, lower=1)[0] if info == 0 else 0.0
+    cond = 1.0 / rcond if rcond > 0 else np.inf
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise NumericalError(f"hessian is numerically singular (condition estimate {cond:.3e})")
-    try:
-        inv_scaled = scipy.linalg.solve(scaled, np.eye(sym.shape[0]), assume_a="sym")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"hessian inversion failed: {exc}") from exc
+    inv_scaled, info = lapack.dsytri(factor, ipiv, lower=1, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"hessian inversion failed: zero pivot {info} in dsytri")
+    # dsytri fills the lower triangle only
+    inv_scaled = np.tril(inv_scaled) + np.tril(inv_scaled, -1).T
     cov = inv_scaled * d[:, None] * d[None, :]
     return 0.5 * (cov + cov.T)
 

@@ -4,11 +4,12 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
-from conftest import fd_gradient, objective_of, pack_state
+from conftest import fd_gradient, objective_of, pack_state, random_spd
 from modalbayes.bench import NoiseSpec, simulate_modal_data
-from modalbayes.data import ModalDataset
+from modalbayes.data import ModalDataset, gamma_t_psi, observation_mask
 from modalbayes.errors import ConfigurationError, NumericalError
 from modalbayes.inference import (
     AlgorithmConfig,
@@ -26,7 +27,7 @@ from modalbayes.inference import (
     update_rho,
     update_theta,
 )
-from modalbayes.model import build_H, build_b, eigen_solve
+from modalbayes.model import StructuralModel, assemble_stiffness, build_H, build_b, eigen_solve
 
 
 def noisefree_dataset(model, theta, m, q, observed, normalization="per_mode"):
@@ -128,6 +129,24 @@ class TestUpdateModeShapes:
         state.beta = 0.0
         with pytest.raises(NumericalError, match="DOF 0"):
             update_mode_shapes(state, ds, toy2_model)
+
+    def test_matches_dense_block_diagonal_solve(self):
+        # reference: the (d*m, d*m) system with F = block_diag(A_i @ A_i)
+        rng = np.random.default_rng(41)
+        d, m = 5, 3
+        model = StructuralModel(mass=random_spd(rng, d), k0=np.zeros((d, d)),
+                                ksub=np.stack([random_spd(rng, d) for _ in range(2)]))
+        ds = simulate_modal_data(model, [1.0, 1.0], m=m, q=3, observed_dofs=[0, 2, 3],
+                                 noise=NoiseSpec(0.01, 0.01, seed=7))
+        state = initialize(ds, model, [0.9, 1.1], AlgorithmConfig(mode="calibration"))
+        k = assemble_stiffness(model, state.theta)
+        mask = observation_mask(ds, d).reshape(m, d)
+        blocks = []
+        for i in range(m):
+            a = k - state.omega2[i] * model.mass
+            blocks.append(state.beta * (a @ a) + state.eta * ds.q * np.diag(mask[i]))
+        expected = np.linalg.solve(scipy.linalg.block_diag(*blocks), state.eta * gamma_t_psi(ds, d))
+        np.testing.assert_allclose(update_mode_shapes(state, ds, model), expected, rtol=1e-10)
 
 
 class TestUpdateEta:

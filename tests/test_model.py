@@ -12,12 +12,12 @@ from modalbayes.model import (
     SystemModalState,
     assemble_stiffness,
     build_b,
-    build_F,
-    build_G,
     build_H,
     build_c,
+    eigen_operators,
     eigen_residuals,
     eigen_solve,
+    frequency_products,
 )
 
 from conftest import random_spd, random_symmetric
@@ -147,12 +147,14 @@ class TestBuilders:
                                    rtol=1e-12, atol=1e-12)
 
     def test_F_annihilates_exact_modes(self, toy2_model):
+        # F is block-diagonal with blocks A_i @ A_i
         theta = np.array([1.0, 1.0])
         state = eigen_solve(toy2_model, theta, 2)
-        fmat = build_F(toy2_model, theta, state.omega2)
+        ops = eigen_operators(toy2_model, theta, state.omega2)
+        f_phi = ops @ ops @ state.mode_matrix()[:, :, None]
         k = assemble_stiffness(toy2_model, theta)
         bound = 1e-8 * np.linalg.norm(k) ** 2 * np.linalg.norm(state.phi)
-        assert np.linalg.norm(fmat @ state.phi) <= bound
+        assert np.linalg.norm(f_phi) <= bound
 
     def test_F_single_mode_direct_product(self):
         rng = np.random.default_rng(25)
@@ -160,25 +162,18 @@ class TestBuilders:
         theta = np.array([0.9])
         w2 = 2.7
         a = assemble_stiffness(model, theta) - w2 * model.mass
-        np.testing.assert_allclose(build_F(model, theta, [w2]), a @ a, rtol=1e-12)
+        ops = eigen_operators(model, theta, [w2])
+        np.testing.assert_allclose(ops[0] @ ops[0], a @ a, rtol=1e-12)
 
     def test_F_high_frequency_asymptotics(self, toy2_model):
         theta = np.array([1.0, 1.0])
         k = assemble_stiffness(toy2_model, theta)
         w2 = 1e9 * np.linalg.norm(k) / np.linalg.norm(toy2_model.mass)
-        block = build_F(toy2_model, theta, [w2])
+        ops = eigen_operators(toy2_model, theta, [w2])
+        block = ops[0] @ ops[0]
         leading = w2**2 * (toy2_model.mass @ toy2_model.mass)
         rel = np.linalg.norm(block - leading) / np.linalg.norm(leading)
         assert rel <= 1e-8
-
-    def test_G_identity_mass(self):
-        model = StructuralModel(mass=np.eye(2), k0=np.zeros((2, 2)),
-                                ksub=np.eye(2)[None])
-        phi = np.array([1.0, 2.0, 3.0, 4.0])
-        g = build_G(model, phi)
-        np.testing.assert_allclose(g[:2, 0], [1.0, 2.0])
-        np.testing.assert_allclose(g[2:, 1], [3.0, 4.0])
-        assert g[2, 0] == g[0, 1] == 0.0
 
     def test_c_zero_theta_gives_k0_action(self):
         rng = np.random.default_rng(26)
@@ -187,6 +182,8 @@ class TestBuilders:
         np.testing.assert_allclose(build_c(model, np.zeros(2), phi), model.k0 @ phi, rtol=1e-12)
 
     def test_G_c_match_loop(self):
+        # G has column i equal to M @ Phi_i in the mode-i block; the per-mode
+        # frequency products are the diagonal of G^T G and the vector G^T c
         rng = np.random.default_rng(27)
         model = random_model(rng, d=3, n=2)
         phi = rng.normal(size=6)
@@ -198,7 +195,9 @@ class TestBuilders:
         for i in range(2):
             g_loop[i * 3:(i + 1) * 3, i] = model.mass @ modes[i]
             c_loop[i * 3:(i + 1) * 3] = k @ modes[i]
-        np.testing.assert_allclose(build_G(model, phi), g_loop, rtol=1e-12)
+        gtg, gtc = frequency_products(model, theta, phi)
+        np.testing.assert_allclose(np.diag(gtg), g_loop.T @ g_loop, rtol=1e-12)
+        np.testing.assert_allclose(gtc, g_loop.T @ c_loop, rtol=1e-12)
         np.testing.assert_allclose(build_c(model, theta, phi), c_loop, rtol=1e-12)
 
 

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import fd_hessian, objective_of, pack_state
+from conftest import fd_hessian, objective_of, pack_state, random_spd, random_symmetric
+from modalbayes.bench import NoiseSpec, simulate_modal_data
+from modalbayes.data import observation_mask
 from modalbayes.errors import NumericalError
 from modalbayes.inference import AlgorithmConfig, initialize, run_monitoring
+from modalbayes.model import StructuralModel, assemble_stiffness, build_b, build_H
 from modalbayes.uncertainty import (
     cov_report,
     hyper_hessian,
@@ -98,6 +101,54 @@ class TestJointHessian:
         hess, _ = joint_hessian(toy2_map.state_map, toy2_dataset, toy2_model)
         np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
 
+    def test_operator_blocks_match_loops(self):
+        # loop reference for every block built from the per-mode operators
+        rng = np.random.default_rng(43)
+        d, m, n = 4, 2, 3
+        model = StructuralModel(mass=random_spd(rng, d), k0=random_symmetric(rng, d, 0.1),
+                                ksub=np.stack([random_spd(rng, d) for _ in range(n)]))
+        ds = simulate_modal_data(model, np.ones(n), m=m, q=3, observed_dofs=[0, 1, 3],
+                                 noise=NoiseSpec(0.01, 0.01, seed=9))
+        state = initialize(ds, model, np.ones(n), AlgorithmConfig(mode="monitoring"))
+        state.phi = state.phi + 0.1 * rng.normal(size=d * m)
+        state.theta = np.array([0.9, 1.2, 1.05])
+        state.alpha[1] = 0.0  # theta_2 leaves the free block
+        hess, labels = joint_hessian(state, ds, model)
+        free_idx = [0, 2]
+        k = assemble_stiffness(model, state.theta)
+        modes = state.phi.reshape(m, d)
+        nxi = 3 * m + 1
+        i_phi = slice(nxi, nxi + d * m)
+        i_th = slice(nxi + d * m + 2, None)
+        fmat = np.zeros((d * m, d * m))
+        w = np.zeros((m, d * m))
+        l2 = np.zeros((m, len(free_idx)))
+        l3 = np.zeros((d * m, len(free_idx)))
+        for i in range(m):
+            blk = slice(i * d, (i + 1) * d)
+            a_i = k - state.omega2[i] * model.mass
+            fmat[blk, blk] = a_i @ a_i
+            w[i, blk] = -state.beta * ((model.mass @ a_i + a_i @ model.mass) @ modes[i])
+            for col, j in enumerate(free_idx):
+                kj = model.ksub[j]
+                l3[blk, col] = (a_i @ kj + kj @ a_i) @ modes[i]
+                l2[i, col] = modes[i] @ (kj @ (model.mass @ modes[i]))
+        hmat = build_H(model, state.phi)
+        v_bth = (hmat.T @ (hmat @ state.theta - build_b(model, state.omega2, state.phi)))[free_idx]
+        phi_block = state.beta * fmat + state.eta * ds.q * np.diag(observation_mask(ds, d))
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+        close(hess[i_phi, i_phi], phi_block)
+        close(hess[0, i_phi], fmat @ state.phi)
+        close(hess[1:1 + m, i_phi], w)
+        close(hess[i_phi, i_th], state.beta * l3)
+        close(hess[1:1 + m, i_th], -state.beta * l2)
+        close(hess[0, i_th], v_bth)
+        assert labels[i_th] == ["theta_1", "theta_3"]
+        np.testing.assert_array_equal(hess, hess.T)
+
 
 class TestJointCovariance:
     def test_positive_semidefinite_at_map(self, toy2_map, toy2_dataset, toy2_model):
@@ -109,6 +160,17 @@ class TestJointCovariance:
     def test_singular_hessian_raises(self, toy2_map):
         with pytest.raises(NumericalError, match="condition"):
             invert_hessian(np.zeros((3, 3)), toy2_map.state_map)
+
+    def test_rank_one_hessian_raises(self, toy2_map):
+        with pytest.raises(NumericalError, match="condition"):
+            invert_hessian(np.ones((3, 3)), toy2_map.state_map)
+
+    def test_inverse_of_indefinite_matrix(self):
+        rng = np.random.default_rng(44)
+        basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        hess = basis @ np.diag([3.0, -2.0, 1.5, -1.0, 2.5, -0.5]) @ basis.T
+        hess = 0.5 * (hess + hess.T)
+        np.testing.assert_allclose(invert_hessian(hess), np.linalg.inv(hess), rtol=1e-10)
 
 
 class TestCovReport:
