@@ -148,7 +148,10 @@ def sensor_layout(kind, d: int) -> np.ndarray:
                 raise ConfigurationError("partial layout requires at least 10 DOFs")
             return dofs
         raise ConfigurationError(f"unknown sensor layout {kind!r}")
-    return np.asarray(sorted(int(i) for i in kind), dtype=int)
+    dofs = np.asarray(sorted(int(i) for i in kind), dtype=int)
+    if dofs.size and (dofs[0] < 0 or dofs[-1] >= d):
+        raise ConfigurationError(f"sensor DOFs must lie in [0, {d}), got {dofs.tolist()}")
+    return dofs
 
 
 def apply_damage(theta_true, pattern: dict) -> np.ndarray:
@@ -269,7 +272,7 @@ def example1_harness(config: dict | None = None, out_dir=None) -> dict:
     traces: dict[str, np.ndarray] = {}
 
     def record(table, scenario, m, q, factor, result, dataset):
-        for row in cov_report(result.state_map, dataset, model):
+        for row in cov_report(result, dataset):
             tables[table].append({
                 "scenario": scenario,
                 "m": m,

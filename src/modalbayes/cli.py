@@ -137,13 +137,13 @@ def _theta_init_arg(args, n: int) -> np.ndarray:
         raise ConfigurationError(f"bad --theta-init {text!r}") from exc
 
 
-def _emit_run_outputs(result, dataset, model, out: Path, prefix: str):
+def _emit_run_outputs(result, dataset, out: Path, prefix: str):
     result_path = out / f"{prefix}.json"
     trace_path = out / f"{prefix}_trace.csv"
     cov_path = out / f"{prefix}_cov.csv"
     io.save_result(result, result_path)
     io.write_trace_csv(result, trace_path)
-    io.write_cov_table_csv(cov_report(result.state_map, dataset, model), cov_path)
+    io.write_cov_table_csv(cov_report(result, dataset), cov_path)
     outputs = [result_path, trace_path, cov_path]
     if result.full_cov is not None:
         joint_path = out / f"{prefix}_joint_cov.csv"
@@ -198,7 +198,12 @@ def cmd_simulate(args) -> int:
 def _sensor_arg(text):
     if text is None or text in ("full", "partial"):
         return text or "full"
-    return [int(v) for v in str(text).split(",")]
+    try:
+        return [int(v) for v in str(text).split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"bad --sensors {text!r}: expected full, partial or comma-separated DOF indices"
+        ) from exc
 
 
 def cmd_calibrate(args) -> int:
@@ -218,7 +223,7 @@ def cmd_calibrate(args) -> int:
     )
     theta_init = _theta_init_arg(args, model.n)
     result = run_calibration(dataset, model, theta_init, config)
-    outputs = _emit_run_outputs(result, dataset, model, out, "calibration")
+    outputs = _emit_run_outputs(result, dataset, out, "calibration")
     settings = {
         "theta_init": theta_init.tolist(), "a0": config.a0, "b0": config.resolved_b0,
         "tol_theta": config.tol_theta, "max_iterations": config.max_iterations,
@@ -266,13 +271,14 @@ def cmd_monitor(args) -> int:
         lambda_fixed=args.lambda_fixed,
     )
     result = run_monitoring(dataset, model, calib.theta_map, config)
-    outputs = _emit_run_outputs(result, dataset, model, out, "monitoring")
+    outputs = _emit_run_outputs(result, dataset, out, "monitoring")
     pruning_path = out / "monitoring_pruning.csv"
     io.write_pruning_csv(result, pruning_path)
     outputs.append(pruning_path)
     settings = {
         "hyper_variant": variant, "kappa": config.kappa, "a0": config.a0,
         "b0": config.resolved_b0, "alpha_min": config.alpha_min,
+        "min_sweeps_before_pruning": config.min_sweeps_before_pruning,
         "tol_log_alpha": config.tol_log_alpha, "max_iterations": config.max_iterations,
         "lambda_fixed": config.lambda_fixed, "normalization": args.normalization or "none",
     }

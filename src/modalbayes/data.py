@@ -220,6 +220,9 @@ def dataset_from_dict(payload: dict, normalization: str = "none") -> ModalDatase
     omega2 = np.zeros((q, m))
     shapes = np.zeros((q, m, s))
     for r, seg in enumerate(segments):
+        missing = [key for key in ("omega2", "mode_shapes") if key not in seg]
+        if missing:
+            raise ConfigurationError(f"segment {r} is missing {', '.join(missing)}")
         w = np.asarray(seg["omega2"], dtype=float)
         if w.shape != (m,):
             raise ConfigurationError(f"segment {r} has {w.size} frequencies, expected {m}")

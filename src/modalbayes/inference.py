@@ -41,6 +41,11 @@ PRECISION_EXP = "precision_exp"
 
 # Below this rate the closed-form ARD update switches to its analytic limit.
 LAMBDA_SERIES_THRESHOLD = 1e-12
+# Calibration pins every ARD variance here, which makes the anchor term inert.
+ALPHA_CALIBRATION = 1e9
+# Caps on the mode-shape and frequency precisions for noise-free data.
+ETA_MAX = 1e12
+RHO_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -66,14 +71,10 @@ class AlgorithmConfig:
     max_iterations: int = 2000
     a0: float = 1.0
     b0: float | None = None
-    alpha_init_large: float = 1e9
-    eta_max: float = 1e12
-    rho_max: float = 1e12
     fix_hypers: dict | None = None
     init_scale: dict | None = None
     lambda_fixed: float | None = None
     min_sweeps_before_pruning: int = 2
-    compute_full_covariance: bool = True
 
     def __post_init__(self):
         if self.mode not in (CALIBRATION, MONITORING):
@@ -239,7 +240,7 @@ def initialize(
         phi0[i * d + dataset.observed_dofs] = mean_shapes[i]
 
     if config.mode == CALIBRATION:
-        alpha = np.full(n, config.alpha_init_large)
+        alpha = np.full(n, ALPHA_CALIBRATION)
     else:
         alpha = np.full(n, float(n) ** 2)
     lam = 1.0 if config.lambda_fixed is None else float(config.lambda_fixed)
@@ -292,14 +293,14 @@ def update_mode_shapes(state: InferenceState, dataset: ModalDataset, model: Stru
         raise NumericalError(f"mode-shape update failed: {exc}") from exc
 
 
-def update_eta(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
-               eta_max: float = 1e12) -> tuple[float, float]:
+def update_eta(state: InferenceState, dataset: ModalDataset,
+               model: StructuralModel) -> tuple[float, float]:
     """eta = (sqm - 2) / ||Psi_hat - Gamma Phi||^2 and nu = 1/eta."""
     sqm = dataset.s * dataset.q * dataset.m
     res_sq = shape_residual_sq(dataset, model.d, state.phi)
-    if res_sq <= (sqm - 2.0) / eta_max:
+    if res_sq <= (sqm - 2.0) / ETA_MAX:
         state.flag("noise-free mode-shape data: eta clamped at maximum")
-        eta = eta_max
+        eta = ETA_MAX
     else:
         eta = (sqm - 2.0) / res_sq
     return eta, 1.0 / eta
@@ -319,19 +320,18 @@ def update_frequencies(state: InferenceState, dataset: ModalDataset, model: Stru
     return rhs / lhs
 
 
-def update_rho(state: InferenceState, dataset: ModalDataset,
-               rho_max: float = 1e12) -> tuple[np.ndarray, np.ndarray]:
+def update_rho(state: InferenceState, dataset: ModalDataset) -> tuple[np.ndarray, np.ndarray]:
     """rho_i = (q - 2) / sum_r (what_{r,i}^2 - w_i^2)^2 and tau = 1/rho."""
     q = dataset.q
     if q < 3:
         raise ConfigurationError("insufficient segments: rho update requires q >= 3")
     dev = dataset.omega2_segments - state.omega2[None, :]
     dev_sq = np.sum(dev * dev, axis=0)
-    floor = (q - 2.0) / rho_max
+    floor = (q - 2.0) / RHO_MAX
     clamped = dev_sq <= floor
     if np.any(clamped):
         state.flag("noise-free frequency data: rho clamped at maximum")
-    rho = np.where(clamped, rho_max, (q - 2.0) / np.where(clamped, 1.0, dev_sq))
+    rho = np.where(clamped, RHO_MAX, (q - 2.0) / np.where(clamped, 1.0, dev_sq))
     return rho, 1.0 / rho
 
 
@@ -499,10 +499,10 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
         sweeps = sweep
         state.phi = update_mode_shapes(state, dataset, model)
         if not config.fixed("eta"):
-            state.eta, state.nu = update_eta(state, dataset, model, eta_max=config.eta_max)
+            state.eta, state.nu = update_eta(state, dataset, model)
         state.omega2 = update_frequencies(state, dataset, model)
         if not (config.fixed("rho") or config.fixed("phi")):
-            state.rho, state.tau = update_rho(state, dataset, rho_max=config.rho_max)
+            state.rho, state.tau = update_rho(state, dataset)
         theta_prev = state.theta
         state.theta = update_theta(state, dataset, model, anchor)
         if not config.fixed("beta"):
@@ -550,16 +550,11 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
     free = state.free_mask()
     cov_theta[~free] = 0.0
 
-    full_cov = None
-    labels = None
-    if config.compute_full_covariance:
-        try:
-            hess, labels = uncertainty.joint_hessian(state, dataset, model)
-            full_cov = uncertainty.invert_hessian(hess, state)
-        except NumericalError as exc:
-            state.flag(f"joint covariance unavailable: {exc}")
-            full_cov = None
-            labels = None
+    full_cov = labels = None
+    try:
+        full_cov, labels = uncertainty.joint_covariance(state, dataset, model)
+    except NumericalError as exc:
+        state.flag(f"joint covariance unavailable: {exc}")
 
     return InferenceResult(
         mode=config.mode,

@@ -33,28 +33,28 @@ MAX_CONDITION = 1e14
 
 
 def theta_covariance_from(beta: float, hmat: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Sigma_theta from the closed form, given the regression matrix directly.
+    """Sigma_theta = (beta H_f^T H_f + A_f^-1)^-1, embedded in the n x n frame.
 
-    Both printed forms (beta A H^T H + I)^-1 A and A (beta H^T H A + I)^-1 are
-    evaluated (they are transposes of one another); the symmetrized average is
-    returned and rows/columns of zero-variance components are exactly zero.
+    The free set f holds the components with alpha > 0.  Its precision
+    matrix is factored once by Cholesky (LAPACK ``dpotrf``) and inverted from
+    that factor (``dpotri``), so the cost scales with the unpruned set.  Rows
+    and columns of zero-variance components are exactly zero.
     """
     alpha = np.asarray(alpha, dtype=float)
-    n = alpha.size
-    amat = np.diag(alpha)
-    hth = hmat.T @ hmat
-    b1 = beta * (amat @ hth) + np.eye(n)
-    b2 = beta * (hth @ amat) + np.eye(n)
-    try:
-        form1 = np.linalg.solve(b1, amat)
-        form2 = amat @ np.linalg.inv(b2)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"theta covariance solve failed: {exc}") from exc
-    cov = 0.5 * (form1 + form2)
-    zero = alpha == 0.0
-    if np.any(zero):
-        cov[zero, :] = 0.0
-        cov[:, zero] = 0.0
+    free = alpha > 0.0
+    cov = np.zeros((alpha.size, alpha.size))
+    if not np.any(free):
+        return cov
+    hf = hmat[:, free]
+    prec = beta * (hf.T @ hf)
+    prec[np.diag_indices_from(prec)] += 1.0 / alpha[free]
+    factor, info = lapack.dpotrf(prec, lower=1)
+    if info == 0:
+        inv, info = lapack.dpotri(factor, lower=1)
+    if info != 0:
+        raise NumericalError(f"theta covariance factorization failed: LAPACK info {info}")
+    # dpotri fills the lower triangle only
+    cov[np.ix_(free, free)] = np.tril(inv) + np.tril(inv, -1).T
     return cov
 
 
@@ -220,25 +220,23 @@ def joint_covariance(state, dataset: ModalDataset, model: StructuralModel):
     return invert_hessian(hess, state), labels
 
 
-def cov_report(state, dataset: ModalDataset, model: StructuralModel) -> list:
+def cov_report(result, dataset: ModalDataset) -> list:
     """MAP values and reported c.o.v. (percent) in the tabulated convention.
 
-    Rows: theta_1..n (from Sigma_theta), beta, eta, phi_1..m, where
-    phi_i = rho_i * sum_r what_{r,i}^4 / q is the normalized frequency
-    precision.  The scalar precisions use conditional c.o.v. values
-    1/(MAP * sqrt(Hessian diagonal)), which the assembled diagonal entries
-    make independent of the residuals.
+    Rows: theta_1..n, beta, eta, phi_1..m, where phi_i = rho_i *
+    sum_r what_{r,i}^4 / q is the normalized frequency precision.  The theta
+    rows read the c.o.v. the run stored from Sigma_theta
+    (``result.cov_theta``; exactly zero for pruned components).  The scalar
+    precisions use conditional c.o.v. values 1/(MAP * sqrt(Hessian
+    diagonal)), which the assembled diagonal entries make independent of the
+    residuals.
     """
-    d, m = model.d, state.m
+    state = result.state_map
+    dm, m = state.phi.size, state.m
     q, s = dataset.q, dataset.s
-    rows = []
-    cov = theta_covariance(state, model)
-    sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    free = state.free_mask()
-    for j in range(state.n):
-        c = 0.0 if not free[j] or state.theta[j] == 0 else 100.0 * sigma[j] / abs(state.theta[j])
-        rows.append({"parameter": f"theta_{j + 1}", "map": float(state.theta[j]), "cov_percent": c})
-    h_bb = (d * m / 2.0 - 1.0 + state.a0) / state.beta**2
+    rows = [{"parameter": f"theta_{j + 1}", "map": float(state.theta[j]),
+             "cov_percent": float(100.0 * result.cov_theta[j])} for j in range(state.n)]
+    h_bb = (dm / 2.0 - 1.0 + state.a0) / state.beta**2
     rows.append({
         "parameter": "beta",
         "map": float(state.beta),
@@ -261,20 +259,16 @@ def cov_report(state, dataset: ModalDataset, model: StructuralModel) -> list:
     return rows
 
 
-def hyper_hessian(state, theta_anchor, model: StructuralModel | None = None,
-                  theta_cov_diag=None) -> tuple[np.ndarray, list]:
+def hyper_hessian(state, theta_anchor, theta_cov_diag) -> tuple[np.ndarray, list]:
     """Precision matrix of the ARD hyper-parameter block [alpha_free, lambda, zeta].
 
+    ``theta_cov_diag`` is the diagonal of Sigma_theta (``result.theta_cov``).
     Pruned components are excluded; with everything pruned only the 2x2
     (lambda, zeta) block remains.
     """
     anchor = np.asarray(theta_anchor, dtype=float)
     free = state.free_mask() & (state.alpha > 0.0)
     free_idx = np.flatnonzero(free)
-    if theta_cov_diag is None:
-        if model is None:
-            raise NumericalError("hyper_hessian needs either theta_cov_diag or the model")
-        theta_cov_diag = np.diag(theta_covariance(state, model))
     bdiag = np.asarray(theta_cov_diag, dtype=float) + (anchor - state.theta) ** 2
     nf = free_idx.size
     out = np.zeros((nf + 2, nf + 2))
@@ -289,9 +283,3 @@ def hyper_hessian(state, theta_anchor, model: StructuralModel | None = None,
     out[nf + 1, nf + 1] = 1.0 / state.zeta**2
     labels = [f"alpha_{j + 1}" for j in free_idx] + ["lambda", "zeta"]
     return out, labels
-
-
-def hyper_covariance(state, theta_anchor, model: StructuralModel | None = None,
-                     theta_cov_diag=None):
-    hess, labels = hyper_hessian(state, theta_anchor, model=model, theta_cov_diag=theta_cov_diag)
-    return invert_hessian(hess, state), labels

@@ -98,7 +98,7 @@ def test_criterion_3_cov_identities():
                                  AlgorithmConfig(mode="calibration",
                                                  fix_hypers={"eta": 1e5, "phi": 1e4}))
         rows = {r["parameter"]: r["cov_percent"] for r in
-                cov_report(result.state_map, dataset, model)}
+                cov_report(result, dataset)}
         phi_covs[q] = rows["phi_1"]
         if q == 3:
             checks.append(abs(rows["beta"] - 22.361) <= 0.5)

@@ -125,6 +125,11 @@ class TestSimulateModalData:
         assert ds.s == 5
         np.testing.assert_array_equal(ds.observed_dofs, [0, 3, 4, 6, 9])
 
+    @pytest.mark.parametrize("dofs", [[0, 10], [-1, 3]])
+    def test_explicit_layout_out_of_range(self, dofs):
+        with pytest.raises(ConfigurationError, match=r"\[0, 10\)"):
+            sensor_layout(dofs, 10)
+
     def test_q_minimum_enforced(self, toy2_model):
         with pytest.raises(ConfigurationError, match="q >= 3"):
             simulate_modal_data(toy2_model, [1.0, 1.0], m=1, q=2, observed_dofs=[0, 1],

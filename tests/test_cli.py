@@ -56,6 +56,13 @@ class TestSimulate:
         proc = run_cli(["simulate", "--building", "frame3"], cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
 
+    @pytest.mark.parametrize("sensors", ["1,a", "99"])
+    def test_bad_sensors_exit_2(self, tmp_path, sensors):
+        proc = run_cli(["simulate", "--building", "shear10", "--sensors", sensors],
+                       cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestCalibrate:
     def test_end_to_end(self, pipeline_dir):
@@ -85,6 +92,16 @@ class TestCalibrate:
         proc = run_cli(["calibrate", "--model", "run/model.json",
                         "--dataset", "missing.json"], cwd=pipeline_dir)
         assert proc.returncode == 2, proc.stderr
+
+    @pytest.mark.parametrize("key", ["omega2", "mode_shapes"])
+    def test_segment_missing_key_exit_2(self, pipeline_dir, key):
+        data = json.loads((pipeline_dir / "run/dataset.json").read_text())
+        del data["segments"][1][key]
+        (pipeline_dir / "bad.json").write_text(json.dumps(data))
+        proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset", "bad.json",
+                        "--out-dir", "bad"], cwd=pipeline_dir)
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: segment 1 is missing {key}" in proc.stderr
 
     def test_non_convergence_exit_3(self, pipeline_dir):
         proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
@@ -141,6 +158,16 @@ class TestMonitor:
         proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",
                         "dmg/dataset.json", "--calibration", "bad.json"], cwd=monitored_dir)
         assert proc.returncode == 2, proc.stderr
+
+    def test_min_sweeps_in_config_hash(self, monitored_dir):
+        proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",
+                        "dmg/dataset.json", "--calibration", "calib/calibration.json",
+                        "--alpha-min", "2e-4", "--min-sweeps", "2", "--out-dir", "ms2"],
+                       cwd=monitored_dir)
+        assert proc.returncode == 0, proc.stderr
+        hashes = [json.loads((monitored_dir / d / "monitor_manifest.json").read_text())
+                  ["config_hash"] for d in ("mon", "ms2")]
+        assert hashes[0] != hashes[1]
 
     def test_hyper_variant_flags(self, monitored_dir):
         proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",

@@ -124,6 +124,15 @@ class TestSerialization:
         with pytest.raises(ConfigurationError):
             dataset_from_dict({"q": 3, "m": 1})
 
+    @pytest.mark.parametrize("key", ["omega2", "mode_shapes"])
+    def test_segment_missing_key(self, key):
+        rng = np.random.default_rng(10)
+        omega2, shapes = make_segments(rng)
+        payload = dataset_to_dict(ModalDataset.from_segments(omega2, shapes, [0, 1, 2]))
+        del payload["segments"][2][key]
+        with pytest.raises(ConfigurationError, match=f"segment 2 is missing {key}"):
+            dataset_from_dict(payload)
+
     def test_segment_count_mismatch(self):
         rng = np.random.default_rng(10)
         omega2, shapes = make_segments(rng)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import fd_hessian, objective_of, pack_state, random_spd, random_symmetric
-from modalbayes.bench import NoiseSpec, simulate_modal_data
+from modalbayes.bench import (
+    NoiseSpec,
+    harness_dataset,
+    merge_config,
+    run_damage_scenario,
+    simulate_modal_data,
+)
 from modalbayes.data import observation_mask
 from modalbayes.errors import NumericalError
 from modalbayes.inference import AlgorithmConfig, initialize, run_monitoring
@@ -48,10 +54,13 @@ class TestThetaCovariance:
             got = theta_covariance_from(beta, hmat, alpha)
             np.testing.assert_allclose(got, form1, atol=1e-10 * scale)
 
-    def test_matches_block_inverse_identity(self):
+    # unit scale, the calibration alpha and the near-pruning scale of monitoring
+    @pytest.mark.parametrize("alpha_scale", [1.0, 1e9, 1e-6],
+                             ids=["unit", "calibration", "near_pruning"])
+    def test_matches_block_inverse_identity(self, alpha_scale):
         rng = np.random.default_rng(3)
         hmat = rng.normal(size=(10, 3))
-        alpha = rng.uniform(0.2, 2.0, size=3)
+        alpha = alpha_scale * rng.uniform(0.2, 2.0, size=3)
         beta = 1.7
         direct = np.linalg.inv(beta * hmat.T @ hmat + np.diag(1.0 / alpha))
         np.testing.assert_allclose(theta_covariance_from(beta, hmat, alpha), direct,
@@ -176,13 +185,30 @@ class TestJointCovariance:
 class TestCovReport:
     def test_closed_form_identities(self, toy2_map, toy2_dataset, toy2_model):
         rows = {r["parameter"]: r["cov_percent"] for r in
-                cov_report(toy2_map.state_map, toy2_dataset, toy2_model)}
+                cov_report(toy2_map, toy2_dataset)}
         dm = toy2_model.d * toy2_map.state_map.m
         np.testing.assert_allclose(rows["beta"], 100.0 / np.sqrt(dm / 2.0), rtol=1e-12)
         sqm = toy2_dataset.s * toy2_dataset.q * toy2_dataset.m
         np.testing.assert_allclose(rows["eta"], 100.0 * np.sqrt(2.0 / sqm), rtol=1e-12)
         np.testing.assert_allclose(rows["phi_1"], 100.0 * np.sqrt(2.0 / toy2_dataset.q),
                                    rtol=1e-12)
+
+    def test_theta_rows_read_stored_cov_with_pruned_zeros(self):
+        # shear10 with a 20% story-3 loss: the undamaged stories are pruned
+        _, monitor = run_damage_scenario(damage={2: 0.2}, q_calibration=50,
+                                         q_monitoring=10, seed=5)
+        cfg = merge_config(None)
+        dataset = harness_dataset(dict(cfg, normalization="global"), m=4, q=10,
+                                  damage={2: 0.2}, seed=5 + 65537)
+        rows = cov_report(monitor, dataset)
+        theta_rows = np.array([r["cov_percent"] for r in rows[:monitor.theta_map.size]])
+        assert monitor.fixed_set and 2 not in monitor.fixed_set
+        np.testing.assert_array_equal(theta_rows, 100.0 * monitor.cov_theta)
+        assert np.all(theta_rows[sorted(monitor.fixed_set)] == 0.0)
+        sigma = np.sqrt(monitor.theta_cov[2, 2])
+        np.testing.assert_allclose(theta_rows[2], 100.0 * sigma / monitor.theta_map[2],
+                                   rtol=1e-12)
+        assert theta_rows[2] > 0.0
 
     def test_benchmark_footnote_values(self):
         # q = 3 -> 81.650 %, q = 10 -> 44.721 %, q = 100 -> 14.142 %
@@ -288,5 +314,6 @@ class TestHyperHessian:
                                 AlgorithmConfig(mode="monitoring", alpha_min=1e-4,
                                                 min_sweeps_before_pruning=10))
         assert result.fixed_set == {0, 1}
-        hess, labels = hyper_hessian(result.state_map, np.ones(2), model=toy2_model)
+        hess, labels = hyper_hessian(result.state_map, np.ones(2),
+                                     theta_cov_diag=np.diag(result.theta_cov))
         assert hess.shape == (2, 2) and labels == ["lambda", "zeta"]
