@@ -1,5 +1,6 @@
-"""Synthetic shear-building benchmark: model construction, seeded noisy modal
-data generation, damage scenarios and the calibration/monitoring sweep harness.
+"""Synthetic shear-building benchmark: seeded noisy modal data generation,
+damage scenarios and the calibration/monitoring sweep harness, on the
+buildings of ``model.shear_building_model``.
 
 The canonical ten-story building (100 t floors, 176.729 MN/m stories) has its
 first five natural frequencies at 1.00, 2.98, 4.89, 6.69 and 8.34 Hz.
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import io
 from .data import ModalDataset
 from .errors import ConfigurationError
 from .inference import (
@@ -30,7 +32,7 @@ from .inference import (
     run_calibration,
     run_monitoring,
 )
-from .model import StructuralModel, eigen_solve
+from .model import ShearBuildingSpec, StructuralModel, eigen_solve, shear_building_model
 from .uncertainty import cov_report
 
 BENCHMARK_UNIT_SCALE = 1e6
@@ -62,29 +64,6 @@ SHAPE_MODES = ("rms", "per_component")
 
 
 @dataclass(frozen=True)
-class ShearBuildingSpec:
-    """Uniform or per-story shear building definition (SI units)."""
-
-    stories: int
-    floor_mass: float | tuple = 100e3  # kg
-    story_stiffness: float | tuple = 176.729e6  # N/m
-
-    def __post_init__(self):
-        if self.stories < 1:
-            raise ConfigurationError("a shear building needs at least one story")
-        masses = np.broadcast_to(np.asarray(self.floor_mass, dtype=float), (self.stories,))
-        ks = np.broadcast_to(np.asarray(self.story_stiffness, dtype=float), (self.stories,))
-        if np.any(masses <= 0) or np.any(ks <= 0):
-            raise ConfigurationError("floor masses and story stiffnesses must be positive")
-
-    def masses(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.floor_mass, dtype=float), (self.stories,)).copy()
-
-    def stiffnesses(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.story_stiffness, dtype=float), (self.stories,)).copy()
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Deterministic noise model for synthetic modal data.
 
@@ -109,28 +88,6 @@ class NoiseSpec:
             raise ConfigurationError(f"noise_on must be one of {NOISE_ON}")
         if self.shape_mode not in SHAPE_MODES:
             raise ConfigurationError(f"shape_mode must be one of {SHAPE_MODES}")
-
-
-def shear_building_model(spec: ShearBuildingSpec, unit_scale: float = 1.0) -> StructuralModel:
-    """Diagonal-mass shear building with one substructure per story and K0 = 0.
-
-    Story j's nominal matrix couples floors j-1 and j, so theta = ones
-    reproduces the true tridiagonal stiffness exactly.
-    """
-    if unit_scale <= 0:
-        raise ConfigurationError("unit_scale must be positive")
-    d = spec.stories
-    masses = spec.masses() / unit_scale
-    ks = spec.stiffnesses() / unit_scale
-    ksub = np.zeros((d, d, d))
-    for j in range(d):
-        k = ks[j]
-        ksub[j, j, j] = k
-        if j > 0:
-            ksub[j, j - 1, j - 1] = k
-            ksub[j, j - 1, j] = -k
-            ksub[j, j, j - 1] = -k
-    return StructuralModel(mass=np.diag(masses), k0=np.zeros((d, d)), ksub=ksub)
 
 
 def full_sensor_dofs(d: int) -> np.ndarray:
@@ -269,7 +226,7 @@ def example1_harness(config: dict | None = None, out_dir=None) -> dict:
     factors = cfg["sweeps"]["init_factors"]
 
     tables: dict[str, list] = {"beta_sweep": [], "all_hypers_sweep": [], "segments": []}
-    traces: dict[str, np.ndarray] = {}
+    traced: dict[str, InferenceResult] = {}
 
     def record(table, scenario, m, q, factor, result, dataset):
         for row in cov_report(result, dataset):
@@ -304,7 +261,7 @@ def example1_harness(config: dict | None = None, out_dir=None) -> dict:
             result_free = run_calibration(dataset, model, theta0, config_free)
             record("all_hypers_sweep", "full", m, 3, factor, result_free, dataset)
             if factor == 1.0:
-                traces[f"m{m}_q3_full"] = result_free.theta_trace
+                traced[f"m{m}_q3_full"] = result_free
 
     # segment-count sweep at m = 4 for both sensor scenarios, all hypers free
     for scenario in cfg["sensors"]:
@@ -312,16 +269,17 @@ def example1_harness(config: dict | None = None, out_dir=None) -> dict:
             dataset = harness_dataset(cfg, m=4, q=q, sensors=scenario)
             result = run_calibration(dataset, model, theta0, AlgorithmConfig(mode=CALIBRATION))
             record("segments", scenario, 4, q, 1.0, result, dataset)
-            traces[f"m4_q{q}_{scenario}"] = result.theta_trace
+            traced[f"m4_q{q}_{scenario}"] = result
 
+    traces = {name: result.theta_trace for name, result in traced.items()}
     outputs = {"tables": tables, "traces": traces, "theta_init": theta0}
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, rows in tables.items():
             _write_table_csv(out_dir / f"table_{name}.csv", rows)
-        for name, trace in traces.items():
-            _write_trace_csv(out_dir / f"trace_{name}.csv", trace)
+        for name, result in traced.items():
+            io.write_trace_csv(result, out_dir / f"trace_{name}.csv")
     return outputs
 
 
@@ -368,11 +326,3 @@ def _write_table_csv(path, rows) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
-
-
-def _write_trace_csv(path, trace: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration"] + [f"theta_{j + 1}" for j in range(trace.shape[1])])
-        for k, row in enumerate(trace):
-            writer.writerow([k] + [repr(float(v)) for v in row])

@@ -4,11 +4,17 @@ Exit codes: 0 success, 2 input/config error, 3 non-convergence, 4 numerical
 failure.  Every command writes a manifest with input/output digests next to
 its outputs; rerunning with identical inputs and seed reproduces identical
 bytes (set SOURCE_DATE_EPOCH to also pin the manifest timestamp).
+
+``--config FILE`` holds a JSON object of option values.  Its entries become
+command-line tokens ahead of the user's own flags, so one parser checks both
+and a flag given on the command line wins.  Options left unset fall through
+to the defaults of the library calls they feed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,9 +25,9 @@ from . import io
 from .bench import (
     BENCHMARK_UNIT_SCALE,
     NoiseSpec,
-    ShearBuildingSpec,
+    apply_damage,
+    harness_theta_init,
     sensor_layout,
-    shear_building_model,
     simulate_modal_data,
 )
 from .damage import (
@@ -33,7 +39,9 @@ from .damage import (
 )
 from .data import load_dataset, save_dataset
 from .errors import ConfigurationError, ModalBayesError, NumericalError
-from .inference import CALIBRATION, MONITORING, AlgorithmConfig, run_calibration, run_monitoring
+from .inference import (CALIBRATION, MONITORING, PRECISION_EXP, VARIANCE_EXP, AlgorithmConfig,
+                        run_calibration, run_monitoring)
+from .model import ShearBuildingSpec
 from .uncertainty import cov_report
 
 EXIT_OK = 0
@@ -41,27 +49,29 @@ EXIT_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_NUMERICAL = 4
 
+HYPER_VARIANTS = {"variance": VARIANCE_EXP, "precision": PRECISION_EXP}
 
-def _parse_kv(text: str | None) -> dict:
+
+def _kv_arg(text: str) -> dict:
+    """argparse type of the ``key=value,...`` options."""
     out: dict[str, float] = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        if not item:
-            continue
-        if "=" not in item:
-            raise ConfigurationError(f"expected key=value, got {item!r}")
-        key, value = item.split("=", 1)
+    for item in filter(None, text.split(",")):
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise argparse.ArgumentTypeError(f"expected key=value, got {item!r}")
         try:
             out[key.strip()] = float(value)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad numeric value in {item!r}") from exc
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad numeric value in {item!r}") from None
     return out
 
 
-def _load_config_defaults(path: str | None) -> dict:
-    if not path:
-        return {}
+def _config_tokens(path: str) -> list[str]:
+    """Command-line tokens for the entries of a ``--config`` JSON object.
+
+    A key is an option name with dashes or underscores; ``true`` gives a bare
+    flag, ``false`` and ``null`` give nothing and a list is joined with commas.
+    """
     try:
         payload = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -70,26 +80,34 @@ def _load_config_defaults(path: str | None) -> dict:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigurationError("config file must contain a JSON object")
-    return payload
+    tokens = []
+    for key, value in payload.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not None and value is not False:
+            if isinstance(value, list):
+                value = ",".join(str(v) for v in value)
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _apply_config_defaults(args: argparse.Namespace, defaults: dict) -> None:
-    for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ConfigurationError(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+def _given(args, *names) -> dict:
+    """The named options the user set; the callee's defaults cover the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out_dir or ".")
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _build_model_arg(args):
-    if getattr(args, "building", None):
+    """The model, plus the shorthand payload that ``model.json`` records for it."""
+    if args.building and args.model:
+        raise ConfigurationError("give either --building or --model, not both")
+    if args.building:
         name = args.building
         if not name.startswith("shear"):
             raise ConfigurationError(f"unknown building shorthand {name!r} (expected shearN)")
@@ -97,24 +115,16 @@ def _build_model_arg(args):
             stories = int(name[len("shear"):])
         except ValueError as exc:
             raise ConfigurationError(f"unknown building shorthand {name!r}") from exc
-        unit_scale = args.unit_scale if args.unit_scale is not None else BENCHMARK_UNIT_SCALE
-        spec = ShearBuildingSpec(stories=stories)
-        payload = {
-            "shear_building": {
-                "stories": stories,
-                "floor_mass": spec.floor_mass,
-                "story_stiffness": spec.story_stiffness,
-                "unit_scale": unit_scale,
-            }
-        }
-        return shear_building_model(spec, unit_scale=unit_scale), payload
-    if getattr(args, "model", None):
+        spec = dataclasses.asdict(ShearBuildingSpec(stories=stories))
+        payload = {"shear_building": {**spec, "unit_scale": args.unit_scale}}
+        return io.model_from_dict(payload), payload
+    if args.model:
         return io.load_model(args.model), None
     raise ConfigurationError("either --building or --model is required")
 
 
 def _theta_init_arg(args, n: int) -> np.ndarray:
-    text = args.theta_init or "nominal"
+    text = args.theta_init
     if text == "nominal":
         return np.ones(n)
     if text.startswith("uniform:"):
@@ -122,12 +132,15 @@ def _theta_init_arg(args, n: int) -> np.ndarray:
             low, high = (float(v) for v in text[len("uniform:"):].split(","))
         except ValueError as exc:
             raise ConfigurationError(f"bad --theta-init {text!r}") from exc
-        seed = args.seed if args.seed is not None else 0
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9999,)))
-        return rng.uniform(low, high, size=n)
+        return harness_theta_init(n, (low, high), args.seed if args.seed is not None else 0)
     path = Path(text)
-    if path.exists():
-        values = np.asarray(json.loads(path.read_text()), dtype=float)
+    if path.is_file():
+        try:
+            values = np.asarray(json.loads(path.read_text()), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"theta init file {path} must hold a JSON list of {n} numbers"
+            ) from exc
         if values.shape != (n,):
             raise ConfigurationError(f"theta init file must hold {n} values")
         return values
@@ -135,6 +148,23 @@ def _theta_init_arg(args, n: int) -> np.ndarray:
         return np.full(n, float(text))
     except ValueError as exc:
         raise ConfigurationError(f"bad --theta-init {text!r}") from exc
+
+
+def _sensor_arg(text: str):
+    if text in ("full", "partial"):
+        return text
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"bad --sensors {text!r}: expected full, partial or comma-separated DOF indices"
+        ) from exc
+
+
+def _run_settings(config: AlgorithmConfig, normalization: str, **extra) -> dict:
+    """Manifest settings of an inference run: every config field, b0 resolved."""
+    return {**dataclasses.asdict(config), "b0": config.resolved_b0,
+            "normalization": normalization, **extra}
 
 
 def _emit_run_outputs(result, dataset, out: Path, prefix: str):
@@ -155,55 +185,38 @@ def _emit_run_outputs(result, dataset, out: Path, prefix: str):
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     model, shorthand = _build_model_arg(args)
-    m = args.modes if args.modes is not None else 4
-    q = args.segments if args.segments is not None else 3
-    seed = args.seed if args.seed is not None else 0
-    noise = NoiseSpec(
-        freq_cov=args.noise if args.noise is not None else 0.01,
-        shape_cov=args.shape_noise if args.shape_noise is not None else
-        (args.noise if args.noise is not None else 0.01),
-        seed=seed,
-        noise_on=args.noise_on or "omega",
-        shape_mode=args.shape_mode or "rms",
-    )
+    noise_args = _given(args, "freq_cov", "shape_cov", "seed", "noise_on", "shape_mode")
+    if "freq_cov" in noise_args:
+        noise_args.setdefault("shape_cov", noise_args["freq_cov"])  # --shape-noise follows --noise
+    noise = NoiseSpec(**noise_args)
     observed = sensor_layout(_sensor_arg(args.sensors), model.d)
-    theta = np.ones(model.n)
-    damage = _parse_kv(args.damage)
-    if damage:
-        from .bench import apply_damage
-
-        theta = apply_damage(theta, {int(k) - 1: v for k, v in damage.items()})
+    try:
+        pattern = {int(k) - 1: loss for k, loss in args.damage.items()}
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"bad --damage: substructure ids must be integers, got {sorted(args.damage)}"
+        ) from exc
+    theta = apply_damage(np.ones(model.n), pattern)
     dataset = simulate_modal_data(
-        model, theta, m=int(m), q=int(q), observed_dofs=observed, noise=noise,
-        normalization=args.normalization or "per_mode",
+        model, theta, m=args.modes, q=args.segments, observed_dofs=observed, noise=noise,
+        normalization=args.normalization,
     )
     dataset_path = out / "dataset.json"
     model_path = out / "model.json"
     save_dataset(dataset, dataset_path)
     io.save_model(shorthand if shorthand is not None else model, model_path)
     settings = {
-        "m": int(m), "q": int(q), "sensors": str(args.sensors or "full"),
+        "m": args.modes, "q": args.segments, "sensors": args.sensors,
         "noise": noise.freq_cov, "shape_noise": noise.shape_cov,
         "noise_on": noise.noise_on, "shape_mode": noise.shape_mode,
-        "normalization": args.normalization or "per_mode",
-        "damage": damage, "theta_true": theta.tolist(),
+        "normalization": args.normalization,
+        "damage": args.damage, "theta_true": theta.tolist(),
     }
     io.write_manifest(out / "simulate_manifest.json", "simulate", settings,
-                      inputs=[], outputs=[dataset_path, model_path], seed=seed)
+                      inputs=[], outputs=[dataset_path, model_path], seed=noise.seed)
     if args.verbose:
         print(f"wrote {dataset_path} (q={dataset.q}, m={dataset.m}, s={dataset.s})")
     return EXIT_OK
-
-
-def _sensor_arg(text):
-    if text is None or text in ("full", "partial"):
-        return text or "full"
-    try:
-        return [int(v) for v in str(text).split(",")]
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"bad --sensors {text!r}: expected full, partial or comma-separated DOF indices"
-        ) from exc
 
 
 def cmd_calibrate(args) -> int:
@@ -211,27 +224,15 @@ def cmd_calibrate(args) -> int:
     model, _ = _build_model_arg(args)
     if not args.dataset:
         raise ConfigurationError("--dataset is required")
-    dataset = load_dataset(args.dataset, normalization=args.normalization or "none")
-    config = AlgorithmConfig(
-        mode=CALIBRATION,
-        a0=args.a0 if args.a0 is not None else 1.0,
-        b0=args.b0,
-        tol_theta=args.tol_theta if args.tol_theta is not None else 1e-3,
-        max_iterations=int(args.max_iterations) if args.max_iterations is not None else 2000,
-        fix_hypers=_parse_kv(args.fix_hypers) or None,
-        init_scale=_parse_kv(args.init_scale) or None,
-    )
+    dataset = load_dataset(args.dataset, normalization=args.normalization)
+    config = AlgorithmConfig(mode=CALIBRATION, **_given(
+        args, "a0", "b0", "tol_theta", "max_iterations", "fix_hypers", "init_scale"))
     theta_init = _theta_init_arg(args, model.n)
     result = run_calibration(dataset, model, theta_init, config)
     outputs = _emit_run_outputs(result, dataset, out, "calibration")
-    settings = {
-        "theta_init": theta_init.tolist(), "a0": config.a0, "b0": config.resolved_b0,
-        "tol_theta": config.tol_theta, "max_iterations": config.max_iterations,
-        "fix_hypers": config.fix_hypers, "init_scale": config.init_scale,
-        "normalization": args.normalization or "none",
-    }
     io.write_manifest(
-        out / "calibrate_manifest.json", "calibrate", settings,
+        out / "calibrate_manifest.json", "calibrate",
+        _run_settings(config, args.normalization, theta_init=theta_init.tolist()),
         inputs=[args.model, args.dataset] if args.model else [args.dataset],
         outputs=outputs, seed=args.seed,
         convergence={"converged": bool(result.converged), "iterations": result.iterations},
@@ -249,43 +250,26 @@ def cmd_monitor(args) -> int:
         raise ConfigurationError("--dataset is required")
     if not args.calibration:
         raise ConfigurationError("--calibration (path to the calibration result) is required")
-    dataset = load_dataset(args.dataset, normalization=args.normalization or "none")
+    dataset = load_dataset(args.dataset, normalization=args.normalization)
     calib = io.load_result(args.calibration)
     if calib.theta_map.size != model.n:
         raise ConfigurationError(
             f"calibration result has {calib.theta_map.size} substructures, model has {model.n}"
         )
-    variant = args.hyper_variant or "variance"
-    if variant not in ("variance", "precision"):
-        raise ConfigurationError("--hyper-variant must be 'variance' or 'precision'")
     config = AlgorithmConfig(
-        mode=MONITORING,
-        hyper_variant="precision_exp" if variant == "precision" else "variance_exp",
-        kappa=args.kappa if args.kappa is not None else 0.0,
-        a0=args.a0 if args.a0 is not None else 1.0,
-        b0=args.b0,
-        alpha_min=args.alpha_min if args.alpha_min is not None else 1e-9,
-        min_sweeps_before_pruning=int(args.min_sweeps) if args.min_sweeps is not None else 2,
-        tol_log_alpha=args.tol_log_alpha if args.tol_log_alpha is not None else 5e-3,
-        max_iterations=int(args.max_iterations) if args.max_iterations is not None else 2000,
-        lambda_fixed=args.lambda_fixed,
+        mode=MONITORING, hyper_variant=HYPER_VARIANTS[args.hyper_variant],
+        **_given(args, "kappa", "a0", "b0", "alpha_min", "min_sweeps_before_pruning",
+                 "tol_log_alpha", "max_iterations", "lambda_fixed"),
     )
     result = run_monitoring(dataset, model, calib.theta_map, config)
     outputs = _emit_run_outputs(result, dataset, out, "monitoring")
     pruning_path = out / "monitoring_pruning.csv"
     io.write_pruning_csv(result, pruning_path)
     outputs.append(pruning_path)
-    settings = {
-        "hyper_variant": variant, "kappa": config.kappa, "a0": config.a0,
-        "b0": config.resolved_b0, "alpha_min": config.alpha_min,
-        "min_sweeps_before_pruning": config.min_sweeps_before_pruning,
-        "tol_log_alpha": config.tol_log_alpha, "max_iterations": config.max_iterations,
-        "lambda_fixed": config.lambda_fixed, "normalization": args.normalization or "none",
-    }
     inputs = [p for p in (args.model, args.dataset, args.calibration) if p]
     io.write_manifest(
-        out / "monitor_manifest.json", "monitor", settings, inputs=inputs,
-        outputs=outputs, seed=args.seed,
+        out / "monitor_manifest.json", "monitor", _run_settings(config, args.normalization),
+        inputs=inputs, outputs=outputs, seed=args.seed,
         convergence={
             "converged": bool(result.converged),
             "iterations": result.iterations,
@@ -304,12 +288,8 @@ def cmd_report(args) -> int:
         raise ConfigurationError("--calibration and --monitoring result paths are required")
     calib = io.load_result(args.calibration)
     monitor = io.load_result(args.monitoring)
-    f_grid = default_f_grid(
-        f_max=args.fmax if args.fmax is not None else 0.25,
-        f_step=args.fstep if args.fstep is not None else 0.0025,
-    )
-    report = build_report(calib, monitor, f_grid,
-                          variance_pairing=args.variance_pairing or "as_printed")
+    f_grid = default_f_grid(**_given(args, "f_max", "f_step"))
+    report = build_report(calib, monitor, f_grid, **_given(args, "variance_pairing"))
     ratios_path = out / "report_ratios.csv"
     prob_path = out / "report_probability.csv"
     alarms_path = out / "report_alarms.json"
@@ -338,88 +318,94 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with default option values")
-    common.add_argument("--out-dir", help="output directory (default: current)")
+    common.add_argument("--config", help="JSON file of option values; command-line flags win")
+    common.add_argument("--out-dir", default=".", help="output directory (default: current)")
     common.add_argument("--seed", type=int, help="deterministic RNG seed")
     common.add_argument("--verbose", action="store_true")
+
+    structure = argparse.ArgumentParser(add_help=False)
+    structure.add_argument("--building", help="shear-building shorthand, e.g. shear10")
+    structure.add_argument("--model", help="model definition JSON")
+    structure.add_argument("--unit-scale", type=float, default=BENCHMARK_UNIT_SCALE,
+                           help="divide the shorthand's SI mass/stiffness by this factor "
+                                "(default %(default)g)")
+
+    inference = argparse.ArgumentParser(add_help=False)
+    inference.add_argument("--dataset", help="modal dataset JSON")
+    inference.add_argument("--a0", type=float)
+    inference.add_argument("--b0", type=float)
+    inference.add_argument("--max-iterations", type=int)
+    inference.add_argument("--normalization", choices=["per_mode", "global", "none"],
+                           default="none")
 
     parser = argparse.ArgumentParser(
         prog="modalbayes",
         description="Sparse Bayesian stiffness-loss inference from modal data",
     )
+    # allow_abbrev=False: a --config key must name an option exactly, not a prefix of one
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[common, structure], allow_abbrev=False,
                            help="generate a synthetic modal dataset")
-    p_sim.add_argument("--building", help="shear-building shorthand, e.g. shear10")
-    p_sim.add_argument("--model", help="model definition JSON")
-    p_sim.add_argument("--unit-scale", type=float,
-                       help="divide SI mass/stiffness by this factor (default 1e6 for shorthand)")
-    p_sim.add_argument("--modes", type=int, help="identified modes per segment (default 4)")
-    p_sim.add_argument("--segments", type=int, help="data segments, q >= 3 (default 3)")
-    p_sim.add_argument("--sensors", help="full | partial | comma-separated DOF ids")
-    p_sim.add_argument("--noise", type=float, help="frequency noise c.o.v. (default 0.01)")
-    p_sim.add_argument("--shape-noise", type=float, help="mode-shape noise c.o.v. (default --noise)")
+    p_sim.add_argument("--modes", type=int, default=4,
+                       help="identified modes per segment (default %(default)s)")
+    p_sim.add_argument("--segments", type=int, default=3,
+                       help="data segments, q >= 3 (default %(default)s)")
+    p_sim.add_argument("--sensors", default="full", help="full | partial | comma-separated DOF ids")
+    p_sim.add_argument("--noise", dest="freq_cov", metavar="NOISE", type=float,
+                       help=f"frequency noise c.o.v. (default {NoiseSpec.freq_cov})")
+    p_sim.add_argument("--shape-noise", dest="shape_cov", metavar="SHAPE_NOISE", type=float,
+                       help="mode-shape noise c.o.v. (default --noise)")
     p_sim.add_argument("--noise-on", choices=["omega", "omega2"])
     p_sim.add_argument("--shape-mode", choices=["rms", "per_component"])
-    p_sim.add_argument("--normalization", choices=["per_mode", "global", "none"])
-    p_sim.add_argument("--damage", help="1-based substructure=fractional loss pairs, e.g. 3=0.2")
+    p_sim.add_argument("--normalization", choices=["per_mode", "global", "none"],
+                       default="per_mode")
+    p_sim.add_argument("--damage", type=_kv_arg, default="",
+                       help="1-based substructure=fractional loss pairs, e.g. 3=0.2")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_cal = sub.add_parser("calibrate", parents=[common],
+    p_cal = sub.add_parser("calibrate", parents=[common, structure, inference], allow_abbrev=False,
                            help="Algorithm 1: calibrate stiffness parameters")
-    p_cal.add_argument("--model", help="model definition JSON")
-    p_cal.add_argument("--building", help="shear-building shorthand")
-    p_cal.add_argument("--unit-scale", type=float)
-    p_cal.add_argument("--dataset", help="modal dataset JSON")
-    p_cal.add_argument("--theta-init", help="nominal | uniform:LO,HI | value | file")
-    p_cal.add_argument("--a0", type=float)
-    p_cal.add_argument("--b0", type=float)
+    p_cal.add_argument("--theta-init", default="nominal",
+                       help="nominal | uniform:LO,HI | value | file")
     p_cal.add_argument("--tol-theta", type=float)
-    p_cal.add_argument("--max-iterations", type=int)
-    p_cal.add_argument("--fix-hypers", help="e.g. beta=20,eta=1e5 or phi=1e4")
-    p_cal.add_argument("--init-scale", help="e.g. beta=0.1,eta=10")
-    p_cal.add_argument("--normalization", choices=["per_mode", "global", "none"])
+    p_cal.add_argument("--fix-hypers", type=_kv_arg, help="e.g. beta=20,eta=1e5 or phi=1e4")
+    p_cal.add_argument("--init-scale", type=_kv_arg, help="e.g. beta=0.1,eta=10")
     p_cal.set_defaults(func=cmd_calibrate)
 
-    p_mon = sub.add_parser("monitor", parents=[common],
+    p_mon = sub.add_parser("monitor", parents=[common, structure, inference], allow_abbrev=False,
                            help="Algorithm 2: sparse stiffness-change inference")
-    p_mon.add_argument("--model", help="model definition JSON")
-    p_mon.add_argument("--building", help="shear-building shorthand")
-    p_mon.add_argument("--unit-scale", type=float)
-    p_mon.add_argument("--dataset", help="modal dataset JSON")
     p_mon.add_argument("--calibration", help="calibration result JSON providing the anchor")
-    p_mon.add_argument("--hyper-variant", choices=["variance", "precision"])
+    p_mon.add_argument("--hyper-variant", choices=HYPER_VARIANTS, default="variance")
     p_mon.add_argument("--kappa", type=float)
-    p_mon.add_argument("--lambda", dest="lambda_fixed", type=float,
+    p_mon.add_argument("--lambda", "--lambda-fixed", dest="lambda_fixed", type=float,
                        help="pin the ARD rate (0 = classic sparse Bayesian learning)")
-    p_mon.add_argument("--a0", type=float)
-    p_mon.add_argument("--b0", type=float)
     p_mon.add_argument("--alpha-min", type=float)
-    p_mon.add_argument("--min-sweeps", type=int,
+    p_mon.add_argument("--min-sweeps", dest="min_sweeps_before_pruning", metavar="MIN_SWEEPS",
+                       type=int,
                        help="sweeps to hold off pruning while the sparsity rate settles")
     p_mon.add_argument("--tol-log-alpha", type=float)
-    p_mon.add_argument("--max-iterations", type=int)
-    p_mon.add_argument("--normalization", choices=["per_mode", "global", "none"])
     p_mon.set_defaults(func=cmd_monitor)
 
-    p_rep = sub.add_parser("report", parents=[common],
+    p_rep = sub.add_parser("report", parents=[common], allow_abbrev=False,
                            help="damage ratios, probability curves and alarms")
     p_rep.add_argument("--calibration", help="calibration result JSON")
     p_rep.add_argument("--monitoring", help="monitoring result JSON")
-    p_rep.add_argument("--fmax", type=float)
-    p_rep.add_argument("--fstep", type=float)
+    p_rep.add_argument("--fmax", dest="f_max", metavar="FMAX", type=float)
+    p_rep.add_argument("--fstep", dest="f_step", metavar="FSTEP", type=float)
     p_rep.add_argument("--variance-pairing", choices=["as_printed", "conventional"])
     p_rep.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        defaults = _load_config_defaults(args.config)
-        _apply_config_defaults(args, defaults)
+        if args.config:
+            # argv[0] is the command; its options follow it
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,11 @@ DEFAULT_F_STEP = 0.0025
 
 
 def default_f_grid(f_max: float = DEFAULT_F_MAX, f_step: float = DEFAULT_F_STEP) -> np.ndarray:
+    if not (f_step > 0.0 and f_max >= 0.0):
+        raise ConfigurationError(
+            f"the loss grid needs a positive step and a nonnegative maximum, "
+            f"got f_step={f_step}, f_max={f_max}"
+        )
     count = int(round(f_max / f_step))
     return np.linspace(0.0, f_max, count + 1)
 

@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import ShearBuildingSpec, shear_building_model
 from .errors import ConfigurationError
 from .inference import InferenceResult, InferenceState
-from .model import StructuralModel
+from .model import ShearBuildingSpec, StructuralModel, shear_building_model
 
 
 # -- model files -------------------------------------------------------------

@@ -10,6 +10,9 @@ every builder here consumes that layout.  Operators that act on one mode at a
 time, such as the eigen-residual operators K(theta) - omega2_i M, are returned
 as (m, d, d) stacks rather than as block-diagonal (d*m, d*m) matrices.
 
+``shear_building_model`` builds the shear buildings that model files, the CLI
+shorthand and the benchmark harness all describe by a ``ShearBuildingSpec``.
+
 The generalized eigensolver is used only to manufacture synthetic data; the
 inference path itself never solves an eigenproblem.
 """
@@ -91,6 +94,51 @@ class StructuralModel:
     @property
     def n(self) -> int:
         return self.ksub.shape[0]
+
+
+@dataclass(frozen=True)
+class ShearBuildingSpec:
+    """Uniform or per-story shear building definition (SI units)."""
+
+    stories: int
+    floor_mass: float | tuple = 100e3  # kg
+    story_stiffness: float | tuple = 176.729e6  # N/m
+
+    def __post_init__(self):
+        if self.stories < 1:
+            raise ConfigurationError("a shear building needs at least one story")
+        masses = np.broadcast_to(np.asarray(self.floor_mass, dtype=float), (self.stories,))
+        ks = np.broadcast_to(np.asarray(self.story_stiffness, dtype=float), (self.stories,))
+        if np.any(masses <= 0) or np.any(ks <= 0):
+            raise ConfigurationError("floor masses and story stiffnesses must be positive")
+
+    def masses(self) -> np.ndarray:
+        return np.broadcast_to(np.asarray(self.floor_mass, dtype=float), (self.stories,)).copy()
+
+    def stiffnesses(self) -> np.ndarray:
+        return np.broadcast_to(np.asarray(self.story_stiffness, dtype=float), (self.stories,)).copy()
+
+
+def shear_building_model(spec: ShearBuildingSpec, unit_scale: float = 1.0) -> StructuralModel:
+    """Diagonal-mass shear building with one substructure per story and K0 = 0.
+
+    Story j's nominal matrix couples floors j-1 and j, so theta = ones
+    reproduces the true tridiagonal stiffness exactly.
+    """
+    if unit_scale <= 0:
+        raise ConfigurationError("unit_scale must be positive")
+    d = spec.stories
+    masses = spec.masses() / unit_scale
+    ks = spec.stiffnesses() / unit_scale
+    ksub = np.zeros((d, d, d))
+    for j in range(d):
+        k = ks[j]
+        ksub[j, j, j] = k
+        if j > 0:
+            ksub[j, j - 1, j - 1] = k
+            ksub[j, j - 1, j] = -k
+            ksub[j, j, j - 1] = -k
+    return StructuralModel(mass=np.diag(masses), k0=np.zeros((d, d)), ksub=ksub)
 
 
 @dataclass(frozen=True)

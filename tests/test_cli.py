@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline: exit codes, file schemas, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
+from modalbayes.inference import AlgorithmConfig
 
 BASE_ARGS = [sys.executable, "-m", "modalbayes.cli"]
 
@@ -63,6 +65,11 @@ class TestSimulate:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_bad_damage_id_exit_2(self, tmp_path):
+        proc = run_cli(["simulate", "--building", "shear10", "--damage", "a=0.2"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestCalibrate:
     def test_end_to_end(self, pipeline_dir):
@@ -102,6 +109,22 @@ class TestCalibrate:
                         "--out-dir", "bad"], cwd=pipeline_dir)
         assert proc.returncode == 2, proc.stderr
         assert f"error: segment 1 is missing {key}" in proc.stderr
+
+    def test_building_and_model_exit_2(self, pipeline_dir):
+        proc = run_cli(["calibrate", "--building", "shear10", "--model", "absent.json",
+                        "--dataset", "run/dataset.json", "--out-dir", "both"], cwd=pipeline_dir)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("content", ["[1.0, 2.0", '["a", "b"]'],
+                             ids=["malformed", "non_numbers"])
+    def test_bad_theta_init_file_exit_2(self, pipeline_dir, content):
+        (pipeline_dir / "theta.json").write_text(content)
+        proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
+                        "run/dataset.json", "--theta-init", "theta.json", "--out-dir", "bad"],
+                       cwd=pipeline_dir)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_non_convergence_exit_3(self, pipeline_dir):
         proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
@@ -219,6 +242,14 @@ class TestReport:
         assert proc.returncode == 0, proc.stderr
         assert (monitored_dir / "rep/report_ratios.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("grid", [["--fstep", "0"], ["--fstep", "-0.01"], ["--fmax", "-0.1"]],
+                             ids=["fstep_zero", "fstep_negative", "fmax_negative"])
+    def test_bad_loss_grid_exit_2(self, monitored_dir, grid):
+        proc = run_cli(["report", "--calibration", "calib/calibration.json", "--monitoring",
+                        "mon/monitoring.json", "--out-dir", "bad"] + grid, cwd=monitored_dir)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_missing_inputs_exit_2(self, tmp_path):
         proc = run_cli(["report", "--calibration", "a.json", "--monitoring", "b.json"],
                        cwd=tmp_path)
@@ -239,3 +270,45 @@ class TestConfigFile:
         proc = run_cli(["simulate", "--building", "shear10", "--config", "cfg.json"],
                        cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
+
+    def test_config_key_prefix_exit_2(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"seg": 4}))
+        proc = run_cli(["simulate", "--building", "shear10", "--config", "cfg.json"],
+                       cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+
+    def test_config_value_parsed_like_flag(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"segments": "four"}))
+        proc = run_cli(["simulate", "--building", "shear10", "--config", "cfg.json"],
+                       cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "invalid int value" in proc.stderr
+
+    def test_config_sensor_list(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"sensors": [0, 3, 4]}))
+        proc = run_cli(["simulate", "--building", "shear10", "--config", "cfg.json",
+                        "--out-dir", "out"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "out/dataset.json").read_text())["s"] == 3
+
+    def test_command_line_flag_wins(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"modes": 3}))
+        proc = run_cli(["simulate", "--building", "shear10", "--config", "cfg.json",
+                        "--modes", "2", "--out-dir", "out"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "out/dataset.json").read_text())["m"] == 2
+
+    def test_config_zero_kept(self, monitored_dir):
+        (monitored_dir / "cfg.json").write_text(json.dumps({"lambda_fixed": 0}))
+        proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",
+                        "dmg/dataset.json", "--calibration", "calib/calibration.json",
+                        "--config", "cfg.json", "--out-dir", "sbl"], cwd=monitored_dir)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads((monitored_dir / "sbl/monitoring.json").read_text())
+        assert result["lambda"] == 0.0
+
+    def test_manifests_record_full_config(self, monitored_dir):
+        fields = {f.name for f in dataclasses.fields(AlgorithmConfig)}
+        for path in ("calib/calibrate_manifest.json", "mon/monitor_manifest.json"):
+            settings = json.loads((monitored_dir / path).read_text())["settings"]
+            assert fields <= set(settings), sorted(fields - set(settings))

@@ -1,10 +1,13 @@
 """Model/result file schemas, manifests and the shear-building shorthand."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import cli_env
 from modalbayes import io
 from modalbayes.bench import ShearBuildingSpec, shear_building_model
 from modalbayes.errors import ConfigurationError
@@ -48,6 +51,15 @@ class TestModelFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             io.load_model(tmp_path / "absent.json")
+
+
+class TestImports:
+    def test_io_does_not_load_the_harness(self):
+        code = "import sys, modalbayes.io; print('modalbayes.bench' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=cli_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestResultFiles:
