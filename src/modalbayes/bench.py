@@ -166,7 +166,7 @@ def simulate_modal_data(model: StructuralModel, theta, m: int, q: int, observed_
 # ---------------------------------------------------------------------------
 
 DEFAULT_HARNESS_CONFIG = {
-    "building": {"stories": 10, "floor_mass": 100e3, "story_stiffness": 176.729e6},
+    "building": {"stories": 10},
     "unit_scale": BENCHMARK_UNIT_SCALE,
     "modes": [3, 4, 5],
     "segments": [5, 10, 50, 100],

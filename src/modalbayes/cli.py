@@ -116,9 +116,13 @@ def _build_model_arg(args):
         except ValueError as exc:
             raise ConfigurationError(f"unknown building shorthand {name!r}") from exc
         spec = dataclasses.asdict(ShearBuildingSpec(stories=stories))
-        payload = {"shear_building": {**spec, "unit_scale": args.unit_scale}}
+        payload = {"shear_building": {**spec, "unit_scale": BENCHMARK_UNIT_SCALE,
+                                      **_given(args, "unit_scale")}}
         return io.model_from_dict(payload), payload
     if args.model:
+        if args.unit_scale is not None:
+            raise ConfigurationError("--unit-scale applies to --building only; "
+                                     "a model file keeps its own units")
         return io.load_model(args.model), None
     raise ConfigurationError("either --building or --model is required")
 
@@ -326,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     structure = argparse.ArgumentParser(add_help=False)
     structure.add_argument("--building", help="shear-building shorthand, e.g. shear10")
     structure.add_argument("--model", help="model definition JSON")
-    structure.add_argument("--unit-scale", type=float, default=BENCHMARK_UNIT_SCALE,
+    structure.add_argument("--unit-scale", type=float,
                            help="divide the shorthand's SI mass/stiffness by this factor "
-                                "(default %(default)g)")
+                                f"(default {BENCHMARK_UNIT_SCALE:g})")
 
     inference = argparse.ArgumentParser(add_help=False)
     inference.add_argument("--dataset", help="modal dataset JSON")

@@ -59,7 +59,13 @@ class ModalDataset:
             )
         omega_hat2 = np.asarray(self.omega_hat2, dtype=float)
         psi_hat = np.asarray(self.psi_hat, dtype=float)
-        dofs = np.asarray(self.observed_dofs, dtype=int)
+        try:
+            raw_dofs = np.asarray(self.observed_dofs, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError("observed_dofs must be integer DOF indices") from exc
+        dofs = raw_dofs.astype(int)
+        if not np.array_equal(dofs, raw_dofs):
+            raise ConfigurationError("observed_dofs must be integer DOF indices")
         if omega_hat2.shape != (q * m,):
             raise ConfigurationError(f"omega_hat2 must have shape ({q * m},), got {omega_hat2.shape}")
         if psi_hat.shape != (q * m * s,):
@@ -140,7 +146,7 @@ class ModalDataset:
             s=s,
             omega_hat2=omega2.reshape(-1),
             psi_hat=shapes.reshape(-1),
-            observed_dofs=np.asarray(observed_dofs, dtype=int),
+            observed_dofs=observed_dofs,
         )
 
 
@@ -211,23 +217,29 @@ def dataset_from_dict(payload: dict, normalization: str = "none") -> ModalDatase
     try:
         q, m, s = int(payload["q"]), int(payload["m"]), int(payload["s"])
         observed = payload["observed_dofs"]
-        segments = payload["segments"]
-    except (KeyError, TypeError) as exc:
+        segments = list(payload["segments"])
+    except KeyError as exc:
         raise ConfigurationError(f"malformed dataset payload: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed dataset payload: {exc}") from exc
     if len(segments) != q:
         raise ConfigurationError(f"dataset declares q={q} but has {len(segments)} segments")
     units = payload.get("units", "rad2")
     omega2 = np.zeros((q, m))
     shapes = np.zeros((q, m, s))
     for r, seg in enumerate(segments):
-        missing = [key for key in ("omega2", "mode_shapes") if key not in seg]
+        missing = [key for key in ("omega2", "mode_shapes")
+                   if not isinstance(seg, dict) or key not in seg]
         if missing:
             raise ConfigurationError(f"segment {r} is missing {', '.join(missing)}")
-        w = np.asarray(seg["omega2"], dtype=float)
+        try:
+            w = np.asarray(seg["omega2"], dtype=float)
+            ms = np.asarray(seg["mode_shapes"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"segment {r} holds a non-numeric value: {exc}") from exc
         if w.shape != (m,):
             raise ConfigurationError(f"segment {r} has {w.size} frequencies, expected {m}")
         omega2[r] = _hz_to_omega2(w) if units == "hz" else w
-        ms = np.asarray(seg["mode_shapes"], dtype=float)
         if ms.shape != (m, s):
             raise ConfigurationError(f"segment {r} mode_shapes must be {m}x{s}, got {ms.shape}")
         shapes[r] = ms

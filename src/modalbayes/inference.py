@@ -12,7 +12,10 @@ Two run modes share one sweep structure:
   convergence is on the max change of log(alpha) over free components.
 
 Update order within a sweep is fixed: (mode shapes, eta), (frequencies, rho),
-theta, beta, then the ARD block in monitoring mode.
+theta, beta, then the ARD block in monitoring mode.  The regression matrix H of
+the new mode shapes is built once per sweep, right after the mode-shape
+update; every later block of the sweep reads K(theta) Phi_i = K0 Phi_i +
+(H theta)_i from it instead of assembling K(theta).
 """
 
 from __future__ import annotations
@@ -25,14 +28,7 @@ import numpy as np
 from . import uncertainty
 from .data import ModalDataset, gamma_t_psi, observation_mask, shape_residual_sq
 from .errors import ConfigurationError, NumericalError
-from .model import (
-    StructuralModel,
-    build_b,
-    build_H,
-    eigen_operators,
-    eigen_residual,
-    frequency_products,
-)
+from .model import StructuralModel, build_b, build_H, eigen_operators, eigen_residual
 
 CALIBRATION = "calibration"
 MONITORING = "monitoring"
@@ -306,15 +302,21 @@ def update_eta(state: InferenceState, dataset: ModalDataset,
     return eta, 1.0 / eta
 
 
-def update_frequencies(state: InferenceState, dataset: ModalDataset, model: StructuralModel) -> np.ndarray:
+def update_frequencies(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
+                       hmat: np.ndarray) -> np.ndarray:
     """Solve (beta G^T G + T^T E^-1 T) w2 = beta G^T c + T^T E^-1 what2 mode by mode.
 
     G^T G is diagonal with entries (M Phi_i).(M Phi_i) and (G^T c)_i is
-    (M Phi_i).(K Phi_i), so the m x m system is diagonal.
+    (M Phi_i).(K Phi_i), so the m x m system is diagonal.  K Phi_i is
+    K0 Phi_i + (H theta)_i for the regression matrix ``hmat`` of Phi.
     """
     if np.any(state.rho <= 0):
         raise ConfigurationError("frequency precisions must be positive")
-    gtg, gtc = frequency_products(model, state.theta, state.phi)
+    modes = state.phi.reshape(state.m, model.d)
+    mphi = modes @ model.mass.T
+    kphi = modes @ model.k0.T + (hmat @ state.theta).reshape(modes.shape)
+    gtg = np.einsum("ij,ij->i", mphi, mphi)
+    gtc = np.einsum("ij,ij->i", mphi, kphi)
     lhs = state.beta * gtg + dataset.q * state.rho
     rhs = state.beta * gtc + state.rho * dataset.omega2_segments.sum(axis=0)
     return rhs / lhs
@@ -335,16 +337,16 @@ def update_rho(state: InferenceState, dataset: ModalDataset) -> tuple[np.ndarray
     return rho, 1.0 / rho
 
 
-def update_theta(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
+def update_theta(state: InferenceState, model: StructuralModel, hmat: np.ndarray,
                  theta_anchor) -> np.ndarray:
-    """MAP stiffness scaling parameters from the current linear regression.
+    """MAP stiffness scaling parameters from the linear regression H theta = b.
 
-    Components in the fixed set (or whose ARD variance is exactly zero) stay
-    pinned at the anchor; the remaining block solves
+    ``hmat`` is the regression matrix of the current Phi.  Components in the
+    fixed set (or whose ARD variance is exactly zero) stay pinned at the
+    anchor; the remaining block solves
     (beta Hf^T Hf + Af^-1) theta_f = beta Hf^T (b - Hp anchor_p) + Af^-1 anchor_f.
     """
     anchor = np.asarray(theta_anchor, dtype=float)
-    hmat = build_H(model, state.phi)
     bvec = build_b(model, state.omega2, state.phi)
     free = state.free_mask() & (state.alpha > 0.0)
     theta_new = anchor.copy()
@@ -363,14 +365,14 @@ def update_theta(state: InferenceState, dataset: ModalDataset, model: Structural
     return theta_new
 
 
-def update_beta(state: InferenceState, model: StructuralModel) -> float:
+def update_beta(state: InferenceState, model: StructuralModel, hmat: np.ndarray) -> float:
     """beta = (dm + 2(a0 - 1)) / (2 b0 + sum_i ||(K - w_i^2 M) Phi_i||^2)."""
     d = model.d
     m = state.m
     numerator = d * m + 2.0 * (state.a0 - 1.0)
     if numerator <= 0:
         raise ConfigurationError("beta update undefined: d*m + 2(a0-1) must be positive")
-    res = eigen_residual(model, state.theta, state.omega2, state.phi)
+    res = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
     return numerator / (2.0 * state.b0 + float(np.sum(res * res)))
 
 
@@ -426,8 +428,10 @@ def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
 
 
 def objective(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
-              theta_anchor) -> float:
+              hmat: np.ndarray, theta_anchor) -> float:
     """The minimized function J over [xi, theta], all log terms included.
+
+    ``hmat`` is the regression matrix of ``state.phi``.
 
     Pinned components contribute zero to the anchor term by construction;
     a free component with alpha exactly zero contributes zero only if its
@@ -458,7 +462,7 @@ def objective(state: InferenceState, dataset: ModalDataset, model: StructuralMod
         return math.inf
     j += 0.5 * float(np.sum(terms))
 
-    res = eigen_residual(model, state.theta, state.omega2, state.phi)
+    res = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
     j += -0.5 * d * m * math.log(state.beta) + 0.5 * state.beta * float(np.sum(res * res))
     return j
 
@@ -488,8 +492,9 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
     state = initialize(dataset, model, theta_init, config)
     monitoring = config.mode == MONITORING
 
+    hmat = build_H(model, state.phi)
     theta_trace = [state.theta.copy()]
-    objective_trace = [objective(state, dataset, model, anchor)]
+    objective_trace = [objective(state, dataset, model, hmat, anchor)]
     alpha_trace = [state.alpha.copy()] if monitoring else None
     pruning_events: list[tuple[int, int]] = []
 
@@ -498,19 +503,18 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
     for sweep in range(1, config.max_iterations + 1):
         sweeps = sweep
         state.phi = update_mode_shapes(state, dataset, model)
+        hmat = build_H(model, state.phi)
         if not config.fixed("eta"):
             state.eta, state.nu = update_eta(state, dataset, model)
-        state.omega2 = update_frequencies(state, dataset, model)
+        state.omega2 = update_frequencies(state, dataset, model, hmat)
         if not (config.fixed("rho") or config.fixed("phi")):
             state.rho, state.tau = update_rho(state, dataset)
         theta_prev = state.theta
-        state.theta = update_theta(state, dataset, model, anchor)
+        state.theta = update_theta(state, model, hmat, anchor)
         if not config.fixed("beta"):
-            state.beta = update_beta(state, model)
+            state.beta = update_beta(state, model, hmat)
 
         if monitoring:
-            alpha_prev = state.alpha
-            hmat = build_H(model, state.phi)
             cov_diag = np.diag(uncertainty.theta_covariance_from(state.beta, hmat, state.alpha))
             if config.hyper_variant == PRECISION_EXP:
                 state.alpha = update_alpha_precision_variant(state, anchor, cov_diag, config.kappa)
@@ -529,7 +533,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
             alpha_trace.append(state.alpha.copy())
 
         theta_trace.append(state.theta.copy())
-        objective_trace.append(objective(state, dataset, model, anchor))
+        objective_trace.append(objective(state, dataset, model, hmat, anchor))
 
         if monitoring:
             free = state.free_mask()
@@ -543,7 +547,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
         if converged:
             break
 
-    theta_cov = uncertainty.theta_covariance(state, model)
+    theta_cov = uncertainty.theta_covariance_from(state.beta, hmat, state.alpha)
     sigma = np.sqrt(np.clip(np.diag(theta_cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         cov_theta = np.where(state.theta != 0, sigma / np.abs(state.theta), 0.0)

@@ -40,10 +40,10 @@ def model_from_dict(payload: dict) -> StructuralModel:
     """Parse a model definition, expanding the shear-building shorthand."""
     if "shear_building" in payload:
         short = dict(payload["shear_building"])
-        unit_scale = float(short.pop("unit_scale", 1.0))
         try:
+            unit_scale = float(short.pop("unit_scale", 1.0))
             spec = ShearBuildingSpec(**short)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad shear_building shorthand: {exc}") from exc
         return shear_building_model(spec, unit_scale=unit_scale)
     try:
@@ -51,13 +51,12 @@ def model_from_dict(payload: dict) -> StructuralModel:
         n = int(payload["n"])
         mass = _matrix(payload["M"], "M", d)
         k0 = _matrix(payload["K0"], "K0", d)
-        ksub_raw = payload["Ksub"]
+        ksub = [_matrix(kj, f"Ksub[{j}]", d) for j, kj in enumerate(payload["Ksub"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed model payload: {exc}") from exc
-    if len(ksub_raw) != n:
-        raise ConfigurationError(f"model declares n={n} but has {len(ksub_raw)} substructures")
-    ksub = np.stack([_matrix(kj, f"Ksub[{j}]", d) for j, kj in enumerate(ksub_raw)])
-    return StructuralModel(mass=mass, k0=k0, ksub=ksub)
+    if len(ksub) != n:
+        raise ConfigurationError(f"model declares n={n} but has {len(ksub)} substructures")
+    return StructuralModel(mass=mass, k0=k0, ksub=np.stack(ksub))
 
 
 def model_to_dict(model: StructuralModel) -> dict:

@@ -107,8 +107,12 @@ class ShearBuildingSpec:
     def __post_init__(self):
         if self.stories < 1:
             raise ConfigurationError("a shear building needs at least one story")
-        masses = np.broadcast_to(np.asarray(self.floor_mass, dtype=float), (self.stories,))
-        ks = np.broadcast_to(np.asarray(self.story_stiffness, dtype=float), (self.stories,))
+        try:
+            masses, ks = self.masses(), self.stiffnesses()
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"floor_mass and story_stiffness must each be a number or {self.stories} numbers"
+            ) from exc
         if np.any(masses <= 0) or np.any(ks <= 0):
             raise ConfigurationError("floor masses and story stiffnesses must be positive")
 
@@ -229,37 +233,14 @@ def eigen_operators(model: StructuralModel, theta, omega2) -> np.ndarray:
     return k[None, :, :] - omega2[:, None, None] * model.mass[None, :, :]
 
 
-def eigen_residual(model: StructuralModel, theta, omega2, phi) -> np.ndarray:
+def eigen_residual(model: StructuralModel, hmat: np.ndarray, theta, omega2, phi) -> np.ndarray:
     """(m, d) array whose row i is (K(theta) - omega2_i M) @ Phi_i.
 
-    Two GEMMs over all modes at once; cheaper per sweep than forming the
-    ``eigen_operators`` stack.
+    K(theta) is linear in theta, so for the regression matrix ``hmat`` of the
+    same Phi the stacked residuals are H theta - b; no K is assembled.
     """
-    k = assemble_stiffness(model, theta)
-    modes = _phi_modes(model, phi)
-    omega2 = np.asarray(omega2, dtype=float)
-    if omega2.shape != (modes.shape[0],):
-        raise ConfigurationError("phi blocks do not match the number of modes")
-    return modes @ k.T - omega2[:, None] * (modes @ model.mass.T)
-
-
-def build_c(model: StructuralModel, theta, phi) -> np.ndarray:
-    """Stacked vector with block i equal to K(theta) @ Phi_i."""
-    k = assemble_stiffness(model, theta)
-    modes = _phi_modes(model, phi)
-    return (modes @ k.T).reshape(-1)
-
-
-def frequency_products(model: StructuralModel, theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode (M Phi_i).(M Phi_i) and (M Phi_i).(K(theta) Phi_i).
-
-    These are the diagonal of G^T G and the vector G^T c, where column i of G
-    holds M Phi_i in the mode-i block; G^T G has no off-diagonal entries.
-    """
-    modes = _phi_modes(model, phi)
-    mphi = modes @ model.mass.T
-    kphi = build_c(model, theta, phi).reshape(modes.shape)
-    return np.einsum("ij,ij->i", mphi, mphi), np.einsum("ij,ij->i", mphi, kphi)
+    theta = _theta_vector(model, theta)
+    return (hmat @ theta - build_b(model, omega2, phi)).reshape(-1, model.d)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -298,4 +279,5 @@ def eigen_solve(model: StructuralModel, theta, m: int) -> SystemModalState:
 
 def eigen_residuals(model: StructuralModel, theta, state: SystemModalState) -> np.ndarray:
     """Euclidean norm of (K(theta) - omega2_i M) Phi_i for each mode."""
-    return np.linalg.norm(eigen_residual(model, theta, state.omega2, state.phi), axis=1)
+    hmat = build_H(model, state.phi)
+    return np.linalg.norm(eigen_residual(model, hmat, theta, state.omega2, state.phi), axis=1)

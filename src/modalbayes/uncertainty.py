@@ -20,13 +20,7 @@ from scipy.linalg import lapack
 
 from .data import ModalDataset, gamma_t_psi, observation_mask
 from .errors import NumericalError
-from .model import (
-    StructuralModel,
-    build_H,
-    eigen_operators,
-    eigen_residual,
-    frequency_products,
-)
+from .model import StructuralModel, build_H, eigen_operators, eigen_residual
 
 HESSIAN_ASYMMETRY_RTOL = 1e-8
 MAX_CONDITION = 1e14
@@ -58,12 +52,6 @@ def theta_covariance_from(beta: float, hmat: np.ndarray, alpha: np.ndarray) -> n
     return cov
 
 
-def theta_covariance(state, model: StructuralModel) -> np.ndarray:
-    """n x n conditional posterior covariance of theta given the other MAP values."""
-    hmat = build_H(model, state.phi)
-    return theta_covariance_from(state.beta, hmat, state.alpha)
-
-
 def _hessian_labels(m: int, d: int, free_idx: np.ndarray) -> list:
     labels = ["beta"]
     labels += [f"omega2_{i + 1}" for i in range(m)]
@@ -93,10 +81,10 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel):
 
     modes = state.phi.reshape(m, d)
     ops = eigen_operators(model, state.theta, state.omega2)
-    resid = eigen_residual(model, state.theta, state.omega2, state.phi)
-    mphi = modes @ model.mass.T
-    gtg, gtc = frequency_products(model, state.theta, state.phi)
     hmat = build_H(model, state.phi)
+    resid = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
+    mphi = modes @ model.mass.T
+    gtg = np.einsum("ij,ij->i", mphi, mphi)
     mask = observation_mask(dataset, d)
     gpsi = gamma_t_psi(dataset, d)
     w2_sum = dataset.omega2_segments.sum(axis=0)
@@ -113,9 +101,9 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel):
     i_nu = nxi + dm + 1
     i_th = slice(nxi + dm + 2, size)
 
-    # (1,1) block; G^T G is diagonal
+    # (1,1) block; G^T G is diagonal with entries (M Phi_i).(M Phi_i)
     hess[i_b, i_b] = (dm / 2.0 - 1.0 + state.a0) / state.beta**2
-    v_bw = gtg * state.omega2 - gtc
+    v_bw = -np.einsum("ij,ij->i", mphi, resid)
     hess[i_b, i_w] = v_bw
     hess[i_w, i_b] = v_bw
     hess[i_w, i_w] = np.diag(state.beta * gtg + q * state.rho)

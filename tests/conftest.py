@@ -12,7 +12,7 @@ import modalbayes
 from modalbayes.bench import NoiseSpec, simulate_modal_data
 from modalbayes.data import ModalDataset
 from modalbayes.inference import AlgorithmConfig, InferenceState, objective, run_calibration
-from modalbayes.model import StructuralModel
+from modalbayes.model import StructuralModel, build_H
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,8 @@ def unpack_state(x: np.ndarray, template: InferenceState) -> InferenceState:
 
 def objective_of(dataset, model, anchor, template):
     def fun(x):
-        return objective(unpack_state(x, template), dataset, model, anchor)
+        state = unpack_state(x, template)
+        return objective(state, dataset, model, build_H(model, state.phi), anchor)
 
     return fun
 

@@ -36,7 +36,7 @@ from modalbayes.inference import (
     update_rho,
     update_theta,
 )
-from modalbayes.model import eigen_solve
+from modalbayes.model import build_H, eigen_solve
 from modalbayes.uncertainty import cov_report, joint_hessian
 
 
@@ -160,16 +160,17 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
         state.eta, state.nu = update_eta(state, toy2_dataset, toy2_model)
 
     def apply_omega2():
-        state.omega2 = update_frequencies(state, toy2_dataset, toy2_model)
+        state.omega2 = update_frequencies(state, toy2_dataset, toy2_model,
+                                          build_H(toy2_model, state.phi))
 
     def apply_rho_tau():
         state.rho, state.tau = update_rho(state, toy2_dataset)
 
     def apply_theta():
-        state.theta = update_theta(state, toy2_dataset, toy2_model, anchor)
+        state.theta = update_theta(state, toy2_model, build_H(toy2_model, state.phi), anchor)
 
     def apply_beta():
-        state.beta = update_beta(state, toy2_model)
+        state.beta = update_beta(state, toy2_model, build_H(toy2_model, state.phi))
 
     updates = [("phi", apply_phi), ("eta_nu", apply_eta_nu), ("omega2", apply_omega2),
                ("rho_tau", apply_rho_tau), ("theta", apply_theta), ("beta", apply_beta)]

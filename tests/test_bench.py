@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modalbayes.bench import (
+    DEFAULT_HARNESS_CONFIG,
     NoiseSpec,
     ShearBuildingSpec,
     apply_damage,
@@ -157,6 +158,15 @@ class TestNoiseFreePipeline:
 
 
 class TestHarness:
+    def test_default_building_is_the_spec_default(self):
+        # the harness names only the story count; masses and stiffnesses
+        # come from ShearBuildingSpec
+        assert DEFAULT_HARNESS_CONFIG["building"] == {"stories": 10}
+        model = harness_model(merge_config(None))
+        expected = shear_building_model(ShearBuildingSpec(10), 1e6)
+        for name in ("mass", "k0", "ksub"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(expected, name))
+
     def test_tables_and_traces(self, tmp_path):
         config = {"modes": [4], "segments": [5, 10],
                   "sweeps": {"init_factors": [0.1, 1.0]}}

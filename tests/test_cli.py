@@ -126,6 +126,44 @@ class TestCalibrate:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("kind, path, value", [
+        ("dataset", ("q",), "x"),
+        ("dataset", ("segments", 0, "omega2", 0), "a"),
+        ("dataset", ("segments", 2, "mode_shapes", 1, 0), "a"),
+        ("dataset", ("observed_dofs", 0), "a"),
+        ("dataset", ("observed_dofs", 1), 1.5),
+        ("dataset", ("segments",), 5),
+        ("model", ("shear_building", "unit_scale"), "abc"),
+        ("model", ("shear_building", "floor_mass"), [1e5, 1e5, 1e5]),
+        ("model", (), {"d": 2, "n": 1, "M": [[1, 0], [0, 1]], "K0": [[0, 0], [0, 0]],
+                       "Ksub": [[[1, "a"], ["a", 1]]]}),
+    ], ids=["q_not_int", "omega2_not_number", "mode_shape_not_number", "dof_not_number",
+            "dof_not_integer", "segments_not_list", "unit_scale_not_number",
+            "floor_mass_wrong_length", "ksub_not_number"])
+    def test_bad_input_file_exit_2(self, pipeline_dir, kind, path, value):
+        # path locates the entry replaced by value; an empty path replaces the whole file
+        payload = json.loads((pipeline_dir / f"run/{kind}.json").read_text())
+        if path:
+            target = payload
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            payload = value
+        (pipeline_dir / "bad.json").write_text(json.dumps(payload))
+        files = {"model": "run/model.json", "dataset": "run/dataset.json", kind: "bad.json"}
+        proc = run_cli(["calibrate", "--model", files["model"], "--dataset", files["dataset"],
+                        "--out-dir", "bad"], cwd=pipeline_dir)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_unit_scale_with_model_exit_2(self, pipeline_dir):
+        proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
+                        "run/dataset.json", "--unit-scale", "5", "--out-dir", "us"],
+                       cwd=pipeline_dir)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: --unit-scale" in proc.stderr
+
     def test_non_convergence_exit_3(self, pipeline_dir):
         proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
                         "run/dataset.json", "--max-iterations", "1",

@@ -1,6 +1,7 @@
 """Coordinate updates against closed-form, fixed-point and FD oracles."""
 
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,15 @@ from modalbayes.inference import (
     update_rho,
     update_theta,
 )
-from modalbayes.model import StructuralModel, assemble_stiffness, build_H, build_b, eigen_solve
+from modalbayes.model import (
+    ShearBuildingSpec,
+    StructuralModel,
+    assemble_stiffness,
+    build_b,
+    build_H,
+    eigen_solve,
+    shear_building_model,
+)
 
 
 def noisefree_dataset(model, theta, m, q, observed, normalization="per_mode"):
@@ -203,7 +212,7 @@ class TestUpdateFrequencies:
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.beta = 0.0
         state.phi = np.array([0.5, 0.5])
-        omega2 = update_frequencies(state, toy2_dataset, toy2_model)
+        omega2 = update_frequencies(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi))
         np.testing.assert_allclose(omega2, toy2_dataset.omega2_segments.mean(axis=0), rtol=1e-12)
 
     def test_exact_data_recovers_eigenvalues(self, toy2_model):
@@ -211,7 +220,7 @@ class TestUpdateFrequencies:
         state = initialize(ds, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         exact = eigen_solve(toy2_model, [1.0, 1.0], 2)
         state.phi = exact.phi.copy()
-        omega2 = update_frequencies(state, ds, toy2_model)
+        omega2 = update_frequencies(state, ds, toy2_model, build_H(toy2_model, state.phi))
         np.testing.assert_allclose(omega2, exact.omega2, rtol=1e-8)
 
     def test_stationarity(self, toy2_model, toy2_dataset):
@@ -220,7 +229,8 @@ class TestUpdateFrequencies:
         state.phi = update_mode_shapes(state, toy2_dataset, toy2_model)
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         g_before = fd_gradient(fun, pack_state(state))
-        state.omega2 = update_frequencies(state, toy2_dataset, toy2_model)
+        state.omega2 = update_frequencies(state, toy2_dataset, toy2_model,
+                                          build_H(toy2_model, state.phi))
         g_after = fd_gradient(fun, pack_state(state))
         block = slice(1, 1 + state.m)
         assert np.linalg.norm(g_after[block]) <= 1e-6 * max(np.linalg.norm(g_before), 1e-9)
@@ -286,17 +296,18 @@ class TestUpdateTheta:
         bvec = build_b(toy2_model, state.omega2, state.phi)
         ls = np.linalg.solve(hmat.T @ hmat, hmat.T @ bvec)
         # default pinned value is close; pushing alpha further converges to LS
-        theta_default = update_theta(state, toy2_dataset, toy2_model, np.array([3.0, 3.0]))
+        theta_default = update_theta(state, toy2_model, build_H(toy2_model, state.phi),
+                                     np.array([3.0, 3.0]))
         np.testing.assert_allclose(theta_default, ls, rtol=1e-4)
         state.alpha = np.full(2, 1e14)
-        theta = update_theta(state, toy2_dataset, toy2_model, np.array([3.0, 3.0]))
+        theta = update_theta(state, toy2_model, build_H(toy2_model, state.phi), np.array([3.0, 3.0]))
         np.testing.assert_allclose(theta, ls, rtol=1e-8)
 
     def test_zero_alpha_pins_to_anchor(self, toy2_model, toy2_dataset):
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="monitoring"))
         state.alpha = np.zeros(2)
         anchor = np.array([0.9, 1.1])
-        theta = update_theta(state, toy2_dataset, toy2_model, anchor)
+        theta = update_theta(state, toy2_model, build_H(toy2_model, state.phi), anchor)
         assert np.array_equal(theta, anchor)
 
     def test_matches_generic_quadratic_solver(self, toy2_model, toy2_dataset):
@@ -315,7 +326,7 @@ class TestUpdateTheta:
 
         res = scipy.optimize.minimize(quad, anchor, method="Nelder-Mead",
                                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
-        theta = update_theta(state, toy2_dataset, toy2_model, anchor)
+        theta = update_theta(state, toy2_model, build_H(toy2_model, state.phi), anchor)
         np.testing.assert_allclose(theta, res.x, rtol=1e-8, atol=1e-10)
 
     def test_scalar_shrinkage_bracket(self):
@@ -332,11 +343,11 @@ class TestUpdateTheta:
         state.phi = update_mode_shapes(state, ds, model)
         anchor = np.array([1.3])
         state.alpha = np.array([1e12])
-        ls = update_theta(state, ds, model, anchor)[0]
+        ls = update_theta(state, model, build_H(model, state.phi), anchor)[0]
         lo, hi = sorted([ls, anchor[0]])
         for alpha in (1e-6, 1e-3, 1.0, 1e3):
             state.alpha = np.array([alpha])
-            val = update_theta(state, ds, model, anchor)[0]
+            val = update_theta(state, model, build_H(model, state.phi), anchor)[0]
             assert lo - 1e-12 <= val <= hi + 1e-12
 
     def test_stationarity(self, toy2_model, toy2_dataset):
@@ -345,7 +356,7 @@ class TestUpdateTheta:
         state.phi = update_mode_shapes(state, toy2_dataset, toy2_model)
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         g_before = fd_gradient(fun, pack_state(state))
-        state.theta = update_theta(state, toy2_dataset, toy2_model, anchor)
+        state.theta = update_theta(state, toy2_model, build_H(toy2_model, state.phi), anchor)
         g_after = fd_gradient(fun, pack_state(state))
         assert np.linalg.norm(g_after[-2:]) <= 1e-6 * max(np.linalg.norm(g_before), 1e-9)
 
@@ -358,7 +369,7 @@ class TestUpdateBeta:
         state.theta = np.array([1.0, 1.0])
         state.omega2 = exact.omega2.copy()
         state.phi = exact.phi.copy()
-        beta = update_beta(state, toy2_model)
+        beta = update_beta(state, toy2_model, build_H(toy2_model, state.phi))
         np.testing.assert_allclose(beta, 2.0 / 2.0, rtol=1e-6)  # dm = 2, a0 = b0 = 1
 
     def test_residual_equal_to_two_b0_halves_it(self, toy2_model, toy2_dataset):
@@ -373,21 +384,21 @@ class TestUpdateBeta:
         r = a @ direction
         delta = np.sqrt(2.0 * state.b0) / np.linalg.norm(r)
         state.phi = exact.phi + delta * direction
-        beta = update_beta(state, toy2_model)
+        beta = update_beta(state, toy2_model, build_H(toy2_model, state.phi))
         np.testing.assert_allclose(beta, 0.5 * (2.0 / 2.0), rtol=1e-6)
 
     def test_invalid_shape_parameter(self, toy2_model, toy2_dataset):
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.a0 = -10.0
         with pytest.raises(ConfigurationError):
-            update_beta(state, toy2_model)
+            update_beta(state, toy2_model, build_H(toy2_model, state.phi))
 
     def test_stationarity(self, toy2_model, toy2_dataset):
         anchor = np.ones(2)
         state = initialize(toy2_dataset, toy2_model, anchor, AlgorithmConfig(mode="calibration"))
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         g_before = fd_gradient(fun, pack_state(state))
-        state.beta = update_beta(state, toy2_model)
+        state.beta = update_beta(state, toy2_model, build_H(toy2_model, state.phi))
         g_after = fd_gradient(fun, pack_state(state))
         assert abs(g_after[0]) <= 1e-6 * max(np.linalg.norm(g_before), 1e-9)
 
@@ -481,8 +492,8 @@ class TestObjective:
         state.alpha = np.array([0.5, 0.25])
         s2 = copy.deepcopy(state)
         s2.theta = np.array([1.1, 0.9])
-        jd = objective(s2, toy2_dataset, toy2_model, anchor) - objective(
-            state, toy2_dataset, toy2_model, anchor)
+        jd = objective(s2, toy2_dataset, toy2_model, build_H(toy2_model, s2.phi), anchor) \
+            - objective(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi), anchor)
         # hand computation of the two theta-dependent terms
         def theta_terms(theta):
             hmat = build_H(toy2_model, state.phi)
@@ -506,7 +517,7 @@ class TestObjective:
         state.omega2 = ds.omega2_segments[0].copy()
         scale = np.linalg.norm(state.phi)
         state.phi = state.phi / scale * np.sign(state.phi @ exact.phi)
-        j = objective(state, ds, toy2_model, anchor)
+        j = objective(state, ds, toy2_model, build_H(toy2_model, state.phi), anchor)
         m, q, s = 1, 3, 2
         expected = (
             state.b0 * state.beta
@@ -525,7 +536,7 @@ class TestObjective:
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.eta = -1.0
         with pytest.raises(ConfigurationError):
-            objective(state, toy2_dataset, toy2_model, np.ones(2))
+            objective(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi), np.ones(2))
 
     def test_monotone_trace_with_frozen_hypers(self, toy2_model, toy2_dataset):
         config = AlgorithmConfig(mode="calibration",
@@ -595,3 +606,58 @@ class TestRunMonitoring:
         for j in result.fixed_set:
             sweep = pruned_at[j]
             assert np.all(result.alpha_trace[sweep:, j] == 0.0)
+
+
+class TestSweepStructure:
+    """Each sweep assembles K(theta) once and builds its regression matrix H once."""
+
+    @staticmethod
+    def count_per_sweep(monkeypatch, run):
+        from modalbayes import inference, model, uncertainty
+
+        events = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # wrap each function at every name the package looks it up by
+        for home, name in ((model, "assemble_stiffness"), (model, "build_H"),
+                           (inference, "update_mode_shapes"), (uncertainty, "joint_covariance")):
+            original = getattr(home, name)
+            wrapper = recording(name, original)
+            for modname, mod in list(sys.modules.items()):
+                if modname == "modalbayes" or modname.startswith("modalbayes."):
+                    for attr, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, attr, wrapper)
+        result = run()
+        monkeypatch.undo()
+        # the mode-shape update opens each sweep; the joint covariance follows the last
+        starts = [i for i, e in enumerate(events) if e == "update_mode_shapes"]
+        end = events.index("joint_covariance")
+        bounds = starts + [end]
+        sweeps = [events[a + 1:b] for a, b in zip(bounds, bounds[1:])]
+        assert len(sweeps) == result.iterations == 3
+        return [(s.count("assemble_stiffness"), s.count("build_H")) for s in sweeps]
+
+    def test_one_assembly_and_one_H_per_sweep(self, monkeypatch):
+        shear10 = shear_building_model(ShearBuildingSpec(stories=10), unit_scale=1e6)
+        calib_ds = simulate_modal_data(shear10, np.ones(10), m=3, q=5,
+                                       observed_dofs=np.arange(10),
+                                       noise=NoiseSpec(0.01, 0.01, seed=4))
+        mon_ds = simulate_modal_data(shear10, np.r_[1.0, 1.0, 0.8, np.ones(7)], m=3, q=5,
+                                     observed_dofs=np.arange(10),
+                                     noise=NoiseSpec(0.01, 0.01, seed=5),
+                                     normalization="global")
+        calib_config = AlgorithmConfig(mode="calibration", tol_theta=1e-15, max_iterations=3)
+        mon_config = AlgorithmConfig(mode="monitoring", tol_log_alpha=1e-15, max_iterations=3)
+        calib = run_calibration(calib_ds, shear10, np.ones(10), calib_config)
+        assert self.count_per_sweep(
+            monkeypatch, lambda: run_calibration(calib_ds, shear10, np.ones(10), calib_config)
+        ) == [(1, 1)] * 3
+        assert self.count_per_sweep(
+            monkeypatch, lambda: run_monitoring(mon_ds, shear10, calib.theta_map, mon_config)
+        ) == [(1, 1)] * 3

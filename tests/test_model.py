@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from modalbayes.bench import ShearBuildingSpec, shear_building_model
+from modalbayes.data import ModalDataset
 from modalbayes.errors import ConfigurationError, ModelError
+from modalbayes.inference import AlgorithmConfig, initialize, update_frequencies
 from modalbayes.model import (
     StructuralModel,
     SystemModalState,
     assemble_stiffness,
     build_b,
     build_H,
-    build_c,
     eigen_operators,
+    eigen_residual,
     eigen_residuals,
     eigen_solve,
-    frequency_products,
 )
 
 from conftest import random_spd, random_symmetric
@@ -176,18 +177,23 @@ class TestBuilders:
         assert rel <= 1e-8
 
     def test_c_zero_theta_gives_k0_action(self):
+        # at theta = 0 and omega2 = 0 the eigen-residual is c = K0 @ Phi
         rng = np.random.default_rng(26)
         model = random_model(rng, d=3, n=2)
         phi = rng.normal(size=3)
-        np.testing.assert_allclose(build_c(model, np.zeros(2), phi), model.k0 @ phi, rtol=1e-12)
+        resid = eigen_residual(model, build_H(model, phi), np.zeros(2), [0.0], phi)
+        np.testing.assert_allclose(resid[0], model.k0 @ phi, rtol=1e-12)
 
     def test_G_c_match_loop(self):
-        # G has column i equal to M @ Phi_i in the mode-i block; the per-mode
-        # frequency products are the diagonal of G^T G and the vector G^T c
+        # G has column i equal to M @ Phi_i in the mode-i block and c stacks
+        # K(theta) @ Phi_i: the eigen-residual is c - G omega2, and the
+        # frequency update solves (beta G^T G + q diag(rho)) omega2 =
+        # beta G^T c + rho * (segment sums)
         rng = np.random.default_rng(27)
         model = random_model(rng, d=3, n=2)
         phi = rng.normal(size=6)
         theta = rng.normal(size=2)
+        omega2 = rng.uniform(1.0, 5.0, size=2)
         modes = phi.reshape(2, 3)
         g_loop = np.zeros((6, 2))
         c_loop = np.zeros(6)
@@ -195,10 +201,18 @@ class TestBuilders:
         for i in range(2):
             g_loop[i * 3:(i + 1) * 3, i] = model.mass @ modes[i]
             c_loop[i * 3:(i + 1) * 3] = k @ modes[i]
-        gtg, gtc = frequency_products(model, theta, phi)
-        np.testing.assert_allclose(np.diag(gtg), g_loop.T @ g_loop, rtol=1e-12)
-        np.testing.assert_allclose(gtc, g_loop.T @ c_loop, rtol=1e-12)
-        np.testing.assert_allclose(build_c(model, theta, phi), c_loop, rtol=1e-12)
+        hmat = build_H(model, phi)
+        resid = eigen_residual(model, hmat, theta, omega2, phi)
+        np.testing.assert_allclose(resid.reshape(-1), c_loop - g_loop @ omega2, rtol=1e-12)
+
+        segments = omega2 * rng.uniform(0.9, 1.1, size=(3, 2))
+        dataset = ModalDataset.from_segments(segments, rng.normal(size=(3, 2, 3)), [0, 1, 2])
+        state = initialize(dataset, model, theta, AlgorithmConfig())
+        state.phi = phi
+        lhs = state.beta * (g_loop.T @ g_loop) + dataset.q * np.diag(state.rho)
+        rhs = state.beta * (g_loop.T @ c_loop) + state.rho * segments.sum(axis=0)
+        np.testing.assert_allclose(update_frequencies(state, dataset, model, hmat),
+                                   np.linalg.solve(lhs, rhs), rtol=1e-12)
 
 
 def charpoly_eigenvalues(k, mass):

@@ -110,6 +110,26 @@ class TestJointHessian:
         hess, _ = joint_hessian(toy2_map.state_map, toy2_dataset, toy2_model)
         np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
 
+    def test_beta_omega2_block_matches_loop(self):
+        # d2J / d beta d omega2_i = (M Phi_i).(omega2_i M Phi_i - K(theta) Phi_i)
+        rng = np.random.default_rng(44)
+        d, m, n = 3, 2, 2
+        model = StructuralModel(mass=random_spd(rng, d), k0=random_symmetric(rng, d, 0.1),
+                                ksub=np.stack([random_spd(rng, d) for _ in range(n)]))
+        ds = simulate_modal_data(model, np.ones(n), m=m, q=3, observed_dofs=[0, 2],
+                                 noise=NoiseSpec(0.01, 0.01, seed=10))
+        state = initialize(ds, model, np.array([0.8, 1.3]), AlgorithmConfig(mode="calibration"))
+        state.phi = state.phi + 0.1 * rng.normal(size=d * m)
+        hess, labels = joint_hessian(state, ds, model)
+        k = assemble_stiffness(model, state.theta)
+        want = np.zeros(m)
+        for i, phi_i in enumerate(state.phi.reshape(m, d)):
+            mphi = model.mass @ phi_i
+            want[i] = mphi @ (state.omega2[i] * mphi - k @ phi_i)
+        assert labels[1:1 + m] == ["omega2_1", "omega2_2"]
+        np.testing.assert_allclose(hess[0, 1:1 + m], want, rtol=1e-12)
+        np.testing.assert_allclose(hess[1:1 + m, 0], want, rtol=1e-12)
+
     def test_operator_blocks_match_loops(self):
         # loop reference for every block built from the per-mode operators
         rng = np.random.default_rng(43)
