@@ -84,6 +84,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.freq_cov < 0 or self.shape_cov < 0:
             raise ConfigurationError("noise levels must be nonnegative")
+        if self.seed < 0:
+            raise ConfigurationError(f"noise seed must be nonnegative, got {self.seed}")
         if self.noise_on not in NOISE_ON:
             raise ConfigurationError(f"noise_on must be one of {NOISE_ON}")
         if self.shape_mode not in SHAPE_MODES:

@@ -66,6 +66,13 @@ def _kv_arg(text: str) -> dict:
     return out
 
 
+def _seed_arg(text: str) -> int:
+    """argparse type of ``--seed``: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _config_tokens(path: str) -> list[str]:
     """Command-line tokens for the entries of a ``--config`` JSON object.
 
@@ -101,6 +108,14 @@ def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _load_stage(path: str, mode: str):
+    """The inference result in ``path``, which must come from the ``mode`` stage."""
+    result = io.load_result(path)
+    if result.mode != mode:
+        raise ConfigurationError(f"{path} holds a {result.mode} result, expected {mode}")
+    return result
 
 
 def _build_model_arg(args):
@@ -255,7 +270,7 @@ def cmd_monitor(args) -> int:
     if not args.calibration:
         raise ConfigurationError("--calibration (path to the calibration result) is required")
     dataset = load_dataset(args.dataset, normalization=args.normalization)
-    calib = io.load_result(args.calibration)
+    calib = _load_stage(args.calibration, CALIBRATION)
     if calib.theta_map.size != model.n:
         raise ConfigurationError(
             f"calibration result has {calib.theta_map.size} substructures, model has {model.n}"
@@ -290,8 +305,8 @@ def cmd_report(args) -> int:
     out = _out_dir(args)
     if not args.calibration or not args.monitoring:
         raise ConfigurationError("--calibration and --monitoring result paths are required")
-    calib = io.load_result(args.calibration)
-    monitor = io.load_result(args.monitoring)
+    calib = _load_stage(args.calibration, CALIBRATION)
+    monitor = _load_stage(args.monitoring, MONITORING)
     f_grid = default_f_grid(**_given(args, "f_max", "f_step"))
     report = build_report(calib, monitor, f_grid, **_given(args, "variance_pairing"))
     ratios_path = out / "report_ratios.csv"
@@ -324,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file of option values; command-line flags win")
     common.add_argument("--out-dir", default=".", help="output directory (default: current)")
-    common.add_argument("--seed", type=int, help="deterministic RNG seed")
+    common.add_argument("--seed", type=_seed_arg, help="deterministic RNG seed (>= 0)")
     common.add_argument("--verbose", action="store_true")
 
     structure = argparse.ArgumentParser(add_help=False)

@@ -47,8 +47,7 @@ def stiffness_ratios(calib: InferenceResult, monitor: InferenceResult) -> np.nda
     if np.any(theta_u == 0.0):
         raise ConfigurationError("calibration MAP has zero components; ratios undefined")
     ratios = monitor.theta_map / theta_u
-    for j in monitor.fixed_set:
-        ratios[j] = 1.0
+    ratios[sorted(monitor.fixed_set)] = 1.0
     return ratios
 
 

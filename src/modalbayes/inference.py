@@ -8,8 +8,9 @@ Two run modes share one sweep structure:
   convergence is on the max change in theta.
 * monitoring -- the ARD variances, their rate and its rate are optimized each
   sweep from the pseudo-evidence of the calibration anchor; components whose
-  variance collapses below ``alpha_min`` are pinned to the anchor permanently;
-  convergence is on the max change of log(alpha) over free components.
+  variance collapses below ``alpha_min`` are pruned: alpha_j = 0, its only
+  record, pins theta_j to the anchor permanently; convergence is on the max
+  change of log(alpha) over free components.
 
 Update order within a sweep is fixed: (mode shapes, eta), (frequencies, rho),
 theta, beta, then the ARD block in monitoring mode.  The regression matrix H of
@@ -123,7 +124,6 @@ class InferenceState:
     zeta: float
     a0: float
     b0: float
-    fixed_set: set = field(default_factory=set)
     diagnostics: list = field(default_factory=list)
 
     @property
@@ -135,10 +135,8 @@ class InferenceState:
         return self.omega2.size
 
     def free_mask(self) -> np.ndarray:
-        mask = np.ones(self.n, dtype=bool)
-        if self.fixed_set:
-            mask[sorted(self.fixed_set)] = False
-        return mask
+        """Unpruned components: a pruned component has alpha exactly zero."""
+        return self.alpha > 0.0
 
     def flag(self, message: str) -> None:
         if message not in self.diagnostics:
@@ -169,7 +167,8 @@ class InferenceResult:
 
     @property
     def fixed_set(self) -> set:
-        return self.state_map.fixed_set
+        """Indices of the pruned components, those with alpha exactly zero."""
+        return set(np.flatnonzero(self.state_map.alpha == 0.0).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -341,23 +340,17 @@ def update_theta(state: InferenceState, model: StructuralModel, hmat: np.ndarray
                  theta_anchor) -> np.ndarray:
     """MAP stiffness scaling parameters from the linear regression H theta = b.
 
-    ``hmat`` is the regression matrix of the current Phi.  Components in the
-    fixed set (or whose ARD variance is exactly zero) stay pinned at the
-    anchor; the remaining block solves
+    ``hmat`` is the regression matrix of the current Phi.  Pruned components
+    (alpha exactly zero) stay pinned at the anchor; the free block solves
     (beta Hf^T Hf + Af^-1) theta_f = beta Hf^T (b - Hp anchor_p) + Af^-1 anchor_f.
     """
     anchor = np.asarray(theta_anchor, dtype=float)
     bvec = build_b(model, state.omega2, state.phi)
-    free = state.free_mask() & (state.alpha > 0.0)
+    free = state.free_mask()
     theta_new = anchor.copy()
-    if not np.any(free):
-        return theta_new
-    hf = hmat[:, free]
-    alpha_f = state.alpha[free]
     resid_rhs = bvec - hmat[:, ~free] @ anchor[~free]
-    lhs = state.beta * (hf.T @ hf)
-    lhs[np.diag_indices_from(lhs)] += 1.0 / alpha_f
-    rhs = state.beta * (hf.T @ resid_rhs) + anchor[free] / alpha_f
+    lhs = uncertainty.theta_precision(state.beta, hmat, state.alpha)
+    rhs = state.beta * (hmat[:, free].T @ resid_rhs) + anchor[free] / state.alpha[free]
     try:
         theta_new[free] = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
@@ -393,10 +386,7 @@ def update_alpha(state: InferenceState, theta_anchor, theta_cov_diag, lam: float
         alpha = bj.copy()
     else:
         alpha = (-1.0 + np.sqrt(1.0 + 8.0 * lam * bj)) / (4.0 * lam)
-    free = state.free_mask()
-    out = np.zeros(state.n)
-    out[free] = alpha[free]
-    return out
+    return np.where(state.free_mask(), alpha, 0.0)
 
 
 def update_alpha_precision_variant(state: InferenceState, theta_anchor, theta_cov_diag,
@@ -406,10 +396,7 @@ def update_alpha_precision_variant(state: InferenceState, theta_anchor, theta_co
         raise ConfigurationError("kappa must be nonnegative")
     anchor = np.asarray(theta_anchor, dtype=float)
     bj = np.asarray(theta_cov_diag, dtype=float) + (anchor - state.theta) ** 2
-    free = state.free_mask()
-    out = np.zeros(state.n)
-    out[free] = bj[free] + kappa
-    return out
+    return np.where(state.free_mask(), bj + kappa, 0.0)
 
 
 def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
@@ -433,9 +420,8 @@ def objective(state: InferenceState, dataset: ModalDataset, model: StructuralMod
 
     ``hmat`` is the regression matrix of ``state.phi``.
 
-    Pinned components contribute zero to the anchor term by construction;
-    a free component with alpha exactly zero contributes zero only if its
-    theta equals the anchor, and +inf otherwise.
+    A pruned component (alpha exactly zero) contributes zero to the anchor
+    term if its theta equals the anchor, and +inf otherwise.
     """
     if state.beta <= 0 or state.eta <= 0 or state.nu <= 0:
         raise ConfigurationError("objective undefined: nonpositive precision")
@@ -472,20 +458,6 @@ def objective(state: InferenceState, dataset: ModalDataset, model: StructuralMod
 # ---------------------------------------------------------------------------
 
 
-def _log_alpha_step(alpha_new: np.ndarray, alpha_old: np.ndarray, free: np.ndarray) -> float:
-    if not np.any(free):
-        return 0.0
-    new = alpha_new[free]
-    old = alpha_old[free]
-    both_zero = (new == 0) & (old == 0)
-    if np.any((new == 0) != (old == 0)):
-        return math.inf
-    ratio = np.ones_like(new)
-    ok = ~both_zero
-    ratio[ok] = new[ok] / old[ok]
-    return float(np.max(np.abs(np.log(ratio))))
-
-
 def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
          config: AlgorithmConfig) -> InferenceResult:
     anchor = np.asarray(anchor, dtype=float)
@@ -515,6 +487,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
             state.beta = update_beta(state, model, hmat)
 
         if monitoring:
+            free = state.free_mask()
             cov_diag = np.diag(uncertainty.theta_covariance_from(state.beta, hmat, state.alpha))
             if config.hyper_variant == PRECISION_EXP:
                 state.alpha = update_alpha_precision_variant(state, anchor, cov_diag, config.kappa)
@@ -523,13 +496,10 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
                 if config.lambda_fixed is None:
                     state.lam, state.zeta = update_lambda_zeta(state)
             if sweep >= config.min_sweeps_before_pruning:
-                free = state.free_mask()
                 newly = np.flatnonzero(free & (state.alpha < config.alpha_min))
-                for j in newly:
-                    state.fixed_set.add(int(j))
-                    state.alpha[j] = 0.0
-                    state.theta[j] = anchor[j]
-                    pruning_events.append((sweep, int(j)))
+                state.alpha[newly] = 0.0
+                state.theta[newly] = anchor[newly]
+                pruning_events += [(sweep, int(j)) for j in newly]
             alpha_trace.append(state.alpha.copy())
 
         theta_trace.append(state.theta.copy())
@@ -540,23 +510,23 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
             if not np.any(free):
                 converged = True  # everything pruned: report zero stiffness change
             elif sweep >= 2:
-                step = _log_alpha_step(alpha_trace[-1], alpha_trace[-2], free)
+                # a zero alpha stays zero, so every component free now was free before
+                step = np.max(np.abs(np.log(state.alpha[free] / alpha_trace[-2][free])))
                 converged = step < config.tol_log_alpha
         else:
             converged = float(np.max(np.abs(state.theta - theta_prev))) < config.tol_theta
         if converged:
             break
 
+    # rows of pruned components are exactly zero, so their c.o.v. is too
     theta_cov = uncertainty.theta_covariance_from(state.beta, hmat, state.alpha)
     sigma = np.sqrt(np.clip(np.diag(theta_cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         cov_theta = np.where(state.theta != 0, sigma / np.abs(state.theta), 0.0)
-    free = state.free_mask()
-    cov_theta[~free] = 0.0
 
     full_cov = labels = None
     try:
-        full_cov, labels = uncertainty.joint_covariance(state, dataset, model)
+        full_cov, labels = uncertainty.joint_covariance(state, dataset, model, hmat)
     except NumericalError as exc:
         state.flag(f"joint covariance unavailable: {exc}")
 

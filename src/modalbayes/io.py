@@ -109,7 +109,7 @@ def result_to_dict(result: InferenceResult) -> dict:
         "zeta": state.zeta,
         "a0": state.a0,
         "b0": state.b0,
-        "fixed_set": sorted(int(j) for j in state.fixed_set),
+        "fixed_set": sorted(result.fixed_set),
         "diagnostics": list(state.diagnostics),
         "theta_cov": result.theta_cov.tolist(),
         "cov_theta": result.cov_theta.tolist(),
@@ -120,9 +120,12 @@ def result_to_dict(result: InferenceResult) -> dict:
 
 
 def result_from_dict(payload: dict) -> InferenceResult:
+    """Parse a result file, checking array shapes against theta_map and fixed_set against alpha."""
     try:
+        arrays = {name: np.asarray(payload[name], dtype=float) for name in
+                  ("theta_map", "theta_anchor", "alpha", "cov_theta", "theta_cov")}
         state = InferenceState(
-            theta=np.asarray(payload["theta_map"], dtype=float),
+            theta=arrays["theta_map"],
             omega2=np.asarray(payload["omega2"], dtype=float),
             phi=np.asarray(payload["phi"], dtype=float),
             beta=float(payload["beta"]),
@@ -130,20 +133,19 @@ def result_from_dict(payload: dict) -> InferenceResult:
             nu=float(payload["nu"]),
             rho=np.asarray(payload["rho"], dtype=float),
             tau=np.asarray(payload["tau"], dtype=float),
-            alpha=np.asarray(payload["alpha"], dtype=float),
+            alpha=arrays["alpha"],
             lam=float(payload["lambda"]),
             zeta=float(payload["zeta"]),
             a0=float(payload["a0"]),
             b0=float(payload["b0"]),
-            fixed_set=set(int(j) for j in payload["fixed_set"]),
             diagnostics=list(payload.get("diagnostics", [])),
         )
-        return InferenceResult(
+        result = InferenceResult(
             mode=payload["mode"],
             state_map=state,
-            theta_anchor=np.asarray(payload["theta_anchor"], dtype=float),
-            theta_cov=np.asarray(payload["theta_cov"], dtype=float),
-            cov_theta=np.asarray(payload["cov_theta"], dtype=float),
+            theta_anchor=arrays["theta_anchor"],
+            theta_cov=arrays["theta_cov"],
+            cov_theta=arrays["cov_theta"],
             full_cov=None,
             full_cov_labels=None,
             objective_trace=np.empty(0),
@@ -153,8 +155,18 @@ def result_from_dict(payload: dict) -> InferenceResult:
             iterations=int(payload["iterations"]),
             converged=bool(payload["converged"]),
         )
+        fixed_set = set(int(j) for j in payload["fixed_set"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed inference result payload: {exc}") from exc
+    n = state.n
+    for name, value in arrays.items():
+        want = (n, n) if name == "theta_cov" else (n,)
+        if value.shape != want:
+            raise ConfigurationError(f"result {name} must have shape {want}, got {value.shape}")
+    if fixed_set != result.fixed_set:
+        raise ConfigurationError(f"result fixed_set {sorted(fixed_set)} is not the alpha = 0 "
+                                 f"set {sorted(result.fixed_set)}")
+    return result
 
 
 def save_result(result: InferenceResult, path) -> None:

@@ -26,23 +26,29 @@ HESSIAN_ASYMMETRY_RTOL = 1e-8
 MAX_CONDITION = 1e14
 
 
+def theta_precision(beta: float, hmat: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """beta H_f^T H_f + A_f^-1 (nf x nf) over the free set f of components with alpha > 0."""
+    free = alpha > 0.0
+    hf = hmat[:, free]
+    prec = beta * (hf.T @ hf)
+    prec[np.diag_indices_from(prec)] += 1.0 / alpha[free]
+    return prec
+
+
 def theta_covariance_from(beta: float, hmat: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Sigma_theta = (beta H_f^T H_f + A_f^-1)^-1, embedded in the n x n frame.
 
-    The free set f holds the components with alpha > 0.  Its precision
-    matrix is factored once by Cholesky (LAPACK ``dpotrf``) and inverted from
-    that factor (``dpotri``), so the cost scales with the unpruned set.  Rows
-    and columns of zero-variance components are exactly zero.
+    The precision ``theta_precision`` is factored once by Cholesky (LAPACK
+    ``dpotrf``) and inverted from that factor (``dpotri``), so the cost scales
+    with the unpruned set.  Rows and columns of pruned components are exactly
+    zero.
     """
     alpha = np.asarray(alpha, dtype=float)
     free = alpha > 0.0
     cov = np.zeros((alpha.size, alpha.size))
     if not np.any(free):
         return cov
-    hf = hmat[:, free]
-    prec = beta * (hf.T @ hf)
-    prec[np.diag_indices_from(prec)] += 1.0 / alpha[free]
-    factor, info = lapack.dpotrf(prec, lower=1)
+    factor, info = lapack.dpotrf(theta_precision(beta, hmat, alpha), lower=1)
     if info == 0:
         inv, info = lapack.dpotri(factor, lower=1)
     if info != 0:
@@ -63,25 +69,23 @@ def _hessian_labels(m: int, d: int, free_idx: np.ndarray) -> list:
     return labels
 
 
-def joint_hessian(state, dataset: ModalDataset, model: StructuralModel):
+def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np.ndarray):
     """Full precision matrix of the objective at the MAP, with labels.
 
     Returns (hessian, labels) where the row/column order is
-    [beta, omega2, rho, tau, Phi, eta, nu, theta_free].  Every block is
-    assembled from the per-mode operators A_i = K - omega2_i M, the residuals
-    r_i = A_i Phi_i and the regression matrix H, without loops over
-    substructures.
+    [beta, omega2, rho, tau, Phi, eta, nu, theta_free].  ``hmat`` is the
+    regression matrix H of ``state.phi``.  Every block is assembled from the
+    per-mode operators A_i = K - omega2_i M, the residuals r_i = A_i Phi_i
+    and H, without loops over substructures.
     """
     d, m = model.d, state.m
     q, s = dataset.q, dataset.s
-    free = state.free_mask() & (state.alpha > 0.0)
-    free_idx = np.flatnonzero(free)
+    free_idx = np.flatnonzero(state.free_mask())
     nf = free_idx.size
     dm = d * m
 
     modes = state.phi.reshape(m, d)
     ops = eigen_operators(model, state.theta, state.omega2)
-    hmat = build_H(model, state.phi)
     resid = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
     mphi = modes @ model.mass.T
     gtg = np.einsum("ij,ij->i", mphi, mphi)
@@ -128,34 +132,30 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel):
     hess[i_eta, i_nu] = 1.0
     hess[i_nu, i_eta] = 1.0
     hess[i_nu, i_nu] = 1.0 / state.nu**2
-    if nf:
-        # (A_i Ksub_j + Ksub_j A_i) Phi_i = A_i (Ksub_j Phi_i) + Ksub_j r_i
-        hf3 = hmat.reshape(m, d, model.n)[:, :, free_idx]
-        l3 = np.matmul(ops, hf3).reshape(dm, nf) + build_H(model, resid.reshape(-1))[:, free_idx]
-        hess[i_phi, i_th] = state.beta * l3
-        hess[i_th, i_phi] = (state.beta * l3).T
-        hf = hmat[:, free_idx]
-        hess[i_th, i_th] = state.beta * (hf.T @ hf) + np.diag(1.0 / state.alpha[free_idx])
+    # (A_i Ksub_j + Ksub_j A_i) Phi_i = A_i (Ksub_j Phi_i) + Ksub_j r_i
+    hf3 = hmat.reshape(m, d, model.n)[:, :, free_idx]
+    l3 = np.matmul(ops, hf3).reshape(dm, nf) + build_H(model, resid.reshape(-1))[:, free_idx]
+    hess[i_phi, i_th] = state.beta * l3
+    hess[i_th, i_phi] = (state.beta * l3).T
+    hess[i_th, i_th] = theta_precision(state.beta, hmat, state.alpha)
 
     # (1,2) block
     v_bphi = np.matmul(sq_ops, modes[:, :, None]).reshape(-1)
     hess[i_b, i_phi] = v_bphi
     hess[i_phi, i_b] = v_bphi
-    if nf:
-        # H theta - b stacks the residuals r_i
-        v_bth = (hmat.T @ resid.reshape(-1))[free_idx]
-        hess[i_b, i_th] = v_bth
-        hess[i_th, i_b] = v_bth
+    # H theta - b stacks the residuals r_i
+    v_bth = (hmat.T @ resid.reshape(-1))[free_idx]
+    hess[i_b, i_th] = v_bth
+    hess[i_th, i_b] = v_bth
     # omega^2-Phi coupling: exact symmetrized mixed partial -beta (M A_i + A_i M) Phi_i
     w = -state.beta * (resid @ model.mass.T + np.matmul(ops, mphi[:, :, None])[:, :, 0])
     w_rows = 1 + np.repeat(np.arange(m), d)
     hess[w_rows, phi_idx] = w.reshape(-1)
     hess[phi_idx, w_rows] = w.reshape(-1)
-    if nf:
-        # Phi_i^T Ksub_j M Phi_i = (M Phi_i) . (Ksub_j Phi_i)
-        l2 = np.matmul(mphi[:, None, :], hf3)[:, 0, :]
-        hess[i_w, i_th] = -state.beta * l2
-        hess[i_th, i_w] = (-state.beta * l2).T
+    # Phi_i^T Ksub_j M Phi_i = (M Phi_i) . (Ksub_j Phi_i)
+    l2 = np.matmul(mphi[:, None, :], hf3)[:, 0, :]
+    hess[i_w, i_th] = -state.beta * l2
+    hess[i_th, i_w] = (-state.beta * l2).T
 
     return hess, _hessian_labels(m, d, free_idx)
 
@@ -202,9 +202,9 @@ def invert_hessian(hess: np.ndarray, state=None) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def joint_covariance(state, dataset: ModalDataset, model: StructuralModel):
+def joint_covariance(state, dataset: ModalDataset, model: StructuralModel, hmat: np.ndarray):
     """Inverse of the joint Hessian with labels: marginal variances on the diagonal."""
-    hess, labels = joint_hessian(state, dataset, model)
+    hess, labels = joint_hessian(state, dataset, model, hmat)
     return invert_hessian(hess, state), labels
 
 
@@ -255,16 +255,14 @@ def hyper_hessian(state, theta_anchor, theta_cov_diag) -> tuple[np.ndarray, list
     (lambda, zeta) block remains.
     """
     anchor = np.asarray(theta_anchor, dtype=float)
-    free = state.free_mask() & (state.alpha > 0.0)
-    free_idx = np.flatnonzero(free)
+    free_idx = np.flatnonzero(state.free_mask())
     bdiag = np.asarray(theta_cov_diag, dtype=float) + (anchor - state.theta) ** 2
     nf = free_idx.size
     out = np.zeros((nf + 2, nf + 2))
-    if nf:
-        a = state.alpha[free_idx]
-        out[:nf, :nf] = np.diag(2.0 * bdiag[free_idx] / a**3 - 1.0 / a**2)
-        out[:nf, nf] = 1.0
-        out[nf, :nf] = 1.0
+    a = state.alpha[free_idx]
+    out[:nf, :nf] = np.diag(2.0 * bdiag[free_idx] / a**3 - 1.0 / a**2)
+    out[:nf, nf] = 1.0
+    out[nf, :nf] = 1.0
     out[nf, nf] = state.n / state.lam**2
     out[nf, nf + 1] = 1.0
     out[nf + 1, nf] = 1.0

@@ -117,7 +117,6 @@ def unpack_state(x: np.ndarray, template: InferenceState) -> InferenceState:
         zeta=template.zeta,
         a0=template.a0,
         b0=template.b0,
-        fixed_set=set(template.fixed_set),
     )
 
 

@@ -189,7 +189,7 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
 def test_criterion_6_hessian_oracle(toy2_model, toy2_dataset, toy2_map):
     start = time.perf_counter()
     state = toy2_map.state_map
-    hess, _ = joint_hessian(state, toy2_dataset, toy2_model)
+    hess, _ = joint_hessian(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi))
     fun = objective_of(toy2_dataset, toy2_model, toy2_map.theta_anchor, state)
     fd = fd_hessian(fun, pack_state(state))
     scale = np.abs(hess).max()

@@ -143,6 +143,10 @@ class TestSimulateModalData:
         ratio = ds.omega2_segments[:, 0] / exact.omega2[0]
         assert abs(ratio.std() - 0.05) <= 0.1 * 0.05
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            NoiseSpec(seed=-1)
+
 
 class TestNoiseFreePipeline:
     @pytest.mark.parametrize("sensors", ["full", "partial"])

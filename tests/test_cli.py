@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
+from modalbayes.cli import main
 from modalbayes.inference import AlgorithmConfig
 
 BASE_ARGS = [sys.executable, "-m", "modalbayes.cli"]
@@ -67,6 +68,15 @@ class TestSimulate:
 
     def test_bad_damage_id_exit_2(self, tmp_path):
         proc = run_cli(["simulate", "--building", "shear10", "--damage", "a=0.2"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exit_2(self, tmp_path, where):
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+        seed = ["--seed", "-1"] if where == "flag" else ["--config", "cfg.json"]
+        proc = run_cli(["simulate", "--building", "shear10", "--out-dir", "out"] + seed,
+                       cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -157,6 +167,13 @@ class TestCalibrate:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_negative_seed_for_theta_init_exit_2(self, pipeline_dir):
+        proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
+                        "run/dataset.json", "--theta-init", "uniform:2,3", "--seed", "-1",
+                        "--out-dir", "neg"], cwd=pipeline_dir)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_unit_scale_with_model_exit_2(self, pipeline_dir):
         proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
                         "run/dataset.json", "--unit-scale", "5", "--out-dir", "us"],
@@ -197,6 +214,27 @@ def monitored_dir(tmp_path):
     return tmp_path
 
 
+@pytest.fixture(scope="module")
+def stage_dir(tmp_path_factory):
+    """The runs of ``monitored_dir``, made once in-process for tests that only read them."""
+    path = tmp_path_factory.mktemp("stages")
+    for argv in (
+        ["simulate", "--building", "shear10", "--modes", "4", "--segments", "50",
+         "--noise", "0.01", "--seed", "7", "--out-dir", f"{path}/calib"],
+        ["simulate", "--building", "shear10", "--modes", "4", "--segments", "10",
+         "--noise", "0.01", "--seed", "21", "--damage", "3=0.2",
+         "--normalization", "global", "--out-dir", f"{path}/dmg"],
+        ["calibrate", "--model", f"{path}/calib/model.json", "--dataset",
+         f"{path}/calib/dataset.json", "--fix-hypers", "eta=1e5,phi=1e4",
+         "--out-dir", f"{path}/calib"],
+        ["monitor", "--model", f"{path}/calib/model.json", "--dataset", f"{path}/dmg/dataset.json",
+         "--calibration", f"{path}/calib/calibration.json", "--alpha-min", "2e-4",
+         "--min-sweeps", "15", "--out-dir", f"{path}/mon"],
+    ):
+        assert main(argv) == 0, argv
+    return path
+
+
 class TestMonitor:
     def test_outputs(self, monitored_dir):
         result = json.loads((monitored_dir / "mon/monitoring.json").read_text())
@@ -219,6 +257,13 @@ class TestMonitor:
         proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",
                         "dmg/dataset.json", "--calibration", "bad.json"], cwd=monitored_dir)
         assert proc.returncode == 2, proc.stderr
+
+    def test_monitoring_result_as_calibration_exit_2(self, stage_dir, tmp_path):
+        proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                        f"{stage_dir}/dmg/dataset.json", "--calibration",
+                        f"{stage_dir}/mon/monitoring.json"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "expected calibration" in proc.stderr
 
     def test_min_sweeps_in_config_hash(self, monitored_dir):
         proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",
@@ -292,6 +337,35 @@ class TestReport:
         proc = run_cli(["report", "--calibration", "a.json", "--monitoring", "b.json"],
                        cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
+
+    @pytest.mark.parametrize("calibration, monitoring", [
+        ("mon/monitoring.json", "mon/monitoring.json"),
+        ("calib/calibration.json", "calib/calibration.json"),
+    ], ids=["monitoring_as_calibration", "calibration_as_monitoring"])
+    def test_wrong_stage_exit_2(self, stage_dir, tmp_path, calibration, monitoring):
+        proc = run_cli(["report", "--calibration", f"{stage_dir}/{calibration}",
+                        "--monitoring", f"{stage_dir}/{monitoring}"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "result, expected" in proc.stderr
+
+    @pytest.mark.parametrize("key, value", [
+        ("theta_cov", [[1e-4]]),
+        ("fixed_set", [42]),
+        ("fixed_set", []),
+        ("theta_anchor", [1.0] * 5),
+        ("alpha", [1.0] * 5),
+    ], ids=["theta_cov_shape", "fixed_set_out_of_range", "fixed_set_not_alpha_zero",
+            "theta_anchor_length", "alpha_length"])
+    def test_bad_result_file_exit_2(self, stage_dir, tmp_path, key, value):
+        payload = json.loads((stage_dir / "mon/monitoring.json").read_text())
+        assert payload["fixed_set"]  # the undamaged stories were pruned
+        payload[key] = value
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        proc = run_cli(["report", "--calibration", f"{stage_dir}/calib/calibration.json",
+                        "--monitoring", "bad.json"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert key in proc.stderr
 
 
 class TestConfigFile:

@@ -28,7 +28,7 @@ def fake_result(theta, sigma, fixed=(), anchor=None, mode="monitoring"):
         theta=theta.copy(), omega2=np.ones(1), phi=np.ones(n),
         beta=1.0, eta=1.0, nu=1.0, rho=np.ones(1), tau=np.ones(1),
         alpha=np.where([j in fixed for j in range(n)], 0.0, 1.0),
-        lam=1.0, zeta=1.0, a0=1.0, b0=1.0, fixed_set=set(fixed),
+        lam=1.0, zeta=1.0, a0=1.0, b0=1.0,
     )
     cov = np.diag(sigma**2)
     with np.errstate(divide="ignore", invalid="ignore"):

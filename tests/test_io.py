@@ -78,6 +78,13 @@ class TestResultFiles:
         np.testing.assert_allclose(payload["frequencies_hz"],
                                    np.sqrt(result.state_map.omega2) / (2 * np.pi))
 
+    def test_saved_bytes_survive_a_load(self, toy2_model, toy2_dataset, tmp_path):
+        result = run_calibration(toy2_dataset, toy2_model, np.ones(2),
+                                 AlgorithmConfig(mode="calibration"))
+        io.save_result(result, tmp_path / "a.json")
+        io.save_result(io.load_result(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_theta_cov_is_psd(self, toy2_model, toy2_dataset):
         result = run_calibration(toy2_dataset, toy2_model, np.ones(2),
                                  AlgorithmConfig(mode="calibration"))

@@ -82,7 +82,8 @@ class TestThetaCovariance:
 class TestJointHessian:
     def test_beta_beta_entry(self, toy2_map, toy2_dataset, toy2_model):
         state = toy2_map.state_map
-        hess, labels = joint_hessian(state, toy2_dataset, toy2_model)
+        hess, labels = joint_hessian(state, toy2_dataset, toy2_model,
+                                      build_H(toy2_model, state.phi))
         dm = toy2_model.d * state.m
         expected = (dm / 2.0 - 1.0 + state.a0) / state.beta**2
         np.testing.assert_allclose(hess[0, 0], expected, rtol=1e-14)
@@ -90,7 +91,8 @@ class TestJointHessian:
 
     def test_eta_eta_entry(self, toy2_map, toy2_dataset, toy2_model):
         state = toy2_map.state_map
-        hess, labels = joint_hessian(state, toy2_dataset, toy2_model)
+        hess, labels = joint_hessian(state, toy2_dataset, toy2_model,
+                                      build_H(toy2_model, state.phi))
         i = labels.index("eta")
         sqm = toy2_dataset.s * toy2_dataset.q * toy2_dataset.m
         np.testing.assert_allclose(hess[i, i], sqm / (2.0 * state.eta**2), rtol=1e-14)
@@ -98,7 +100,7 @@ class TestJointHessian:
     def test_matches_fd_hessian_at_map(self, toy2_map, toy2_dataset, toy2_model):
         state = toy2_map.state_map
         anchor = toy2_map.theta_anchor
-        hess, _ = joint_hessian(state, toy2_dataset, toy2_model)
+        hess, _ = joint_hessian(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi))
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         fd = fd_hessian(fun, pack_state(state))
         scale = np.abs(hess).max()
@@ -107,7 +109,8 @@ class TestJointHessian:
         assert rel.max() <= 1e-4
 
     def test_symmetry(self, toy2_map, toy2_dataset, toy2_model):
-        hess, _ = joint_hessian(toy2_map.state_map, toy2_dataset, toy2_model)
+        hess, _ = joint_hessian(toy2_map.state_map, toy2_dataset, toy2_model,
+                                build_H(toy2_model, toy2_map.state_map.phi))
         np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
 
     def test_beta_omega2_block_matches_loop(self):
@@ -120,7 +123,7 @@ class TestJointHessian:
                                  noise=NoiseSpec(0.01, 0.01, seed=10))
         state = initialize(ds, model, np.array([0.8, 1.3]), AlgorithmConfig(mode="calibration"))
         state.phi = state.phi + 0.1 * rng.normal(size=d * m)
-        hess, labels = joint_hessian(state, ds, model)
+        hess, labels = joint_hessian(state, ds, model, build_H(model, state.phi))
         k = assemble_stiffness(model, state.theta)
         want = np.zeros(m)
         for i, phi_i in enumerate(state.phi.reshape(m, d)):
@@ -142,7 +145,7 @@ class TestJointHessian:
         state.phi = state.phi + 0.1 * rng.normal(size=d * m)
         state.theta = np.array([0.9, 1.2, 1.05])
         state.alpha[1] = 0.0  # theta_2 leaves the free block
-        hess, labels = joint_hessian(state, ds, model)
+        hess, labels = joint_hessian(state, ds, model, build_H(model, state.phi))
         free_idx = [0, 2]
         k = assemble_stiffness(model, state.theta)
         modes = state.phi.reshape(m, d)
@@ -181,7 +184,8 @@ class TestJointHessian:
 
 class TestJointCovariance:
     def test_positive_semidefinite_at_map(self, toy2_map, toy2_dataset, toy2_model):
-        cov, _ = joint_covariance(toy2_map.state_map, toy2_dataset, toy2_model)
+        cov, _ = joint_covariance(toy2_map.state_map, toy2_dataset, toy2_model,
+                                  build_H(toy2_model, toy2_map.state_map.phi))
         np.testing.assert_allclose(cov, cov.T, rtol=1e-12)
         eig = np.linalg.eigvalsh(cov)
         assert eig.min() >= -1e-10 * eig.max()
