@@ -16,7 +16,9 @@ Update order within a sweep is fixed: (mode shapes, eta), (frequencies, rho),
 theta, beta, then the ARD block in monitoring mode.  The regression matrix H of
 the new mode shapes is built once per sweep, right after the mode-shape
 update; every later block of the sweep reads K(theta) Phi_i = K0 Phi_i +
-(H theta)_i from it instead of assembling K(theta).
+(H theta)_i from it instead of assembling K(theta).  The residual
+r = H theta - b is formed once, after the theta update, and read by the beta
+update and the objective; it is formed again only when pruning moves theta.
 """
 
 from __future__ import annotations
@@ -358,15 +360,16 @@ def update_theta(state: InferenceState, model: StructuralModel, hmat: np.ndarray
     return theta_new
 
 
-def update_beta(state: InferenceState, model: StructuralModel, hmat: np.ndarray) -> float:
-    """beta = (dm + 2(a0 - 1)) / (2 b0 + sum_i ||(K - w_i^2 M) Phi_i||^2)."""
-    d = model.d
-    m = state.m
-    numerator = d * m + 2.0 * (state.a0 - 1.0)
+def update_beta(state: InferenceState, resid: np.ndarray) -> float:
+    """beta = (dm + 2(a0 - 1)) / (2 b0 + sum_i ||(K - w_i^2 M) Phi_i||^2).
+
+    ``resid`` stacks the residuals (K - w_i^2 M) Phi_i of the current state
+    (``model.eigen_residual``).
+    """
+    numerator = state.phi.size + 2.0 * (state.a0 - 1.0)
     if numerator <= 0:
         raise ConfigurationError("beta update undefined: d*m + 2(a0-1) must be positive")
-    res = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
-    return numerator / (2.0 * state.b0 + float(np.sum(res * res)))
+    return numerator / (2.0 * state.b0 + float(np.sum(resid * resid)))
 
 
 def update_alpha(state: InferenceState, theta_anchor, theta_cov_diag, lam: float | None = None) -> np.ndarray:
@@ -414,11 +417,12 @@ def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def objective(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
-              hmat: np.ndarray, theta_anchor) -> float:
+def objective(state: InferenceState, dataset: ModalDataset, resid: np.ndarray,
+              theta_anchor) -> float:
     """The minimized function J over [xi, theta], all log terms included.
 
-    ``hmat`` is the regression matrix of ``state.phi``.
+    ``resid`` stacks the residuals (K - w_i^2 M) Phi_i of ``state``
+    (``model.eigen_residual``).
 
     A pruned component (alpha exactly zero) contributes zero to the anchor
     term if its theta equals the anchor, and +inf otherwise.
@@ -427,8 +431,8 @@ def objective(state: InferenceState, dataset: ModalDataset, model: StructuralMod
         raise ConfigurationError("objective undefined: nonpositive precision")
     if np.any(state.rho <= 0) or np.any(state.tau <= 0):
         raise ConfigurationError("objective undefined: nonpositive precision")
-    d = model.d
     q, m, s = dataset.q, dataset.m, dataset.s
+    d = state.phi.size // m
     anchor = np.asarray(theta_anchor, dtype=float)
 
     j = (1.0 - state.a0) * math.log(state.beta) + state.b0 * state.beta
@@ -448,8 +452,7 @@ def objective(state: InferenceState, dataset: ModalDataset, model: StructuralMod
         return math.inf
     j += 0.5 * float(np.sum(terms))
 
-    res = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
-    j += -0.5 * d * m * math.log(state.beta) + 0.5 * state.beta * float(np.sum(res * res))
+    j += -0.5 * d * m * math.log(state.beta) + 0.5 * state.beta * float(np.sum(resid * resid))
     return j
 
 
@@ -466,7 +469,8 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
 
     hmat = build_H(model, state.phi)
     theta_trace = [state.theta.copy()]
-    objective_trace = [objective(state, dataset, model, hmat, anchor)]
+    resid = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
+    objective_trace = [objective(state, dataset, resid, anchor)]
     alpha_trace = [state.alpha.copy()] if monitoring else None
     pruning_events: list[tuple[int, int]] = []
 
@@ -483,8 +487,9 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
             state.rho, state.tau = update_rho(state, dataset)
         theta_prev = state.theta
         state.theta = update_theta(state, model, hmat, anchor)
+        resid = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
         if not config.fixed("beta"):
-            state.beta = update_beta(state, model, hmat)
+            state.beta = update_beta(state, resid)
 
         if monitoring:
             free = state.free_mask()
@@ -500,10 +505,12 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
                 state.alpha[newly] = 0.0
                 state.theta[newly] = anchor[newly]
                 pruning_events += [(sweep, int(j)) for j in newly]
+                if newly.size:
+                    resid = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
             alpha_trace.append(state.alpha.copy())
 
         theta_trace.append(state.theta.copy())
-        objective_trace.append(objective(state, dataset, model, hmat, anchor))
+        objective_trace.append(objective(state, dataset, resid, anchor))
 
         if monitoring:
             free = state.free_mask()

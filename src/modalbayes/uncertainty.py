@@ -5,6 +5,14 @@ The joint precision matrix is assembled blockwise in the parameter order
 [beta, omega^2, rho, tau | Phi, eta, nu, theta]; pruned stiffness components
 are constants, not variables, and are excluded from the theta block.
 
+Its Phi block, beta F + eta Gamma^T Gamma, is block-diagonal with one d x d
+block per mode, and it holds most of the rows (dm of them).  The joint
+inverse eliminates that block first: each mode block is inverted from its
+Cholesky factor, and only the Schur complement of the other 3m + 3 + n_free
+rows is inverted as a general (possibly indefinite) matrix.  The exact 1-norm
+condition number of the equilibrated Hessian, read from the inverse formed,
+decides whether the joint covariance is reported.
+
 Reported coefficients of variation follow the conventions of the source
 tables: theta uses the conditional covariance Sigma_theta, and the scalar
 precisions (beta, eta, rho and the normalized phi) use their conditional
@@ -35,26 +43,40 @@ def theta_precision(beta: float, hmat: np.ndarray, alpha: np.ndarray) -> np.ndar
     return prec
 
 
+def spd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of each symmetric positive definite matrix of a stack (..., k, k).
+
+    LAPACK ``dpotrf`` factors each matrix and ``dpotri`` inverts it from its
+    factor; the results are exactly symmetric.  Raises
+    ``np.linalg.LinAlgError`` when a matrix is not positive definite.
+    """
+    inv = np.empty_like(a)
+    for idx in np.ndindex(a.shape[:-2]):
+        factor, info = lapack.dpotrf(a[idx], lower=1)
+        if info == 0:
+            inv[idx], info = lapack.dpotri(factor, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"not positive definite: LAPACK info {info}")
+    # dpotri fills the lower triangles only
+    return np.tril(inv) + np.tril(inv, -1).swapaxes(-1, -2)
+
+
 def theta_covariance_from(beta: float, hmat: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Sigma_theta = (beta H_f^T H_f + A_f^-1)^-1, embedded in the n x n frame.
 
-    The precision ``theta_precision`` is factored once by Cholesky (LAPACK
-    ``dpotrf``) and inverted from that factor (``dpotri``), so the cost scales
-    with the unpruned set.  Rows and columns of pruned components are exactly
-    zero.
+    The precision ``theta_precision`` is inverted by ``spd_inverse``, so the
+    cost scales with the unpruned set.  Rows and columns of pruned components
+    are exactly zero.
     """
     alpha = np.asarray(alpha, dtype=float)
     free = alpha > 0.0
     cov = np.zeros((alpha.size, alpha.size))
     if not np.any(free):
         return cov
-    factor, info = lapack.dpotrf(theta_precision(beta, hmat, alpha), lower=1)
-    if info == 0:
-        inv, info = lapack.dpotri(factor, lower=1)
-    if info != 0:
-        raise NumericalError(f"theta covariance factorization failed: LAPACK info {info}")
-    # dpotri fills the lower triangle only
-    cov[np.ix_(free, free)] = np.tril(inv) + np.tril(inv, -1).T
+    try:
+        cov[np.ix_(free, free)] = spd_inverse(theta_precision(beta, hmat, alpha))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"theta covariance factorization failed: {exc}") from exc
     return cov
 
 
@@ -160,52 +182,95 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np
     return hess, _hessian_labels(m, d, free_idx)
 
 
-def invert_hessian(hess: np.ndarray, state=None) -> np.ndarray:
-    """Symmetric-indefinite inverse of an assembled Hessian with condition check.
+def invert_hessian(hess: np.ndarray, state=None, phi_blocks: tuple | None = None) -> np.ndarray:
+    """Inverse of an assembled Hessian through its mode-block-diagonal Phi block.
+
+    ``phi_blocks = (start, m, d)`` says that rows and columns start ..
+    start + m d hold m diagonal d x d blocks P_i with zeros between them, the
+    layout ``joint_hessian`` fixes; those zeros are not read.  With
+    ``phi_blocks`` None the whole matrix is its own Schur complement.
 
     The raw precision matrix mixes parameter scales spanning many orders
     (e.g. eta vs its reciprocal-scale rate), so it is Jacobi-equilibrated
-    before the condition estimate and factorization.  One Bunch-Kaufman
-    factorization (LAPACK ``dsytrf``) serves both: ``dsycon`` estimates the
-    reciprocal 1-norm condition number of the equilibrated matrix from it,
-    which must not exceed ``MAX_CONDITION`` (the threshold that previously
-    applied to the 2-norm condition number from an SVD), and ``dsytri``
-    forms the inverse.
+    first.  The equilibrated P_i are positive definite by construction, and
+    each P_i^-1 comes from its Cholesky factor (``spd_inverse``).  With B the
+    Phi rows of the other k columns and C the block of those columns, the
+    Schur complement S = C - B^T P^-1 B (k x k) can be indefinite at a
+    monitoring MAP and is inverted by LU.  The inverse of the equilibrated
+    matrix A is
+
+        [[P^-1 + Y S^-1 Y^T, -Y S^-1], [-S^-1 Y^T, S^-1]],  Y = P^-1 B,
+
+    with the equilibration undone on the thin factors before the one
+    dm x k x dm product.  Its exact 1-norm condition number
+    ||A||_1 ||A^-1||_1, read from the inverse formed, must not exceed
+    ``MAX_CONDITION``; a P_i that is not positive definite or a singular S
+    fails that check as well.
     """
-    scale = np.max(np.abs(hess))
-    asym = np.max(np.abs(hess - hess.T))
+    size = hess.shape[0]
+    start, m, d = phi_blocks or (0, 0, 0)
+    stop = start + m * d
+    rest = np.r_[0:start, stop:size]
+    modes = np.arange(m)
+    # the blocks that are read, each beside its transpose
+    p_blocks = hess[start:stop, start:stop].reshape(m, d, m, d)[modes, :, modes, :]
+    cross = hess[start:stop][:, rest]
+    core = hess[np.ix_(rest, rest)]
+    pairs = ((p_blocks, p_blocks.transpose(0, 2, 1)), (cross, hess[rest][:, start:stop].T),
+             (core, core.T))
+    scale = max(np.max(np.abs(a), initial=0.0) for a, _ in pairs)
+    asym = max(np.max(np.abs(a - a_t), initial=0.0) for a, a_t in pairs)
     if scale > 0 and asym > HESSIAN_ASYMMETRY_RTOL * scale:
         if state is not None:
             state.flag(f"hessian asymmetry {asym / scale:.2e} above tolerance; symmetrized")
-    sym = 0.5 * (hess + hess.T)
-    diag = np.diag(sym)
-    if np.all(diag > 0):
-        d = 1.0 / np.sqrt(diag)
-    else:
-        d = np.ones(sym.shape[0])
-    scaled = sym * d[:, None] * d[None, :]
-    anorm = float(np.max(np.sum(np.abs(scaled), axis=0)))
-    # the blocked factorization needs the workspace size LAPACK asks for
-    work, _ = lapack.dsytrf_lwork(scaled.shape[0], lower=1)
-    factor, ipiv, info = lapack.dsytrf(scaled, lower=1, lwork=int(work), overwrite_a=1)
-    # info > 0: an exactly zero pivot, so the matrix is singular
-    rcond = lapack.dsycon(factor, ipiv, anorm, lower=1)[0] if info == 0 else 0.0
-    cond = 1.0 / rcond if rcond > 0 else np.inf
+    diag = np.diag(hess)
+    eq = 1.0 / np.sqrt(diag) if np.all(diag > 0) else np.ones(size)
+    eq_p, eq_r = eq[start:stop], eq[rest]
+    eq_blocks = eq_p.reshape(m, d)
+    p_blocks, cross, core = (0.5 * (a + a_t) for a, a_t in pairs)
+    p_blocks *= eq_blocks[:, :, None] * eq_blocks[:, None, :]
+    cross *= eq_p[:, None] * eq_r[None, :]
+    core *= eq_r[:, None] * eq_r[None, :]
+    # ||A||_1: the largest column sum, over the Phi columns and then the others
+    abs_cross = np.abs(cross)
+    anorm = max(
+        np.max(np.abs(p_blocks).sum(axis=1).reshape(-1) + abs_cross.sum(axis=1), initial=0.0),
+        np.max(abs_cross.sum(axis=0) + np.abs(core).sum(axis=0), initial=0.0))
+    try:
+        p_inv = spd_inverse(p_blocks)
+        y = np.matmul(p_inv, cross.reshape(m, d, rest.size)).reshape(m * d, rest.size)
+        s_inv = np.linalg.inv(core - cross.T @ y)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"hessian is numerically singular (condition: {exc})") from exc
+    s_inv = 0.5 * (s_inv + s_inv.T)
+
+    # blocks of E A^-1 E for the equilibration E = diag(eq)
+    y *= eq_p[:, None]
+    z = y @ s_inv
+    cov = np.empty((size, size))
+    tiles = np.matmul(z, y.T, out=cov[start:stop, start:stop]).reshape(m, d, m, d)
+    # the product is symmetric only up to rounding: mirror the upper tiles
+    upper, lower = np.triu_indices(m, 1)
+    tiles[lower, :, upper, :] = tiles[upper, :, lower, :].transpose(0, 2, 1)
+    diag_tiles = tiles[modes, :, modes, :]
+    diag_tiles = 0.5 * (diag_tiles + diag_tiles.transpose(0, 2, 1))
+    tiles[modes, :, modes, :] = diag_tiles + p_inv * (eq_blocks[:, :, None] * eq_blocks[:, None, :])
+    z *= -eq_r[None, :]
+    cov[start:stop, rest] = z
+    cov[rest, start:stop] = z.T
+    cov[np.ix_(rest, rest)] = s_inv * np.outer(eq_r, eq_r)
+    # ||A^-1||_1 from E A^-1 E, column by column
+    inv_norm = np.max(((1.0 / eq) @ np.abs(cov)) / eq, initial=0.0)
+    cond = anorm * inv_norm
     if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise NumericalError(f"hessian is numerically singular (condition estimate {cond:.3e})")
-    inv_scaled, info = lapack.dsytri(factor, ipiv, lower=1, overwrite_a=1)
-    if info != 0:
-        raise NumericalError(f"hessian inversion failed: zero pivot {info} in dsytri")
-    # dsytri fills the lower triangle only
-    inv_scaled = np.tril(inv_scaled) + np.tril(inv_scaled, -1).T
-    cov = inv_scaled * d[:, None] * d[None, :]
-    return 0.5 * (cov + cov.T)
+        raise NumericalError(f"hessian is numerically singular (condition {cond:.3e})")
+    return cov
 
 
 def joint_covariance(state, dataset: ModalDataset, model: StructuralModel, hmat: np.ndarray):
     """Inverse of the joint Hessian with labels: marginal variances on the diagonal."""
     hess, labels = joint_hessian(state, dataset, model, hmat)
-    return invert_hessian(hess, state), labels
+    return invert_hessian(hess, state, phi_blocks=(3 * state.m + 1, state.m, model.d)), labels
 
 
 def cov_report(result, dataset: ModalDataset) -> list:

@@ -9,10 +9,23 @@ import numpy as np
 import pytest
 
 import modalbayes
-from modalbayes.bench import NoiseSpec, simulate_modal_data
+from modalbayes.bench import (
+    DEFAULT_HARNESS_CONFIG,
+    NoiseSpec,
+    apply_damage,
+    benchmark_monitor_config,
+    simulate_modal_data,
+)
 from modalbayes.data import ModalDataset
-from modalbayes.inference import AlgorithmConfig, InferenceState, objective, run_calibration
-from modalbayes.model import StructuralModel, build_H
+from modalbayes.inference import (
+    CALIBRATION,
+    AlgorithmConfig,
+    InferenceState,
+    objective,
+    run_calibration,
+    run_monitoring,
+)
+from modalbayes.model import StructuralModel, build_H, eigen_residual
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +88,23 @@ def toy2_map(toy2_model, toy2_dataset):
     return result
 
 
+def two_stage_data(model: StructuralModel, m: int, sensors, damage: dict, seed: int):
+    """Healthy calibration data (q = 50) and damaged monitoring data (q = 10)."""
+    healthy = np.ones(model.n)
+    calib_data = simulate_modal_data(model, healthy, m, 50, sensors, NoiseSpec(seed=seed))
+    data = simulate_modal_data(model, apply_damage(healthy, damage), m, 10, sensors,
+                               NoiseSpec(seed=seed + 1), normalization="global")
+    return calib_data, data
+
+
+def two_stage(model: StructuralModel, calib_data: ModalDataset, data: ModalDataset):
+    """Calibrate from theta = 1, then monitor against that anchor; returns both results."""
+    fixed = {k: DEFAULT_HARNESS_CONFIG[f"fixed_{k}"] for k in ("eta", "phi")}
+    calib = run_calibration(calib_data, model, np.ones(model.n),
+                            AlgorithmConfig(mode=CALIBRATION, fix_hypers=fixed))
+    return calib, run_monitoring(data, model, calib.theta_map, benchmark_monitor_config())
+
+
 def random_spd(rng, d, scale=1.0):
     a = rng.normal(size=(d, d))
     return scale * (a @ a.T + d * np.eye(d))
@@ -120,10 +150,15 @@ def unpack_state(x: np.ndarray, template: InferenceState) -> InferenceState:
     )
 
 
+def residual_of(model: StructuralModel, state: InferenceState) -> np.ndarray:
+    """The eigen-equation residuals (K - omega2_i M) Phi_i of ``state``, built from scratch."""
+    return eigen_residual(model, build_H(model, state.phi), state.theta, state.omega2, state.phi)
+
+
 def objective_of(dataset, model, anchor, template):
     def fun(x):
         state = unpack_state(x, template)
-        return objective(state, dataset, model, build_H(model, state.phi), anchor)
+        return objective(state, dataset, residual_of(model, state), anchor)
 
     return fun
 

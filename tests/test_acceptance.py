@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import cli_env, fd_gradient, fd_hessian, objective_of, pack_state
+from conftest import cli_env, fd_gradient, fd_hessian, objective_of, pack_state, residual_of
 from modalbayes.bench import (
     ShearBuildingSpec,
     benchmark_monitor_config,
@@ -170,7 +170,7 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
         state.theta = update_theta(state, toy2_model, build_H(toy2_model, state.phi), anchor)
 
     def apply_beta():
-        state.beta = update_beta(state, toy2_model, build_H(toy2_model, state.phi))
+        state.beta = update_beta(state, residual_of(toy2_model, state))
 
     updates = [("phi", apply_phi), ("eta_nu", apply_eta_nu), ("omega2", apply_omega2),
                ("rho_tau", apply_rho_tau), ("theta", apply_theta), ("beta", apply_beta)]

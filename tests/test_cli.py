@@ -188,35 +188,15 @@ class TestCalibrate:
         assert proc.returncode == 3, proc.stderr
 
 
-@pytest.fixture
-def monitored_dir(tmp_path):
-    """simulate (undamaged + damaged) -> calibrate -> monitor.
+@pytest.fixture(scope="module")
+def stage_dir(tmp_path_factory):
+    """simulate (undamaged + damaged) -> calibrate -> monitor, made once in-process.
 
     Calibration ingests per-mode data with the comparison-value precisions;
     monitoring ingests with the stacked-unit-norm rescale (the convention the
-    closed-form initialization is balanced for).
+    closed-form initialization is balanced for).  Tests read these runs and
+    write only into their own ``tmp_path``.
     """
-    proc = run_cli(["simulate", "--building", "shear10", "--modes", "4", "--segments", "50",
-                    "--noise", "0.01", "--seed", "7", "--out-dir", "calib"], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    proc = run_cli(["simulate", "--building", "shear10", "--modes", "4", "--segments", "10",
-                    "--noise", "0.01", "--seed", "21", "--damage", "3=0.2",
-                    "--normalization", "global", "--out-dir", "dmg"], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    proc = run_cli(["calibrate", "--model", "calib/model.json", "--dataset",
-                    "calib/dataset.json", "--fix-hypers", "eta=1e5,phi=1e4",
-                    "--out-dir", "calib"], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset", "dmg/dataset.json",
-                    "--calibration", "calib/calibration.json", "--alpha-min", "2e-4",
-                    "--min-sweeps", "15", "--out-dir", "mon"], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    return tmp_path
-
-
-@pytest.fixture(scope="module")
-def stage_dir(tmp_path_factory):
-    """The runs of ``monitored_dir``, made once in-process for tests that only read them."""
     path = tmp_path_factory.mktemp("stages")
     for argv in (
         ["simulate", "--building", "shear10", "--modes", "4", "--segments", "50",
@@ -236,11 +216,11 @@ def stage_dir(tmp_path_factory):
 
 
 class TestMonitor:
-    def test_outputs(self, monitored_dir):
-        result = json.loads((monitored_dir / "mon/monitoring.json").read_text())
+    def test_outputs(self, stage_dir):
+        result = json.loads((stage_dir / "mon/monitoring.json").read_text())
         assert result["mode"] == "monitoring"
-        assert (monitored_dir / "mon/monitoring_pruning.csv").exists()
-        pruning = (monitored_dir / "mon/monitoring_pruning.csv").read_text().strip().splitlines()
+        assert (stage_dir / "mon/monitoring_pruning.csv").exists()
+        pruning = (stage_dir / "mon/monitoring_pruning.csv").read_text().strip().splitlines()
         assert pruning[0] == "sweep,substructure_id"
         assert len(pruning) > 1  # undamaged stories were pruned
 
@@ -249,13 +229,14 @@ class TestMonitor:
                         "--dataset", "run/dataset.json"], cwd=pipeline_dir)
         assert proc.returncode == 2, proc.stderr
 
-    def test_size_mismatch_exit_2(self, monitored_dir, tmp_path):
-        bad = json.loads((monitored_dir / "calib/calibration.json").read_text())
+    def test_size_mismatch_exit_2(self, stage_dir, tmp_path):
+        bad = json.loads((stage_dir / "calib/calibration.json").read_text())
         bad["theta_map"] = bad["theta_map"][:5]
         bad["theta_anchor"] = bad["theta_anchor"][:5]
-        (monitored_dir / "bad.json").write_text(json.dumps(bad))
-        proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",
-                        "dmg/dataset.json", "--calibration", "bad.json"], cwd=monitored_dir)
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                        f"{stage_dir}/dmg/dataset.json", "--calibration", "bad.json"],
+                       cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
 
     def test_monitoring_result_as_calibration_exit_2(self, stage_dir, tmp_path):
@@ -265,71 +246,76 @@ class TestMonitor:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "expected calibration" in proc.stderr
 
-    def test_min_sweeps_in_config_hash(self, monitored_dir):
-        proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",
-                        "dmg/dataset.json", "--calibration", "calib/calibration.json",
+    def test_min_sweeps_in_config_hash(self, stage_dir, tmp_path):
+        proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                        f"{stage_dir}/dmg/dataset.json", "--calibration",
+                        f"{stage_dir}/calib/calibration.json",
                         "--alpha-min", "2e-4", "--min-sweeps", "2", "--out-dir", "ms2"],
-                       cwd=monitored_dir)
+                       cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        hashes = [json.loads((monitored_dir / d / "monitor_manifest.json").read_text())
-                  ["config_hash"] for d in ("mon", "ms2")]
+        hashes = [json.loads((d / "monitor_manifest.json").read_text())
+                  ["config_hash"] for d in (stage_dir / "mon", tmp_path / "ms2")]
         assert hashes[0] != hashes[1]
 
-    def test_hyper_variant_flags(self, monitored_dir):
-        proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",
-                        "dmg/dataset.json", "--calibration", "calib/calibration.json",
+    def test_hyper_variant_flags(self, stage_dir, tmp_path):
+        proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                        f"{stage_dir}/dmg/dataset.json", "--calibration",
+                        f"{stage_dir}/calib/calibration.json",
                         "--hyper-variant", "precision", "--kappa", "0.1",
-                        "--out-dir", "prec"], cwd=monitored_dir)
+                        "--out-dir", "prec"], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        result = json.loads((monitored_dir / "prec/monitoring.json").read_text())
+        result = json.loads((tmp_path / "prec/monitoring.json").read_text())
         assert result["fixed_set"] == []  # kappa floor: nothing prunes
 
-    def test_undamaged_dataset_prunes_everything(self, monitored_dir):
+    def test_undamaged_dataset_prunes_everything(self, stage_dir, tmp_path):
         proc = run_cli(["simulate", "--building", "shear10", "--modes", "4", "--segments",
                         "10", "--noise", "0.01", "--seed", "33", "--normalization", "global",
-                        "--out-dir", "healthy"], cwd=monitored_dir)
+                        "--out-dir", "healthy"], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",
-                        "healthy/dataset.json", "--calibration", "calib/calibration.json",
+        proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                        "healthy/dataset.json", "--calibration",
+                        f"{stage_dir}/calib/calibration.json",
                         "--alpha-min", "2e-4", "--min-sweeps", "15", "--out-dir", "hm"],
-                       cwd=monitored_dir)
+                       cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        result = json.loads((monitored_dir / "hm/monitoring.json").read_text())
+        result = json.loads((tmp_path / "hm/monitoring.json").read_text())
         assert sorted(result["fixed_set"]) == list(range(10))
-        pruning = (monitored_dir / "hm/monitoring_pruning.csv").read_text().strip().splitlines()
+        pruning = (tmp_path / "hm/monitoring_pruning.csv").read_text().strip().splitlines()
         pruned_ids = sorted(int(line.split(",")[1]) for line in pruning[1:])
         assert pruned_ids == list(range(1, 11))
 
-    def test_lambda_zero_classic_sbl(self, monitored_dir):
-        proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",
-                        "dmg/dataset.json", "--calibration", "calib/calibration.json",
-                        "--lambda", "0", "--out-dir", "sbl"], cwd=monitored_dir)
+    def test_lambda_zero_classic_sbl(self, stage_dir, tmp_path):
+        proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                        f"{stage_dir}/dmg/dataset.json", "--calibration",
+                        f"{stage_dir}/calib/calibration.json",
+                        "--lambda", "0", "--out-dir", "sbl"], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        result = json.loads((monitored_dir / "sbl/monitoring.json").read_text())
+        result = json.loads((tmp_path / "sbl/monitoring.json").read_text())
         assert result["lambda"] == 0.0
 
 
 class TestReport:
-    def test_report_outputs_and_idempotence(self, monitored_dir):
-        args = ["report", "--calibration", "calib/calibration.json", "--monitoring",
-                "mon/monitoring.json", "--fmax", "0.25", "--fstep", "0.0025",
+    def test_report_outputs_and_idempotence(self, stage_dir, tmp_path):
+        args = ["report", "--calibration", f"{stage_dir}/calib/calibration.json", "--monitoring",
+                f"{stage_dir}/mon/monitoring.json", "--fmax", "0.25", "--fstep", "0.0025",
                 "--out-dir", "rep"]
-        proc = run_cli(args, cwd=monitored_dir)
+        proc = run_cli(args, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        alarms = json.loads((monitored_dir / "rep/report_alarms.json").read_text())
+        alarms = json.loads((tmp_path / "rep/report_alarms.json").read_text())
         assert alarms["alarms"] == [3]
-        prob = (monitored_dir / "rep/report_probability.csv").read_text().splitlines()
+        prob = (tmp_path / "rep/report_probability.csv").read_text().splitlines()
         assert len(prob) == 1 + 10 * 101  # header + n * grid points
-        first = (monitored_dir / "rep/report_ratios.csv").read_bytes()
-        proc = run_cli(args, cwd=monitored_dir)
+        first = (tmp_path / "rep/report_ratios.csv").read_bytes()
+        proc = run_cli(args, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert (monitored_dir / "rep/report_ratios.csv").read_bytes() == first
+        assert (tmp_path / "rep/report_ratios.csv").read_bytes() == first
 
     @pytest.mark.parametrize("grid", [["--fstep", "0"], ["--fstep", "-0.01"], ["--fmax", "-0.1"]],
                              ids=["fstep_zero", "fstep_negative", "fmax_negative"])
-    def test_bad_loss_grid_exit_2(self, monitored_dir, grid):
-        proc = run_cli(["report", "--calibration", "calib/calibration.json", "--monitoring",
-                        "mon/monitoring.json", "--out-dir", "bad"] + grid, cwd=monitored_dir)
+    def test_bad_loss_grid_exit_2(self, stage_dir, tmp_path, grid):
+        proc = run_cli(["report", "--calibration", f"{stage_dir}/calib/calibration.json",
+                        "--monitoring", f"{stage_dir}/mon/monitoring.json",
+                        "--out-dir", "bad"] + grid, cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -410,17 +396,18 @@ class TestConfigFile:
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "out/dataset.json").read_text())["m"] == 2
 
-    def test_config_zero_kept(self, monitored_dir):
-        (monitored_dir / "cfg.json").write_text(json.dumps({"lambda_fixed": 0}))
-        proc = run_cli(["monitor", "--model", "calib/model.json", "--dataset",
-                        "dmg/dataset.json", "--calibration", "calib/calibration.json",
-                        "--config", "cfg.json", "--out-dir", "sbl"], cwd=monitored_dir)
+    def test_config_zero_kept(self, stage_dir, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"lambda_fixed": 0}))
+        proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                        f"{stage_dir}/dmg/dataset.json", "--calibration",
+                        f"{stage_dir}/calib/calibration.json",
+                        "--config", "cfg.json", "--out-dir", "sbl"], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        result = json.loads((monitored_dir / "sbl/monitoring.json").read_text())
+        result = json.loads((tmp_path / "sbl/monitoring.json").read_text())
         assert result["lambda"] == 0.0
 
-    def test_manifests_record_full_config(self, monitored_dir):
+    def test_manifests_record_full_config(self, stage_dir):
         fields = {f.name for f in dataclasses.fields(AlgorithmConfig)}
         for path in ("calib/calibrate_manifest.json", "mon/monitor_manifest.json"):
-            settings = json.loads((monitored_dir / path).read_text())["settings"]
+            settings = json.loads((stage_dir / path).read_text())["settings"]
             assert fields <= set(settings), sorted(fields - set(settings))

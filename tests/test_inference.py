@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from conftest import fd_gradient, objective_of, pack_state, random_spd
+from conftest import fd_gradient, objective_of, pack_state, random_spd, residual_of
 from modalbayes.bench import NoiseSpec, simulate_modal_data
 from modalbayes.data import ModalDataset, gamma_t_psi, observation_mask
 from modalbayes.errors import ConfigurationError, NumericalError
@@ -369,7 +369,7 @@ class TestUpdateBeta:
         state.theta = np.array([1.0, 1.0])
         state.omega2 = exact.omega2.copy()
         state.phi = exact.phi.copy()
-        beta = update_beta(state, toy2_model, build_H(toy2_model, state.phi))
+        beta = update_beta(state, residual_of(toy2_model, state))
         np.testing.assert_allclose(beta, 2.0 / 2.0, rtol=1e-6)  # dm = 2, a0 = b0 = 1
 
     def test_residual_equal_to_two_b0_halves_it(self, toy2_model, toy2_dataset):
@@ -384,21 +384,21 @@ class TestUpdateBeta:
         r = a @ direction
         delta = np.sqrt(2.0 * state.b0) / np.linalg.norm(r)
         state.phi = exact.phi + delta * direction
-        beta = update_beta(state, toy2_model, build_H(toy2_model, state.phi))
+        beta = update_beta(state, residual_of(toy2_model, state))
         np.testing.assert_allclose(beta, 0.5 * (2.0 / 2.0), rtol=1e-6)
 
     def test_invalid_shape_parameter(self, toy2_model, toy2_dataset):
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.a0 = -10.0
         with pytest.raises(ConfigurationError):
-            update_beta(state, toy2_model, build_H(toy2_model, state.phi))
+            update_beta(state, residual_of(toy2_model, state))
 
     def test_stationarity(self, toy2_model, toy2_dataset):
         anchor = np.ones(2)
         state = initialize(toy2_dataset, toy2_model, anchor, AlgorithmConfig(mode="calibration"))
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         g_before = fd_gradient(fun, pack_state(state))
-        state.beta = update_beta(state, toy2_model, build_H(toy2_model, state.phi))
+        state.beta = update_beta(state, residual_of(toy2_model, state))
         g_after = fd_gradient(fun, pack_state(state))
         assert abs(g_after[0]) <= 1e-6 * max(np.linalg.norm(g_before), 1e-9)
 
@@ -492,8 +492,8 @@ class TestObjective:
         state.alpha = np.array([0.5, 0.25])
         s2 = copy.deepcopy(state)
         s2.theta = np.array([1.1, 0.9])
-        jd = objective(s2, toy2_dataset, toy2_model, build_H(toy2_model, s2.phi), anchor) \
-            - objective(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi), anchor)
+        jd = objective(s2, toy2_dataset, residual_of(toy2_model, s2), anchor) \
+            - objective(state, toy2_dataset, residual_of(toy2_model, state), anchor)
         # hand computation of the two theta-dependent terms
         def theta_terms(theta):
             hmat = build_H(toy2_model, state.phi)
@@ -517,7 +517,7 @@ class TestObjective:
         state.omega2 = ds.omega2_segments[0].copy()
         scale = np.linalg.norm(state.phi)
         state.phi = state.phi / scale * np.sign(state.phi @ exact.phi)
-        j = objective(state, ds, toy2_model, build_H(toy2_model, state.phi), anchor)
+        j = objective(state, ds, residual_of(toy2_model, state), anchor)
         m, q, s = 1, 3, 2
         expected = (
             state.b0 * state.beta
@@ -536,7 +536,7 @@ class TestObjective:
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.eta = -1.0
         with pytest.raises(ConfigurationError):
-            objective(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi), np.ones(2))
+            objective(state, toy2_dataset, residual_of(toy2_model, state), np.ones(2))
 
     def test_monotone_trace_with_frozen_hypers(self, toy2_model, toy2_dataset):
         config = AlgorithmConfig(mode="calibration",
@@ -609,7 +609,8 @@ class TestRunMonitoring:
 
 
 class TestSweepStructure:
-    """Each sweep assembles K(theta) once and builds its regression matrix H once."""
+    """Each sweep assembles K(theta) once, builds its regression matrix H once and its
+    right-hand side b twice: for the theta update and for the one residual H theta - b."""
 
     @staticmethod
     def count_per_sweep(monkeypatch, run):
@@ -624,7 +625,7 @@ class TestSweepStructure:
             return wrapper
 
         # wrap each function at every name the package looks it up by
-        for home, name in ((model, "assemble_stiffness"), (model, "build_H"),
+        for home, name in ((model, "assemble_stiffness"), (model, "build_H"), (model, "build_b"),
                            (inference, "update_mode_shapes"), (uncertainty, "joint_covariance")):
             original = getattr(home, name)
             wrapper = recording(name, original)
@@ -641,7 +642,8 @@ class TestSweepStructure:
         bounds = starts + [end]
         sweeps = [events[a + 1:b] for a, b in zip(bounds, bounds[1:])]
         assert len(sweeps) == result.iterations == 3
-        return [(s.count("assemble_stiffness"), s.count("build_H")) for s in sweeps]
+        return [(s.count("assemble_stiffness"), s.count("build_H"), s.count("build_b"))
+                for s in sweeps]
 
     def test_one_assembly_and_one_H_per_sweep(self, monkeypatch):
         shear10 = shear_building_model(ShearBuildingSpec(stories=10), unit_scale=1e6)
@@ -657,7 +659,7 @@ class TestSweepStructure:
         calib = run_calibration(calib_ds, shear10, np.ones(10), calib_config)
         assert self.count_per_sweep(
             monkeypatch, lambda: run_calibration(calib_ds, shear10, np.ones(10), calib_config)
-        ) == [(1, 1)] * 3
+        ) == [(1, 1, 2)] * 3
         assert self.count_per_sweep(
             monkeypatch, lambda: run_monitoring(mon_ds, shear10, calib.theta_map, mon_config)
-        ) == [(1, 1)] * 3
+        ) == [(1, 1, 2)] * 3

@@ -3,12 +3,24 @@
 import numpy as np
 import pytest
 
-from conftest import fd_hessian, objective_of, pack_state, random_spd, random_symmetric
+from conftest import (
+    fd_hessian,
+    objective_of,
+    pack_state,
+    random_spd,
+    random_symmetric,
+    two_stage,
+    two_stage_data,
+)
+from modalbayes import uncertainty
 from modalbayes.bench import (
+    BENCHMARK_UNIT_SCALE,
     NoiseSpec,
+    ShearBuildingSpec,
     harness_dataset,
     merge_config,
     run_damage_scenario,
+    shear_building_model,
     simulate_modal_data,
 )
 from modalbayes.data import observation_mask
@@ -204,6 +216,90 @@ class TestJointCovariance:
         hess = basis @ np.diag([3.0, -2.0, 1.5, -1.0, 2.5, -0.5]) @ basis.T
         hess = 0.5 * (hess + hess.T)
         np.testing.assert_allclose(invert_hessian(hess), np.linalg.inv(hess), rtol=1e-10)
+
+
+def converged_runs(stories, m, layout, seed):
+    """Shear building, calibration and monitoring MAPs with their data.
+
+    The partial layout observes every other story; the 20% loss sits at the
+    middle story.
+    """
+    model = shear_building_model(ShearBuildingSpec(stories=stories),
+                                 unit_scale=BENCHMARK_UNIT_SCALE)
+    sensors = list(range(stories)) if layout == "full" else list(range(0, stories, 2))
+    calib_data, data = two_stage_data(model, m, sensors, {stories // 2: 0.2}, seed)
+    calib, monitor = two_stage(model, calib_data, data)
+    return model, ((calib, calib_data), (monitor, data))
+
+
+def hessian_at(result, dataset, model):
+    state = result.state_map
+    return joint_hessian(state, dataset, model, build_H(model, state.phi))[0]
+
+
+def phi_tile(hess, m, d, i):
+    """The diagonal Phi block of mode i (a view into ``hess``)."""
+    start = 3 * m + 1 + i * d
+    return hess[start:start + d, start:start + d]
+
+
+class TestStructuredInverse:
+    """The mode-block Schur inverse against a dense inverse of the assembled Hessian."""
+
+    # (stories, m, sensor layout, seed); the last case's monitoring Hessian is indefinite
+    CASES = [(6, 2, "full", 1), (7, 5, "partial", 2), (8, 3, "partial", 1), (9, 4, "full", 2),
+             (10, 5, "full", 1), (11, 2, "partial", 1), (12, 4, "full", 1),
+             (12, 3, "partial", 1)]
+
+    @pytest.mark.parametrize("stories, m, layout, seed", CASES)
+    def test_matches_dense_inverse(self, stories, m, layout, seed):
+        model, runs = converged_runs(stories, m, layout, seed)
+        for result, dataset in runs:
+            hess = hessian_at(result, dataset, model)
+            # equilibrate by exact powers of two, so that LU meets comparable scales
+            # and the scaling itself adds no rounding
+            eq = np.exp2(np.round(-0.5 * np.log2(np.abs(np.diag(hess)))))
+            dense = np.linalg.inv(hess * np.outer(eq, eq)) * np.outer(eq, eq)
+            assert result.full_cov is not None
+            np.testing.assert_array_equal(result.full_cov, result.full_cov.T)
+            err = np.max(np.abs(result.full_cov - dense)) / np.max(np.abs(dense))
+            assert err <= 1e-12, (result.mode, err)
+
+    def test_indefinite_monitoring_hessian_covered(self):
+        model, runs = converged_runs(*self.CASES[-1])
+        (_, _), (monitor, data) = runs
+        hess = hessian_at(monitor, data, model)
+        eq = 1.0 / np.sqrt(np.diag(hess))
+        eig = np.linalg.eigvalsh(hess * np.outer(eq, eq))
+        assert eig[0] < 0.0 < eig[-1]
+        assert monitor.full_cov is not None
+
+    def test_singular_phi_block_raises(self):
+        model, runs = converged_runs(6, 2, "partial", 1)
+        result, dataset = runs[0]
+        m, d = result.state_map.m, model.d
+        hess = hessian_at(result, dataset, model)
+        # keep the block positive semidefinite but give it the null vector v
+        tile = phi_tile(hess, m, d, 1)
+        v = tile @ np.ones(d)
+        tile -= np.outer(v, v) / np.sum(v)
+        with pytest.raises(NumericalError, match="condition"):
+            invert_hessian(hess, result.state_map, phi_blocks=(3 * m + 1, m, d))
+
+    def test_run_with_singular_phi_block_flags(self, monkeypatch):
+        assembled = uncertainty.joint_hessian
+
+        def singular_phi(state, dataset, model, hmat):
+            hess, labels = assembled(state, dataset, model, hmat)
+            phi_tile(hess, state.m, model.d, 0)[...] = 1.0  # rank one
+            return hess, labels
+
+        monkeypatch.setattr(uncertainty, "joint_hessian", singular_phi)
+        _, runs = converged_runs(6, 2, "full", 1)
+        for result, _ in runs:
+            assert result.full_cov is None and result.full_cov_labels is None
+            assert any(msg.startswith("joint covariance unavailable") and "condition" in msg
+                       for msg in result.state_map.diagnostics), result.state_map.diagnostics
 
 
 class TestCovReport:
