@@ -39,8 +39,7 @@ from .damage import (
 )
 from .data import load_dataset, save_dataset
 from .errors import ConfigurationError, ModalBayesError, NumericalError
-from .inference import (CALIBRATION, MONITORING, PRECISION_EXP, VARIANCE_EXP, AlgorithmConfig,
-                        run_calibration, run_monitoring)
+from .inference import CALIBRATION, MONITORING, AlgorithmConfig, run_calibration, run_monitoring
 from .model import ShearBuildingSpec
 from .uncertainty import cov_report
 
@@ -48,8 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_NUMERICAL = 4
-
-HYPER_VARIANTS = {"variance": VARIANCE_EXP, "precision": PRECISION_EXP}
 
 
 def _kv_arg(text: str) -> dict:
@@ -275,11 +272,9 @@ def cmd_monitor(args) -> int:
         raise ConfigurationError(
             f"calibration result has {calib.theta_map.size} substructures, model has {model.n}"
         )
-    config = AlgorithmConfig(
-        mode=MONITORING, hyper_variant=HYPER_VARIANTS[args.hyper_variant],
-        **_given(args, "kappa", "a0", "b0", "alpha_min", "min_sweeps_before_pruning",
-                 "tol_log_alpha", "max_iterations", "lambda_fixed"),
-    )
+    config = AlgorithmConfig(mode=MONITORING, **_given(
+        args, "kappa", "a0", "b0", "alpha_min", "min_sweeps_before_pruning",
+        "tol_log_alpha", "max_iterations", "lambda_fixed"))
     result = run_monitoring(dataset, model, calib.theta_map, config)
     outputs = _emit_run_outputs(result, dataset, out, "monitoring")
     pruning_path = out / "monitoring_pruning.csv"
@@ -395,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mon = sub.add_parser("monitor", parents=[common, structure, inference], allow_abbrev=False,
                            help="Algorithm 2: sparse stiffness-change inference")
     p_mon.add_argument("--calibration", help="calibration result JSON providing the anchor")
-    p_mon.add_argument("--hyper-variant", choices=HYPER_VARIANTS, default="variance")
-    p_mon.add_argument("--kappa", type=float)
+    p_mon.add_argument("--kappa", type=float, help="floor on every ARD variance; needs --lambda 0")
     p_mon.add_argument("--lambda", "--lambda-fixed", dest="lambda_fixed", type=float,
                        help="pin the ARD rate (0 = classic sparse Bayesian learning)")
     p_mon.add_argument("--alpha-min", type=float)

@@ -12,13 +12,19 @@ Two run modes share one sweep structure:
   record, pins theta_j to the anchor permanently; convergence is on the max
   change of log(alpha) over free components.
 
+One rule sets every ARD variance: the evidence maximizer under an exponential
+hyper-prior of rate lambda, alpha_j = 2 B_j / (1 + sqrt(1 + 8 lambda B_j)) +
+kappa.  lambda = 0 is classic sparse Bayesian learning (alpha_j = B_j), and
+lambda = 0 with a floor kappa > 0 the exponential hyper-prior on precisions.
+
 Update order within a sweep is fixed: (mode shapes, eta), (frequencies, rho),
 theta, beta, then the ARD block in monitoring mode.  The regression matrix H of
 the new mode shapes is built once per sweep, right after the mode-shape
 update; every later block of the sweep reads K(theta) Phi_i = K0 Phi_i +
-(H theta)_i from it instead of assembling K(theta).  The residual
-r = H theta - b is formed once, after the theta update, and read by the beta
-update and the objective; it is formed again only when pruning moves theta.
+(H theta)_i from it instead of assembling K(theta).  The right-hand side b,
+built once after the frequency update, feeds the theta update and the residual
+r = H theta - b.  r is formed after the theta update, read by the beta update
+and the objective, and formed again only when pruning moves theta.
 """
 
 from __future__ import annotations
@@ -35,11 +41,7 @@ from .model import StructuralModel, build_b, build_H, eigen_operators, eigen_res
 
 CALIBRATION = "calibration"
 MONITORING = "monitoring"
-VARIANCE_EXP = "variance_exp"
-PRECISION_EXP = "precision_exp"
 
-# Below this rate the closed-form ARD update switches to its analytic limit.
-LAMBDA_SERIES_THRESHOLD = 1e-12
 # Calibration pins every ARD variance here, which makes the anchor term inert.
 ALPHA_CALIBRATION = 1e9
 # Caps on the mode-shape and frequency precisions for noise-free data.
@@ -55,14 +57,15 @@ class AlgorithmConfig:
     None.  ``fix_hypers`` may pin ``beta``, ``eta``, ``rho`` (scalar or
     per-mode) or ``phi`` (normalized frequency precision, converted to rho
     per mode) to emulate the non-hierarchical comparison method.
-    ``lambda_fixed`` pins the ARD rate (0.0 gives classic sparse Bayesian
-    learning with a flat hyper-prior over the variances).  ``init_scale``
+    ``lambda_fixed`` pins the rate of the one ARD rule (``update_alpha``;
+    0.0 gives classic sparse Bayesian learning), which is otherwise optimized.
+    ``kappa`` floors every free variance and needs ``lambda_fixed=0.0``: the
+    exponential hyper-prior on the precisions.  ``init_scale``
     multiplies the closed-form initial values of ``beta``/``eta``/``phi`` for
     robustness sweeps over starting points.
     """
 
     mode: str = CALIBRATION
-    hyper_variant: str = VARIANCE_EXP
     kappa: float = 0.0
     alpha_min: float = 1e-9
     tol_theta: float = 1e-3
@@ -78,10 +81,11 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.mode not in (CALIBRATION, MONITORING):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.hyper_variant not in (VARIANCE_EXP, PRECISION_EXP):
-            raise ConfigurationError(f"unknown hyper_variant {self.hyper_variant!r}")
         if self.kappa < 0:
             raise ConfigurationError("kappa must be nonnegative")
+        if self.kappa > 0 and self.lambda_fixed != 0.0:
+            raise ConfigurationError("kappa > 0 needs the ARD rate pinned at zero "
+                                     "(lambda_fixed=0, CLI --lambda 0)")
         if min(self.alpha_min, self.tol_theta, self.tol_log_alpha) <= 0:
             raise ConfigurationError("tolerances and alpha_min must be positive")
         if self.max_iterations < 1:
@@ -338,16 +342,16 @@ def update_rho(state: InferenceState, dataset: ModalDataset) -> tuple[np.ndarray
     return rho, 1.0 / rho
 
 
-def update_theta(state: InferenceState, model: StructuralModel, hmat: np.ndarray,
+def update_theta(state: InferenceState, hmat: np.ndarray, bvec: np.ndarray,
                  theta_anchor) -> np.ndarray:
     """MAP stiffness scaling parameters from the linear regression H theta = b.
 
-    ``hmat`` is the regression matrix of the current Phi.  Pruned components
-    (alpha exactly zero) stay pinned at the anchor; the free block solves
+    ``hmat`` and ``bvec`` are the regression matrix and right-hand side
+    (``build_b``) of the current omega2 and Phi.  Pruned components (alpha
+    exactly zero) stay pinned at the anchor; the free block solves
     (beta Hf^T Hf + Af^-1) theta_f = beta Hf^T (b - Hp anchor_p) + Af^-1 anchor_f.
     """
     anchor = np.asarray(theta_anchor, dtype=float)
-    bvec = build_b(model, state.omega2, state.phi)
     free = state.free_mask()
     theta_new = anchor.copy()
     resid_rhs = bvec - hmat[:, ~free] @ anchor[~free]
@@ -372,34 +376,19 @@ def update_beta(state: InferenceState, resid: np.ndarray) -> float:
     return numerator / (2.0 * state.b0 + float(np.sum(resid * resid)))
 
 
-def update_alpha(state: InferenceState, theta_anchor, theta_cov_diag, lam: float | None = None) -> np.ndarray:
-    """Evidence-maximizing ARD variances (exponential hyper-prior on variances).
+def update_alpha(state: InferenceState, theta_anchor, theta_cov_diag,
+                 kappa: float = 0.0) -> np.ndarray:
+    """Evidence-maximizing ARD variances under an exponential hyper-prior of rate lam.
 
-    Uses the closed form (-1 + sqrt(1 + 8 lam B_j)) / (4 lam) with
-    B_j = (Sigma_theta)_jj + (anchor_j - theta_j)^2, switching to the analytic
-    series limit alpha_j = B_j when lam is below 1e-12.  Pruned components
-    keep alpha = 0.
+    alpha_j = 2 B_j / (1 + sqrt(1 + 8 lam B_j)) + kappa with
+    B_j = (Sigma_theta)_jj + (anchor_j - theta_j)^2: the positive root
+    (-1 + sqrt(1 + 8 lam B_j)) / (4 lam) written without cancellation, so
+    lam = 0 gives B_j exactly.  Pruned components keep alpha = 0.
     """
-    lam = state.lam if lam is None else lam
-    if lam < 0:
-        raise ConfigurationError("lambda must be nonnegative")
     anchor = np.asarray(theta_anchor, dtype=float)
     bj = np.asarray(theta_cov_diag, dtype=float) + (anchor - state.theta) ** 2
-    if lam < LAMBDA_SERIES_THRESHOLD:
-        alpha = bj.copy()
-    else:
-        alpha = (-1.0 + np.sqrt(1.0 + 8.0 * lam * bj)) / (4.0 * lam)
+    alpha = 2.0 * bj / (1.0 + np.sqrt(1.0 + 8.0 * state.lam * bj)) + kappa
     return np.where(state.free_mask(), alpha, 0.0)
-
-
-def update_alpha_precision_variant(state: InferenceState, theta_anchor, theta_cov_diag,
-                                   kappa: float) -> np.ndarray:
-    """ARD variances under the exponential hyper-prior on precisions: B_j + kappa."""
-    if kappa < 0:
-        raise ConfigurationError("kappa must be nonnegative")
-    anchor = np.asarray(theta_anchor, dtype=float)
-    bj = np.asarray(theta_cov_diag, dtype=float) + (anchor - state.theta) ** 2
-    return np.where(state.free_mask(), bj + kappa, 0.0)
 
 
 def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
@@ -469,7 +458,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
 
     hmat = build_H(model, state.phi)
     theta_trace = [state.theta.copy()]
-    resid = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
+    resid = eigen_residual(model, hmat, state.theta, build_b(model, state.omega2, state.phi))
     objective_trace = [objective(state, dataset, resid, anchor)]
     alpha_trace = [state.alpha.copy()] if monitoring else None
     pruning_events: list[tuple[int, int]] = []
@@ -483,30 +472,28 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
         if not config.fixed("eta"):
             state.eta, state.nu = update_eta(state, dataset, model)
         state.omega2 = update_frequencies(state, dataset, model, hmat)
+        bvec = build_b(model, state.omega2, state.phi)
         if not (config.fixed("rho") or config.fixed("phi")):
             state.rho, state.tau = update_rho(state, dataset)
         theta_prev = state.theta
-        state.theta = update_theta(state, model, hmat, anchor)
-        resid = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
+        state.theta = update_theta(state, hmat, bvec, anchor)
+        resid = eigen_residual(model, hmat, state.theta, bvec)
         if not config.fixed("beta"):
             state.beta = update_beta(state, resid)
 
         if monitoring:
             free = state.free_mask()
             cov_diag = np.diag(uncertainty.theta_covariance_from(state.beta, hmat, state.alpha))
-            if config.hyper_variant == PRECISION_EXP:
-                state.alpha = update_alpha_precision_variant(state, anchor, cov_diag, config.kappa)
-            else:
-                state.alpha = update_alpha(state, anchor, cov_diag)
-                if config.lambda_fixed is None:
-                    state.lam, state.zeta = update_lambda_zeta(state)
+            state.alpha = update_alpha(state, anchor, cov_diag, config.kappa)
+            if config.lambda_fixed is None:
+                state.lam, state.zeta = update_lambda_zeta(state)
             if sweep >= config.min_sweeps_before_pruning:
                 newly = np.flatnonzero(free & (state.alpha < config.alpha_min))
                 state.alpha[newly] = 0.0
                 state.theta[newly] = anchor[newly]
                 pruning_events += [(sweep, int(j)) for j in newly]
                 if newly.size:
-                    resid = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
+                    resid = eigen_residual(model, hmat, state.theta, bvec)
             alpha_trace.append(state.alpha.copy())
 
         theta_trace.append(state.theta.copy())

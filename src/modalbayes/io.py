@@ -120,7 +120,8 @@ def result_to_dict(result: InferenceResult) -> dict:
 
 
 def result_from_dict(payload: dict) -> InferenceResult:
-    """Parse a result file, checking array shapes against theta_map and fixed_set against alpha."""
+    """Parse a result file, checking array shapes against theta_map, their values
+    (finite; alpha and the theta_cov diagonal nonnegative) and fixed_set against alpha."""
     try:
         arrays = {name: np.asarray(payload[name], dtype=float) for name in
                   ("theta_map", "theta_anchor", "alpha", "cov_theta", "theta_cov")}
@@ -163,6 +164,12 @@ def result_from_dict(payload: dict) -> InferenceResult:
         want = (n, n) if name == "theta_cov" else (n,)
         if value.shape != want:
             raise ConfigurationError(f"result {name} must have shape {want}, got {value.shape}")
+        if not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"result {name} holds non-finite values")
+    if np.any(arrays["alpha"] < 0):
+        raise ConfigurationError("result alpha must be nonnegative")
+    if np.any(np.diag(arrays["theta_cov"]) < 0):
+        raise ConfigurationError("result theta_cov has a negative diagonal entry")
     if fixed_set != result.fixed_set:
         raise ConfigurationError(f"result fixed_set {sorted(fixed_set)} is not the alpha = 0 "
                                  f"set {sorted(result.fixed_set)}")

@@ -233,14 +233,15 @@ def eigen_operators(model: StructuralModel, theta, omega2) -> np.ndarray:
     return k[None, :, :] - omega2[:, None, None] * model.mass[None, :, :]
 
 
-def eigen_residual(model: StructuralModel, hmat: np.ndarray, theta, omega2, phi) -> np.ndarray:
+def eigen_residual(model: StructuralModel, hmat: np.ndarray, theta, bvec: np.ndarray) -> np.ndarray:
     """(m, d) array whose row i is (K(theta) - omega2_i M) @ Phi_i.
 
-    K(theta) is linear in theta, so for the regression matrix ``hmat`` of the
-    same Phi the stacked residuals are H theta - b; no K is assembled.
+    K(theta) is linear in theta, so for the regression matrix ``hmat`` and the
+    right-hand side ``bvec`` (``build_b``) of the same omega2 and Phi the
+    stacked residuals are H theta - b; no K is assembled.
     """
     theta = _theta_vector(model, theta)
-    return (hmat @ theta - build_b(model, omega2, phi)).reshape(-1, model.d)
+    return (hmat @ theta - bvec).reshape(-1, model.d)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -279,5 +280,6 @@ def eigen_solve(model: StructuralModel, theta, m: int) -> SystemModalState:
 
 def eigen_residuals(model: StructuralModel, theta, state: SystemModalState) -> np.ndarray:
     """Euclidean norm of (K(theta) - omega2_i M) Phi_i for each mode."""
-    hmat = build_H(model, state.phi)
-    return np.linalg.norm(eigen_residual(model, hmat, theta, state.omega2, state.phi), axis=1)
+    resid = eigen_residual(model, build_H(model, state.phi), theta,
+                           build_b(model, state.omega2, state.phi))
+    return np.linalg.norm(resid, axis=1)

@@ -28,7 +28,7 @@ from scipy.linalg import lapack
 
 from .data import ModalDataset, gamma_t_psi, observation_mask
 from .errors import NumericalError
-from .model import StructuralModel, build_H, eigen_operators, eigen_residual
+from .model import StructuralModel, build_b, build_H, eigen_operators, eigen_residual
 
 HESSIAN_ASYMMETRY_RTOL = 1e-8
 MAX_CONDITION = 1e14
@@ -108,7 +108,7 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np
 
     modes = state.phi.reshape(m, d)
     ops = eigen_operators(model, state.theta, state.omega2)
-    resid = eigen_residual(model, hmat, state.theta, state.omega2, state.phi)
+    resid = eigen_residual(model, hmat, state.theta, build_b(model, state.omega2, state.phi))
     mphi = modes @ model.mass.T
     gtg = np.einsum("ij,ij->i", mphi, mphi)
     mask = observation_mask(dataset, d)

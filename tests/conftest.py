@@ -25,12 +25,16 @@ from modalbayes.inference import (
     run_calibration,
     run_monitoring,
 )
-from modalbayes.model import StructuralModel, build_H, eigen_residual
+from modalbayes.model import StructuralModel, build_b, build_H, eigen_residual
 
 
 # ---------------------------------------------------------------------------
 # CLI subprocesses
 # ---------------------------------------------------------------------------
+
+
+# manifests written under this timestamp are byte-identical across runs
+SOURCE_DATE_EPOCH = "1700000000"
 
 
 def cli_env() -> dict[str, str]:
@@ -44,7 +48,7 @@ def cli_env() -> dict[str, str]:
     manifests are byte-identical across runs.
     """
     env = dict(os.environ)
-    env["SOURCE_DATE_EPOCH"] = "1700000000"
+    env["SOURCE_DATE_EPOCH"] = SOURCE_DATE_EPOCH
     package_parent = str(Path(modalbayes.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
     return env
@@ -152,7 +156,8 @@ def unpack_state(x: np.ndarray, template: InferenceState) -> InferenceState:
 
 def residual_of(model: StructuralModel, state: InferenceState) -> np.ndarray:
     """The eigen-equation residuals (K - omega2_i M) Phi_i of ``state``, built from scratch."""
-    return eigen_residual(model, build_H(model, state.phi), state.theta, state.omega2, state.phi)
+    return eigen_residual(model, build_H(model, state.phi), state.theta,
+                          build_b(model, state.omega2, state.phi))
 
 
 def objective_of(dataset, model, anchor, template):

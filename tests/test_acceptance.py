@@ -28,7 +28,6 @@ from modalbayes.inference import (
     initialize,
     run_calibration,
     update_alpha,
-    update_alpha_precision_variant,
     update_beta,
     update_eta,
     update_frequencies,
@@ -36,7 +35,7 @@ from modalbayes.inference import (
     update_rho,
     update_theta,
 )
-from modalbayes.model import build_H, eigen_solve
+from modalbayes.model import build_b, build_H, eigen_solve
 from modalbayes.uncertainty import cov_report, joint_hessian
 
 
@@ -167,7 +166,8 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
         state.rho, state.tau = update_rho(state, toy2_dataset)
 
     def apply_theta():
-        state.theta = update_theta(state, toy2_model, build_H(toy2_model, state.phi), anchor)
+        state.theta = update_theta(state, build_H(toy2_model, state.phi),
+                                   build_b(toy2_model, state.omega2, state.phi), anchor)
 
     def apply_beta():
         state.beta = update_beta(state, residual_of(toy2_model, state))
@@ -240,8 +240,8 @@ def test_criterion_7_sparsity_and_alarms():
 
 def test_criterion_8_hyper_variant_consistency(toy2_model, toy2_dataset):
     start = time.perf_counter()
-    # analytic limit: the variance-prior update at lam <= 1e-12 equals the
-    # precision-prior update with kappa = 0
+    # analytic limit: the ARD update at lam -> 0 tends to the precision-prior
+    # value B_j + kappa, and at lam = 0 it is that value exactly
     state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="monitoring"))
     rng = np.random.default_rng(1)
     limit_ok = True
@@ -249,19 +249,24 @@ def test_criterion_8_hyper_variant_consistency(toy2_model, toy2_dataset):
         state.lam = float(rng.uniform(0.0, 1e-12))
         cov = rng.uniform(0.0, 5.0, size=2)
         anchor = state.theta + rng.normal(size=2)
-        a_var = update_alpha(state, anchor, cov)
-        a_prec = update_alpha_precision_variant(state, anchor, cov, kappa=0.0)
-        limit_ok &= bool(np.all(np.abs(a_var - a_prec) <= 1e-8 * np.maximum(a_prec, 1e-30)))
+        kappa = float(rng.uniform(0.0, 0.2))
+        b_plus_kappa = cov + (anchor - state.theta) ** 2 + kappa
+        a_small = update_alpha(state, anchor, cov, kappa=kappa)
+        limit_ok &= bool(np.all(np.abs(a_small - b_plus_kappa)
+                                <= 1e-8 * np.maximum(b_plus_kappa, 1e-30)))
+        state.lam = 0.0
+        at_zero = update_alpha(state, anchor, cov, kappa=kappa)
+        limit_ok &= bool(np.array_equal(at_zero, b_plus_kappa))
 
     _, mon_var = run_damage_scenario(damage={2: 0.20}, seed=7)
     _, mon_prec = run_damage_scenario(
         damage={2: 0.20}, seed=7,
-        monitor_config=benchmark_monitor_config(hyper_variant="precision_exp", kappa=0.1))
+        monitor_config=benchmark_monitor_config(lambda_fixed=0.0, kappa=0.1))
     nz_var = int(np.sum(mon_var.theta_map != mon_var.theta_anchor))
     nz_prec = int(np.sum(mon_prec.theta_map != mon_prec.theta_anchor))
     elapsed = time.perf_counter() - start
     ok = limit_ok and nz_prec >= nz_var
-    _report(8, "variance-prior update at lam->0 equals precision variant at kappa=0; large kappa keeps >= as many changes",
+    _report(8, "ARD update at lam->0 equals the precision-prior B + kappa; large kappa keeps >= as many changes",
             ok, f"limit_ok={limit_ok}, nonzero: precision={nz_prec} vs variance={nz_var}, {elapsed:.0f}s")
 
 

@@ -143,6 +143,22 @@ class TestSimulateModalData:
         ratio = ds.omega2_segments[:, 0] / exact.omega2[0]
         assert abs(ratio.std() - 0.05) <= 0.1 * 0.05
 
+    def test_per_component_shape_noise(self):
+        model = shear_building_model(ShearBuildingSpec(stories=5), unit_scale=1e6)
+        seed, shape_cov, observed = 11, 0.05, [0, 2, 4]
+        ds = simulate_modal_data(model, np.ones(5), m=2, q=3, observed_dofs=observed,
+                                 noise=NoiseSpec(0.01, shape_cov, seed=seed,
+                                                 shape_mode="per_component"),
+                                 normalization="none")
+        modes = eigen_solve(model, np.ones(5), 2).mode_matrix()
+        for r in range(3):
+            for i in range(2):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r, i)))
+                rng.normal()  # the frequency draw comes first
+                eps = rng.normal(size=5)
+                expected = modes[i] * (1.0 + shape_cov * eps)
+                np.testing.assert_allclose(ds.psi_segments[r, i], expected[observed], rtol=1e-14)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="seed"):
             NoiseSpec(seed=-1)

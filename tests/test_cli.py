@@ -1,23 +1,54 @@
-"""End-to-end CLI pipeline: exit codes, file schemas, determinism."""
+"""End-to-end CLI pipeline: exit codes, file schemas, determinism.
 
+Most tests call ``cli.main`` in-process; the ``python -m modalbayes.cli``
+entry point itself runs as a subprocess in the rerun and idempotence tests.
+"""
+
+import contextlib
 import dataclasses
+import io
 import json
+import os
 import subprocess
 import sys
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import cli_env
+from conftest import SOURCE_DATE_EPOCH, cli_env
 from modalbayes.cli import main
 from modalbayes.inference import AlgorithmConfig
 
-BASE_ARGS = [sys.executable, "-m", "modalbayes.cli"]
+
+class CliRun(NamedTuple):
+    returncode: int
+    stderr: str
 
 
-def run_cli(args, cwd):
-    return subprocess.run(BASE_ARGS + args, cwd=cwd, env=cli_env(),
-                          capture_output=True, text=True)
+def run_cli(args, cwd) -> CliRun:
+    """``cli.main(args)`` in-process from ``cwd``, with the exit code and stderr of a
+    command-line run: argparse's SystemExit becomes its code and manifests get the
+    pinned SOURCE_DATE_EPOCH timestamp."""
+    stderr = io.StringIO()
+    start = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stderr(stderr), \
+                mock.patch.dict(os.environ, SOURCE_DATE_EPOCH=SOURCE_DATE_EPOCH):
+            code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(start)
+    return CliRun(code, stderr.getvalue())
+
+
+def run_entry_point(args, cwd):
+    """``python -m modalbayes.cli`` as a child process."""
+    return subprocess.run([sys.executable, "-m", "modalbayes.cli"] + args, cwd=cwd,
+                          env=cli_env(), capture_output=True, text=True)
 
 
 SIMULATE = ["simulate", "--building", "shear10", "--modes", "2", "--segments", "4",
@@ -45,7 +76,7 @@ class TestSimulate:
 
     def test_identical_reruns(self, tmp_path):
         for name in ("a", "b"):
-            proc = run_cli(SIMULATE + ["--out-dir", name], cwd=tmp_path)
+            proc = run_entry_point(SIMULATE + ["--out-dir", name], cwd=tmp_path)
             assert proc.returncode == 0, proc.stderr
         for fname in ("dataset.json", "model.json", "simulate_manifest.json"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
@@ -261,11 +292,21 @@ class TestMonitor:
         proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
                         f"{stage_dir}/dmg/dataset.json", "--calibration",
                         f"{stage_dir}/calib/calibration.json",
-                        "--hyper-variant", "precision", "--kappa", "0.1",
+                        "--lambda", "0", "--kappa", "0.1",
                         "--out-dir", "prec"], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         result = json.loads((tmp_path / "prec/monitoring.json").read_text())
         assert result["fixed_set"] == []  # kappa floor: nothing prunes
+
+    @pytest.mark.parametrize("rate", [[], ["--lambda", "0.5"]], ids=["optimized", "nonzero"])
+    def test_kappa_without_lambda_zero_exit_2(self, stage_dir, tmp_path, rate):
+        proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                        f"{stage_dir}/dmg/dataset.json", "--calibration",
+                        f"{stage_dir}/calib/calibration.json", "--kappa", "0.1",
+                        "--out-dir", "prec"] + rate, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "--lambda 0" in proc.stderr
+        assert not (tmp_path / "prec/monitoring.json").exists()
 
     def test_undamaged_dataset_prunes_everything(self, stage_dir, tmp_path):
         proc = run_cli(["simulate", "--building", "shear10", "--modes", "4", "--segments",
@@ -299,14 +340,14 @@ class TestReport:
         args = ["report", "--calibration", f"{stage_dir}/calib/calibration.json", "--monitoring",
                 f"{stage_dir}/mon/monitoring.json", "--fmax", "0.25", "--fstep", "0.0025",
                 "--out-dir", "rep"]
-        proc = run_cli(args, cwd=tmp_path)
+        proc = run_entry_point(args, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         alarms = json.loads((tmp_path / "rep/report_alarms.json").read_text())
         assert alarms["alarms"] == [3]
         prob = (tmp_path / "rep/report_probability.csv").read_text().splitlines()
         assert len(prob) == 1 + 10 * 101  # header + n * grid points
         first = (tmp_path / "rep/report_ratios.csv").read_bytes()
-        proc = run_cli(args, cwd=tmp_path)
+        proc = run_entry_point(args, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "rep/report_ratios.csv").read_bytes() == first
 
@@ -340,8 +381,17 @@ class TestReport:
         ("fixed_set", []),
         ("theta_anchor", [1.0] * 5),
         ("alpha", [1.0] * 5),
+        ("theta_map", [1.0, 1.0, float("nan")] + [1.0] * 7),
+        ("theta_anchor", [float("inf")] * 10),
+        ("alpha", [0.0, 0.0, float("nan")] + [0.0] * 7),
+        ("theta_cov", [[float("nan")] * 10] * 10),
+        ("cov_theta", [0.0, 0.0, float("nan")] + [0.0] * 7),
+        ("alpha", [0.0, 0.0, -1e-3] + [0.0] * 7),
+        ("theta_cov", (-np.eye(10)).tolist()),
     ], ids=["theta_cov_shape", "fixed_set_out_of_range", "fixed_set_not_alpha_zero",
-            "theta_anchor_length", "alpha_length"])
+            "theta_anchor_length", "alpha_length", "theta_map_nan_on_free_story",
+            "theta_anchor_inf", "alpha_nan", "theta_cov_nan", "cov_theta_nan",
+            "alpha_negative", "theta_cov_negative_diagonal"])
     def test_bad_result_file_exit_2(self, stage_dir, tmp_path, key, value):
         payload = json.loads((stage_dir / "mon/monitoring.json").read_text())
         assert payload["fixed_set"]  # the undamaged stories were pruned

@@ -19,7 +19,6 @@ from modalbayes.inference import (
     run_calibration,
     run_monitoring,
     update_alpha,
-    update_alpha_precision_variant,
     update_beta,
     update_eta,
     update_frequencies,
@@ -296,18 +295,18 @@ class TestUpdateTheta:
         bvec = build_b(toy2_model, state.omega2, state.phi)
         ls = np.linalg.solve(hmat.T @ hmat, hmat.T @ bvec)
         # default pinned value is close; pushing alpha further converges to LS
-        theta_default = update_theta(state, toy2_model, build_H(toy2_model, state.phi),
-                                     np.array([3.0, 3.0]))
+        theta_default = update_theta(state, hmat, bvec, np.array([3.0, 3.0]))
         np.testing.assert_allclose(theta_default, ls, rtol=1e-4)
         state.alpha = np.full(2, 1e14)
-        theta = update_theta(state, toy2_model, build_H(toy2_model, state.phi), np.array([3.0, 3.0]))
+        theta = update_theta(state, hmat, bvec, np.array([3.0, 3.0]))
         np.testing.assert_allclose(theta, ls, rtol=1e-8)
 
     def test_zero_alpha_pins_to_anchor(self, toy2_model, toy2_dataset):
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="monitoring"))
         state.alpha = np.zeros(2)
         anchor = np.array([0.9, 1.1])
-        theta = update_theta(state, toy2_model, build_H(toy2_model, state.phi), anchor)
+        theta = update_theta(state, build_H(toy2_model, state.phi),
+                             build_b(toy2_model, state.omega2, state.phi), anchor)
         assert np.array_equal(theta, anchor)
 
     def test_matches_generic_quadratic_solver(self, toy2_model, toy2_dataset):
@@ -326,7 +325,7 @@ class TestUpdateTheta:
 
         res = scipy.optimize.minimize(quad, anchor, method="Nelder-Mead",
                                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
-        theta = update_theta(state, toy2_model, build_H(toy2_model, state.phi), anchor)
+        theta = update_theta(state, hmat, bvec, anchor)
         np.testing.assert_allclose(theta, res.x, rtol=1e-8, atol=1e-10)
 
     def test_scalar_shrinkage_bracket(self):
@@ -343,11 +342,13 @@ class TestUpdateTheta:
         state.phi = update_mode_shapes(state, ds, model)
         anchor = np.array([1.3])
         state.alpha = np.array([1e12])
-        ls = update_theta(state, model, build_H(model, state.phi), anchor)[0]
+        hmat = build_H(model, state.phi)
+        bvec = build_b(model, state.omega2, state.phi)
+        ls = update_theta(state, hmat, bvec, anchor)[0]
         lo, hi = sorted([ls, anchor[0]])
         for alpha in (1e-6, 1e-3, 1.0, 1e3):
             state.alpha = np.array([alpha])
-            val = update_theta(state, model, build_H(model, state.phi), anchor)[0]
+            val = update_theta(state, hmat, bvec, anchor)[0]
             assert lo - 1e-12 <= val <= hi + 1e-12
 
     def test_stationarity(self, toy2_model, toy2_dataset):
@@ -356,7 +357,8 @@ class TestUpdateTheta:
         state.phi = update_mode_shapes(state, toy2_dataset, toy2_model)
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         g_before = fd_gradient(fun, pack_state(state))
-        state.theta = update_theta(state, toy2_model, build_H(toy2_model, state.phi), anchor)
+        state.theta = update_theta(state, build_H(toy2_model, state.phi),
+                                   build_b(toy2_model, state.omega2, state.phi), anchor)
         g_after = fd_gradient(fun, pack_state(state))
         assert np.linalg.norm(g_after[-2:]) <= 1e-6 * max(np.linalg.norm(g_before), 1e-9)
 
@@ -438,20 +440,38 @@ class TestHyperBlockUpdates:
             anchor = state.theta + rng.normal(size=2)
             out = update_alpha(state, anchor, cov)
             assert np.all(out >= 0.0)
+        # the update is the positive root (-1 + sqrt(1 + 8 lam B)) / (4 lam), here
+        # evaluated through expm1/log1p so that the reference itself does not cancel
+        for lam in np.geomspace(1e-6, 100.0, 41)[1:-1]:
+            state.lam = float(lam)
+            cov = rng.uniform(0, 10.0, size=2)
+            anchor = state.theta + rng.normal(size=2)
+            bj = cov + (anchor - state.theta) ** 2
+            root = np.expm1(0.5 * np.log1p(8.0 * lam * bj)) / (4.0 * lam)
+            np.testing.assert_allclose(update_alpha(state, anchor, cov), root, rtol=1e-12)
 
     def test_alpha_series_limit_matches_precision_kappa0(self, toy2_model, toy2_dataset):
         state = self.make_state(toy2_model, toy2_dataset, [1.0, 1.0])
-        state.lam = 1e-13  # below the series threshold
+        state.lam = 1e-13
         cov = np.array([0.2, 0.4])
         anchor = np.array([1.1, 0.8])
         a1 = update_alpha(state, anchor, cov)
-        a2 = update_alpha_precision_variant(state, anchor, cov, kappa=0.0)
+        state.lam = 0.0
+        a2 = update_alpha(state, anchor, cov, kappa=0.0)
         np.testing.assert_allclose(a1, a2, rtol=1e-8)
 
     def test_precision_variant_never_prunes(self, toy2_model, toy2_dataset):
         state = self.make_state(toy2_model, toy2_dataset, [1.0, 1.0])
-        out = update_alpha_precision_variant(state, state.theta, np.zeros(2), kappa=0.1)
+        state.lam = 0.0
+        out = update_alpha(state, state.theta, np.zeros(2), kappa=0.1)
         np.testing.assert_array_equal(out, [0.1, 0.1])
+
+    def test_kappa_needs_lambda_zero(self):
+        with pytest.raises(ConfigurationError, match="lambda_fixed=0"):
+            AlgorithmConfig(mode="monitoring", kappa=0.1)
+        with pytest.raises(ConfigurationError, match="lambda_fixed=0"):
+            AlgorithmConfig(mode="monitoring", kappa=0.1, lambda_fixed=0.5)
+        assert AlgorithmConfig(mode="monitoring", kappa=0.1, lambda_fixed=0.0).kappa == 0.1
 
     def test_lambda_zeta_sweep(self, toy2_model, toy2_dataset):
         state = self.make_state(toy2_model, toy2_dataset, np.zeros(2))
@@ -610,7 +630,7 @@ class TestRunMonitoring:
 
 class TestSweepStructure:
     """Each sweep assembles K(theta) once, builds its regression matrix H once and its
-    right-hand side b twice: for the theta update and for the one residual H theta - b."""
+    right-hand side b once, shared by the theta update and the residual H theta - b."""
 
     @staticmethod
     def count_per_sweep(monkeypatch, run):
@@ -659,7 +679,7 @@ class TestSweepStructure:
         calib = run_calibration(calib_ds, shear10, np.ones(10), calib_config)
         assert self.count_per_sweep(
             monkeypatch, lambda: run_calibration(calib_ds, shear10, np.ones(10), calib_config)
-        ) == [(1, 1, 2)] * 3
+        ) == [(1, 1, 1)] * 3
         assert self.count_per_sweep(
             monkeypatch, lambda: run_monitoring(mon_ds, shear10, calib.theta_map, mon_config)
-        ) == [(1, 1, 2)] * 3
+        ) == [(1, 1, 1)] * 3

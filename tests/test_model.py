@@ -181,7 +181,7 @@ class TestBuilders:
         rng = np.random.default_rng(26)
         model = random_model(rng, d=3, n=2)
         phi = rng.normal(size=3)
-        resid = eigen_residual(model, build_H(model, phi), np.zeros(2), [0.0], phi)
+        resid = eigen_residual(model, build_H(model, phi), np.zeros(2), build_b(model, [0.0], phi))
         np.testing.assert_allclose(resid[0], model.k0 @ phi, rtol=1e-12)
 
     def test_G_c_match_loop(self):
@@ -202,7 +202,7 @@ class TestBuilders:
             g_loop[i * 3:(i + 1) * 3, i] = model.mass @ modes[i]
             c_loop[i * 3:(i + 1) * 3] = k @ modes[i]
         hmat = build_H(model, phi)
-        resid = eigen_residual(model, hmat, theta, omega2, phi)
+        resid = eigen_residual(model, hmat, theta, build_b(model, omega2, phi))
         np.testing.assert_allclose(resid.reshape(-1), c_loop - g_loop @ omega2, rtol=1e-12)
 
         segments = omega2 * rng.uniform(0.9, 1.1, size=(3, 2))
