@@ -302,6 +302,9 @@ def cmd_report(args) -> int:
         raise ConfigurationError("--calibration and --monitoring result paths are required")
     calib = _load_stage(args.calibration, CALIBRATION)
     monitor = _load_stage(args.monitoring, MONITORING)
+    if not np.array_equal(monitor.theta_anchor, calib.theta_map):
+        raise ConfigurationError(
+            f"{args.monitoring} is not anchored at the MAP of {args.calibration}")
     f_grid = default_f_grid(**_given(args, "f_max", "f_step"))
     report = build_report(calib, monitor, f_grid, **_given(args, "variance_pairing"))
     ratios_path = out / "report_ratios.csv"

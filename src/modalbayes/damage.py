@@ -23,12 +23,20 @@ DEFAULT_F_STEP = 0.0025
 
 
 def default_f_grid(f_max: float = DEFAULT_F_MAX, f_step: float = DEFAULT_F_STEP) -> np.ndarray:
-    if not (f_step > 0.0 and f_max >= 0.0):
+    """Loss fractions 0, f_step, ..., f_max; f_max must be a whole number of steps."""
+    if not (f_step > 0.0 and 0.0 <= f_max <= 1.0):
         raise ConfigurationError(
-            f"the loss grid needs a positive step and a nonnegative maximum, "
+            f"the loss grid needs a positive step and a maximum in [0, 1], "
             f"got f_step={f_step}, f_max={f_max}"
         )
-    count = int(round(f_max / f_step))
+    steps = f_max / f_step
+    count = round(steps)
+    # the quotient may miss a whole number by its rounding only
+    if abs(steps - count) > 1e-9 * max(steps, 1.0):
+        raise ConfigurationError(
+            f"the loss grid maximum must be a whole number of steps, "
+            f"got f_max={f_max}, f_step={f_step}"
+        )
     return np.linspace(0.0, f_max, count + 1)
 
 
@@ -169,20 +177,5 @@ def report_to_dict(report: DamageReport) -> dict:
     }
 
 
-def report_from_dict(payload: dict) -> DamageReport:
-    return DamageReport(
-        map_ratios=np.asarray(payload["map_ratios"], dtype=float),
-        cov_percent=np.asarray(payload["cov_percent"], dtype=float),
-        f_grid=np.asarray(payload["f_grid"], dtype=float),
-        prob_curves=np.asarray(payload["prob_curves"], dtype=float),
-        alarms=np.asarray(payload["alarms"], dtype=bool),
-        variance_pairing=payload.get("variance_pairing", "as_printed"),
-    )
-
-
 def save_report(report: DamageReport, path) -> None:
     Path(path).write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
-
-
-def load_report(path) -> DamageReport:
-    return report_from_dict(json.loads(Path(path).read_text()))

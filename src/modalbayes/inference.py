@@ -520,7 +520,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
 
     full_cov = labels = None
     try:
-        full_cov, labels = uncertainty.joint_covariance(state, dataset, model, hmat)
+        full_cov, labels = uncertainty.joint_covariance(state, dataset, model, hmat, resid)
     except NumericalError as exc:
         state.flag(f"joint covariance unavailable: {exc}")
 

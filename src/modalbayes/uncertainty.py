@@ -1,17 +1,20 @@
-"""Laplace-approximation posterior covariance for [xi, theta] and for the ARD
-hyper-parameter block, plus the c.o.v. reporting conventions.
+"""Laplace-approximation posterior covariance for [xi, theta], plus the c.o.v.
+reporting conventions.
 
-The joint precision matrix is assembled blockwise in the parameter order
+The joint precision matrix has the parameter order
 [beta, omega^2, rho, tau | Phi, eta, nu, theta]; pruned stiffness components
 are constants, not variables, and are excluded from the theta block.
 
 Its Phi block, beta F + eta Gamma^T Gamma, is block-diagonal with one d x d
-block per mode, and it holds most of the rows (dm of them).  The joint
-inverse eliminates that block first: each mode block is inverted from its
-Cholesky factor, and only the Schur complement of the other 3m + 3 + n_free
-rows is inverted as a general (possibly indefinite) matrix.  The exact 1-norm
-condition number of the equilibrated Hessian, read from the inverse formed,
-decides whether the joint covariance is reported.
+block per mode, and it holds most of the rows (dm of them).  The Hessian is
+therefore built as three parts and never as one N x N matrix: the m mode
+blocks, the Phi rows of the other k = 3m + 3 + n_free parameters, and the
+k x k block of those parameters.  The joint inverse eliminates the mode
+blocks first: each is inverted from its Cholesky factor, and only the Schur
+complement of the other k rows is inverted as a general (possibly
+indefinite) matrix.  The exact 1-norm condition number of the equilibrated
+Hessian, read from the inverse formed, decides whether the joint covariance
+is reported.
 
 Reported coefficients of variation follow the conventions of the source
 tables: theta uses the conditional covariance Sigma_theta, and the scalar
@@ -28,7 +31,7 @@ from scipy.linalg import lapack
 
 from .data import ModalDataset, gamma_t_psi, observation_mask
 from .errors import NumericalError
-from .model import StructuralModel, build_b, build_H, eigen_operators, eigen_residual
+from .model import StructuralModel, build_H, eigen_operators
 
 HESSIAN_ASYMMETRY_RTOL = 1e-8
 MAX_CONDITION = 1e14
@@ -91,14 +94,21 @@ def _hessian_labels(m: int, d: int, free_idx: np.ndarray) -> list:
     return labels
 
 
-def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np.ndarray):
-    """Full precision matrix of the objective at the MAP, with labels.
+def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np.ndarray,
+                  resid: np.ndarray):
+    """Precision matrix of the objective at the MAP, as the blocks its inverse reads.
 
-    Returns (hessian, labels) where the row/column order is
-    [beta, omega2, rho, tau, Phi, eta, nu, theta_free].  ``hmat`` is the
-    regression matrix H of ``state.phi``.  Every block is assembled from the
-    per-mode operators A_i = K - omega2_i M, the residuals r_i = A_i Phi_i
-    and H, without loops over substructures.
+    Returns (p_blocks, cross, core, labels).  The labelled order is
+    [beta, omega2, rho, tau, Phi, eta, nu, theta_free]; the Phi rows start at
+    3 m + 1.  ``p_blocks`` (m, d, d) holds the diagonal Phi blocks
+    beta A_i A_i + eta q diag(mask_i), between which the Hessian is zero;
+    ``cross`` (dm, k) holds the Phi rows of the other k = 3 m + 3 + n_free
+    parameters [beta, omega2, rho, tau, eta, nu, theta_free], and ``core``
+    (k, k) their own block.  ``hmat`` is the regression matrix H of
+    ``state.phi`` and ``resid`` the (m, d) residuals r_i = A_i Phi_i = H theta - b
+    of the same state.  Every block is assembled from the per-mode operators
+    A_i = K - omega2_i M, the residuals and H, without loops over
+    substructures.
     """
     d, m = model.d, state.m
     q, s = dataset.q, dataset.s
@@ -108,96 +118,73 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np
 
     modes = state.phi.reshape(m, d)
     ops = eigen_operators(model, state.theta, state.omega2)
-    resid = eigen_residual(model, hmat, state.theta, build_b(model, state.omega2, state.phi))
     mphi = modes @ model.mass.T
-    gtg = np.einsum("ij,ij->i", mphi, mphi)
     mask = observation_mask(dataset, d)
-    gpsi = gamma_t_psi(dataset, d)
-    w2_sum = dataset.omega2_segments.sum(axis=0)
+    idx = np.arange(m)
 
-    nxi = 3 * m + 1
-    size = nxi + dm + 2 + nf
-    hess = np.zeros((size, size))
-    i_b = 0
-    i_w = slice(1, 1 + m)
-    i_r = slice(1 + m, 1 + 2 * m)
-    i_t = slice(1 + 2 * m, 1 + 3 * m)
-    i_phi = slice(nxi, nxi + dm)
-    i_eta = nxi + dm
-    i_nu = nxi + dm + 1
-    i_th = slice(nxi + dm + 2, size)
-
-    # (1,1) block; G^T G is diagonal with entries (M Phi_i).(M Phi_i)
-    hess[i_b, i_b] = (dm / 2.0 - 1.0 + state.a0) / state.beta**2
-    v_bw = -np.einsum("ij,ij->i", mphi, resid)
-    hess[i_b, i_w] = v_bw
-    hess[i_w, i_b] = v_bw
-    hess[i_w, i_w] = np.diag(state.beta * gtg + q * state.rho)
-    hess[i_w, i_r] = np.diag(q * state.omega2 - w2_sum)
-    hess[i_r, i_w] = np.diag(q * state.omega2 - w2_sum)
-    hess[i_r, i_r] = np.diag(0.5 * q / state.rho**2)
-    hess[i_r, i_t] = np.eye(m)
-    hess[i_t, i_r] = np.eye(m)
-    hess[i_t, i_t] = np.diag(1.0 / state.tau**2)
-
-    # (2,2) block: F is block-diagonal with blocks A_i A_i
+    # Phi blocks: F is block-diagonal with blocks A_i A_i
     sq_ops = np.matmul(ops, ops)
-    for i in range(m):
-        blk = slice(nxi + i * d, nxi + (i + 1) * d)
-        hess[blk, blk] = state.beta * sq_ops[i]
-    phi_idx = np.arange(nxi, nxi + dm)
-    hess[phi_idx, phi_idx] += state.eta * q * mask
-    v_pe = q * mask * state.phi - gpsi
-    hess[i_phi, i_eta] = v_pe
-    hess[i_eta, i_phi] = v_pe
-    hess[i_eta, i_eta] = 0.5 * s * q * m / state.eta**2
-    hess[i_eta, i_nu] = 1.0
-    hess[i_nu, i_eta] = 1.0
-    hess[i_nu, i_nu] = 1.0 / state.nu**2
+    p_blocks = state.beta * sq_ops
+    p_blocks[:, np.arange(d), np.arange(d)] += (state.eta * q * mask).reshape(m, d)
+
+    # positions of [beta, omega2, rho, tau, eta, nu, theta_free] in cross and core
+    k = 3 * m + 3 + nf
+    i_w, i_r, i_t = 1 + idx, 1 + m + idx, 1 + 2 * m + idx
+    i_eta, i_nu, i_th = 3 * m + 1, 3 * m + 2, slice(3 * m + 3, k)
+
+    # Phi rows of the other parameters; rho, tau and nu do not couple to Phi
+    cross = np.zeros((dm, k))
+    cross[:, 0] = np.matmul(sq_ops, modes[:, :, None]).reshape(-1)
+    # omega^2-Phi coupling: exact symmetrized mixed partial -beta (M A_i + A_i M) Phi_i
+    w = -state.beta * (resid @ model.mass.T + np.matmul(ops, mphi[:, :, None])[:, :, 0])
+    cross.reshape(m, d, -1)[idx, :, i_w] = w
+    cross[:, i_eta] = q * mask * state.phi - gamma_t_psi(dataset, d)
     # (A_i Ksub_j + Ksub_j A_i) Phi_i = A_i (Ksub_j Phi_i) + Ksub_j r_i
     hf3 = hmat.reshape(m, d, model.n)[:, :, free_idx]
     l3 = np.matmul(ops, hf3).reshape(dm, nf) + build_H(model, resid.reshape(-1))[:, free_idx]
-    hess[i_phi, i_th] = state.beta * l3
-    hess[i_th, i_phi] = (state.beta * l3).T
-    hess[i_th, i_th] = theta_precision(state.beta, hmat, state.alpha)
+    cross[:, i_th] = state.beta * l3
 
-    # (1,2) block
-    v_bphi = np.matmul(sq_ops, modes[:, :, None]).reshape(-1)
-    hess[i_b, i_phi] = v_bphi
-    hess[i_phi, i_b] = v_bphi
+    # the upper triangle of the other parameters' own block, mirrored below
+    core = np.zeros((k, k))
+    core[0, 0] = (dm / 2.0 - 1.0 + state.a0) / state.beta**2
+    core[0, i_w] = -np.einsum("ij,ij->i", mphi, resid)
+    # G^T G is diagonal with entries (M Phi_i).(M Phi_i)
+    core[i_w, i_w] = state.beta * np.einsum("ij,ij->i", mphi, mphi) + q * state.rho
+    core[i_w, i_r] = q * state.omega2 - dataset.omega2_segments.sum(axis=0)
+    core[i_r, i_r] = 0.5 * q / state.rho**2
+    core[i_r, i_t] = 1.0
+    core[i_t, i_t] = 1.0 / state.tau**2
+    core[i_eta, i_eta] = 0.5 * s * q * m / state.eta**2
+    core[i_eta, i_nu] = 1.0
+    core[i_nu, i_nu] = 1.0 / state.nu**2
     # H theta - b stacks the residuals r_i
-    v_bth = (hmat.T @ resid.reshape(-1))[free_idx]
-    hess[i_b, i_th] = v_bth
-    hess[i_th, i_b] = v_bth
-    # omega^2-Phi coupling: exact symmetrized mixed partial -beta (M A_i + A_i M) Phi_i
-    w = -state.beta * (resid @ model.mass.T + np.matmul(ops, mphi[:, :, None])[:, :, 0])
-    w_rows = 1 + np.repeat(np.arange(m), d)
-    hess[w_rows, phi_idx] = w.reshape(-1)
-    hess[phi_idx, w_rows] = w.reshape(-1)
+    core[0, i_th] = (hmat.T @ resid.reshape(-1))[free_idx]
     # Phi_i^T Ksub_j M Phi_i = (M Phi_i) . (Ksub_j Phi_i)
-    l2 = np.matmul(mphi[:, None, :], hf3)[:, 0, :]
-    hess[i_w, i_th] = -state.beta * l2
-    hess[i_th, i_w] = (-state.beta * l2).T
+    core[i_w, i_th] = -state.beta * np.matmul(mphi[:, None, :], hf3)[:, 0, :]
+    core[i_th, i_th] = theta_precision(state.beta, hmat, state.alpha)
+    core = np.triu(core) + np.triu(core, 1).T
 
-    return hess, _hessian_labels(m, d, free_idx)
+    return p_blocks, cross, core, _hessian_labels(m, d, free_idx)
 
 
-def invert_hessian(hess: np.ndarray, state=None, phi_blocks: tuple | None = None) -> np.ndarray:
-    """Inverse of an assembled Hessian through its mode-block-diagonal Phi block.
+def invert_hessian(p_blocks: np.ndarray, cross: np.ndarray, core: np.ndarray, start: int,
+                   state=None) -> np.ndarray:
+    """Inverse of the Hessian held as its mode-block-diagonal Phi block and the rest.
 
-    ``phi_blocks = (start, m, d)`` says that rows and columns start ..
-    start + m d hold m diagonal d x d blocks P_i with zeros between them, the
-    layout ``joint_hessian`` fixes; those zeros are not read.  With
-    ``phi_blocks`` None the whole matrix is its own Schur complement.
+    The Hessian has the m diagonal d x d blocks P_i = ``p_blocks[i]`` in rows
+    and columns start .. start + m d, with zeros between them; ``cross`` holds
+    those rows in the other k columns and ``core`` the k x k block of the
+    other rows (the ``joint_hessian`` layout).  The inverse is returned in
+    the same order, with the Phi rows at start.  Empty Phi blocks make
+    ``core`` its own Schur complement.
 
     The raw precision matrix mixes parameter scales spanning many orders
     (e.g. eta vs its reciprocal-scale rate), so it is Jacobi-equilibrated
     first.  The equilibrated P_i are positive definite by construction, and
     each P_i^-1 comes from its Cholesky factor (``spd_inverse``).  With B the
-    Phi rows of the other k columns and C the block of those columns, the
-    Schur complement S = C - B^T P^-1 B (k x k) can be indefinite at a
-    monitoring MAP and is inverted by LU.  The inverse of the equilibrated
-    matrix A is
+    equilibrated ``cross`` and C the equilibrated ``core``, the Schur
+    complement S = C - B^T P^-1 B (k x k) can be indefinite at a monitoring
+    MAP and is inverted by LU.  The inverse of the equilibrated matrix A is
 
         [[P^-1 + Y S^-1 Y^T, -Y S^-1], [-S^-1 Y^T, S^-1]],  Y = P^-1 B,
 
@@ -207,29 +194,24 @@ def invert_hessian(hess: np.ndarray, state=None, phi_blocks: tuple | None = None
     ``MAX_CONDITION``; a P_i that is not positive definite or a singular S
     fails that check as well.
     """
-    size = hess.shape[0]
-    start, m, d = phi_blocks or (0, 0, 0)
+    m, d = p_blocks.shape[:2]
+    k = core.shape[0]
     stop = start + m * d
+    size = stop + k - start
     rest = np.r_[0:start, stop:size]
-    modes = np.arange(m)
-    # the blocks that are read, each beside its transpose
-    p_blocks = hess[start:stop, start:stop].reshape(m, d, m, d)[modes, :, modes, :]
-    cross = hess[start:stop][:, rest]
-    core = hess[np.ix_(rest, rest)]
-    pairs = ((p_blocks, p_blocks.transpose(0, 2, 1)), (cross, hess[rest][:, start:stop].T),
-             (core, core.T))
-    scale = max(np.max(np.abs(a), initial=0.0) for a, _ in pairs)
-    asym = max(np.max(np.abs(a - a_t), initial=0.0) for a, a_t in pairs)
+    scale = max(np.max(np.abs(a), initial=0.0) for a in (p_blocks, cross, core))
+    asym = max(np.max(np.abs(a - a.swapaxes(-1, -2)), initial=0.0) for a in (p_blocks, core))
     if scale > 0 and asym > HESSIAN_ASYMMETRY_RTOL * scale:
         if state is not None:
             state.flag(f"hessian asymmetry {asym / scale:.2e} above tolerance; symmetrized")
-    diag = np.diag(hess)
+    diag = np.insert(np.diag(core), start, np.diagonal(p_blocks, axis1=1, axis2=2).reshape(-1))
     eq = 1.0 / np.sqrt(diag) if np.all(diag > 0) else np.ones(size)
     eq_p, eq_r = eq[start:stop], eq[rest]
     eq_blocks = eq_p.reshape(m, d)
-    p_blocks, cross, core = (0.5 * (a + a_t) for a, a_t in pairs)
+    p_blocks = 0.5 * (p_blocks + p_blocks.transpose(0, 2, 1))
     p_blocks *= eq_blocks[:, :, None] * eq_blocks[:, None, :]
-    cross *= eq_p[:, None] * eq_r[None, :]
+    cross = cross * (eq_p[:, None] * eq_r[None, :])
+    core = 0.5 * (core + core.T)
     core *= eq_r[:, None] * eq_r[None, :]
     # ||A||_1: the largest column sum, over the Phi columns and then the others
     abs_cross = np.abs(cross)
@@ -238,7 +220,7 @@ def invert_hessian(hess: np.ndarray, state=None, phi_blocks: tuple | None = None
         np.max(abs_cross.sum(axis=0) + np.abs(core).sum(axis=0), initial=0.0))
     try:
         p_inv = spd_inverse(p_blocks)
-        y = np.matmul(p_inv, cross.reshape(m, d, rest.size)).reshape(m * d, rest.size)
+        y = np.matmul(p_inv, cross.reshape(m, d, k)).reshape(m * d, k)
         s_inv = np.linalg.inv(core - cross.T @ y)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"hessian is numerically singular (condition: {exc})") from exc
@@ -248,6 +230,7 @@ def invert_hessian(hess: np.ndarray, state=None, phi_blocks: tuple | None = None
     y *= eq_p[:, None]
     z = y @ s_inv
     cov = np.empty((size, size))
+    modes = np.arange(m)
     tiles = np.matmul(z, y.T, out=cov[start:stop, start:stop]).reshape(m, d, m, d)
     # the product is symmetric only up to rounding: mirror the upper tiles
     upper, lower = np.triu_indices(m, 1)
@@ -267,10 +250,14 @@ def invert_hessian(hess: np.ndarray, state=None, phi_blocks: tuple | None = None
     return cov
 
 
-def joint_covariance(state, dataset: ModalDataset, model: StructuralModel, hmat: np.ndarray):
-    """Inverse of the joint Hessian with labels: marginal variances on the diagonal."""
-    hess, labels = joint_hessian(state, dataset, model, hmat)
-    return invert_hessian(hess, state, phi_blocks=(3 * state.m + 1, state.m, model.d)), labels
+def joint_covariance(state, dataset: ModalDataset, model: StructuralModel, hmat: np.ndarray,
+                     resid: np.ndarray):
+    """Inverse of the joint Hessian with labels: marginal variances on the diagonal.
+
+    ``hmat`` and ``resid`` are the regression matrix and residuals of ``state``.
+    """
+    p_blocks, cross, core, labels = joint_hessian(state, dataset, model, hmat, resid)
+    return invert_hessian(p_blocks, cross, core, 3 * state.m + 1, state), labels
 
 
 def cov_report(result, dataset: ModalDataset) -> list:
@@ -311,26 +298,3 @@ def cov_report(result, dataset: ModalDataset) -> list:
         })
     return rows
 
-
-def hyper_hessian(state, theta_anchor, theta_cov_diag) -> tuple[np.ndarray, list]:
-    """Precision matrix of the ARD hyper-parameter block [alpha_free, lambda, zeta].
-
-    ``theta_cov_diag`` is the diagonal of Sigma_theta (``result.theta_cov``).
-    Pruned components are excluded; with everything pruned only the 2x2
-    (lambda, zeta) block remains.
-    """
-    anchor = np.asarray(theta_anchor, dtype=float)
-    free_idx = np.flatnonzero(state.free_mask())
-    bdiag = np.asarray(theta_cov_diag, dtype=float) + (anchor - state.theta) ** 2
-    nf = free_idx.size
-    out = np.zeros((nf + 2, nf + 2))
-    a = state.alpha[free_idx]
-    out[:nf, :nf] = np.diag(2.0 * bdiag[free_idx] / a**3 - 1.0 / a**2)
-    out[:nf, nf] = 1.0
-    out[nf, :nf] = 1.0
-    out[nf, nf] = state.n / state.lam**2
-    out[nf, nf + 1] = 1.0
-    out[nf + 1, nf] = 1.0
-    out[nf + 1, nf + 1] = 1.0 / state.zeta**2
-    labels = [f"alpha_{j + 1}" for j in free_idx] + ["lambda", "zeta"]
-    return out, labels

@@ -160,6 +160,26 @@ def residual_of(model: StructuralModel, state: InferenceState) -> np.ndarray:
                           build_b(model, state.omega2, state.phi))
 
 
+def dense_hessian(p_blocks, cross, core, start):
+    """The N x N Hessian that ``uncertainty.joint_hessian`` returns as blocks.
+
+    The mode blocks ``p_blocks`` sit on the diagonal from row ``start`` on,
+    ``cross`` holds their rows in the other columns and ``core`` the block of
+    the other rows; the reference for every dense comparison.
+    """
+    m, d, _ = p_blocks.shape
+    stop = start + m * d
+    rest = np.r_[0:start, stop:stop + core.shape[0] - start]
+    hess = np.zeros((m * d + core.shape[0],) * 2)
+    for i, block in enumerate(p_blocks):
+        rows = slice(start + i * d, start + (i + 1) * d)
+        hess[rows, rows] = block
+    hess[start:stop, rest] = cross
+    hess[rest, start:stop] = cross.T
+    hess[np.ix_(rest, rest)] = core
+    return hess
+
+
 def objective_of(dataset, model, anchor, template):
     def fun(x):
         state = unpack_state(x, template)

@@ -11,7 +11,15 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import cli_env, fd_gradient, fd_hessian, objective_of, pack_state, residual_of
+from conftest import (
+    cli_env,
+    dense_hessian,
+    fd_gradient,
+    fd_hessian,
+    objective_of,
+    pack_state,
+    residual_of,
+)
 from modalbayes.bench import (
     ShearBuildingSpec,
     benchmark_monitor_config,
@@ -189,7 +197,9 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
 def test_criterion_6_hessian_oracle(toy2_model, toy2_dataset, toy2_map):
     start = time.perf_counter()
     state = toy2_map.state_map
-    hess, _ = joint_hessian(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi))
+    blocks = joint_hessian(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi),
+                           residual_of(toy2_model, state))[:3]
+    hess = dense_hessian(*blocks, 3 * state.m + 1)
     fun = objective_of(toy2_dataset, toy2_model, toy2_map.theta_anchor, state)
     fd = fd_hessian(fun, pack_state(state))
     scale = np.abs(hess).max()

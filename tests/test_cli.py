@@ -351,14 +351,29 @@ class TestReport:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "rep/report_ratios.csv").read_bytes() == first
 
-    @pytest.mark.parametrize("grid", [["--fstep", "0"], ["--fstep", "-0.01"], ["--fmax", "-0.1"]],
-                             ids=["fstep_zero", "fstep_negative", "fmax_negative"])
+    @pytest.mark.parametrize("grid", [["--fstep", "0"], ["--fstep", "-0.01"], ["--fmax", "-0.1"],
+                                      ["--fmax", "0.25", "--fstep", "0.1"], ["--fmax", "inf"]],
+                             ids=["fstep_zero", "fstep_negative", "fmax_negative",
+                                  "fmax_not_whole_steps", "fmax_inf"])
     def test_bad_loss_grid_exit_2(self, stage_dir, tmp_path, grid):
         proc = run_cli(["report", "--calibration", f"{stage_dir}/calib/calibration.json",
                         "--monitoring", f"{stage_dir}/mon/monitoring.json",
                         "--out-dir", "bad"] + grid, cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_calibration_not_the_anchor_exit_2(self, stage_dir, tmp_path):
+        # a second calibration whose MAP differs from the monitoring run's anchor
+        proc = run_cli(["calibrate", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                        f"{stage_dir}/calib/dataset.json", "--fix-hypers", "eta=1e5,phi=1e4",
+                        "--theta-init", "0.5", "--out-dir", "calib2"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli(["report", "--calibration", "calib2/calibration.json",
+                        "--monitoring", f"{stage_dir}/mon/monitoring.json", "--out-dir", "rep"],
+                       cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "not anchored" in proc.stderr
+        assert not (tmp_path / "rep/report.json").exists()
 
     def test_missing_inputs_exit_2(self, tmp_path):
         proc = run_cli(["report", "--calibration", "a.json", "--monitoring", "b.json"],

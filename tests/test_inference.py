@@ -630,7 +630,9 @@ class TestRunMonitoring:
 
 class TestSweepStructure:
     """Each sweep assembles K(theta) once, builds its regression matrix H once and its
-    right-hand side b once, shared by the theta update and the residual H theta - b."""
+    right-hand side b once, shared by the theta update and the residual H theta - b.
+    The joint covariance reuses the run's H and residual: it assembles K(theta) once
+    for its operators, builds the H of the residual once and builds no b."""
 
     @staticmethod
     def count_per_sweep(monkeypatch, run):
@@ -662,8 +664,9 @@ class TestSweepStructure:
         bounds = starts + [end]
         sweeps = [events[a + 1:b] for a, b in zip(bounds, bounds[1:])]
         assert len(sweeps) == result.iterations == 3
+        # everything after the joint covariance's own call is made inside it
         return [(s.count("assemble_stiffness"), s.count("build_H"), s.count("build_b"))
-                for s in sweeps]
+                for s in sweeps + [events[end + 1:]]]
 
     def test_one_assembly_and_one_H_per_sweep(self, monkeypatch):
         shear10 = shear_building_model(ShearBuildingSpec(stories=10), unit_scale=1e6)
@@ -679,7 +682,7 @@ class TestSweepStructure:
         calib = run_calibration(calib_ds, shear10, np.ones(10), calib_config)
         assert self.count_per_sweep(
             monkeypatch, lambda: run_calibration(calib_ds, shear10, np.ones(10), calib_config)
-        ) == [(1, 1, 1)] * 3
+        ) == [(1, 1, 1)] * 3 + [(1, 1, 0)]
         assert self.count_per_sweep(
             monkeypatch, lambda: run_monitoring(mon_ds, shear10, calib.theta_map, mon_config)
-        ) == [(1, 1, 1)] * 3
+        ) == [(1, 1, 1)] * 3 + [(1, 1, 0)]

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_hessian,
     fd_hessian,
     objective_of,
     pack_state,
     random_spd,
     random_symmetric,
+    residual_of,
     two_stage,
     two_stage_data,
 )
@@ -25,11 +27,10 @@ from modalbayes.bench import (
 )
 from modalbayes.data import observation_mask
 from modalbayes.errors import NumericalError
-from modalbayes.inference import AlgorithmConfig, initialize, run_monitoring
+from modalbayes.inference import AlgorithmConfig, initialize
 from modalbayes.model import StructuralModel, assemble_stiffness, build_b, build_H
 from modalbayes.uncertainty import (
     cov_report,
-    hyper_hessian,
     invert_hessian,
     joint_covariance,
     joint_hessian,
@@ -91,11 +92,17 @@ class TestThetaCovariance:
         np.testing.assert_allclose(cov[np.ix_(free, free)], reduced, rtol=1e-9)
 
 
+def assembled(state, dataset, model):
+    """The dense joint Hessian of ``state`` and its labels."""
+    *blocks, labels = joint_hessian(state, dataset, model, build_H(model, state.phi),
+                                    residual_of(model, state))
+    return dense_hessian(*blocks, 3 * state.m + 1), labels
+
+
 class TestJointHessian:
     def test_beta_beta_entry(self, toy2_map, toy2_dataset, toy2_model):
         state = toy2_map.state_map
-        hess, labels = joint_hessian(state, toy2_dataset, toy2_model,
-                                      build_H(toy2_model, state.phi))
+        hess, labels = assembled(state, toy2_dataset, toy2_model)
         dm = toy2_model.d * state.m
         expected = (dm / 2.0 - 1.0 + state.a0) / state.beta**2
         np.testing.assert_allclose(hess[0, 0], expected, rtol=1e-14)
@@ -103,8 +110,7 @@ class TestJointHessian:
 
     def test_eta_eta_entry(self, toy2_map, toy2_dataset, toy2_model):
         state = toy2_map.state_map
-        hess, labels = joint_hessian(state, toy2_dataset, toy2_model,
-                                      build_H(toy2_model, state.phi))
+        hess, labels = assembled(state, toy2_dataset, toy2_model)
         i = labels.index("eta")
         sqm = toy2_dataset.s * toy2_dataset.q * toy2_dataset.m
         np.testing.assert_allclose(hess[i, i], sqm / (2.0 * state.eta**2), rtol=1e-14)
@@ -112,7 +118,7 @@ class TestJointHessian:
     def test_matches_fd_hessian_at_map(self, toy2_map, toy2_dataset, toy2_model):
         state = toy2_map.state_map
         anchor = toy2_map.theta_anchor
-        hess, _ = joint_hessian(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi))
+        hess, _ = assembled(state, toy2_dataset, toy2_model)
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         fd = fd_hessian(fun, pack_state(state))
         scale = np.abs(hess).max()
@@ -121,8 +127,7 @@ class TestJointHessian:
         assert rel.max() <= 1e-4
 
     def test_symmetry(self, toy2_map, toy2_dataset, toy2_model):
-        hess, _ = joint_hessian(toy2_map.state_map, toy2_dataset, toy2_model,
-                                build_H(toy2_model, toy2_map.state_map.phi))
+        hess, _ = assembled(toy2_map.state_map, toy2_dataset, toy2_model)
         np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
 
     def test_beta_omega2_block_matches_loop(self):
@@ -135,7 +140,7 @@ class TestJointHessian:
                                  noise=NoiseSpec(0.01, 0.01, seed=10))
         state = initialize(ds, model, np.array([0.8, 1.3]), AlgorithmConfig(mode="calibration"))
         state.phi = state.phi + 0.1 * rng.normal(size=d * m)
-        hess, labels = joint_hessian(state, ds, model, build_H(model, state.phi))
+        hess, labels = assembled(state, ds, model)
         k = assemble_stiffness(model, state.theta)
         want = np.zeros(m)
         for i, phi_i in enumerate(state.phi.reshape(m, d)):
@@ -157,7 +162,7 @@ class TestJointHessian:
         state.phi = state.phi + 0.1 * rng.normal(size=d * m)
         state.theta = np.array([0.9, 1.2, 1.05])
         state.alpha[1] = 0.0  # theta_2 leaves the free block
-        hess, labels = joint_hessian(state, ds, model, build_H(model, state.phi))
+        hess, labels = assembled(state, ds, model)
         free_idx = [0, 2]
         k = assemble_stiffness(model, state.theta)
         modes = state.phi.reshape(m, d)
@@ -194,28 +199,34 @@ class TestJointHessian:
         np.testing.assert_array_equal(hess, hess.T)
 
 
+# no Phi rows: the whole matrix is the core block
+NO_PHI = np.zeros((0, 0, 0))
+
+
 class TestJointCovariance:
     def test_positive_semidefinite_at_map(self, toy2_map, toy2_dataset, toy2_model):
-        cov, _ = joint_covariance(toy2_map.state_map, toy2_dataset, toy2_model,
-                                  build_H(toy2_model, toy2_map.state_map.phi))
+        state = toy2_map.state_map
+        cov, _ = joint_covariance(state, toy2_dataset, toy2_model,
+                                  build_H(toy2_model, state.phi), residual_of(toy2_model, state))
         np.testing.assert_allclose(cov, cov.T, rtol=1e-12)
         eig = np.linalg.eigvalsh(cov)
         assert eig.min() >= -1e-10 * eig.max()
 
     def test_singular_hessian_raises(self, toy2_map):
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(np.zeros((3, 3)), toy2_map.state_map)
+            invert_hessian(NO_PHI, np.zeros((0, 3)), np.zeros((3, 3)), 0, toy2_map.state_map)
 
     def test_rank_one_hessian_raises(self, toy2_map):
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(np.ones((3, 3)), toy2_map.state_map)
+            invert_hessian(NO_PHI, np.zeros((0, 3)), np.ones((3, 3)), 0, toy2_map.state_map)
 
     def test_inverse_of_indefinite_matrix(self):
         rng = np.random.default_rng(44)
         basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         hess = basis @ np.diag([3.0, -2.0, 1.5, -1.0, 2.5, -0.5]) @ basis.T
         hess = 0.5 * (hess + hess.T)
-        np.testing.assert_allclose(invert_hessian(hess), np.linalg.inv(hess), rtol=1e-10)
+        np.testing.assert_allclose(invert_hessian(NO_PHI, np.zeros((0, 6)), hess, 0),
+                                   np.linalg.inv(hess), rtol=1e-10)
 
 
 def converged_runs(stories, m, layout, seed):
@@ -232,17 +243,6 @@ def converged_runs(stories, m, layout, seed):
     return model, ((calib, calib_data), (monitor, data))
 
 
-def hessian_at(result, dataset, model):
-    state = result.state_map
-    return joint_hessian(state, dataset, model, build_H(model, state.phi))[0]
-
-
-def phi_tile(hess, m, d, i):
-    """The diagonal Phi block of mode i (a view into ``hess``)."""
-    start = 3 * m + 1 + i * d
-    return hess[start:start + d, start:start + d]
-
-
 class TestStructuredInverse:
     """The mode-block Schur inverse against a dense inverse of the assembled Hessian."""
 
@@ -255,7 +255,7 @@ class TestStructuredInverse:
     def test_matches_dense_inverse(self, stories, m, layout, seed):
         model, runs = converged_runs(stories, m, layout, seed)
         for result, dataset in runs:
-            hess = hessian_at(result, dataset, model)
+            hess, _ = assembled(result.state_map, dataset, model)
             # equilibrate by exact powers of two, so that LU meets comparable scales
             # and the scaling itself adds no rounding
             eq = np.exp2(np.round(-0.5 * np.log2(np.abs(np.diag(hess)))))
@@ -268,7 +268,7 @@ class TestStructuredInverse:
     def test_indefinite_monitoring_hessian_covered(self):
         model, runs = converged_runs(*self.CASES[-1])
         (_, _), (monitor, data) = runs
-        hess = hessian_at(monitor, data, model)
+        hess, _ = assembled(monitor.state_map, data, model)
         eq = 1.0 / np.sqrt(np.diag(hess))
         eig = np.linalg.eigvalsh(hess * np.outer(eq, eq))
         assert eig[0] < 0.0 < eig[-1]
@@ -277,22 +277,24 @@ class TestStructuredInverse:
     def test_singular_phi_block_raises(self):
         model, runs = converged_runs(6, 2, "partial", 1)
         result, dataset = runs[0]
-        m, d = result.state_map.m, model.d
-        hess = hessian_at(result, dataset, model)
+        state = result.state_map
+        p_blocks, cross, core, _ = joint_hessian(state, dataset, model,
+                                                 build_H(model, state.phi),
+                                                 residual_of(model, state))
         # keep the block positive semidefinite but give it the null vector v
-        tile = phi_tile(hess, m, d, 1)
-        v = tile @ np.ones(d)
+        tile = p_blocks[1]
+        v = tile @ np.ones(model.d)
         tile -= np.outer(v, v) / np.sum(v)
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(hess, result.state_map, phi_blocks=(3 * m + 1, m, d))
+            invert_hessian(p_blocks, cross, core, 3 * state.m + 1, state)
 
     def test_run_with_singular_phi_block_flags(self, monkeypatch):
-        assembled = uncertainty.joint_hessian
+        blocks_of = uncertainty.joint_hessian
 
-        def singular_phi(state, dataset, model, hmat):
-            hess, labels = assembled(state, dataset, model, hmat)
-            phi_tile(hess, state.m, model.d, 0)[...] = 1.0  # rank one
-            return hess, labels
+        def singular_phi(state, dataset, model, hmat, resid):
+            p_blocks, cross, core, labels = blocks_of(state, dataset, model, hmat, resid)
+            p_blocks[0] = 1.0  # rank one
+            return p_blocks, cross, core, labels
 
         monkeypatch.setattr(uncertainty, "joint_hessian", singular_phi)
         _, runs = converged_runs(6, 2, "full", 1)
@@ -338,102 +340,3 @@ class TestCovReport:
         np.testing.assert_allclose(100 / np.sqrt(20.0), 22.361, atol=5e-4)
         np.testing.assert_allclose(100 * np.sqrt(2.0 / 120.0), 12.910, atol=5e-4)
 
-
-class TestHyperHessian:
-    def make_state(self, toy2_model, toy2_dataset, alpha, lam, zeta):
-        state = initialize(toy2_dataset, toy2_model, [1.0, 1.0],
-                           AlgorithmConfig(mode="monitoring"))
-        state.alpha = np.asarray(alpha, dtype=float)
-        state.lam = lam
-        state.zeta = zeta
-        return state
-
-    def test_direct_substitution_n1(self):
-        # alpha = B = lam = zeta = 1 on a single-component state
-        from modalbayes.inference import InferenceState
-
-        state = InferenceState(theta=np.ones(1), omega2=np.ones(1), phi=np.ones(2),
-                               beta=1.0, eta=1.0, nu=1.0, rho=np.ones(1), tau=np.ones(1),
-                               alpha=np.ones(1), lam=1.0, zeta=1.0, a0=1.0, b0=1.0)
-        hess, labels = hyper_hessian(state, theta_anchor=np.ones(1),
-                                     theta_cov_diag=np.ones(1))
-        np.testing.assert_allclose(hess, [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
-                                   rtol=1e-14)
-        assert labels == ["alpha_1", "lambda", "zeta"]
-
-    def test_diagonal_sign_structure(self, toy2_model, toy2_dataset):
-        # entry 2 B / a^3 - 1/a^2 is positive iff B > a/2; at B = a it equals 1/a^2
-        state = self.make_state(toy2_model, toy2_dataset, [0.7, 0.7], 1.0, 1.0)
-        state.theta = np.ones(2)
-        bval = 0.7
-        hess, _ = hyper_hessian(state, np.ones(2), theta_cov_diag=np.full(2, bval))
-        np.testing.assert_allclose(np.diag(hess)[:2], 1.0 / 0.7**2, rtol=1e-12)
-        low = hyper_hessian(state, np.ones(2), theta_cov_diag=np.full(2, 0.3))[0]
-        assert np.all(np.diag(low)[:2] < 0)  # B < a/2 flips the sign
-
-    def test_fd_oracle_lambda_zeta_block_and_alpha_factor(self, toy2_model, toy2_dataset):
-        """FD check of the log pseudo-evidence Hessian.
-
-        The lambda/zeta rows of the assembled matrix match the finite
-        differences directly.  The printed alpha diagonal equals exactly twice
-        the true curvature (the gradient's overall 1/2 on the alpha terms is
-        dropped when differentiating it); the factor is asserted, not hidden.
-        """
-        rng = np.random.default_rng(7)
-        n = 2
-        hmat = rng.normal(size=(6, n)) * 30.0  # strong data: Sigma_theta tiny
-        beta = 50.0
-        anchor = np.array([1.0, 1.0])
-        theta_ls = anchor + np.array([0.08, -0.05])
-        lam0, zeta0 = 1.3, 0.9
-        alpha0 = np.array([0.04, 0.09])
-
-        hth = hmat.T @ hmat
-
-        def neg_log_evidence(x):
-            alpha, lam, zeta = x[:n], x[n], x[n + 1]
-            dmat = np.diag(alpha) + np.linalg.inv(beta * hth)
-            r = anchor - theta_ls
-            val = -0.5 * np.log(np.linalg.det(dmat))
-            val -= 0.5 * float(r @ np.linalg.solve(dmat, r))
-            val += n * np.log(lam) - lam * float(np.sum(alpha))
-            val += np.log(zeta) - zeta * lam
-            return -val
-
-        x0 = np.concatenate([alpha0, [lam0, zeta0]])
-        fd = fd_hessian(neg_log_evidence, x0, rel_step=1e-4)
-
-        # assemble the printed form at the matching operating point
-        from modalbayes.inference import InferenceState
-
-        sigma = np.diag(np.linalg.inv(beta * hth + np.diag(1.0 / alpha0)))
-        # theta at its conditional MAP given the anchor and alpha
-        theta_map = np.linalg.solve(beta * hth + np.diag(1.0 / alpha0),
-                                    beta * hth @ theta_ls + anchor / alpha0)
-        state = InferenceState(theta=theta_map, omega2=np.ones(1), phi=np.ones(2),
-                               beta=beta, eta=1.0, nu=1.0, rho=np.ones(1), tau=np.ones(1),
-                               alpha=alpha0, lam=lam0, zeta=zeta0, a0=1.0, b0=1.0)
-        printed, _ = hyper_hessian(state, anchor, theta_cov_diag=sigma)
-
-        # lambda-lambda, zeta-zeta and all cross entries match the FD oracle
-        np.testing.assert_allclose(printed[n, n], fd[n, n], rtol=1e-4)
-        np.testing.assert_allclose(printed[n + 1, n + 1], fd[n + 1, n + 1], rtol=1e-4)
-        np.testing.assert_allclose(printed[:n, n], fd[:n, n], rtol=1e-4)
-        np.testing.assert_allclose(printed[n, n + 1], fd[n, n + 1], rtol=1e-4)
-        # printed alpha diagonal is exactly twice the true curvature
-        np.testing.assert_allclose(np.diag(printed)[:n], 2.0 * np.diag(fd)[:n], rtol=2e-2)
-
-    def test_all_pruned_gives_lambda_zeta_block(self, toy2_model):
-        mon_ds_kwargs = dict(m=2, q=10, observed_dofs=[0, 1])
-        from modalbayes.bench import NoiseSpec, simulate_modal_data
-
-        ds = simulate_modal_data(toy2_model, [1.0, 1.0],
-                                 noise=NoiseSpec(0.01, 0.01, seed=11),
-                                 normalization="global", **mon_ds_kwargs)
-        result = run_monitoring(ds, toy2_model, np.ones(2),
-                                AlgorithmConfig(mode="monitoring", alpha_min=1e-4,
-                                                min_sweeps_before_pruning=10))
-        assert result.fixed_set == {0, 1}
-        hess, labels = hyper_hessian(result.state_map, np.ones(2),
-                                     theta_cov_diag=np.diag(result.theta_cov))
-        assert hess.shape == (2, 2) and labels == ["lambda", "zeta"]
