@@ -20,8 +20,9 @@ lambda = 0 with a floor kappa > 0 the exponential hyper-prior on precisions.
 Update order within a sweep is fixed: (mode shapes, eta), (frequencies, rho),
 theta, beta, then the ARD block in monitoring mode.  The regression matrix H of
 the new mode shapes is built once per sweep, right after the mode-shape
-update; every later block of the sweep reads K(theta) Phi_i = K0 Phi_i +
-(H theta)_i from it instead of assembling K(theta).  The right-hand side b,
+update, together with its H^T H, which the theta update and Sigma_theta read;
+every later block of the sweep reads K(theta) Phi_i = K0 Phi_i + (H theta)_i
+from H instead of assembling K(theta).  The right-hand side b,
 built once after the frequency update, feeds the theta update and the residual
 r = H theta - b.  r is formed after the theta update, read by the beta update
 and the objective, and formed again only when pruning moves theta.
@@ -37,7 +38,7 @@ import numpy as np
 from . import uncertainty
 from .data import ModalDataset, gamma_t_psi, observation_mask, shape_residual_sq
 from .errors import ConfigurationError, NumericalError
-from .model import StructuralModel, build_b, build_H, eigen_operators, eigen_residual
+from .model import StructuralModel, build_b, build_H, build_HtH, eigen_operators, eigen_residual
 
 CALIBRATION = "calibration"
 MONITORING = "monitoring"
@@ -342,20 +343,21 @@ def update_rho(state: InferenceState, dataset: ModalDataset) -> tuple[np.ndarray
     return rho, 1.0 / rho
 
 
-def update_theta(state: InferenceState, hmat: np.ndarray, bvec: np.ndarray,
+def update_theta(state: InferenceState, hmat: np.ndarray, hth: np.ndarray, bvec: np.ndarray,
                  theta_anchor) -> np.ndarray:
     """MAP stiffness scaling parameters from the linear regression H theta = b.
 
-    ``hmat`` and ``bvec`` are the regression matrix and right-hand side
-    (``build_b``) of the current omega2 and Phi.  Pruned components (alpha
-    exactly zero) stay pinned at the anchor; the free block solves
+    ``hmat``, its ``hth`` = H^T H (``build_HtH``) and ``bvec`` are the
+    regression matrix and right-hand side (``build_b``) of the current omega2
+    and Phi.  Pruned components (alpha exactly zero) stay pinned at the
+    anchor; the free block solves
     (beta Hf^T Hf + Af^-1) theta_f = beta Hf^T (b - Hp anchor_p) + Af^-1 anchor_f.
     """
     anchor = np.asarray(theta_anchor, dtype=float)
     free = state.free_mask()
     theta_new = anchor.copy()
     resid_rhs = bvec - hmat[:, ~free] @ anchor[~free]
-    lhs = uncertainty.theta_precision(state.beta, hmat, state.alpha)
+    lhs = uncertainty.theta_precision(state.beta, hth, state.alpha)
     rhs = state.beta * (hmat[:, free].T @ resid_rhs) + anchor[free] / state.alpha[free]
     try:
         theta_new[free] = np.linalg.solve(lhs, rhs)
@@ -469,6 +471,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
         sweeps = sweep
         state.phi = update_mode_shapes(state, dataset, model)
         hmat = build_H(model, state.phi)
+        hth = build_HtH(model, hmat)
         if not config.fixed("eta"):
             state.eta, state.nu = update_eta(state, dataset, model)
         state.omega2 = update_frequencies(state, dataset, model, hmat)
@@ -476,14 +479,14 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
         if not (config.fixed("rho") or config.fixed("phi")):
             state.rho, state.tau = update_rho(state, dataset)
         theta_prev = state.theta
-        state.theta = update_theta(state, hmat, bvec, anchor)
+        state.theta = update_theta(state, hmat, hth, bvec, anchor)
         resid = eigen_residual(model, hmat, state.theta, bvec)
         if not config.fixed("beta"):
             state.beta = update_beta(state, resid)
 
         if monitoring:
             free = state.free_mask()
-            cov_diag = np.diag(uncertainty.theta_covariance_from(state.beta, hmat, state.alpha))
+            cov_diag = np.diag(uncertainty.theta_covariance_from(state.beta, hth, state.alpha))
             state.alpha = update_alpha(state, anchor, cov_diag, config.kappa)
             if config.lambda_fixed is None:
                 state.lam, state.zeta = update_lambda_zeta(state)
@@ -513,7 +516,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
             break
 
     # rows of pruned components are exactly zero, so their c.o.v. is too
-    theta_cov = uncertainty.theta_covariance_from(state.beta, hmat, state.alpha)
+    theta_cov = uncertainty.theta_covariance_from(state.beta, hth, state.alpha)
     sigma = np.sqrt(np.clip(np.diag(theta_cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         cov_theta = np.where(state.theta != 0, sigma / np.abs(state.theta), 0.0)

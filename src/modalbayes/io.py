@@ -37,7 +37,10 @@ def _matrix(payload, name: str, d: int) -> np.ndarray:
 
 
 def model_from_dict(payload: dict) -> StructuralModel:
-    """Parse a model definition, expanding the shear-building shorthand."""
+    """Parse a model definition, expanding the shear-building shorthand.
+
+    The dense ``Ksub`` matrices of a file are reduced to their supports.
+    """
     if "shear_building" in payload:
         short = dict(payload["shear_building"])
         try:
@@ -56,16 +59,17 @@ def model_from_dict(payload: dict) -> StructuralModel:
         raise ConfigurationError(f"malformed model payload: {exc}") from exc
     if len(ksub) != n:
         raise ConfigurationError(f"model declares n={n} but has {len(ksub)} substructures")
-    return StructuralModel(mass=mass, k0=k0, ksub=np.stack(ksub))
+    return StructuralModel.from_dense(mass=mass, k0=k0, ksub=ksub)
 
 
 def model_to_dict(model: StructuralModel) -> dict:
+    """The model file of ``model``, with every Ksub_j written as a full d x d matrix."""
     return {
         "d": model.d,
         "n": model.n,
         "M": model.mass.tolist(),
         "K0": model.k0.tolist(),
-        "Ksub": [kj.tolist() for kj in model.ksub],
+        "Ksub": [model.substructure(j).tolist() for j in range(model.n)],
     }
 
 

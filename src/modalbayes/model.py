@@ -10,6 +10,12 @@ every builder here consumes that layout.  Operators that act on one mode at a
 time, such as the eigen-residual operators K(theta) - omega2_i M, are returned
 as (m, d, d) stacks rather than as block-diagonal (d*m, d*m) matrices.
 
+Each substructure stiffens only a few DOFs, so Ksub_j is stored as its DOF
+support and the small dense block on it, never as a d x d matrix.  The
+builders that read the substructures work on the supports: K(theta) is one
+scatter-add, H one gather and batched block product, and H^T H sums only the
+rows where two supports overlap.
+
 ``shear_building_model`` builds the shear buildings that model files, the CLI
 shorthand and the benchmark harness all describe by a ``ShearBuildingSpec``.
 
@@ -19,7 +25,7 @@ inference path itself never solves an eigenproblem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -38,18 +44,33 @@ def _as_square(name: str, a, d: int | None = None) -> np.ndarray:
     return a
 
 
+def _mass_matrix(mass) -> np.ndarray:
+    mass = _as_square("mass matrix", mass)
+    if mass.shape[0] < 1:
+        raise ConfigurationError("a model needs at least one DOF (d >= 1)")
+    return mass
+
+
 def _check_symmetric(name: str, a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> None:
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return
-    asym = np.max(np.abs(a - a.T))
-    if not np.isfinite(scale) or asym > rtol * scale:
-        raise ConfigurationError(f"{name} is not symmetric (relative asymmetry {asym / scale:.3e})")
+    """Each matrix of the stack ``a`` (..., k, k) is symmetric to ``rtol`` of its own scale."""
+    stack = a.reshape(-1, *a.shape[-2:])
+    scale = np.max(np.abs(stack), axis=(1, 2), initial=0.0)
+    asym = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(asym > rtol * scale)
+    if bad.size:
+        j = bad[0]
+        raise ConfigurationError(f"{name.format(j=j)} is not symmetric "
+                                 f"(relative asymmetry {asym[j] / scale[j]:.3e})")
 
 
 @dataclass(frozen=True)
 class StructuralModel:
     """Mass matrix, base stiffness and nominal substructure stiffness matrices.
+
+    A substructure stiffens only the few DOFs of its support (a shear story
+    couples two floors), so Ksub_j is held as its support S_j and the dense
+    block B_j = Ksub_j[S_j, S_j]; no d x d substructure matrix is stored.
+    ``from_dense`` reduces full matrices to this form.
 
     Parameters
     ----------
@@ -57,35 +78,99 @@ class StructuralModel:
         Symmetric positive definite mass matrix.
     k0 : (d, d) array
         Base (non-parameterized) stiffness contribution, symmetric.
-    ksub : (n, d, d) array
-        Nominal stiffness contribution of each of the n substructures,
-        each symmetric.
+    support : (n, s) integer array
+        The s distinct DOFs of each of the n substructures.  A substructure
+        that stiffens fewer DOFs lists others as well, whose rows and columns
+        of its block are zero.
+    blocks : (n, s, s) array
+        Each substructure's stiffness on its support, symmetric.
     """
 
     mass: np.ndarray
     k0: np.ndarray
-    ksub: np.ndarray
+    support: np.ndarray
+    blocks: np.ndarray
+    # flat scatter/gather positions derived from the supports (see __post_init__)
+    _k_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _h_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram_left: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram_right: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram_out: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mass = _as_square("mass matrix", self.mass)
+        mass = _mass_matrix(self.mass)
         d = mass.shape[0]
         k0 = _as_square("K0", self.k0, d)
-        ksub = np.asarray(self.ksub, dtype=float)
-        if ksub.ndim != 3 or ksub.shape[1:] != (d, d):
-            raise ConfigurationError(
-                f"substructure stack must have shape (n, {d}, {d}), got {ksub.shape}"
-            )
-        if ksub.shape[0] < 1:
+        support = np.asarray(self.support)
+        blocks = np.asarray(self.blocks, dtype=float)
+        if support.ndim != 2 or not np.issubdtype(support.dtype, np.integer):
+            raise ConfigurationError(f"substructure supports must be an (n, s) integer array, "
+                                     f"got shape {support.shape} of {support.dtype}")
+        n, s = support.shape
+        if n < 1:
             raise ConfigurationError("at least one substructure is required")
+        if not 1 <= s <= d or blocks.shape != (n, s, s):
+            raise ConfigurationError(f"substructure blocks must have shape (n, s, s) with 1 <= s "
+                                     f"<= {d}, got {blocks.shape} for supports {support.shape}")
+        ordered = np.sort(support, axis=1)
+        if ordered[:, 0].min() < 0 or ordered[:, -1].max() >= d or np.any(np.diff(ordered) == 0):
+            raise ConfigurationError(
+                f"each substructure support must list distinct DOFs in [0, {d})")
+        for name, a in (("mass matrix", mass), ("K0", k0), ("a substructure block", blocks)):
+            if not np.all(np.isfinite(a)):
+                raise ConfigurationError(f"{name} has non-finite entries")
         _check_symmetric("mass matrix", mass)
         _check_symmetric("K0", k0)
-        for j in range(ksub.shape[0]):
-            _check_symmetric(f"Ksub[{j}]", ksub[j])
-        for a in (mass, k0, ksub):
-            a.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "ksub", ksub)
+        _check_symmetric("Ksub[{j}]", blocks)
+        try:
+            scipy.linalg.cholesky(mass, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise ModelError("mass matrix is not positive definite") from exc
+
+        support = support.astype(np.intp)
+        # K: entry (S_j[a], S_j[b]) of the d x d matrix receives theta_j B_j[a, b]
+        k_index = (support[:, :, None] * d + support[:, None, :]).reshape(-1)
+        # H: entry (S_j[a], j) of each mode's (d, n) slab receives (B_j Phi_i[S_j])_a
+        h_index = (support * n + np.arange(n)[:, None]).reshape(-1)
+        # H^T H: entry (j, l) sums the products of columns j and l of H over the
+        # rows of every DOF that both substructures stiffen (a nonzero row of B)
+        js, places = np.nonzero(np.any(blocks != 0.0, axis=2))
+        dofs = support[js, places]
+        order = np.lexsort((js, dofs))
+        dofs, js = dofs[order], js[order]
+        # every ordered pair (p, q) of entries at one DOF: q runs over p's group
+        starts = np.searchsorted(dofs, dofs, side="left")
+        counts = np.searchsorted(dofs, dofs, side="right") - starts
+        p = np.repeat(np.arange(dofs.size), counts)
+        q = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(p.size)
+        left, right, out = dofs[p] * n + js[p], dofs[q] * n + js[q], js[p] * n + js[q]
+
+        for name, value in (("mass", mass), ("k0", k0), ("support", support), ("blocks", blocks),
+                            ("_k_index", k_index), ("_h_index", h_index), ("_gram_left", left),
+                            ("_gram_right", right), ("_gram_out", out)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_dense(cls, mass, k0, ksub) -> "StructuralModel":
+        """The model of full d x d substructure matrices ``ksub``, each reduced to its support.
+
+        The support of Ksub_j is every DOF whose row or column holds a nonzero
+        entry; supports smaller than the largest are padded with the lowest
+        other DOFs.
+        """
+        d = _mass_matrix(mass).shape[0]
+        mats = [_as_square(f"Ksub[{j}]", kj, d) for j, kj in enumerate(ksub)]
+        touched = [np.flatnonzero(np.any(kj != 0.0, axis=0) | np.any(kj != 0.0, axis=1))
+                   for kj in mats]
+        s = max([1] + [dofs.size for dofs in touched])
+        support = np.zeros((len(mats), s), dtype=np.intp)
+        blocks = np.zeros((len(mats), s, s))
+        for j, (kj, dofs) in enumerate(zip(mats, touched)):
+            pad = np.setdiff1d(np.arange(d), dofs)[:s - dofs.size]
+            support[j] = np.sort(np.concatenate([dofs, pad]))
+            blocks[j] = kj[np.ix_(support[j], support[j])]
+        return cls(mass=mass, k0=k0, support=support, blocks=blocks)
 
     @property
     def d(self) -> int:
@@ -93,7 +178,13 @@ class StructuralModel:
 
     @property
     def n(self) -> int:
-        return self.ksub.shape[0]
+        return self.support.shape[0]
+
+    def substructure(self, j: int) -> np.ndarray:
+        """The full d x d matrix Ksub_j."""
+        out = np.zeros((self.d, self.d))
+        out[np.ix_(self.support[j], self.support[j])] = self.blocks[j]
+        return out
 
 
 @dataclass(frozen=True)
@@ -134,15 +225,14 @@ def shear_building_model(spec: ShearBuildingSpec, unit_scale: float = 1.0) -> St
     d = spec.stories
     masses = spec.masses() / unit_scale
     ks = spec.stiffnesses() / unit_scale
-    ksub = np.zeros((d, d, d))
-    for j in range(d):
-        k = ks[j]
-        ksub[j, j, j] = k
-        if j > 0:
-            ksub[j, j - 1, j - 1] = k
-            ksub[j, j - 1, j] = -k
-            ksub[j, j, j - 1] = -k
-    return StructuralModel(mass=np.diag(masses), k0=np.zeros((d, d)), ksub=ksub)
+    s = min(d, 2)
+    # story j couples floors j-1 and j; the ground story lists floor 1 as well
+    support = np.clip(np.arange(d) - 1, 0, d - s)[:, None] + np.arange(s)
+    blocks = ks[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])[:s, :s]
+    blocks[0] = 0.0
+    blocks[0, 0, 0] = ks[0]
+    return StructuralModel(mass=np.diag(masses), k0=np.zeros((d, d)), support=support,
+                           blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -194,9 +284,14 @@ def _phi_modes(model: StructuralModel, phi) -> np.ndarray:
 
 
 def assemble_stiffness(model: StructuralModel, theta) -> np.ndarray:
-    """K(theta) = K0 + sum_j theta_j Ksub_j, asserted symmetric."""
+    """K(theta) = K0 + sum_j theta_j Ksub_j, asserted symmetric.
+
+    One scatter-add of every theta_j B_j onto the DOF pairs of its support.
+    """
     theta = _theta_vector(model, theta)
-    k = model.k0 + np.tensordot(theta, model.ksub, axes=1)
+    d = model.d
+    weights = (theta[:, None, None] * model.blocks).reshape(-1)
+    k = model.k0 + np.bincount(model._k_index, weights, minlength=d * d).reshape(d, d)
     scale = np.max(np.abs(k))
     if scale > 0 and np.max(np.abs(k - k.T)) > SYMMETRY_RTOL * scale:
         raise ModelError("assembled stiffness matrix lost symmetry; check substructure inputs")
@@ -204,12 +299,32 @@ def assemble_stiffness(model: StructuralModel, theta) -> np.ndarray:
 
 
 def build_H(model: StructuralModel, phi) -> np.ndarray:
-    """(d*m, n) regression matrix with block (i, j) equal to Ksub_j @ Phi_i."""
+    """(d*m, n) regression matrix with block (i, j) equal to Ksub_j @ Phi_i.
+
+    Ksub_j @ Phi_i is B_j @ Phi_i[S_j] on the support S_j and zero elsewhere:
+    one gather of every support, one batched product with the blocks and one
+    write into H.
+    """
     modes = _phi_modes(model, phi)
     m, d, n = modes.shape[0], model.d, model.n
-    # one GEMM: row j*d + k, column i holds (Ksub_j @ Phi_i)_k
-    h = model.ksub.reshape(n * d, d) @ modes.T
-    return h.reshape(n, d, m).transpose(2, 1, 0).reshape(m * d, n)
+    local = np.einsum("jab,ijb->ija", model.blocks, modes[:, model.support])
+    h = np.zeros((m, d * n))
+    h[:, model._h_index] = local.reshape(m, -1)
+    return h.reshape(m * d, n)
+
+
+def build_HtH(model: StructuralModel, hmat: np.ndarray) -> np.ndarray:
+    """H^T H (n x n) of the regression matrix ``hmat`` (``build_H``) of this model.
+
+    Columns j and l of H overlap only in the rows of the DOFs both
+    substructures stiffen, so each entry sums m products for each such DOF,
+    over the (DOF, j, l) triples the model lists once.  The result is exactly
+    symmetric.
+    """
+    n = model.n
+    slabs = hmat.reshape(-1, model.d * n)
+    prods = np.einsum("it,it->t", slabs[:, model._gram_left], slabs[:, model._gram_right])
+    return np.bincount(model._gram_out, prods, minlength=n * n).reshape(n, n)
 
 
 def build_b(model: StructuralModel, omega2, phi) -> np.ndarray:
@@ -262,10 +377,6 @@ def eigen_solve(model: StructuralModel, theta, m: int) -> SystemModalState:
         raise ConfigurationError(f"mode count must be in [1, {model.d}], got {m}")
     k = assemble_stiffness(model, theta)
     try:
-        scipy.linalg.cholesky(model.mass, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ModelError("mass matrix is not positive definite") from exc
-    try:
         w, v = scipy.linalg.eigh(k, model.mass, subset_by_index=(0, m - 1))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare driver failure
         raise NumericalError(f"generalized eigensolver failed: {exc}") from exc
@@ -277,9 +388,3 @@ def eigen_solve(model: StructuralModel, theta, m: int) -> SystemModalState:
     w = np.clip(w, 0.0, None)
     return SystemModalState(omega2=w, phi=v.T.reshape(-1))
 
-
-def eigen_residuals(model: StructuralModel, theta, state: SystemModalState) -> np.ndarray:
-    """Euclidean norm of (K(theta) - omega2_i M) Phi_i for each mode."""
-    resid = eigen_residual(model, build_H(model, state.phi), theta,
-                           build_b(model, state.omega2, state.phi))
-    return np.linalg.norm(resid, axis=1)

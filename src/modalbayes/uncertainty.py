@@ -31,17 +31,19 @@ from scipy.linalg import lapack
 
 from .data import ModalDataset, gamma_t_psi, observation_mask
 from .errors import NumericalError
-from .model import StructuralModel, build_H, eigen_operators
+from .model import StructuralModel, build_H, build_HtH, eigen_operators
 
 HESSIAN_ASYMMETRY_RTOL = 1e-8
 MAX_CONDITION = 1e14
 
 
-def theta_precision(beta: float, hmat: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """beta H_f^T H_f + A_f^-1 (nf x nf) over the free set f of components with alpha > 0."""
-    free = alpha > 0.0
-    hf = hmat[:, free]
-    prec = beta * (hf.T @ hf)
+def theta_precision(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """beta H_f^T H_f + A_f^-1 (nf x nf) over the free set f of components with alpha > 0.
+
+    ``hth`` is the n x n H^T H of the current regression matrix (``model.build_HtH``).
+    """
+    free = np.flatnonzero(alpha > 0.0)
+    prec = beta * hth.take(free, axis=0).take(free, axis=1)
     prec[np.diag_indices_from(prec)] += 1.0 / alpha[free]
     return prec
 
@@ -64,12 +66,12 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     return np.tril(inv) + np.tril(inv, -1).swapaxes(-1, -2)
 
 
-def theta_covariance_from(beta: float, hmat: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def theta_covariance_from(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Sigma_theta = (beta H_f^T H_f + A_f^-1)^-1, embedded in the n x n frame.
 
-    The precision ``theta_precision`` is inverted by ``spd_inverse``, so the
-    cost scales with the unpruned set.  Rows and columns of pruned components
-    are exactly zero.
+    ``hth`` is H^T H (``model.build_HtH``).  The precision ``theta_precision``
+    is inverted by ``spd_inverse``, so the cost scales with the unpruned set.
+    Rows and columns of pruned components are exactly zero.
     """
     alpha = np.asarray(alpha, dtype=float)
     free = alpha > 0.0
@@ -77,7 +79,7 @@ def theta_covariance_from(beta: float, hmat: np.ndarray, alpha: np.ndarray) -> n
     if not np.any(free):
         return cov
     try:
-        cov[np.ix_(free, free)] = spd_inverse(theta_precision(beta, hmat, alpha))
+        cov[np.ix_(free, free)] = spd_inverse(theta_precision(beta, hth, alpha))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"theta covariance factorization failed: {exc}") from exc
     return cov
@@ -161,7 +163,7 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np
     core[0, i_th] = (hmat.T @ resid.reshape(-1))[free_idx]
     # Phi_i^T Ksub_j M Phi_i = (M Phi_i) . (Ksub_j Phi_i)
     core[i_w, i_th] = -state.beta * np.matmul(mphi[:, None, :], hf3)[:, 0, :]
-    core[i_th, i_th] = theta_precision(state.beta, hmat, state.alpha)
+    core[i_th, i_th] = theta_precision(state.beta, build_HtH(model, hmat), state.alpha)
     core = np.triu(core) + np.triu(core, 1).T
 
     return p_blocks, cross, core, _hessian_labels(m, d, free_idx)

@@ -59,6 +59,11 @@ def cli_env() -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
+def dense_ksub(model: StructuralModel) -> np.ndarray:
+    """The (n, d, d) stack of the full substructure matrices: the dense reference."""
+    return np.stack([model.substructure(j) for j in range(model.n)])
+
+
 @pytest.fixture
 def toy2_model() -> StructuralModel:
     """2-DOF, n=2 model with a non-proportional mass matrix.
@@ -70,7 +75,7 @@ def toy2_model() -> StructuralModel:
     k1 = 1.3 * np.array([[2.0, -1.0], [-1.0, 1.0]])
     k2 = 0.7 * np.array([[1.0, 0.2], [0.2, 2.0]])
     k0 = 0.1 * np.array([[1.0, -0.3], [-0.3, 1.0]])
-    return StructuralModel(mass=mass, k0=k0, ksub=np.stack([k1, k2]))
+    return StructuralModel.from_dense(mass=mass, k0=k0, ksub=np.stack([k1, k2]))
 
 
 @pytest.fixture

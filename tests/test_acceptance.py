@@ -43,7 +43,7 @@ from modalbayes.inference import (
     update_rho,
     update_theta,
 )
-from modalbayes.model import build_b, build_H, eigen_solve
+from modalbayes.model import build_b, build_H, build_HtH, eigen_solve
 from modalbayes.uncertainty import cov_report, joint_hessian
 
 
@@ -174,7 +174,8 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
         state.rho, state.tau = update_rho(state, toy2_dataset)
 
     def apply_theta():
-        state.theta = update_theta(state, build_H(toy2_model, state.phi),
+        hmat = build_H(toy2_model, state.phi)
+        state.theta = update_theta(state, hmat, build_HtH(toy2_model, hmat),
                                    build_b(toy2_model, state.omega2, state.phi), anchor)
 
     def apply_beta():

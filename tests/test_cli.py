@@ -198,6 +198,20 @@ class TestCalibrate:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("model, message", [
+        ({"d": 0, "n": 0, "M": [], "K0": [], "Ksub": []}, "at least one DOF"),
+        ({"d": 1, "n": 1, "M": [[float("nan")]], "K0": [[0.0]], "Ksub": [[[1.0]]]},
+         "non-finite"),
+        ({"d": 2, "n": 1, "M": [[-1.0, 0.0], [0.0, -1.0]], "K0": [[0.0, 0.0], [0.0, 0.0]],
+          "Ksub": [[[1.0, 0.0], [0.0, 1.0]]]}, "not positive definite"),
+    ], ids=["no_dofs", "nan_mass", "negative_mass"])
+    def test_degenerate_model_exit_2(self, pipeline_dir, model, message):
+        (pipeline_dir / "bad.json").write_text(json.dumps(model))
+        proc = run_cli(["calibrate", "--model", "bad.json", "--dataset", "run/dataset.json",
+                        "--out-dir", "bad"], cwd=pipeline_dir)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
     def test_negative_seed_for_theta_init_exit_2(self, pipeline_dir):
         proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
                         "run/dataset.json", "--theta-init", "uniform:2,3", "--seed", "-1",

@@ -33,6 +33,7 @@ from modalbayes.model import (
     assemble_stiffness,
     build_b,
     build_H,
+    build_HtH,
     eigen_solve,
     shear_building_model,
 )
@@ -51,8 +52,8 @@ class TestInitialize:
         from conftest import random_spd
         from modalbayes.model import StructuralModel
 
-        model = StructuralModel(mass=np.eye(10), k0=np.zeros((10, 10)),
-                                ksub=random_spd(rng, 10)[None])
+        model = StructuralModel.from_dense(mass=np.eye(10), k0=np.zeros((10, 10)),
+                                           ksub=random_spd(rng, 10)[None])
         omega2 = rng.uniform(10, 20, size=(3, 4))
         shapes = rng.normal(size=(3, 4, 10))
         ds = ModalDataset.from_segments(omega2, shapes, np.arange(10))
@@ -142,8 +143,8 @@ class TestUpdateModeShapes:
         # reference: the (d*m, d*m) system with F = block_diag(A_i @ A_i)
         rng = np.random.default_rng(41)
         d, m = 5, 3
-        model = StructuralModel(mass=random_spd(rng, d), k0=np.zeros((d, d)),
-                                ksub=np.stack([random_spd(rng, d) for _ in range(2)]))
+        model = StructuralModel.from_dense(mass=random_spd(rng, d), k0=np.zeros((d, d)),
+                                           ksub=np.stack([random_spd(rng, d) for _ in range(2)]))
         ds = simulate_modal_data(model, [1.0, 1.0], m=m, q=3, observed_dofs=[0, 2, 3],
                                  noise=NoiseSpec(0.01, 0.01, seed=7))
         state = initialize(ds, model, [0.9, 1.1], AlgorithmConfig(mode="calibration"))
@@ -295,17 +296,19 @@ class TestUpdateTheta:
         bvec = build_b(toy2_model, state.omega2, state.phi)
         ls = np.linalg.solve(hmat.T @ hmat, hmat.T @ bvec)
         # default pinned value is close; pushing alpha further converges to LS
-        theta_default = update_theta(state, hmat, bvec, np.array([3.0, 3.0]))
+        hth = build_HtH(toy2_model, hmat)
+        theta_default = update_theta(state, hmat, hth, bvec, np.array([3.0, 3.0]))
         np.testing.assert_allclose(theta_default, ls, rtol=1e-4)
         state.alpha = np.full(2, 1e14)
-        theta = update_theta(state, hmat, bvec, np.array([3.0, 3.0]))
+        theta = update_theta(state, hmat, hth, bvec, np.array([3.0, 3.0]))
         np.testing.assert_allclose(theta, ls, rtol=1e-8)
 
     def test_zero_alpha_pins_to_anchor(self, toy2_model, toy2_dataset):
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="monitoring"))
         state.alpha = np.zeros(2)
         anchor = np.array([0.9, 1.1])
-        theta = update_theta(state, build_H(toy2_model, state.phi),
+        hmat = build_H(toy2_model, state.phi)
+        theta = update_theta(state, hmat, build_HtH(toy2_model, hmat),
                              build_b(toy2_model, state.omega2, state.phi), anchor)
         assert np.array_equal(theta, anchor)
 
@@ -325,7 +328,7 @@ class TestUpdateTheta:
 
         res = scipy.optimize.minimize(quad, anchor, method="Nelder-Mead",
                                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
-        theta = update_theta(state, hmat, bvec, anchor)
+        theta = update_theta(state, hmat, build_HtH(toy2_model, hmat), bvec, anchor)
         np.testing.assert_allclose(theta, res.x, rtol=1e-8, atol=1e-10)
 
     def test_scalar_shrinkage_bracket(self):
@@ -334,8 +337,8 @@ class TestUpdateTheta:
         from conftest import random_spd
         from modalbayes.model import StructuralModel
 
-        model = StructuralModel(mass=random_spd(rng, 2), k0=np.zeros((2, 2)),
-                                ksub=random_spd(rng, 2)[None])
+        model = StructuralModel.from_dense(mass=random_spd(rng, 2), k0=np.zeros((2, 2)),
+                                           ksub=random_spd(rng, 2)[None])
         ds = simulate_modal_data(model, [1.0], m=1, q=3, observed_dofs=[0, 1],
                                  noise=NoiseSpec(0.02, 0.02, seed=6))
         state = initialize(ds, model, [1.0], AlgorithmConfig(mode="monitoring"))
@@ -344,11 +347,12 @@ class TestUpdateTheta:
         state.alpha = np.array([1e12])
         hmat = build_H(model, state.phi)
         bvec = build_b(model, state.omega2, state.phi)
-        ls = update_theta(state, hmat, bvec, anchor)[0]
+        hth = build_HtH(model, hmat)
+        ls = update_theta(state, hmat, hth, bvec, anchor)[0]
         lo, hi = sorted([ls, anchor[0]])
         for alpha in (1e-6, 1e-3, 1.0, 1e3):
             state.alpha = np.array([alpha])
-            val = update_theta(state, hmat, bvec, anchor)[0]
+            val = update_theta(state, hmat, hth, bvec, anchor)[0]
             assert lo - 1e-12 <= val <= hi + 1e-12
 
     def test_stationarity(self, toy2_model, toy2_dataset):
@@ -357,7 +361,8 @@ class TestUpdateTheta:
         state.phi = update_mode_shapes(state, toy2_dataset, toy2_model)
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         g_before = fd_gradient(fun, pack_state(state))
-        state.theta = update_theta(state, build_H(toy2_model, state.phi),
+        hmat = build_H(toy2_model, state.phi)
+        state.theta = update_theta(state, hmat, build_HtH(toy2_model, hmat),
                                    build_b(toy2_model, state.omega2, state.phi), anchor)
         g_after = fd_gradient(fun, pack_state(state))
         assert np.linalg.norm(g_after[-2:]) <= 1e-6 * max(np.linalg.norm(g_before), 1e-9)
@@ -380,7 +385,7 @@ class TestUpdateBeta:
         state.theta = np.array([1.0, 1.0])
         state.omega2 = exact.omega2.copy()
         # perturb phi so that the squared residual equals 2 b0 exactly
-        k = toy2_model.k0 + toy2_model.ksub[0] + toy2_model.ksub[1]
+        k = toy2_model.k0 + toy2_model.substructure(0) + toy2_model.substructure(1)
         a = k - exact.omega2[0] * toy2_model.mass
         direction = np.array([1.0, 0.0])
         r = a @ direction
@@ -547,7 +552,7 @@ class TestObjective:
             - np.log(state.nu) + state.nu * state.eta
             - 0.5 * 2 * m * np.log(state.beta)
             + 0.5 * state.beta * float(np.sum((
-                (toy2_model.k0 + toy2_model.ksub[0] + toy2_model.ksub[1]
+                (toy2_model.k0 + toy2_model.substructure(0) + toy2_model.substructure(1)
                  - state.omega2[0] * toy2_model.mass) @ state.phi) ** 2))
         )
         np.testing.assert_allclose(j, expected, rtol=1e-10)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import cli_env
+from conftest import cli_env, dense_ksub
 from modalbayes import io
 from modalbayes.bench import ShearBuildingSpec, shear_building_model
 from modalbayes.errors import ConfigurationError
@@ -21,7 +21,7 @@ class TestModelFiles:
         loaded = io.load_model(path)
         np.testing.assert_array_equal(loaded.mass, toy2_model.mass)
         np.testing.assert_array_equal(loaded.k0, toy2_model.k0)
-        np.testing.assert_array_equal(loaded.ksub, toy2_model.ksub)
+        np.testing.assert_array_equal(dense_ksub(loaded), dense_ksub(toy2_model))
 
     def test_flat_row_major_accepted(self):
         payload = {
@@ -32,7 +32,7 @@ class TestModelFiles:
         }
         model = io.model_from_dict(payload)
         np.testing.assert_array_equal(model.mass, [[2.0, 0.0], [0.0, 3.0]])
-        np.testing.assert_array_equal(model.ksub[0], [[5.0, -1.0], [-1.0, 5.0]])
+        np.testing.assert_array_equal(model.substructure(0), [[5.0, -1.0], [-1.0, 5.0]])
 
     def test_shear_building_shorthand(self):
         payload = {"shear_building": {"stories": 4, "floor_mass": 100e3,
@@ -40,7 +40,35 @@ class TestModelFiles:
         model = io.model_from_dict(payload)
         direct = shear_building_model(ShearBuildingSpec(stories=4), unit_scale=1e6)
         np.testing.assert_array_equal(model.mass, direct.mass)
-        np.testing.assert_array_equal(model.ksub, direct.ksub)
+        np.testing.assert_array_equal(dense_ksub(model), dense_ksub(direct))
+
+    @pytest.mark.parametrize("stories", [1, 4])
+    def test_shorthand_saves_the_dense_json(self, stories, tmp_path):
+        # the dense matrices a shear building's stories had before supports
+        spec = ShearBuildingSpec(stories=stories)
+        ks = spec.stiffnesses() / 1e6
+        ksub = np.zeros((stories, stories, stories))
+        for j, k in enumerate(ks):
+            ksub[j, j, j] = k
+            if j > 0:
+                ksub[j, j - 1, j - 1] = k
+                ksub[j, j - 1, j] = ksub[j, j, j - 1] = -k
+        expected = {"d": stories, "n": stories, "M": np.diag(spec.masses() / 1e6).tolist(),
+                    "K0": np.zeros((stories, stories)).tolist(), "Ksub": ksub.tolist()}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"shear_building": {"stories": stories, "unit_scale": 1e6}}))
+        assert json.dumps(io.model_to_dict(io.load_model(path))) == json.dumps(expected)
+
+    @pytest.mark.parametrize("kind", ["shorthand", "dense"])
+    def test_saved_json_survives_a_reload(self, kind, toy2_model, tmp_path):
+        if kind == "shorthand":
+            model = io.model_from_dict({"shear_building": {"stories": 6, "unit_scale": 1e6}})
+        else:
+            model = toy2_model
+        io.save_model(model, tmp_path / "a.json")
+        io.save_model(io.load_model(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert json.loads((tmp_path / "a.json").read_text())["Ksub"] == dense_ksub(model).tolist()
 
     def test_declared_count_mismatch(self):
         payload = {"d": 2, "n": 2, "M": np.eye(2).tolist(), "K0": np.zeros((2, 2)).tolist(),

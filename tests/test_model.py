@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalbayes.bench import ShearBuildingSpec, shear_building_model
 from modalbayes.data import ModalDataset
@@ -15,17 +17,19 @@ from modalbayes.model import (
     assemble_stiffness,
     build_b,
     build_H,
+    build_HtH,
     eigen_operators,
     eigen_residual,
-    eigen_residuals,
     eigen_solve,
 )
 
-from conftest import random_spd, random_symmetric
+from modalbayes.uncertainty import theta_precision
+
+from conftest import dense_ksub, random_spd, random_symmetric
 
 
 def random_model(rng, d=3, n=2):
-    return StructuralModel(
+    return StructuralModel.from_dense(
         mass=random_spd(rng, d),
         k0=random_symmetric(rng, d),
         ksub=np.stack([random_symmetric(rng, d) for _ in range(n)]),
@@ -35,16 +39,55 @@ def random_model(rng, d=3, n=2):
 class TestConstruction:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            StructuralModel(mass=np.eye(2), k0=np.eye(3), ksub=np.eye(2)[None])
+            StructuralModel.from_dense(mass=np.eye(2), k0=np.eye(3), ksub=np.eye(2)[None])
 
     def test_asymmetric_substructure_rejected(self):
         bad = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ConfigurationError):
-            StructuralModel(mass=np.eye(2), k0=np.zeros((2, 2)), ksub=bad[None])
+            StructuralModel.from_dense(mass=np.eye(2), k0=np.zeros((2, 2)), ksub=bad[None])
 
     def test_needs_at_least_one_substructure(self):
         with pytest.raises(ConfigurationError):
-            StructuralModel(mass=np.eye(2), k0=np.zeros((2, 2)), ksub=np.zeros((0, 2, 2)))
+            StructuralModel.from_dense(mass=np.eye(2), k0=np.zeros((2, 2)),
+                                       ksub=np.zeros((0, 2, 2)))
+
+    def test_needs_at_least_one_dof(self):
+        with pytest.raises(ConfigurationError, match="at least one DOF"):
+            StructuralModel.from_dense(mass=np.zeros((0, 0)), k0=np.zeros((0, 0)), ksub=[])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["mass", "k0", "ksub"])
+    def test_non_finite_entries_rejected(self, where, entry):
+        parts = {"mass": np.eye(2), "k0": np.zeros((2, 2)), "ksub": np.eye(2)[None]}
+        bad = parts[where].copy()
+        bad[..., 0, 0] = entry
+        parts[where] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            StructuralModel.from_dense(**parts)
+
+    def test_non_spd_mass_rejected_when_built(self):
+        with pytest.raises(ModelError, match="not positive definite"):
+            StructuralModel.from_dense(mass=-np.eye(2), k0=np.zeros((2, 2)), ksub=np.eye(2)[None])
+
+    @pytest.mark.parametrize("support, blocks", [
+        ([[0, 0]], np.zeros((1, 2, 2))),  # a DOF listed twice
+        ([[0, 3]], np.zeros((1, 2, 2))),  # a DOF outside the model
+        ([[0, 1]], np.zeros((1, 1, 1))),  # a block of the wrong size
+        ([[0.0, 1.0]], np.zeros((1, 2, 2))),  # DOFs that are not integers
+    ], ids=["repeated_dof", "dof_out_of_range", "block_shape", "float_dofs"])
+    def test_bad_support_rejected(self, support, blocks):
+        with pytest.raises(ConfigurationError):
+            StructuralModel(mass=np.eye(3), k0=np.zeros((3, 3)), support=np.array(support),
+                            blocks=blocks)
+
+    def test_support_is_the_nonzero_rows_padded(self):
+        ksub = np.zeros((2, 4, 4))
+        ksub[0][np.ix_([1, 3], [1, 3])] = [[2.0, -1.0], [-1.0, 2.0]]
+        ksub[1, 2, 2] = 5.0
+        model = StructuralModel.from_dense(mass=np.eye(4), k0=np.zeros((4, 4)), ksub=ksub)
+        np.testing.assert_array_equal(model.support, [[1, 3], [0, 2]])
+        np.testing.assert_array_equal(model.blocks[1], [[0.0, 0.0], [0.0, 5.0]])
+        np.testing.assert_array_equal(dense_ksub(model), ksub)
 
 
 class TestAssembleStiffness:
@@ -67,7 +110,7 @@ class TestAssembleStiffness:
         rng = np.random.default_rng(11)
         model = random_model(rng, d=2, n=2)
         a, b = 0.7, -1.3
-        expected = model.k0 + a * model.ksub[0] + b * model.ksub[1]
+        expected = model.k0 + a * model.substructure(0) + b * model.substructure(1)
         np.testing.assert_allclose(assemble_stiffness(model, [a, b]), expected, rtol=1e-14)
 
     def test_linearity_property(self):
@@ -92,7 +135,7 @@ def loop_H(model, phi):
     out = np.zeros((d * m, n))
     for i in range(m):
         for j in range(n):
-            out[i * d:(i + 1) * d, j] = model.ksub[j] @ modes[i]
+            out[i * d:(i + 1) * d, j] = model.substructure(j) @ modes[i]
     return out
 
 
@@ -110,7 +153,8 @@ class TestBuilders:
         assert np.all(build_H(toy2_model, np.zeros(4)) == 0.0)
 
     def test_H_identity_substructure(self):
-        model = StructuralModel(mass=np.eye(3), k0=np.zeros((3, 3)), ksub=np.eye(3)[None])
+        model = StructuralModel.from_dense(mass=np.eye(3), k0=np.zeros((3, 3)),
+                                           ksub=np.eye(3)[None])
         phi = np.array([0.3, -0.2, 0.9])
         np.testing.assert_allclose(build_H(model, phi)[:, 0], phi)
 
@@ -122,16 +166,16 @@ class TestBuilders:
 
     def test_b_zero_cases(self):
         rng = np.random.default_rng(22)
-        model = StructuralModel(mass=random_spd(rng, 3), k0=np.zeros((3, 3)),
-                                ksub=np.stack([random_symmetric(rng, 3)]))
+        model = StructuralModel.from_dense(mass=random_spd(rng, 3), k0=np.zeros((3, 3)),
+                                           ksub=np.stack([random_symmetric(rng, 3)]))
         phi = rng.normal(size=6)
         assert np.all(build_b(model, np.zeros(2), phi) == 0.0)
 
     def test_b_eigen_identity_k0_zero(self):
         # with K0 = 0 an exact eigenpair satisfies b = H @ theta
         rng = np.random.default_rng(23)
-        model = StructuralModel(mass=random_spd(rng, 3), k0=np.zeros((3, 3)),
-                                ksub=np.stack([random_spd(rng, 3), random_spd(rng, 3)]))
+        model = StructuralModel.from_dense(mass=random_spd(rng, 3), k0=np.zeros((3, 3)),
+                                           ksub=np.stack([random_spd(rng, 3), random_spd(rng, 3)]))
         theta = np.array([1.2, 0.8])
         state = eigen_solve(model, theta, 2)
         hmat = build_H(model, state.phi)
@@ -248,15 +292,15 @@ class TestEigenSolve:
         rng = np.random.default_rng(31)
         mass = random_spd(rng, 4)
         c = 3.7
-        model = StructuralModel(mass=mass, k0=np.zeros((4, 4)), ksub=(c * mass)[None])
+        model = StructuralModel.from_dense(mass=mass, k0=np.zeros((4, 4)), ksub=(c * mass)[None])
         state = eigen_solve(model, [1.0], 4)
         np.testing.assert_allclose(state.omega2, c, rtol=1e-10)
 
     def test_residual_oracle(self):
         rng = np.random.default_rng(32)
         for _ in range(5):
-            model = StructuralModel(mass=random_spd(rng, 3), k0=np.zeros((3, 3)),
-                                    ksub=random_spd(rng, 3)[None])
+            model = StructuralModel.from_dense(mass=random_spd(rng, 3), k0=np.zeros((3, 3)),
+                                               ksub=random_spd(rng, 3)[None])
             state = eigen_solve(model, [1.0], 3)
             k = assemble_stiffness(model, [1.0])
             res = eigen_residuals(model, [1.0], state)
@@ -267,7 +311,7 @@ class TestEigenSolve:
         for d in (2, 3, 4):
             mass = random_spd(rng, d)
             kmat = random_spd(rng, d)
-            model = StructuralModel(mass=mass, k0=np.zeros((d, d)), ksub=kmat[None])
+            model = StructuralModel.from_dense(mass=mass, k0=np.zeros((d, d)), ksub=kmat[None])
             state = eigen_solve(model, [1.0], d)
             expected = charpoly_eigenvalues(kmat, mass)
             np.testing.assert_allclose(state.omega2, expected, rtol=1e-8)
@@ -291,7 +335,14 @@ class TestEigenSolve:
         mass = np.diag([1.0, -1.0])
         model_kwargs = dict(k0=np.zeros((2, 2)), ksub=np.eye(2)[None])
         with pytest.raises(ModelError):
-            eigen_solve(StructuralModel(mass=mass, **model_kwargs), [1.0], 2)
+            eigen_solve(StructuralModel.from_dense(mass=mass, **model_kwargs), [1.0], 2)
+
+
+def eigen_residuals(model, theta, state):
+    """Euclidean norm of (K(theta) - omega2_i M) Phi_i for each mode."""
+    resid = eigen_residual(model, build_H(model, state.phi), theta,
+                           build_b(model, state.omega2, state.phi))
+    return np.linalg.norm(resid, axis=1)
 
 
 class TestEigenResiduals:
@@ -322,9 +373,9 @@ class TestEigenResiduals:
 
     def test_H_theta_minus_b_equals_stacked_residuals(self):
         rng = np.random.default_rng(34)
-        model = StructuralModel(mass=random_spd(rng, 3),
-                                k0=random_symmetric(rng, 3),
-                                ksub=np.stack([random_symmetric(rng, 3) for _ in range(2)]))
+        model = StructuralModel.from_dense(
+            mass=random_spd(rng, 3), k0=random_symmetric(rng, 3),
+            ksub=np.stack([random_symmetric(rng, 3) for _ in range(2)]))
         theta = rng.normal(size=2)
         phi = rng.normal(size=6)
         omega2 = rng.uniform(0.5, 3.0, size=2)
@@ -333,3 +384,79 @@ class TestEigenResiduals:
         blocks = stacked.reshape(2, 3)
         np.testing.assert_allclose(np.linalg.norm(blocks, axis=1),
                                    eigen_residuals(model, theta, state), rtol=1e-12)
+
+
+@st.composite
+def sparse_models(draw):
+    """A model reduced from dense substructure matrices, and that dense (n, d, d) stack.
+
+    Each substructure stiffens every DOF, a random subset of them (supports of
+    unequal size) or none (an all-zero substructure); the DOFs are then
+    renumbered by a random permutation, so supports are not contiguous.
+    """
+    d = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 5))
+    dofs = st.one_of(st.just(list(range(d))),
+                     st.lists(st.integers(0, d - 1), unique=True, max_size=d))
+    supports = [draw(dofs) for _ in range(n)]
+    perm = np.array(draw(st.permutations(range(d))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ksub = np.zeros((n, d, d))
+    for j, support in enumerate(supports):
+        ksub[j][np.ix_(support, support)] = random_symmetric(rng, len(support))
+    ksub = ksub[:, perm][:, :, perm]
+    model = StructuralModel.from_dense(mass=random_spd(rng, d), k0=random_symmetric(rng, d),
+                                       ksub=ksub)
+    m = draw(st.integers(1, 3))
+    pruned = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    alpha = np.where(pruned, 0.0, rng.uniform(0.1, 10.0, size=n))
+    return model, ksub, rng.normal(size=m * d), rng.normal(size=n), alpha
+
+
+def close(got, want, rtol=1e-12):
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=rtol * np.max(np.abs(want), initial=0.0))
+
+
+class TestSparseSubstructures:
+    """The support kernels against the dense loop references."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sparse_models())
+    def test_kernels_match_dense_references(self, case):
+        model, ksub, phi, theta, alpha = case
+        # the reduction is lossless, so loop_H over the model loops over ksub
+        np.testing.assert_array_equal(dense_ksub(model), ksub)
+
+        expected_k = model.k0 + sum(t * kj for t, kj in zip(theta, ksub))
+        close(assemble_stiffness(model, theta), expected_k)
+
+        hmat = build_H(model, phi)
+        href = loop_H(model, phi)
+        close(hmat, href)
+
+        hth = build_HtH(model, hmat)
+        np.testing.assert_array_equal(hth, hth.T)
+        close(hth, href.T @ href)
+
+        free = alpha > 0
+        beta = 2.5
+        hf = href[:, free]
+        close(theta_precision(beta, hth, alpha),
+              beta * (hf.T @ hf) + np.diag(1.0 / alpha[free]))
+
+    def test_shear500_storage_and_kernels(self):
+        model = shear_building_model(ShearBuildingSpec(stories=500), unit_scale=1e6)
+        storage = sum(value.nbytes for name, value in vars(model).items()
+                      if isinstance(value, np.ndarray) and name not in ("mass", "k0"))
+        assert storage < 1e6  # the dense (n, d, d) stack would take 1 GB
+        rng = np.random.default_rng(50)
+        theta = rng.uniform(0.5, 1.5, size=500)
+        k = assemble_stiffness(model, theta)
+        ks = 176.729 * theta  # story stiffnesses in MN/m
+        np.testing.assert_allclose(np.diag(k), ks + np.r_[ks[1:], 0.0], rtol=1e-14)
+        np.testing.assert_allclose(np.diag(k, 1), -ks[1:], rtol=1e-14)
+        assert np.count_nonzero(k) == 500 + 2 * 499
+        phi = rng.normal(size=500)
+        hmat = build_H(model, phi)
+        assert np.count_nonzero(hmat) <= 2 * 500
+        close(hmat @ theta, k @ phi)

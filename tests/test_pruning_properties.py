@@ -86,7 +86,8 @@ def test_substructure_permutation_permutes_results(case_perm):
     (stories, m, sensors, damage, seed), perm = case_perm
     model = shear_building_model(ShearBuildingSpec(stories=stories),
                                  unit_scale=BENCHMARK_UNIT_SCALE)
-    permuted = StructuralModel(mass=model.mass, k0=model.k0, ksub=model.ksub[perm])
+    permuted = StructuralModel(mass=model.mass, k0=model.k0, support=model.support[perm],
+                               blocks=model.blocks[perm])
     data = two_stage_data(model, m, sensors, damage, seed)
     runs = two_stage(model, *data)
     runs_p = two_stage(permuted, *data)

@@ -42,15 +42,15 @@ class TestThetaCovariance:
     def test_zero_alpha_gives_zero(self):
         rng = np.random.default_rng(0)
         hmat = rng.normal(size=(6, 3))
-        cov = theta_covariance_from(2.0, hmat, np.zeros(3))
+        cov = theta_covariance_from(2.0, hmat.T @ hmat, np.zeros(3))
         assert np.array_equal(cov, np.zeros((3, 3)))
 
     def test_beta_zero_gives_alpha(self):
         rng = np.random.default_rng(1)
         hmat = rng.normal(size=(6, 3))
         alpha = np.array([0.5, 1.5, 2.5])
-        np.testing.assert_allclose(theta_covariance_from(0.0, hmat, alpha), np.diag(alpha),
-                                   rtol=1e-14)
+        np.testing.assert_allclose(theta_covariance_from(0.0, hmat.T @ hmat, alpha),
+                                   np.diag(alpha), rtol=1e-14)
 
     def test_two_forms_agree(self):
         rng = np.random.default_rng(2)
@@ -64,7 +64,7 @@ class TestThetaCovariance:
             form2 = amat @ np.linalg.inv(beta * hth @ amat + np.eye(4))
             scale = np.abs(form1).max()
             assert np.abs(form1 - form2).max() <= 1e-10 * scale
-            got = theta_covariance_from(beta, hmat, alpha)
+            got = theta_covariance_from(beta, hth, alpha)
             np.testing.assert_allclose(got, form1, atol=1e-10 * scale)
 
     # unit scale, the calibration alpha and the near-pruning scale of monitoring
@@ -76,14 +76,14 @@ class TestThetaCovariance:
         alpha = alpha_scale * rng.uniform(0.2, 2.0, size=3)
         beta = 1.7
         direct = np.linalg.inv(beta * hmat.T @ hmat + np.diag(1.0 / alpha))
-        np.testing.assert_allclose(theta_covariance_from(beta, hmat, alpha), direct,
+        np.testing.assert_allclose(theta_covariance_from(beta, hmat.T @ hmat, alpha), direct,
                                    rtol=1e-9)
 
     def test_pruned_rows_exactly_zero(self):
         rng = np.random.default_rng(4)
         hmat = rng.normal(size=(6, 3))
         alpha = np.array([0.5, 0.0, 1.0])
-        cov = theta_covariance_from(3.0, hmat, alpha)
+        cov = theta_covariance_from(3.0, hmat.T @ hmat, alpha)
         assert np.all(cov[1, :] == 0.0) and np.all(cov[:, 1] == 0.0)
         # free block equals the reduced-system covariance
         free = [0, 2]
@@ -134,8 +134,9 @@ class TestJointHessian:
         # d2J / d beta d omega2_i = (M Phi_i).(omega2_i M Phi_i - K(theta) Phi_i)
         rng = np.random.default_rng(44)
         d, m, n = 3, 2, 2
-        model = StructuralModel(mass=random_spd(rng, d), k0=random_symmetric(rng, d, 0.1),
-                                ksub=np.stack([random_spd(rng, d) for _ in range(n)]))
+        model = StructuralModel.from_dense(
+            mass=random_spd(rng, d), k0=random_symmetric(rng, d, 0.1),
+            ksub=np.stack([random_spd(rng, d) for _ in range(n)]))
         ds = simulate_modal_data(model, np.ones(n), m=m, q=3, observed_dofs=[0, 2],
                                  noise=NoiseSpec(0.01, 0.01, seed=10))
         state = initialize(ds, model, np.array([0.8, 1.3]), AlgorithmConfig(mode="calibration"))
@@ -154,8 +155,9 @@ class TestJointHessian:
         # loop reference for every block built from the per-mode operators
         rng = np.random.default_rng(43)
         d, m, n = 4, 2, 3
-        model = StructuralModel(mass=random_spd(rng, d), k0=random_symmetric(rng, d, 0.1),
-                                ksub=np.stack([random_spd(rng, d) for _ in range(n)]))
+        model = StructuralModel.from_dense(
+            mass=random_spd(rng, d), k0=random_symmetric(rng, d, 0.1),
+            ksub=np.stack([random_spd(rng, d) for _ in range(n)]))
         ds = simulate_modal_data(model, np.ones(n), m=m, q=3, observed_dofs=[0, 1, 3],
                                  noise=NoiseSpec(0.01, 0.01, seed=9))
         state = initialize(ds, model, np.ones(n), AlgorithmConfig(mode="monitoring"))
@@ -179,7 +181,7 @@ class TestJointHessian:
             fmat[blk, blk] = a_i @ a_i
             w[i, blk] = -state.beta * ((model.mass @ a_i + a_i @ model.mass) @ modes[i])
             for col, j in enumerate(free_idx):
-                kj = model.ksub[j]
+                kj = model.substructure(j)
                 l3[blk, col] = (a_i @ kj + kj @ a_i) @ modes[i]
                 l2[i, col] = modes[i] @ (kj @ (model.mass @ modes[i]))
         hmat = build_H(model, state.phi)
