@@ -18,14 +18,17 @@ kappa.  lambda = 0 is classic sparse Bayesian learning (alpha_j = B_j), and
 lambda = 0 with a floor kappa > 0 the exponential hyper-prior on precisions.
 
 Update order within a sweep is fixed: (mode shapes, eta), (frequencies, rho),
-theta, beta, then the ARD block in monitoring mode.  The regression matrix H of
-the new mode shapes is built once per sweep, right after the mode-shape
-update, together with its H^T H, which the theta update and Sigma_theta read;
-every later block of the sweep reads K(theta) Phi_i = K0 Phi_i + (H theta)_i
-from H instead of assembling K(theta).  The right-hand side b,
-built once after the frequency update, feeds the theta update and the residual
-r = H theta - b.  r is formed after the theta update, read by the beta update
-and the objective, and formed again only when pruning moves theta.
+theta, beta, then the ARD block in monitoring mode.  The mode-shape update
+assembles K(theta) once and solves each mode's positive definite system on its
+band by Cholesky; no (m, d, d) operator stack is formed in a sweep.  The
+regression matrix H of the new mode shapes is built once per sweep, right
+after the mode-shape update, together with its H^T H, which the theta update
+(another Cholesky solve) and Sigma_theta read; every later block of the sweep
+reads K(theta) Phi_i = K0 Phi_i + (H theta)_i from H instead of assembling
+K(theta).  The right-hand side b, built once after the frequency update, feeds
+the theta update and the residual r = H theta - b.  r is formed after the
+theta update, read by the beta update and the objective, and formed again only
+when pruning moves theta.
 """
 
 from __future__ import annotations
@@ -34,11 +37,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import uncertainty
 from .data import ModalDataset, gamma_t_psi, observation_mask, shape_residual_sq
 from .errors import ConfigurationError, NumericalError
-from .model import StructuralModel, build_b, build_H, build_HtH, eigen_operators, eigen_residual
+from .model import (StructuralModel, build_b, build_H, build_HtH, eigen_residual,
+                    operator_square_bands)
 
 CALIBRATION = "calibration"
 MONITORING = "monitoring"
@@ -276,23 +281,27 @@ def update_mode_shapes(state: InferenceState, dataset: ModalDataset, model: Stru
     F is block-diagonal with blocks A_i @ A_i (A_i = K - omega2_i M) and
     Gamma^T Gamma is diagonal, so the system splits into m independent d x d
     solves (beta A_i A_i + eta q diag(mask_i)) Phi_i = eta (Gamma^T Psi_hat)_i.
+    Each is symmetric positive definite and banded (``operator_square_bands``)
+    and is solved by one LAPACK ``dpbsv`` call on its band.
     """
     d, m = model.d, state.m
-    mask = observation_mask(dataset, d)
+    mask = observation_mask(dataset, d).reshape(m, d)
     if state.beta == 0.0 and np.any(mask == 0.0):
         dof = int(np.argmin(mask)) % d
         raise NumericalError(
             f"mode-shape system is singular: DOF {dof} is unobserved and beta is zero"
         )
-    ops = eigen_operators(model, state.theta, state.omega2)
-    lhs = np.matmul(ops, ops) * state.beta
-    diag = np.arange(d)
-    lhs[:, diag, diag] += (state.eta * dataset.q * mask).reshape(m, d)
-    rhs = state.eta * gamma_t_psi(dataset, d).reshape(m, d, 1)
-    try:
-        return np.linalg.solve(lhs, rhs).reshape(-1)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"mode-shape update failed: {exc}") from exc
+    k_sq, k_m, m_sq = operator_square_bands(model, state.theta)
+    rhs = state.eta * gamma_t_psi(dataset, d).reshape(m, d)
+    phi = np.empty((m, d))
+    for i, w2 in enumerate(state.omega2):
+        band = state.beta * (k_sq - w2 * k_m + (w2 * w2) * m_sq)
+        band[0] += state.eta * dataset.q * mask[i]
+        _, phi[i], info = lapack.dpbsv(band, rhs[i], lower=1)
+        if info != 0:
+            raise NumericalError(f"mode-shape update failed: the system of mode {i} is not "
+                                 f"positive definite at DOF {info - 1} (LAPACK info {info})")
+    return phi.reshape(-1)
 
 
 def update_eta(state: InferenceState, dataset: ModalDataset,
@@ -351,18 +360,23 @@ def update_theta(state: InferenceState, hmat: np.ndarray, hth: np.ndarray, bvec:
     regression matrix and right-hand side (``build_b``) of the current omega2
     and Phi.  Pruned components (alpha exactly zero) stay pinned at the
     anchor; the free block solves
-    (beta Hf^T Hf + Af^-1) theta_f = beta Hf^T (b - Hp anchor_p) + Af^-1 anchor_f.
+    (beta Hf^T Hf + Af^-1) theta_f = beta Hf^T (b - Hp anchor_p) + Af^-1 anchor_f
+    by Cholesky (LAPACK ``dposv``): the precision is positive definite.
     """
     anchor = np.asarray(theta_anchor, dtype=float)
     free = state.free_mask()
     theta_new = anchor.copy()
-    resid_rhs = bvec - hmat[:, ~free] @ anchor[~free]
+    if not np.any(free):
+        return theta_new
+    # the anchor with its free entries zeroed: H pinned = Hp anchor_p, and no column of H
+    # is copied
+    pinned = np.where(free, 0.0, anchor)
     lhs = uncertainty.theta_precision(state.beta, hth, state.alpha)
-    rhs = state.beta * (hmat[:, free].T @ resid_rhs) + anchor[free] / state.alpha[free]
-    try:
-        theta_new[free] = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"theta update failed: {exc}") from exc
+    rhs = (state.beta * (hmat.T @ (bvec - hmat @ pinned)))[free] + anchor[free] / state.alpha[free]
+    _, theta_new[free], info = lapack.dposv(lhs, rhs, lower=1)
+    if info != 0:
+        raise NumericalError(f"theta update failed: the precision is not positive definite "
+                             f"(LAPACK info {info})")
     return theta_new
 
 

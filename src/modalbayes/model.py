@@ -7,8 +7,13 @@ A model is a known mass matrix ``M`` plus a stiffness matrix parameterized as
 with dimensionless scaling parameters ``theta``.  System mode shapes are kept
 as one stacked vector with mode-major blocks (mode 1's d components first);
 every builder here consumes that layout.  Operators that act on one mode at a
-time, such as the eigen-residual operators K(theta) - omega2_i M, are returned
-as (m, d, d) stacks rather than as block-diagonal (d*m, d*m) matrices.
+time, such as the eigen-residual operators A_i = K(theta) - omega2_i M, are
+never formed as block-diagonal (d*m, d*m) matrices.  The joint Hessian reads
+them as one (m, d, d) stack (``eigen_operators``); the mode-shape update of
+every sweep reads only the band of each A_i A_i, combined from the bands of
+K^2, K M + M K and M^2 (``operator_square_bands``).  The half-bandwidth of
+that band is fixed by the model: twice the widest coupling of M, K0 and the
+substructure supports.
 
 Each substructure stiffens only a few DOFs, so Ksub_j is stored as its DOF
 support and the small dense block on it, never as a d x d matrix.  The
@@ -49,6 +54,12 @@ def _mass_matrix(mass) -> np.ndarray:
     if mass.shape[0] < 1:
         raise ConfigurationError("a model needs at least one DOF (d >= 1)")
     return mass
+
+
+def _half_bandwidth(a: np.ndarray) -> int:
+    """Largest |row - column| over the nonzero entries of ``a``."""
+    rows, cols = np.nonzero(a)
+    return int(np.max(np.abs(rows - cols), initial=0))
 
 
 def _check_symmetric(name: str, a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> None:
@@ -96,6 +107,9 @@ class StructuralModel:
     _gram_left: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_right: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_out: np.ndarray = field(init=False, repr=False, compare=False)
+    # gather positions of the band of A_i A_i, and the band of M^2 (operator_square_bands)
+    _band_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _mass_sq_band: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mass = _mass_matrix(self.mass)
@@ -144,10 +158,20 @@ class StructuralModel:
         p = np.repeat(np.arange(dofs.size), counts)
         q = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(p.size)
         left, right, out = dofs[p] * n + js[p], dofs[q] * n + js[q], js[p] * n + js[q]
+        # A_i = K(theta) - omega2_i M lies inside the half-bandwidth b of M, K0 and every
+        # support, so A_i A_i lies inside 2 b.  Row r of the LAPACK lower band storage
+        # holds the diagonal r below the main one, (j + r, j); positions past the last
+        # row are clipped onto it, and LAPACK never reads them.
+        width = max(_half_bandwidth(mass), _half_bandwidth(k0),
+                    int(np.max(support.max(axis=1) - support.min(axis=1))))
+        rows = np.minimum(np.arange(min(2 * width, d - 1) + 1)[:, None] + np.arange(d), d - 1)
+        band_index = rows * d + np.arange(d)
+        mass_sq_band = (mass @ mass).take(band_index)
 
         for name, value in (("mass", mass), ("k0", k0), ("support", support), ("blocks", blocks),
                             ("_k_index", k_index), ("_h_index", h_index), ("_gram_left", left),
-                            ("_gram_right", right), ("_gram_out", out)):
+                            ("_gram_right", right), ("_gram_out", out),
+                            ("_band_index", band_index), ("_mass_sq_band", mass_sq_band)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -179,6 +203,15 @@ class StructuralModel:
     @property
     def n(self) -> int:
         return self.support.shape[0]
+
+    @property
+    def operator_bandwidth(self) -> int:
+        """Half-bandwidth u of every A_i A_i (A_i = K(theta) - omega2_i M), at most d - 1.
+
+        u = 2 b for the largest half-bandwidth b of M, K0 and the substructure
+        supports: 2 for a shear building, d - 1 for a dense K0.
+        """
+        return self._band_index.shape[0] - 1
 
     def substructure(self, j: int) -> np.ndarray:
         """The full d x d matrix Ksub_j."""
@@ -340,12 +373,27 @@ def build_b(model: StructuralModel, omega2, phi) -> np.ndarray:
 def eigen_operators(model: StructuralModel, theta, omega2) -> np.ndarray:
     """(m, d, d) stack of the eigen-residual operators A_i = K(theta) - omega2_i M.
 
-    The squared-residual operator of the mode-shape update is block-diagonal
-    with blocks A_i @ A_i, so it is never formed as one (d*m, d*m) matrix.
+    Only the joint Hessian reads this stack, once per run; the mode-shape
+    update of every sweep reads the bands of ``operator_square_bands`` instead.
     """
     k = assemble_stiffness(model, theta)
     omega2 = np.asarray(omega2, dtype=float)
     return k[None, :, :] - omega2[:, None, None] * model.mass[None, :, :]
+
+
+def operator_square_bands(model: StructuralModel, theta) -> tuple[np.ndarray, np.ndarray,
+                                                                  np.ndarray]:
+    """Lower bands of K(theta)^2, K M + M K and M^2 in LAPACK band storage.
+
+    Each is (u + 1, d) with u = ``model.operator_bandwidth``: row r holds the
+    entries (j + r, j).  A_i A_i = K^2 - omega2_i (K M + M K) + omega2_i^2 M^2,
+    so the band of every mode's squared operator is one combination of these
+    three, and K is assembled and multiplied once for all modes.
+    """
+    k = assemble_stiffness(model, theta)
+    km = k @ model.mass
+    return ((k @ k).take(model._band_index), (km + km.T).take(model._band_index),
+            model._mass_sq_band)
 
 
 def eigen_residual(model: StructuralModel, hmat: np.ndarray, theta, bvec: np.ndarray) -> np.ndarray:

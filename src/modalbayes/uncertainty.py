@@ -12,9 +12,9 @@ blocks, the Phi rows of the other k = 3m + 3 + n_free parameters, and the
 k x k block of those parameters.  The joint inverse eliminates the mode
 blocks first: each is inverted from its Cholesky factor, and only the Schur
 complement of the other k rows is inverted as a general (possibly
-indefinite) matrix.  The exact 1-norm condition number of the equilibrated
-Hessian, read from the inverse formed, decides whether the joint covariance
-is reported.
+indefinite) matrix.  The exact 1-norm condition numbers of the equilibrated
+Hessian and of each equilibrated mode block, read from the inverses formed,
+decide whether the joint covariance is reported.
 
 Reported coefficients of variation follow the conventions of the source
 tables: theta uses the conditional covariance Sigma_theta, and the scalar
@@ -193,8 +193,10 @@ def invert_hessian(p_blocks: np.ndarray, cross: np.ndarray, core: np.ndarray, st
     with the equilibration undone on the thin factors before the one
     dm x k x dm product.  Its exact 1-norm condition number
     ||A||_1 ||A^-1||_1, read from the inverse formed, must not exceed
-    ``MAX_CONDITION``; a P_i that is not positive definite or a singular S
-    fails that check as well.
+    ``MAX_CONDITION``, and neither may that of any equilibrated P_i: the
+    formula cancels the error of a nearly singular P_i^-1 only in exact
+    arithmetic.  A P_i that is not positive definite or a singular S fails
+    that check as well.
     """
     m, d = p_blocks.shape[:2]
     k = core.shape[0]
@@ -246,7 +248,10 @@ def invert_hessian(p_blocks: np.ndarray, cross: np.ndarray, core: np.ndarray, st
     cov[np.ix_(rest, rest)] = s_inv * np.outer(eq_r, eq_r)
     # ||A^-1||_1 from E A^-1 E, column by column
     inv_norm = np.max(((1.0 / eq) @ np.abs(cov)) / eq, initial=0.0)
-    cond = anorm * inv_norm
+    # eliminating the P_i first is accurate only while each P_i is well conditioned itself
+    block_cond = (np.max(np.abs(p_blocks).sum(axis=1), axis=1, initial=0.0)
+                  * np.max(np.abs(p_inv).sum(axis=1), axis=1, initial=0.0))
+    cond = max(anorm * inv_norm, np.max(block_cond, initial=0.0))
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise NumericalError(f"hessian is numerically singular (condition {cond:.3e})")
     return cov

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fd_gradient, objective_of, pack_state, random_spd, residual_of
 from modalbayes.bench import NoiseSpec, simulate_modal_data
@@ -103,6 +105,59 @@ class TestInitialize:
         np.testing.assert_allclose(state.rho, 2.0 * 3 / w4)
 
 
+def dense_mode_shape_blocks(state, ds, model):
+    """The m diagonal blocks beta A_i @ A_i + eta q diag(mask_i) of the mode-shape system."""
+    d, m = model.d, state.m
+    k = assemble_stiffness(model, state.theta)
+    mask = observation_mask(ds, d).reshape(m, d)
+    blocks = []
+    for i in range(m):
+        a = k - state.omega2[i] * model.mass
+        blocks.append(state.beta * (a @ a) + state.eta * ds.q * np.diag(mask[i]))
+    return blocks
+
+
+@st.composite
+def banded_cases(draw):
+    """A model, a state of it and its dataset, and the half-bandwidth u of its A_i A_i.
+
+    Shear buildings with a lumped or a tridiagonal (consistent) mass, optionally
+    with a dense K0 or with the DOFs renumbered by a random permutation, which
+    widens the band; full or partial sensors, and beta = 0 with full sensors.
+    """
+    d = draw(st.integers(3, 8))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    spec = ShearBuildingSpec(stories=d, floor_mass=tuple(rng.uniform(50e3, 150e3, d)),
+                             story_stiffness=tuple(rng.uniform(100e6, 250e6, d)))
+    shear = shear_building_model(spec, unit_scale=1e6)
+    mass, k0, support = shear.mass.copy(), shear.k0, shear.support
+    if draw(st.booleans()):
+        off = 0.2 * rng.uniform(0.1, 1.0, d - 1) * np.min(np.diag(mass))
+        mass += np.diag(off, 1) + np.diag(off, -1)
+    width = 1
+    if draw(st.booleans()):
+        k0 = random_spd(rng, d)
+        width = d - 1
+    elif draw(st.booleans()):
+        # new DOF a is old DOF perm[a]; story j couples old floors j - 1 and j
+        perm = np.array(draw(st.permutations(range(d))))
+        new_of = np.argsort(perm)
+        mass = mass[np.ix_(perm, perm)]
+        support = new_of[support]
+        width = int(np.max(np.abs(np.diff(new_of))))
+    model = StructuralModel(mass=mass, k0=k0, support=support, blocks=shear.blocks)
+    full = draw(st.booleans())
+    observed = (np.arange(d) if full else
+                np.sort(rng.choice(d, size=draw(st.integers(1, d - 1)), replace=False)))
+    ds = simulate_modal_data(model, rng.uniform(0.8, 1.2, d), m=m, q=3, observed_dofs=observed,
+                             noise=NoiseSpec(0.01, 0.01, seed=int(rng.integers(1000))))
+    state = initialize(ds, model, rng.uniform(0.8, 1.2, d), AlgorithmConfig(mode="calibration"))
+    if full and draw(st.booleans()):
+        state.beta = 0.0
+    return model, state, ds, min(2 * width, d - 1)
+
+
 class TestUpdateModeShapes:
     def test_beta_zero_projects_to_segment_mean(self, toy2_model, toy2_dataset):
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
@@ -156,6 +211,43 @@ class TestUpdateModeShapes:
             blocks.append(state.beta * (a @ a) + state.eta * ds.q * np.diag(mask[i]))
         expected = np.linalg.solve(scipy.linalg.block_diag(*blocks), state.eta * gamma_t_psi(ds, d))
         np.testing.assert_allclose(update_mode_shapes(state, ds, model), expected, rtol=1e-10)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(banded_cases())
+    def test_banded_solve_matches_dense_reference(self, case):
+        model, state, ds, bandwidth = case
+        assert model.operator_bandwidth == bandwidth
+        blocks = dense_mode_shape_blocks(state, ds, model)
+        expected = np.linalg.solve(scipy.linalg.block_diag(*blocks),
+                                   state.eta * gamma_t_psi(ds, model.d)).reshape(state.m, -1)
+        got = update_mode_shapes(state, ds, model).reshape(state.m, -1)
+        for i, block in enumerate(blocks):
+            # the dense float64 reference is itself accurate only to about cond * eps: with
+            # one sensor cond reaches 1e7, and the reference then differs from a 40-digit
+            # solution by up to 1.5e-8; past cond = 1e4 the tolerance is 45 eps * cond
+            rtol = 1e-10 + 1e-14 * np.linalg.cond(block)
+            np.testing.assert_allclose(got[i], expected[i], rtol=rtol)
+
+    def test_operator_bandwidth(self):
+        shear = shear_building_model(ShearBuildingSpec(stories=12), unit_scale=1e6)
+        assert shear.operator_bandwidth == 2
+        dense = StructuralModel(mass=shear.mass, k0=random_spd(np.random.default_rng(3), 12),
+                                support=shear.support, blocks=shear.blocks)
+        assert dense.operator_bandwidth == 11
+
+    def test_not_positive_definite_names_mode_and_dof(self):
+        # K = diag(1, 2, 4) and M = I: at omega2 = 4 the last row of A_1 is zero, and
+        # DOF 2 is unobserved, so the system of mode 1 is singular although beta > 0
+        model = StructuralModel(mass=np.eye(3), k0=np.zeros((3, 3)),
+                                support=np.arange(3)[:, None],
+                                blocks=np.array([1.0, 2.0, 4.0])[:, None, None])
+        ds = simulate_modal_data(model, np.ones(3), m=2, q=3, observed_dofs=[0, 1],
+                                 noise=NoiseSpec(0.01, 0.01, seed=2))
+        state = initialize(ds, model, np.ones(3), AlgorithmConfig(mode="calibration"))
+        state.omega2 = np.array([1.0, 4.0])
+        assert state.beta > 0
+        with pytest.raises(NumericalError, match=r"mode 1 is not positive definite at DOF 2"):
+            update_mode_shapes(state, ds, model)
 
 
 class TestUpdateEta:
@@ -635,9 +727,11 @@ class TestRunMonitoring:
 
 class TestSweepStructure:
     """Each sweep assembles K(theta) once, builds its regression matrix H once and its
-    right-hand side b once, shared by the theta update and the residual H theta - b.
-    The joint covariance reuses the run's H and residual: it assembles K(theta) once
-    for its operators, builds the H of the residual once and builds no b."""
+    right-hand side b once, shared by the theta update and the residual H theta - b;
+    the mode-shape update solves on bands and forms no (m, d, d) operator stack.
+    The joint covariance reuses the run's H and residual: it forms the operator stack
+    once, assembling K(theta) once for it, builds the H of the residual once and
+    builds no b."""
 
     @staticmethod
     def count_per_sweep(monkeypatch, run):
@@ -653,7 +747,8 @@ class TestSweepStructure:
 
         # wrap each function at every name the package looks it up by
         for home, name in ((model, "assemble_stiffness"), (model, "build_H"), (model, "build_b"),
-                           (inference, "update_mode_shapes"), (uncertainty, "joint_covariance")):
+                           (model, "eigen_operators"), (inference, "update_mode_shapes"),
+                           (uncertainty, "joint_covariance")):
             original = getattr(home, name)
             wrapper = recording(name, original)
             for modname, mod in list(sys.modules.items()):
@@ -670,8 +765,8 @@ class TestSweepStructure:
         sweeps = [events[a + 1:b] for a, b in zip(bounds, bounds[1:])]
         assert len(sweeps) == result.iterations == 3
         # everything after the joint covariance's own call is made inside it
-        return [(s.count("assemble_stiffness"), s.count("build_H"), s.count("build_b"))
-                for s in sweeps + [events[end + 1:]]]
+        return [(s.count("assemble_stiffness"), s.count("build_H"), s.count("build_b"),
+                 s.count("eigen_operators")) for s in sweeps + [events[end + 1:]]]
 
     def test_one_assembly_and_one_H_per_sweep(self, monkeypatch):
         shear10 = shear_building_model(ShearBuildingSpec(stories=10), unit_scale=1e6)
@@ -687,7 +782,7 @@ class TestSweepStructure:
         calib = run_calibration(calib_ds, shear10, np.ones(10), calib_config)
         assert self.count_per_sweep(
             monkeypatch, lambda: run_calibration(calib_ds, shear10, np.ones(10), calib_config)
-        ) == [(1, 1, 1)] * 3 + [(1, 1, 0)]
+        ) == [(1, 1, 1, 0)] * 3 + [(1, 1, 0, 1)]
         assert self.count_per_sweep(
             monkeypatch, lambda: run_monitoring(mon_ds, shear10, calib.theta_map, mon_config)
-        ) == [(1, 1, 1)] * 3 + [(1, 1, 0)]
+        ) == [(1, 1, 1, 0)] * 3 + [(1, 1, 0, 1)]
