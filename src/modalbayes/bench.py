@@ -59,37 +59,26 @@ def benchmark_monitor_config(**overrides) -> "AlgorithmConfig":
     settings.update(overrides)
     return AlgorithmConfig(**settings)
 
-NOISE_ON = ("omega", "omega2")
-SHAPE_MODES = ("rms", "per_component")
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """Deterministic noise model for synthetic modal data.
 
     ``freq_cov``/``shape_cov`` are fractional standard deviations.  Frequency
-    noise is applied to omega by default (``noise_on="omega"``) and squared;
-    ``"omega2"`` perturbs the squared frequencies directly.  Shape noise is
-    scaled by the RMS component magnitude of the exact mode shape
-    (``shape_mode="rms"``) so it does not vanish at nodes; ``"per_component"``
-    scales by each component's own magnitude.
+    noise is applied to omega, which is then squared.  Shape noise is scaled
+    by the RMS component magnitude of the exact mode shape, so it does not
+    vanish at nodes.
     """
 
     freq_cov: float = 0.01
     shape_cov: float = 0.01
     seed: int = 0
-    noise_on: str = "omega"
-    shape_mode: str = "rms"
 
     def __post_init__(self):
         if self.freq_cov < 0 or self.shape_cov < 0:
             raise ConfigurationError("noise levels must be nonnegative")
         if self.seed < 0:
             raise ConfigurationError(f"noise seed must be nonnegative, got {self.seed}")
-        if self.noise_on not in NOISE_ON:
-            raise ConfigurationError(f"noise_on must be one of {NOISE_ON}")
-        if self.shape_mode not in SHAPE_MODES:
-            raise ConfigurationError(f"shape_mode must be one of {SHAPE_MODES}")
 
 
 def full_sensor_dofs(d: int) -> np.ndarray:
@@ -150,15 +139,9 @@ def simulate_modal_data(model: StructuralModel, theta, m: int, q: int, observed_
             rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(r, i)))
             eps_w = rng.normal()
             eps_s = rng.normal(size=d)
-            if noise.noise_on == "omega":
-                omega2_seg[r, i] = (omega[i] * (1.0 + noise.freq_cov * eps_w)) ** 2
-            else:
-                omega2_seg[r, i] = exact.omega2[i] * (1.0 + noise.freq_cov * eps_w)
-            if noise.shape_mode == "rms":
-                scale = np.linalg.norm(modes[i]) / np.sqrt(d)
-                pert = modes[i] + noise.shape_cov * scale * eps_s
-            else:
-                pert = modes[i] * (1.0 + noise.shape_cov * eps_s)
+            omega2_seg[r, i] = (omega[i] * (1.0 + noise.freq_cov * eps_w)) ** 2
+            scale = np.linalg.norm(modes[i]) / np.sqrt(d)
+            pert = modes[i] + noise.shape_cov * scale * eps_s
             shapes_seg[r, i] = pert[observed]
     return ModalDataset.from_segments(omega2_seg, shapes_seg, observed, normalization=normalization)
 

@@ -178,9 +178,8 @@ def _sensor_arg(text: str):
 
 
 def _run_settings(config: AlgorithmConfig, normalization: str, **extra) -> dict:
-    """Manifest settings of an inference run: every config field, b0 resolved."""
-    return {**dataclasses.asdict(config), "b0": config.resolved_b0,
-            "normalization": normalization, **extra}
+    """Manifest settings of an inference run: every config field."""
+    return {**dataclasses.asdict(config), "normalization": normalization, **extra}
 
 
 def _emit_run_outputs(result, dataset, out: Path, prefix: str):
@@ -201,7 +200,7 @@ def _emit_run_outputs(result, dataset, out: Path, prefix: str):
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     model, shorthand = _build_model_arg(args)
-    noise_args = _given(args, "freq_cov", "shape_cov", "seed", "noise_on", "shape_mode")
+    noise_args = _given(args, "freq_cov", "shape_cov", "seed")
     if "freq_cov" in noise_args:
         noise_args.setdefault("shape_cov", noise_args["freq_cov"])  # --shape-noise follows --noise
     noise = NoiseSpec(**noise_args)
@@ -224,7 +223,6 @@ def cmd_simulate(args) -> int:
     settings = {
         "m": args.modes, "q": args.segments, "sensors": args.sensors,
         "noise": noise.freq_cov, "shape_noise": noise.shape_cov,
-        "noise_on": noise.noise_on, "shape_mode": noise.shape_mode,
         "normalization": args.normalization,
         "damage": args.damage, "theta_true": theta.tolist(),
     }
@@ -242,7 +240,7 @@ def cmd_calibrate(args) -> int:
         raise ConfigurationError("--dataset is required")
     dataset = load_dataset(args.dataset, normalization=args.normalization)
     config = AlgorithmConfig(mode=CALIBRATION, **_given(
-        args, "a0", "b0", "tol_theta", "max_iterations", "fix_hypers", "init_scale"))
+        args, "tol_theta", "max_iterations", "fix_hypers", "init_scale"))
     theta_init = _theta_init_arg(args, model.n)
     result = run_calibration(dataset, model, theta_init, config)
     outputs = _emit_run_outputs(result, dataset, out, "calibration")
@@ -273,7 +271,7 @@ def cmd_monitor(args) -> int:
             f"calibration result has {calib.theta_map.size} substructures, model has {model.n}"
         )
     config = AlgorithmConfig(mode=MONITORING, **_given(
-        args, "kappa", "a0", "b0", "alpha_min", "min_sweeps_before_pruning",
+        args, "kappa", "alpha_min", "min_sweeps_before_pruning",
         "tol_log_alpha", "max_iterations", "lambda_fixed"))
     result = run_monitoring(dataset, model, calib.theta_map, config)
     outputs = _emit_run_outputs(result, dataset, out, "monitoring")
@@ -349,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     inference = argparse.ArgumentParser(add_help=False)
     inference.add_argument("--dataset", help="modal dataset JSON")
-    inference.add_argument("--a0", type=float)
-    inference.add_argument("--b0", type=float)
     inference.add_argument("--max-iterations", type=int)
     inference.add_argument("--normalization", choices=["per_mode", "global", "none"],
                            default="none")
@@ -373,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"frequency noise c.o.v. (default {NoiseSpec.freq_cov})")
     p_sim.add_argument("--shape-noise", dest="shape_cov", metavar="SHAPE_NOISE", type=float,
                        help="mode-shape noise c.o.v. (default --noise)")
-    p_sim.add_argument("--noise-on", choices=["omega", "omega2"])
-    p_sim.add_argument("--shape-mode", choices=["rms", "per_component"])
     p_sim.add_argument("--normalization", choices=["per_mode", "global", "none"],
                        default="per_mode")
     p_sim.add_argument("--damage", type=_kv_arg, default="",

@@ -16,13 +16,16 @@ One rule sets every ARD variance: the evidence maximizer under an exponential
 hyper-prior of rate lambda, alpha_j = 2 B_j / (1 + sqrt(1 + 8 lambda B_j)) +
 kappa.  lambda = 0 is classic sparse Bayesian learning (alpha_j = B_j), and
 lambda = 0 with a floor kappa > 0 the exponential hyper-prior on precisions.
+The equation-error precision beta has a Gamma(1, b0) prior whose rate is a
+constant of the stage (``BETA_PRIOR_RATE``), not a setting.
 
 Update order within a sweep is fixed: (mode shapes, eta), (frequencies, rho),
 theta, beta, then the ARD block in monitoring mode.  The mode-shape update
 assembles K(theta) once and solves each mode's positive definite system on its
-band by Cholesky; no (m, d, d) operator stack is formed in a sweep.  The
-regression matrix H of the new mode shapes is built once per sweep, right
-after the mode-shape update, together with its H^T H, which the theta update
+band by Cholesky; no (m, d, d) operator stack is formed in a sweep.  Right
+after the mode-shape update, three quantities of the new mode shapes are built
+once per sweep: the misfit ||Psi_hat - Gamma Phi||^2, which the eta update and
+the objective read, the regression matrix H and its H^T H, which the theta update
 (another Cholesky solve) and Sigma_theta read; every later block of the sweep
 reads K(theta) Phi_i = K0 Phi_i + (H theta)_i from H instead of assembling
 K(theta).  The right-hand side b, built once after the frequency update, feeds
@@ -50,6 +53,8 @@ MONITORING = "monitoring"
 
 # Calibration pins every ARD variance here, which makes the anchor term inert.
 ALPHA_CALIBRATION = 1e9
+# Rate b0 of the Gamma(1, b0) prior on the equation-error precision beta, per stage.
+BETA_PRIOR_RATE = {CALIBRATION: 1.0, MONITORING: 0.1}
 # Caps on the mode-shape and frequency precisions for noise-free data.
 ETA_MAX = 1e12
 RHO_MAX = 1e12
@@ -59,16 +64,15 @@ RHO_MAX = 1e12
 class AlgorithmConfig:
     """Settings of one inference run.
 
-    ``b0`` defaults to 1.0 in calibration and 0.1 in monitoring when left
-    None.  ``fix_hypers`` may pin ``beta``, ``eta``, ``rho`` (scalar or
-    per-mode) or ``phi`` (normalized frequency precision, converted to rho
-    per mode) to emulate the non-hierarchical comparison method.
-    ``lambda_fixed`` pins the rate of the one ARD rule (``update_alpha``;
-    0.0 gives classic sparse Bayesian learning), which is otherwise optimized.
-    ``kappa`` floors every free variance and needs ``lambda_fixed=0.0``: the
-    exponential hyper-prior on the precisions.  ``init_scale``
-    multiplies the closed-form initial values of ``beta``/``eta``/``phi`` for
-    robustness sweeps over starting points.
+    ``fix_hypers`` may pin ``beta``, ``eta`` or ``phi`` (normalized frequency
+    precision, converted to rho per mode) to emulate the non-hierarchical
+    comparison method.  ``lambda_fixed`` pins the rate of the one ARD rule
+    (``update_alpha``; 0.0 gives classic sparse Bayesian learning), which is
+    otherwise optimized.  ``kappa`` floors every free variance and needs
+    ``lambda_fixed=0.0``: the exponential hyper-prior on the precisions.
+    ``init_scale`` multiplies the closed-form initial values of
+    ``beta``/``eta``/``phi`` for robustness sweeps over starting points.
+    Every float setting must be finite.
     """
 
     mode: str = CALIBRATION
@@ -77,8 +81,6 @@ class AlgorithmConfig:
     tol_theta: float = 1e-3
     tol_log_alpha: float = 5e-3
     max_iterations: int = 2000
-    a0: float = 1.0
-    b0: float | None = None
     fix_hypers: dict | None = None
     init_scale: dict | None = None
     lambda_fixed: float | None = None
@@ -87,6 +89,17 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.mode not in (CALIBRATION, MONITORING):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        floats = {name: getattr(self, name) for name in
+                  ("kappa", "alpha_min", "tol_theta", "tol_log_alpha", "lambda_fixed")}
+        for group in ("fix_hypers", "init_scale"):
+            values = getattr(self, group) or {}
+            unknown = set(values) - {"beta", "eta", "phi"}
+            if unknown:
+                raise ConfigurationError(f"{group} has unknown keys: {sorted(unknown)}")
+            floats.update((f"{group}[{key}]", value) for key, value in values.items())
+        for name, value in floats.items():
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.kappa < 0:
             raise ConfigurationError("kappa must be nonnegative")
         if self.kappa > 0 and self.lambda_fixed != 0.0:
@@ -96,24 +109,8 @@ class AlgorithmConfig:
             raise ConfigurationError("tolerances and alpha_min must be positive")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be at least 1")
-        if self.b0 is not None and self.b0 <= 0:
-            raise ConfigurationError("b0 must be positive")
         if self.lambda_fixed is not None and self.lambda_fixed < 0:
             raise ConfigurationError("lambda_fixed must be nonnegative")
-        if self.fix_hypers:
-            unknown = set(self.fix_hypers) - {"beta", "eta", "rho", "phi"}
-            if unknown:
-                raise ConfigurationError(f"fix_hypers has unknown keys: {sorted(unknown)}")
-        if self.init_scale:
-            unknown = set(self.init_scale) - {"beta", "eta", "phi"}
-            if unknown:
-                raise ConfigurationError(f"init_scale has unknown keys: {sorted(unknown)}")
-
-    @property
-    def resolved_b0(self) -> float:
-        if self.b0 is not None:
-            return self.b0
-        return 1.0 if self.mode == CALIBRATION else 0.1
 
     def fixed(self, name: str) -> bool:
         return bool(self.fix_hypers) and name in self.fix_hypers
@@ -134,7 +131,6 @@ class InferenceState:
     alpha: np.ndarray
     lam: float
     zeta: float
-    a0: float
     b0: float
     diagnostics: list = field(default_factory=list)
 
@@ -207,11 +203,8 @@ def initialize(
     if theta.shape != (n,):
         raise ConfigurationError(f"theta_init must have shape ({n},), got {theta.shape}")
 
-    a0 = config.a0
-    b0 = config.resolved_b0
-    if d * m + 2.0 * (a0 - 1.0) <= 0:
-        raise ConfigurationError("beta prior shape too small: d*m + 2(a0-1) must be positive")
-    beta = (d * m + 2.0 * (a0 - 1.0)) / (2.0 * b0)
+    b0 = BETA_PRIOR_RATE[config.mode]
+    beta = d * m / (2.0 * b0)
 
     psi_sq = float(dataset.psi_hat @ dataset.psi_hat)
     if psi_sq == 0:
@@ -232,11 +225,7 @@ def initialize(
         beta = float(fix["beta"])
     if "eta" in fix:
         eta = float(fix["eta"])
-    if "phi" in fix and "rho" in fix:
-        raise ConfigurationError("fix_hypers cannot set both rho and phi")
-    if "rho" in fix:
-        rho = np.broadcast_to(np.asarray(fix["rho"], dtype=float), (m,)).copy()
-    elif "phi" in fix:
+    if "phi" in fix:
         rho = float(fix["phi"]) * q / w4_sum
     if beta <= 0 or eta <= 0 or np.any(rho <= 0):
         raise ConfigurationError("initial precisions must be positive")
@@ -264,8 +253,7 @@ def initialize(
         alpha=alpha,
         lam=lam,
         zeta=1.0,
-        a0=float(a0),
-        b0=float(b0),
+        b0=b0,
     )
 
 
@@ -305,15 +293,18 @@ def update_mode_shapes(state: InferenceState, dataset: ModalDataset, model: Stru
 
 
 def update_eta(state: InferenceState, dataset: ModalDataset,
-               model: StructuralModel) -> tuple[float, float]:
-    """eta = (sqm - 2) / ||Psi_hat - Gamma Phi||^2 and nu = 1/eta."""
+               shape_sq: float) -> tuple[float, float]:
+    """eta = (sqm - 2) / ||Psi_hat - Gamma Phi||^2 and nu = 1/eta.
+
+    ``shape_sq`` is ||Psi_hat - Gamma Phi||^2 of the current Phi
+    (``data.shape_residual_sq``).
+    """
     sqm = dataset.s * dataset.q * dataset.m
-    res_sq = shape_residual_sq(dataset, model.d, state.phi)
-    if res_sq <= (sqm - 2.0) / ETA_MAX:
+    if shape_sq <= (sqm - 2.0) / ETA_MAX:
         state.flag("noise-free mode-shape data: eta clamped at maximum")
         eta = ETA_MAX
     else:
-        eta = (sqm - 2.0) / res_sq
+        eta = (sqm - 2.0) / shape_sq
     return eta, 1.0 / eta
 
 
@@ -381,15 +372,13 @@ def update_theta(state: InferenceState, hmat: np.ndarray, hth: np.ndarray, bvec:
 
 
 def update_beta(state: InferenceState, resid: np.ndarray) -> float:
-    """beta = (dm + 2(a0 - 1)) / (2 b0 + sum_i ||(K - w_i^2 M) Phi_i||^2).
+    """beta = dm / (2 b0 + sum_i ||(K - w_i^2 M) Phi_i||^2).
 
-    ``resid`` stacks the residuals (K - w_i^2 M) Phi_i of the current state
-    (``model.eigen_residual``).
+    The mode of beta under its Gamma(1, b0) prior (``BETA_PRIOR_RATE``) given
+    the equation error.  ``resid`` stacks the residuals (K - w_i^2 M) Phi_i
+    of the current state (``model.eigen_residual``).
     """
-    numerator = state.phi.size + 2.0 * (state.a0 - 1.0)
-    if numerator <= 0:
-        raise ConfigurationError("beta update undefined: d*m + 2(a0-1) must be positive")
-    return numerator / (2.0 * state.b0 + float(np.sum(resid * resid)))
+    return state.phi.size / (2.0 * state.b0 + float(np.sum(resid * resid)))
 
 
 def update_alpha(state: InferenceState, theta_anchor, theta_cov_diag,
@@ -423,11 +412,12 @@ def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
 
 
 def objective(state: InferenceState, dataset: ModalDataset, resid: np.ndarray,
-              theta_anchor) -> float:
+              shape_sq: float, theta_anchor) -> float:
     """The minimized function J over [xi, theta], all log terms included.
 
     ``resid`` stacks the residuals (K - w_i^2 M) Phi_i of ``state``
-    (``model.eigen_residual``).
+    (``model.eigen_residual``) and ``shape_sq`` is its ||Psi_hat - Gamma Phi||^2
+    (``data.shape_residual_sq``).
 
     A pruned component (alpha exactly zero) contributes zero to the anchor
     term if its theta equals the anchor, and +inf otherwise.
@@ -440,13 +430,13 @@ def objective(state: InferenceState, dataset: ModalDataset, resid: np.ndarray,
     d = state.phi.size // m
     anchor = np.asarray(theta_anchor, dtype=float)
 
-    j = (1.0 - state.a0) * math.log(state.beta) + state.b0 * state.beta
+    j = state.b0 * state.beta
     dev = dataset.omega2_segments - state.omega2[None, :]
     j += -0.5 * q * float(np.sum(np.log(state.rho)))
     j += 0.5 * float(np.sum(state.rho * np.sum(dev * dev, axis=0)))
     j += -float(np.sum(np.log(state.tau) - state.tau * state.rho))
     j += -0.5 * s * q * m * math.log(state.eta)
-    j += 0.5 * state.eta * shape_residual_sq(dataset, d, state.phi)
+    j += 0.5 * state.eta * shape_sq
     j += -math.log(state.nu) + state.nu * state.eta
 
     diff = anchor - state.theta
@@ -475,7 +465,8 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
     hmat = build_H(model, state.phi)
     theta_trace = [state.theta.copy()]
     resid = eigen_residual(model, hmat, state.theta, build_b(model, state.omega2, state.phi))
-    objective_trace = [objective(state, dataset, resid, anchor)]
+    shape_sq = shape_residual_sq(dataset, model.d, state.phi)
+    objective_trace = [objective(state, dataset, resid, shape_sq, anchor)]
     alpha_trace = [state.alpha.copy()] if monitoring else None
     pruning_events: list[tuple[int, int]] = []
 
@@ -484,13 +475,14 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
     for sweep in range(1, config.max_iterations + 1):
         sweeps = sweep
         state.phi = update_mode_shapes(state, dataset, model)
+        shape_sq = shape_residual_sq(dataset, model.d, state.phi)
         hmat = build_H(model, state.phi)
         hth = build_HtH(model, hmat)
         if not config.fixed("eta"):
-            state.eta, state.nu = update_eta(state, dataset, model)
+            state.eta, state.nu = update_eta(state, dataset, shape_sq)
         state.omega2 = update_frequencies(state, dataset, model, hmat)
         bvec = build_b(model, state.omega2, state.phi)
-        if not (config.fixed("rho") or config.fixed("phi")):
+        if not config.fixed("phi"):
             state.rho, state.tau = update_rho(state, dataset)
         theta_prev = state.theta
         state.theta = update_theta(state, hmat, hth, bvec, anchor)
@@ -514,7 +506,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
             alpha_trace.append(state.alpha.copy())
 
         theta_trace.append(state.theta.copy())
-        objective_trace.append(objective(state, dataset, resid, anchor))
+        objective_trace.append(objective(state, dataset, resid, shape_sq, anchor))
 
         if monitoring:
             free = state.free_mask()

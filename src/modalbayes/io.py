@@ -111,7 +111,6 @@ def result_to_dict(result: InferenceResult) -> dict:
         "alpha": state.alpha.tolist(),
         "lambda": state.lam,
         "zeta": state.zeta,
-        "a0": state.a0,
         "b0": state.b0,
         "fixed_set": sorted(result.fixed_set),
         "diagnostics": list(state.diagnostics),
@@ -141,7 +140,6 @@ def result_from_dict(payload: dict) -> InferenceResult:
             alpha=arrays["alpha"],
             lam=float(payload["lambda"]),
             zeta=float(payload["zeta"]),
-            a0=float(payload["a0"]),
             b0=float(payload["b0"]),
             diagnostics=list(payload.get("diagnostics", [])),
         )

@@ -148,7 +148,7 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np
 
     # the upper triangle of the other parameters' own block, mirrored below
     core = np.zeros((k, k))
-    core[0, 0] = (dm / 2.0 - 1.0 + state.a0) / state.beta**2
+    core[0, 0] = dm / 2.0 / state.beta**2
     core[0, i_w] = -np.einsum("ij,ij->i", mphi, resid)
     # G^T G is diagonal with entries (M Phi_i).(M Phi_i)
     core[i_w, i_w] = state.beta * np.einsum("ij,ij->i", mphi, mphi) + q * state.rho
@@ -283,7 +283,7 @@ def cov_report(result, dataset: ModalDataset) -> list:
     q, s = dataset.q, dataset.s
     rows = [{"parameter": f"theta_{j + 1}", "map": float(state.theta[j]),
              "cov_percent": float(100.0 * result.cov_theta[j])} for j in range(state.n)]
-    h_bb = (dm / 2.0 - 1.0 + state.a0) / state.beta**2
+    h_bb = dm / 2.0 / state.beta**2
     rows.append({
         "parameter": "beta",
         "map": float(state.beta),

@@ -16,7 +16,7 @@ from modalbayes.bench import (
     benchmark_monitor_config,
     simulate_modal_data,
 )
-from modalbayes.data import ModalDataset
+from modalbayes.data import ModalDataset, shape_residual_sq
 from modalbayes.inference import (
     CALIBRATION,
     AlgorithmConfig,
@@ -154,7 +154,6 @@ def unpack_state(x: np.ndarray, template: InferenceState) -> InferenceState:
         alpha=template.alpha.copy(),
         lam=template.lam,
         zeta=template.zeta,
-        a0=template.a0,
         b0=template.b0,
     )
 
@@ -188,7 +187,8 @@ def dense_hessian(p_blocks, cross, core, start):
 def objective_of(dataset, model, anchor, template):
     def fun(x):
         state = unpack_state(x, template)
-        return objective(state, dataset, residual_of(model, state), anchor)
+        return objective(state, dataset, residual_of(model, state),
+                         shape_residual_sq(dataset, model.d, state.phi), anchor)
 
     return fun
 

@@ -31,6 +31,7 @@ from modalbayes.bench import (
     shear_building_model,
 )
 from modalbayes.damage import build_report
+from modalbayes.data import shape_residual_sq
 from modalbayes.inference import (
     AlgorithmConfig,
     initialize,
@@ -164,7 +165,8 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
         state.phi = update_mode_shapes(state, toy2_dataset, toy2_model)
 
     def apply_eta_nu():
-        state.eta, state.nu = update_eta(state, toy2_dataset, toy2_model)
+        state.eta, state.nu = update_eta(
+            state, toy2_dataset, shape_residual_sq(toy2_dataset, toy2_model.d, state.phi))
 
     def apply_omega2():
         state.omega2 = update_frequencies(state, toy2_dataset, toy2_model,

@@ -138,27 +138,26 @@ class TestSimulateModalData:
             simulate_modal_data(toy2_model, [1.0, 1.0], m=1, q=2, observed_dofs=[0, 1],
                                 noise=NoiseSpec(0.01, 0.01, seed=1))
 
-    def test_noise_on_omega2_variant(self, toy2_model):
-        exact = eigen_solve(toy2_model, [1.0, 1.0], 1)
-        ds = simulate_modal_data(toy2_model, [1.0, 1.0], m=1, q=2000, observed_dofs=[0, 1],
-                                 noise=NoiseSpec(0.05, 0.0, seed=6, noise_on="omega2"))
-        ratio = ds.omega2_segments[:, 0] / exact.omega2[0]
-        assert abs(ratio.std() - 0.05) <= 0.1 * 0.05
-
-    def test_per_component_shape_noise(self):
+    def test_rms_shape_noise(self):
+        # omega gets the frequency noise and is then squared; every shape component
+        # gets noise scaled by the RMS component of its exact mode shape
         model = shear_building_model(ShearBuildingSpec(stories=5), unit_scale=1e6)
-        seed, shape_cov, observed = 11, 0.05, [0, 2, 4]
+        seed, freq_cov, shape_cov, observed = 11, 0.02, 0.05, [0, 2, 4]
         ds = simulate_modal_data(model, np.ones(5), m=2, q=3, observed_dofs=observed,
-                                 noise=NoiseSpec(0.01, shape_cov, seed=seed,
-                                                 shape_mode="per_component"),
+                                 noise=NoiseSpec(freq_cov, shape_cov, seed=seed),
                                  normalization="none")
-        modes = eigen_solve(model, np.ones(5), 2).mode_matrix()
+        exact = eigen_solve(model, np.ones(5), 2)
+        modes = exact.mode_matrix()
         for r in range(3):
             for i in range(2):
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r, i)))
-                rng.normal()  # the frequency draw comes first
+                eps_w = rng.normal()  # the frequency draw comes first
                 eps = rng.normal(size=5)
-                expected = modes[i] * (1.0 + shape_cov * eps)
+                omega = np.sqrt(exact.omega2[i])
+                np.testing.assert_allclose(ds.omega2_segments[r, i],
+                                           (omega * (1.0 + freq_cov * eps_w)) ** 2, rtol=1e-14)
+                rms = np.sqrt(np.mean(modes[i] ** 2))
+                expected = modes[i] + shape_cov * rms * eps
                 np.testing.assert_allclose(ds.psi_segments[r, i], expected[observed], rtol=1e-14)
 
     def test_negative_seed_rejected(self):

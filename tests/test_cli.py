@@ -9,8 +9,11 @@ import dataclasses
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
@@ -233,30 +236,33 @@ class TestCalibrate:
         assert proc.returncode == 3, proc.stderr
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_pipeline() -> list[list[str]]:
+    """The ``modalbayes`` commands of the README's pipeline ``sh`` block, as argv lists."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    block = next(b for b in blocks if "modalbayes simulate" in b)
+    lines = block.replace("\\\n", " ").splitlines()  # join the continued lines
+    commands = [shlex.split(line, comments=True) for line in lines]
+    return [argv[1:] for argv in commands if argv[:1] == ["modalbayes"]]
+
+
 @pytest.fixture(scope="module")
 def stage_dir(tmp_path_factory):
-    """simulate (undamaged + damaged) -> calibrate -> monitor, made once in-process.
+    """The README pipeline up to monitor, made once in-process.
 
-    Calibration ingests per-mode data with the comparison-value precisions;
-    monitoring ingests with the stacked-unit-norm rescale (the convention the
-    closed-form initialization is balanced for).  Tests read these runs and
-    write only into their own ``tmp_path``.
+    simulate (undamaged + damaged) -> calibrate -> monitor run exactly as the
+    README spells them, so a README command the CLI rejects fails here.
+    Tests read these runs and write only into their own ``tmp_path``.
     """
     path = tmp_path_factory.mktemp("stages")
-    for argv in (
-        ["simulate", "--building", "shear10", "--modes", "4", "--segments", "50",
-         "--noise", "0.01", "--seed", "7", "--out-dir", f"{path}/calib"],
-        ["simulate", "--building", "shear10", "--modes", "4", "--segments", "10",
-         "--noise", "0.01", "--seed", "21", "--damage", "3=0.2",
-         "--normalization", "global", "--out-dir", f"{path}/dmg"],
-        ["calibrate", "--model", f"{path}/calib/model.json", "--dataset",
-         f"{path}/calib/dataset.json", "--fix-hypers", "eta=1e5,phi=1e4",
-         "--out-dir", f"{path}/calib"],
-        ["monitor", "--model", f"{path}/calib/model.json", "--dataset", f"{path}/dmg/dataset.json",
-         "--calibration", f"{path}/calib/calibration.json", "--alpha-min", "2e-4",
-         "--min-sweeps", "15", "--out-dir", f"{path}/mon"],
-    ):
-        assert main(argv) == 0, argv
+    commands = readme_pipeline()
+    assert [argv[0] for argv in commands] == [
+        "simulate", "simulate", "calibrate", "monitor", "report"]
+    for argv in commands[:-1]:
+        proc = run_cli(argv, cwd=path)
+        assert proc.returncode == 0, (argv, proc.stderr)
     return path
 
 
@@ -339,6 +345,16 @@ class TestMonitor:
         pruned_ids = sorted(int(line.split(",")[1]) for line in pruning[1:])
         assert pruned_ids == list(range(1, 11))
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_lambda_exit_2(self, stage_dir, tmp_path, value):
+        proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                        f"{stage_dir}/dmg/dataset.json", "--calibration",
+                        f"{stage_dir}/calib/calibration.json",
+                        "--lambda", value, "--out-dir", "bad"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: lambda_fixed must be finite" in proc.stderr
+        assert not (tmp_path / "bad/monitoring.json").exists()
+
     def test_lambda_zero_classic_sbl(self, stage_dir, tmp_path):
         proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
                         f"{stage_dir}/dmg/dataset.json", "--calibration",
@@ -389,6 +405,23 @@ class TestReport:
         assert "error:" in proc.stderr and "not anchored" in proc.stderr
         assert not (tmp_path / "rep/report.json").exists()
 
+    def test_result_with_a0_key(self, stage_dir, tmp_path):
+        # result files of earlier versions also record the beta prior shape, "a0": 1.0
+        for stage, name in (("calib", "calibration"), ("mon", "monitoring")):
+            payload = json.loads((stage_dir / f"{stage}/{name}.json").read_text())
+            assert "a0" not in payload
+            payload["a0"] = 1.0
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        for out, calibration, monitoring in (
+                ("old", "calibration.json", "monitoring.json"),
+                ("new", f"{stage_dir}/calib/calibration.json", f"{stage_dir}/mon/monitoring.json")):
+            proc = run_cli(["report", "--calibration", calibration, "--monitoring", monitoring,
+                            "--out-dir", out], cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        old, new = (json.loads((tmp_path / out / "report_alarms.json").read_text())
+                    for out in ("old", "new"))
+        assert old == new and old["alarms"] == [3]
+
     def test_missing_inputs_exit_2(self, tmp_path):
         proc = run_cli(["report", "--calibration", "a.json", "--monitoring", "b.json"],
                        cwd=tmp_path)
@@ -431,6 +464,38 @@ class TestReport:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
         assert key in proc.stderr
+
+
+# settings that are constants of the model or of the simulator, with values the
+# options accepted before they were removed
+REMOVED_OPTIONS = [("calibrate", "a0", "1"), ("calibrate", "b0", "1"), ("monitor", "a0", "1"),
+                   ("monitor", "b0", "0.1"), ("simulate", "noise_on", "omega"),
+                   ("simulate", "shape_mode", "rms")]
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command, name, value", REMOVED_OPTIONS,
+                         ids=[f"{c}-{n}" for c, n, _ in REMOVED_OPTIONS])
+def test_removed_option_exit_2(stage_dir, tmp_path, command, name, value, where):
+    argv = {
+        "simulate": SIMULATE,
+        "calibrate": ["calibrate", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                      f"{stage_dir}/calib/dataset.json", "--fix-hypers", "eta=1e5,phi=1e4"],
+        "monitor": ["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                    f"{stage_dir}/dmg/dataset.json", "--calibration",
+                    f"{stage_dir}/calib/calibration.json", "--alpha-min", "2e-4",
+                    "--min-sweeps", "15"],
+    }[command]
+    flag = "--" + name.replace("_", "-")
+    if where == "flag":
+        extra = [flag, value]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({name: value}))
+        extra = ["--config", "cfg.json"]
+    proc = run_cli(argv + extra + ["--out-dir", "out"], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"unrecognized arguments: {flag}" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:

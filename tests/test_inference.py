@@ -1,6 +1,7 @@
 """Coordinate updates against closed-form, fixed-point and FD oracles."""
 
 import copy
+import re
 import sys
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradient, objective_of, pack_state, random_spd, residual_of
 from modalbayes.bench import NoiseSpec, simulate_modal_data
-from modalbayes.data import ModalDataset, gamma_t_psi, observation_mask
+from modalbayes.data import ModalDataset, gamma_t_psi, observation_mask, shape_residual_sq
 from modalbayes.errors import ConfigurationError, NumericalError
 from modalbayes.inference import (
     AlgorithmConfig,
@@ -49,7 +50,7 @@ def noisefree_dataset(model, theta, m, q, observed, normalization="per_mode"):
 
 class TestInitialize:
     def test_beta_prior_value(self):
-        # d*m = 40 with a0 = b0 = 1 gives the prior-only precision 20
+        # d*m = 40 with b0 = 1 gives the prior-only precision 20
         rng = np.random.default_rng(0)
         from conftest import random_spd
         from modalbayes.model import StructuralModel
@@ -103,6 +104,26 @@ class TestInitialize:
         assert state.beta == 7.0 and state.eta == 5.0
         w4 = np.sum(toy2_dataset.omega2_segments**2, axis=0)
         np.testing.assert_allclose(state.rho, 2.0 * 3 / w4)
+
+
+class TestAlgorithmConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", [
+        "kappa", "alpha_min", "tol_theta", "tol_log_alpha", "lambda_fixed",
+        "fix_hypers[beta]", "fix_hypers[eta]", "fix_hypers[phi]",
+        "init_scale[beta]", "init_scale[eta]", "init_scale[phi]",
+    ])
+    def test_non_finite_setting_rejected(self, name, value):
+        # NaN passes every sign check, so finiteness is checked first and by name
+        group, _, key = name.partition("[")
+        kwargs = {group: {key.rstrip("]"): value}} if key else {name: value}
+        with pytest.raises(ConfigurationError, match=re.escape(f"{name} must be finite")):
+            AlgorithmConfig(mode="monitoring", **kwargs)
+
+    def test_rho_cannot_be_fixed(self):
+        # phi is the one way to pin the frequency precision
+        with pytest.raises(ConfigurationError, match=r"fix_hypers has unknown keys: \['rho'\]"):
+            AlgorithmConfig(mode="calibration", fix_hypers={"rho": 1.0})
 
 
 def dense_mode_shape_blocks(state, ds, model):
@@ -255,10 +276,8 @@ class TestUpdateEta:
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         # place phi so the residual is computable by hand
         state.phi = toy2_dataset.psi_segments.mean(axis=0)[0].copy()
-        from modalbayes.data import shape_residual_sq
-
         res = shape_residual_sq(toy2_dataset, 2, state.phi)
-        eta, nu = update_eta(state, toy2_dataset, toy2_model)
+        eta, nu = update_eta(state, toy2_dataset, res)
         sqm = 2 * 3 * 1
         np.testing.assert_allclose(eta, (sqm - 2) / res, rtol=1e-12)
         np.testing.assert_allclose(nu, 1.0 / eta, rtol=1e-12)
@@ -272,29 +291,27 @@ class TestUpdateEta:
             shapes = picked[None, None, :] + c * (toy2_dataset.psi_segments - picked)
             scaled = ModalDataset.from_segments(toy2_dataset.omega2_segments, shapes,
                                                 toy2_dataset.observed_dofs, normalization="none")
-            etas.append(update_eta(state, scaled, toy2_model)[0])
+            etas.append(update_eta(state, scaled, shape_residual_sq(scaled, 2, state.phi))[0])
         np.testing.assert_allclose(etas[1], etas[0] / 4.0, rtol=1e-12)
 
     def test_fixed_point_iteration(self, toy2_model, toy2_dataset):
         # iterating eta = sqm/(2nu + res), nu = 1/eta converges to the closed form
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.phi = toy2_dataset.psi_segments.mean(axis=0)[0] * 1.2
-        from modalbayes.data import shape_residual_sq
-
         res = shape_residual_sq(toy2_dataset, 2, state.phi)
         sqm = 6
         eta, nu = 1.0, 1.0
         for _ in range(200):
             eta = sqm / (2.0 * nu + res)
             nu = 1.0 / eta
-        closed, _ = update_eta(state, toy2_dataset, toy2_model)
+        closed, _ = update_eta(state, toy2_dataset, res)
         np.testing.assert_allclose(eta, closed, rtol=1e-10)
 
     def test_noise_free_clamp(self, toy2_model):
         ds = noisefree_dataset(toy2_model, [1.0, 1.0], m=1, q=3, observed=[0, 1])
         state = initialize(ds, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.phi = ds.psi_segments.mean(axis=0)[0].copy()  # exact match: zero residual
-        eta, _ = update_eta(state, ds, toy2_model)
+        eta, _ = update_eta(state, ds, shape_residual_sq(ds, 2, state.phi))
         assert eta == 1e12
         assert any("noise-free" in d for d in state.diagnostics)
 
@@ -462,14 +479,14 @@ class TestUpdateTheta:
 
 class TestUpdateBeta:
     def test_prior_only_value(self, toy2_model, toy2_dataset):
-        # zero residual: beta = (dm + 2(a0-1)) / (2 b0)
+        # zero residual: beta = dm / (2 b0)
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         exact = eigen_solve(toy2_model, [1.0, 1.0], 1)
         state.theta = np.array([1.0, 1.0])
         state.omega2 = exact.omega2.copy()
         state.phi = exact.phi.copy()
         beta = update_beta(state, residual_of(toy2_model, state))
-        np.testing.assert_allclose(beta, 2.0 / 2.0, rtol=1e-6)  # dm = 2, a0 = b0 = 1
+        np.testing.assert_allclose(beta, 2.0 / 2.0, rtol=1e-6)  # dm = 2, b0 = 1
 
     def test_residual_equal_to_two_b0_halves_it(self, toy2_model, toy2_dataset):
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
@@ -485,12 +502,6 @@ class TestUpdateBeta:
         state.phi = exact.phi + delta * direction
         beta = update_beta(state, residual_of(toy2_model, state))
         np.testing.assert_allclose(beta, 0.5 * (2.0 / 2.0), rtol=1e-6)
-
-    def test_invalid_shape_parameter(self, toy2_model, toy2_dataset):
-        state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
-        state.a0 = -10.0
-        with pytest.raises(ConfigurationError):
-            update_beta(state, residual_of(toy2_model, state))
 
     def test_stationarity(self, toy2_model, toy2_dataset):
         anchor = np.ones(2)
@@ -593,7 +604,7 @@ class TestHyperBlockUpdates:
 
         state = InferenceState(theta=np.ones(1), omega2=np.ones(1), phi=np.ones(2),
                                beta=1.0, eta=1.0, nu=1.0, rho=np.ones(1), tau=np.ones(1),
-                               alpha=np.zeros(1), lam=2.5, zeta=1.0 / 2.5, a0=1.0, b0=1.0)
+                               alpha=np.zeros(1), lam=2.5, zeta=1.0 / 2.5, b0=1.0)
         steps = []
         for _ in range(10):
             lam, zeta = update_lambda_zeta(state)
@@ -609,8 +620,10 @@ class TestObjective:
         state.alpha = np.array([0.5, 0.25])
         s2 = copy.deepcopy(state)
         s2.theta = np.array([1.1, 0.9])
-        jd = objective(s2, toy2_dataset, residual_of(toy2_model, s2), anchor) \
-            - objective(state, toy2_dataset, residual_of(toy2_model, state), anchor)
+        jd = objective(s2, toy2_dataset, residual_of(toy2_model, s2),
+                       shape_residual_sq(toy2_dataset, 2, s2.phi), anchor) \
+            - objective(state, toy2_dataset, residual_of(toy2_model, state),
+                        shape_residual_sq(toy2_dataset, 2, state.phi), anchor)
         # hand computation of the two theta-dependent terms
         def theta_terms(theta):
             hmat = build_H(toy2_model, state.phi)
@@ -634,7 +647,8 @@ class TestObjective:
         state.omega2 = ds.omega2_segments[0].copy()
         scale = np.linalg.norm(state.phi)
         state.phi = state.phi / scale * np.sign(state.phi @ exact.phi)
-        j = objective(state, ds, residual_of(toy2_model, state), anchor)
+        j = objective(state, ds, residual_of(toy2_model, state),
+                      shape_residual_sq(ds, 2, state.phi), anchor)
         m, q, s = 1, 3, 2
         expected = (
             state.b0 * state.beta
@@ -653,7 +667,8 @@ class TestObjective:
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.eta = -1.0
         with pytest.raises(ConfigurationError):
-            objective(state, toy2_dataset, residual_of(toy2_model, state), np.ones(2))
+            objective(state, toy2_dataset, residual_of(toy2_model, state),
+                      shape_residual_sq(toy2_dataset, 2, state.phi), np.ones(2))
 
     def test_monotone_trace_with_frozen_hypers(self, toy2_model, toy2_dataset):
         config = AlgorithmConfig(mode="calibration",

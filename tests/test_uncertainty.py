@@ -104,7 +104,7 @@ class TestJointHessian:
         state = toy2_map.state_map
         hess, labels = assembled(state, toy2_dataset, toy2_model)
         dm = toy2_model.d * state.m
-        expected = (dm / 2.0 - 1.0 + state.a0) / state.beta**2
+        expected = dm / 2.0 / state.beta**2
         np.testing.assert_allclose(hess[0, 0], expected, rtol=1e-14)
         assert labels[0] == "beta"
 
