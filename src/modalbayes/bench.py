@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,8 +76,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.freq_cov < 0 or self.shape_cov < 0:
-            raise ConfigurationError("noise levels must be nonnegative")
+        for name in ("freq_cov", "shape_cov"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ConfigurationError(f"noise level {name} must be finite and nonnegative, "
+                                         f"got {value}")
         if self.seed < 0:
             raise ConfigurationError(f"noise seed must be nonnegative, got {self.seed}")
 

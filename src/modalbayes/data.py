@@ -174,12 +174,47 @@ def gamma_t_psi(dataset: ModalDataset, d: int) -> np.ndarray:
     return out
 
 
-def shape_residual_sq(dataset: ModalDataset, d: int, phi: np.ndarray) -> float:
-    """||Psi_hat - Gamma Phi||^2 computed segmentwise (no cancellation)."""
-    modes = np.asarray(phi, dtype=float).reshape(dataset.m, d)
-    picked = modes[:, dataset.observed_dofs]  # (m, s)
-    diff = dataset.psi_segments - picked[None, :, :]
-    return float(np.sum(diff * diff))
+@dataclass(frozen=True)
+class DataTerms:
+    """The quantities of a dataset that every sweep reads, formed once per run.
+
+    ``mask`` and ``gamma_t_psi`` are the (m, d) forms of ``observation_mask``
+    and ``gamma_t_psi``; ``omega2_sum`` (m,) sums the identified squared
+    frequencies over the segments; ``psi_mean`` (m, s) is the segment-mean
+    shape psi_bar and ``spread`` is S0 = sum_r ||psi_r - psi_bar||^2.
+    """
+
+    q: int
+    observed_dofs: np.ndarray
+    mask: np.ndarray
+    gamma_t_psi: np.ndarray
+    omega2_sum: np.ndarray
+    psi_mean: np.ndarray
+    spread: float
+
+    @classmethod
+    def from_dataset(cls, dataset: ModalDataset, d: int) -> "DataTerms":
+        psi = dataset.psi_segments
+        # the mean is taken relative to the first segment, so identical segments give
+        # psi_bar exactly and S0 = 0
+        dev = psi - psi[0]
+        mean_dev = dev.mean(axis=0)
+        spread = dev - mean_dev
+        return cls(q=dataset.q, observed_dofs=dataset.observed_dofs,
+                   mask=observation_mask(dataset, d).reshape(dataset.m, d),
+                   gamma_t_psi=gamma_t_psi(dataset, d).reshape(dataset.m, d),
+                   omega2_sum=dataset.omega2_segments.sum(axis=0),
+                   psi_mean=psi[0] + mean_dev, spread=float(np.sum(spread * spread)))
+
+    def shape_misfit(self, phi: np.ndarray) -> float:
+        """||Psi_hat - Gamma Phi||^2 as S0 + q ||psi_bar - Gamma_0 Phi||^2.
+
+        The deviations of the segments from their mean sum to zero, so the
+        cross term vanishes; both terms are sums of squares and nothing cancels.
+        """
+        picked = phi.reshape(self.mask.shape)[:, self.observed_dofs]  # (m, s)
+        diff = self.psi_mean - picked
+        return self.spread + self.q * float(np.sum(diff * diff))
 
 
 def _hz_to_omega2(values: np.ndarray) -> np.ndarray:

@@ -20,18 +20,29 @@ The equation-error precision beta has a Gamma(1, b0) prior whose rate is a
 constant of the stage (``BETA_PRIOR_RATE``), not a setting.
 
 Update order within a sweep is fixed: (mode shapes, eta), (frequencies, rho),
-theta, beta, then the ARD block in monitoring mode.  The mode-shape update
-assembles K(theta) once and solves each mode's positive definite system on its
-band by Cholesky; no (m, d, d) operator stack is formed in a sweep.  Right
-after the mode-shape update, three quantities of the new mode shapes are built
-once per sweep: the misfit ||Psi_hat - Gamma Phi||^2, which the eta update and
-the objective read, the regression matrix H and its H^T H, which the theta update
-(another Cholesky solve) and Sigma_theta read; every later block of the sweep
-reads K(theta) Phi_i = K0 Phi_i + (H theta)_i from H instead of assembling
-K(theta).  The right-hand side b, built once after the frequency update, feeds
-the theta update and the residual r = H theta - b.  r is formed after the
-theta update, read by the beta update and the objective, and formed again only
-when pruning moves theta.
+theta, beta, then the ARD block in monitoring mode.
+
+Formed once per run, before the first sweep (``data.DataTerms``): the
+observation mask, Gamma^T Psi_hat, the segment sums of the identified squared
+frequencies, and the segment-mean shape psi_bar with the spread
+S0 = sum_r ||psi_r - psi_bar||^2 of the segments about it.
+
+Formed once per sweep: the mode-shape update assembles K(theta) once, builds
+the bands of every mode's positive definite system in one expression and
+solves them together by one banded Cholesky call; no (m, d, d) operator stack
+is formed in a sweep.  Right after it come four quantities of the new mode
+shapes: the misfit ||Psi_hat - Gamma Phi||^2 = S0 + q ||psi_bar - Gamma_0 Phi||^2,
+which the eta update and the objective read; the regression matrix H and its
+H^T H, which the theta update (another Cholesky solve) and the ARD block read;
+and the products M Phi_i and K0 Phi_i, which the frequency update and b read.  Every
+later block of the sweep reads K(theta) Phi_i = K0 Phi_i + (H theta)_i from H
+instead of assembling K(theta).  The right-hand side b, built once after the
+frequency update, feeds the theta update and the residual r = H theta - b.  r
+is formed after the theta update, read by the beta update and the objective,
+and formed again only when pruning moves theta.  The ARD block reads only the
+diagonal of Sigma_theta, from the Cholesky factor of its precision; the full
+Sigma_theta and the joint covariance (which reuses H, H^T H and r of the last
+sweep) are formed once, after the last sweep.
 """
 
 from __future__ import annotations
@@ -43,10 +54,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import uncertainty
-from .data import ModalDataset, gamma_t_psi, observation_mask, shape_residual_sq
+from .data import DataTerms, ModalDataset
 from .errors import ConfigurationError, NumericalError
 from .model import (StructuralModel, build_b, build_H, build_HtH, eigen_residual,
-                    operator_square_bands)
+                    mode_products, operator_square_bands)
 
 CALIBRATION = "calibration"
 MONITORING = "monitoring"
@@ -263,33 +274,37 @@ def initialize(
 # ---------------------------------------------------------------------------
 
 
-def update_mode_shapes(state: InferenceState, dataset: ModalDataset, model: StructuralModel) -> np.ndarray:
+def update_mode_shapes(state: InferenceState, terms: DataTerms,
+                       model: StructuralModel) -> np.ndarray:
     """Solve (beta F + eta Gamma^T Gamma) Phi = eta Gamma^T Psi_hat mode by mode.
 
     F is block-diagonal with blocks A_i @ A_i (A_i = K - omega2_i M) and
     Gamma^T Gamma is diagonal, so the system splits into m independent d x d
-    solves (beta A_i A_i + eta q diag(mask_i)) Phi_i = eta (Gamma^T Psi_hat)_i.
-    Each is symmetric positive definite and banded (``operator_square_bands``)
-    and is solved by one LAPACK ``dpbsv`` call on its band.
+    solves (beta A_i A_i + eta q diag(mask_i)) Phi_i = eta (Gamma^T Psi_hat)_i,
+    with the mask and Gamma^T Psi_hat read from the run's ``terms``.  Each is
+    symmetric positive definite and banded (``operator_square_bands``).  The
+    (m, u + 1, d) stack of bands is one expression, and one LAPACK ``dpbsv``
+    call solves all m systems as the one block-diagonal banded system they
+    form: each band is zero past its mode's last row, so no mode couples to
+    the next, and the Cholesky factor is the factors of the modes side by side.
     """
-    d, m = model.d, state.m
-    mask = observation_mask(dataset, d).reshape(m, d)
-    if state.beta == 0.0 and np.any(mask == 0.0):
-        dof = int(np.argmin(mask)) % d
+    d = model.d
+    if state.beta == 0.0 and np.any(terms.mask == 0.0):
+        dof = int(np.argmin(terms.mask)) % d
         raise NumericalError(
             f"mode-shape system is singular: DOF {dof} is unobserved and beta is zero"
         )
     k_sq, k_m, m_sq = operator_square_bands(model, state.theta)
-    rhs = state.eta * gamma_t_psi(dataset, d).reshape(m, d)
-    phi = np.empty((m, d))
-    for i, w2 in enumerate(state.omega2):
-        band = state.beta * (k_sq - w2 * k_m + (w2 * w2) * m_sq)
-        band[0] += state.eta * dataset.q * mask[i]
-        _, phi[i], info = lapack.dpbsv(band, rhs[i], lower=1)
-        if info != 0:
-            raise NumericalError(f"mode-shape update failed: the system of mode {i} is not "
-                                 f"positive definite at DOF {info - 1} (LAPACK info {info})")
-    return phi.reshape(-1)
+    w2 = state.omega2[:, None, None]
+    bands = state.beta * (k_sq - w2 * k_m + (w2 * w2) * m_sq)
+    bands[:, 0] += state.eta * terms.q * terms.mask
+    joined = bands.transpose(1, 0, 2).reshape(bands.shape[1], -1)
+    _, phi, info = lapack.dpbsv(joined, state.eta * terms.gamma_t_psi.reshape(-1), lower=1)
+    if info != 0:
+        mode, dof = divmod(info - 1, d)
+        raise NumericalError(f"mode-shape update failed: the system of mode {mode} is not "
+                             f"positive definite at DOF {dof} (LAPACK info {info})")
+    return phi
 
 
 def update_eta(state: InferenceState, dataset: ModalDataset,
@@ -297,7 +312,7 @@ def update_eta(state: InferenceState, dataset: ModalDataset,
     """eta = (sqm - 2) / ||Psi_hat - Gamma Phi||^2 and nu = 1/eta.
 
     ``shape_sq`` is ||Psi_hat - Gamma Phi||^2 of the current Phi
-    (``data.shape_residual_sq``).
+    (``DataTerms.shape_misfit``).
     """
     sqm = dataset.s * dataset.q * dataset.m
     if shape_sq <= (sqm - 2.0) / ETA_MAX:
@@ -308,23 +323,20 @@ def update_eta(state: InferenceState, dataset: ModalDataset,
     return eta, 1.0 / eta
 
 
-def update_frequencies(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
-                       hmat: np.ndarray) -> np.ndarray:
+def update_frequencies(state: InferenceState, terms: DataTerms, mphi: np.ndarray,
+                       kphi: np.ndarray) -> np.ndarray:
     """Solve (beta G^T G + T^T E^-1 T) w2 = beta G^T c + T^T E^-1 what2 mode by mode.
 
     G^T G is diagonal with entries (M Phi_i).(M Phi_i) and (G^T c)_i is
-    (M Phi_i).(K Phi_i), so the m x m system is diagonal.  K Phi_i is
-    K0 Phi_i + (H theta)_i for the regression matrix ``hmat`` of Phi.
+    (M Phi_i).(K Phi_i), so the m x m system is diagonal.  ``mphi`` and
+    ``kphi`` (m, d) hold M Phi_i and K(theta) Phi_i = K0 Phi_i + (H theta)_i.
     """
     if np.any(state.rho <= 0):
         raise ConfigurationError("frequency precisions must be positive")
-    modes = state.phi.reshape(state.m, model.d)
-    mphi = modes @ model.mass.T
-    kphi = modes @ model.k0.T + (hmat @ state.theta).reshape(modes.shape)
     gtg = np.einsum("ij,ij->i", mphi, mphi)
     gtc = np.einsum("ij,ij->i", mphi, kphi)
-    lhs = state.beta * gtg + dataset.q * state.rho
-    rhs = state.beta * gtc + state.rho * dataset.omega2_segments.sum(axis=0)
+    lhs = state.beta * gtg + terms.q * state.rho
+    rhs = state.beta * gtc + state.rho * terms.omega2_sum
     return rhs / lhs
 
 
@@ -359,11 +371,12 @@ def update_theta(state: InferenceState, hmat: np.ndarray, hth: np.ndarray, bvec:
     theta_new = anchor.copy()
     if not np.any(free):
         return theta_new
-    # the anchor with its free entries zeroed: H pinned = Hp anchor_p, and no column of H
-    # is copied
-    pinned = np.where(free, 0.0, anchor)
+    # H pinned = Hp anchor_p from the anchor with its free entries zeroed, so no column of
+    # H is copied; with nothing pinned (calibration) the product is zero and is skipped
+    if not np.all(free):
+        bvec = bvec - hmat @ np.where(free, 0.0, anchor)
     lhs = uncertainty.theta_precision(state.beta, hth, state.alpha)
-    rhs = (state.beta * (hmat.T @ (bvec - hmat @ pinned)))[free] + anchor[free] / state.alpha[free]
+    rhs = (state.beta * (hmat.T @ bvec))[free] + anchor[free] / state.alpha[free]
     _, theta_new[free], info = lapack.dposv(lhs, rhs, lower=1)
     if info != 0:
         raise NumericalError(f"theta update failed: the precision is not positive definite "
@@ -417,7 +430,7 @@ def objective(state: InferenceState, dataset: ModalDataset, resid: np.ndarray,
 
     ``resid`` stacks the residuals (K - w_i^2 M) Phi_i of ``state``
     (``model.eigen_residual``) and ``shape_sq`` is its ||Psi_hat - Gamma Phi||^2
-    (``data.shape_residual_sq``).
+    (``DataTerms.shape_misfit``).
 
     A pruned component (alpha exactly zero) contributes zero to the anchor
     term if its theta equals the anchor, and +inf otherwise.
@@ -461,11 +474,13 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
     anchor = np.asarray(anchor, dtype=float)
     state = initialize(dataset, model, theta_init, config)
     monitoring = config.mode == MONITORING
+    terms = DataTerms.from_dataset(dataset, model.d)
 
     hmat = build_H(model, state.phi)
     theta_trace = [state.theta.copy()]
-    resid = eigen_residual(model, hmat, state.theta, build_b(model, state.omega2, state.phi))
-    shape_sq = shape_residual_sq(dataset, model.d, state.phi)
+    resid = eigen_residual(model, hmat, state.theta,
+                           build_b(state.omega2, *mode_products(model, state.phi)))
+    shape_sq = terms.shape_misfit(state.phi)
     objective_trace = [objective(state, dataset, resid, shape_sq, anchor)]
     alpha_trace = [state.alpha.copy()] if monitoring else None
     pruning_events: list[tuple[int, int]] = []
@@ -474,14 +489,16 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
     sweeps = 0
     for sweep in range(1, config.max_iterations + 1):
         sweeps = sweep
-        state.phi = update_mode_shapes(state, dataset, model)
-        shape_sq = shape_residual_sq(dataset, model.d, state.phi)
+        state.phi = update_mode_shapes(state, terms, model)
+        shape_sq = terms.shape_misfit(state.phi)
         hmat = build_H(model, state.phi)
         hth = build_HtH(model, hmat)
+        mphi, k0phi = mode_products(model, state.phi)
         if not config.fixed("eta"):
             state.eta, state.nu = update_eta(state, dataset, shape_sq)
-        state.omega2 = update_frequencies(state, dataset, model, hmat)
-        bvec = build_b(model, state.omega2, state.phi)
+        kphi = k0phi + (hmat @ state.theta).reshape(k0phi.shape)
+        state.omega2 = update_frequencies(state, terms, mphi, kphi)
+        bvec = build_b(state.omega2, mphi, k0phi)
         if not config.fixed("phi"):
             state.rho, state.tau = update_rho(state, dataset)
         theta_prev = state.theta
@@ -492,7 +509,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
 
         if monitoring:
             free = state.free_mask()
-            cov_diag = np.diag(uncertainty.theta_covariance_from(state.beta, hth, state.alpha))
+            cov_diag = uncertainty.theta_variances(state.beta, hth, state.alpha)
             state.alpha = update_alpha(state, anchor, cov_diag, config.kappa)
             if config.lambda_fixed is None:
                 state.lam, state.zeta = update_lambda_zeta(state)
@@ -529,7 +546,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
 
     full_cov = labels = None
     try:
-        full_cov, labels = uncertainty.joint_covariance(state, dataset, model, hmat, resid)
+        full_cov, labels = uncertainty.joint_covariance(state, terms, model, hmat, hth, resid)
     except NumericalError as exc:
         state.flag(f"joint covariance unavailable: {exc}")
 

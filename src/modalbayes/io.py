@@ -2,7 +2,8 @@
 
 All structured inputs/outputs are JSON, tabular numeric outputs CSV; floats
 are serialized at full round-trip precision so pipelines are lossless. Run
-manifests honor SOURCE_DATE_EPOCH for reproducible timestamps.
+manifests honor SOURCE_DATE_EPOCH for reproducible timestamps, and record the
+numpy and scipy versions and the BLAS thread settings of the environment.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import ConfigurationError
@@ -235,6 +237,9 @@ def write_pruning_csv(result: InferenceResult, path) -> None:
 
 # -- manifests ---------------------------------------------------------------
 
+# the environment variables that set the BLAS thread count, which a timing depends on
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
@@ -262,6 +267,11 @@ def write_manifest(path, command: str, settings: dict, inputs: list, outputs: li
         "outputs": {str(Path(p).name): file_digest(p) for p in outputs},
         "seed": seed,
         "tool_version": __version__,
+        "environment": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        },
         "timestamps": {"completed_utc": _timestamp()},
         "convergence": convergence,
     }

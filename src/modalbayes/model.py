@@ -30,6 +30,7 @@ inference path itself never solves an eigenproblem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,8 +108,10 @@ class StructuralModel:
     _gram_left: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_right: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_out: np.ndarray = field(init=False, repr=False, compare=False)
-    # gather positions of the band of A_i A_i, and the band of M^2 (operator_square_bands)
+    # gather positions of the band of A_i A_i, the 0/1 mask of its positions inside the
+    # matrix, and the band of M^2 (operator_square_bands)
     _band_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _band_mask: np.ndarray = field(init=False, repr=False, compare=False)
     _mass_sq_band: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,17 +164,19 @@ class StructuralModel:
         # A_i = K(theta) - omega2_i M lies inside the half-bandwidth b of M, K0 and every
         # support, so A_i A_i lies inside 2 b.  Row r of the LAPACK lower band storage
         # holds the diagonal r below the main one, (j + r, j); positions past the last
-        # row are clipped onto it, and LAPACK never reads them.
+        # row are clipped onto it and then zeroed by the 0/1 mask of the band.
         width = max(_half_bandwidth(mass), _half_bandwidth(k0),
                     int(np.max(support.max(axis=1) - support.min(axis=1))))
-        rows = np.minimum(np.arange(min(2 * width, d - 1) + 1)[:, None] + np.arange(d), d - 1)
-        band_index = rows * d + np.arange(d)
-        mass_sq_band = (mass @ mass).take(band_index)
+        rows = np.arange(min(2 * width, d - 1) + 1)[:, None] + np.arange(d)
+        band_mask = (rows < d).astype(float)
+        band_index = np.minimum(rows, d - 1) * d + np.arange(d)
+        mass_sq_band = (mass @ mass).take(band_index) * band_mask
 
         for name, value in (("mass", mass), ("k0", k0), ("support", support), ("blocks", blocks),
                             ("_k_index", k_index), ("_h_index", h_index), ("_gram_left", left),
                             ("_gram_right", right), ("_gram_out", out),
-                            ("_band_index", band_index), ("_mass_sq_band", mass_sq_band)):
+                            ("_band_index", band_index), ("_band_mask", band_mask),
+                            ("_mass_sq_band", mass_sq_band)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -253,8 +258,8 @@ def shear_building_model(spec: ShearBuildingSpec, unit_scale: float = 1.0) -> St
     Story j's nominal matrix couples floors j-1 and j, so theta = ones
     reproduces the true tridiagonal stiffness exactly.
     """
-    if unit_scale <= 0:
-        raise ConfigurationError("unit_scale must be positive")
+    if not math.isfinite(unit_scale) or unit_scale <= 0:
+        raise ConfigurationError(f"unit_scale must be finite and positive, got {unit_scale}")
     d = spec.stories
     masses = spec.masses() / unit_scale
     ks = spec.stiffnesses() / unit_scale
@@ -360,14 +365,22 @@ def build_HtH(model: StructuralModel, hmat: np.ndarray) -> np.ndarray:
     return np.bincount(model._gram_out, prods, minlength=n * n).reshape(n, n)
 
 
-def build_b(model: StructuralModel, omega2, phi) -> np.ndarray:
-    """Stacked right-hand side with block i equal to (omega2_i M - K0) @ Phi_i."""
+def mode_products(model: StructuralModel, phi) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, d) products M Phi_i and K0 Phi_i of every mode, one row per mode."""
     modes = _phi_modes(model, phi)
+    return modes @ model.mass.T, modes @ model.k0.T
+
+
+def build_b(omega2, mphi: np.ndarray, k0phi: np.ndarray) -> np.ndarray:
+    """Stacked right-hand side with block i equal to (omega2_i M - K0) @ Phi_i.
+
+    ``mphi`` and ``k0phi`` are the products M Phi_i and K0 Phi_i of
+    ``mode_products``.
+    """
     omega2 = np.asarray(omega2, dtype=float)
-    if omega2.shape != (modes.shape[0],):
+    if omega2.shape != (mphi.shape[0],):
         raise ConfigurationError("omega2 length must equal the number of phi blocks")
-    blocks = omega2[:, None] * (modes @ model.mass.T) - modes @ model.k0.T
-    return blocks.reshape(-1)
+    return (omega2[:, None] * mphi - k0phi).reshape(-1)
 
 
 def eigen_operators(model: StructuralModel, theta, omega2) -> np.ndarray:
@@ -386,14 +399,15 @@ def operator_square_bands(model: StructuralModel, theta) -> tuple[np.ndarray, np
     """Lower bands of K(theta)^2, K M + M K and M^2 in LAPACK band storage.
 
     Each is (u + 1, d) with u = ``model.operator_bandwidth``: row r holds the
-    entries (j + r, j).  A_i A_i = K^2 - omega2_i (K M + M K) + omega2_i^2 M^2,
-    so the band of every mode's squared operator is one combination of these
-    three, and K is assembled and multiplied once for all modes.
+    entries (j + r, j), and its last r positions, past the last row, are zero.
+    A_i A_i = K^2 - omega2_i (K M + M K) + omega2_i^2 M^2, so the band of every
+    mode's squared operator is one combination of these three, and K is
+    assembled and multiplied once for all modes.
     """
     k = assemble_stiffness(model, theta)
     km = k @ model.mass
-    return ((k @ k).take(model._band_index), (km + km.T).take(model._band_index),
-            model._mass_sq_band)
+    return ((k @ k).take(model._band_index) * model._band_mask,
+            (km + km.T).take(model._band_index) * model._band_mask, model._mass_sq_band)
 
 
 def eigen_residual(model: StructuralModel, hmat: np.ndarray, theta, bvec: np.ndarray) -> np.ndarray:

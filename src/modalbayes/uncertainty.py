@@ -16,6 +16,10 @@ indefinite) matrix.  The exact 1-norm condition numbers of the equilibrated
 Hessian and of each equilibrated mode block, read from the inverses formed,
 decide whether the joint covariance is reported.
 
+Sigma_theta is formed in full once per run (``theta_covariance_from``); the
+ARD block of each monitoring sweep reads only its diagonal, from the Cholesky
+factor of its precision (``theta_variances``).
+
 Reported coefficients of variation follow the conventions of the source
 tables: theta uses the conditional covariance Sigma_theta, and the scalar
 precisions (beta, eta, rho and the normalized phi) use their conditional
@@ -29,12 +33,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .data import ModalDataset, gamma_t_psi, observation_mask
+from .data import DataTerms, ModalDataset
 from .errors import NumericalError
-from .model import StructuralModel, build_H, build_HtH, eigen_operators
+from .model import StructuralModel, build_H, eigen_operators
 
 HESSIAN_ASYMMETRY_RTOL = 1e-8
 MAX_CONDITION = 1e14
+# entries of the joint inverse read at a time for its 1-norm (a 1 MB slab)
+NORM_SLAB_ENTRIES = 1 << 17
 
 
 def theta_precision(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -85,6 +91,30 @@ def theta_covariance_from(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np
     return cov
 
 
+def theta_variances(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The diagonal of Sigma_theta (n,), without forming Sigma_theta.
+
+    With L the Cholesky factor of the precision ``theta_precision`` (LAPACK
+    ``dpotrf``), Sigma_theta = L^-T L^-1, so its diagonal holds the column
+    sums of squares of L^-1 (``dtrtri``).  Pruned components read exactly 0,
+    as they do in ``theta_covariance_from``.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    free = alpha > 0.0
+    var = np.zeros(alpha.size)
+    if not np.any(free):
+        return var
+    factor, info = lapack.dpotrf(theta_precision(beta, hth, alpha), lower=1)
+    if info == 0:
+        factor, info = lapack.dtrtri(factor, lower=1)
+    if info != 0:
+        raise NumericalError(f"theta covariance factorization failed: not positive definite: "
+                             f"LAPACK info {info}")
+    # dpotrf zeroes the upper triangle, and dtrtri leaves it as it is
+    var[free] = np.einsum("ij,ij->j", factor, factor)
+    return var
+
+
 def _hessian_labels(m: int, d: int, free_idx: np.ndarray) -> list:
     labels = ["beta"]
     labels += [f"omega2_{i + 1}" for i in range(m)]
@@ -96,8 +126,8 @@ def _hessian_labels(m: int, d: int, free_idx: np.ndarray) -> list:
     return labels
 
 
-def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np.ndarray,
-                  resid: np.ndarray):
+def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndarray,
+                  hth: np.ndarray, resid: np.ndarray):
     """Precision matrix of the objective at the MAP, as the blocks its inverse reads.
 
     Returns (p_blocks, cross, core, labels).  The labelled order is
@@ -106,14 +136,15 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np
     beta A_i A_i + eta q diag(mask_i), between which the Hessian is zero;
     ``cross`` (dm, k) holds the Phi rows of the other k = 3 m + 3 + n_free
     parameters [beta, omega2, rho, tau, eta, nu, theta_free], and ``core``
-    (k, k) their own block.  ``hmat`` is the regression matrix H of
-    ``state.phi`` and ``resid`` the (m, d) residuals r_i = A_i Phi_i = H theta - b
-    of the same state.  Every block is assembled from the per-mode operators
-    A_i = K - omega2_i M, the residuals and H, without loops over
-    substructures.
+    (k, k) their own block.  ``terms`` holds the run's dataset terms,
+    ``hmat`` is the regression matrix H of ``state.phi``, ``hth`` its H^T H
+    (``model.build_HtH``) and ``resid`` the (m, d) residuals
+    r_i = A_i Phi_i = H theta - b of the same state.  Every block is
+    assembled from the per-mode operators A_i = K - omega2_i M, the
+    residuals and H, without loops over substructures.
     """
     d, m = model.d, state.m
-    q, s = dataset.q, dataset.s
+    q, s = terms.q, terms.observed_dofs.size
     free_idx = np.flatnonzero(state.free_mask())
     nf = free_idx.size
     dm = d * m
@@ -121,7 +152,7 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np
     modes = state.phi.reshape(m, d)
     ops = eigen_operators(model, state.theta, state.omega2)
     mphi = modes @ model.mass.T
-    mask = observation_mask(dataset, d)
+    mask = terms.mask.reshape(-1)
     idx = np.arange(m)
 
     # Phi blocks: F is block-diagonal with blocks A_i A_i
@@ -140,7 +171,7 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np
     # omega^2-Phi coupling: exact symmetrized mixed partial -beta (M A_i + A_i M) Phi_i
     w = -state.beta * (resid @ model.mass.T + np.matmul(ops, mphi[:, :, None])[:, :, 0])
     cross.reshape(m, d, -1)[idx, :, i_w] = w
-    cross[:, i_eta] = q * mask * state.phi - gamma_t_psi(dataset, d)
+    cross[:, i_eta] = q * mask * state.phi - terms.gamma_t_psi.reshape(-1)
     # (A_i Ksub_j + Ksub_j A_i) Phi_i = A_i (Ksub_j Phi_i) + Ksub_j r_i
     hf3 = hmat.reshape(m, d, model.n)[:, :, free_idx]
     l3 = np.matmul(ops, hf3).reshape(dm, nf) + build_H(model, resid.reshape(-1))[:, free_idx]
@@ -152,7 +183,7 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np
     core[0, i_w] = -np.einsum("ij,ij->i", mphi, resid)
     # G^T G is diagonal with entries (M Phi_i).(M Phi_i)
     core[i_w, i_w] = state.beta * np.einsum("ij,ij->i", mphi, mphi) + q * state.rho
-    core[i_w, i_r] = q * state.omega2 - dataset.omega2_segments.sum(axis=0)
+    core[i_w, i_r] = q * state.omega2 - terms.omega2_sum
     core[i_r, i_r] = 0.5 * q / state.rho**2
     core[i_r, i_t] = 1.0
     core[i_t, i_t] = 1.0 / state.tau**2
@@ -163,7 +194,7 @@ def joint_hessian(state, dataset: ModalDataset, model: StructuralModel, hmat: np
     core[0, i_th] = (hmat.T @ resid.reshape(-1))[free_idx]
     # Phi_i^T Ksub_j M Phi_i = (M Phi_i) . (Ksub_j Phi_i)
     core[i_w, i_th] = -state.beta * np.matmul(mphi[:, None, :], hf3)[:, 0, :]
-    core[i_th, i_th] = theta_precision(state.beta, build_HtH(model, hmat), state.alpha)
+    core[i_th, i_th] = theta_precision(state.beta, hth, state.alpha)
     core = np.triu(core) + np.triu(core, 1).T
 
     return p_blocks, cross, core, _hessian_labels(m, d, free_idx)
@@ -190,13 +221,20 @@ def invert_hessian(p_blocks: np.ndarray, cross: np.ndarray, core: np.ndarray, st
 
         [[P^-1 + Y S^-1 Y^T, -Y S^-1], [-S^-1 Y^T, S^-1]],  Y = P^-1 B,
 
-    with the equilibration undone on the thin factors before the one
-    dm x k x dm product.  Its exact 1-norm condition number
-    ||A||_1 ||A^-1||_1, read from the inverse formed, must not exceed
-    ``MAX_CONDITION``, and neither may that of any equilibrated P_i: the
-    formula cancels the error of a nearly singular P_i^-1 only in exact
-    arithmetic.  A P_i that is not positive definite or a singular S fails
-    that check as well.
+    with the equilibration undone on the thin factors first.  The Phi block
+    P^-1 + Y S^-1 Y^T is formed one tile row at a time, in mode order: tile
+    row i is one d x k x (m - i) d product for the tiles on and right of the
+    diagonal, with P_i^-1 added to its diagonal tile (symmetrized), and the
+    tiles below the diagonal are written as the transposes of those above
+    it.  The product is thus half the full one and the result is exactly
+    symmetric.  Its exact 1-norm condition number ||A||_1 ||A^-1||_1, read
+    from the inverse formed, must not exceed ``MAX_CONDITION``, and neither
+    may that of any equilibrated P_i: the formula cancels the error of a
+    nearly singular P_i^-1 only in exact arithmetic.  ||A^-1||_1 is its
+    largest row sum (the inverse is symmetric), read a slab of about
+    ``NORM_SLAB_ENTRIES`` entries at a time, so no N x N temporary is formed.
+    A P_i that is not positive definite or a singular S fails that check as
+    well.
     """
     m, d = p_blocks.shape[:2]
     k = core.shape[0]
@@ -233,21 +271,27 @@ def invert_hessian(p_blocks: np.ndarray, cross: np.ndarray, core: np.ndarray, st
     # blocks of E A^-1 E for the equilibration E = diag(eq)
     y *= eq_p[:, None]
     z = y @ s_inv
+    p_inv_eq = p_inv * (eq_blocks[:, :, None] * eq_blocks[:, None, :])
     cov = np.empty((size, size))
-    modes = np.arange(m)
-    tiles = np.matmul(z, y.T, out=cov[start:stop, start:stop]).reshape(m, d, m, d)
-    # the product is symmetric only up to rounding: mirror the upper tiles
-    upper, lower = np.triu_indices(m, 1)
-    tiles[lower, :, upper, :] = tiles[upper, :, lower, :].transpose(0, 2, 1)
-    diag_tiles = tiles[modes, :, modes, :]
-    diag_tiles = 0.5 * (diag_tiles + diag_tiles.transpose(0, 2, 1))
-    tiles[modes, :, modes, :] = diag_tiles + p_inv * (eq_blocks[:, :, None] * eq_blocks[:, None, :])
+    for i in range(m):
+        # tile row i of the Phi block: the tiles on and right of the diagonal from one
+        # product, the tiles below it as their transposes, so the block is exactly symmetric
+        rows = slice(start + i * d, start + (i + 1) * d)
+        tile_row = z[i * d:(i + 1) * d] @ y[i * d:].T
+        diag_tile = tile_row[:, :d]
+        tile_row[:, :d] = 0.5 * (diag_tile + diag_tile.T) + p_inv_eq[i]
+        cov[rows, rows.start:stop] = tile_row
+        cov[rows.stop:stop, rows] = tile_row[:, d:].T
     z *= -eq_r[None, :]
     cov[start:stop, rest] = z
     cov[rest, start:stop] = z.T
     cov[np.ix_(rest, rest)] = s_inv * np.outer(eq_r, eq_r)
-    # ||A^-1||_1 from E A^-1 E, column by column
-    inv_norm = np.max(((1.0 / eq) @ np.abs(cov)) / eq, initial=0.0)
+    # ||A^-1||_1 from E A^-1 E: the inverse is exactly symmetric, so its largest column
+    # sum is its largest row sum, read a slab of rows at a time
+    inv_eq = 1.0 / eq
+    slab = max(1, NORM_SLAB_ENTRIES // size)
+    row_sums = np.concatenate([np.abs(cov[lo:lo + slab]) @ inv_eq for lo in range(0, size, slab)])
+    inv_norm = np.max(row_sums * inv_eq, initial=0.0)
     # eliminating the P_i first is accurate only while each P_i is well conditioned itself
     block_cond = (np.max(np.abs(p_blocks).sum(axis=1), axis=1, initial=0.0)
                   * np.max(np.abs(p_inv).sum(axis=1), axis=1, initial=0.0))
@@ -257,13 +301,14 @@ def invert_hessian(p_blocks: np.ndarray, cross: np.ndarray, core: np.ndarray, st
     return cov
 
 
-def joint_covariance(state, dataset: ModalDataset, model: StructuralModel, hmat: np.ndarray,
-                     resid: np.ndarray):
+def joint_covariance(state, terms: DataTerms, model: StructuralModel, hmat: np.ndarray,
+                     hth: np.ndarray, resid: np.ndarray):
     """Inverse of the joint Hessian with labels: marginal variances on the diagonal.
 
-    ``hmat`` and ``resid`` are the regression matrix and residuals of ``state``.
+    ``hmat``, ``hth`` and ``resid`` are the regression matrix, its H^T H and
+    the residuals of ``state``; ``terms`` the dataset terms of the run.
     """
-    p_blocks, cross, core, labels = joint_hessian(state, dataset, model, hmat, resid)
+    p_blocks, cross, core, labels = joint_hessian(state, terms, model, hmat, hth, resid)
     return invert_hessian(p_blocks, cross, core, 3 * state.m + 1, state), labels
 
 

@@ -16,7 +16,7 @@ from modalbayes.bench import (
     benchmark_monitor_config,
     simulate_modal_data,
 )
-from modalbayes.data import ModalDataset, shape_residual_sq
+from modalbayes.data import DataTerms, ModalDataset
 from modalbayes.inference import (
     CALIBRATION,
     AlgorithmConfig,
@@ -24,8 +24,11 @@ from modalbayes.inference import (
     objective,
     run_calibration,
     run_monitoring,
+    update_frequencies,
+    update_mode_shapes,
 )
-from modalbayes.model import StructuralModel, build_b, build_H, eigen_residual
+from modalbayes.model import (StructuralModel, build_b, build_H, build_HtH, eigen_residual,
+                              mode_products)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +161,44 @@ def unpack_state(x: np.ndarray, template: InferenceState) -> InferenceState:
     )
 
 
+def shape_residual_sq(dataset: ModalDataset, d: int, phi: np.ndarray) -> float:
+    """||Psi_hat - Gamma Phi||^2 computed segmentwise: the reference for the run's misfit."""
+    modes = np.asarray(phi, dtype=float).reshape(dataset.m, d)
+    picked = modes[:, dataset.observed_dofs]  # (m, s)
+    diff = dataset.psi_segments - picked[None, :, :]
+    return float(np.sum(diff * diff))
+
+
+def b_of(model: StructuralModel, omega2, phi) -> np.ndarray:
+    """The right-hand side b of ``omega2`` and ``phi``, with its mode products formed here."""
+    return build_b(omega2, *mode_products(model, phi))
+
+
+def mode_shapes_of(state: InferenceState, dataset: ModalDataset,
+                   model: StructuralModel) -> np.ndarray:
+    """The mode-shape update of ``state``, with the dataset terms formed here."""
+    return update_mode_shapes(state, DataTerms.from_dataset(dataset, model.d), model)
+
+
+def frequencies_of(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
+                   hmat: np.ndarray) -> np.ndarray:
+    """The frequency update of ``state``, given the regression matrix ``hmat`` of its Phi."""
+    mphi, k0phi = mode_products(model, state.phi)
+    kphi = k0phi + (hmat @ state.theta).reshape(mphi.shape)
+    return update_frequencies(state, DataTerms.from_dataset(dataset, model.d), mphi, kphi)
+
+
 def residual_of(model: StructuralModel, state: InferenceState) -> np.ndarray:
     """The eigen-equation residuals (K - omega2_i M) Phi_i of ``state``, built from scratch."""
     return eigen_residual(model, build_H(model, state.phi), state.theta,
-                          build_b(model, state.omega2, state.phi))
+                          b_of(model, state.omega2, state.phi))
+
+
+def hessian_inputs(state: InferenceState, dataset: ModalDataset, model: StructuralModel):
+    """The arguments of ``uncertainty.joint_hessian`` at ``state``, built from scratch."""
+    hmat = build_H(model, state.phi)
+    return (state, DataTerms.from_dataset(dataset, model.d), model, hmat,
+            build_HtH(model, hmat), residual_of(model, state))
 
 
 def dense_hessian(p_blocks, cross, core, start):

@@ -12,13 +12,18 @@ from pathlib import Path
 import numpy as np
 
 from conftest import (
+    b_of,
     cli_env,
     dense_hessian,
     fd_gradient,
     fd_hessian,
+    frequencies_of,
+    hessian_inputs,
+    mode_shapes_of,
     objective_of,
     pack_state,
     residual_of,
+    shape_residual_sq,
 )
 from modalbayes.bench import (
     ShearBuildingSpec,
@@ -31,7 +36,6 @@ from modalbayes.bench import (
     shear_building_model,
 )
 from modalbayes.damage import build_report
-from modalbayes.data import shape_residual_sq
 from modalbayes.inference import (
     AlgorithmConfig,
     initialize,
@@ -39,12 +43,10 @@ from modalbayes.inference import (
     update_alpha,
     update_beta,
     update_eta,
-    update_frequencies,
-    update_mode_shapes,
     update_rho,
     update_theta,
 )
-from modalbayes.model import build_b, build_H, build_HtH, eigen_solve
+from modalbayes.model import build_H, build_HtH, eigen_solve
 from modalbayes.uncertainty import cov_report, joint_hessian
 
 
@@ -162,15 +164,15 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
     }
 
     def apply_phi():
-        state.phi = update_mode_shapes(state, toy2_dataset, toy2_model)
+        state.phi = mode_shapes_of(state, toy2_dataset, toy2_model)
 
     def apply_eta_nu():
         state.eta, state.nu = update_eta(
             state, toy2_dataset, shape_residual_sq(toy2_dataset, toy2_model.d, state.phi))
 
     def apply_omega2():
-        state.omega2 = update_frequencies(state, toy2_dataset, toy2_model,
-                                          build_H(toy2_model, state.phi))
+        state.omega2 = frequencies_of(state, toy2_dataset, toy2_model,
+                                      build_H(toy2_model, state.phi))
 
     def apply_rho_tau():
         state.rho, state.tau = update_rho(state, toy2_dataset)
@@ -178,7 +180,7 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
     def apply_theta():
         hmat = build_H(toy2_model, state.phi)
         state.theta = update_theta(state, hmat, build_HtH(toy2_model, hmat),
-                                   build_b(toy2_model, state.omega2, state.phi), anchor)
+                                   b_of(toy2_model, state.omega2, state.phi), anchor)
 
     def apply_beta():
         state.beta = update_beta(state, residual_of(toy2_model, state))
@@ -200,8 +202,7 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
 def test_criterion_6_hessian_oracle(toy2_model, toy2_dataset, toy2_map):
     start = time.perf_counter()
     state = toy2_map.state_map
-    blocks = joint_hessian(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi),
-                           residual_of(toy2_model, state))[:3]
+    blocks = joint_hessian(*hessian_inputs(state, toy2_dataset, toy2_model))[:3]
     hess = dense_hessian(*blocks, 3 * state.m + 1)
     fun = objective_of(toy2_dataset, toy2_model, toy2_map.theta_anchor, state)
     fd = fd_hessian(fun, pack_state(state))

@@ -13,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -104,6 +105,20 @@ class TestSimulate:
         proc = run_cli(["simulate", "--building", "shear10", "--damage", "a=0.2"], cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flags, setting", [
+        (["--noise", "nan"], "noise level freq_cov"),
+        (["--shape-noise", "inf"], "noise level shape_cov"),
+        (["--unit-scale", "nan"], "unit_scale"),
+        (["--unit-scale", "inf"], "unit_scale"),
+    ])
+    def test_non_finite_setting_exit_2(self, tmp_path, flags, setting):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proc = run_cli(SIMULATE + flags + ["--out-dir", "out"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert re.search(f"error: {setting} must be finite", proc.stderr), proc.stderr
+        assert not (tmp_path / "out/dataset.json").exists()
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_exit_2(self, tmp_path, where):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modalbayes.data import (
+    DataTerms,
     ModalDataset,
     dataset_from_dict,
     dataset_to_dict,
@@ -11,7 +12,6 @@ from modalbayes.data import (
     load_dataset,
     observation_mask,
     save_dataset,
-    shape_residual_sq,
 )
 from modalbayes.errors import ConfigurationError
 
@@ -171,4 +171,5 @@ class TestSelectionHelpers:
         np.testing.assert_allclose(gamma.T @ ds.psi_hat, gamma_t_psi(ds, d), rtol=1e-12)
         phi = rng.normal(size=d * ds.m)
         expected = float(np.sum((ds.psi_hat - gamma @ phi) ** 2))
-        np.testing.assert_allclose(shape_residual_sq(ds, d, phi), expected, rtol=1e-12)
+        np.testing.assert_allclose(DataTerms.from_dataset(ds, d).shape_misfit(phi), expected,
+                                   rtol=1e-12)

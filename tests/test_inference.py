@@ -11,9 +11,19 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient, objective_of, pack_state, random_spd, residual_of
+from conftest import (
+    b_of,
+    fd_gradient,
+    frequencies_of,
+    mode_shapes_of,
+    objective_of,
+    pack_state,
+    random_spd,
+    residual_of,
+    shape_residual_sq,
+)
 from modalbayes.bench import NoiseSpec, simulate_modal_data
-from modalbayes.data import ModalDataset, gamma_t_psi, observation_mask, shape_residual_sq
+from modalbayes.data import ModalDataset, gamma_t_psi, observation_mask
 from modalbayes.errors import ConfigurationError, NumericalError
 from modalbayes.inference import (
     AlgorithmConfig,
@@ -24,9 +34,7 @@ from modalbayes.inference import (
     update_alpha,
     update_beta,
     update_eta,
-    update_frequencies,
     update_lambda_zeta,
-    update_mode_shapes,
     update_rho,
     update_theta,
 )
@@ -34,7 +42,6 @@ from modalbayes.model import (
     ShearBuildingSpec,
     StructuralModel,
     assemble_stiffness,
-    build_b,
     build_H,
     build_HtH,
     eigen_solve,
@@ -183,13 +190,13 @@ class TestUpdateModeShapes:
     def test_beta_zero_projects_to_segment_mean(self, toy2_model, toy2_dataset):
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.beta = 0.0
-        phi = update_mode_shapes(state, toy2_dataset, toy2_model)
+        phi = mode_shapes_of(state, toy2_dataset, toy2_model)
         np.testing.assert_allclose(phi, toy2_dataset.psi_segments.mean(axis=0)[0], rtol=1e-12)
 
     def test_exact_data_recovers_modes(self, toy2_model):
         ds = noisefree_dataset(toy2_model, [1.0, 1.0], m=2, q=3, observed=[0, 1])
         state = initialize(ds, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
-        phi = update_mode_shapes(state, ds, toy2_model)
+        phi = mode_shapes_of(state, ds, toy2_model)
         exact = eigen_solve(toy2_model, [1.0, 1.0], 2).mode_matrix()
         got = phi.reshape(2, 2)
         for i in range(2):
@@ -201,7 +208,7 @@ class TestUpdateModeShapes:
         state = initialize(toy2_dataset, toy2_model, anchor, AlgorithmConfig(mode="calibration"))
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         g_before = fd_gradient(fun, pack_state(state))
-        state.phi = update_mode_shapes(state, toy2_dataset, toy2_model)
+        state.phi = mode_shapes_of(state, toy2_dataset, toy2_model)
         g_after = fd_gradient(fun, pack_state(state))
         m = state.m
         block = slice(1 + 3 * m, 1 + 3 * m + state.phi.size)
@@ -213,7 +220,7 @@ class TestUpdateModeShapes:
         state = initialize(ds, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.beta = 0.0
         with pytest.raises(NumericalError, match="DOF 0"):
-            update_mode_shapes(state, ds, toy2_model)
+            mode_shapes_of(state, ds, toy2_model)
 
     def test_matches_dense_block_diagonal_solve(self):
         # reference: the (d*m, d*m) system with F = block_diag(A_i @ A_i)
@@ -231,7 +238,7 @@ class TestUpdateModeShapes:
             a = k - state.omega2[i] * model.mass
             blocks.append(state.beta * (a @ a) + state.eta * ds.q * np.diag(mask[i]))
         expected = np.linalg.solve(scipy.linalg.block_diag(*blocks), state.eta * gamma_t_psi(ds, d))
-        np.testing.assert_allclose(update_mode_shapes(state, ds, model), expected, rtol=1e-10)
+        np.testing.assert_allclose(mode_shapes_of(state, ds, model), expected, rtol=1e-10)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(banded_cases())
@@ -241,7 +248,7 @@ class TestUpdateModeShapes:
         blocks = dense_mode_shape_blocks(state, ds, model)
         expected = np.linalg.solve(scipy.linalg.block_diag(*blocks),
                                    state.eta * gamma_t_psi(ds, model.d)).reshape(state.m, -1)
-        got = update_mode_shapes(state, ds, model).reshape(state.m, -1)
+        got = mode_shapes_of(state, ds, model).reshape(state.m, -1)
         for i, block in enumerate(blocks):
             # the dense float64 reference is itself accurate only to about cond * eps: with
             # one sensor cond reaches 1e7, and the reference then differs from a 40-digit
@@ -268,7 +275,7 @@ class TestUpdateModeShapes:
         state.omega2 = np.array([1.0, 4.0])
         assert state.beta > 0
         with pytest.raises(NumericalError, match=r"mode 1 is not positive definite at DOF 2"):
-            update_mode_shapes(state, ds, model)
+            mode_shapes_of(state, ds, model)
 
 
 class TestUpdateEta:
@@ -321,7 +328,7 @@ class TestUpdateFrequencies:
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.beta = 0.0
         state.phi = np.array([0.5, 0.5])
-        omega2 = update_frequencies(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi))
+        omega2 = frequencies_of(state, toy2_dataset, toy2_model, build_H(toy2_model, state.phi))
         np.testing.assert_allclose(omega2, toy2_dataset.omega2_segments.mean(axis=0), rtol=1e-12)
 
     def test_exact_data_recovers_eigenvalues(self, toy2_model):
@@ -329,17 +336,17 @@ class TestUpdateFrequencies:
         state = initialize(ds, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         exact = eigen_solve(toy2_model, [1.0, 1.0], 2)
         state.phi = exact.phi.copy()
-        omega2 = update_frequencies(state, ds, toy2_model, build_H(toy2_model, state.phi))
+        omega2 = frequencies_of(state, ds, toy2_model, build_H(toy2_model, state.phi))
         np.testing.assert_allclose(omega2, exact.omega2, rtol=1e-8)
 
     def test_stationarity(self, toy2_model, toy2_dataset):
         anchor = np.ones(2)
         state = initialize(toy2_dataset, toy2_model, anchor, AlgorithmConfig(mode="calibration"))
-        state.phi = update_mode_shapes(state, toy2_dataset, toy2_model)
+        state.phi = mode_shapes_of(state, toy2_dataset, toy2_model)
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         g_before = fd_gradient(fun, pack_state(state))
-        state.omega2 = update_frequencies(state, toy2_dataset, toy2_model,
-                                          build_H(toy2_model, state.phi))
+        state.omega2 = frequencies_of(state, toy2_dataset, toy2_model,
+                                      build_H(toy2_model, state.phi))
         g_after = fd_gradient(fun, pack_state(state))
         block = slice(1, 1 + state.m)
         assert np.linalg.norm(g_after[block]) <= 1e-6 * max(np.linalg.norm(g_before), 1e-9)
@@ -400,9 +407,9 @@ class TestUpdateRho:
 class TestUpdateTheta:
     def test_large_alpha_gives_least_squares(self, toy2_model, toy2_dataset):
         state = initialize(toy2_dataset, toy2_model, [3.0, 3.0], AlgorithmConfig(mode="calibration"))
-        state.phi = update_mode_shapes(state, toy2_dataset, toy2_model)
+        state.phi = mode_shapes_of(state, toy2_dataset, toy2_model)
         hmat = build_H(toy2_model, state.phi)
-        bvec = build_b(toy2_model, state.omega2, state.phi)
+        bvec = b_of(toy2_model, state.omega2, state.phi)
         ls = np.linalg.solve(hmat.T @ hmat, hmat.T @ bvec)
         # default pinned value is close; pushing alpha further converges to LS
         hth = build_HtH(toy2_model, hmat)
@@ -418,16 +425,16 @@ class TestUpdateTheta:
         anchor = np.array([0.9, 1.1])
         hmat = build_H(toy2_model, state.phi)
         theta = update_theta(state, hmat, build_HtH(toy2_model, hmat),
-                             build_b(toy2_model, state.omega2, state.phi), anchor)
+                             b_of(toy2_model, state.omega2, state.phi), anchor)
         assert np.array_equal(theta, anchor)
 
     def test_matches_generic_quadratic_solver(self, toy2_model, toy2_dataset):
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="monitoring"))
-        state.phi = update_mode_shapes(state, toy2_dataset, toy2_model)
+        state.phi = mode_shapes_of(state, toy2_dataset, toy2_model)
         state.alpha = np.array([0.5, 0.02])
         anchor = np.array([0.95, 1.05])
         hmat = build_H(toy2_model, state.phi)
-        bvec = build_b(toy2_model, state.omega2, state.phi)
+        bvec = b_of(toy2_model, state.omega2, state.phi)
         beta = state.beta
 
         def quad(th):
@@ -451,11 +458,11 @@ class TestUpdateTheta:
         ds = simulate_modal_data(model, [1.0], m=1, q=3, observed_dofs=[0, 1],
                                  noise=NoiseSpec(0.02, 0.02, seed=6))
         state = initialize(ds, model, [1.0], AlgorithmConfig(mode="monitoring"))
-        state.phi = update_mode_shapes(state, ds, model)
+        state.phi = mode_shapes_of(state, ds, model)
         anchor = np.array([1.3])
         state.alpha = np.array([1e12])
         hmat = build_H(model, state.phi)
-        bvec = build_b(model, state.omega2, state.phi)
+        bvec = b_of(model, state.omega2, state.phi)
         hth = build_HtH(model, hmat)
         ls = update_theta(state, hmat, hth, bvec, anchor)[0]
         lo, hi = sorted([ls, anchor[0]])
@@ -467,12 +474,12 @@ class TestUpdateTheta:
     def test_stationarity(self, toy2_model, toy2_dataset):
         anchor = np.ones(2)
         state = initialize(toy2_dataset, toy2_model, anchor, AlgorithmConfig(mode="calibration"))
-        state.phi = update_mode_shapes(state, toy2_dataset, toy2_model)
+        state.phi = mode_shapes_of(state, toy2_dataset, toy2_model)
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         g_before = fd_gradient(fun, pack_state(state))
         hmat = build_H(toy2_model, state.phi)
         state.theta = update_theta(state, hmat, build_HtH(toy2_model, hmat),
-                                   build_b(toy2_model, state.omega2, state.phi), anchor)
+                                   b_of(toy2_model, state.omega2, state.phi), anchor)
         g_after = fd_gradient(fun, pack_state(state))
         assert np.linalg.norm(g_after[-2:]) <= 1e-6 * max(np.linalg.norm(g_before), 1e-9)
 
@@ -627,7 +634,7 @@ class TestObjective:
         # hand computation of the two theta-dependent terms
         def theta_terms(theta):
             hmat = build_H(toy2_model, state.phi)
-            bvec = build_b(toy2_model, state.omega2, state.phi)
+            bvec = b_of(toy2_model, state.omega2, state.phi)
             r = hmat @ theta - bvec
             d = anchor - theta
             return 0.5 * state.beta * (r @ r) + 0.5 * float(d @ (d / state.alpha))
@@ -741,16 +748,21 @@ class TestRunMonitoring:
 
 
 class TestSweepStructure:
-    """Each sweep assembles K(theta) once, builds its regression matrix H once and its
-    right-hand side b once, shared by the theta update and the residual H theta - b;
-    the mode-shape update solves on bands and forms no (m, d, d) operator stack.
-    The joint covariance reuses the run's H and residual: it forms the operator stack
-    once, assembling K(theta) once for it, builds the H of the residual once and
-    builds no b."""
+    """Each sweep assembles K(theta) once, builds its regression matrix H and its H^T H
+    once and its right-hand side b once, shared by the theta update and the residual
+    H theta - b; the mode-shape update solves on bands and forms no (m, d, d) operator
+    stack.  The observation mask and Gamma^T Psi_hat are formed once per run, before
+    the first sweep, and no sweep forms Sigma_theta: it is formed once, after the last.
+    The joint covariance reuses the run's H, H^T H and residual: it forms the operator
+    stack once, assembling K(theta) once for it, builds the H of the residual once and
+    builds no b and no H^T H."""
 
-    @staticmethod
-    def count_per_sweep(monkeypatch, run):
-        from modalbayes import inference, model, uncertainty
+    COUNTED = ("assemble_stiffness", "build_H", "build_b", "eigen_operators", "build_HtH",
+               "theta_covariance_from", "gamma_t_psi", "observation_mask")
+
+    @classmethod
+    def count_per_sweep(cls, monkeypatch, run):
+        from modalbayes import data, inference, model, uncertainty
 
         events = []
 
@@ -761,9 +773,12 @@ class TestSweepStructure:
             return wrapper
 
         # wrap each function at every name the package looks it up by
-        for home, name in ((model, "assemble_stiffness"), (model, "build_H"), (model, "build_b"),
-                           (model, "eigen_operators"), (inference, "update_mode_shapes"),
-                           (uncertainty, "joint_covariance")):
+        homes = {"assemble_stiffness": model, "build_H": model, "build_b": model,
+                 "eigen_operators": model, "build_HtH": model,
+                 "theta_covariance_from": uncertainty, "gamma_t_psi": data,
+                 "observation_mask": data, "update_mode_shapes": inference,
+                 "objective": inference, "joint_covariance": uncertainty}
+        for name, home in homes.items():
             original = getattr(home, name)
             wrapper = recording(name, original)
             for modname, mod in list(sys.modules.items()):
@@ -773,15 +788,16 @@ class TestSweepStructure:
                             monkeypatch.setattr(mod, attr, wrapper)
         result = run()
         monkeypatch.undo()
-        # the mode-shape update opens each sweep; the joint covariance follows the last
+        # the mode-shape update opens each sweep and the objective closes it; Sigma_theta
+        # and then the joint covariance follow the last sweep
         starts = [i for i, e in enumerate(events) if e == "update_mode_shapes"]
-        end = events.index("joint_covariance")
-        bounds = starts + [end]
-        sweeps = [events[a + 1:b] for a, b in zip(bounds, bounds[1:])]
-        assert len(sweeps) == result.iterations == 3
-        # everything after the joint covariance's own call is made inside it
-        return [(s.count("assemble_stiffness"), s.count("build_H"), s.count("build_b"),
-                 s.count("eigen_operators")) for s in sweeps + [events[end + 1:]]]
+        ends = [events.index("objective", i) for i in starts]
+        joint = events.index("joint_covariance")
+        assert len(starts) == result.iterations == 3
+        segments = ([events[:starts[0]]] + [events[a + 1:b] for a, b in zip(starts, ends)]
+                    + [events[ends[-1] + 1:joint], events[joint + 1:]])
+        # before the first sweep, during each, after the last, and inside the joint covariance
+        return [tuple(seg.count(name) for name in cls.COUNTED) for seg in segments]
 
     def test_one_assembly_and_one_H_per_sweep(self, monkeypatch):
         shear10 = shear_building_model(ShearBuildingSpec(stories=10), unit_scale=1e6)
@@ -795,9 +811,12 @@ class TestSweepStructure:
         calib_config = AlgorithmConfig(mode="calibration", tol_theta=1e-15, max_iterations=3)
         mon_config = AlgorithmConfig(mode="monitoring", tol_log_alpha=1e-15, max_iterations=3)
         calib = run_calibration(calib_ds, shear10, np.ones(10), calib_config)
+        # (assembly, H, b, operator stack, H^T H, Sigma_theta, Gamma^T Psi_hat, mask)
+        expected = ([(0, 1, 1, 0, 0, 0, 1, 1)] + [(1, 1, 1, 0, 1, 0, 0, 0)] * 3
+                    + [(0, 0, 0, 0, 0, 1, 0, 0), (1, 1, 0, 1, 0, 0, 0, 0)])
         assert self.count_per_sweep(
             monkeypatch, lambda: run_calibration(calib_ds, shear10, np.ones(10), calib_config)
-        ) == [(1, 1, 1, 0)] * 3 + [(1, 1, 0, 1)]
+        ) == expected
         assert self.count_per_sweep(
             monkeypatch, lambda: run_monitoring(mon_ds, shear10, calib.theta_map, mon_config)
-        ) == [(1, 1, 1, 0)] * 3 + [(1, 1, 0, 1)]
+        ) == expected

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from conftest import cli_env, dense_ksub
 from modalbayes import io
@@ -140,3 +141,13 @@ class TestManifests:
         assert manifest["outputs"]["output.csv"] == io.file_digest(out)
         assert manifest["tool_version"]
         assert manifest["timestamps"]["completed_utc"].startswith("2023-11-14")
+
+    def test_environment_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        io.write_manifest(tmp_path / "m.json", "simulate", {}, inputs=[], outputs=[])
+        env = json.loads((tmp_path / "m.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
+                                       "MKL_NUM_THREADS": None}

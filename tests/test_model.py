@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from modalbayes.bench import ShearBuildingSpec, shear_building_model
 from modalbayes.data import ModalDataset
 from modalbayes.errors import ConfigurationError, ModelError
-from modalbayes.inference import AlgorithmConfig, initialize, update_frequencies
+from modalbayes.inference import AlgorithmConfig, initialize
 from modalbayes.model import (
     StructuralModel,
     SystemModalState,
     assemble_stiffness,
-    build_b,
     build_H,
     build_HtH,
     eigen_operators,
@@ -25,7 +24,7 @@ from modalbayes.model import (
 
 from modalbayes.uncertainty import theta_precision
 
-from conftest import dense_ksub, random_spd, random_symmetric
+from conftest import b_of, dense_ksub, frequencies_of, random_spd, random_symmetric
 
 
 def random_model(rng, d=3, n=2):
@@ -169,7 +168,7 @@ class TestBuilders:
         model = StructuralModel.from_dense(mass=random_spd(rng, 3), k0=np.zeros((3, 3)),
                                            ksub=np.stack([random_symmetric(rng, 3)]))
         phi = rng.normal(size=6)
-        assert np.all(build_b(model, np.zeros(2), phi) == 0.0)
+        assert np.all(b_of(model, np.zeros(2), phi) == 0.0)
 
     def test_b_eigen_identity_k0_zero(self):
         # with K0 = 0 an exact eigenpair satisfies b = H @ theta
@@ -179,7 +178,7 @@ class TestBuilders:
         theta = np.array([1.2, 0.8])
         state = eigen_solve(model, theta, 2)
         hmat = build_H(model, state.phi)
-        bvec = build_b(model, state.omega2, state.phi)
+        bvec = b_of(model, state.omega2, state.phi)
         scale = np.abs(bvec).max()
         np.testing.assert_allclose(hmat @ theta, bvec, atol=1e-8 * scale)
 
@@ -188,7 +187,7 @@ class TestBuilders:
         model = random_model(rng, d=3, n=2)
         phi = rng.normal(size=6)
         omega2 = rng.uniform(1.0, 5.0, size=2)
-        np.testing.assert_allclose(build_b(model, omega2, phi), loop_b(model, omega2, phi),
+        np.testing.assert_allclose(b_of(model, omega2, phi), loop_b(model, omega2, phi),
                                    rtol=1e-12, atol=1e-12)
 
     def test_F_annihilates_exact_modes(self, toy2_model):
@@ -225,7 +224,7 @@ class TestBuilders:
         rng = np.random.default_rng(26)
         model = random_model(rng, d=3, n=2)
         phi = rng.normal(size=3)
-        resid = eigen_residual(model, build_H(model, phi), np.zeros(2), build_b(model, [0.0], phi))
+        resid = eigen_residual(model, build_H(model, phi), np.zeros(2), b_of(model, [0.0], phi))
         np.testing.assert_allclose(resid[0], model.k0 @ phi, rtol=1e-12)
 
     def test_G_c_match_loop(self):
@@ -246,7 +245,7 @@ class TestBuilders:
             g_loop[i * 3:(i + 1) * 3, i] = model.mass @ modes[i]
             c_loop[i * 3:(i + 1) * 3] = k @ modes[i]
         hmat = build_H(model, phi)
-        resid = eigen_residual(model, hmat, theta, build_b(model, omega2, phi))
+        resid = eigen_residual(model, hmat, theta, b_of(model, omega2, phi))
         np.testing.assert_allclose(resid.reshape(-1), c_loop - g_loop @ omega2, rtol=1e-12)
 
         segments = omega2 * rng.uniform(0.9, 1.1, size=(3, 2))
@@ -255,7 +254,7 @@ class TestBuilders:
         state.phi = phi
         lhs = state.beta * (g_loop.T @ g_loop) + dataset.q * np.diag(state.rho)
         rhs = state.beta * (g_loop.T @ c_loop) + state.rho * segments.sum(axis=0)
-        np.testing.assert_allclose(update_frequencies(state, dataset, model, hmat),
+        np.testing.assert_allclose(frequencies_of(state, dataset, model, hmat),
                                    np.linalg.solve(lhs, rhs), rtol=1e-12)
 
 
@@ -341,7 +340,7 @@ class TestEigenSolve:
 def eigen_residuals(model, theta, state):
     """Euclidean norm of (K(theta) - omega2_i M) Phi_i for each mode."""
     resid = eigen_residual(model, build_H(model, state.phi), theta,
-                           build_b(model, state.omega2, state.phi))
+                           b_of(model, state.omega2, state.phi))
     return np.linalg.norm(resid, axis=1)
 
 
@@ -379,7 +378,7 @@ class TestEigenResiduals:
         theta = rng.normal(size=2)
         phi = rng.normal(size=6)
         omega2 = rng.uniform(0.5, 3.0, size=2)
-        stacked = build_H(model, phi) @ theta - build_b(model, omega2, phi)
+        stacked = build_H(model, phi) @ theta - b_of(model, omega2, phi)
         state = SystemModalState(omega2=omega2, phi=phi)
         blocks = stacked.reshape(2, 3)
         np.testing.assert_allclose(np.linalg.norm(blocks, axis=1),

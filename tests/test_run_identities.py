@@ -1,0 +1,115 @@
+"""Property tests of the identities the run relies on to form each quantity once: the
+misfit from the segment mean and spread, the ARD block's diagonal of Sigma_theta, and the
+tiled joint inverse."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import dense_hessian, random_spd, random_symmetric, shape_residual_sq
+from modalbayes.data import DataTerms, ModalDataset
+from modalbayes.inference import ETA_MAX, AlgorithmConfig, initialize, update_eta
+from modalbayes.model import ShearBuildingSpec, shear_building_model
+from modalbayes.uncertainty import invert_hessian, theta_covariance_from, theta_variances
+
+
+@st.composite
+def shape_cases(draw):
+    """A dataset of q segments on s of d DOFs and mode shapes Phi of the model.
+
+    The segments scatter about a common shape at a relative spread of 1e-2 to 1, or are
+    all identical; Phi is the segment mean on the observed DOFs plus an offset of 0 to 1
+    relative, with random values on the unobserved DOFs.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    d = draw(st.integers(1, 8))
+    s = draw(st.integers(1, d))
+    m = draw(st.integers(1, 3))
+    q = draw(st.integers(3, 6))
+    observed = np.sort(rng.choice(d, size=s, replace=False))
+    base = rng.normal(size=(m, s))
+    identical = draw(st.booleans())
+    spread = 0.0 if identical else draw(st.floats(1e-2, 1.0))
+    shapes = base + spread * rng.normal(size=(q, m, s))
+    ds = ModalDataset(q=q, m=m, s=s, omega_hat2=rng.uniform(1.0, 2.0, q * m),
+                      psi_hat=shapes.reshape(-1), observed_dofs=observed)
+    phi = rng.normal(size=(m, d))
+    phi[:, observed] = shapes.mean(axis=0) + draw(st.floats(0.0, 1.0)) * rng.normal(size=(m, s))
+    return ds, phi.reshape(-1), identical
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(shape_cases())
+def test_misfit_from_mean_and_spread_matches_segmentwise_sum(case):
+    ds, phi, identical = case
+    d = phi.size // ds.m
+    terms = DataTerms.from_dataset(ds, d)
+    want = shape_residual_sq(ds, d, phi)
+    np.testing.assert_allclose(terms.shape_misfit(phi), want, rtol=1e-13, atol=0.0)
+    if identical:
+        assert terms.spread == 0.0
+        np.testing.assert_array_equal(terms.psi_mean, ds.psi_segments[0])
+
+
+def test_identical_segments_fit_exactly_and_clamp_eta():
+    # every segment is the same shape, and Phi reproduces it on the sensors
+    model = shear_building_model(ShearBuildingSpec(stories=4), unit_scale=1e6)
+    rng = np.random.default_rng(5)
+    shape = rng.normal(size=(2, 3))
+    ds = ModalDataset(q=4, m=2, s=3, omega_hat2=np.tile([1.0, 2.0], 4),
+                      psi_hat=np.tile(shape.reshape(-1), 4), observed_dofs=[0, 2, 3])
+    state = initialize(ds, model, np.ones(4), AlgorithmConfig())
+    phi = state.phi.reshape(2, 4)
+    phi[:, [0, 2, 3]] = shape
+    terms = DataTerms.from_dataset(ds, model.d)
+    assert terms.spread == 0.0
+    assert terms.shape_misfit(state.phi) == 0.0 == shape_residual_sq(ds, model.d, state.phi)
+    eta, _ = update_eta(state, ds, terms.shape_misfit(state.phi))
+    assert eta == ETA_MAX
+    assert "noise-free mode-shape data: eta clamped at maximum" in state.diagnostics
+
+
+@st.composite
+def precision_cases(draw):
+    """beta, H^T H of a random H, and ARD variances with some (or all) components pruned."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(1, 12))
+    hmat = rng.normal(size=(draw(st.integers(1, 2 * n)), n))
+    alpha = rng.uniform(1e-4, 1.0, n) * (rng.uniform(size=n) < draw(st.floats(0.0, 1.0)))
+    return draw(st.floats(0.1, 10.0)), hmat.T @ hmat, alpha
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(precision_cases())
+def test_ard_diagonal_matches_theta_covariance(case):
+    beta, hth, alpha = case
+    var = theta_variances(beta, hth, alpha)
+    np.testing.assert_allclose(var, np.diag(theta_covariance_from(beta, hth, alpha)),
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(var[alpha == 0.0], 0.0)
+    assert np.all(var[alpha > 0.0] > 0.0)
+
+
+@st.composite
+def hessian_cases(draw):
+    """Hessian blocks in the ``joint_hessian`` layout: m positive definite d x d blocks,
+    their rows in k other columns, and a symmetric (possibly indefinite) k x k core."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    m = draw(st.sampled_from([1, 2, 5]))
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(3, 8))
+    p_blocks = np.stack([random_spd(rng, d, scale=rng.uniform(0.5, 2.0)) for _ in range(m)])
+    cross = 0.3 * rng.normal(size=(m * d, k))
+    core = random_symmetric(rng, k, scale=0.2)
+    core[np.diag_indices(k)] += rng.choice([-1.0, 1.0], size=k) * rng.uniform(3.0, 6.0, k)
+    return p_blocks, cross, core, draw(st.integers(0, k))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(hessian_cases())
+def test_tiled_inverse_is_symmetric_and_matches_dense(case):
+    p_blocks, cross, core, start = case
+    cov = invert_hessian(p_blocks, cross, core, start)
+    np.testing.assert_array_equal(cov, cov.T)
+    want = np.linalg.inv(dense_hessian(p_blocks, cross, core, start))
+    np.testing.assert_allclose(cov, want, rtol=0.0, atol=1e-12 * np.abs(want).max())

@@ -6,11 +6,12 @@ import pytest
 from conftest import (
     dense_hessian,
     fd_hessian,
+    hessian_inputs,
     objective_of,
     pack_state,
     random_spd,
     random_symmetric,
-    residual_of,
+    b_of,
     two_stage,
     two_stage_data,
 )
@@ -28,7 +29,7 @@ from modalbayes.bench import (
 from modalbayes.data import observation_mask
 from modalbayes.errors import NumericalError
 from modalbayes.inference import AlgorithmConfig, initialize
-from modalbayes.model import StructuralModel, assemble_stiffness, build_b, build_H
+from modalbayes.model import StructuralModel, assemble_stiffness, build_H
 from modalbayes.uncertainty import (
     cov_report,
     invert_hessian,
@@ -94,8 +95,7 @@ class TestThetaCovariance:
 
 def assembled(state, dataset, model):
     """The dense joint Hessian of ``state`` and its labels."""
-    *blocks, labels = joint_hessian(state, dataset, model, build_H(model, state.phi),
-                                    residual_of(model, state))
+    *blocks, labels = joint_hessian(*hessian_inputs(state, dataset, model))
     return dense_hessian(*blocks, 3 * state.m + 1), labels
 
 
@@ -185,7 +185,7 @@ class TestJointHessian:
                 l3[blk, col] = (a_i @ kj + kj @ a_i) @ modes[i]
                 l2[i, col] = modes[i] @ (kj @ (model.mass @ modes[i]))
         hmat = build_H(model, state.phi)
-        v_bth = (hmat.T @ (hmat @ state.theta - build_b(model, state.omega2, state.phi)))[free_idx]
+        v_bth = (hmat.T @ (hmat @ state.theta - b_of(model, state.omega2, state.phi)))[free_idx]
         phi_block = state.beta * fmat + state.eta * ds.q * np.diag(observation_mask(ds, d))
 
         def close(got, want):
@@ -208,8 +208,7 @@ NO_PHI = np.zeros((0, 0, 0))
 class TestJointCovariance:
     def test_positive_semidefinite_at_map(self, toy2_map, toy2_dataset, toy2_model):
         state = toy2_map.state_map
-        cov, _ = joint_covariance(state, toy2_dataset, toy2_model,
-                                  build_H(toy2_model, state.phi), residual_of(toy2_model, state))
+        cov, _ = joint_covariance(*hessian_inputs(state, toy2_dataset, toy2_model))
         np.testing.assert_allclose(cov, cov.T, rtol=1e-12)
         eig = np.linalg.eigvalsh(cov)
         assert eig.min() >= -1e-10 * eig.max()
@@ -280,9 +279,7 @@ class TestStructuredInverse:
         model, runs = converged_runs(6, 2, "partial", 1)
         result, dataset = runs[0]
         state = result.state_map
-        p_blocks, cross, core, _ = joint_hessian(state, dataset, model,
-                                                 build_H(model, state.phi),
-                                                 residual_of(model, state))
+        p_blocks, cross, core, _ = joint_hessian(*hessian_inputs(state, dataset, model))
         # keep the block positive semidefinite but give it the null vector v
         tile = p_blocks[1]
         v = tile @ np.ones(model.d)
@@ -293,8 +290,8 @@ class TestStructuredInverse:
     def test_run_with_singular_phi_block_flags(self, monkeypatch):
         blocks_of = uncertainty.joint_hessian
 
-        def singular_phi(state, dataset, model, hmat, resid):
-            p_blocks, cross, core, labels = blocks_of(state, dataset, model, hmat, resid)
+        def singular_phi(*args):
+            p_blocks, cross, core, labels = blocks_of(*args)
             p_blocks[0] = 1.0  # rank one
             return p_blocks, cross, core, labels
 
