@@ -260,7 +260,7 @@ def example1_harness(config: dict | None = None, out_dir=None) -> dict:
             record("segments", scenario, 4, q, 1.0, result, dataset)
             traced[f"m4_q{q}_{scenario}"] = result
 
-    traces = {name: result.theta_trace for name, result in traced.items()}
+    traces = {name: np.array([r.theta for r in res.records]) for name, res in traced.items()}
     outputs = {"tables": tables, "traces": traces, "theta_init": theta0}
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -37,7 +37,7 @@ from .damage import (
     write_probability_csv,
     write_ratios_csv,
 )
-from .data import load_dataset, save_dataset
+from .data import load_dataset, read_json, save_dataset
 from .errors import ConfigurationError, ModalBayesError, NumericalError
 from .inference import CALIBRATION, MONITORING, AlgorithmConfig, run_calibration, run_monitoring
 from .model import ShearBuildingSpec
@@ -76,12 +76,7 @@ def _config_tokens(path: str) -> list[str]:
     A key is an option name with dashes or underscores; ``true`` gives a bare
     flag, ``false`` and ``null`` give nothing and a list is joined with commas.
     """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+    payload = read_json(path, "config")
     if not isinstance(payload, dict):
         raise ConfigurationError("config file must contain a JSON object")
     tokens = []
@@ -146,8 +141,10 @@ def _theta_init_arg(args, n: int) -> np.ndarray:
     if text.startswith("uniform:"):
         try:
             low, high = (float(v) for v in text[len("uniform:"):].split(","))
+            if not (np.isfinite(low) and np.isfinite(high) and low <= high):
+                raise ValueError("the interval low,high must be finite with low <= high")
         except ValueError as exc:
-            raise ConfigurationError(f"bad --theta-init {text!r}") from exc
+            raise ConfigurationError(f"bad --theta-init {text!r}: {exc}") from exc
         return harness_theta_init(n, (low, high), args.seed if args.seed is not None else 0)
     path = Path(text)
     if path.is_file():

@@ -20,16 +20,21 @@ VARIANCE_PAIRINGS = ("as_printed", "conventional")
 # f from 0 to 0.25 in steps of 0.0025 covers the loss range of interest.
 DEFAULT_F_MAX = 0.25
 DEFAULT_F_STEP = 0.0025
+# The most steps a loss grid may have: 100 times the default grid.
+MAX_F_STEPS = 10_000
 
 
 def default_f_grid(f_max: float = DEFAULT_F_MAX, f_step: float = DEFAULT_F_STEP) -> np.ndarray:
-    """Loss fractions 0, f_step, ..., f_max; f_max must be a whole number of steps."""
+    """Loss fractions 0, f_step, ..., f_max: a whole number of steps, at most ``MAX_F_STEPS``."""
     if not (f_step > 0.0 and 0.0 <= f_max <= 1.0):
         raise ConfigurationError(
             f"the loss grid needs a positive step and a maximum in [0, 1], "
             f"got f_step={f_step}, f_max={f_max}"
         )
     steps = f_max / f_step
+    if steps > MAX_F_STEPS + 0.5:  # it rounds to more than MAX_F_STEPS
+        raise ConfigurationError(f"the loss grid may have at most {MAX_F_STEPS} steps, "
+                                 f"got f_max={f_max}, f_step={f_step}")
     count = round(steps)
     # the quotient may miss a whole number by its rounding only
     if abs(steps - count) > 1e-9 * max(steps, 1.0):

@@ -281,15 +281,19 @@ def dataset_from_dict(payload: dict, normalization: str = "none") -> ModalDatase
     return ModalDataset.from_segments(omega2, shapes, observed, normalization=normalization)
 
 
-def load_dataset(path, normalization: str = "none") -> ModalDataset:
-    path = Path(path)
+def read_json(path, kind: str):
+    """The payload of the ``kind`` JSON file at ``path``; a missing or malformed file
+    is a ``ConfigurationError``."""
     try:
-        payload = json.loads(path.read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
-        raise ConfigurationError(f"dataset file not found: {path}") from exc
+        raise ConfigurationError(f"{kind} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"dataset file {path} is not valid JSON: {exc}") from exc
-    return dataset_from_dict(payload, normalization=normalization)
+        raise ConfigurationError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_dataset(path, normalization: str = "none") -> ModalDataset:
+    return dataset_from_dict(read_json(path, "dataset"), normalization=normalization)
 
 
 def save_dataset(dataset: ModalDataset, path) -> None:

@@ -19,30 +19,13 @@ lambda = 0 with a floor kappa > 0 the exponential hyper-prior on precisions.
 The equation-error precision beta has a Gamma(1, b0) prior whose rate is a
 constant of the stage (``BETA_PRIOR_RATE``), not a setting.
 
-Update order within a sweep is fixed: (mode shapes, eta), (frequencies, rho),
-theta, beta, then the ARD block in monitoring mode.
-
 Formed once per run, before the first sweep (``data.DataTerms``): the
 observation mask, Gamma^T Psi_hat, the segment sums of the identified squared
 frequencies, and the segment-mean shape psi_bar with the spread
-S0 = sum_r ||psi_r - psi_bar||^2 of the segments about it.
-
-Formed once per sweep: the mode-shape update assembles K(theta) once, builds
-the bands of every mode's positive definite system in one expression and
-solves them together by one banded Cholesky call; no (m, d, d) operator stack
-is formed in a sweep.  Right after it come four quantities of the new mode
-shapes: the misfit ||Psi_hat - Gamma Phi||^2 = S0 + q ||psi_bar - Gamma_0 Phi||^2,
-which the eta update and the objective read; the regression matrix H and its
-H^T H, which the theta update (another Cholesky solve) and the ARD block read;
-and the products M Phi_i and K0 Phi_i, which the frequency update and b read.  Every
-later block of the sweep reads K(theta) Phi_i = K0 Phi_i + (H theta)_i from H
-instead of assembling K(theta).  The right-hand side b, built once after the
-frequency update, feeds the theta update and the residual r = H theta - b.  r
-is formed after the theta update, read by the beta update and the objective,
-and formed again only when pruning moves theta.  The ARD block reads only the
-diagonal of Sigma_theta, from the Cholesky factor of its precision; the full
-Sigma_theta and the joint covariance (which reuses H, H^T H and r of the last
-sweep) are formed once, after the last sweep.
+S0 = sum_r ||psi_r - psi_bar||^2 of the segments about it.  Formed once per
+sweep: everything ``sweep`` lists.  Formed once, after the last sweep: the
+full Sigma_theta with the c.o.v. it gives, and the joint covariance, which
+reuses the H, H^T H and r of the last sweep.
 """
 
 from __future__ import annotations
@@ -120,6 +103,8 @@ class AlgorithmConfig:
             raise ConfigurationError("tolerances and alpha_min must be positive")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be at least 1")
+        if self.min_sweeps_before_pruning < 0:
+            raise ConfigurationError("min_sweeps_before_pruning must be nonnegative")
         if self.lambda_fixed is not None and self.lambda_fixed < 0:
             raise ConfigurationError("lambda_fixed must be nonnegative")
 
@@ -162,9 +147,21 @@ class InferenceState:
             self.diagnostics.append(message)
 
 
+@dataclass(frozen=True)
+class SweepRecord:
+    """theta, alpha and the objective J after a sweep, the components it pruned and
+    its step (``sweep``); the initial record holds the starting state, step inf."""
+
+    theta: np.ndarray
+    alpha: np.ndarray
+    objective: float
+    pruned: tuple
+    step: float
+
+
 @dataclass
 class InferenceResult:
-    """MAP state, posterior covariances and run history."""
+    """MAP state, posterior covariances and the records of the start and each sweep."""
 
     mode: str
     state_map: InferenceState
@@ -173,9 +170,7 @@ class InferenceResult:
     cov_theta: np.ndarray
     full_cov: np.ndarray | None
     full_cov_labels: list | None
-    objective_trace: np.ndarray
-    theta_trace: np.ndarray
-    alpha_trace: np.ndarray | None
+    records: list[SweepRecord]
     pruning_events: list
     iterations: int
     converged: bool
@@ -453,8 +448,7 @@ def objective(state: InferenceState, dataset: ModalDataset, resid: np.ndarray,
     j += -math.log(state.nu) + state.nu * state.eta
 
     diff = anchor - state.theta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(state.alpha > 0, diff * diff / np.where(state.alpha > 0, state.alpha, 1.0), 0.0)
+    terms = np.where(state.alpha > 0, diff * diff / np.where(state.alpha > 0, state.alpha, 1.0), 0.0)
     zero_alpha = state.alpha == 0
     if np.any(zero_alpha & (diff != 0.0)):
         return math.inf
@@ -469,80 +463,104 @@ def objective(state: InferenceState, dataset: ModalDataset, resid: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
-         config: AlgorithmConfig) -> InferenceResult:
+def sweep(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
+          terms: DataTerms, anchor: np.ndarray, config: AlgorithmConfig,
+          index: int) -> tuple[SweepRecord, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Sweep ``index`` (from 1): update each block of ``state`` once, in place, in the
+    fixed order (mode shapes, eta), (frequencies, rho), theta, beta, then the ARD block
+    in monitoring mode.  Returns the record, whose step is max|delta theta| in
+    calibration and max|delta log alpha| over the free components in monitoring (inf
+    at sweep 1, 0 once every component is pruned), and the last H, H^T H and r, which
+    only the covariances after the last sweep read.
+
+    Formed once per sweep: the mode-shape update assembles K(theta) once and solves
+    the bands of every mode's positive definite system, built in one expression, by
+    one banded Cholesky call; no (m, d, d) operator stack is formed.  Right after it
+    come four quantities of the new mode shapes: the misfit ||Psi_hat - Gamma Phi||^2
+    = S0 + q ||psi_bar - Gamma_0 Phi||^2, read by the eta update and the objective; H
+    and H^T H, read by the theta update (another Cholesky solve) and the ARD block;
+    and M Phi_i and K0 Phi_i, read by the frequency update and b.  Later blocks read
+    K(theta) Phi_i = K0 Phi_i + (H theta)_i instead of assembling K(theta).  b, built
+    once after the frequency update, feeds the theta update and r = H theta - b.  r
+    is formed after the theta update, read by the beta update and the objective, and
+    formed again only when pruning moves theta.  The ARD block reads only the
+    diagonal of Sigma_theta, from the Cholesky factor of its precision.
+    """
+    state.phi = update_mode_shapes(state, terms, model)
+    shape_sq = terms.shape_misfit(state.phi)
+    hmat = build_H(model, state.phi)
+    hth = build_HtH(model, hmat)
+    mphi, k0phi = mode_products(model, state.phi)
+    if not config.fixed("eta"):
+        state.eta, state.nu = update_eta(state, dataset, shape_sq)
+    kphi = k0phi + (hmat @ state.theta).reshape(k0phi.shape)
+    state.omega2 = update_frequencies(state, terms, mphi, kphi)
+    bvec = build_b(state.omega2, mphi, k0phi)
+    if not config.fixed("phi"):
+        state.rho, state.tau = update_rho(state, dataset)
+    theta_prev, alpha_prev = state.theta, state.alpha
+    state.theta = update_theta(state, hmat, hth, bvec, anchor)
+    resid = eigen_residual(model, hmat, state.theta, bvec)
+    if not config.fixed("beta"):
+        state.beta = update_beta(state, resid)
+
+    pruned = ()
+    if config.mode == CALIBRATION:
+        step = float(np.max(np.abs(state.theta - theta_prev)))
+    else:
+        free = state.free_mask()
+        cov_diag = uncertainty.theta_variances(state.beta, hth, state.alpha)
+        state.alpha = update_alpha(state, anchor, cov_diag, config.kappa)
+        if config.lambda_fixed is None:
+            state.lam, state.zeta = update_lambda_zeta(state)
+        if index >= config.min_sweeps_before_pruning:
+            newly = np.flatnonzero(free & (state.alpha < config.alpha_min))
+            state.alpha[newly] = 0.0
+            state.theta[newly] = anchor[newly]
+            pruned = tuple(newly.tolist())
+            if newly.size:
+                resid = eigen_residual(model, hmat, state.theta, bvec)
+        free = state.free_mask()
+        if not np.any(free):
+            step = 0.0  # everything pruned: report zero stiffness change
+        elif index == 1:
+            step = math.inf
+        else:
+            # a zero alpha stays zero, so every component free now was free before
+            step = float(np.max(np.abs(np.log(state.alpha[free] / alpha_prev[free]))))
+
+    record = SweepRecord(state.theta.copy(), state.alpha.copy(),
+                         objective(state, dataset, resid, shape_sq, anchor), pruned, step)
+    return record, (hmat, hth, resid)
+
+
+def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: AlgorithmConfig,
+         mode: str) -> InferenceResult:
+    """Sweep from the anchor until a record's step is below the mode's tolerance or
+    ``max_iterations`` sweeps have run."""
+    if config.mode != mode:
+        raise ConfigurationError(f"run_{mode} requires config.mode == {mode!r}")
     anchor = np.asarray(anchor, dtype=float)
-    state = initialize(dataset, model, theta_init, config)
-    monitoring = config.mode == MONITORING
+    state = initialize(dataset, model, anchor, config)
     terms = DataTerms.from_dataset(dataset, model.d)
 
-    hmat = build_H(model, state.phi)
-    theta_trace = [state.theta.copy()]
-    resid = eigen_residual(model, hmat, state.theta,
+    resid = eigen_residual(model, build_H(model, state.phi), state.theta,
                            build_b(state.omega2, *mode_products(model, state.phi)))
-    shape_sq = terms.shape_misfit(state.phi)
-    objective_trace = [objective(state, dataset, resid, shape_sq, anchor)]
-    alpha_trace = [state.alpha.copy()] if monitoring else None
-    pruning_events: list[tuple[int, int]] = []
-
-    converged = False
-    sweeps = 0
-    for sweep in range(1, config.max_iterations + 1):
-        sweeps = sweep
-        state.phi = update_mode_shapes(state, terms, model)
-        shape_sq = terms.shape_misfit(state.phi)
-        hmat = build_H(model, state.phi)
-        hth = build_HtH(model, hmat)
-        mphi, k0phi = mode_products(model, state.phi)
-        if not config.fixed("eta"):
-            state.eta, state.nu = update_eta(state, dataset, shape_sq)
-        kphi = k0phi + (hmat @ state.theta).reshape(k0phi.shape)
-        state.omega2 = update_frequencies(state, terms, mphi, kphi)
-        bvec = build_b(state.omega2, mphi, k0phi)
-        if not config.fixed("phi"):
-            state.rho, state.tau = update_rho(state, dataset)
-        theta_prev = state.theta
-        state.theta = update_theta(state, hmat, hth, bvec, anchor)
-        resid = eigen_residual(model, hmat, state.theta, bvec)
-        if not config.fixed("beta"):
-            state.beta = update_beta(state, resid)
-
-        if monitoring:
-            free = state.free_mask()
-            cov_diag = uncertainty.theta_variances(state.beta, hth, state.alpha)
-            state.alpha = update_alpha(state, anchor, cov_diag, config.kappa)
-            if config.lambda_fixed is None:
-                state.lam, state.zeta = update_lambda_zeta(state)
-            if sweep >= config.min_sweeps_before_pruning:
-                newly = np.flatnonzero(free & (state.alpha < config.alpha_min))
-                state.alpha[newly] = 0.0
-                state.theta[newly] = anchor[newly]
-                pruning_events += [(sweep, int(j)) for j in newly]
-                if newly.size:
-                    resid = eigen_residual(model, hmat, state.theta, bvec)
-            alpha_trace.append(state.alpha.copy())
-
-        theta_trace.append(state.theta.copy())
-        objective_trace.append(objective(state, dataset, resid, shape_sq, anchor))
-
-        if monitoring:
-            free = state.free_mask()
-            if not np.any(free):
-                converged = True  # everything pruned: report zero stiffness change
-            elif sweep >= 2:
-                # a zero alpha stays zero, so every component free now was free before
-                step = np.max(np.abs(np.log(state.alpha[free] / alpha_trace[-2][free])))
-                converged = step < config.tol_log_alpha
-        else:
-            converged = float(np.max(np.abs(state.theta - theta_prev))) < config.tol_theta
+    start = objective(state, dataset, resid, terms.shape_misfit(state.phi), anchor)
+    records = [SweepRecord(state.theta.copy(), state.alpha.copy(), start, (), math.inf)]
+    tol = config.tol_log_alpha if mode == MONITORING else config.tol_theta
+    for index in range(1, config.max_iterations + 1):
+        record, (hmat, hth, resid) = sweep(state, dataset, model, terms, anchor, config, index)
+        records.append(record)
+        converged = record.step < tol
         if converged:
             break
 
     # rows of pruned components are exactly zero, so their c.o.v. is too
     theta_cov = uncertainty.theta_covariance_from(state.beta, hth, state.alpha)
     sigma = np.sqrt(np.clip(np.diag(theta_cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cov_theta = np.where(state.theta != 0, sigma / np.abs(state.theta), 0.0)
+    nonzero = state.theta != 0
+    cov_theta = np.where(nonzero, sigma / np.abs(np.where(nonzero, state.theta, 1.0)), 0.0)
 
     full_cov = labels = None
     try:
@@ -558,11 +576,9 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
         cov_theta=cov_theta,
         full_cov=full_cov,
         full_cov_labels=labels,
-        objective_trace=np.asarray(objective_trace),
-        theta_trace=np.asarray(theta_trace),
-        alpha_trace=None if alpha_trace is None else np.asarray(alpha_trace),
-        pruning_events=pruning_events,
-        iterations=sweeps,
+        records=records,
+        pruning_events=[(k, j) for k, record in enumerate(records) for j in record.pruned],
+        iterations=len(records) - 1,
         converged=converged,
     )
 
@@ -570,16 +586,12 @@ def _run(dataset: ModalDataset, model: StructuralModel, theta_init, anchor,
 def run_calibration(dataset: ModalDataset, model: StructuralModel, theta_init,
                     config: AlgorithmConfig | None = None) -> InferenceResult:
     """Algorithm 1: calibrate stiffness scaling parameters on undamaged data."""
-    config = config or AlgorithmConfig(mode=CALIBRATION)
-    if config.mode != CALIBRATION:
-        raise ConfigurationError("run_calibration requires config.mode == 'calibration'")
-    return _run(dataset, model, theta_init, anchor=theta_init, config=config)
+    return _run(dataset, model, theta_init, config or AlgorithmConfig(mode=CALIBRATION),
+                CALIBRATION)
 
 
 def run_monitoring(dataset: ModalDataset, model: StructuralModel, theta_u_hat,
                    config: AlgorithmConfig | None = None) -> InferenceResult:
     """Algorithm 2: sparse stiffness-change inference anchored at the calibration MAP."""
-    config = config or AlgorithmConfig(mode=MONITORING)
-    if config.mode != MONITORING:
-        raise ConfigurationError("run_monitoring requires config.mode == 'monitoring'")
-    return _run(dataset, model, theta_u_hat, anchor=theta_u_hat, config=config)
+    return _run(dataset, model, theta_u_hat, config or AlgorithmConfig(mode=MONITORING),
+                MONITORING)

@@ -19,8 +19,9 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .data import read_json
 from .errors import ConfigurationError
-from .inference import InferenceResult, InferenceState
+from .inference import MONITORING, InferenceResult, InferenceState
 from .model import ShearBuildingSpec, StructuralModel, shear_building_model
 
 
@@ -76,14 +77,7 @@ def model_to_dict(model: StructuralModel) -> dict:
 
 
 def load_model(path) -> StructuralModel:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"model file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(payload)
+    return model_from_dict(read_json(path, "model"))
 
 
 def save_model(model_or_payload, path) -> None:
@@ -153,9 +147,7 @@ def result_from_dict(payload: dict) -> InferenceResult:
             cov_theta=arrays["cov_theta"],
             full_cov=None,
             full_cov_labels=None,
-            objective_trace=np.empty(0),
-            theta_trace=np.empty((0, state.n)),
-            alpha_trace=None,
+            records=[],
             pruning_events=[(int(s), int(j)) for s, j in payload.get("pruning_events", [])],
             iterations=int(payload["iterations"]),
             converged=bool(payload["converged"]),
@@ -185,30 +177,19 @@ def save_result(result: InferenceResult, path) -> None:
 
 
 def load_result(path) -> InferenceResult:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"result file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"result file {path} is not valid JSON: {exc}") from exc
-    return result_from_dict(payload)
+    return result_from_dict(read_json(path, "result"))
 
 
 def write_trace_csv(result: InferenceResult, path) -> None:
-    n = result.theta_trace.shape[1]
+    """One row per record: the sweep, J and theta, then alpha in a monitoring run."""
+    columns = ("theta", "alpha") if result.mode == MONITORING else ("theta",)
+    names = [f"{c}_{j + 1}" for c in columns for j in range(result.state_map.n)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["sweep", "objective"] + [f"theta_{j + 1}" for j in range(n)]
-        if result.alpha_trace is not None:
-            header += [f"alpha_{j + 1}" for j in range(n)]
-        writer.writerow(header)
-        for k in range(result.theta_trace.shape[0]):
-            row = [k, repr(float(result.objective_trace[k]))]
-            row += [repr(float(v)) for v in result.theta_trace[k]]
-            if result.alpha_trace is not None:
-                row += [repr(float(v)) for v in result.alpha_trace[k]]
-            writer.writerow(row)
+        writer.writerow(["sweep", "objective"] + names)
+        for k, record in enumerate(result.records):
+            values = [v for c in columns for v in getattr(record, c)]
+            writer.writerow([k, repr(float(record.objective))] + [repr(float(v)) for v in values])
 
 
 def write_cov_table_csv(rows: list, path) -> None:

@@ -237,6 +237,16 @@ class TestCalibrate:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("interval", ["3,2", "nan,1", "1,inf"],
+                             ids=["reversed", "nan", "inf"])
+    def test_bad_theta_init_interval_exit_2(self, pipeline_dir, interval):
+        proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
+                        "run/dataset.json", "--theta-init", f"uniform:{interval}",
+                        "--out-dir", "bad"], cwd=pipeline_dir)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: bad --theta-init" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (pipeline_dir / "bad/calibration.json").exists()
+
     def test_unit_scale_with_model_exit_2(self, pipeline_dir):
         proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
                         "run/dataset.json", "--unit-scale", "5", "--out-dir", "us"],
@@ -370,6 +380,15 @@ class TestMonitor:
         assert "error: lambda_fixed must be finite" in proc.stderr
         assert not (tmp_path / "bad/monitoring.json").exists()
 
+    def test_negative_min_sweeps_exit_2(self, stage_dir, tmp_path):
+        proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                        f"{stage_dir}/dmg/dataset.json", "--calibration",
+                        f"{stage_dir}/calib/calibration.json",
+                        "--min-sweeps", "-3", "--out-dir", "bad"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: min_sweeps_before_pruning must be nonnegative" in proc.stderr
+        assert not (tmp_path / "bad/monitoring.json").exists()
+
     def test_lambda_zero_classic_sbl(self, stage_dir, tmp_path):
         proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
                         f"{stage_dir}/dmg/dataset.json", "--calibration",
@@ -397,9 +416,11 @@ class TestReport:
         assert (tmp_path / "rep/report_ratios.csv").read_bytes() == first
 
     @pytest.mark.parametrize("grid", [["--fstep", "0"], ["--fstep", "-0.01"], ["--fmax", "-0.1"],
-                                      ["--fmax", "0.25", "--fstep", "0.1"], ["--fmax", "inf"]],
+                                      ["--fmax", "0.25", "--fstep", "0.1"], ["--fmax", "inf"],
+                                      ["--fstep", "1e-300"], ["--fstep", "1e-5"]],
                              ids=["fstep_zero", "fstep_negative", "fmax_negative",
-                                  "fmax_not_whole_steps", "fmax_inf"])
+                                  "fmax_not_whole_steps", "fmax_inf", "fstep_tiny",
+                                  "more_steps_than_allowed"])
     def test_bad_loss_grid_exit_2(self, stage_dir, tmp_path, grid):
         proc = run_cli(["report", "--calibration", f"{stage_dir}/calib/calibration.json",
                         "--monitoring", f"{stage_dir}/mon/monitoring.json",

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from modalbayes.damage import (
+    MAX_F_STEPS,
     build_report,
     damage_probability,
     default_f_grid,
@@ -38,8 +39,7 @@ def fake_result(theta, sigma, fixed=(), anchor=None, mode="monitoring"):
     return InferenceResult(
         mode=mode, state_map=state, theta_anchor=anchor, theta_cov=cov,
         cov_theta=cov_theta, full_cov=None, full_cov_labels=None,
-        objective_trace=np.empty(0), theta_trace=np.empty((0, n)), alpha_trace=None,
-        pruning_events=[], iterations=1, converged=True,
+        records=[], pruning_events=[], iterations=1, converged=True,
     )
 
 
@@ -151,6 +151,8 @@ class TestLossGrid:
         # 0.3 / 0.1 is 2.9999999999999996 in floating point
         np.testing.assert_array_equal(default_f_grid(0.3, 0.1), np.linspace(0.0, 0.3, 4))
         np.testing.assert_array_equal(default_f_grid(0.0, 0.1), [0.0])
+        # 1 / 1e-4 is 10000.000000000002: the largest grid allowed
+        assert default_f_grid(1.0, 1e-4).size == MAX_F_STEPS + 1
 
     @pytest.mark.parametrize("f_max, f_step", [(0.25, 0.1), (0.3, 0.07), (0.01, 0.02)])
     def test_partial_step_rejected(self, f_max, f_step):

@@ -1,6 +1,7 @@
 """Coordinate updates against closed-form, fixed-point and FD oracles."""
 
 import copy
+import math
 import re
 import sys
 
@@ -21,9 +22,12 @@ from conftest import (
     random_spd,
     residual_of,
     shape_residual_sq,
+    two_stage,
+    two_stage_data,
 )
-from modalbayes.bench import NoiseSpec, simulate_modal_data
-from modalbayes.data import ModalDataset, gamma_t_psi, observation_mask
+from modalbayes.bench import (DEFAULT_HARNESS_CONFIG, NoiseSpec, benchmark_monitor_config,
+                             simulate_modal_data)
+from modalbayes.data import DataTerms, ModalDataset, gamma_t_psi, observation_mask
 from modalbayes.errors import ConfigurationError, NumericalError
 from modalbayes.inference import (
     AlgorithmConfig,
@@ -31,6 +35,7 @@ from modalbayes.inference import (
     objective,
     run_calibration,
     run_monitoring,
+    sweep,
     update_alpha,
     update_beta,
     update_eta,
@@ -682,7 +687,7 @@ class TestObjective:
                                  fix_hypers={"beta": 5.0, "eta": 50.0, "phi": 0.5},
                                  tol_theta=1e-10, max_iterations=200)
         result = run_calibration(toy2_dataset, toy2_model, np.array([2.0, 2.5]), config)
-        diffs = np.diff(result.objective_trace)
+        diffs = np.diff([record.objective for record in result.records])
         assert np.all(diffs <= 1e-10)
 
 
@@ -698,14 +703,14 @@ class TestRunCalibration:
         config = AlgorithmConfig(mode="calibration")
         r1 = run_calibration(toy2_dataset, toy2_model, np.array([2.0, 2.0]), config)
         r2 = run_calibration(toy2_dataset, toy2_model, np.array([2.0, 2.0]), config)
-        assert np.array_equal(r1.theta_trace, r2.theta_trace)
-        assert np.array_equal(r1.objective_trace, r2.objective_trace)
+        for a, b in zip(r1.records, r2.records, strict=True):
+            assert np.array_equal(a.theta, b.theta) and a.objective == b.objective
 
     def test_iteration_cap(self, toy2_model, toy2_dataset):
         config = AlgorithmConfig(mode="calibration", tol_theta=1e-15, max_iterations=3)
         result = run_calibration(toy2_dataset, toy2_model, np.array([2.0, 2.0]), config)
         assert not result.converged and result.iterations == 3
-        assert result.theta_trace.shape[0] == 4  # init + 3 sweeps
+        assert len(result.records) == 4  # init + 3 sweeps
 
     def test_mode_mismatch_rejected(self, toy2_model, toy2_dataset):
         with pytest.raises(ConfigurationError):
@@ -744,7 +749,70 @@ class TestRunMonitoring:
             pruned_at[j] = sweep
         for j in result.fixed_set:
             sweep = pruned_at[j]
-            assert np.all(result.alpha_trace[sweep:, j] == 0.0)
+            assert all(record.alpha[j] == 0.0 for record in result.records[sweep:])
+
+
+class TestSweepKernel:
+    """``sweep`` is the whole iteration: driven by hand from ``initialize`` it gives the
+    records of a run bitwise, and each record's step is the one the stop rule reads."""
+
+    @pytest.fixture(scope="class")
+    def shear10_runs(self):
+        model = shear_building_model(ShearBuildingSpec(stories=10), unit_scale=1e6)
+        calib_data, data = two_stage_data(model, 4, np.arange(10), {2: 0.2}, seed=3)
+        calib, monitor = two_stage(model, calib_data, data)
+        return model, (calib_data, calib), (data, monitor)
+
+    @pytest.mark.parametrize("stage", [1, 2], ids=["calibration", "monitoring"])
+    def test_hand_driven_sweeps_reproduce_the_run(self, shear10_runs, stage):
+        model, (dataset, result) = shear10_runs[0], shear10_runs[stage]
+        # the settings of conftest.two_stage
+        fixed = {k: DEFAULT_HARNESS_CONFIG[f"fixed_{k}"] for k in ("eta", "phi")}
+        config = (AlgorithmConfig(mode="calibration", fix_hypers=fixed) if stage == 1
+                  else benchmark_monitor_config())
+        anchor = result.theta_anchor
+        state = initialize(dataset, model, anchor, config)
+        terms = DataTerms.from_dataset(dataset, model.d)
+        tol = config.tol_theta if stage == 1 else config.tol_log_alpha
+        records = []
+        for index in range(1, config.max_iterations + 1):
+            record, _ = sweep(state, dataset, model, terms, anchor, config, index)
+            records.append(record)
+            if record.step < tol:
+                break
+        assert result.converged and len(records) == result.iterations == len(result.records) - 1
+        if stage == 2:
+            assert result.pruning_events  # the run prunes, so the records show it
+        for mine, theirs in zip(records, result.records[1:], strict=True):
+            assert np.array_equal(mine.theta, theirs.theta)
+            assert np.array_equal(mine.alpha, theirs.alpha)
+            assert (mine.objective, mine.pruned, mine.step) == (
+                theirs.objective, theirs.pruned, theirs.step)
+        assert np.array_equal(state.theta, result.theta_map)
+
+    def test_calibration_step_is_max_theta_change(self, shear10_runs):
+        records = shear10_runs[1][1].records
+        assert records[0].step == math.inf
+        for before, after in zip(records, records[1:]):
+            assert after.step == np.max(np.abs(after.theta - before.theta))
+            assert after.pruned == ()
+
+    def test_monitoring_step_inf_at_first_sweep_and_zero_once_all_pruned(self, toy2_model):
+        mon_ds = simulate_modal_data(toy2_model, [1.0, 1.0], m=2, q=10, observed_dofs=[0, 1],
+                                     noise=NoiseSpec(0.01, 0.01, seed=9),
+                                     normalization="global")
+        result = run_monitoring(mon_ds, toy2_model, np.ones(2),
+                                AlgorithmConfig(mode="monitoring", alpha_min=1e-4,
+                                                min_sweeps_before_pruning=15))
+        records = result.records
+        assert result.converged and result.fixed_set == {0, 1}
+        assert records[1].step == math.inf
+        assert records[-1].step == 0.0 and np.all(records[-1].alpha == 0.0)
+        # every earlier sweep left a free component, so its step was a log-alpha change
+        assert all(0.0 < r.step < math.inf for r in records[2:-1])
+        pruned = {j for r in records for j in r.pruned}
+        assert pruned == {0, 1}
+        assert result.pruning_events == [(k, j) for k, r in enumerate(records) for j in r.pruned]
 
 
 class TestSweepStructure:
@@ -769,15 +837,17 @@ class TestSweepStructure:
         def recording(name, fn):
             def wrapper(*args, **kwargs):
                 events.append(name)
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                events.append(f"/{name}")
+                return out
             return wrapper
 
         # wrap each function at every name the package looks it up by
         homes = {"assemble_stiffness": model, "build_H": model, "build_b": model,
                  "eigen_operators": model, "build_HtH": model,
                  "theta_covariance_from": uncertainty, "gamma_t_psi": data,
-                 "observation_mask": data, "update_mode_shapes": inference,
-                 "objective": inference, "joint_covariance": uncertainty}
+                 "observation_mask": data, "sweep": inference,
+                 "joint_covariance": uncertainty}
         for name, home in homes.items():
             original = getattr(home, name)
             wrapper = recording(name, original)
@@ -788,10 +858,10 @@ class TestSweepStructure:
                             monkeypatch.setattr(mod, attr, wrapper)
         result = run()
         monkeypatch.undo()
-        # the mode-shape update opens each sweep and the objective closes it; Sigma_theta
-        # and then the joint covariance follow the last sweep
-        starts = [i for i, e in enumerate(events) if e == "update_mode_shapes"]
-        ends = [events.index("objective", i) for i in starts]
+        # each call of sweep is one sweep; Sigma_theta and then the joint covariance
+        # follow the last
+        starts = [i for i, e in enumerate(events) if e == "sweep"]
+        ends = [i for i, e in enumerate(events) if e == "/sweep"]
         joint = events.index("joint_covariance")
         assert len(starts) == result.iterations == 3
         segments = ([events[:starts[0]]] + [events[a + 1:b] for a, b in zip(starts, ends)]

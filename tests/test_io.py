@@ -1,5 +1,6 @@
 """Model/result file schemas, manifests and the shear-building shorthand."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from conftest import cli_env, dense_ksub
 from modalbayes import io
 from modalbayes.bench import ShearBuildingSpec, shear_building_model
 from modalbayes.errors import ConfigurationError
-from modalbayes.inference import AlgorithmConfig, run_calibration
+from modalbayes.inference import AlgorithmConfig, run_calibration, run_monitoring
 
 
 class TestModelFiles:
@@ -123,6 +124,21 @@ class TestResultFiles:
     def test_malformed_payload(self):
         with pytest.raises(ConfigurationError):
             io.result_from_dict({"mode": "calibration"})
+
+    @pytest.mark.parametrize("mode", ["calibration", "monitoring"])
+    def test_trace_rows_are_the_records(self, mode, toy2_model, toy2_dataset, tmp_path):
+        run = run_calibration if mode == "calibration" else run_monitoring
+        result = run(toy2_dataset, toy2_model, np.ones(2), AlgorithmConfig(mode=mode))
+        io.write_trace_csv(result, tmp_path / "trace.csv")
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        columns = ["theta_1", "theta_2"] + (["alpha_1", "alpha_2"] if mode == "monitoring" else [])
+        assert header == ["sweep", "objective"] + columns
+        assert len(rows) == len(result.records) == result.iterations + 1
+        for k, (row, record) in enumerate(zip(rows, result.records)):
+            values = [record.theta] + ([record.alpha] if mode == "monitoring" else [])
+            assert int(row[0]) == k and float(row[1]) == record.objective
+            assert np.array_equal(np.array(row[2:], dtype=float), np.concatenate(values))
 
 
 class TestManifests:
