@@ -244,8 +244,9 @@ def dataset_to_dict(dataset: ModalDataset) -> dict:
 def dataset_from_dict(payload: dict, normalization: str = "none") -> ModalDataset:
     """Parse the dataset JSON schema.
 
-    Frequencies are rad^2/s^2 by default; with ``"units": "hz"`` the segment
-    values are natural frequencies in Hz and are converted as omega^2 = (2 pi f)^2.
+    Frequencies are rad^2/s^2 by default (``"units": "rad2"``); with
+    ``"units": "hz"`` the segment values are natural frequencies in Hz and are
+    converted as omega^2 = (2 pi f)^2.  Any other ``units`` value is refused.
     ``normalization`` defaults to "none" because files written by this package
     are already normalized at ingestion.
     """
@@ -260,6 +261,8 @@ def dataset_from_dict(payload: dict, normalization: str = "none") -> ModalDatase
     if len(segments) != q:
         raise ConfigurationError(f"dataset declares q={q} but has {len(segments)} segments")
     units = payload.get("units", "rad2")
+    if units not in ("rad2", "hz"):
+        raise ConfigurationError(f'dataset "units" must be "rad2" or "hz", got {units!r}')
     omega2 = np.zeros((q, m))
     shapes = np.zeros((q, m, s))
     for r, seg in enumerate(segments):

@@ -39,8 +39,8 @@ from scipy.linalg import lapack
 from . import uncertainty
 from .data import DataTerms, ModalDataset
 from .errors import ConfigurationError, NumericalError
-from .model import (StructuralModel, build_b, build_H, build_HtH, eigen_residual,
-                    mode_products, operator_square_bands)
+from .model import (StructuralModel, assemble_stiffness, build_b, build_H, build_HtH,
+                    eigen_residual, mode_products)
 
 CALIBRATION = "calibration"
 MONITORING = "monitoring"
@@ -277,11 +277,12 @@ def update_mode_shapes(state: InferenceState, terms: DataTerms,
     Gamma^T Gamma is diagonal, so the system splits into m independent d x d
     solves (beta A_i A_i + eta q diag(mask_i)) Phi_i = eta (Gamma^T Psi_hat)_i,
     with the mask and Gamma^T Psi_hat read from the run's ``terms``.  Each is
-    symmetric positive definite and banded (``operator_square_bands``).  The
-    (m, u + 1, d) stack of bands is one expression, and one LAPACK ``dpbsv``
-    call solves all m systems as the one block-diagonal banded system they
-    form: each band is zero past its mode's last row, so no mode couples to
-    the next, and the Cholesky factor is the factors of the modes side by side.
+    symmetric positive definite and banded, and is the Phi block of the joint
+    Hessian: ``uncertainty.mode_shape_bands`` builds the (m, u + 1, d) stack of
+    bands for both.  One LAPACK ``dpbsv`` call solves all m systems as the one
+    block-diagonal banded system they form: each band is zero past its mode's
+    last row, so no mode couples to the next, and the Cholesky factor is the
+    factors of the modes side by side.
     """
     d = model.d
     if state.beta == 0.0 and np.any(terms.mask == 0.0):
@@ -289,10 +290,8 @@ def update_mode_shapes(state: InferenceState, terms: DataTerms,
         raise NumericalError(
             f"mode-shape system is singular: DOF {dof} is unobserved and beta is zero"
         )
-    k_sq, k_m, m_sq = operator_square_bands(model, state.theta)
-    w2 = state.omega2[:, None, None]
-    bands = state.beta * (k_sq - w2 * k_m + (w2 * w2) * m_sq)
-    bands[:, 0] += state.eta * terms.q * terms.mask
+    bands = uncertainty.mode_shape_bands(state, terms, model,
+                                         assemble_stiffness(model, state.theta))
     joined = bands.transpose(1, 0, 2).reshape(bands.shape[1], -1)
     _, phi, info = lapack.dpbsv(joined, state.eta * terms.gamma_t_psi.reshape(-1), lower=1)
     if info != 0:
@@ -475,7 +474,7 @@ def sweep(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
 
     Formed once per sweep: the mode-shape update assembles K(theta) once and solves
     the bands of every mode's positive definite system, built in one expression, by
-    one banded Cholesky call; no (m, d, d) operator stack is formed.  Right after it
+    one banded Cholesky call; no (m, d, d) array is formed.  Right after it
     come four quantities of the new mode shapes: the misfit ||Psi_hat - Gamma Phi||^2
     = S0 + q ||psi_bar - Gamma_0 Phi||^2, read by the eta update and the objective; H
     and H^T H, read by the theta update (another Cholesky solve) and the ARD block;

@@ -8,12 +8,11 @@ with dimensionless scaling parameters ``theta``.  System mode shapes are kept
 as one stacked vector with mode-major blocks (mode 1's d components first);
 every builder here consumes that layout.  Operators that act on one mode at a
 time, such as the eigen-residual operators A_i = K(theta) - omega2_i M, are
-never formed as block-diagonal (d*m, d*m) matrices.  The joint Hessian reads
-them as one (m, d, d) stack (``eigen_operators``); the mode-shape update of
-every sweep reads only the band of each A_i A_i, combined from the bands of
-K^2, K M + M K and M^2 (``operator_square_bands``).  The half-bandwidth of
-that band is fixed by the model: twice the widest coupling of M, K0 and the
-substructure supports.
+never formed as block-diagonal (d*m, d*m) matrices, nor as one (m, d, d)
+stack: the mode-shape update and the joint Hessian read only the band of
+each A_i A_i, combined from the bands of K^2, K M + M K and M^2
+(``operator_square_bands``).  The half-bandwidth of that band is fixed by
+the model: twice the widest coupling of M, K0 and the substructure supports.
 
 Each substructure stiffens only a few DOFs, so Ksub_j is stored as its DOF
 support and the small dense block on it, never as a d x d matrix.  The
@@ -383,28 +382,17 @@ def build_b(omega2, mphi: np.ndarray, k0phi: np.ndarray) -> np.ndarray:
     return (omega2[:, None] * mphi - k0phi).reshape(-1)
 
 
-def eigen_operators(model: StructuralModel, theta, omega2) -> np.ndarray:
-    """(m, d, d) stack of the eigen-residual operators A_i = K(theta) - omega2_i M.
-
-    Only the joint Hessian reads this stack, once per run; the mode-shape
-    update of every sweep reads the bands of ``operator_square_bands`` instead.
-    """
-    k = assemble_stiffness(model, theta)
-    omega2 = np.asarray(omega2, dtype=float)
-    return k[None, :, :] - omega2[:, None, None] * model.mass[None, :, :]
-
-
-def operator_square_bands(model: StructuralModel, theta) -> tuple[np.ndarray, np.ndarray,
-                                                                  np.ndarray]:
-    """Lower bands of K(theta)^2, K M + M K and M^2 in LAPACK band storage.
+def operator_square_bands(model: StructuralModel,
+                          k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower bands of K^2, K M + M K and M^2 in LAPACK band storage, for the
+    assembled stiffness ``k`` (``assemble_stiffness``).
 
     Each is (u + 1, d) with u = ``model.operator_bandwidth``: row r holds the
     entries (j + r, j), and its last r positions, past the last row, are zero.
     A_i A_i = K^2 - omega2_i (K M + M K) + omega2_i^2 M^2, so the band of every
     mode's squared operator is one combination of these three, and K is
-    assembled and multiplied once for all modes.
+    multiplied once for all modes.
     """
-    k = assemble_stiffness(model, theta)
     km = k @ model.mass
     return ((k @ k).take(model._band_index) * model._band_mask,
             (km + km.T).take(model._band_index) * model._band_mask, model._mass_sq_band)

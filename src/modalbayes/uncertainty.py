@@ -5,13 +5,14 @@ The joint precision matrix has the parameter order
 [beta, omega^2, rho, tau | Phi, eta, nu, theta]; pruned stiffness components
 are constants, not variables, and are excluded from the theta block.
 
-Its Phi block, beta F + eta Gamma^T Gamma, is block-diagonal with one d x d
-block per mode, and it holds most of the rows (dm of them).  The Hessian is
-therefore built as three parts and never as one N x N matrix: the m mode
-blocks, the Phi rows of the other k = 3m + 3 + n_free parameters, and the
-k x k block of those parameters.  The joint inverse eliminates the mode
-blocks first: each is inverted from its Cholesky factor, and only the Schur
-complement of the other k rows is inverted as a general (possibly
+Its Phi block, beta F + eta Gamma^T Gamma, holds most of the rows (dm of
+them) and is block-diagonal: its mode blocks are the banded systems the
+mode-shape update solves, built by one function (``mode_shape_bands``).  The
+Hessian is therefore built as three parts and never as one N x N matrix: the
+m mode bands, the Phi rows of the other k = 3m + 3 + n_free parameters, and
+the k x k block of those parameters.  The joint inverse eliminates the mode
+blocks first, from one banded Cholesky factor (``dpbtrf``), and only the
+Schur complement of the other k rows is inverted as a general (possibly
 indefinite) matrix.  The exact 1-norm condition numbers of the equilibrated
 Hessian and of each equilibrated mode block, read from the inverses formed,
 decide whether the joint covariance is reported.
@@ -35,9 +36,8 @@ from scipy.linalg import lapack
 
 from .data import DataTerms, ModalDataset
 from .errors import NumericalError
-from .model import StructuralModel, build_H, eigen_operators
+from .model import StructuralModel, assemble_stiffness, build_H, operator_square_bands
 
-HESSIAN_ASYMMETRY_RTOL = 1e-8
 MAX_CONDITION = 1e14
 # entries of the joint inverse read at a time for its 1-norm (a 1 MB slab)
 NORM_SLAB_ENTRIES = 1 << 17
@@ -54,40 +54,27 @@ def theta_precision(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarr
     return prec
 
 
-def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of each symmetric positive definite matrix of a stack (..., k, k).
-
-    LAPACK ``dpotrf`` factors each matrix and ``dpotri`` inverts it from its
-    factor; the results are exactly symmetric.  Raises
-    ``np.linalg.LinAlgError`` when a matrix is not positive definite.
-    """
-    inv = np.empty_like(a)
-    for idx in np.ndindex(a.shape[:-2]):
-        factor, info = lapack.dpotrf(a[idx], lower=1)
-        if info == 0:
-            inv[idx], info = lapack.dpotri(factor, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"not positive definite: LAPACK info {info}")
-    # dpotri fills the lower triangles only
-    return np.tril(inv) + np.tril(inv, -1).swapaxes(-1, -2)
-
-
 def theta_covariance_from(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Sigma_theta = (beta H_f^T H_f + A_f^-1)^-1, embedded in the n x n frame.
 
     ``hth`` is H^T H (``model.build_HtH``).  The precision ``theta_precision``
-    is inverted by ``spd_inverse``, so the cost scales with the unpruned set.
-    Rows and columns of pruned components are exactly zero.
+    is inverted from its Cholesky factor (``dpotrf``, ``dpotri``), so the cost
+    scales with the unpruned set.  Rows and columns of pruned components are
+    exactly zero.
     """
     alpha = np.asarray(alpha, dtype=float)
     free = alpha > 0.0
     cov = np.zeros((alpha.size, alpha.size))
     if not np.any(free):
         return cov
-    try:
-        cov[np.ix_(free, free)] = spd_inverse(theta_precision(beta, hth, alpha))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"theta covariance factorization failed: {exc}") from exc
+    factor, info = lapack.dpotrf(theta_precision(beta, hth, alpha), lower=1)
+    if info == 0:
+        inv, info = lapack.dpotri(factor, lower=1)
+    if info != 0:
+        raise NumericalError(f"theta covariance factorization failed: not positive definite: "
+                             f"LAPACK info {info}")
+    # dpotri fills the lower triangle only
+    cov[np.ix_(free, free)] = np.tril(inv) + np.tril(inv, -1).T
     return cov
 
 
@@ -126,22 +113,33 @@ def _hessian_labels(m: int, d: int, free_idx: np.ndarray) -> list:
     return labels
 
 
+def mode_shape_bands(state, terms: DataTerms, model: StructuralModel,
+                     k: np.ndarray) -> np.ndarray:
+    """Lower bands (m, u + 1, d) of P_i = beta A_i A_i + eta q diag(mask_i), the system
+    the mode-shape update solves and the Phi block of the joint Hessian, for the
+    assembled K(theta) ``k`` of ``state``, in the band storage of ``operator_square_bands``."""
+    k_sq, k_m, m_sq = operator_square_bands(model, k)
+    w2 = state.omega2[:, None, None]
+    bands = state.beta * (k_sq - w2 * k_m + (w2 * w2) * m_sq)
+    bands[:, 0] += state.eta * terms.q * terms.mask
+    return bands
+
+
 def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndarray,
                   hth: np.ndarray, resid: np.ndarray):
     """Precision matrix of the objective at the MAP, as the blocks its inverse reads.
 
-    Returns (p_blocks, cross, core, labels).  The labelled order is
+    Returns (bands, cross, core, labels).  The labelled order is
     [beta, omega2, rho, tau, Phi, eta, nu, theta_free]; the Phi rows start at
-    3 m + 1.  ``p_blocks`` (m, d, d) holds the diagonal Phi blocks
-    beta A_i A_i + eta q diag(mask_i), between which the Hessian is zero;
-    ``cross`` (dm, k) holds the Phi rows of the other k = 3 m + 3 + n_free
-    parameters [beta, omega2, rho, tau, eta, nu, theta_free], and ``core``
-    (k, k) their own block.  ``terms`` holds the run's dataset terms,
-    ``hmat`` is the regression matrix H of ``state.phi``, ``hth`` its H^T H
-    (``model.build_HtH``) and ``resid`` the (m, d) residuals
-    r_i = A_i Phi_i = H theta - b of the same state.  Every block is
-    assembled from the per-mode operators A_i = K - omega2_i M, the
-    residuals and H, without loops over substructures.
+    3 m + 1.  ``bands`` holds the diagonal Phi blocks (``mode_shape_bands``),
+    between which the Hessian is zero; ``cross`` (dm, k) holds the Phi rows
+    of the other k = 3 m + 3 + n_free parameters [beta, omega2, rho, tau, eta,
+    nu, theta_free], and ``core`` (k, k) their own block.  ``terms`` holds
+    the run's dataset terms, ``hmat`` is the regression matrix H of
+    ``state.phi``, ``hth`` its H^T H (``model.build_HtH``) and ``resid`` the
+    (m, d) residuals r_i = A_i Phi_i = H theta - b of the same state.  Every
+    block is built from one assembled K, the residuals and H, without loops
+    over substructures.
     """
     d, m = model.d, state.m
     q, s = terms.q, terms.observed_dofs.size
@@ -149,16 +147,16 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     nf = free_idx.size
     dm = d * m
 
-    modes = state.phi.reshape(m, d)
-    ops = eigen_operators(model, state.theta, state.omega2)
-    mphi = modes @ model.mass.T
-    mask = terms.mask.reshape(-1)
+    stiffness = assemble_stiffness(model, state.theta)
+    bands = mode_shape_bands(state, terms, model, stiffness)
+    mphi = state.phi.reshape(m, d) @ model.mass.T
+    hf3 = hmat.reshape(m, d, model.n)[:, :, free_idx]
+    # K and M times r_i, M Phi_i and the free columns of H_i, for every mode in one
+    # batched product; A_i = K - omega2_i M
+    cols = np.concatenate([resid[:, :, None], mphi[:, :, None], hf3], axis=2)
+    k_cols, m_cols = np.matmul(np.stack([stiffness, model.mass])[:, None], cols)
+    a_cols = k_cols - state.omega2[:, None, None] * m_cols
     idx = np.arange(m)
-
-    # Phi blocks: F is block-diagonal with blocks A_i A_i
-    sq_ops = np.matmul(ops, ops)
-    p_blocks = state.beta * sq_ops
-    p_blocks[:, np.arange(d), np.arange(d)] += (state.eta * q * mask).reshape(m, d)
 
     # positions of [beta, omega2, rho, tau, eta, nu, theta_free] in cross and core
     k = 3 * m + 3 + nf
@@ -167,14 +165,13 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
 
     # Phi rows of the other parameters; rho, tau and nu do not couple to Phi
     cross = np.zeros((dm, k))
-    cross[:, 0] = np.matmul(sq_ops, modes[:, :, None]).reshape(-1)
+    # F Phi: A_i A_i Phi_i = A_i r_i
+    cross[:, 0] = a_cols[:, :, 0].reshape(-1)
     # omega^2-Phi coupling: exact symmetrized mixed partial -beta (M A_i + A_i M) Phi_i
-    w = -state.beta * (resid @ model.mass.T + np.matmul(ops, mphi[:, :, None])[:, :, 0])
-    cross.reshape(m, d, -1)[idx, :, i_w] = w
-    cross[:, i_eta] = q * mask * state.phi - terms.gamma_t_psi.reshape(-1)
+    cross.reshape(m, d, -1)[idx, :, i_w] = -state.beta * (m_cols[:, :, 0] + a_cols[:, :, 1])
+    cross[:, i_eta] = q * terms.mask.reshape(-1) * state.phi - terms.gamma_t_psi.reshape(-1)
     # (A_i Ksub_j + Ksub_j A_i) Phi_i = A_i (Ksub_j Phi_i) + Ksub_j r_i
-    hf3 = hmat.reshape(m, d, model.n)[:, :, free_idx]
-    l3 = np.matmul(ops, hf3).reshape(dm, nf) + build_H(model, resid.reshape(-1))[:, free_idx]
+    l3 = a_cols[:, :, 2:].reshape(dm, nf) + build_H(model, resid.reshape(-1))[:, free_idx]
     cross[:, i_th] = state.beta * l3
 
     # the upper triangle of the other parameters' own block, mirrored below
@@ -197,29 +194,31 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     core[i_th, i_th] = theta_precision(state.beta, hth, state.alpha)
     core = np.triu(core) + np.triu(core, 1).T
 
-    return p_blocks, cross, core, _hessian_labels(m, d, free_idx)
+    return bands, cross, core, _hessian_labels(m, d, free_idx)
 
 
-def invert_hessian(p_blocks: np.ndarray, cross: np.ndarray, core: np.ndarray, start: int,
-                   state=None) -> np.ndarray:
-    """Inverse of the Hessian held as its mode-block-diagonal Phi block and the rest.
+def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
+                   start: int) -> np.ndarray:
+    """Inverse of the Hessian held as its banded mode blocks and the rest.
 
-    The Hessian has the m diagonal d x d blocks P_i = ``p_blocks[i]`` in rows
-    and columns start .. start + m d, with zeros between them; ``cross`` holds
-    those rows in the other k columns and ``core`` the k x k block of the
-    other rows (the ``joint_hessian`` layout).  The inverse is returned in
-    the same order, with the Phi rows at start.  Empty Phi blocks make
-    ``core`` its own Schur complement.
+    The Hessian has m diagonal d x d blocks P_i, held as their lower bands
+    ``bands`` (m, u + 1, d), in rows and columns start .. start + m d, with
+    zeros between them; ``cross`` holds those rows in the other k columns and
+    ``core`` the symmetric k x k block of the other rows (the
+    ``joint_hessian`` layout).  The inverse is returned in the same order.
+    Empty Phi blocks, bands (0, 1, 0), make ``core`` its own Schur complement.
 
     The raw precision matrix mixes parameter scales spanning many orders
     (e.g. eta vs its reciprocal-scale rate), so it is Jacobi-equilibrated
-    first.  The equilibrated P_i are positive definite by construction, and
-    each P_i^-1 comes from its Cholesky factor (``spd_inverse``).  With B the
-    equilibrated ``cross`` and C the equilibrated ``core``, the Schur
-    complement S = C - B^T P^-1 B (k x k) can be indefinite at a monitoring
-    MAP and is inverted by LU.  The inverse of the equilibrated matrix A is
+    first, the bands in band storage.  The equilibrated P_i are positive
+    definite by construction: one banded Cholesky call (``dpbtrf``) factors
+    them side by side, and one banded solve (``dpbtrs``) gives each P_i^-1
+    and Y = P^-1 B.  With B the equilibrated ``cross`` and C the
+    equilibrated ``core``, the Schur complement S = C - B^T P^-1 B (k x k) can
+    be indefinite at a monitoring MAP and is inverted by LU.  The inverse of
+    the equilibrated matrix A is
 
-        [[P^-1 + Y S^-1 Y^T, -Y S^-1], [-S^-1 Y^T, S^-1]],  Y = P^-1 B,
+        [[P^-1 + Y S^-1 Y^T, -Y S^-1], [-S^-1 Y^T, S^-1]],
 
     with the equilibration undone on the thin factors first.  The Phi block
     P^-1 + Y S^-1 Y^T is formed one tile row at a time, in mode order: tile
@@ -236,33 +235,43 @@ def invert_hessian(p_blocks: np.ndarray, cross: np.ndarray, core: np.ndarray, st
     A P_i that is not positive definite or a singular S fails that check as
     well.
     """
-    m, d = p_blocks.shape[:2]
+    m, width, d = bands.shape
     k = core.shape[0]
     stop = start + m * d
     size = stop + k - start
     rest = np.r_[0:start, stop:size]
-    scale = max(np.max(np.abs(a), initial=0.0) for a in (p_blocks, cross, core))
-    asym = max(np.max(np.abs(a - a.swapaxes(-1, -2)), initial=0.0) for a in (p_blocks, core))
-    if scale > 0 and asym > HESSIAN_ASYMMETRY_RTOL * scale:
-        if state is not None:
-            state.flag(f"hessian asymmetry {asym / scale:.2e} above tolerance; symmetrized")
-    diag = np.insert(np.diag(core), start, np.diagonal(p_blocks, axis1=1, axis2=2).reshape(-1))
+    diag = np.insert(np.diag(core), start, bands[:, 0].reshape(-1))
     eq = 1.0 / np.sqrt(diag) if np.all(diag > 0) else np.ones(size)
     eq_p, eq_r = eq[start:stop], eq[rest]
     eq_blocks = eq_p.reshape(m, d)
-    p_blocks = 0.5 * (p_blocks + p_blocks.transpose(0, 2, 1))
-    p_blocks *= eq_blocks[:, :, None] * eq_blocks[:, None, :]
+    # band entry (r, j) is the matrix entry (j + r, j); past the last row it is zero
+    below = np.minimum(np.arange(width)[:, None] + np.arange(d), d - 1)
+    bands = bands * eq_blocks[:, below] * eq_blocks[:, None, :]
     cross = cross * (eq_p[:, None] * eq_r[None, :])
-    core = 0.5 * (core + core.T)
-    core *= eq_r[:, None] * eq_r[None, :]
+    core = core * (eq_r[:, None] * eq_r[None, :])
+    # ||P_i||_1: the column sums of the band, plus each entry below the diagonal again
+    # in the column of its mirror image above it
+    abs_bands = np.abs(bands)
+    p_norms = abs_bands.sum(axis=1)
+    for r in range(1, width):
+        p_norms[:, r:] += abs_bands[:, r, :d - r]
     # ||A||_1: the largest column sum, over the Phi columns and then the others
     abs_cross = np.abs(cross)
-    anorm = max(
-        np.max(np.abs(p_blocks).sum(axis=1).reshape(-1) + abs_cross.sum(axis=1), initial=0.0),
-        np.max(abs_cross.sum(axis=0) + np.abs(core).sum(axis=0), initial=0.0))
+    anorm = max(np.max(p_norms.reshape(-1) + abs_cross.sum(axis=1), initial=0.0),
+                np.max(abs_cross.sum(axis=0) + np.abs(core).sum(axis=0), initial=0.0))
+    # each band is zero past its mode's last row, so the bands side by side are the
+    # band of the block-diagonal P, and its factor is the factors of the P_i
+    factor, info = lapack.dpbtrf(bands.transpose(1, 0, 2).reshape(width, -1), lower=1)
+    if info != 0:
+        mode, dof = divmod(info - 1, d)
+        raise NumericalError(f"hessian is numerically singular (condition: the Phi block of "
+                             f"mode {mode + 1} is not positive definite at DOF {dof})")
+    # P^-1 from the unit columns of each mode, and Y = P^-1 B, in one solve
+    sol = np.concatenate([np.tile(np.eye(d), (m, 1)), cross], axis=1)
+    if m * d:
+        sol, info = lapack.dpbtrs(factor, sol, lower=1)
+    p_inv, y = sol[:, :d].reshape(m, d, d), sol[:, d:]
     try:
-        p_inv = spd_inverse(p_blocks)
-        y = np.matmul(p_inv, cross.reshape(m, d, k)).reshape(m * d, k)
         s_inv = np.linalg.inv(core - cross.T @ y)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"hessian is numerically singular (condition: {exc})") from exc
@@ -278,8 +287,8 @@ def invert_hessian(p_blocks: np.ndarray, cross: np.ndarray, core: np.ndarray, st
         # product, the tiles below it as their transposes, so the block is exactly symmetric
         rows = slice(start + i * d, start + (i + 1) * d)
         tile_row = z[i * d:(i + 1) * d] @ y[i * d:].T
-        diag_tile = tile_row[:, :d]
-        tile_row[:, :d] = 0.5 * (diag_tile + diag_tile.T) + p_inv_eq[i]
+        diag_tile = tile_row[:, :d] + p_inv_eq[i]
+        tile_row[:, :d] = 0.5 * (diag_tile + diag_tile.T)
         cov[rows, rows.start:stop] = tile_row
         cov[rows.stop:stop, rows] = tile_row[:, d:].T
     z *= -eq_r[None, :]
@@ -293,7 +302,7 @@ def invert_hessian(p_blocks: np.ndarray, cross: np.ndarray, core: np.ndarray, st
     row_sums = np.concatenate([np.abs(cov[lo:lo + slab]) @ inv_eq for lo in range(0, size, slab)])
     inv_norm = np.max(row_sums * inv_eq, initial=0.0)
     # eliminating the P_i first is accurate only while each P_i is well conditioned itself
-    block_cond = (np.max(np.abs(p_blocks).sum(axis=1), axis=1, initial=0.0)
+    block_cond = (np.max(p_norms, axis=1, initial=0.0)
                   * np.max(np.abs(p_inv).sum(axis=1), axis=1, initial=0.0))
     cond = max(anorm * inv_norm, np.max(block_cond, initial=0.0))
     if not np.isfinite(cond) or cond > MAX_CONDITION:
@@ -308,8 +317,8 @@ def joint_covariance(state, terms: DataTerms, model: StructuralModel, hmat: np.n
     ``hmat``, ``hth`` and ``resid`` are the regression matrix, its H^T H and
     the residuals of ``state``; ``terms`` the dataset terms of the run.
     """
-    p_blocks, cross, core, labels = joint_hessian(state, terms, model, hmat, hth, resid)
-    return invert_hessian(p_blocks, cross, core, 3 * state.m + 1, state), labels
+    bands, cross, core, labels = joint_hessian(state, terms, model, hmat, hth, resid)
+    return invert_hessian(bands, cross, core, 3 * state.m + 1), labels
 
 
 def cov_report(result, dataset: ModalDataset) -> list:

@@ -201,18 +201,29 @@ def hessian_inputs(state: InferenceState, dataset: ModalDataset, model: Structur
             build_HtH(model, hmat), residual_of(model, state))
 
 
-def dense_hessian(p_blocks, cross, core, start):
+def dense_blocks(bands):
+    """The symmetric (m, d, d) matrices whose lower bands ``bands`` (m, u + 1, d) hold in
+    LAPACK band storage: entry (j + r, j) in row r, column j."""
+    m, width, d = bands.shape
+    blocks = np.zeros((m, d, d))
+    for r in range(width):
+        for j in range(d - r):
+            blocks[:, j + r, j] = blocks[:, j, j + r] = bands[:, r, j]
+    return blocks
+
+
+def dense_hessian(bands, cross, core, start):
     """The N x N Hessian that ``uncertainty.joint_hessian`` returns as blocks.
 
-    The mode blocks ``p_blocks`` sit on the diagonal from row ``start`` on,
-    ``cross`` holds their rows in the other columns and ``core`` the block of
-    the other rows; the reference for every dense comparison.
+    The mode blocks, held as their lower ``bands``, sit on the diagonal from row
+    ``start`` on, ``cross`` holds their rows in the other columns and ``core`` the
+    block of the other rows; the reference for every dense comparison.
     """
-    m, d, _ = p_blocks.shape
+    m, _, d = bands.shape
     stop = start + m * d
     rest = np.r_[0:start, stop:stop + core.shape[0] - start]
     hess = np.zeros((m * d + core.shape[0],) * 2)
-    for i, block in enumerate(p_blocks):
+    for i, block in enumerate(dense_blocks(bands)):
         rows = slice(start + i * d, start + (i + 1) * d)
         hess[rows, rows] = block
     hess[start:stop, rest] = cross

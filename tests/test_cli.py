@@ -192,12 +192,13 @@ class TestCalibrate:
         ("dataset", ("observed_dofs", 0), "a"),
         ("dataset", ("observed_dofs", 1), 1.5),
         ("dataset", ("segments",), 5),
+        ("dataset", ("units",), "Hz"),
         ("model", ("shear_building", "unit_scale"), "abc"),
         ("model", ("shear_building", "floor_mass"), [1e5, 1e5, 1e5]),
         ("model", (), {"d": 2, "n": 1, "M": [[1, 0], [0, 1]], "K0": [[0, 0], [0, 0]],
                        "Ksub": [[[1, "a"], ["a", 1]]]}),
     ], ids=["q_not_int", "omega2_not_number", "mode_shape_not_number", "dof_not_number",
-            "dof_not_integer", "segments_not_list", "unit_scale_not_number",
+            "dof_not_integer", "segments_not_list", "units_unknown", "unit_scale_not_number",
             "floor_mass_wrong_length", "ksub_not_number"])
     def test_bad_input_file_exit_2(self, pipeline_dir, kind, path, value):
         # path locates the entry replaced by value; an empty path replaces the whole file

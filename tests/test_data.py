@@ -120,6 +120,23 @@ class TestSerialization:
         np.testing.assert_allclose(ds.omega2_segments[:, 0],
                                    (2.0 * np.pi * np.array([1.0, 1.1, 0.9])) ** 2)
 
+    def test_rad2_units_read_as_given(self):
+        payload = {
+            "q": 3, "m": 1, "s": 2, "observed_dofs": [0, 1], "units": "rad2",
+            "segments": [{"omega2": [w], "mode_shapes": [[0.6, 0.8]]} for w in (1.0, 1.1, 0.9)],
+        }
+        np.testing.assert_array_equal(dataset_from_dict(payload).omega2_segments[:, 0],
+                                      [1.0, 1.1, 0.9])
+
+    @pytest.mark.parametrize("units", ["Hz", "HZ", "kHz", "rad/s", None])
+    def test_unknown_units_rejected(self, units):
+        payload = {
+            "q": 3, "m": 1, "s": 2, "observed_dofs": [0, 1], "units": units,
+            "segments": [{"omega2": [w], "mode_shapes": [[0.6, 0.8]]} for w in (1.0, 1.1, 0.9)],
+        }
+        with pytest.raises(ConfigurationError, match='"units" must be "rad2" or "hz"'):
+            dataset_from_dict(payload)
+
     def test_malformed_payload(self):
         with pytest.raises(ConfigurationError):
             dataset_from_dict({"q": 3, "m": 1})

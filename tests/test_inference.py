@@ -818,15 +818,15 @@ class TestSweepKernel:
 class TestSweepStructure:
     """Each sweep assembles K(theta) once, builds its regression matrix H and its H^T H
     once and its right-hand side b once, shared by the theta update and the residual
-    H theta - b; the mode-shape update solves on bands and forms no (m, d, d) operator
-    stack.  The observation mask and Gamma^T Psi_hat are formed once per run, before
-    the first sweep, and no sweep forms Sigma_theta: it is formed once, after the last.
-    The joint covariance reuses the run's H, H^T H and residual: it forms the operator
-    stack once, assembling K(theta) once for it, builds the H of the residual once and
-    builds no b and no H^T H."""
+    H theta - b; the mode-shape update forms the bands of K^2, K M + M K and M^2 once.
+    The observation mask and Gamma^T Psi_hat are formed once per run, before the first
+    sweep, and no sweep forms Sigma_theta: it is formed once, after the last.  The
+    joint covariance reuses the run's H, H^T H and residual: it assembles K(theta)
+    once, forms the bands once from it, builds the H of the residual once and builds
+    no b and no H^T H."""
 
-    COUNTED = ("assemble_stiffness", "build_H", "build_b", "eigen_operators", "build_HtH",
-               "theta_covariance_from", "gamma_t_psi", "observation_mask")
+    COUNTED = ("assemble_stiffness", "build_H", "build_b", "operator_square_bands",
+               "build_HtH", "theta_covariance_from", "gamma_t_psi", "observation_mask")
 
     @classmethod
     def count_per_sweep(cls, monkeypatch, run):
@@ -844,7 +844,7 @@ class TestSweepStructure:
 
         # wrap each function at every name the package looks it up by
         homes = {"assemble_stiffness": model, "build_H": model, "build_b": model,
-                 "eigen_operators": model, "build_HtH": model,
+                 "operator_square_bands": model, "build_HtH": model,
                  "theta_covariance_from": uncertainty, "gamma_t_psi": data,
                  "observation_mask": data, "sweep": inference,
                  "joint_covariance": uncertainty}
@@ -881,8 +881,8 @@ class TestSweepStructure:
         calib_config = AlgorithmConfig(mode="calibration", tol_theta=1e-15, max_iterations=3)
         mon_config = AlgorithmConfig(mode="monitoring", tol_log_alpha=1e-15, max_iterations=3)
         calib = run_calibration(calib_ds, shear10, np.ones(10), calib_config)
-        # (assembly, H, b, operator stack, H^T H, Sigma_theta, Gamma^T Psi_hat, mask)
-        expected = ([(0, 1, 1, 0, 0, 0, 1, 1)] + [(1, 1, 1, 0, 1, 0, 0, 0)] * 3
+        # (assembly, H, b, operator bands, H^T H, Sigma_theta, Gamma^T Psi_hat, mask)
+        expected = ([(0, 1, 1, 0, 0, 0, 1, 1)] + [(1, 1, 1, 1, 1, 0, 0, 0)] * 3
                     + [(0, 0, 0, 0, 0, 1, 0, 0), (1, 1, 0, 1, 0, 0, 0, 0)])
         assert self.count_per_sweep(
             monkeypatch, lambda: run_calibration(calib_ds, shear10, np.ones(10), calib_config)

@@ -1,6 +1,7 @@
 """Model builders against brute-force oracles and the benchmark eigen values."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,14 +18,23 @@ from modalbayes.model import (
     assemble_stiffness,
     build_H,
     build_HtH,
-    eigen_operators,
     eigen_residual,
     eigen_solve,
 )
 
-from modalbayes.uncertainty import theta_precision
+from modalbayes.uncertainty import mode_shape_bands, theta_precision
 
-from conftest import b_of, dense_ksub, frequencies_of, random_spd, random_symmetric
+from conftest import (b_of, dense_blocks, dense_ksub, frequencies_of, random_spd,
+                      random_symmetric)
+
+
+def square_blocks(model, theta, omega2, beta=1.0, eta=0.0, q=1, mask=None):
+    """The mode blocks beta A_i A_i + eta q diag(mask_i) of ``mode_shape_bands``, expanded
+    to (m, d, d); no sensor is observed unless ``mask`` (m, d) says so."""
+    omega2 = np.asarray(omega2, dtype=float)
+    state = SimpleNamespace(beta=beta, eta=eta, omega2=omega2)
+    terms = SimpleNamespace(q=q, mask=np.zeros((omega2.size, model.d)) if mask is None else mask)
+    return dense_blocks(mode_shape_bands(state, terms, model, assemble_stiffness(model, theta)))
 
 
 def random_model(rng, d=3, n=2):
@@ -191,30 +201,39 @@ class TestBuilders:
                                    rtol=1e-12, atol=1e-12)
 
     def test_F_annihilates_exact_modes(self, toy2_model):
-        # F is block-diagonal with blocks A_i @ A_i
-        theta = np.array([1.0, 1.0])
-        state = eigen_solve(toy2_model, theta, 2)
-        ops = eigen_operators(toy2_model, theta, state.omega2)
-        f_phi = ops @ ops @ state.mode_matrix()[:, :, None]
-        k = assemble_stiffness(toy2_model, theta)
-        bound = 1e-8 * np.linalg.norm(k) ** 2 * np.linalg.norm(state.phi)
-        assert np.linalg.norm(f_phi) <= bound
+        # F is block-diagonal with blocks A_i @ A_i: at beta = 1 and eta = 0 the mode
+        # blocks are those blocks; the random model has a dense K0 (u = d - 1)
+        rng = np.random.default_rng(28)
+        dense = StructuralModel.from_dense(mass=random_spd(rng, 5), k0=random_spd(rng, 5),
+                                           ksub=np.stack([random_spd(rng, 5) for _ in range(2)]))
+        assert dense.operator_bandwidth == 4
+        for model in (toy2_model, dense):
+            theta = np.array([1.0, 1.0])
+            state = eigen_solve(model, theta, 2)
+            blocks = square_blocks(model, theta, state.omega2)
+            f_phi = blocks @ state.mode_matrix()[:, :, None]
+            k = assemble_stiffness(model, theta)
+            bound = 1e-8 * np.linalg.norm(k) ** 2 * np.linalg.norm(state.phi)
+            assert np.linalg.norm(f_phi) <= bound
 
     def test_F_single_mode_direct_product(self):
+        # random dense K0 (u = d - 1) and a partial-sensor mask
         rng = np.random.default_rng(25)
         model = random_model(rng, d=3, n=1)
+        assert model.operator_bandwidth == 2
         theta = np.array([0.9])
         w2 = 2.7
+        mask = np.array([[1.0, 0.0, 1.0]])
         a = assemble_stiffness(model, theta) - w2 * model.mass
-        ops = eigen_operators(model, theta, [w2])
-        np.testing.assert_allclose(ops[0] @ ops[0], a @ a, rtol=1e-12)
+        block = square_blocks(model, theta, [w2], beta=1.3, eta=0.4, q=3, mask=mask)[0]
+        np.testing.assert_allclose(block, 1.3 * (a @ a) + 0.4 * 3 * np.diag(mask[0]),
+                                   rtol=1e-12)
 
     def test_F_high_frequency_asymptotics(self, toy2_model):
         theta = np.array([1.0, 1.0])
         k = assemble_stiffness(toy2_model, theta)
         w2 = 1e9 * np.linalg.norm(k) / np.linalg.norm(toy2_model.mass)
-        ops = eigen_operators(toy2_model, theta, [w2])
-        block = ops[0] @ ops[0]
+        block = square_blocks(toy2_model, theta, [w2])[0]
         leading = w2**2 * (toy2_model.mass @ toy2_model.mass)
         rel = np.linalg.norm(block - leading) / np.linalg.norm(leading)
         assert rel <= 1e-8

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_hessian, random_spd, random_symmetric, shape_residual_sq
+from conftest import dense_blocks, dense_hessian, random_symmetric, shape_residual_sq
 from modalbayes.data import DataTerms, ModalDataset
 from modalbayes.inference import ETA_MAX, AlgorithmConfig, initialize, update_eta
 from modalbayes.model import ShearBuildingSpec, shear_building_model
@@ -92,24 +92,29 @@ def test_ard_diagonal_matches_theta_covariance(case):
 
 @st.composite
 def hessian_cases(draw):
-    """Hessian blocks in the ``joint_hessian`` layout: m positive definite d x d blocks,
-    their rows in k other columns, and a symmetric (possibly indefinite) k x k core."""
+    """Hessian blocks in the ``joint_hessian`` layout: the lower bands of m positive
+    definite d x d blocks of half-bandwidth u in [0, d - 1], their rows in k other
+    columns, and a symmetric (possibly indefinite) k x k core."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     m = draw(st.sampled_from([1, 2, 5]))
     d = draw(st.integers(1, 6))
     k = draw(st.integers(3, 8))
-    p_blocks = np.stack([random_spd(rng, d, scale=rng.uniform(0.5, 2.0)) for _ in range(m)])
+    u = draw(st.integers(0, d - 1))
+    bands = rng.normal(size=(m, u + 1, d)) * (np.arange(u + 1)[:, None] + np.arange(d) < d)
+    # a diagonal above the sum of the other entries of its row: positive definite
+    off = np.abs(dense_blocks(bands)).sum(axis=2) - np.abs(bands[:, 0])
+    bands[:, 0] = off + rng.uniform(0.5, 2.0, size=(m, d))
     cross = 0.3 * rng.normal(size=(m * d, k))
     core = random_symmetric(rng, k, scale=0.2)
     core[np.diag_indices(k)] += rng.choice([-1.0, 1.0], size=k) * rng.uniform(3.0, 6.0, k)
-    return p_blocks, cross, core, draw(st.integers(0, k))
+    return bands, cross, core, draw(st.integers(0, k))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(hessian_cases())
 def test_tiled_inverse_is_symmetric_and_matches_dense(case):
-    p_blocks, cross, core, start = case
-    cov = invert_hessian(p_blocks, cross, core, start)
+    bands, cross, core, start = case
+    cov = invert_hessian(bands, cross, core, start)
     np.testing.assert_array_equal(cov, cov.T)
-    want = np.linalg.inv(dense_hessian(p_blocks, cross, core, start))
+    want = np.linalg.inv(dense_hessian(bands, cross, core, start))
     np.testing.assert_allclose(cov, want, rtol=0.0, atol=1e-12 * np.abs(want).max())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_blocks,
     dense_hessian,
     fd_hessian,
     hessian_inputs,
@@ -26,9 +27,9 @@ from modalbayes.bench import (
     shear_building_model,
     simulate_modal_data,
 )
-from modalbayes.data import observation_mask
+from modalbayes.data import DataTerms, observation_mask
 from modalbayes.errors import NumericalError
-from modalbayes.inference import AlgorithmConfig, initialize
+from modalbayes.inference import AlgorithmConfig, initialize, update_mode_shapes
 from modalbayes.model import StructuralModel, assemble_stiffness, build_H
 from modalbayes.uncertainty import (
     cov_report,
@@ -130,6 +131,25 @@ class TestJointHessian:
         hess, _ = assembled(toy2_map.state_map, toy2_dataset, toy2_model)
         np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
 
+    @pytest.mark.parametrize("sensors", [range(10), range(0, 10, 2)], ids=["full", "partial"])
+    def test_phi_block_is_the_mode_shape_system(self, sensors):
+        # the mode shapes the sweep solves for satisfy P_i Phi_i = eta (Gamma^T Psi_hat)_i
+        # with P_i the Phi block of the joint Hessian at the same state, to a normwise
+        # backward error of 1e-12
+        model = shear_building_model(ShearBuildingSpec(stories=10),
+                                     unit_scale=BENCHMARK_UNIT_SCALE)
+        ds = simulate_modal_data(model, np.ones(10), m=3, q=5, observed_dofs=list(sensors),
+                                 noise=NoiseSpec(0.01, 0.01, seed=6))
+        state = initialize(ds, model, np.full(10, 0.95), AlgorithmConfig(mode="calibration"))
+        terms = DataTerms.from_dataset(ds, model.d)
+        state.phi = update_mode_shapes(state, terms, model)
+        bands = joint_hessian(*hessian_inputs(state, ds, model))[0]
+        blocks, modes = dense_blocks(bands), state.phi.reshape(state.m, -1)
+        rhs = state.eta * terms.gamma_t_psi
+        for block, phi_i, rhs_i in zip(blocks, modes, rhs, strict=True):
+            scale = np.linalg.norm(block, 1) * np.abs(phi_i).sum() + np.abs(rhs_i).sum()
+            assert np.abs(block @ phi_i - rhs_i).sum() <= 1e-12 * scale
+
     def test_beta_omega2_block_matches_loop(self):
         # d2J / d beta d omega2_i = (M Phi_i).(omega2_i M Phi_i - K(theta) Phi_i)
         rng = np.random.default_rng(44)
@@ -202,7 +222,7 @@ class TestJointHessian:
 
 
 # no Phi rows: the whole matrix is the core block
-NO_PHI = np.zeros((0, 0, 0))
+NO_PHI = np.zeros((0, 1, 0))
 
 
 class TestJointCovariance:
@@ -213,13 +233,13 @@ class TestJointCovariance:
         eig = np.linalg.eigvalsh(cov)
         assert eig.min() >= -1e-10 * eig.max()
 
-    def test_singular_hessian_raises(self, toy2_map):
+    def test_singular_hessian_raises(self):
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(NO_PHI, np.zeros((0, 3)), np.zeros((3, 3)), 0, toy2_map.state_map)
+            invert_hessian(NO_PHI, np.zeros((0, 3)), np.zeros((3, 3)), 0)
 
-    def test_rank_one_hessian_raises(self, toy2_map):
+    def test_rank_one_hessian_raises(self):
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(NO_PHI, np.zeros((0, 3)), np.ones((3, 3)), 0, toy2_map.state_map)
+            invert_hessian(NO_PHI, np.zeros((0, 3)), np.ones((3, 3)), 0)
 
     def test_inverse_of_indefinite_matrix(self):
         rng = np.random.default_rng(44)
@@ -230,14 +250,17 @@ class TestJointCovariance:
                                    np.linalg.inv(hess), rtol=1e-10)
 
 
-def converged_runs(stories, m, layout, seed):
+def converged_runs(stories, m, layout, seed, k0=None):
     """Shear building, calibration and monitoring MAPs with their data.
 
     The partial layout observes every other story; the 20% loss sits at the
-    middle story.
+    middle story.  ``k0`` replaces the building's zero K0.
     """
     model = shear_building_model(ShearBuildingSpec(stories=stories),
                                  unit_scale=BENCHMARK_UNIT_SCALE)
+    if k0 is not None:
+        model = StructuralModel(mass=model.mass, k0=k0, support=model.support,
+                                blocks=model.blocks)
     sensors = list(range(stories)) if layout == "full" else list(range(0, stories, 2))
     calib_data, data = two_stage_data(model, m, sensors, {stories // 2: 0.2}, seed)
     calib, monitor = two_stage(model, calib_data, data)
@@ -252,9 +275,8 @@ class TestStructuredInverse:
              (10, 5, "full", 1), (11, 2, "partial", 1), (12, 4, "full", 1),
              (12, 3, "partial", 1)]
 
-    @pytest.mark.parametrize("stories, m, layout, seed", CASES)
-    def test_matches_dense_inverse(self, stories, m, layout, seed):
-        model, runs = converged_runs(stories, m, layout, seed)
+    @staticmethod
+    def check_against_dense(model, runs):
         for result, dataset in runs:
             hess, _ = assembled(result.state_map, dataset, model)
             # equilibrate by exact powers of two, so that LU meets comparable scales
@@ -265,6 +287,20 @@ class TestStructuredInverse:
             np.testing.assert_array_equal(result.full_cov, result.full_cov.T)
             err = np.max(np.abs(result.full_cov - dense)) / np.max(np.abs(dense))
             assert err <= 1e-12, (result.mode, err)
+
+    @pytest.mark.parametrize("stories, m, layout, seed", CASES)
+    def test_matches_dense_inverse(self, stories, m, layout, seed):
+        self.check_against_dense(*converged_runs(stories, m, layout, seed))
+
+    def test_dense_k0_matches_dense_inverse(self):
+        # a dense K0 at 5% of the story stiffness widens every Phi block's band to d - 1
+        stories = 8
+        blocks = shear_building_model(ShearBuildingSpec(stories=stories),
+                                      unit_scale=BENCHMARK_UNIT_SCALE).blocks
+        k0 = 0.05 * blocks.max() * random_spd(np.random.default_rng(8), stories) / stories
+        model, runs = converged_runs(stories, 3, "partial", 1, k0=k0)
+        assert model.operator_bandwidth == stories - 1
+        self.check_against_dense(model, runs)
 
     def test_indefinite_monitoring_hessian_covered(self):
         model, runs = converged_runs(*self.CASES[-1])
@@ -279,21 +315,26 @@ class TestStructuredInverse:
         model, runs = converged_runs(6, 2, "partial", 1)
         result, dataset = runs[0]
         state = result.state_map
-        p_blocks, cross, core, _ = joint_hessian(*hessian_inputs(state, dataset, model))
-        # keep the block positive semidefinite but give it the null vector v
-        tile = p_blocks[1]
-        v = tile @ np.ones(model.d)
-        tile -= np.outer(v, v) / np.sum(v)
+        bands, cross, core, _ = joint_hessian(*hessian_inputs(state, dataset, model))
+        # mode block 1 becomes the path Laplacian (2 on the diagonal, 1 at its ends, -1
+        # beside it), whose null vector is the ones, plus 1e-15 on the diagonal: its
+        # Cholesky factor exists, but its condition number is above 1e14
+        bands[1] = 0.0
+        bands[1, 0] = 2.0 + 1e-15
+        bands[1, 0, [0, -1]] = 1.0 + 1e-15
+        bands[1, 1, :-1] = -1.0
+        assert np.linalg.cond(dense_blocks(bands)[1], 1) > 1e14
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(p_blocks, cross, core, 3 * state.m + 1, state)
+            invert_hessian(bands, cross, core, 3 * state.m + 1)
 
     def test_run_with_singular_phi_block_flags(self, monkeypatch):
         blocks_of = uncertainty.joint_hessian
 
         def singular_phi(*args):
-            p_blocks, cross, core, labels = blocks_of(*args)
-            p_blocks[0] = 1.0  # rank one
-            return p_blocks, cross, core, labels
+            bands, cross, core, labels = blocks_of(*args)
+            # the row and column of DOF 0 of the first mode block become zero
+            bands[0, :, 0] = 0.0
+            return bands, cross, core, labels
 
         monkeypatch.setattr(uncertainty, "joint_hessian", singular_phi)
         _, runs = converged_runs(6, 2, "full", 1)
