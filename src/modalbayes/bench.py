@@ -14,8 +14,7 @@ mass and stiffness are scaled together.
 
 from __future__ import annotations
 
-import csv
-import json
+import copy
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .data import ModalDataset
+from .data import ModalDataset, write_csv
 from .errors import ConfigurationError
 from .inference import (
     CALIBRATION,
@@ -170,7 +169,7 @@ DEFAULT_HARNESS_CONFIG = {
 
 
 def merge_config(config: dict | None) -> dict:
-    merged = json.loads(json.dumps(DEFAULT_HARNESS_CONFIG))
+    merged = copy.deepcopy(DEFAULT_HARNESS_CONFIG)
     for key, value in (config or {}).items():
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
             merged[key].update(value)
@@ -266,7 +265,9 @@ def example1_harness(config: dict | None = None, out_dir=None) -> dict:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, rows in tables.items():
-            _write_table_csv(out_dir / f"table_{name}.csv", rows)
+            if rows:
+                write_csv(out_dir / f"table_{name}.csv", list(rows[0]),
+                          (list(row.values()) for row in rows))
         for name, result in traced.items():
             io.write_trace_csv(result, out_dir / f"trace_{name}.csv")
     return outputs
@@ -305,13 +306,3 @@ def run_damage_scenario(cfg: dict | None = None, damage: dict | None = None,
                              monitor_config or benchmark_monitor_config())
     return calib, monitor
 
-
-def _write_table_csv(path, rows) -> None:
-    if not rows:
-        return
-    fields = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})

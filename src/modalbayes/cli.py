@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .damage import (
     write_probability_csv,
     write_ratios_csv,
 )
-from .data import load_dataset, read_json, save_dataset
+from .data import load_dataset, read_json, save_dataset, write_json
 from .errors import ConfigurationError, ModalBayesError, NumericalError
 from .inference import CALIBRATION, MONITORING, AlgorithmConfig, run_calibration, run_monitoring
 from .model import ShearBuildingSpec
@@ -149,11 +148,10 @@ def _theta_init_arg(args, n: int) -> np.ndarray:
     path = Path(text)
     if path.is_file():
         try:
-            values = np.asarray(json.loads(path.read_text()), dtype=float)
+            values = np.asarray(read_json(path, "theta init"), dtype=float)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
-                f"theta init file {path} must hold a JSON list of {n} numbers"
-            ) from exc
+                f"theta init file {path} must hold a JSON list of {n} numbers") from exc
         if values.shape != (n,):
             raise ConfigurationError(f"theta init file must hold {n} values")
         return values
@@ -313,7 +311,7 @@ def cmd_report(args) -> int:
         "map_ratios": report.map_ratios.tolist(),
         "cov_percent": report.cov_percent.tolist(),
     }
-    alarms_path.write_text(json.dumps(alarms_payload, indent=2, sort_keys=True) + "\n")
+    write_json(alarms_path, alarms_payload)
     settings = {
         "fmax": float(f_grid[-1]), "fstep": float(f_grid[1] - f_grid[0]) if f_grid.size > 1 else 0.0,
         "variance_pairing": report.variance_pairing,

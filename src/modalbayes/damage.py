@@ -4,14 +4,12 @@ from a calibration/monitoring result pair.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
+from .data import write_csv, write_json
 from .errors import ConfigurationError
 from .inference import InferenceResult
 
@@ -143,31 +141,18 @@ def build_report(calib: InferenceResult, monitor: InferenceResult, f_grid=None,
 
 
 def write_ratios_csv(report: DamageReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["substructure_id", "map_ratio", "cov_percent", "alarm"])
-        for j in range(report.n):
-            writer.writerow([
-                j + 1,
-                repr(float(report.map_ratios[j])),
-                repr(float(report.cov_percent[j])),
-                int(report.alarms[j]),
-            ])
+    rows = zip(range(1, report.n + 1), report.map_ratios.tolist(), report.cov_percent.tolist(),
+               report.alarms.astype(int).tolist())
+    write_csv(path, ["substructure_id", "map_ratio", "cov_percent", "alarm"], rows)
 
 
 def write_probability_csv(report: DamageReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["substructure_id", "map_ratio", "cov_percent", "f", "prob"])
-        for j in range(report.n):
-            for k, f in enumerate(report.f_grid):
-                writer.writerow([
-                    j + 1,
-                    repr(float(report.map_ratios[j])),
-                    repr(float(report.cov_percent[j])),
-                    repr(float(f)),
-                    repr(float(report.prob_curves[j, k])),
-                ])
+    f_grid = report.f_grid.tolist()
+    substructures = zip(range(1, report.n + 1), report.map_ratios.tolist(),
+                        report.cov_percent.tolist(), report.prob_curves.tolist())
+    rows = ((j, ratio, cov, f, prob)
+            for j, ratio, cov, curve in substructures for f, prob in zip(f_grid, curve))
+    write_csv(path, ["substructure_id", "map_ratio", "cov_percent", "f", "prob"], rows)
 
 
 def report_to_dict(report: DamageReport) -> dict:
@@ -183,4 +168,4 @@ def report_to_dict(report: DamageReport) -> dict:
 
 
 def save_report(report: DamageReport, path) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+    write_json(path, report_to_dict(report))

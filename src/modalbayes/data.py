@@ -8,10 +8,12 @@ Ingestion normalizes each identified segment mode shape to unit Euclidean norm
 and sign-aligns it to the first segment (``per_mode``, the default).  A global
 rescale of the whole stacked vector to unit norm (``global``) matches the
 normalization used in the benchmark tables; ``none`` keeps shapes as given.
+This module also holds the one JSON reader and the JSON and CSV writers.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +23,8 @@ import numpy as np
 from .errors import ConfigurationError
 
 NORMALIZATIONS = ("per_mode", "global", "none")
+DATASET_KEYS = ("q", "m", "s", "observed_dofs", "segments")  # and, optionally, "units"
+SEGMENT_KEYS = ("omega2", "mode_shapes")
 
 
 @dataclass(frozen=True)
@@ -217,10 +221,6 @@ class DataTerms:
         return self.spread + self.q * float(np.sum(diff * diff))
 
 
-def _hz_to_omega2(values: np.ndarray) -> np.ndarray:
-    return (2.0 * np.pi * values) ** 2
-
-
 def dataset_to_dict(dataset: ModalDataset) -> dict:
     segments = []
     w2 = dataset.omega2_segments
@@ -246,30 +246,23 @@ def dataset_from_dict(payload: dict, normalization: str = "none") -> ModalDatase
 
     Frequencies are rad^2/s^2 by default (``"units": "rad2"``); with
     ``"units": "hz"`` the segment values are natural frequencies in Hz and are
-    converted as omega^2 = (2 pi f)^2.  Any other ``units`` value is refused.
+    converted as omega^2 = (2 pi f)^2.  Any other ``units`` value is refused, as are
+    a missing or unknown key and a count q, m or s that is not a whole number.
     ``normalization`` defaults to "none" because files written by this package
     are already normalized at ingestion.
     """
-    try:
-        q, m, s = int(payload["q"]), int(payload["m"]), int(payload["s"])
-        observed = payload["observed_dofs"]
-        segments = list(payload["segments"])
-    except KeyError as exc:
-        raise ConfigurationError(f"malformed dataset payload: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed dataset payload: {exc}") from exc
-    if len(segments) != q:
-        raise ConfigurationError(f"dataset declares q={q} but has {len(segments)} segments")
+    check_keys(payload, "dataset", DATASET_KEYS, optional=("units",))
+    q, m, s = (whole_number(payload[key], key) for key in ("q", "m", "s"))
+    segments = payload["segments"]
+    if not isinstance(segments, list) or len(segments) != q:
+        raise ConfigurationError(f"dataset declares q={q}, but its segments are not a list of {q}")
     units = payload.get("units", "rad2")
     if units not in ("rad2", "hz"):
         raise ConfigurationError(f'dataset "units" must be "rad2" or "hz", got {units!r}')
     omega2 = np.zeros((q, m))
     shapes = np.zeros((q, m, s))
     for r, seg in enumerate(segments):
-        missing = [key for key in ("omega2", "mode_shapes")
-                   if not isinstance(seg, dict) or key not in seg]
-        if missing:
-            raise ConfigurationError(f"segment {r} is missing {', '.join(missing)}")
+        check_keys(seg, f"segment {r}", SEGMENT_KEYS)
         try:
             w = np.asarray(seg["omega2"], dtype=float)
             ms = np.asarray(seg["mode_shapes"], dtype=float)
@@ -277,11 +270,35 @@ def dataset_from_dict(payload: dict, normalization: str = "none") -> ModalDatase
             raise ConfigurationError(f"segment {r} holds a non-numeric value: {exc}") from exc
         if w.shape != (m,):
             raise ConfigurationError(f"segment {r} has {w.size} frequencies, expected {m}")
-        omega2[r] = _hz_to_omega2(w) if units == "hz" else w
+        omega2[r] = (2.0 * np.pi * w) ** 2 if units == "hz" else w
         if ms.shape != (m, s):
             raise ConfigurationError(f"segment {r} mode_shapes must be {m}x{s}, got {ms.shape}")
         shapes[r] = ms
-    return ModalDataset.from_segments(omega2, shapes, observed, normalization=normalization)
+    return ModalDataset.from_segments(omega2, shapes, payload["observed_dofs"], normalization)
+
+
+def check_keys(payload, kind: str, required, optional=()) -> None:
+    """Refuse a ``kind`` payload that is not a JSON object, lacks a ``required`` key or
+    holds a key that is neither ``required`` nor ``optional``."""
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"{kind} must be a JSON object")
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ConfigurationError(f"{kind} is missing {', '.join(missing)}")
+    unknown = sorted(set(payload).difference(required, optional))
+    if unknown:
+        raise ConfigurationError(f"{kind} has unknown key(s) {', '.join(unknown)}")
+
+
+def whole_number(value, name: str) -> int:
+    """``value`` as an int; anything but a whole number is a ``ConfigurationError``."""
+    try:
+        number = float(value)
+        if number.is_integer():
+            return int(number)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
 
 
 def read_json(path, kind: str):
@@ -300,4 +317,19 @@ def load_dataset(path, normalization: str = "none") -> ModalDataset:
 
 
 def save_dataset(dataset: ModalDataset, path) -> None:
-    Path(path).write_text(json.dumps(dataset_to_dict(dataset), indent=2, sort_keys=True) + "\n")
+    write_json(path, dataset_to_dict(dataset))
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON with two-space indents, sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the ``header`` row, then ``rows``, as CSV.  Cells are Python numbers or
+    strings (``ndarray.tolist()``, ``float(x)``): each float is written in its shortest
+    round-trip form."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -1,14 +1,14 @@
 """File schemas and run manifests for the CLI pipeline.
 
-All structured inputs/outputs are JSON, tabular numeric outputs CSV; floats
-are serialized at full round-trip precision so pipelines are lossless. Run
+All structured inputs/outputs are JSON, tabular numeric outputs CSV, written
+by ``data.write_json`` and ``data.write_csv``; floats are serialized at full
+round-trip precision so pipelines are lossless. Run
 manifests honor SOURCE_DATE_EPOCH for reproducible timestamps, and record the
 numpy and scipy versions and the BLAS thread settings of the environment.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -19,13 +19,15 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import read_json
+from .data import check_keys, read_json, whole_number, write_csv, write_json
 from .errors import ConfigurationError
 from .inference import MONITORING, InferenceResult, InferenceState
 from .model import ShearBuildingSpec, StructuralModel, shear_building_model
 
 
 # -- model files -------------------------------------------------------------
+
+DENSE_MODEL_KEYS = ("d", "n", "M", "K0", "Ksub")
 
 
 def _matrix(payload, name: str, d: int) -> np.ndarray:
@@ -42,23 +44,25 @@ def _matrix(payload, name: str, d: int) -> np.ndarray:
 def model_from_dict(payload: dict) -> StructuralModel:
     """Parse a model definition, expanding the shear-building shorthand.
 
-    The dense ``Ksub`` matrices of a file are reduced to their supports.
+    The dense ``Ksub`` matrices of a file are reduced to their supports.  A payload
+    holds exactly the key ``shear_building`` or the keys ``DENSE_MODEL_KEYS``.
     """
-    if "shear_building" in payload:
-        short = dict(payload["shear_building"])
+    shorthand = isinstance(payload, dict) and "shear_building" in payload
+    check_keys(payload, "model", ("shear_building",) if shorthand else DENSE_MODEL_KEYS)
+    if shorthand:
         try:
+            short = dict(payload["shear_building"])
             unit_scale = float(short.pop("unit_scale", 1.0))
             spec = ShearBuildingSpec(**short)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad shear_building shorthand: {exc}") from exc
         return shear_building_model(spec, unit_scale=unit_scale)
     try:
-        d = int(payload["d"])
-        n = int(payload["n"])
+        d, n = whole_number(payload["d"], "d"), whole_number(payload["n"], "n")
         mass = _matrix(payload["M"], "M", d)
         k0 = _matrix(payload["K0"], "K0", d)
         ksub = [_matrix(kj, f"Ksub[{j}]", d) for j, kj in enumerate(payload["Ksub"])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed model payload: {exc}") from exc
     if len(ksub) != n:
         raise ConfigurationError(f"model declares n={n} but has {len(ksub)} substructures")
@@ -81,10 +85,9 @@ def load_model(path) -> StructuralModel:
 
 
 def save_model(model_or_payload, path) -> None:
-    payload = model_or_payload
     if isinstance(model_or_payload, StructuralModel):
-        payload = model_to_dict(model_or_payload)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        model_or_payload = model_to_dict(model_or_payload)
+    write_json(path, model_or_payload)
 
 
 # -- inference results -------------------------------------------------------
@@ -173,7 +176,7 @@ def result_from_dict(payload: dict) -> InferenceResult:
 
 
 def save_result(result: InferenceResult, path) -> None:
-    Path(path).write_text(json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n")
+    write_json(path, result_to_dict(result))
 
 
 def load_result(path) -> InferenceResult:
@@ -184,36 +187,24 @@ def write_trace_csv(result: InferenceResult, path) -> None:
     """One row per record: the sweep, J and theta, then alpha in a monitoring run."""
     columns = ("theta", "alpha") if result.mode == MONITORING else ("theta",)
     names = [f"{c}_{j + 1}" for c in columns for j in range(result.state_map.n)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep", "objective"] + names)
-        for k, record in enumerate(result.records):
-            values = [v for c in columns for v in getattr(record, c)]
-            writer.writerow([k, repr(float(record.objective))] + [repr(float(v)) for v in values])
+    rows = ([k, float(record.objective)] + [v for c in columns for v in getattr(record, c).tolist()]
+            for k, record in enumerate(result.records))
+    write_csv(path, ["sweep", "objective"] + names, rows)
 
 
 def write_cov_table_csv(rows: list, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "map", "cov_percent"])
-        for row in rows:
-            writer.writerow([row["parameter"], repr(float(row["map"])), repr(float(row["cov_percent"]))])
+    write_csv(path, ["parameter", "map", "cov_percent"],
+              ([row["parameter"], row["map"], row["cov_percent"]] for row in rows))
 
 
 def write_matrix_csv(matrix: np.ndarray, labels: list, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter"] + list(labels))
-        for label, row in zip(labels, matrix):
-            writer.writerow([label] + [repr(float(v)) for v in row])
+    write_csv(path, ["parameter"] + list(labels),
+              ([label] + row for label, row in zip(labels, matrix.tolist())))
 
 
 def write_pruning_csv(result: InferenceResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep", "substructure_id"])
-        for sweep, j in result.pruning_events:
-            writer.writerow([sweep, j + 1])
+    write_csv(path, ["sweep", "substructure_id"],
+              ([sweep, j + 1] for sweep, j in result.pruning_events))
 
 
 # -- manifests ---------------------------------------------------------------
@@ -256,4 +247,4 @@ def write_manifest(path, command: str, settings: dict, inputs: list, outputs: li
         "timestamps": {"completed_utc": _timestamp()},
         "convergence": convergence,
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)

@@ -341,13 +341,13 @@ def cov_report(result, dataset: ModalDataset) -> list:
     rows.append({
         "parameter": "beta",
         "map": float(state.beta),
-        "cov_percent": 100.0 / (state.beta * np.sqrt(h_bb)),
+        "cov_percent": float(100.0 / (state.beta * np.sqrt(h_bb))),
     })
     h_ee = 0.5 * s * q * m / state.eta**2
     rows.append({
         "parameter": "eta",
         "map": float(state.eta),
-        "cov_percent": 100.0 / (state.eta * np.sqrt(h_ee)),
+        "cov_percent": float(100.0 / (state.eta * np.sqrt(h_ee))),
     })
     w4_sum = np.sum(dataset.omega2_segments**2, axis=0)
     for i in range(m):
@@ -355,7 +355,7 @@ def cov_report(result, dataset: ModalDataset) -> list:
         rows.append({
             "parameter": f"phi_{i + 1}",
             "map": float(state.rho[i] * w4_sum[i] / q),
-            "cov_percent": 100.0 / (state.rho[i] * np.sqrt(h_rr)),
+            "cov_percent": float(100.0 / (state.rho[i] * np.sqrt(h_rr))),
         })
     return rows
 

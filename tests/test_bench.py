@@ -1,5 +1,7 @@
 """Synthetic benchmark: building assembly, seeded noise, harness sweeps."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,17 @@ class TestHarness:
         assert (tmp_path / "table_all_hypers_sweep.csv").exists()
         assert (tmp_path / "table_segments.csv").exists()
         assert (tmp_path / "trace_m4_q3_full.csv").exists()
+        # every cell of the tables is the returned value, and every number parses
+        for name, table in out["tables"].items():
+            with open(tmp_path / f"table_{name}.csv", newline="") as fh:
+                header, *lines = csv.reader(fh)
+            assert header == list(table[0]) and len(lines) == len(table)
+            for row, line in zip(table, lines):
+                for key, cell in zip(header, line):
+                    if isinstance(row[key], (str, bool)):
+                        assert cell == str(row[key])
+                    else:
+                        assert float(cell) == row[key], (name, key, cell)
         # identical MAP columns across initial-value factors (fixed-hyper sweep)
         rows = out["tables"]["beta_sweep"]
         by_factor = {}

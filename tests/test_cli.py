@@ -24,6 +24,8 @@ import pytest
 from conftest import SOURCE_DATE_EPOCH, cli_env
 from modalbayes.cli import main
 from modalbayes.inference import AlgorithmConfig
+from modalbayes.io import model_to_dict
+from modalbayes.model import ShearBuildingSpec, shear_building_model
 
 
 class CliRun(NamedTuple):
@@ -57,6 +59,8 @@ def run_entry_point(args, cwd):
 
 SIMULATE = ["simulate", "--building", "shear10", "--modes", "2", "--segments", "4",
             "--noise", "0.01", "--seed", "7"]
+# the model of SIMULATE's model.json as a dense model file
+DENSE_SHEAR10 = model_to_dict(shear_building_model(ShearBuildingSpec(10), unit_scale=1e6))
 
 
 @pytest.fixture
@@ -197,9 +201,18 @@ class TestCalibrate:
         ("model", ("shear_building", "floor_mass"), [1e5, 1e5, 1e5]),
         ("model", (), {"d": 2, "n": 1, "M": [[1, 0], [0, 1]], "K0": [[0, 0], [0, 0]],
                        "Ksub": [[[1, "a"], ["a", 1]]]}),
+        ("dataset", ("unit",), "hz"),
+        ("dataset", ("segments", 0, "omega"), [1.0, 2.0]),
+        ("model", ("unit_scale",), 1e6),
+        ("model", (), {**DENSE_SHEAR10, "unit_scale": 1.0}),
+        # one half above the pipeline's q = 4 and d = 10, which truncate to them
+        ("dataset", ("q",), 4.5),
+        ("model", (), {**DENSE_SHEAR10, "d": 10.5}),
     ], ids=["q_not_int", "omega2_not_number", "mode_shape_not_number", "dof_not_number",
             "dof_not_integer", "segments_not_list", "units_unknown", "unit_scale_not_number",
-            "floor_mass_wrong_length", "ksub_not_number"])
+            "floor_mass_wrong_length", "ksub_not_number", "unit_key", "segment_key_unknown",
+            "unit_scale_beside_shorthand", "dense_model_extra_key", "q_not_whole",
+            "d_not_whole"])
     def test_bad_input_file_exit_2(self, pipeline_dir, kind, path, value):
         # path locates the entry replaced by value; an empty path replaces the whole file
         payload = json.loads((pipeline_dir / f"run/{kind}.json").read_text())

@@ -1,8 +1,13 @@
-"""Dataset invariants, ingestion normalization and the selection-structure helpers."""
+"""Dataset invariants, ingestion normalization, the selection-structure helpers and
+the file writers."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modalbayes
 from modalbayes.data import (
     DataTerms,
     ModalDataset,
@@ -12,6 +17,8 @@ from modalbayes.data import (
     load_dataset,
     observation_mask,
     save_dataset,
+    write_csv,
+    write_json,
 )
 from modalbayes.errors import ConfigurationError
 
@@ -174,6 +181,35 @@ def explicit_gamma(dataset, d):
                 gamma[row + k, i * d + dof] = 1.0
             row += dataset.s
     return gamma
+
+
+class TestFileWriters:
+    def test_csv_writes_numpy_and_python_floats_alike(self, tmp_path):
+        values = [0.1, 1e-05, 1e16, 25.819888974716108, -3.0, 0.0]
+        write_csv(tmp_path / "a.csv", ["a", "b", "c", "d", "e", "f"],
+                  [values, [np.float64(v) for v in values]])
+        header, plain, numpy_row = (tmp_path / "a.csv").read_text().splitlines()
+        assert plain == numpy_row == "0.1,1e-05,1e+16,25.819888974716108,-3.0,0.0"
+        assert plain == ",".join(repr(v) for v in values)
+
+    def test_json_sorted_keys_and_one_final_newline(self, tmp_path):
+        write_json(tmp_path / "a.json", {"b": [1.5, 2], "a": {"d": 1e-05, "c": None}})
+        assert (tmp_path / "a.json").read_text() == (
+            '{\n  "a": {\n    "c": null,\n    "d": 1e-05\n  },\n  "b": [\n    1.5,\n    2\n  ]\n}\n')
+
+    def test_only_data_imports_csv_and_only_data_and_io_import_json(self):
+        importers = {"csv": set(), "json": set()}
+        for path in Path(modalbayes.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    importers.get(name.split(".")[0], set()).add(path.name)
+        assert importers == {"csv": {"data.py"}, "json": {"data.py", "io.py"}}
 
 
 class TestSelectionHelpers:
