@@ -124,19 +124,16 @@ def simulate_modal_data(model: StructuralModel, theta, m: int, q: int, observed_
 
     The random stream splits per (segment, mode), so increasing q reuses the
     noise of the shorter runs and concurrent generation cannot reorder draws.
+    A q below 3, a negative one included, is refused by the dataset.
     """
-    if q < 3:
-        raise ConfigurationError(
-            f"insufficient segments: q={q}, but at least three (q >= 3) are required"
-        )
     observed = np.asarray(observed_dofs, dtype=int)
     exact = eigen_solve(model, theta, m)
     omega = np.sqrt(exact.omega2)
     modes = exact.mode_matrix()  # (m, d)
     d = model.d
 
-    omega2_seg = np.zeros((q, m))
-    shapes_seg = np.zeros((q, m, observed.size))
+    omega2_seg = np.zeros((max(q, 0), m))
+    shapes_seg = np.zeros((max(q, 0), m, observed.size))
     for r in range(q):
         for i in range(m):
             rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(r, i)))

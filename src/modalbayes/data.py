@@ -1,8 +1,11 @@
 """Identified modal datasets: q segments of frequencies/mode shapes at s sensors.
 
-Stacking conventions follow the rest of the package: segment-major for the
-frequency vector (segment 1's m modes first) and segment-major then mode-major
-for the stacked mode-shape vector.
+This module owns the layout of the identified data.  A dataset holds the
+(q, m) squared frequencies and the (q, m, s) mode shapes of its segments, once
+each, and reads its counts from their shapes; the stacked vectors of the
+paper (segment-major, then mode-major, s components each) are their flat
+forms.  ``DataTerms`` is the engine's view of a dataset: the quantities the
+sweep reads, formed once per run.
 
 Ingestion normalizes each identified segment mode shape to unit Euclidean norm
 and sign-aligns it to the first segment (``per_mode``, the default).  A global
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,26 +37,30 @@ class ModalDataset:
 
     Attributes
     ----------
-    omega_hat2 : (q*m,) array
-        Identified squared natural frequencies, segment-major, rad^2/s^2.
-    psi_hat : (q*m*s,) array
-        Stacked identified mode shapes (segment-major, then mode-major,
-        s components each).
+    omega2_segments : (q, m) array
+        Identified squared natural frequencies per segment and mode, rad^2/s^2.
+    psi_segments : (q, m, s) array
+        Identified mode-shape components per segment and mode; its flat form
+        is the stacked vector Psi_hat.
     observed_dofs : (s,) int array
         Model DOF indices the sensors observe, strictly increasing.
-    q, m, s : int
-        Segment, mode and sensor counts.
+
+    Each array is held once, read-only; the counts q, m and s are read from
+    the shape of ``psi_segments``.
     """
 
-    q: int
-    m: int
-    s: int
-    omega_hat2: np.ndarray
-    psi_hat: np.ndarray
+    omega2_segments: np.ndarray
+    psi_segments: np.ndarray
     observed_dofs: np.ndarray
 
     def __post_init__(self):
-        q, m, s = int(self.q), int(self.m), int(self.s)
+        # views, so that marking them read-only leaves the caller's arrays as they are
+        omega2 = np.asarray(self.omega2_segments, dtype=float).view()
+        psi = np.asarray(self.psi_segments, dtype=float).view()
+        if omega2.ndim != 2 or psi.ndim != 3 or psi.shape[:2] != omega2.shape:
+            raise ConfigurationError(f"omega2_segments must be (q, m) and psi_segments "
+                                     f"(q, m, s), got {omega2.shape} and {psi.shape}")
+        q, m, s = psi.shape
         if q < 3:
             raise ConfigurationError(
                 f"insufficient segments: q={q}, but at least three (q >= 3) are required"
@@ -61,8 +69,6 @@ class ModalDataset:
             raise ConfigurationError(
                 f"insufficient mode-shape data: s*q*m={s * q * m} must exceed 2"
             )
-        omega_hat2 = np.asarray(self.omega_hat2, dtype=float)
-        psi_hat = np.asarray(self.psi_hat, dtype=float)
         try:
             raw_dofs = np.asarray(self.observed_dofs, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -70,47 +76,36 @@ class ModalDataset:
         dofs = raw_dofs.astype(int)
         if not np.array_equal(dofs, raw_dofs):
             raise ConfigurationError("observed_dofs must be integer DOF indices")
-        if omega_hat2.shape != (q * m,):
-            raise ConfigurationError(f"omega_hat2 must have shape ({q * m},), got {omega_hat2.shape}")
-        if psi_hat.shape != (q * m * s,):
-            raise ConfigurationError(f"psi_hat must have shape ({q * m * s},), got {psi_hat.shape}")
         if dofs.shape != (s,):
             raise ConfigurationError(f"observed_dofs must have shape ({s},), got {dofs.shape}")
         if np.any(dofs < 0) or np.any(np.diff(dofs) <= 0):
             raise ConfigurationError("observed_dofs must be strictly increasing and nonnegative")
-        if not np.all(np.isfinite(omega_hat2)) or np.any(omega_hat2 <= 0):
+        if not np.all(np.isfinite(omega2)) or np.any(omega2 <= 0):
             raise ConfigurationError("identified squared frequencies must be positive and finite")
-        if not np.all(np.isfinite(psi_hat)):
+        if not np.all(np.isfinite(psi)):
             raise ConfigurationError("identified mode shapes contain non-finite values")
-        omega_hat2.setflags(write=False)
-        psi_hat.setflags(write=False)
-        dofs.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "omega_hat2", omega_hat2)
-        object.__setattr__(self, "psi_hat", psi_hat)
-        object.__setattr__(self, "observed_dofs", dofs)
-
-    # -- views -----------------------------------------------------------
+        for name, value in (("omega2_segments", omega2), ("psi_segments", psi),
+                            ("observed_dofs", dofs)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
-    def omega2_segments(self) -> np.ndarray:
-        """(q, m) view of the identified squared frequencies."""
-        return self.omega_hat2.reshape(self.q, self.m)
+    def q(self) -> int:
+        return self.psi_segments.shape[0]
 
     @property
-    def psi_segments(self) -> np.ndarray:
-        """(q, m, s) view of the identified mode shapes."""
-        return self.psi_hat.reshape(self.q, self.m, self.s)
+    def m(self) -> int:
+        return self.psi_segments.shape[1]
+
+    @property
+    def s(self) -> int:
+        return self.psi_segments.shape[2]
 
     def validate_against(self, d: int) -> None:
         if self.observed_dofs[-1] >= d:
             raise ConfigurationError(
                 f"observed DOF {self.observed_dofs[-1]} out of range for a model with d={d}"
             )
-
-    # -- construction ----------------------------------------------------
 
     @classmethod
     def from_segments(cls, omega2, shapes, observed_dofs, normalization: str = "per_mode"):
@@ -127,12 +122,9 @@ class ModalDataset:
         """
         if normalization not in NORMALIZATIONS:
             raise ConfigurationError(f"unknown normalization {normalization!r}")
-        omega2 = np.asarray(omega2, dtype=float)
         shapes = np.array(shapes, dtype=float)
-        if omega2.ndim != 2 or shapes.ndim != 3 or shapes.shape[:2] != omega2.shape:
-            raise ConfigurationError("omega2 must be (q, m) and shapes (q, m, s)")
-        q, m, s = shapes.shape
-        if normalization != "none":
+        # shapes that are not (q, m, s), or hold no segment, are refused by the constructor
+        if normalization != "none" and shapes.ndim == 3 and shapes.size:
             norms = np.linalg.norm(shapes, axis=2, keepdims=True)
             if np.any(norms == 0):
                 raise ConfigurationError("zero-norm mode shape in input data")
@@ -144,52 +136,26 @@ class ModalDataset:
             shapes = shapes * signs[:, :, None]
             if normalization == "global":
                 shapes = shapes / np.linalg.norm(shapes)
-        return cls(
-            q=q,
-            m=m,
-            s=s,
-            omega_hat2=omega2.reshape(-1),
-            psi_hat=shapes.reshape(-1),
-            observed_dofs=observed_dofs,
-        )
-
-
-# ---------------------------------------------------------------------------
-# selection-matrix structure: Gamma is q stacked copies of a per-mode block
-# diagonal of the DOF-picking matrix, so Gamma^T Gamma = q * diag(mask) and
-# Gamma^T Psi_hat sums the segment shapes per mode.  Nothing here ever builds
-# the (q*m*s) x (d*m) matrix explicitly.
-# ---------------------------------------------------------------------------
-
-
-def observation_mask(dataset: ModalDataset, d: int) -> np.ndarray:
-    """(d*m,) 0/1 diagonal of Gamma_0^T Gamma_0 repeated per mode block."""
-    single = np.zeros(d)
-    single[dataset.observed_dofs] = 1.0
-    return np.tile(single, dataset.m)
-
-
-def gamma_t_psi(dataset: ModalDataset, d: int) -> np.ndarray:
-    """(d*m,) vector Gamma^T Psi_hat: segment-summed shapes lifted to model DOFs."""
-    out = np.zeros(d * dataset.m)
-    summed = dataset.psi_segments.sum(axis=0)  # (m, s)
-    for i in range(dataset.m):
-        out[i * d + dataset.observed_dofs] = summed[i]
-    return out
+        return cls(omega2, shapes, observed_dofs)
 
 
 @dataclass(frozen=True)
 class DataTerms:
-    """The quantities of a dataset that every sweep reads, formed once per run.
+    """The engine's view of a dataset: what the sweep reads, formed once per run.
 
-    ``mask`` and ``gamma_t_psi`` are the (m, d) forms of ``observation_mask``
-    and ``gamma_t_psi``; ``omega2_sum`` (m,) sums the identified squared
-    frequencies over the segments; ``psi_mean`` (m, s) is the segment-mean
-    shape psi_bar and ``spread`` is S0 = sum_r ||psi_r - psi_bar||^2.
+    Gamma, the (q m s) x (d m) selection matrix, is q stacked copies of a
+    per-mode block diagonal of the DOF-picking matrix; it is never built.
+    ``mask`` (m, d) is the 0/1 diagonal of Gamma_0^T Gamma_0 per mode, so
+    Gamma^T Gamma = q diag(mask), and ``gamma_t_psi`` (m, d) is Gamma^T Psi_hat,
+    the segment-summed shapes lifted to the model DOFs.  ``omega2_segments``
+    (q, m) is the dataset's own array and ``omega2_sum`` (m,) its sum over the
+    segments; ``psi_mean`` (m, s) is the segment-mean shape psi_bar and
+    ``spread`` is S0 = sum_r ||psi_r - psi_bar||^2.  The counts q, m and s
+    are read from the arrays, as in ``ModalDataset``.
     """
 
-    q: int
     observed_dofs: np.ndarray
+    omega2_segments: np.ndarray
     mask: np.ndarray
     gamma_t_psi: np.ndarray
     omega2_sum: np.ndarray
@@ -198,17 +164,31 @@ class DataTerms:
 
     @classmethod
     def from_dataset(cls, dataset: ModalDataset, d: int) -> "DataTerms":
-        psi = dataset.psi_segments
+        psi, dofs = dataset.psi_segments, dataset.observed_dofs
+        mask = np.zeros((dataset.m, d))
+        mask[:, dofs] = 1.0
+        gamma_t_psi = np.zeros((dataset.m, d))
+        gamma_t_psi[:, dofs] = psi.sum(axis=0)
         # the mean is taken relative to the first segment, so identical segments give
         # psi_bar exactly and S0 = 0
         dev = psi - psi[0]
         mean_dev = dev.mean(axis=0)
         spread = dev - mean_dev
-        return cls(q=dataset.q, observed_dofs=dataset.observed_dofs,
-                   mask=observation_mask(dataset, d).reshape(dataset.m, d),
-                   gamma_t_psi=gamma_t_psi(dataset, d).reshape(dataset.m, d),
-                   omega2_sum=dataset.omega2_segments.sum(axis=0),
+        return cls(observed_dofs=dofs, omega2_segments=dataset.omega2_segments, mask=mask,
+                   gamma_t_psi=gamma_t_psi, omega2_sum=dataset.omega2_segments.sum(axis=0),
                    psi_mean=psi[0] + mean_dev, spread=float(np.sum(spread * spread)))
+
+    @property
+    def q(self) -> int:
+        return self.omega2_segments.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.omega2_segments.shape[1]
+
+    @property
+    def s(self) -> int:
+        return self.observed_dofs.size
 
     def shape_misfit(self, phi: np.ndarray) -> float:
         """||Psi_hat - Gamma Phi||^2 as S0 + q ||psi_bar - Gamma_0 Phi||^2.
@@ -291,12 +271,13 @@ def check_keys(payload, kind: str, required, optional=()) -> None:
 
 
 def whole_number(value, name: str) -> int:
-    """``value`` as an int; anything but a whole number is a ``ConfigurationError``."""
+    """``value`` as an int; anything but a whole number, a string or a bool included,
+    is a ``ConfigurationError``."""
     try:
-        number = float(value)
-        if number.is_integer():
-            return int(number)
-    except (TypeError, ValueError, OverflowError):
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and float(value).is_integer()):
+            return int(value)
+    except OverflowError:
         pass
     raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
 

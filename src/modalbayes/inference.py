@@ -19,13 +19,15 @@ lambda = 0 with a floor kappa > 0 the exponential hyper-prior on precisions.
 The equation-error precision beta has a Gamma(1, b0) prior whose rate is a
 constant of the stage (``BETA_PRIOR_RATE``), not a setting.
 
-Formed once per run, before the first sweep (``data.DataTerms``): the
-observation mask, Gamma^T Psi_hat, the segment sums of the identified squared
-frequencies, and the segment-mean shape psi_bar with the spread
-S0 = sum_r ||psi_r - psi_bar||^2 of the segments about it.  Formed once per
-sweep: everything ``sweep`` lists.  Formed once, after the last sweep: the
-full Sigma_theta with the c.o.v. it gives, and the joint covariance, which
-reuses the H, H^T H and r of the last sweep.
+``initialize`` is the one reader of the ``data.ModalDataset``; every block of
+the sweep reads the dataset through its ``data.DataTerms``, formed once per
+run, before the first sweep: the identified squared frequencies with their
+segment sums, the observation mask, Gamma^T Psi_hat, and the segment-mean
+shape psi_bar with the spread S0 = sum_r ||psi_r - psi_bar||^2 of the
+segments about it.  Formed once per sweep: everything ``sweep`` lists.
+Formed once, after the last sweep: the full Sigma_theta with the c.o.v. it
+gives, and the joint covariance, which reuses the H, H^T H and r of the last
+sweep.
 """
 
 from __future__ import annotations
@@ -212,7 +214,8 @@ def initialize(
     b0 = BETA_PRIOR_RATE[config.mode]
     beta = d * m / (2.0 * b0)
 
-    psi_sq = float(dataset.psi_hat @ dataset.psi_hat)
+    flat = dataset.psi_segments.reshape(-1)
+    psi_sq = float(flat @ flat)
     if psi_sq == 0:
         raise ConfigurationError("mode-shape data is identically zero")
     eta = (s * q * m - 2.0) / psi_sq
@@ -236,10 +239,8 @@ def initialize(
     if beta <= 0 or eta <= 0 or np.any(rho <= 0):
         raise ConfigurationError("initial precisions must be positive")
 
-    phi0 = np.zeros(d * m)
-    mean_shapes = dataset.psi_segments.mean(axis=0)  # (m, s)
-    for i in range(m):
-        phi0[i * d + dataset.observed_dofs] = mean_shapes[i]
+    phi0 = np.zeros((m, d))
+    phi0[:, dataset.observed_dofs] = dataset.psi_segments.mean(axis=0)
 
     if config.mode == CALIBRATION:
         alpha = np.full(n, ALPHA_CALIBRATION)
@@ -250,7 +251,7 @@ def initialize(
     return InferenceState(
         theta=theta,
         omega2=w2.mean(axis=0),
-        phi=phi0,
+        phi=phi0.reshape(-1),
         beta=float(beta),
         eta=float(eta),
         nu=1.0 / float(eta),
@@ -301,14 +302,14 @@ def update_mode_shapes(state: InferenceState, terms: DataTerms,
     return phi
 
 
-def update_eta(state: InferenceState, dataset: ModalDataset,
+def update_eta(state: InferenceState, terms: DataTerms,
                shape_sq: float) -> tuple[float, float]:
     """eta = (sqm - 2) / ||Psi_hat - Gamma Phi||^2 and nu = 1/eta.
 
     ``shape_sq`` is ||Psi_hat - Gamma Phi||^2 of the current Phi
     (``DataTerms.shape_misfit``).
     """
-    sqm = dataset.s * dataset.q * dataset.m
+    sqm = terms.s * terms.q * terms.m
     if shape_sq <= (sqm - 2.0) / ETA_MAX:
         state.flag("noise-free mode-shape data: eta clamped at maximum")
         eta = ETA_MAX
@@ -334,12 +335,10 @@ def update_frequencies(state: InferenceState, terms: DataTerms, mphi: np.ndarray
     return rhs / lhs
 
 
-def update_rho(state: InferenceState, dataset: ModalDataset) -> tuple[np.ndarray, np.ndarray]:
+def update_rho(state: InferenceState, terms: DataTerms) -> tuple[np.ndarray, np.ndarray]:
     """rho_i = (q - 2) / sum_r (what_{r,i}^2 - w_i^2)^2 and tau = 1/rho."""
-    q = dataset.q
-    if q < 3:
-        raise ConfigurationError("insufficient segments: rho update requires q >= 3")
-    dev = dataset.omega2_segments - state.omega2[None, :]
+    q = terms.q
+    dev = terms.omega2_segments - state.omega2[None, :]
     dev_sq = np.sum(dev * dev, axis=0)
     floor = (q - 2.0) / RHO_MAX
     clamped = dev_sq <= floor
@@ -358,10 +357,11 @@ def update_theta(state: InferenceState, hmat: np.ndarray, hth: np.ndarray, bvec:
     and Phi.  Pruned components (alpha exactly zero) stay pinned at the
     anchor; the free block solves
     (beta Hf^T Hf + Af^-1) theta_f = beta Hf^T (b - Hp anchor_p) + Af^-1 anchor_f
-    by Cholesky (LAPACK ``dposv``): the precision is positive definite.
+    from the Cholesky factor of the precision (``uncertainty.theta_factor``, then
+    LAPACK ``dpotrs``).
     """
     anchor = np.asarray(theta_anchor, dtype=float)
-    free = state.free_mask()
+    free, factor = uncertainty.theta_factor(state.beta, hth, state.alpha)
     theta_new = anchor.copy()
     if not np.any(free):
         return theta_new
@@ -369,12 +369,8 @@ def update_theta(state: InferenceState, hmat: np.ndarray, hth: np.ndarray, bvec:
     # H is copied; with nothing pinned (calibration) the product is zero and is skipped
     if not np.all(free):
         bvec = bvec - hmat @ np.where(free, 0.0, anchor)
-    lhs = uncertainty.theta_precision(state.beta, hth, state.alpha)
     rhs = (state.beta * (hmat.T @ bvec))[free] + anchor[free] / state.alpha[free]
-    _, theta_new[free], info = lapack.dposv(lhs, rhs, lower=1)
-    if info != 0:
-        raise NumericalError(f"theta update failed: the precision is not positive definite "
-                             f"(LAPACK info {info})")
+    theta_new[free], _ = lapack.dpotrs(factor, rhs, lower=1)
     return theta_new
 
 
@@ -418,7 +414,7 @@ def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def objective(state: InferenceState, dataset: ModalDataset, resid: np.ndarray,
+def objective(state: InferenceState, terms: DataTerms, resid: np.ndarray,
               shape_sq: float, theta_anchor) -> float:
     """The minimized function J over [xi, theta], all log terms included.
 
@@ -433,12 +429,12 @@ def objective(state: InferenceState, dataset: ModalDataset, resid: np.ndarray,
         raise ConfigurationError("objective undefined: nonpositive precision")
     if np.any(state.rho <= 0) or np.any(state.tau <= 0):
         raise ConfigurationError("objective undefined: nonpositive precision")
-    q, m, s = dataset.q, dataset.m, dataset.s
+    q, m, s = terms.q, terms.m, terms.s
     d = state.phi.size // m
     anchor = np.asarray(theta_anchor, dtype=float)
 
     j = state.b0 * state.beta
-    dev = dataset.omega2_segments - state.omega2[None, :]
+    dev = terms.omega2_segments - state.omega2[None, :]
     j += -0.5 * q * float(np.sum(np.log(state.rho)))
     j += 0.5 * float(np.sum(state.rho * np.sum(dev * dev, axis=0)))
     j += -float(np.sum(np.log(state.tau) - state.tau * state.rho))
@@ -447,11 +443,12 @@ def objective(state: InferenceState, dataset: ModalDataset, resid: np.ndarray,
     j += -math.log(state.nu) + state.nu * state.eta
 
     diff = anchor - state.theta
-    terms = np.where(state.alpha > 0, diff * diff / np.where(state.alpha > 0, state.alpha, 1.0), 0.0)
+    anchor_terms = np.where(state.alpha > 0,
+                            diff * diff / np.where(state.alpha > 0, state.alpha, 1.0), 0.0)
     zero_alpha = state.alpha == 0
     if np.any(zero_alpha & (diff != 0.0)):
         return math.inf
-    j += 0.5 * float(np.sum(terms))
+    j += 0.5 * float(np.sum(anchor_terms))
 
     j += -0.5 * d * m * math.log(state.beta) + 0.5 * state.beta * float(np.sum(resid * resid))
     return j
@@ -462,8 +459,8 @@ def objective(state: InferenceState, dataset: ModalDataset, resid: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def sweep(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
-          terms: DataTerms, anchor: np.ndarray, config: AlgorithmConfig,
+def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, anchor: np.ndarray,
+          config: AlgorithmConfig,
           index: int) -> tuple[SweepRecord, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Sweep ``index`` (from 1): update each block of ``state`` once, in place, in the
     fixed order (mode shapes, eta), (frequencies, rho), theta, beta, then the ARD block
@@ -491,12 +488,12 @@ def sweep(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
     hth = build_HtH(model, hmat)
     mphi, k0phi = mode_products(model, state.phi)
     if not config.fixed("eta"):
-        state.eta, state.nu = update_eta(state, dataset, shape_sq)
+        state.eta, state.nu = update_eta(state, terms, shape_sq)
     kphi = k0phi + (hmat @ state.theta).reshape(k0phi.shape)
     state.omega2 = update_frequencies(state, terms, mphi, kphi)
     bvec = build_b(state.omega2, mphi, k0phi)
     if not config.fixed("phi"):
-        state.rho, state.tau = update_rho(state, dataset)
+        state.rho, state.tau = update_rho(state, terms)
     theta_prev, alpha_prev = state.theta, state.alpha
     state.theta = update_theta(state, hmat, hth, bvec, anchor)
     resid = eigen_residual(model, hmat, state.theta, bvec)
@@ -529,7 +526,7 @@ def sweep(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
             step = float(np.max(np.abs(np.log(state.alpha[free] / alpha_prev[free]))))
 
     record = SweepRecord(state.theta.copy(), state.alpha.copy(),
-                         objective(state, dataset, resid, shape_sq, anchor), pruned, step)
+                         objective(state, terms, resid, shape_sq, anchor), pruned, step)
     return record, (hmat, hth, resid)
 
 
@@ -545,11 +542,11 @@ def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: Algorith
 
     resid = eigen_residual(model, build_H(model, state.phi), state.theta,
                            build_b(state.omega2, *mode_products(model, state.phi)))
-    start = objective(state, dataset, resid, terms.shape_misfit(state.phi), anchor)
+    start = objective(state, terms, resid, terms.shape_misfit(state.phi), anchor)
     records = [SweepRecord(state.theta.copy(), state.alpha.copy(), start, (), math.inf)]
     tol = config.tol_log_alpha if mode == MONITORING else config.tol_theta
     for index in range(1, config.max_iterations + 1):
-        record, (hmat, hth, resid) = sweep(state, dataset, model, terms, anchor, config, index)
+        record, (hmat, hth, resid) = sweep(state, model, terms, anchor, config, index)
         records.append(record)
         converged = record.step < tol
         if converged:

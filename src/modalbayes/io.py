@@ -53,6 +53,8 @@ def model_from_dict(payload: dict) -> StructuralModel:
         try:
             short = dict(payload["shear_building"])
             unit_scale = float(short.pop("unit_scale", 1.0))
+            if "stories" in short:
+                short["stories"] = whole_number(short["stories"], "stories")
             spec = ShearBuildingSpec(**short)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad shear_building shorthand: {exc}") from exc

@@ -17,9 +17,10 @@ indefinite) matrix.  The exact 1-norm condition numbers of the equilibrated
 Hessian and of each equilibrated mode block, read from the inverses formed,
 decide whether the joint covariance is reported.
 
-Sigma_theta is formed in full once per run (``theta_covariance_from``); the
-ARD block of each monitoring sweep reads only its diagonal, from the Cholesky
-factor of its precision (``theta_variances``).
+The theta precision beta H_f^T H_f + A_f^-1 is factored by one function
+(``theta_factor``), which the theta update solves with.  Sigma_theta is
+formed in full once per run (``theta_covariance_from``); the ARD block of
+each monitoring sweep reads only its diagonal (``theta_variances``).
 
 Reported coefficients of variation follow the conventions of the source
 tables: theta uses the conditional covariance Sigma_theta, and the scalar
@@ -54,51 +55,50 @@ def theta_precision(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarr
     return prec
 
 
+def theta_factor(beta: float, hth: np.ndarray, alpha: np.ndarray):
+    """The free set f (boolean, alpha > 0) and the lower Cholesky factor (LAPACK
+    ``dpotrf``) of the precision ``theta_precision`` over it: the one factorization
+    that the theta update and both forms of Sigma_theta read.  A precision that
+    rounding leaves not positive definite is a ``NumericalError``.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    factor, info = lapack.dpotrf(theta_precision(beta, hth, alpha), lower=1)
+    if info != 0:
+        raise NumericalError(f"theta precision is not positive definite: Cholesky "
+                             f"factorization failed (LAPACK info {info})")
+    return alpha > 0.0, factor
+
+
 def theta_covariance_from(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Sigma_theta = (beta H_f^T H_f + A_f^-1)^-1, embedded in the n x n frame.
 
-    ``hth`` is H^T H (``model.build_HtH``).  The precision ``theta_precision``
-    is inverted from its Cholesky factor (``dpotrf``, ``dpotri``), so the cost
-    scales with the unpruned set.  Rows and columns of pruned components are
-    exactly zero.
+    ``hth`` is H^T H (``model.build_HtH``).  The precision is inverted from its
+    Cholesky factor (``theta_factor``, then ``dpotri``), so the cost scales with
+    the unpruned set.  Rows and columns of pruned components are exactly zero.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    free = alpha > 0.0
-    cov = np.zeros((alpha.size, alpha.size))
-    if not np.any(free):
-        return cov
-    factor, info = lapack.dpotrf(theta_precision(beta, hth, alpha), lower=1)
-    if info == 0:
-        inv, info = lapack.dpotri(factor, lower=1)
-    if info != 0:
-        raise NumericalError(f"theta covariance factorization failed: not positive definite: "
-                             f"LAPACK info {info}")
-    # dpotri fills the lower triangle only
-    cov[np.ix_(free, free)] = np.tril(inv) + np.tril(inv, -1).T
+    free, factor = theta_factor(beta, hth, alpha)
+    cov = np.zeros((free.size, free.size))
+    if np.any(free):
+        inv, _ = lapack.dpotri(factor, lower=1)
+        # dpotri fills the lower triangle only
+        cov[np.ix_(free, free)] = np.tril(inv) + np.tril(inv, -1).T
     return cov
 
 
 def theta_variances(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """The diagonal of Sigma_theta (n,), without forming Sigma_theta.
 
-    With L the Cholesky factor of the precision ``theta_precision`` (LAPACK
-    ``dpotrf``), Sigma_theta = L^-T L^-1, so its diagonal holds the column
-    sums of squares of L^-1 (``dtrtri``).  Pruned components read exactly 0,
-    as they do in ``theta_covariance_from``.
+    With L the Cholesky factor of the precision (``theta_factor``),
+    Sigma_theta = L^-T L^-1, so its diagonal holds the column sums of squares
+    of L^-1 (``dtrtri``).  Pruned components read exactly 0, as they do in
+    ``theta_covariance_from``.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    free = alpha > 0.0
-    var = np.zeros(alpha.size)
-    if not np.any(free):
-        return var
-    factor, info = lapack.dpotrf(theta_precision(beta, hth, alpha), lower=1)
-    if info == 0:
-        factor, info = lapack.dtrtri(factor, lower=1)
-    if info != 0:
-        raise NumericalError(f"theta covariance factorization failed: not positive definite: "
-                             f"LAPACK info {info}")
-    # dpotrf zeroes the upper triangle, and dtrtri leaves it as it is
-    var[free] = np.einsum("ij,ij->j", factor, factor)
+    free, factor = theta_factor(beta, hth, alpha)
+    var = np.zeros(free.size)
+    if np.any(free):
+        # dpotrf zeroes the upper triangle, and dtrtri leaves it as it is
+        inv, _ = lapack.dtrtri(factor, lower=1)
+        var[free] = np.einsum("ij,ij->j", inv, inv)
     return var
 
 
@@ -142,7 +142,7 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     over substructures.
     """
     d, m = model.d, state.m
-    q, s = terms.q, terms.observed_dofs.size
+    q, s = terms.q, terms.s
     free_idx = np.flatnonzero(state.free_mask())
     nf = free_idx.size
     dm = d * m

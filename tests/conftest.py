@@ -233,9 +233,11 @@ def dense_hessian(bands, cross, core, start):
 
 
 def objective_of(dataset, model, anchor, template):
+    terms = DataTerms.from_dataset(dataset, model.d)
+
     def fun(x):
         state = unpack_state(x, template)
-        return objective(state, dataset, residual_of(model, state),
+        return objective(state, terms, residual_of(model, state),
                          shape_residual_sq(dataset, model.d, state.phi), anchor)
 
     return fun

@@ -36,6 +36,7 @@ from modalbayes.bench import (
     shear_building_model,
 )
 from modalbayes.damage import build_report
+from modalbayes.data import DataTerms
 from modalbayes.inference import (
     AlgorithmConfig,
     initialize,
@@ -152,6 +153,7 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
     anchor = np.array([2.3, 2.8])  # far from truth so the input gradient is large
     state = initialize(toy2_dataset, toy2_model, anchor, AlgorithmConfig(mode="calibration"))
     fun = objective_of(toy2_dataset, toy2_model, anchor, state)
+    terms = DataTerms.from_dataset(toy2_dataset, toy2_model.d)
     m = state.m
     dm = state.phi.size
     blocks = {
@@ -168,14 +170,14 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
 
     def apply_eta_nu():
         state.eta, state.nu = update_eta(
-            state, toy2_dataset, shape_residual_sq(toy2_dataset, toy2_model.d, state.phi))
+            state, terms, shape_residual_sq(toy2_dataset, toy2_model.d, state.phi))
 
     def apply_omega2():
         state.omega2 = frequencies_of(state, toy2_dataset, toy2_model,
                                       build_H(toy2_model, state.phi))
 
     def apply_rho_tau():
-        state.rho, state.tau = update_rho(state, toy2_dataset)
+        state.rho, state.tau = update_rho(state, terms)
 
     def apply_theta():
         hmat = build_H(toy2_model, state.phi)

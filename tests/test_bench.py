@@ -104,8 +104,8 @@ class TestSimulateModalData:
         kwargs = dict(m=1, q=4, observed_dofs=[0, 1], noise=NoiseSpec(0.01, 0.01, seed=42))
         d1 = simulate_modal_data(toy2_model, [1.0, 1.0], **kwargs)
         d2 = simulate_modal_data(toy2_model, [1.0, 1.0], **kwargs)
-        assert np.array_equal(d1.omega_hat2, d2.omega_hat2)
-        assert np.array_equal(d1.psi_hat, d2.psi_hat)
+        assert np.array_equal(d1.omega2_segments, d2.omega2_segments)
+        assert np.array_equal(d1.psi_segments, d2.psi_segments)
 
     def test_segment_streams_nest_across_q(self, toy2_model):
         noise = NoiseSpec(0.01, 0.01, seed=7)

@@ -94,6 +94,13 @@ class TestSimulate:
         assert proc.returncode == 2, proc.stderr
         assert "q >= 3" in proc.stderr
 
+    @pytest.mark.parametrize("segments", ["0", "-1"])
+    def test_no_segments_exit_2(self, tmp_path, segments):
+        proc = run_cli(["simulate", "--building", "shear10", "--segments", segments],
+                       cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "q >= 3" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_unknown_building_exit_2(self, tmp_path):
         proc = run_cli(["simulate", "--building", "frame3"], cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
@@ -208,11 +215,12 @@ class TestCalibrate:
         # one half above the pipeline's q = 4 and d = 10, which truncate to them
         ("dataset", ("q",), 4.5),
         ("model", (), {**DENSE_SHEAR10, "d": 10.5}),
+        ("model", ("shear_building", "stories"), 10.5),
     ], ids=["q_not_int", "omega2_not_number", "mode_shape_not_number", "dof_not_number",
             "dof_not_integer", "segments_not_list", "units_unknown", "unit_scale_not_number",
             "floor_mass_wrong_length", "ksub_not_number", "unit_key", "segment_key_unknown",
             "unit_scale_beside_shorthand", "dense_model_extra_key", "q_not_whole",
-            "d_not_whole"])
+            "d_not_whole", "stories_not_whole"])
     def test_bad_input_file_exit_2(self, pipeline_dir, kind, path, value):
         # path locates the entry replaced by value; an empty path replaces the whole file
         payload = json.loads((pipeline_dir / f"run/{kind}.json").read_text())

@@ -1,21 +1,24 @@
-"""Dataset invariants, ingestion normalization, the selection-structure helpers and
+"""Dataset invariants, ingestion normalization, the dataset terms the sweep reads and
 the file writers."""
 
 import ast
+import inspect
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modalbayes
+from modalbayes import inference, uncertainty
 from modalbayes.data import (
     DataTerms,
     ModalDataset,
     dataset_from_dict,
     dataset_to_dict,
-    gamma_t_psi,
     load_dataset,
-    observation_mask,
     save_dataset,
     write_csv,
     write_json,
@@ -39,8 +42,7 @@ class TestInvariants:
     def test_insufficient_shape_data(self):
         # with q >= 3 enforced, only a degenerate mode count reaches this check
         with pytest.raises(ConfigurationError, match="insufficient mode-shape data"):
-            ModalDataset(q=3, m=0, s=1, omega_hat2=np.ones(0), psi_hat=np.ones(0),
-                         observed_dofs=np.array([0]))
+            ModalDataset(np.ones((3, 0)), np.ones((3, 0, 1)), np.array([0]))
 
     def test_observed_dofs_strictly_increasing(self):
         rng = np.random.default_rng(1)
@@ -78,7 +80,7 @@ class TestNormalization:
         rng = np.random.default_rng(5)
         omega2, shapes = make_segments(rng, scale=3.0)
         ds = ModalDataset.from_segments(omega2, shapes, [0, 1, 2], normalization="global")
-        np.testing.assert_allclose(np.linalg.norm(ds.psi_hat), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(ds.psi_segments.reshape(-1)), 1.0, rtol=1e-12)
 
     def test_none_keeps_values(self):
         rng = np.random.default_rng(6)
@@ -101,8 +103,8 @@ class TestSerialization:
         path = tmp_path / "dataset.json"
         save_dataset(ds, path)
         loaded = load_dataset(path)
-        np.testing.assert_array_equal(loaded.omega_hat2, ds.omega_hat2)
-        np.testing.assert_array_equal(loaded.psi_hat, ds.psi_hat)
+        np.testing.assert_array_equal(loaded.omega2_segments, ds.omega2_segments)
+        np.testing.assert_array_equal(loaded.psi_segments, ds.psi_segments)
         np.testing.assert_array_equal(loaded.observed_dofs, ds.observed_dofs)
 
     def test_round_trip_bytes_stable(self, tmp_path):
@@ -213,16 +215,76 @@ class TestFileWriters:
 
 
 class TestSelectionHelpers:
+    """The selection structure as ``DataTerms`` holds it, against an explicit Gamma."""
+
     def test_against_explicit_gamma(self):
         rng = np.random.default_rng(11)
         omega2, shapes = make_segments(rng, q=4, m=2, s=2)
         ds = ModalDataset.from_segments(omega2, shapes, [1, 3], normalization="per_mode")
         d = 5
         gamma = explicit_gamma(ds, d)
+        psi_hat = ds.psi_segments.reshape(-1)
+        terms = DataTerms.from_dataset(ds, d)
         np.testing.assert_allclose(np.diag(gamma.T @ gamma),
-                                   ds.q * observation_mask(ds, d), rtol=1e-14)
-        np.testing.assert_allclose(gamma.T @ ds.psi_hat, gamma_t_psi(ds, d), rtol=1e-12)
+                                   ds.q * terms.mask.reshape(-1), rtol=1e-14)
+        np.testing.assert_allclose(gamma.T @ psi_hat, terms.gamma_t_psi.reshape(-1), rtol=1e-12)
         phi = rng.normal(size=d * ds.m)
-        expected = float(np.sum((ds.psi_hat - gamma @ phi) ** 2))
-        np.testing.assert_allclose(DataTerms.from_dataset(ds, d).shape_misfit(phi), expected,
-                                   rtol=1e-12)
+        expected = float(np.sum((psi_hat - gamma @ phi) ** 2))
+        np.testing.assert_allclose(terms.shape_misfit(phi), expected, rtol=1e-12)
+        assert (terms.q, terms.m, terms.s) == (ds.q, ds.m, ds.s)
+
+
+class TestStructure:
+    def test_no_block_of_the_sweep_takes_the_dataset(self):
+        # the blocks read the dataset through its DataTerms; only initialize reads it
+        blocks = [inference.sweep, inference.update_mode_shapes, inference.update_eta,
+                  inference.update_frequencies, inference.update_rho, inference.objective,
+                  uncertainty.joint_hessian]
+        for block in blocks:
+            assert "dataset" not in inspect.signature(block).parameters, block.__name__
+            assert "terms" in inspect.signature(block).parameters, block.__name__
+
+
+@st.composite
+def segment_arrays(draw):
+    """Random (q, m), (q, m, s) segment arrays and s strictly increasing sensor DOFs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q, m, s = draw(st.integers(3, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    dofs = np.sort(rng.choice(s + 3, size=s, replace=False))
+    return rng.uniform(0.1, 1e4, (q, m)), rng.normal(size=(q, m, s)), dofs
+
+
+class TestDatasetProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(segment_arrays())
+    def test_round_trip_is_bitwise_and_counts_are_the_shapes(self, arrays):
+        omega2, shapes, dofs = arrays
+        ds = ModalDataset(omega2, shapes, dofs)
+        loaded = dataset_from_dict(json.loads(json.dumps(dataset_to_dict(ds))))
+        for got in (ds, loaded):
+            assert (got.q, got.m, got.s) == shapes.shape
+            assert np.array_equal(got.omega2_segments, omega2)
+            assert np.array_equal(got.psi_segments, shapes)
+            assert np.array_equal(got.observed_dofs, dofs)
+        assert not ds.psi_segments.flags.writeable and not ds.omega2_segments.flags.writeable
+        assert shapes.flags.writeable and omega2.flags.writeable  # the caller's, untouched
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(segment_arrays(), st.sampled_from(["q", "m", "ndim"]), st.integers(1, 2))
+    def test_shapes_that_disagree_are_refused(self, arrays, axis, extra):
+        omega2, shapes, dofs = arrays
+        if axis == "q":
+            omega2 = np.concatenate([omega2, omega2[:extra]])
+        elif axis == "m":
+            omega2 = np.concatenate([omega2, omega2[:, :extra]], axis=1)
+        else:
+            omega2 = omega2.reshape(-1)
+        with pytest.raises(ConfigurationError, match="omega2_segments must be"):
+            ModalDataset(omega2, shapes, dofs)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(segment_arrays(), st.floats(0.05, 0.95))
+    def test_non_integer_dofs_are_refused(self, arrays, fraction):
+        omega2, shapes, dofs = arrays
+        with pytest.raises(ConfigurationError, match="integer DOF indices"):
+            ModalDataset(omega2, shapes, dofs + fraction)

@@ -27,7 +27,7 @@ from conftest import (
 )
 from modalbayes.bench import (DEFAULT_HARNESS_CONFIG, NoiseSpec, benchmark_monitor_config,
                              simulate_modal_data)
-from modalbayes.data import DataTerms, ModalDataset, gamma_t_psi, observation_mask
+from modalbayes.data import DataTerms, ModalDataset
 from modalbayes.errors import ConfigurationError, NumericalError
 from modalbayes.inference import (
     AlgorithmConfig,
@@ -142,7 +142,7 @@ def dense_mode_shape_blocks(state, ds, model):
     """The m diagonal blocks beta A_i @ A_i + eta q diag(mask_i) of the mode-shape system."""
     d, m = model.d, state.m
     k = assemble_stiffness(model, state.theta)
-    mask = observation_mask(ds, d).reshape(m, d)
+    mask = DataTerms.from_dataset(ds, d).mask
     blocks = []
     for i in range(m):
         a = k - state.omega2[i] * model.mass
@@ -237,12 +237,13 @@ class TestUpdateModeShapes:
                                  noise=NoiseSpec(0.01, 0.01, seed=7))
         state = initialize(ds, model, [0.9, 1.1], AlgorithmConfig(mode="calibration"))
         k = assemble_stiffness(model, state.theta)
-        mask = observation_mask(ds, d).reshape(m, d)
+        terms = DataTerms.from_dataset(ds, d)
         blocks = []
         for i in range(m):
             a = k - state.omega2[i] * model.mass
-            blocks.append(state.beta * (a @ a) + state.eta * ds.q * np.diag(mask[i]))
-        expected = np.linalg.solve(scipy.linalg.block_diag(*blocks), state.eta * gamma_t_psi(ds, d))
+            blocks.append(state.beta * (a @ a) + state.eta * ds.q * np.diag(terms.mask[i]))
+        expected = np.linalg.solve(scipy.linalg.block_diag(*blocks),
+                                   state.eta * terms.gamma_t_psi.reshape(-1))
         np.testing.assert_allclose(mode_shapes_of(state, ds, model), expected, rtol=1e-10)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -251,8 +252,9 @@ class TestUpdateModeShapes:
         model, state, ds, bandwidth = case
         assert model.operator_bandwidth == bandwidth
         blocks = dense_mode_shape_blocks(state, ds, model)
+        gamma_t_psi = DataTerms.from_dataset(ds, model.d).gamma_t_psi.reshape(-1)
         expected = np.linalg.solve(scipy.linalg.block_diag(*blocks),
-                                   state.eta * gamma_t_psi(ds, model.d)).reshape(state.m, -1)
+                                   state.eta * gamma_t_psi).reshape(state.m, -1)
         got = mode_shapes_of(state, ds, model).reshape(state.m, -1)
         for i, block in enumerate(blocks):
             # the dense float64 reference is itself accurate only to about cond * eps: with
@@ -289,7 +291,7 @@ class TestUpdateEta:
         # place phi so the residual is computable by hand
         state.phi = toy2_dataset.psi_segments.mean(axis=0)[0].copy()
         res = shape_residual_sq(toy2_dataset, 2, state.phi)
-        eta, nu = update_eta(state, toy2_dataset, res)
+        eta, nu = update_eta(state, DataTerms.from_dataset(toy2_dataset, 2), res)
         sqm = 2 * 3 * 1
         np.testing.assert_allclose(eta, (sqm - 2) / res, rtol=1e-12)
         np.testing.assert_allclose(nu, 1.0 / eta, rtol=1e-12)
@@ -303,7 +305,8 @@ class TestUpdateEta:
             shapes = picked[None, None, :] + c * (toy2_dataset.psi_segments - picked)
             scaled = ModalDataset.from_segments(toy2_dataset.omega2_segments, shapes,
                                                 toy2_dataset.observed_dofs, normalization="none")
-            etas.append(update_eta(state, scaled, shape_residual_sq(scaled, 2, state.phi))[0])
+            etas.append(update_eta(state, DataTerms.from_dataset(scaled, 2),
+                                   shape_residual_sq(scaled, 2, state.phi))[0])
         np.testing.assert_allclose(etas[1], etas[0] / 4.0, rtol=1e-12)
 
     def test_fixed_point_iteration(self, toy2_model, toy2_dataset):
@@ -316,14 +319,15 @@ class TestUpdateEta:
         for _ in range(200):
             eta = sqm / (2.0 * nu + res)
             nu = 1.0 / eta
-        closed, _ = update_eta(state, toy2_dataset, res)
+        closed, _ = update_eta(state, DataTerms.from_dataset(toy2_dataset, 2), res)
         np.testing.assert_allclose(eta, closed, rtol=1e-10)
 
     def test_noise_free_clamp(self, toy2_model):
         ds = noisefree_dataset(toy2_model, [1.0, 1.0], m=1, q=3, observed=[0, 1])
         state = initialize(ds, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.phi = ds.psi_segments.mean(axis=0)[0].copy()  # exact match: zero residual
-        eta, _ = update_eta(state, ds, shape_residual_sq(ds, 2, state.phi))
+        eta, _ = update_eta(state, DataTerms.from_dataset(ds, 2),
+                            shape_residual_sq(ds, 2, state.phi))
         assert eta == 1e12
         assert any("noise-free" in d for d in state.diagnostics)
 
@@ -362,7 +366,7 @@ class TestUpdateRho:
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.omega2 = toy2_dataset.omega2_segments.mean(axis=0) + 0.01
         dev = toy2_dataset.omega2_segments - state.omega2
-        rho, tau = update_rho(state, toy2_dataset)
+        rho, tau = update_rho(state, DataTerms.from_dataset(toy2_dataset, 2))
         np.testing.assert_allclose(rho, 1.0 / np.sum(dev**2, axis=0), rtol=1e-12)
         np.testing.assert_allclose(tau, 1.0 / rho, rtol=1e-12)
 
@@ -373,7 +377,7 @@ class TestUpdateRho:
         shifted = ModalDataset.from_segments(
             np.tile(state.omega2, (3, 1)) + 1e-2,
             toy2_dataset.psi_segments, toy2_dataset.observed_dofs, normalization="none")
-        rho, _ = update_rho(state, shifted)
+        rho, _ = update_rho(state, DataTerms.from_dataset(shifted, 2))
         np.testing.assert_allclose(rho, 1.0 / 3e-4, rtol=1e-12)
 
     def test_deviation_scaling(self, toy2_model, toy2_dataset):
@@ -384,7 +388,7 @@ class TestUpdateRho:
             ds = ModalDataset.from_segments(mean + c * base, toy2_dataset.psi_segments,
                                             toy2_dataset.observed_dofs, normalization="none")
             state.omega2 = mean
-            rho, _ = update_rho(state, ds)
+            rho, _ = update_rho(state, DataTerms.from_dataset(ds, 2))
             if c == 1.0:
                 rho1 = rho
         np.testing.assert_allclose(rho, rho1 / 4.0, rtol=1e-12)
@@ -397,14 +401,14 @@ class TestUpdateRho:
         for _ in range(300):
             rho = 3.0 / (2.0 * tau + dev_sq[0])
             tau = 1.0 / rho
-        closed, _ = update_rho(state, toy2_dataset)
+        closed, _ = update_rho(state, DataTerms.from_dataset(toy2_dataset, 2))
         np.testing.assert_allclose(rho, closed[0], rtol=1e-10)
 
     def test_clamp_on_exact_data(self, toy2_model):
         ds = noisefree_dataset(toy2_model, [1.0, 1.0], m=1, q=3, observed=[0, 1])
         state = initialize(ds, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.omega2 = ds.omega2_segments.mean(axis=0)
-        rho, _ = update_rho(state, ds)
+        rho, _ = update_rho(state, DataTerms.from_dataset(ds, 2))
         assert rho[0] == 1e12
         assert any("noise-free" in d for d in state.diagnostics)
 
@@ -632,9 +636,10 @@ class TestObjective:
         state.alpha = np.array([0.5, 0.25])
         s2 = copy.deepcopy(state)
         s2.theta = np.array([1.1, 0.9])
-        jd = objective(s2, toy2_dataset, residual_of(toy2_model, s2),
+        terms = DataTerms.from_dataset(toy2_dataset, 2)
+        jd = objective(s2, terms, residual_of(toy2_model, s2),
                        shape_residual_sq(toy2_dataset, 2, s2.phi), anchor) \
-            - objective(state, toy2_dataset, residual_of(toy2_model, state),
+            - objective(state, terms, residual_of(toy2_model, state),
                         shape_residual_sq(toy2_dataset, 2, state.phi), anchor)
         # hand computation of the two theta-dependent terms
         def theta_terms(theta):
@@ -659,7 +664,7 @@ class TestObjective:
         state.omega2 = ds.omega2_segments[0].copy()
         scale = np.linalg.norm(state.phi)
         state.phi = state.phi / scale * np.sign(state.phi @ exact.phi)
-        j = objective(state, ds, residual_of(toy2_model, state),
+        j = objective(state, DataTerms.from_dataset(ds, 2), residual_of(toy2_model, state),
                       shape_residual_sq(ds, 2, state.phi), anchor)
         m, q, s = 1, 3, 2
         expected = (
@@ -679,7 +684,8 @@ class TestObjective:
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.eta = -1.0
         with pytest.raises(ConfigurationError):
-            objective(state, toy2_dataset, residual_of(toy2_model, state),
+            objective(state, DataTerms.from_dataset(toy2_dataset, 2),
+                      residual_of(toy2_model, state),
                       shape_residual_sq(toy2_dataset, 2, state.phi), np.ones(2))
 
     def test_monotone_trace_with_frozen_hypers(self, toy2_model, toy2_dataset):
@@ -776,7 +782,7 @@ class TestSweepKernel:
         tol = config.tol_theta if stage == 1 else config.tol_log_alpha
         records = []
         for index in range(1, config.max_iterations + 1):
-            record, _ = sweep(state, dataset, model, terms, anchor, config, index)
+            record, _ = sweep(state, model, terms, anchor, config, index)
             records.append(record)
             if record.step < tol:
                 break
@@ -819,14 +825,14 @@ class TestSweepStructure:
     """Each sweep assembles K(theta) once, builds its regression matrix H and its H^T H
     once and its right-hand side b once, shared by the theta update and the residual
     H theta - b; the mode-shape update forms the bands of K^2, K M + M K and M^2 once.
-    The observation mask and Gamma^T Psi_hat are formed once per run, before the first
-    sweep, and no sweep forms Sigma_theta: it is formed once, after the last.  The
+    The dataset terms (the observation mask, Gamma^T Psi_hat) are formed once per run,
+    before the first sweep, and no sweep forms Sigma_theta: it is formed once, after the last.  The
     joint covariance reuses the run's H, H^T H and residual: it assembles K(theta)
     once, forms the bands once from it, builds the H of the residual once and builds
     no b and no H^T H."""
 
     COUNTED = ("assemble_stiffness", "build_H", "build_b", "operator_square_bands",
-               "build_HtH", "theta_covariance_from", "gamma_t_psi", "observation_mask")
+               "build_HtH", "theta_covariance_from", "from_dataset")
 
     @classmethod
     def count_per_sweep(cls, monkeypatch, run):
@@ -845,8 +851,7 @@ class TestSweepStructure:
         # wrap each function at every name the package looks it up by
         homes = {"assemble_stiffness": model, "build_H": model, "build_b": model,
                  "operator_square_bands": model, "build_HtH": model,
-                 "theta_covariance_from": uncertainty, "gamma_t_psi": data,
-                 "observation_mask": data, "sweep": inference,
+                 "theta_covariance_from": uncertainty, "sweep": inference,
                  "joint_covariance": uncertainty}
         for name, home in homes.items():
             original = getattr(home, name)
@@ -856,6 +861,8 @@ class TestSweepStructure:
                     for attr, value in list(vars(mod).items()):
                         if value is original:
                             monkeypatch.setattr(mod, attr, wrapper)
+        monkeypatch.setattr(data.DataTerms, "from_dataset",
+                            staticmethod(recording("from_dataset", data.DataTerms.from_dataset)))
         result = run()
         monkeypatch.undo()
         # each call of sweep is one sweep; Sigma_theta and then the joint covariance
@@ -881,9 +888,9 @@ class TestSweepStructure:
         calib_config = AlgorithmConfig(mode="calibration", tol_theta=1e-15, max_iterations=3)
         mon_config = AlgorithmConfig(mode="monitoring", tol_log_alpha=1e-15, max_iterations=3)
         calib = run_calibration(calib_ds, shear10, np.ones(10), calib_config)
-        # (assembly, H, b, operator bands, H^T H, Sigma_theta, Gamma^T Psi_hat, mask)
-        expected = ([(0, 1, 1, 0, 0, 0, 1, 1)] + [(1, 1, 1, 1, 1, 0, 0, 0)] * 3
-                    + [(0, 0, 0, 0, 0, 1, 0, 0), (1, 1, 0, 1, 0, 0, 0, 0)])
+        # (assembly, H, b, operator bands, H^T H, Sigma_theta, dataset terms)
+        expected = ([(0, 1, 1, 0, 0, 0, 1)] + [(1, 1, 1, 1, 1, 0, 0)] * 3
+                    + [(0, 0, 0, 0, 0, 1, 0), (1, 1, 0, 1, 0, 0, 0)])
         assert self.count_per_sweep(
             monkeypatch, lambda: run_calibration(calib_ds, shear10, np.ones(10), calib_config)
         ) == expected

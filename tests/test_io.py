@@ -44,6 +44,15 @@ class TestModelFiles:
         np.testing.assert_array_equal(model.mass, direct.mass)
         np.testing.assert_array_equal(dense_ksub(model), dense_ksub(direct))
 
+    def test_shorthand_stories_read_as_a_whole_number(self):
+        model = io.model_from_dict({"shear_building": {"stories": 3.0}})
+        assert model.d == model.n == 3
+
+    @pytest.mark.parametrize("stories", [3.5, "3", True, None], ids=repr)
+    def test_shorthand_stories_not_a_whole_number(self, stories):
+        with pytest.raises(ConfigurationError, match="stories must be a whole number"):
+            io.model_from_dict({"shear_building": {"stories": stories}})
+
     @pytest.mark.parametrize("stories", [1, 4])
     def test_shorthand_saves_the_dense_json(self, stories, tmp_path):
         # the dense matrices a shear building's stories had before supports

@@ -31,8 +31,7 @@ def shape_cases(draw):
     identical = draw(st.booleans())
     spread = 0.0 if identical else draw(st.floats(1e-2, 1.0))
     shapes = base + spread * rng.normal(size=(q, m, s))
-    ds = ModalDataset(q=q, m=m, s=s, omega_hat2=rng.uniform(1.0, 2.0, q * m),
-                      psi_hat=shapes.reshape(-1), observed_dofs=observed)
+    ds = ModalDataset(rng.uniform(1.0, 2.0, (q, m)), shapes, observed)
     phi = rng.normal(size=(m, d))
     phi[:, observed] = shapes.mean(axis=0) + draw(st.floats(0.0, 1.0)) * rng.normal(size=(m, s))
     return ds, phi.reshape(-1), identical
@@ -56,15 +55,14 @@ def test_identical_segments_fit_exactly_and_clamp_eta():
     model = shear_building_model(ShearBuildingSpec(stories=4), unit_scale=1e6)
     rng = np.random.default_rng(5)
     shape = rng.normal(size=(2, 3))
-    ds = ModalDataset(q=4, m=2, s=3, omega_hat2=np.tile([1.0, 2.0], 4),
-                      psi_hat=np.tile(shape.reshape(-1), 4), observed_dofs=[0, 2, 3])
+    ds = ModalDataset(np.tile([1.0, 2.0], (4, 1)), np.tile(shape, (4, 1, 1)), [0, 2, 3])
     state = initialize(ds, model, np.ones(4), AlgorithmConfig())
     phi = state.phi.reshape(2, 4)
     phi[:, [0, 2, 3]] = shape
     terms = DataTerms.from_dataset(ds, model.d)
     assert terms.spread == 0.0
     assert terms.shape_misfit(state.phi) == 0.0 == shape_residual_sq(ds, model.d, state.phi)
-    eta, _ = update_eta(state, ds, terms.shape_misfit(state.phi))
+    eta, _ = update_eta(state, terms, terms.shape_misfit(state.phi))
     assert eta == ETA_MAX
     assert "noise-free mode-shape data: eta clamped at maximum" in state.diagnostics
 

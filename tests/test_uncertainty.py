@@ -27,9 +27,9 @@ from modalbayes.bench import (
     shear_building_model,
     simulate_modal_data,
 )
-from modalbayes.data import DataTerms, observation_mask
+from modalbayes.data import DataTerms
 from modalbayes.errors import NumericalError
-from modalbayes.inference import AlgorithmConfig, initialize, update_mode_shapes
+from modalbayes.inference import AlgorithmConfig, initialize, run_calibration, update_mode_shapes
 from modalbayes.model import StructuralModel, assemble_stiffness, build_H
 from modalbayes.uncertainty import (
     cov_report,
@@ -206,7 +206,8 @@ class TestJointHessian:
                 l2[i, col] = modes[i] @ (kj @ (model.mass @ modes[i]))
         hmat = build_H(model, state.phi)
         v_bth = (hmat.T @ (hmat @ state.theta - b_of(model, state.omega2, state.phi)))[free_idx]
-        phi_block = state.beta * fmat + state.eta * ds.q * np.diag(observation_mask(ds, d))
+        mask = DataTerms.from_dataset(ds, d).mask.reshape(-1)
+        phi_block = state.beta * fmat + state.eta * ds.q * np.diag(mask)
 
         def close(got, want):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -354,6 +355,26 @@ class TestCovReport:
         np.testing.assert_allclose(rows["eta"], 100.0 * np.sqrt(2.0 / sqm), rtol=1e-12)
         np.testing.assert_allclose(rows["phi_1"], 100.0 * np.sqrt(2.0 / toy2_dataset.q),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("building", ["toy2", "shear10"])
+    def test_pinned_phi_reads_back(self, building, toy2_model, toy2_dataset):
+        # initialize converts the pinned phi to rho = phi q / sum_r what^4 and the report
+        # converts back with phi = rho sum_r what^4 / q
+        if building == "toy2":
+            model, dataset, pinned = toy2_model, toy2_dataset, 2.5
+        else:
+            model = shear_building_model(ShearBuildingSpec(stories=10),
+                                         unit_scale=BENCHMARK_UNIT_SCALE)
+            dataset = simulate_modal_data(model, np.ones(10), m=4, q=10,
+                                          observed_dofs=np.arange(10),
+                                          noise=NoiseSpec(0.01, 0.01, seed=8))
+            pinned = 1e4
+        result = run_calibration(dataset, model, np.ones(model.n),
+                                 AlgorithmConfig(mode="calibration", fix_hypers={"phi": pinned}))
+        rows = [r for r in cov_report(result, dataset) if r["parameter"].startswith("phi_")]
+        assert len(rows) == dataset.m
+        for row in rows:
+            np.testing.assert_allclose(row["map"], pinned, rtol=1e-14, atol=0.0)
 
     def test_theta_rows_read_stored_cov_with_pruned_zeros(self):
         # shear10 with a 20% story-3 loss: the undamaged stories are pruned
