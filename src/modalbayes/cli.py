@@ -36,7 +36,7 @@ from .damage import (
     write_probability_csv,
     write_ratios_csv,
 )
-from .data import load_dataset, read_json, save_dataset, write_json
+from .data import load_dataset, read_json, real_array, save_dataset, write_json
 from .errors import ConfigurationError, ModalBayesError, NumericalError
 from .inference import CALIBRATION, MONITORING, AlgorithmConfig, run_calibration, run_monitoring
 from .model import ShearBuildingSpec
@@ -147,11 +147,7 @@ def _theta_init_arg(args, n: int) -> np.ndarray:
         return harness_theta_init(n, (low, high), args.seed if args.seed is not None else 0)
     path = Path(text)
     if path.is_file():
-        try:
-            values = np.asarray(read_json(path, "theta init"), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"theta init file {path} must hold a JSON list of {n} numbers") from exc
+        values = real_array(read_json(path, "theta init"), f"theta init file {path}")
         if values.shape != (n,):
             raise ConfigurationError(f"theta init file must hold {n} values")
         return values

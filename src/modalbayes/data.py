@@ -11,7 +11,8 @@ Ingestion normalizes each identified segment mode shape to unit Euclidean norm
 and sign-aligns it to the first segment (``per_mode``, the default).  A global
 rescale of the whole stacked vector to unit norm (``global``) matches the
 normalization used in the benchmark tables; ``none`` keeps shapes as given.
-This module also holds the one JSON reader and the JSON and CSV writers.
+This module also holds the one JSON reader, the number readers and the JSON
+and CSV writers.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class ModalDataset:
     observed_dofs : (s,) int array
         Model DOF indices the sensors observe, strictly increasing.
 
-    Each array is held once, read-only; the counts q, m and s are read from
-    the shape of ``psi_segments``.
+    Each array is held once, as a read-only copy of the caller's; the counts
+    q, m and s are read from the shape of ``psi_segments``.
     """
 
     omega2_segments: np.ndarray
@@ -54,9 +55,9 @@ class ModalDataset:
     observed_dofs: np.ndarray
 
     def __post_init__(self):
-        # views, so that marking them read-only leaves the caller's arrays as they are
-        omega2 = np.asarray(self.omega2_segments, dtype=float).view()
-        psi = np.asarray(self.psi_segments, dtype=float).view()
+        # copies, so that the caller can change neither array once it is checked
+        omega2 = np.array(self.omega2_segments, dtype=float)
+        psi = np.array(self.psi_segments, dtype=float)
         if omega2.ndim != 2 or psi.ndim != 3 or psi.shape[:2] != omega2.shape:
             raise ConfigurationError(f"omega2_segments must be (q, m) and psi_segments "
                                      f"(q, m, s), got {omega2.shape} and {psi.shape}")
@@ -69,10 +70,7 @@ class ModalDataset:
             raise ConfigurationError(
                 f"insufficient mode-shape data: s*q*m={s * q * m} must exceed 2"
             )
-        try:
-            raw_dofs = np.asarray(self.observed_dofs, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError("observed_dofs must be integer DOF indices") from exc
+        raw_dofs = real_array(self.observed_dofs, "observed_dofs")
         dofs = raw_dofs.astype(int)
         if not np.array_equal(dofs, raw_dofs):
             raise ConfigurationError("observed_dofs must be integer DOF indices")
@@ -122,7 +120,7 @@ class ModalDataset:
         """
         if normalization not in NORMALIZATIONS:
             raise ConfigurationError(f"unknown normalization {normalization!r}")
-        shapes = np.array(shapes, dtype=float)
+        shapes = np.asarray(shapes, dtype=float)  # the constructor copies
         # shapes that are not (q, m, s), or hold no segment, are refused by the constructor
         if normalization != "none" and shapes.ndim == 3 and shapes.size:
             norms = np.linalg.norm(shapes, axis=2, keepdims=True)
@@ -227,7 +225,7 @@ def dataset_from_dict(payload: dict, normalization: str = "none") -> ModalDatase
     Frequencies are rad^2/s^2 by default (``"units": "rad2"``); with
     ``"units": "hz"`` the segment values are natural frequencies in Hz and are
     converted as omega^2 = (2 pi f)^2.  Any other ``units`` value is refused, as are
-    a missing or unknown key and a count q, m or s that is not a whole number.
+    a missing or unknown key, a count that is not whole and a value not a number.
     ``normalization`` defaults to "none" because files written by this package
     are already normalized at ingestion.
     """
@@ -243,11 +241,8 @@ def dataset_from_dict(payload: dict, normalization: str = "none") -> ModalDatase
     shapes = np.zeros((q, m, s))
     for r, seg in enumerate(segments):
         check_keys(seg, f"segment {r}", SEGMENT_KEYS)
-        try:
-            w = np.asarray(seg["omega2"], dtype=float)
-            ms = np.asarray(seg["mode_shapes"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"segment {r} holds a non-numeric value: {exc}") from exc
+        w = real_array(seg["omega2"], f"segment {r} omega2")
+        ms = real_array(seg["mode_shapes"], f"segment {r} mode_shapes")
         if w.shape != (m,):
             raise ConfigurationError(f"segment {r} has {w.size} frequencies, expected {m}")
         omega2[r] = (2.0 * np.pi * w) ** 2 if units == "hz" else w
@@ -280,6 +275,27 @@ def whole_number(value, name: str) -> int:
     except OverflowError:
         pass
     raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
+
+
+def real_array(value, name: str) -> np.ndarray:
+    """``value``, a number or nested lists of numbers, as a float array: the reader of
+    every number of an input file that is not a count (``whole_number``).  A string,
+    bool, null or ragged list anywhere in it is a ``ConfigurationError`` naming
+    ``name`` and the first such entry."""
+    cells = np.array(value, dtype=object)
+    for kind in set(map(type, cells.flat)) - {float, int}:  # what JSON numbers load as
+        if not issubclass(kind, numbers.Real) or issubclass(kind, bool):
+            bad = next(v for v in cells.flat if type(v) is kind)
+            raise ConfigurationError(f"{name} must hold only numbers, got {bad!r}")
+    return cells.astype(float)
+
+
+def real_number(value, name: str) -> float:
+    """``value``, a single number by the rule of ``real_array``, as a float."""
+    number = real_array(value, name)
+    if number.ndim:
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return float(number)
 
 
 def read_json(path, kind: str):

@@ -280,25 +280,15 @@ def update_mode_shapes(state: InferenceState, terms: DataTerms,
     with the mask and Gamma^T Psi_hat read from the run's ``terms``.  Each is
     symmetric positive definite and banded, and is the Phi block of the joint
     Hessian: ``uncertainty.mode_shape_bands`` builds the (m, u + 1, d) stack of
-    bands for both.  One LAPACK ``dpbsv`` call solves all m systems as the one
-    block-diagonal banded system they form: each band is zero past its mode's
-    last row, so no mode couples to the next, and the Cholesky factor is the
-    factors of the modes side by side.
+    bands for both, and ``uncertainty.factor_mode_bands`` factors all m of them
+    at once, as the block-diagonal banded system they form, which one LAPACK
+    ``dpbtrs`` call solves.  A system that is not positive definite (an
+    unobserved DOF with beta = 0, say) is that factor's ``NumericalError``.
     """
-    d = model.d
-    if state.beta == 0.0 and np.any(terms.mask == 0.0):
-        dof = int(np.argmin(terms.mask)) % d
-        raise NumericalError(
-            f"mode-shape system is singular: DOF {dof} is unobserved and beta is zero"
-        )
     bands = uncertainty.mode_shape_bands(state, terms, model,
                                          assemble_stiffness(model, state.theta))
-    joined = bands.transpose(1, 0, 2).reshape(bands.shape[1], -1)
-    _, phi, info = lapack.dpbsv(joined, state.eta * terms.gamma_t_psi.reshape(-1), lower=1)
-    if info != 0:
-        mode, dof = divmod(info - 1, d)
-        raise NumericalError(f"mode-shape update failed: the system of mode {mode} is not "
-                             f"positive definite at DOF {dof} (LAPACK info {info})")
+    phi, _ = lapack.dpbtrs(uncertainty.factor_mode_bands(bands),
+                           state.eta * terms.gamma_t_psi.reshape(-1), lower=1)
     return phi
 
 
@@ -326,8 +316,6 @@ def update_frequencies(state: InferenceState, terms: DataTerms, mphi: np.ndarray
     (M Phi_i).(K Phi_i), so the m x m system is diagonal.  ``mphi`` and
     ``kphi`` (m, d) hold M Phi_i and K(theta) Phi_i = K0 Phi_i + (H theta)_i.
     """
-    if np.any(state.rho <= 0):
-        raise ConfigurationError("frequency precisions must be positive")
     gtg = np.einsum("ij,ij->i", mphi, mphi)
     gtc = np.einsum("ij,ij->i", mphi, kphi)
     lhs = state.beta * gtg + terms.q * state.rho
@@ -349,7 +337,7 @@ def update_rho(state: InferenceState, terms: DataTerms) -> tuple[np.ndarray, np.
 
 
 def update_theta(state: InferenceState, hmat: np.ndarray, hth: np.ndarray, bvec: np.ndarray,
-                 theta_anchor) -> np.ndarray:
+                 anchor: np.ndarray) -> np.ndarray:
     """MAP stiffness scaling parameters from the linear regression H theta = b.
 
     ``hmat``, its ``hth`` = H^T H (``build_HtH``) and ``bvec`` are the
@@ -360,7 +348,6 @@ def update_theta(state: InferenceState, hmat: np.ndarray, hth: np.ndarray, bvec:
     from the Cholesky factor of the precision (``uncertainty.theta_factor``, then
     LAPACK ``dpotrs``).
     """
-    anchor = np.asarray(theta_anchor, dtype=float)
     free, factor = uncertainty.theta_factor(state.beta, hth, state.alpha)
     theta_new = anchor.copy()
     if not np.any(free):
@@ -384,7 +371,7 @@ def update_beta(state: InferenceState, resid: np.ndarray) -> float:
     return state.phi.size / (2.0 * state.b0 + float(np.sum(resid * resid)))
 
 
-def update_alpha(state: InferenceState, theta_anchor, theta_cov_diag,
+def update_alpha(state: InferenceState, anchor: np.ndarray, theta_cov_diag: np.ndarray,
                  kappa: float = 0.0) -> np.ndarray:
     """Evidence-maximizing ARD variances under an exponential hyper-prior of rate lam.
 
@@ -393,8 +380,7 @@ def update_alpha(state: InferenceState, theta_anchor, theta_cov_diag,
     (-1 + sqrt(1 + 8 lam B_j)) / (4 lam) written without cancellation, so
     lam = 0 gives B_j exactly.  Pruned components keep alpha = 0.
     """
-    anchor = np.asarray(theta_anchor, dtype=float)
-    bj = np.asarray(theta_cov_diag, dtype=float) + (anchor - state.theta) ** 2
+    bj = theta_cov_diag + (anchor - state.theta) ** 2
     alpha = 2.0 * bj / (1.0 + np.sqrt(1.0 + 8.0 * state.lam * bj)) + kappa
     return np.where(state.free_mask(), alpha, 0.0)
 
@@ -415,7 +401,7 @@ def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
 
 
 def objective(state: InferenceState, terms: DataTerms, resid: np.ndarray,
-              shape_sq: float, theta_anchor) -> float:
+              shape_sq: float, anchor: np.ndarray) -> float:
     """The minimized function J over [xi, theta], all log terms included.
 
     ``resid`` stacks the residuals (K - w_i^2 M) Phi_i of ``state``
@@ -431,7 +417,6 @@ def objective(state: InferenceState, terms: DataTerms, resid: np.ndarray,
         raise ConfigurationError("objective undefined: nonpositive precision")
     q, m, s = terms.q, terms.m, terms.s
     d = state.phi.size // m
-    anchor = np.asarray(theta_anchor, dtype=float)
 
     j = state.b0 * state.beta
     dev = terms.omega2_segments - state.omega2[None, :]

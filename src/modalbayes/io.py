@@ -19,7 +19,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import check_keys, read_json, whole_number, write_csv, write_json
+from .data import (check_keys, read_json, real_array, real_number, whole_number, write_csv,
+                   write_json)
 from .errors import ConfigurationError
 from .inference import MONITORING, InferenceResult, InferenceState
 from .model import ShearBuildingSpec, StructuralModel, shear_building_model
@@ -31,7 +32,7 @@ DENSE_MODEL_KEYS = ("d", "n", "M", "K0", "Ksub")
 
 
 def _matrix(payload, name: str, d: int) -> np.ndarray:
-    a = np.asarray(payload, dtype=float)
+    a = real_array(payload, name)
     if a.ndim == 1:
         if a.size != d * d:
             raise ConfigurationError(f"{name} must have {d * d} entries, got {a.size}")
@@ -52,9 +53,11 @@ def model_from_dict(payload: dict) -> StructuralModel:
     if shorthand:
         try:
             short = dict(payload["shear_building"])
-            unit_scale = float(short.pop("unit_scale", 1.0))
+            unit_scale = real_number(short.pop("unit_scale", 1.0), "unit_scale")
             if "stories" in short:
                 short["stories"] = whole_number(short["stories"], "stories")
+            for key in set(short) & {"floor_mass", "story_stiffness"}:
+                short[key] = real_array(short[key], key).tolist()
             spec = ShearBuildingSpec(**short)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad shear_building shorthand: {exc}") from exc
@@ -127,21 +130,21 @@ def result_from_dict(payload: dict) -> InferenceResult:
     """Parse a result file, checking array shapes against theta_map, their values
     (finite; alpha and the theta_cov diagonal nonnegative) and fixed_set against alpha."""
     try:
-        arrays = {name: np.asarray(payload[name], dtype=float) for name in
+        arrays = {name: real_array(payload[name], name) for name in
                   ("theta_map", "theta_anchor", "alpha", "cov_theta", "theta_cov")}
         state = InferenceState(
             theta=arrays["theta_map"],
-            omega2=np.asarray(payload["omega2"], dtype=float),
-            phi=np.asarray(payload["phi"], dtype=float),
-            beta=float(payload["beta"]),
-            eta=float(payload["eta"]),
-            nu=float(payload["nu"]),
-            rho=np.asarray(payload["rho"], dtype=float),
-            tau=np.asarray(payload["tau"], dtype=float),
+            omega2=real_array(payload["omega2"], "omega2"),
+            phi=real_array(payload["phi"], "phi"),
+            beta=real_number(payload["beta"], "beta"),
+            eta=real_number(payload["eta"], "eta"),
+            nu=real_number(payload["nu"], "nu"),
+            rho=real_array(payload["rho"], "rho"),
+            tau=real_array(payload["tau"], "tau"),
             alpha=arrays["alpha"],
-            lam=float(payload["lambda"]),
-            zeta=float(payload["zeta"]),
-            b0=float(payload["b0"]),
+            lam=real_number(payload["lambda"], "lambda"),
+            zeta=real_number(payload["zeta"], "zeta"),
+            b0=real_number(payload["b0"], "b0"),
             diagnostics=list(payload.get("diagnostics", [])),
         )
         result = InferenceResult(
@@ -153,11 +156,12 @@ def result_from_dict(payload: dict) -> InferenceResult:
             full_cov=None,
             full_cov_labels=None,
             records=[],
-            pruning_events=[(int(s), int(j)) for s, j in payload.get("pruning_events", [])],
-            iterations=int(payload["iterations"]),
+            pruning_events=[(whole_number(k, "pruning event"), whole_number(j, "pruning event"))
+                            for k, j in payload.get("pruning_events", [])],
+            iterations=whole_number(payload["iterations"], "iterations"),
             converged=bool(payload["converged"]),
         )
-        fixed_set = set(int(j) for j in payload["fixed_set"])
+        fixed_set = set(whole_number(j, "fixed_set") for j in payload["fixed_set"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed inference result payload: {exc}") from exc
     n = state.n

@@ -18,7 +18,9 @@ Each substructure stiffens only a few DOFs, so Ksub_j is stored as its DOF
 support and the small dense block on it, never as a d x d matrix.  The
 builders that read the substructures work on the supports: K(theta) is one
 scatter-add, H one gather and batched block product, and H^T H sums only the
-rows where two supports overlap.
+rows where two supports overlap.  A model checks its matrices once, when
+built, and stores K0 and the blocks as their symmetric parts, so K(theta) is
+exactly symmetric; the builders trust the arrays the engine made.
 
 ``shear_building_model`` builds the shear buildings that model files, the CLI
 shorthand and the benchmark harness all describe by a ``ShearBuildingSpec``.
@@ -138,6 +140,9 @@ class StructuralModel:
         _check_symmetric("mass matrix", mass)
         _check_symmetric("K0", k0)
         _check_symmetric("Ksub[{j}]", blocks)
+        # stored as (A + A^T) / 2: exactly symmetric, and A itself when A is
+        k0 = 0.5 * (k0 + k0.T)
+        blocks = 0.5 * (blocks + blocks.swapaxes(1, 2))
         try:
             scipy.linalg.cholesky(mass, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
@@ -313,36 +318,27 @@ def _theta_vector(model: StructuralModel, theta) -> np.ndarray:
     return theta
 
 
-def _phi_modes(model: StructuralModel, phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 1 or phi.size % model.d:
-        raise ConfigurationError(f"phi length must be a multiple of d={model.d}, got {phi.size}")
-    return phi.reshape(-1, model.d)
-
-
 def assemble_stiffness(model: StructuralModel, theta) -> np.ndarray:
-    """K(theta) = K0 + sum_j theta_j Ksub_j, asserted symmetric.
+    """K(theta) = K0 + sum_j theta_j Ksub_j, exactly symmetric by construction.
 
     One scatter-add of every theta_j B_j onto the DOF pairs of its support.
+    K0 and each B_j are exactly symmetric, and ``bincount`` sums in input order,
+    so entries (a, b) and (b, a) sum the same terms in the same order.
     """
     theta = _theta_vector(model, theta)
     d = model.d
     weights = (theta[:, None, None] * model.blocks).reshape(-1)
-    k = model.k0 + np.bincount(model._k_index, weights, minlength=d * d).reshape(d, d)
-    scale = np.max(np.abs(k))
-    if scale > 0 and np.max(np.abs(k - k.T)) > SYMMETRY_RTOL * scale:
-        raise ModelError("assembled stiffness matrix lost symmetry; check substructure inputs")
-    return k
+    return model.k0 + np.bincount(model._k_index, weights, minlength=d * d).reshape(d, d)
 
 
-def build_H(model: StructuralModel, phi) -> np.ndarray:
+def build_H(model: StructuralModel, phi: np.ndarray) -> np.ndarray:
     """(d*m, n) regression matrix with block (i, j) equal to Ksub_j @ Phi_i.
 
     Ksub_j @ Phi_i is B_j @ Phi_i[S_j] on the support S_j and zero elsewhere:
     one gather of every support, one batched product with the blocks and one
     write into H.
     """
-    modes = _phi_modes(model, phi)
+    modes = phi.reshape(-1, model.d)
     m, d, n = modes.shape[0], model.d, model.n
     local = np.einsum("jab,ijb->ija", model.blocks, modes[:, model.support])
     h = np.zeros((m, d * n))
@@ -364,9 +360,9 @@ def build_HtH(model: StructuralModel, hmat: np.ndarray) -> np.ndarray:
     return np.bincount(model._gram_out, prods, minlength=n * n).reshape(n, n)
 
 
-def mode_products(model: StructuralModel, phi) -> tuple[np.ndarray, np.ndarray]:
+def mode_products(model: StructuralModel, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (m, d) products M Phi_i and K0 Phi_i of every mode, one row per mode."""
-    modes = _phi_modes(model, phi)
+    modes = phi.reshape(-1, model.d)
     return modes @ model.mass.T, modes @ model.k0.T
 
 
@@ -376,10 +372,7 @@ def build_b(omega2, mphi: np.ndarray, k0phi: np.ndarray) -> np.ndarray:
     ``mphi`` and ``k0phi`` are the products M Phi_i and K0 Phi_i of
     ``mode_products``.
     """
-    omega2 = np.asarray(omega2, dtype=float)
-    if omega2.shape != (mphi.shape[0],):
-        raise ConfigurationError("omega2 length must equal the number of phi blocks")
-    return (omega2[:, None] * mphi - k0phi).reshape(-1)
+    return (np.asarray(omega2, dtype=float)[:, None] * mphi - k0phi).reshape(-1)
 
 
 def operator_square_bands(model: StructuralModel,
@@ -405,7 +398,6 @@ def eigen_residual(model: StructuralModel, hmat: np.ndarray, theta, bvec: np.nda
     right-hand side ``bvec`` (``build_b``) of the same omega2 and Phi the
     stacked residuals are H theta - b; no K is assembled.
     """
-    theta = _theta_vector(model, theta)
     return (hmat @ theta - bvec).reshape(-1, model.d)
 
 

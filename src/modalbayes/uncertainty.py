@@ -7,12 +7,13 @@ are constants, not variables, and are excluded from the theta block.
 
 Its Phi block, beta F + eta Gamma^T Gamma, holds most of the rows (dm of
 them) and is block-diagonal: its mode blocks are the banded systems the
-mode-shape update solves, built by one function (``mode_shape_bands``).  The
-Hessian is therefore built as three parts and never as one N x N matrix: the
-m mode bands, the Phi rows of the other k = 3m + 3 + n_free parameters, and
-the k x k block of those parameters.  The joint inverse eliminates the mode
-blocks first, from one banded Cholesky factor (``dpbtrf``), and only the
-Schur complement of the other k rows is inverted as a general (possibly
+mode-shape update solves, built by one function (``mode_shape_bands``) and
+factored by one (``factor_mode_bands``) for the update and the joint inverse.
+The Hessian is therefore built as three parts and never as one N x N matrix:
+the m mode bands, the Phi rows of the other k = 3m + 3 + n_free parameters,
+and the k x k block of those parameters.  The joint inverse eliminates the
+mode blocks first, from their banded Cholesky factor, and only the Schur
+complement of the other k rows is inverted as a general (possibly
 indefinite) matrix.  The exact 1-norm condition numbers of the equilibrated
 Hessian and of each equilibrated mode block, read from the inverses formed,
 decide whether the joint covariance is reported.
@@ -61,7 +62,6 @@ def theta_factor(beta: float, hth: np.ndarray, alpha: np.ndarray):
     that the theta update and both forms of Sigma_theta read.  A precision that
     rounding leaves not positive definite is a ``NumericalError``.
     """
-    alpha = np.asarray(alpha, dtype=float)
     factor, info = lapack.dpotrf(theta_precision(beta, hth, alpha), lower=1)
     if info != 0:
         raise NumericalError(f"theta precision is not positive definite: Cholesky "
@@ -123,6 +123,18 @@ def mode_shape_bands(state, terms: DataTerms, model: StructuralModel,
     bands = state.beta * (k_sq - w2 * k_m + (w2 * w2) * m_sq)
     bands[:, 0] += state.eta * terms.q * terms.mask
     return bands
+
+
+def factor_mode_bands(bands: np.ndarray) -> np.ndarray:
+    """Cholesky factor (u + 1, m d) of the mode blocks with lower bands ``bands``
+    (m, u + 1, d): one ``dpbtrf`` call, as each band is zero past its mode's last row.
+    A block not positive definite is a ``NumericalError`` naming its mode (from 1) and DOF."""
+    factor, info = lapack.dpbtrf(bands.transpose(1, 0, 2).reshape(bands.shape[1], -1), lower=1)
+    if info != 0:
+        mode, dof = divmod(info - 1, bands.shape[2])
+        raise NumericalError(f"the mode-shape system of mode {mode + 1} is not positive "
+                             f"definite at DOF {dof} (condition unbounded; LAPACK info {info})")
+    return factor
 
 
 def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndarray,
@@ -211,11 +223,11 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
     The raw precision matrix mixes parameter scales spanning many orders
     (e.g. eta vs its reciprocal-scale rate), so it is Jacobi-equilibrated
     first, the bands in band storage.  The equilibrated P_i are positive
-    definite by construction: one banded Cholesky call (``dpbtrf``) factors
-    them side by side, and one banded solve (``dpbtrs``) gives each P_i^-1
-    and Y = P^-1 B.  With B the equilibrated ``cross`` and C the
-    equilibrated ``core``, the Schur complement S = C - B^T P^-1 B (k x k) can
-    be indefinite at a monitoring MAP and is inverted by LU.  The inverse of
+    definite by construction: ``factor_mode_bands`` factors them, and one
+    banded solve (``dpbtrs``) gives each P_i^-1 and Y = P^-1 B.  With B the
+    equilibrated ``cross`` and C the equilibrated ``core``, the Schur
+    complement S = C - B^T P^-1 B (k x k) can be indefinite at a monitoring
+    MAP and is inverted by LU.  The inverse of
     the equilibrated matrix A is
 
         [[P^-1 + Y S^-1 Y^T, -Y S^-1], [-S^-1 Y^T, S^-1]],
@@ -259,13 +271,7 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
     abs_cross = np.abs(cross)
     anorm = max(np.max(p_norms.reshape(-1) + abs_cross.sum(axis=1), initial=0.0),
                 np.max(abs_cross.sum(axis=0) + np.abs(core).sum(axis=0), initial=0.0))
-    # each band is zero past its mode's last row, so the bands side by side are the
-    # band of the block-diagonal P, and its factor is the factors of the P_i
-    factor, info = lapack.dpbtrf(bands.transpose(1, 0, 2).reshape(width, -1), lower=1)
-    if info != 0:
-        mode, dof = divmod(info - 1, d)
-        raise NumericalError(f"hessian is numerically singular (condition: the Phi block of "
-                             f"mode {mode + 1} is not positive definite at DOF {dof})")
+    factor = factor_mode_bands(bands)
     # P^-1 from the unit columns of each mode, and Y = P^-1 B, in one solve
     sol = np.concatenate([np.tile(np.eye(d), (m, 1)), cross], axis=1)
     if m * d:

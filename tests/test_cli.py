@@ -186,8 +186,9 @@ class TestCalibrate:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("content", ["[1.0, 2.0", '["a", "b"]'],
-                             ids=["malformed", "non_numbers"])
+    @pytest.mark.parametrize("content",
+                             ["[1.0, 2.0", '["a", "b"]', json.dumps(["2.5"] + [2.5] * 9)],
+                             ids=["malformed", "non_numbers", "numeric_string"])
     def test_bad_theta_init_file_exit_2(self, pipeline_dir, content):
         (pipeline_dir / "theta.json").write_text(content)
         proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
@@ -216,11 +217,18 @@ class TestCalibrate:
         ("dataset", ("q",), 4.5),
         ("model", (), {**DENSE_SHEAR10, "d": 10.5}),
         ("model", ("shear_building", "stories"), 10.5),
+        # strings and bools that read as numbers through float()
+        ("model", ("shear_building", "unit_scale"), "1e6"),
+        ("model", ("shear_building", "unit_scale"), True),
+        ("model", ("shear_building", "floor_mass"), "1e5"),
+        ("dataset", ("segments", 0, "omega2", 0), "1.5"),
+        ("dataset", ("observed_dofs", 1), "1"),
     ], ids=["q_not_int", "omega2_not_number", "mode_shape_not_number", "dof_not_number",
             "dof_not_integer", "segments_not_list", "units_unknown", "unit_scale_not_number",
             "floor_mass_wrong_length", "ksub_not_number", "unit_key", "segment_key_unknown",
             "unit_scale_beside_shorthand", "dense_model_extra_key", "q_not_whole",
-            "d_not_whole", "stories_not_whole"])
+            "d_not_whole", "stories_not_whole", "unit_scale_string", "unit_scale_bool",
+            "floor_mass_string", "omega2_string", "dof_string"])
     def test_bad_input_file_exit_2(self, pipeline_dir, kind, path, value):
         # path locates the entry replaced by value; an empty path replaces the whole file
         payload = json.loads((pipeline_dir / f"run/{kind}.json").read_text())

@@ -57,6 +57,22 @@ class TestInvariants:
         with pytest.raises(ConfigurationError):
             ModalDataset.from_segments(omega2, shapes, [0, 1, 2])
 
+    @pytest.mark.parametrize("build", ["from_segments", "direct"])
+    def test_caller_arrays_do_not_reach_the_dataset(self, build):
+        rng = np.random.default_rng(4)
+        omega2, shapes = make_segments(rng)
+        if build == "from_segments":
+            ds = ModalDataset.from_segments(omega2, shapes, [0, 1, 2], normalization="none")
+        else:
+            ds = ModalDataset(omega2, shapes, np.array([0, 1, 2]))
+        kept = (ds.omega2_segments.copy(), ds.psi_segments.copy())
+        omega2[0, 0] = -5.0
+        shapes[1, 0, 2] = np.nan
+        np.testing.assert_array_equal(ds.omega2_segments, kept[0])
+        np.testing.assert_array_equal(ds.psi_segments, kept[1])
+        # the caller's own arrays stay writable
+        assert omega2.flags.writeable and shapes.flags.writeable
+
     def test_out_of_range_dof_caught_against_model(self):
         rng = np.random.default_rng(3)
         omega2, shapes = make_segments(rng)
@@ -149,6 +165,29 @@ class TestSerialization:
     def test_malformed_payload(self):
         with pytest.raises(ConfigurationError):
             dataset_from_dict({"q": 3, "m": 1})
+
+    @pytest.mark.parametrize("key, index, value, field", [
+        ("omega2", 0, "1.5", "segment 1 omega2"),
+        ("omega2", 0, True, "segment 1 omega2"),
+        ("omega2", 0, None, "segment 1 omega2"),
+        ("mode_shapes", (0, 1), "0.8", "segment 1 mode_shapes"),
+        ("observed_dofs", 1, "1", "observed_dofs"),
+        ("observed_dofs", 0, False, "observed_dofs"),
+    ], ids=["omega2_string", "omega2_bool", "omega2_null", "mode_shape_string",
+            "dof_string", "dof_bool"])
+    def test_every_number_is_a_number(self, key, index, value, field):
+        payload = {
+            "q": 3, "m": 1, "s": 2, "observed_dofs": [0, 1],
+            "segments": [{"omega2": [w], "mode_shapes": [[0.6, 0.8]]} for w in (1.0, 1.1, 0.9)],
+        }
+        target = payload if key == "observed_dofs" else payload["segments"][1]
+        if isinstance(index, tuple):
+            target[key][index[0]][index[1]] = value
+        else:
+            target[key][index] = value
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must hold only numbers, got {value!r}"):
+            dataset_from_dict(payload)
 
     @pytest.mark.parametrize("key", ["omega2", "mode_shapes"])
     def test_segment_missing_key(self, key):

@@ -271,8 +271,8 @@ class TestUpdateModeShapes:
         assert dense.operator_bandwidth == 11
 
     def test_not_positive_definite_names_mode_and_dof(self):
-        # K = diag(1, 2, 4) and M = I: at omega2 = 4 the last row of A_1 is zero, and
-        # DOF 2 is unobserved, so the system of mode 1 is singular although beta > 0
+        # K = diag(1, 2, 4) and M = I: at omega2 = 4 the last row of A_2 is zero, and
+        # DOF 2 is unobserved, so the system of mode 2 is singular although beta > 0
         model = StructuralModel(mass=np.eye(3), k0=np.zeros((3, 3)),
                                 support=np.arange(3)[:, None],
                                 blocks=np.array([1.0, 2.0, 4.0])[:, None, None])
@@ -281,7 +281,7 @@ class TestUpdateModeShapes:
         state = initialize(ds, model, np.ones(3), AlgorithmConfig(mode="calibration"))
         state.omega2 = np.array([1.0, 4.0])
         assert state.beta > 0
-        with pytest.raises(NumericalError, match=r"mode 1 is not positive definite at DOF 2"):
+        with pytest.raises(NumericalError, match=r"mode 2 is not positive definite at DOF 2"):
             mode_shapes_of(state, ds, model)
 
 

@@ -53,6 +53,26 @@ class TestModelFiles:
         with pytest.raises(ConfigurationError, match="stories must be a whole number"):
             io.model_from_dict({"shear_building": {"stories": stories}})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("unit_scale", "1e6", "unit_scale must hold only numbers, got '1e6'"),
+        ("unit_scale", True, "unit_scale must hold only numbers, got True"),
+        ("unit_scale", [1e6], "unit_scale must be a number"),
+        ("floor_mass", "1e5", "floor_mass must hold only numbers"),
+        ("story_stiffness", [1e8, "1e8"], "story_stiffness must hold only numbers"),
+    ], ids=["unit_scale_string", "unit_scale_bool", "unit_scale_list", "floor_mass_string",
+            "story_stiffness_string"])
+    def test_shorthand_numbers_are_numbers(self, key, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            io.model_from_dict({"shear_building": {"stories": 2, key: value}})
+
+    @pytest.mark.parametrize("key", ["M", "K0"])
+    def test_dense_matrix_entries_are_numbers(self, key):
+        payload = {"d": 2, "n": 1, "M": [2.0, 0.0, 0.0, 3.0], "K0": [0.0, 0.0, 0.0, 0.0],
+                   "Ksub": [[5.0, -1.0, -1.0, 5.0]]}
+        payload[key][0] = "2.0"
+        with pytest.raises(ConfigurationError, match=f"{key} must hold only numbers"):
+            io.model_from_dict(payload)
+
     @pytest.mark.parametrize("stories", [1, 4])
     def test_shorthand_saves_the_dense_json(self, stories, tmp_path):
         # the dense matrices a shear building's stories had before supports
@@ -133,6 +153,24 @@ class TestResultFiles:
     def test_malformed_payload(self):
         with pytest.raises(ConfigurationError):
             io.result_from_dict({"mode": "calibration"})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("beta", "2.5", "beta must hold only numbers"),
+        ("lambda", True, "lambda must hold only numbers"),
+        ("eta", [2.5], "eta must be a number"),
+        ("theta_map", ["1.0", 1.0], "theta_map must hold only numbers"),
+        ("rho", [None], "rho must hold only numbers"),
+        ("iterations", "3", "iterations must be a whole number"),
+        ("fixed_set", ["0"], "fixed_set must be a whole number"),
+    ], ids=["beta_string", "lambda_bool", "eta_list", "theta_string", "rho_null", "iterations_string",
+            "fixed_set_string"])
+    def test_every_number_is_a_number(self, key, value, message, toy2_model, toy2_dataset):
+        result = run_calibration(toy2_dataset, toy2_model, np.ones(2),
+                                 AlgorithmConfig(mode="calibration"))
+        payload = io.result_to_dict(result)
+        payload[key] = value
+        with pytest.raises(ConfigurationError, match=message):
+            io.result_from_dict(payload)
 
     @pytest.mark.parametrize("mode", ["calibration", "monitoring"])
     def test_trace_rows_are_the_records(self, mode, toy2_model, toy2_dataset, tmp_path):

@@ -45,6 +45,26 @@ def random_model(rng, d=3, n=2):
     )
 
 
+@st.composite
+def nearly_symmetric_models(draw):
+    """A model whose dense K0 and substructure blocks are asymmetric by up to 1e-12 of
+    their scale, inside the construction check, on random supports, with theta of
+    either sign."""
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
+    s = draw(st.integers(1, d))
+    support = np.array([draw(st.permutations(range(d)))[:s] for _ in range(n)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def skewed(a):
+        return a + 1e-12 * np.max(np.abs(a)) * rng.uniform(-1.0, 1.0, a.shape)
+
+    blocks = np.stack([skewed(random_symmetric(rng, s)) for _ in range(n)])
+    model = StructuralModel(mass=random_spd(rng, d), k0=skewed(random_symmetric(rng, d)),
+                            support=support, blocks=blocks)
+    return model, rng.uniform(-2.0, 2.0, n)
+
+
 class TestConstruction:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -131,6 +151,13 @@ class TestAssembleStiffness:
             lhs = assemble_stiffness(model, t1 + t2) + model.k0
             rhs = assemble_stiffness(model, t1) + assemble_stiffness(model, t2)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(nearly_symmetric_models())
+    def test_exactly_symmetric(self, case):
+        model, theta = case
+        k = assemble_stiffness(model, theta)
+        assert np.array_equal(k, k.T)
 
     def test_bad_theta_shape(self, toy2_model):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,9 @@
 """Posterior covariance assembly against finite-difference and identity oracles."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from conftest import (
     two_stage,
     two_stage_data,
 )
+import modalbayes
 from modalbayes import uncertainty
 from modalbayes.bench import (
     BENCHMARK_UNIT_SCALE,
@@ -343,6 +348,47 @@ class TestStructuredInverse:
             assert result.full_cov is None and result.full_cov_labels is None
             assert any(msg.startswith("joint covariance unavailable") and "condition" in msg
                        for msg in result.state_map.diagnostics), result.state_map.diagnostics
+
+
+class TestModeFactor:
+    """One banded Cholesky routine factors the mode blocks for the sweep and the joint
+    covariance alike, and raises one error."""
+
+    def test_update_and_joint_covariance_name_the_same_block(self):
+        # K = diag(1, 2, 4) and M = I: at omega2 = 4 the last row of A_2 is zero, and
+        # DOF 2 is unobserved, so only the block of mode 2 is singular
+        model = StructuralModel(mass=np.eye(3), k0=np.zeros((3, 3)),
+                                support=np.arange(3)[:, None],
+                                blocks=np.array([1.0, 2.0, 4.0])[:, None, None])
+        ds = simulate_modal_data(model, np.ones(3), m=2, q=3, observed_dofs=[0, 1],
+                                 noise=NoiseSpec(0.01, 0.01, seed=2))
+        state = initialize(ds, model, np.ones(3), AlgorithmConfig(mode="calibration"))
+        state.omega2 = np.array([1.0, 4.0])
+        with pytest.raises(NumericalError) as update_error:
+            update_mode_shapes(state, DataTerms.from_dataset(ds, model.d), model)
+        with pytest.raises(NumericalError) as joint_error:
+            joint_covariance(*hessian_inputs(state, ds, model))
+        message = str(update_error.value)
+        assert re.search(r"\bmode 2 is not positive definite at DOF 2\b", message), message
+        assert "condition" in message and str(joint_error.value) == message
+
+    def test_one_function_factors_the_mode_blocks(self):
+        # ast scan of the package: dpbtrf is called only in factor_mode_bands, dpbsv nowhere
+        callers = {"dpbtrf": set(), "dpbsv": set()}
+        for path in Path(modalbayes.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            owners = {}
+            for func in ast.walk(tree):
+                if isinstance(func, ast.FunctionDef):
+                    for node in ast.walk(func):
+                        owners.setdefault(node, func.name)  # the outermost function
+            for node in ast.walk(tree):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name in callers:
+                    callers[name].add((path.name, owners.get(node)))
+        assert callers == {"dpbtrf": {("uncertainty.py", "factor_mode_bands")}, "dpbsv": set()}
 
 
 class TestCovReport:
