@@ -14,7 +14,7 @@ from .inference import (
     run_calibration,
     run_monitoring,
 )
-from .model import StructuralModel, SystemModalState, assemble_stiffness, eigen_solve
+from .model import StructuralModel, assemble_stiffness, eigen_solve
 
 __all__ = [
     "AlgorithmConfig",
@@ -27,7 +27,6 @@ __all__ = [
     "ModelError",
     "NumericalError",
     "StructuralModel",
-    "SystemModalState",
     "assemble_stiffness",
     "build_report",
     "damage_probability",

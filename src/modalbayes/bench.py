@@ -127,9 +127,8 @@ def simulate_modal_data(model: StructuralModel, theta, m: int, q: int, observed_
     A q below 3, a negative one included, is refused by the dataset.
     """
     observed = np.asarray(observed_dofs, dtype=int)
-    exact = eigen_solve(model, theta, m)
-    omega = np.sqrt(exact.omega2)
-    modes = exact.mode_matrix()  # (m, d)
+    omega2, modes = eigen_solve(model, theta, m)  # (m,), (m, d)
+    omega = np.sqrt(omega2)
     d = model.d
 
     omega2_seg = np.zeros((max(q, 0), m))

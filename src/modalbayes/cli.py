@@ -37,7 +37,7 @@ from .damage import (
     write_ratios_csv,
 )
 from .data import load_dataset, read_json, real_array, save_dataset, write_json
-from .errors import ConfigurationError, ModalBayesError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .inference import CALIBRATION, MONITORING, AlgorithmConfig, run_calibration, run_monitoring
 from .model import ShearBuildingSpec
 from .uncertainty import cov_report
@@ -49,14 +49,17 @@ EXIT_NUMERICAL = 4
 
 
 def _kv_arg(text: str) -> dict:
-    """argparse type of the ``key=value,...`` options."""
+    """argparse type of the ``key=value,...`` options; each key may appear once."""
     out: dict[str, float] = {}
     for item in filter(None, text.split(",")):
         key, sep, value = item.partition("=")
         if not sep:
             raise argparse.ArgumentTypeError(f"expected key=value, got {item!r}")
+        key = key.strip()
+        if key in out:
+            raise argparse.ArgumentTypeError(f"key {key!r} is given more than once")
         try:
-            out[key.strip()] = float(value)
+            out[key] = float(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad numeric value in {item!r}") from None
     return out
@@ -202,6 +205,8 @@ def cmd_simulate(args) -> int:
         raise ConfigurationError(
             f"bad --damage: substructure ids must be integers, got {sorted(args.damage)}"
         ) from exc
+    if len(pattern) != len(args.damage):  # "3" and "03" name one substructure
+        raise ConfigurationError(f"bad --damage: {sorted(args.damage)} name a substructure twice")
     theta = apply_damage(np.ones(model.n), pattern)
     dataset = simulate_modal_data(
         model, theta, m=args.modes, q=args.segments, observed_dofs=observed, noise=noise,
@@ -414,9 +419,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ModalBayesError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from . import __version__
 from .data import (check_keys, read_json, real_array, real_number, whole_number, write_csv,
                    write_json)
 from .errors import ConfigurationError
-from .inference import MONITORING, InferenceResult, InferenceState
+from .inference import CALIBRATION, MONITORING, InferenceResult, InferenceState
 from .model import ShearBuildingSpec, StructuralModel, shear_building_model
 
 
@@ -126,55 +126,79 @@ def result_to_dict(result: InferenceResult) -> dict:
     }
 
 
+# every key ``result_to_dict`` writes; files of earlier versions may also hold "a0",
+# the beta prior shape (always 1), which is ignored
+RESULT_KEYS = ("mode", "theta_map", "theta_anchor", "omega2", "frequencies_hz", "phi", "beta",
+               "eta", "nu", "rho", "tau", "alpha", "lambda", "zeta", "b0", "fixed_set",
+               "diagnostics", "theta_cov", "cov_theta", "pruning_events", "iterations",
+               "converged")
+LEGACY_RESULT_KEYS = ("a0",)
+
+
 def result_from_dict(payload: dict) -> InferenceResult:
-    """Parse a result file, checking array shapes against theta_map, their values
-    (finite; alpha and the theta_cov diagonal nonnegative) and fixed_set against alpha."""
-    try:
-        arrays = {name: real_array(payload[name], name) for name in
-                  ("theta_map", "theta_anchor", "alpha", "cov_theta", "theta_cov")}
-        state = InferenceState(
-            theta=arrays["theta_map"],
-            omega2=real_array(payload["omega2"], "omega2"),
-            phi=real_array(payload["phi"], "phi"),
-            beta=real_number(payload["beta"], "beta"),
-            eta=real_number(payload["eta"], "eta"),
-            nu=real_number(payload["nu"], "nu"),
-            rho=real_array(payload["rho"], "rho"),
-            tau=real_array(payload["tau"], "tau"),
-            alpha=arrays["alpha"],
-            lam=real_number(payload["lambda"], "lambda"),
-            zeta=real_number(payload["zeta"], "zeta"),
-            b0=real_number(payload["b0"], "b0"),
-            diagnostics=list(payload.get("diagnostics", [])),
-        )
-        result = InferenceResult(
-            mode=payload["mode"],
-            state_map=state,
-            theta_anchor=arrays["theta_anchor"],
-            theta_cov=arrays["theta_cov"],
-            cov_theta=arrays["cov_theta"],
-            full_cov=None,
-            full_cov_labels=None,
-            records=[],
-            pruning_events=[(whole_number(k, "pruning event"), whole_number(j, "pruning event"))
-                            for k, j in payload.get("pruning_events", [])],
-            iterations=whole_number(payload["iterations"], "iterations"),
-            converged=bool(payload["converged"]),
-        )
-        fixed_set = set(whole_number(j, "fixed_set") for j in payload["fixed_set"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed inference result payload: {exc}") from exc
-    n = state.n
-    for name, value in arrays.items():
-        want = (n, n) if name == "theta_cov" else (n,)
-        if value.shape != want:
-            raise ConfigurationError(f"result {name} must have shape {want}, got {value.shape}")
+    """Parse a result file of exactly the keys ``RESULT_KEYS`` (``a0`` aside), checking
+    every value: its JSON type, shape (n from theta_map, m from omega2) and sign, every
+    number finite, and fixed_set against alpha.  A message names the key that fails."""
+    check_keys(payload, "result", RESULT_KEYS, LEGACY_RESULT_KEYS)
+    mode, converged, diagnostics = payload["mode"], payload["converged"], payload["diagnostics"]
+    events, fixed = payload["pruning_events"], payload["fixed_set"]
+    if mode not in (CALIBRATION, MONITORING):
+        raise ConfigurationError(f"result mode must be {CALIBRATION} or {MONITORING}, got {mode!r}")
+    if not isinstance(converged, bool):
+        raise ConfigurationError(f"result converged must be true or false, got {converged!r}")
+    if not isinstance(diagnostics, list) or not all(isinstance(v, str) for v in diagnostics):
+        raise ConfigurationError(f"result diagnostics must be a list of strings, "
+                                 f"got {diagnostics!r}")
+    if not isinstance(events, list) or not all(isinstance(e, list) and len(e) == 2 for e in events):
+        raise ConfigurationError(f"result pruning_events must be a list of [sweep, component] "
+                                 f"pairs, got {events!r}")
+    if not isinstance(fixed, list):
+        raise ConfigurationError(f"result fixed_set must be a list, got {fixed!r}")
+    values = {name: real_array(payload[name], name) for name in
+              ("theta_map", "omega2", "phi", "theta_cov", "theta_anchor", "alpha", "cov_theta",
+               "rho", "tau", "frequencies_hz")}
+    values.update((name, real_number(payload[name], name)) for name in
+                  ("beta", "eta", "nu", "lambda", "zeta", "b0"))
+    iterations = whole_number(payload["iterations"], "iterations")
+    pruning_events = [(whole_number(k, "pruning_events sweep"),
+                       whole_number(j, "pruning_events component")) for k, j in events]
+    fixed_set = set(whole_number(j, "fixed_set") for j in fixed)
+    for name in ("theta_map", "omega2", "phi"):
+        if values[name].ndim != 1 or not values[name].size:
+            raise ConfigurationError(f"result {name} must be a non-empty list of numbers")
+    n, m = values["theta_map"].size, values["omega2"].size
+    if values["phi"].size % m:
+        raise ConfigurationError(f"result phi must hold a multiple of m = {m} (omega2) entries")
+    for name, want, like in (("theta_anchor", (n,), "theta_map"), ("alpha", (n,), "theta_map"),
+                             ("cov_theta", (n,), "theta_map"), ("theta_cov", (n, n), "theta_map"),
+                             ("rho", (m,), "omega2"), ("tau", (m,), "omega2"),
+                             ("frequencies_hz", (m,), "omega2")):
+        if values[name].shape != want:
+            raise ConfigurationError(f"result {name} must have shape {want} like {like}, "
+                                     f"got {values[name].shape}")
+    for name, value in values.items():
         if not np.all(np.isfinite(value)):
             raise ConfigurationError(f"result {name} holds non-finite values")
-    if np.any(arrays["alpha"] < 0):
-        raise ConfigurationError("result alpha must be nonnegative")
-    if np.any(np.diag(arrays["theta_cov"]) < 0):
-        raise ConfigurationError("result theta_cov has a negative diagonal entry")
+    for name in ("beta", "eta", "nu", "b0", "zeta", "rho", "tau"):
+        if np.any(values[name] <= 0):
+            raise ConfigurationError(f"result {name} must be positive")
+    for name, value in (("alpha", values["alpha"]), ("lambda", values["lambda"]),
+                        ("theta_cov diagonal", np.diag(values["theta_cov"])),
+                        ("iterations", iterations)):
+        if np.any(value < 0):
+            raise ConfigurationError(f"result {name} must be nonnegative")
+    if any(not 0 <= j < n for _, j in pruning_events):
+        raise ConfigurationError(f"result pruning_events names a component outside [0, {n})")
+    state = InferenceState(
+        theta=values["theta_map"], omega2=values["omega2"], phi=values["phi"],
+        beta=values["beta"], eta=values["eta"], nu=values["nu"], rho=values["rho"],
+        tau=values["tau"], alpha=values["alpha"], lam=values["lambda"], zeta=values["zeta"],
+        b0=values["b0"], diagnostics=list(diagnostics))
+    result = InferenceResult(
+        mode=mode, state_map=state, theta_anchor=values["theta_anchor"],
+        theta_cov=values["theta_cov"], cov_theta=values["cov_theta"], full_cov=None,
+        full_cov_labels=None, records=[], pruning_events=pruning_events, iterations=iterations,
+        converged=converged)
     if fixed_set != result.fixed_set:
         raise ConfigurationError(f"result fixed_set {sorted(fixed_set)} is not the alpha = 0 "
                                  f"set {sorted(result.fixed_set)}")

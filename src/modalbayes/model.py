@@ -19,14 +19,17 @@ support and the small dense block on it, never as a d x d matrix.  The
 builders that read the substructures work on the supports: K(theta) is one
 scatter-add, H one gather and batched block product, and H^T H sums only the
 rows where two supports overlap.  A model checks its matrices once, when
-built, and stores K0 and the blocks as their symmetric parts, so K(theta) is
-exactly symmetric; the builders trust the arrays the engine made.
+built, and stores read-only arrays of its own: a copy of M, and K0 and the
+blocks as their symmetric parts, so K(theta) is exactly symmetric; the
+builders trust the arrays the engine made.
 
 ``shear_building_model`` builds the shear buildings that model files, the CLI
 shorthand and the benchmark harness all describe by a ``ShearBuildingSpec``.
 
-The generalized eigensolver is used only to manufacture synthetic data; the
-inference path itself never solves an eigenproblem.
+The generalized eigensolver ``eigen_solve`` is used only to manufacture
+synthetic data, and returns plain arrays: the (m,) squared frequencies and the
+(m, d) mode shapes, one per row.  The inference path itself never solves an
+eigenproblem.
 """
 
 from __future__ import annotations
@@ -176,9 +179,9 @@ class StructuralModel:
         band_index = np.minimum(rows, d - 1) * d + np.arange(d)
         mass_sq_band = (mass @ mass).take(band_index) * band_mask
 
-        for name, value in (("mass", mass), ("k0", k0), ("support", support), ("blocks", blocks),
-                            ("_k_index", k_index), ("_h_index", h_index), ("_gram_left", left),
-                            ("_gram_right", right), ("_gram_out", out),
+        for name, value in (("mass", mass.copy()), ("k0", k0), ("support", support),
+                            ("blocks", blocks), ("_k_index", k_index), ("_h_index", h_index),
+                            ("_gram_left", left), ("_gram_right", right), ("_gram_out", out),
                             ("_band_index", band_index), ("_band_mask", band_mask),
                             ("_mass_sq_band", mass_sq_band)):
             value.setflags(write=False)
@@ -275,38 +278,6 @@ def shear_building_model(spec: ShearBuildingSpec, unit_scale: float = 1.0) -> St
     blocks[0, 0, 0] = ks[0]
     return StructuralModel(mass=np.diag(masses), k0=np.zeros((d, d)), support=support,
                            blocks=blocks)
-
-
-@dataclass(frozen=True)
-class SystemModalState:
-    """System natural frequencies (squared) and stacked system mode shapes."""
-
-    omega2: np.ndarray  # (m,) rad^2/s^2
-    phi: np.ndarray  # (d*m,) mode-major blocks
-
-    def __post_init__(self):
-        omega2 = np.asarray(self.omega2, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        if omega2.ndim != 1 or phi.ndim != 1:
-            raise ConfigurationError("omega2 and phi must be 1-D arrays")
-        if not np.all(np.isfinite(omega2)) or not np.all(np.isfinite(phi)):
-            raise ConfigurationError("modal state contains non-finite values")
-        if omega2.size == 0 or phi.size % omega2.size:
-            raise ConfigurationError("phi length must be an integer multiple of the mode count")
-        if np.any(omega2 < 0.0):
-            raise ConfigurationError("squared frequencies must be nonnegative")
-        omega2.setflags(write=False)
-        phi.setflags(write=False)
-        object.__setattr__(self, "omega2", omega2)
-        object.__setattr__(self, "phi", phi)
-
-    @property
-    def m(self) -> int:
-        return self.omega2.size
-
-    def mode_matrix(self) -> np.ndarray:
-        """Mode shapes as an (m, d) array, one row per mode."""
-        return self.phi.reshape(self.m, -1)
 
 
 def _theta_vector(model: StructuralModel, theta) -> np.ndarray:
@@ -409,11 +380,12 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def eigen_solve(model: StructuralModel, theta, m: int) -> SystemModalState:
-    """Lowest m eigenpairs of K(theta) Phi = omega^2 M Phi.
+def eigen_solve(model: StructuralModel, theta, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest m eigenpairs of K(theta) Phi = omega^2 M Phi, as ``(omega2, modes)``.
 
-    Frequencies come back ascending; mode shapes are normalized to unit
-    Euclidean norm with the largest-magnitude component positive.
+    ``omega2`` (m,) holds the squared frequencies, ascending and clipped at 0.
+    ``modes`` is a C-contiguous (m, d) array with one mode shape per row, each of
+    unit Euclidean norm with its largest-magnitude component positive.
     """
     if not 1 <= m <= model.d:
         raise ConfigurationError(f"mode count must be in [1, {model.d}], got {m}")
@@ -427,6 +399,5 @@ def eigen_solve(model: StructuralModel, theta, m: int) -> SystemModalState:
     tol = 1e-10 * max(1.0, np.max(np.abs(w)))
     if np.any(w < -tol):
         raise ModelError("stiffness matrix is indefinite: negative squared frequencies")
-    w = np.clip(w, 0.0, None)
-    return SystemModalState(omega2=w, phi=v.T.reshape(-1))
+    return np.clip(w, 0.0, None), np.ascontiguousarray(v.T)
 

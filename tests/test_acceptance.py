@@ -60,8 +60,8 @@ def _report(num, description, passed, detail=""):
 def test_criterion_1_eigen_baseline():
     start = time.perf_counter()
     model = shear_building_model(ShearBuildingSpec(stories=10), unit_scale=1e6)
-    state = eigen_solve(model, np.ones(10), 5)
-    freqs = np.sqrt(state.omega2) / (2.0 * np.pi)
+    omega2, _ = eigen_solve(model, np.ones(10), 5)
+    freqs = np.sqrt(omega2) / (2.0 * np.pi)
     elapsed = time.perf_counter() - start
     target = np.array([1.00, 2.98, 4.89, 6.69, 8.34])
     ok = bool(np.all(np.abs(freqs - target) <= 0.01)) and elapsed < 1.0

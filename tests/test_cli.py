@@ -22,9 +22,11 @@ import numpy as np
 import pytest
 
 from conftest import SOURCE_DATE_EPOCH, cli_env
+from modalbayes import cli
 from modalbayes.cli import main
+from modalbayes.errors import ConfigurationError, ModelError, NumericalError
 from modalbayes.inference import AlgorithmConfig
-from modalbayes.io import model_to_dict
+from modalbayes.io import load_result, model_to_dict, save_result
 from modalbayes.model import ShearBuildingSpec, shear_building_model
 
 
@@ -471,6 +473,11 @@ class TestReport:
         assert "error:" in proc.stderr and "not anchored" in proc.stderr
         assert not (tmp_path / "rep/report.json").exists()
 
+    def test_saved_bytes_survive_a_load(self, stage_dir, tmp_path):
+        for path in ("calib/calibration.json", "mon/monitoring.json"):
+            save_result(load_result(stage_dir / path), tmp_path / "copy.json")
+            assert (tmp_path / "copy.json").read_bytes() == (stage_dir / path).read_bytes()
+
     def test_result_with_a0_key(self, stage_dir, tmp_path):
         # result files of earlier versions also record the beta prior shape, "a0": 1.0
         for stage, name in (("calib", "calibration"), ("mon", "monitoring")):
@@ -516,10 +523,43 @@ class TestReport:
         ("cov_theta", [0.0, 0.0, float("nan")] + [0.0] * 7),
         ("alpha", [0.0, 0.0, -1e-3] + [0.0] * 7),
         ("theta_cov", (-np.eye(10)).tolist()),
+        ("converged", "false"),
+        ("diagnostics", "abc"),
+        ("diagnostics", [1]),
+        ("mode", "bogus"),
+        ("omega2", [1.0]),
+        ("omega2", []),
+        ("omega2", [1.0, 2.0, float("nan"), 4.0]),
+        ("rho", [-1.0, 2.0, 3.0]),
+        ("rho", [-1.0, 2.0, 3.0, 4.0]),
+        ("tau", [1.0, 0.0, 1.0, 1.0]),
+        ("frequencies_hz", [1.0, 2.0, 3.0]),
+        ("frequencies_hz", [1.0, 2.0, 3.0, float("inf")]),
+        ("phi", [1.0]),
+        ("phi", [float("nan")] * 40),
+        ("iterations", -5),
+        ("beta", -1.0),
+        ("eta", 0.0),
+        ("nu", float("inf")),
+        ("b0", -0.1),
+        ("lambda", -1.0),
+        ("zeta", 0.0),
+        ("pruning_events", [[1, 42]]),
+        ("pruning_events", [[1]]),
+        ("pruning_events", "abc"),
+        ("fixed_set", 3),
+        ("unknown_key", 1.0),
     ], ids=["theta_cov_shape", "fixed_set_out_of_range", "fixed_set_not_alpha_zero",
             "theta_anchor_length", "alpha_length", "theta_map_nan_on_free_story",
             "theta_anchor_inf", "alpha_nan", "theta_cov_nan", "cov_theta_nan",
-            "alpha_negative", "theta_cov_negative_diagonal"])
+            "alpha_negative", "theta_cov_negative_diagonal", "converged_string",
+            "diagnostics_string", "diagnostics_number", "mode_unknown", "omega2_length",
+            "omega2_empty", "omega2_nan", "rho_length", "rho_negative", "tau_zero",
+            "frequencies_hz_length", "frequencies_hz_inf", "phi_not_multiple_of_m", "phi_nan",
+            "iterations_negative", "beta_negative", "eta_zero", "nu_inf", "b0_negative",
+            "lambda_negative", "zeta_zero", "pruning_event_out_of_range",
+            "pruning_event_not_pair", "pruning_events_string", "fixed_set_not_list",
+            "unknown_key"])
     def test_bad_result_file_exit_2(self, stage_dir, tmp_path, key, value):
         payload = json.loads((stage_dir / "mon/monitoring.json").read_text())
         assert payload["fixed_set"]  # the undamaged stories were pruned
@@ -562,6 +602,53 @@ def test_removed_option_exit_2(stage_dir, tmp_path, command, name, value, where)
     assert proc.returncode == 2, proc.stderr
     assert f"unrecognized arguments: {flag}" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+REPEATED_KEYS = [
+    ("simulate", "damage", "3=0.2,3=0.5", "3"),
+    ("calibrate", "fix_hypers", "eta=1e5,eta=2", "eta"),
+    ("calibrate", "init_scale", "beta=0.1, beta=10", "beta"),
+]
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command, name, value, key", REPEATED_KEYS,
+                         ids=[name for _, name, _, _ in REPEATED_KEYS])
+def test_repeated_key_exit_2(tmp_path, command, name, value, key, where):
+    argv = [command, "--building", "shear10", "--out-dir", "out"]
+    flag = "--" + name.replace("_", "-")
+    if where == "flag":
+        extra = [flag, value]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({name: value.split(",")}))
+        extra = ["--config", "cfg.json"]
+    proc = run_cli(argv + extra, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"argument {flag}: key {key!r} is given more than once" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_damage_ids_naming_one_story_twice_exit_2(tmp_path):
+    proc = run_cli(["simulate", "--building", "shear10", "--damage", "3=0.2,03=0.5",
+                    "--out-dir", "out"], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "error: bad --damage" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out/dataset.json").exists()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigurationError, 2, "error: "),
+    (ModelError, 2, "error: "),
+    (NumericalError, 4, "numerical error: "),
+], ids=["configuration", "model", "numerical"])
+def test_one_exit_code_per_error_class(tmp_path, monkeypatch, error, code, prefix):
+    def fail(args):
+        raise error("raised by the command")
+
+    monkeypatch.setattr(cli, "cmd_simulate", fail)
+    proc = run_cli(["simulate", "--building", "shear10"], cwd=tmp_path)
+    assert proc.returncode == code
+    assert proc.stderr == f"{prefix}raised by the command\n"
 
 
 class TestConfigFile:

@@ -144,6 +144,15 @@ class TestResultFiles:
         io.save_result(io.load_result(tmp_path / "a.json"), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_every_written_key_is_required(self, toy2_model, toy2_dataset):
+        result = run_calibration(toy2_dataset, toy2_model, np.ones(2),
+                                 AlgorithmConfig(mode="calibration"))
+        payload = io.result_to_dict(result)
+        assert sorted(payload) == sorted(io.RESULT_KEYS)
+        for key in payload:
+            with pytest.raises(ConfigurationError, match=f"result is missing {key}$"):
+                io.result_from_dict({k: v for k, v in payload.items() if k != key})
+
     def test_theta_cov_is_psd(self, toy2_model, toy2_dataset):
         result = run_calibration(toy2_dataset, toy2_model, np.ones(2),
                                  AlgorithmConfig(mode="calibration"))

@@ -14,7 +14,6 @@ from modalbayes.errors import ConfigurationError, ModelError
 from modalbayes.inference import AlgorithmConfig, initialize
 from modalbayes.model import (
     StructuralModel,
-    SystemModalState,
     assemble_stiffness,
     build_H,
     build_HtH,
@@ -108,6 +107,15 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             StructuralModel(mass=np.eye(3), k0=np.zeros((3, 3)), support=np.array(support),
                             blocks=blocks)
+
+    def test_mass_matrix_is_copied(self):
+        mass = np.diag([2.0, 3.0])
+        model = StructuralModel(mass=mass, k0=np.zeros((2, 2)), support=np.array([[0, 1]]),
+                                blocks=np.eye(2)[None])
+        assert mass.flags.writeable and model.mass is not mass
+        assert not model.mass.flags.writeable
+        mass[0, 0] = -1.0
+        np.testing.assert_array_equal(model.mass, np.diag([2.0, 3.0]))
 
     def test_support_is_the_nonzero_rows_padded(self):
         ksub = np.zeros((2, 4, 4))
@@ -213,9 +221,9 @@ class TestBuilders:
         model = StructuralModel.from_dense(mass=random_spd(rng, 3), k0=np.zeros((3, 3)),
                                            ksub=np.stack([random_spd(rng, 3), random_spd(rng, 3)]))
         theta = np.array([1.2, 0.8])
-        state = eigen_solve(model, theta, 2)
-        hmat = build_H(model, state.phi)
-        bvec = b_of(model, state.omega2, state.phi)
+        omega2, modes = eigen_solve(model, theta, 2)
+        hmat = build_H(model, modes)
+        bvec = b_of(model, omega2, modes)
         scale = np.abs(bvec).max()
         np.testing.assert_allclose(hmat @ theta, bvec, atol=1e-8 * scale)
 
@@ -236,11 +244,11 @@ class TestBuilders:
         assert dense.operator_bandwidth == 4
         for model in (toy2_model, dense):
             theta = np.array([1.0, 1.0])
-            state = eigen_solve(model, theta, 2)
-            blocks = square_blocks(model, theta, state.omega2)
-            f_phi = blocks @ state.mode_matrix()[:, :, None]
+            omega2, modes = eigen_solve(model, theta, 2)
+            blocks = square_blocks(model, theta, omega2)
+            f_phi = blocks @ modes[:, :, None]
             k = assemble_stiffness(model, theta)
-            bound = 1e-8 * np.linalg.norm(k) ** 2 * np.linalg.norm(state.phi)
+            bound = 1e-8 * np.linalg.norm(k) ** 2 * np.linalg.norm(modes)
             assert np.linalg.norm(f_phi) <= bound
 
     def test_F_single_mode_direct_product(self):
@@ -329,8 +337,8 @@ def charpoly_eigenvalues(k, mass):
 class TestEigenSolve:
     def test_benchmark_frequencies(self):
         model = shear_building_model(ShearBuildingSpec(stories=10), unit_scale=1e6)
-        state = eigen_solve(model, np.ones(10), 5)
-        freqs = np.sqrt(state.omega2) / (2.0 * np.pi)
+        omega2, _ = eigen_solve(model, np.ones(10), 5)
+        freqs = np.sqrt(omega2) / (2.0 * np.pi)
         np.testing.assert_allclose(freqs, [1.00, 2.98, 4.89, 6.69, 8.34], atol=0.01)
 
     def test_proportional_matrices(self):
@@ -338,17 +346,17 @@ class TestEigenSolve:
         mass = random_spd(rng, 4)
         c = 3.7
         model = StructuralModel.from_dense(mass=mass, k0=np.zeros((4, 4)), ksub=(c * mass)[None])
-        state = eigen_solve(model, [1.0], 4)
-        np.testing.assert_allclose(state.omega2, c, rtol=1e-10)
+        omega2, _ = eigen_solve(model, [1.0], 4)
+        np.testing.assert_allclose(omega2, c, rtol=1e-10)
 
     def test_residual_oracle(self):
         rng = np.random.default_rng(32)
         for _ in range(5):
             model = StructuralModel.from_dense(mass=random_spd(rng, 3), k0=np.zeros((3, 3)),
                                                ksub=random_spd(rng, 3)[None])
-            state = eigen_solve(model, [1.0], 3)
+            omega2, modes = eigen_solve(model, [1.0], 3)
             k = assemble_stiffness(model, [1.0])
-            res = eigen_residuals(model, [1.0], state)
+            res = eigen_residuals(model, [1.0], omega2, modes)
             assert np.all(res <= 1e-9 * np.linalg.norm(k))
 
     def test_matches_characteristic_polynomial(self):
@@ -357,20 +365,25 @@ class TestEigenSolve:
             mass = random_spd(rng, d)
             kmat = random_spd(rng, d)
             model = StructuralModel.from_dense(mass=mass, k0=np.zeros((d, d)), ksub=kmat[None])
-            state = eigen_solve(model, [1.0], d)
+            omega2, _ = eigen_solve(model, [1.0], d)
             expected = charpoly_eigenvalues(kmat, mass)
-            np.testing.assert_allclose(state.omega2, expected, rtol=1e-8)
+            np.testing.assert_allclose(omega2, expected, rtol=1e-8)
 
     def test_normalization_and_sign(self, toy2_model):
-        state = eigen_solve(toy2_model, [1.0, 1.0], 2)
-        modes = state.mode_matrix()
+        _, modes = eigen_solve(toy2_model, [1.0, 1.0], 2)
         np.testing.assert_allclose(np.linalg.norm(modes, axis=1), 1.0, rtol=1e-12)
         for row in modes:
             assert row[np.argmax(np.abs(row))] > 0
 
+    def test_returns_plain_arrays(self):
+        model = shear_building_model(ShearBuildingSpec(stories=10), unit_scale=1e6)
+        omega2, modes = eigen_solve(model, np.ones(10), 4)
+        assert omega2.shape == (4,) and modes.shape == (4, 10)
+        assert modes.flags.c_contiguous
+
     def test_ascending_frequencies(self, toy2_model):
-        state = eigen_solve(toy2_model, [1.0, 1.0], 2)
-        assert state.omega2[0] < state.omega2[1]
+        omega2, _ = eigen_solve(toy2_model, [1.0, 1.0], 2)
+        assert omega2[0] < omega2[1]
 
     def test_mode_count_validation(self, toy2_model):
         with pytest.raises(ConfigurationError):
@@ -383,36 +396,33 @@ class TestEigenSolve:
             eigen_solve(StructuralModel.from_dense(mass=mass, **model_kwargs), [1.0], 2)
 
 
-def eigen_residuals(model, theta, state):
-    """Euclidean norm of (K(theta) - omega2_i M) Phi_i for each mode."""
-    resid = eigen_residual(model, build_H(model, state.phi), theta,
-                           b_of(model, state.omega2, state.phi))
+def eigen_residuals(model, theta, omega2, modes):
+    """Euclidean norm of (K(theta) - omega2_i M) Phi_i for each mode (row of ``modes``)."""
+    resid = eigen_residual(model, build_H(model, modes), theta, b_of(model, omega2, modes))
     return np.linalg.norm(resid, axis=1)
 
 
 class TestEigenResiduals:
     def test_exact_modes_near_zero(self, toy2_model):
         theta = [1.0, 1.0]
-        state = eigen_solve(toy2_model, theta, 2)
+        omega2, modes = eigen_solve(toy2_model, theta, 2)
         k = assemble_stiffness(toy2_model, theta)
-        assert np.all(eigen_residuals(toy2_model, theta, state) <= 1e-9 * np.linalg.norm(k))
+        assert np.all(eigen_residuals(toy2_model, theta, omega2, modes) <= 1e-9 * np.linalg.norm(k))
 
     def test_zero_phi_zero_residual(self, toy2_model):
-        state = SystemModalState(omega2=np.array([1.0, 2.0]), phi=np.zeros(4))
-        assert np.all(eigen_residuals(toy2_model, [1.0, 1.0], state) == 0.0)
+        assert np.all(eigen_residuals(toy2_model, [1.0, 1.0], np.array([1.0, 2.0]),
+                                      np.zeros((2, 2))) == 0.0)
 
     def test_perturbation_grows_linearly(self, toy2_model):
         theta = [1.0, 1.0]
-        exact = eigen_solve(toy2_model, theta, 2)
-        modes = exact.mode_matrix()
-        slope_expected = abs(exact.omega2[1] - exact.omega2[0]) * np.linalg.norm(
+        omega2, modes = eigen_solve(toy2_model, theta, 2)
+        slope_expected = abs(omega2[1] - omega2[0]) * np.linalg.norm(
             toy2_model.mass @ modes[1])
         values = []
         for delta in (1e-6, 2e-6):
             phi = modes.copy()
             phi[0] = modes[0] + delta * modes[1]
-            state = SystemModalState(omega2=exact.omega2, phi=phi.reshape(-1))
-            values.append(eigen_residuals(toy2_model, theta, state)[0])
+            values.append(eigen_residuals(toy2_model, theta, omega2, phi)[0])
         np.testing.assert_allclose(values[1] / values[0], 2.0, rtol=1e-3)
         np.testing.assert_allclose(values[0], 1e-6 * slope_expected, rtol=1e-3)
 
@@ -425,10 +435,9 @@ class TestEigenResiduals:
         phi = rng.normal(size=6)
         omega2 = rng.uniform(0.5, 3.0, size=2)
         stacked = build_H(model, phi) @ theta - b_of(model, omega2, phi)
-        state = SystemModalState(omega2=omega2, phi=phi)
         blocks = stacked.reshape(2, 3)
         np.testing.assert_allclose(np.linalg.norm(blocks, axis=1),
-                                   eigen_residuals(model, theta, state), rtol=1e-12)
+                                   eigen_residuals(model, theta, omega2, phi), rtol=1e-12)
 
 
 @st.composite
