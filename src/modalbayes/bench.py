@@ -9,7 +9,9 @@ Unit scale: the hierarchical prior on the equation-error precision has an
 absolute rate parameter, so inference results depend on the unit system of the
 model matrices.  ``unit_scale=1e6`` (stiffness in MN/m, mass in Gg) is the
 working scale of the benchmark numbers; frequencies are unaffected because
-mass and stiffness are scaled together.
+mass and stiffness are scaled together.  The monitoring settings validated at
+that scale (``alpha_min`` and the pruning hold-off) are the defaults of
+``inference.AlgorithmConfig``, which this module does not repeat.
 """
 
 from __future__ import annotations
@@ -40,24 +42,9 @@ BENCHMARK_UNIT_SCALE = 1e6
 PARTIAL_SENSOR_DOFS = (0, 3, 4, 6, 9)
 
 
-def benchmark_monitor_config(**overrides) -> "AlgorithmConfig":
-    """Monitoring settings tuned to the ten-story benchmark scales.
-
-    At 1% modal noise with q = 10 the ARD variances of unchanged stories
-    settle in the 1e-6..4e-5 band while genuinely damaged stories (>= 10%
-    loss) rest above 1.2e-3, with the two bands crossing transiently while
-    the sparsity rate overshoots during its first ~10 sweeps.  The pruning
-    threshold sits at the geometric middle of the two bands and pruning is
-    held off until the transient has passed.  Damage below roughly 7% loss
-    needs a lower threshold (and lower-noise data to separate it).
-    """
-    settings = {
-        "mode": MONITORING,
-        "alpha_min": 2e-4,
-        "min_sweeps_before_pruning": 15,
-    }
-    settings.update(overrides)
-    return AlgorithmConfig(**settings)
+def benchmark_monitor_config() -> AlgorithmConfig:
+    """The default monitoring config; kept because ``benchmarks/workloads.py`` calls it."""
+    return AlgorithmConfig(mode=MONITORING)
 
 
 @dataclass(frozen=True)
@@ -284,6 +271,7 @@ def run_damage_scenario(cfg: dict | None = None, damage: dict | None = None,
     likelihood against the equation-error prior only at that scale, and an
     unbalanced start drives the monitoring sweep into a degenerate basin where
     the damage signal is suppressed before the ARD block ever sees it.
+    ``monitor_config`` defaults to ``AlgorithmConfig(mode=MONITORING)``.
     """
     cfg = merge_config(cfg)
     model = harness_model(cfg)
@@ -298,7 +286,6 @@ def run_damage_scenario(cfg: dict | None = None, damage: dict | None = None,
     monitor_cfg = dict(cfg, normalization="global")
     monitor_data = harness_dataset(monitor_cfg, m=m, q=q_monitoring, sensors=sensors,
                                    damage=damage, seed=monitor_seed)
-    monitor = run_monitoring(monitor_data, model, calib.theta_map,
-                             monitor_config or benchmark_monitor_config())
+    monitor = run_monitoring(monitor_data, model, calib.theta_map, monitor_config)
     return calib, monitor
 

@@ -207,6 +207,10 @@ def cmd_simulate(args) -> int:
         ) from exc
     if len(pattern) != len(args.damage):  # "3" and "03" name one substructure
         raise ConfigurationError(f"bad --damage: {sorted(args.damage)} name a substructure twice")
+    outside = [k for k in args.damage if not 1 <= int(k) <= model.n]
+    if outside:
+        raise ConfigurationError(f"bad --damage: substructure id {outside[0]} is outside "
+                                 f"[1, {model.n}]")
     theta = apply_damage(np.ones(model.n), pattern)
     dataset = simulate_modal_data(
         model, theta, m=args.modes, q=args.segments, observed_dofs=observed, noise=noise,
@@ -386,10 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mon.add_argument("--kappa", type=float, help="floor on every ARD variance; needs --lambda 0")
     p_mon.add_argument("--lambda", "--lambda-fixed", dest="lambda_fixed", type=float,
                        help="pin the ARD rate (0 = classic sparse Bayesian learning)")
-    p_mon.add_argument("--alpha-min", type=float)
+    p_mon.add_argument("--alpha-min", type=float,
+                       help="prune a component once its ARD variance falls below this "
+                            f"(default {AlgorithmConfig.alpha_min:g})")
     p_mon.add_argument("--min-sweeps", dest="min_sweeps_before_pruning", metavar="MIN_SWEEPS",
                        type=int,
-                       help="sweeps to hold off pruning while the sparsity rate settles")
+                       help="sweeps to hold off pruning while the sparsity rate settles "
+                            f"(default {AlgorithmConfig.min_sweeps_before_pruning})")
     p_mon.add_argument("--tol-log-alpha", type=float)
     p_mon.set_defaults(func=cmd_monitor)
 

@@ -97,6 +97,13 @@ def save_model(model_or_payload, path) -> None:
 
 # -- inference results -------------------------------------------------------
 
+# how far a derived value in a result file may be from the value its source gives
+DERIVED_RTOL = 1e-12
+
+
+def _frequencies_hz(omega2: np.ndarray) -> np.ndarray:
+    return np.sqrt(omega2) / (2.0 * np.pi)
+
 
 def result_to_dict(result: InferenceResult) -> dict:
     state = result.state_map
@@ -105,7 +112,7 @@ def result_to_dict(result: InferenceResult) -> dict:
         "theta_map": state.theta.tolist(),
         "theta_anchor": result.theta_anchor.tolist(),
         "omega2": state.omega2.tolist(),
-        "frequencies_hz": (np.sqrt(state.omega2) / (2.0 * np.pi)).tolist(),
+        "frequencies_hz": _frequencies_hz(state.omega2).tolist(),
         "phi": state.phi.tolist(),
         "beta": state.beta,
         "eta": state.eta,
@@ -138,7 +145,10 @@ LEGACY_RESULT_KEYS = ("a0",)
 def result_from_dict(payload: dict) -> InferenceResult:
     """Parse a result file of exactly the keys ``RESULT_KEYS`` (``a0`` aside), checking
     every value: its JSON type, shape (n from theta_map, m from omega2) and sign, every
-    number finite, and fixed_set against alpha.  A message names the key that fails."""
+    number finite, and fixed_set against alpha.  The derived values must agree with their
+    sources to ``DERIVED_RTOL``: cov_theta with theta_cov and theta_map, frequencies_hz with
+    omega2.  Each pruned component (fixed_set) must have exactly one pruning event, at a
+    sweep in [1, iterations].  A message names the key that fails."""
     check_keys(payload, "result", RESULT_KEYS, LEGACY_RESULT_KEYS)
     mode, converged, diagnostics = payload["mode"], payload["converged"], payload["diagnostics"]
     events, fixed = payload["pruning_events"], payload["fixed_set"]
@@ -189,6 +199,9 @@ def result_from_dict(payload: dict) -> InferenceResult:
             raise ConfigurationError(f"result {name} must be nonnegative")
     if any(not 0 <= j < n for _, j in pruning_events):
         raise ConfigurationError(f"result pruning_events names a component outside [0, {n})")
+    if any(not 1 <= k <= iterations for k, _ in pruning_events):
+        raise ConfigurationError(f"result pruning_events names a sweep outside "
+                                 f"[1, {iterations}] (iterations)")
     state = InferenceState(
         theta=values["theta_map"], omega2=values["omega2"], phi=values["phi"],
         beta=values["beta"], eta=values["eta"], nu=values["nu"], rho=values["rho"],
@@ -196,12 +209,20 @@ def result_from_dict(payload: dict) -> InferenceResult:
         b0=values["b0"], diagnostics=list(diagnostics))
     result = InferenceResult(
         mode=mode, state_map=state, theta_anchor=values["theta_anchor"],
-        theta_cov=values["theta_cov"], cov_theta=values["cov_theta"], full_cov=None,
+        theta_cov=values["theta_cov"], full_cov=None,
         full_cov_labels=None, records=[], pruning_events=pruning_events, iterations=iterations,
         converged=converged)
     if fixed_set != result.fixed_set:
         raise ConfigurationError(f"result fixed_set {sorted(fixed_set)} is not the alpha = 0 "
                                  f"set {sorted(result.fixed_set)}")
+    pruned = sorted(j for _, j in pruning_events)
+    if pruned != sorted(fixed_set):
+        raise ConfigurationError(f"result pruning_events components {pruned} are not the "
+                                 f"fixed_set {sorted(fixed_set)}, each listed once")
+    for name, derived, source in (("cov_theta", result.cov_theta, "theta_cov and theta_map"),
+                                  ("frequencies_hz", _frequencies_hz(state.omega2), "omega2")):
+        if np.any(np.abs(values[name] - derived) > DERIVED_RTOL * np.abs(derived)):
+            raise ConfigurationError(f"result {name} is not the value derived from {source}")
     return result
 
 

@@ -332,7 +332,7 @@ def cov_report(result, dataset: ModalDataset) -> list:
 
     Rows: theta_1..n, beta, eta, phi_1..m, where phi_i = rho_i *
     sum_r what_{r,i}^4 / q is the normalized frequency precision.  The theta
-    rows read the c.o.v. the run stored from Sigma_theta
+    rows read the c.o.v. the result derives from Sigma_theta
     (``result.cov_theta``; exactly zero for pruned components).  The scalar
     precisions use conditional c.o.v. values 1/(MAP * sqrt(Hessian
     diagonal)), which the assembled diagonal entries make independent of the
@@ -341,8 +341,9 @@ def cov_report(result, dataset: ModalDataset) -> list:
     state = result.state_map
     dm, m = state.phi.size, state.m
     q, s = dataset.q, dataset.s
+    cov_theta = result.cov_theta
     rows = [{"parameter": f"theta_{j + 1}", "map": float(state.theta[j]),
-             "cov_percent": float(100.0 * result.cov_theta[j])} for j in range(state.n)]
+             "cov_percent": float(100.0 * cov_theta[j])} for j in range(state.n)]
     h_bb = dm / 2.0 / state.beta**2
     rows.append({
         "parameter": "beta",

@@ -13,7 +13,6 @@ from modalbayes.bench import (
     DEFAULT_HARNESS_CONFIG,
     NoiseSpec,
     apply_damage,
-    benchmark_monitor_config,
     simulate_modal_data,
 )
 from modalbayes.data import DataTerms, ModalDataset
@@ -114,7 +113,8 @@ def two_stage(model: StructuralModel, calib_data: ModalDataset, data: ModalDatas
     fixed = {k: DEFAULT_HARNESS_CONFIG[f"fixed_{k}"] for k in ("eta", "phi")}
     calib = run_calibration(calib_data, model, np.ones(model.n),
                             AlgorithmConfig(mode=CALIBRATION, fix_hypers=fixed))
-    return calib, run_monitoring(data, model, calib.theta_map, benchmark_monitor_config())
+    return calib, run_monitoring(data, model, calib.theta_map,
+                                 AlgorithmConfig(mode="monitoring"))
 
 
 def random_spd(rng, d, scale=1.0):

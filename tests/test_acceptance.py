@@ -27,7 +27,6 @@ from conftest import (
 )
 from modalbayes.bench import (
     ShearBuildingSpec,
-    benchmark_monitor_config,
     harness_dataset,
     harness_model,
     harness_theta_init,
@@ -277,7 +276,7 @@ def test_criterion_8_hyper_variant_consistency(toy2_model, toy2_dataset):
     _, mon_var = run_damage_scenario(damage={2: 0.20}, seed=7)
     _, mon_prec = run_damage_scenario(
         damage={2: 0.20}, seed=7,
-        monitor_config=benchmark_monitor_config(lambda_fixed=0.0, kappa=0.1))
+        monitor_config=AlgorithmConfig(mode="monitoring", lambda_fixed=0.0, kappa=0.1))
     nz_var = int(np.sum(mon_var.theta_map != mon_var.theta_anchor))
     nz_prec = int(np.sum(mon_prec.theta_map != mon_prec.theta_anchor))
     elapsed = time.perf_counter() - start

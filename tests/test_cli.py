@@ -119,6 +119,15 @@ class TestSimulate:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("story", ["0", "11", "-1"], ids=["zero", "n_plus_1", "negative"])
+    def test_damage_id_outside_the_stories_exit_2(self, tmp_path, story):
+        proc = run_cli(["simulate", "--building", "shear10", f"--damage={story}=0.2",
+                        "--out-dir", "out"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"error: bad --damage: substructure id {story} is outside "
+                               "[1, 10]\n")
+        assert not (tmp_path / "out/dataset.json").exists()
+
     @pytest.mark.parametrize("flags, setting", [
         (["--noise", "nan"], "noise level freq_cov"),
         (["--shape-noise", "inf"], "noise level shape_cov"),
@@ -305,6 +314,26 @@ def readme_pipeline() -> list[list[str]]:
     return [argv[1:] for argv in commands if argv[:1] == ["modalbayes"]]
 
 
+def test_readme_pipeline_restates_no_config_default():
+    """A README option that sets an ``AlgorithmConfig`` field to its default is a second
+    copy of that default, which drifts when the default changes."""
+    parser = cli.build_parser()
+    defaults = {field.name: field.default for field in dataclasses.fields(AlgorithmConfig)}
+    runs = [argv for argv in readme_pipeline() if argv[0] in ("calibrate", "monitor")]
+    assert [argv[0] for argv in runs] == ["calibrate", "monitor"]
+    for argv in runs:
+        given = vars(parser.parse_args(argv))
+        assert [name for name, default in defaults.items()
+                if given.get(name) is not None and given[name] == default] == [], argv
+
+
+def test_readme_library_block_runs():
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", README.read_text(), re.S)
+    namespace = {}
+    exec(compile(block.group(1), "README.md", "exec"), namespace)
+    assert namespace["calib"].converged
+
+
 @pytest.fixture(scope="module")
 def stage_dir(tmp_path_factory):
     """The README pipeline up to monitor, made once in-process.
@@ -421,6 +450,13 @@ class TestMonitor:
         assert "error: min_sweeps_before_pruning must be nonnegative" in proc.stderr
         assert not (tmp_path / "bad/monitoring.json").exists()
 
+    def test_help_shows_the_pruning_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["monitor", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"(default {AlgorithmConfig.alpha_min:g})" in text
+        assert f"(default {AlgorithmConfig.min_sweeps_before_pruning})" in text
+
     def test_lambda_zero_classic_sbl(self, stage_dir, tmp_path):
         proc = run_cli(["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
                         f"{stage_dir}/dmg/dataset.json", "--calibration",
@@ -535,6 +571,8 @@ class TestReport:
         ("tau", [1.0, 0.0, 1.0, 1.0]),
         ("frequencies_hz", [1.0, 2.0, 3.0]),
         ("frequencies_hz", [1.0, 2.0, 3.0, float("inf")]),
+        ("frequencies_hz", [99.0] * 4),
+        ("cov_theta", [5.0] * 10),
         ("phi", [1.0]),
         ("phi", [float("nan")] * 40),
         ("iterations", -5),
@@ -555,7 +593,8 @@ class TestReport:
             "alpha_negative", "theta_cov_negative_diagonal", "converged_string",
             "diagnostics_string", "diagnostics_number", "mode_unknown", "omega2_length",
             "omega2_empty", "omega2_nan", "rho_length", "rho_negative", "tau_zero",
-            "frequencies_hz_length", "frequencies_hz_inf", "phi_not_multiple_of_m", "phi_nan",
+            "frequencies_hz_length", "frequencies_hz_inf", "frequencies_hz_not_derived",
+            "cov_theta_not_derived", "phi_not_multiple_of_m", "phi_nan",
             "iterations_negative", "beta_negative", "eta_zero", "nu_inf", "b0_negative",
             "lambda_negative", "zeta_zero", "pruning_event_out_of_range",
             "pruning_event_not_pair", "pruning_events_string", "fixed_set_not_list",
@@ -570,6 +609,32 @@ class TestReport:
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
         assert key in proc.stderr
+
+    @pytest.mark.parametrize("edit, message", [
+        ("extra_event_at_negative_sweep", "sweep outside"),
+        ("sweep_zero", "sweep outside"),
+        ("sweep_after_last", "sweep outside"),
+        ("component_twice", "each listed once"),
+        ("component_missing", "each listed once"),
+    ])
+    def test_pruning_events_not_those_of_the_run_exit_2(self, stage_dir, tmp_path, edit,
+                                                         message):
+        payload = json.loads((stage_dir / "mon/monitoring.json").read_text())
+        events, last = payload["pruning_events"], payload["iterations"]
+        (sweep, j), rest = events[0], events[1:]
+        assert rest  # more than one component was pruned
+        payload["pruning_events"] = {
+            "extra_event_at_negative_sweep": events + [[-7, 0]],
+            "sweep_zero": [[0, j]] + rest,
+            "sweep_after_last": [[last + 1, j]] + rest,
+            "component_twice": events + [[sweep, j]],
+            "component_missing": rest,
+        }[edit]
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        proc = run_cli(["report", "--calibration", f"{stage_dir}/calib/calibration.json",
+                        "--monitoring", "bad.json"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: result pruning_events" in proc.stderr and message in proc.stderr
 
 
 # settings that are constants of the model or of the simulator, with values the

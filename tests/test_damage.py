@@ -32,13 +32,9 @@ def fake_result(theta, sigma, fixed=(), anchor=None, mode="monitoring"):
         alpha=np.where([j in fixed for j in range(n)], 0.0, 1.0),
         lam=1.0, zeta=1.0, b0=1.0,
     )
-    cov = np.diag(sigma**2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cov_theta = np.where(theta != 0, sigma / np.where(theta != 0, np.abs(theta), 1.0), 0.0)
-    cov_theta[list(fixed)] = 0.0
     return InferenceResult(
-        mode=mode, state_map=state, theta_anchor=anchor, theta_cov=cov,
-        cov_theta=cov_theta, full_cov=None, full_cov_labels=None,
+        mode=mode, state_map=state, theta_anchor=anchor, theta_cov=np.diag(sigma**2),
+        full_cov=None, full_cov_labels=None,
         records=[], pruning_events=[], iterations=1, converged=True,
     )
 

@@ -25,8 +25,7 @@ from conftest import (
     two_stage,
     two_stage_data,
 )
-from modalbayes.bench import (DEFAULT_HARNESS_CONFIG, NoiseSpec, benchmark_monitor_config,
-                             simulate_modal_data)
+from modalbayes.bench import DEFAULT_HARNESS_CONFIG, NoiseSpec, simulate_modal_data
 from modalbayes.data import DataTerms, ModalDataset
 from modalbayes.errors import ConfigurationError, NumericalError
 from modalbayes.inference import (
@@ -773,7 +772,7 @@ class TestSweepKernel:
         # the settings of conftest.two_stage
         fixed = {k: DEFAULT_HARNESS_CONFIG[f"fixed_{k}"] for k in ("eta", "phi")}
         config = (AlgorithmConfig(mode="calibration", fix_hypers=fixed) if stage == 1
-                  else benchmark_monitor_config())
+                  else AlgorithmConfig(mode="monitoring"))
         anchor = result.theta_anchor
         state = initialize(dataset, model, anchor, config)
         terms = DataTerms.from_dataset(dataset, model.d)

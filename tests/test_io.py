@@ -181,6 +181,19 @@ class TestResultFiles:
         with pytest.raises(ConfigurationError, match=message):
             io.result_from_dict(payload)
 
+    @pytest.mark.parametrize("key", ["cov_theta", "frequencies_hz"])
+    def test_derived_values_agree_with_their_sources(self, key, toy2_model, toy2_dataset):
+        result = run_calibration(toy2_dataset, toy2_model, np.ones(2),
+                                 AlgorithmConfig(mode="calibration"))
+        payload = io.result_to_dict(result)
+        derived = np.array(payload[key])
+        assert np.all(derived > 0)
+        payload[key] = (derived * (1 + 0.1 * io.DERIVED_RTOL)).tolist()
+        io.result_from_dict(payload)
+        payload[key] = (derived * (1 + 10 * io.DERIVED_RTOL)).tolist()
+        with pytest.raises(ConfigurationError, match=f"result {key} is not the value derived"):
+            io.result_from_dict(payload)
+
     @pytest.mark.parametrize("mode", ["calibration", "monitoring"])
     def test_trace_rows_are_the_records(self, mode, toy2_model, toy2_dataset, tmp_path):
         run = run_calibration if mode == "calibration" else run_monitoring
