@@ -7,11 +7,11 @@ first five natural frequencies at 1.00, 2.98, 4.89, 6.69 and 8.34 Hz.
 
 Unit scale: the hierarchical prior on the equation-error precision has an
 absolute rate parameter, so inference results depend on the unit system of the
-model matrices.  ``unit_scale=1e6`` (stiffness in MN/m, mass in Gg) is the
-working scale of the benchmark numbers; frequencies are unaffected because
-mass and stiffness are scaled together.  The monitoring settings validated at
-that scale (``alpha_min`` and the pruning hold-off) are the defaults of
-``inference.AlgorithmConfig``, which this module does not repeat.
+model matrices.  ``BENCHMARK_UNIT_SCALE`` (stiffness in MN/m, mass in Gg), the
+default of ``shear_building_model``, is the working scale of the benchmark; mass
+and stiffness scale together, so frequencies do not change.  The monitoring
+settings validated at that scale (``alpha_min``, the pruning hold-off, the
+shape normalization) are ``inference`` defaults, which this module does not repeat.
 """
 
 from __future__ import annotations
@@ -29,15 +29,16 @@ from .errors import ConfigurationError
 from .inference import (
     CALIBRATION,
     MONITORING,
+    MONITORING_NORMALIZATION,
     AlgorithmConfig,
     InferenceResult,
     run_calibration,
     run_monitoring,
 )
-from .model import ShearBuildingSpec, StructuralModel, eigen_solve, shear_building_model
+from .model import (BENCHMARK_UNIT_SCALE, ShearBuildingSpec, StructuralModel, eigen_solve,
+                    shear_building_model)
 from .uncertainty import cov_report
 
-BENCHMARK_UNIT_SCALE = 1e6
 # 1-based floors 1, 4, 5, 7 and 10 carry sensors in the partial scenario.
 PARTIAL_SENSOR_DOFS = (0, 3, 4, 6, 9)
 
@@ -138,7 +139,6 @@ def simulate_modal_data(model: StructuralModel, theta, m: int, q: int, observed_
 
 DEFAULT_HARNESS_CONFIG = {
     "building": {"stories": 10},
-    "unit_scale": BENCHMARK_UNIT_SCALE,
     "modes": [3, 4, 5],
     "segments": [5, 10, 50, 100],
     "sensors": ["full", "partial"],
@@ -162,8 +162,7 @@ def merge_config(config: dict | None) -> dict:
 
 
 def harness_model(cfg: dict) -> StructuralModel:
-    spec = ShearBuildingSpec(**cfg["building"])
-    return shear_building_model(spec, unit_scale=cfg["unit_scale"])
+    return shear_building_model(ShearBuildingSpec(**cfg["building"]))
 
 
 def harness_theta_init(n: int, interval, seed) -> np.ndarray:
@@ -266,11 +265,11 @@ def run_damage_scenario(cfg: dict | None = None, damage: dict | None = None,
     The calibration stage uses per-mode-normalized data with the frequency and
     mode-shape precisions fixed at their comparison values (the treatment whose
     MAP/c.o.v. results match the benchmark tables).  The monitoring stage
-    ingests its dataset with the stacked-unit-norm rescale instead: the
-    closed-form starting values of beta and eta balance the mode-shape
-    likelihood against the equation-error prior only at that scale, and an
-    unbalanced start drives the monitoring sweep into a degenerate basin where
-    the damage signal is suppressed before the ARD block ever sees it.
+    ingests its dataset with ``MONITORING_NORMALIZATION``, the stacked-unit-norm
+    rescale: the closed-form starting values of beta and eta balance the
+    mode-shape likelihood against the equation-error prior only at that scale,
+    and an unbalanced start drives the monitoring sweep into a degenerate basin
+    where the damage signal is suppressed before the ARD block ever sees it.
     ``monitor_config`` defaults to ``AlgorithmConfig(mode=MONITORING)``.
     """
     cfg = merge_config(cfg)
@@ -283,7 +282,7 @@ def run_damage_scenario(cfg: dict | None = None, damage: dict | None = None,
         AlgorithmConfig(mode=CALIBRATION, fix_hypers={"eta": cfg["fixed_eta"], "phi": cfg["fixed_phi"]}),
     )
     monitor_seed = (seed if seed is not None else cfg["noise"]["seed"]) + 65537
-    monitor_cfg = dict(cfg, normalization="global")
+    monitor_cfg = dict(cfg, normalization=MONITORING_NORMALIZATION)
     monitor_data = harness_dataset(monitor_cfg, m=m, q=q_monitoring, sensors=sensors,
                                    damage=damage, seed=monitor_seed)
     monitor = run_monitoring(monitor_data, model, calib.theta_map, monitor_config)

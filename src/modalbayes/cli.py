@@ -22,7 +22,6 @@ import numpy as np
 
 from . import io
 from .bench import (
-    BENCHMARK_UNIT_SCALE,
     NoiseSpec,
     apply_damage,
     harness_theta_init,
@@ -36,16 +35,22 @@ from .damage import (
     write_probability_csv,
     write_ratios_csv,
 )
-from .data import load_dataset, read_json, real_array, save_dataset, write_json
+from .data import NORMALIZATIONS, load_dataset, read_json, real_array, save_dataset, write_json
 from .errors import ConfigurationError, NumericalError
-from .inference import CALIBRATION, MONITORING, AlgorithmConfig, run_calibration, run_monitoring
-from .model import ShearBuildingSpec
+from .inference import (CALIBRATION, MONITORING, MONITORING_NORMALIZATION, AlgorithmConfig,
+                        run_calibration, run_monitoring)
+from .model import BENCHMARK_UNIT_SCALE, ShearBuildingSpec
 from .uncertainty import cov_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_NUMERICAL = 4
+
+# the AlgorithmConfig fields each inference command sets and its manifest records
+CALIBRATE_FIELDS = ("tol_theta", "max_iterations", "fix_hypers", "init_scale")
+MONITOR_FIELDS = ("kappa", "alpha_min", "min_sweeps_before_pruning", "tol_log_alpha",
+                  "max_iterations", "lambda_fixed")
 
 
 def _kv_arg(text: str) -> dict:
@@ -171,9 +176,10 @@ def _sensor_arg(text: str):
         ) from exc
 
 
-def _run_settings(config: AlgorithmConfig, normalization: str, **extra) -> dict:
-    """Manifest settings of an inference run: every config field."""
-    return {**dataclasses.asdict(config), "normalization": normalization, **extra}
+def _run_settings(config: AlgorithmConfig, fields: tuple, normalization: str, **extra) -> dict:
+    """Manifest settings of an inference run: the config fields its stage reads."""
+    return {"mode": config.mode, **{name: getattr(config, name) for name in fields},
+            "normalization": normalization, **extra}
 
 
 def _emit_run_outputs(result, dataset, out: Path, prefix: str):
@@ -239,14 +245,14 @@ def cmd_calibrate(args) -> int:
     if not args.dataset:
         raise ConfigurationError("--dataset is required")
     dataset = load_dataset(args.dataset, normalization=args.normalization)
-    config = AlgorithmConfig(mode=CALIBRATION, **_given(
-        args, "tol_theta", "max_iterations", "fix_hypers", "init_scale"))
+    config = AlgorithmConfig(mode=CALIBRATION, **_given(args, *CALIBRATE_FIELDS))
     theta_init = _theta_init_arg(args, model.n)
     result = run_calibration(dataset, model, theta_init, config)
     outputs = _emit_run_outputs(result, dataset, out, "calibration")
     io.write_manifest(
         out / "calibrate_manifest.json", "calibrate",
-        _run_settings(config, args.normalization, theta_init=theta_init.tolist()),
+        _run_settings(config, CALIBRATE_FIELDS, args.normalization,
+                      theta_init=theta_init.tolist()),
         inputs=[args.model, args.dataset] if args.model else [args.dataset],
         outputs=outputs, seed=args.seed,
         convergence={"converged": bool(result.converged), "iterations": result.iterations},
@@ -270,9 +276,7 @@ def cmd_monitor(args) -> int:
         raise ConfigurationError(
             f"calibration result has {calib.theta_map.size} substructures, model has {model.n}"
         )
-    config = AlgorithmConfig(mode=MONITORING, **_given(
-        args, "kappa", "alpha_min", "min_sweeps_before_pruning",
-        "tol_log_alpha", "max_iterations", "lambda_fixed"))
+    config = AlgorithmConfig(mode=MONITORING, **_given(args, *MONITOR_FIELDS))
     result = run_monitoring(dataset, model, calib.theta_map, config)
     outputs = _emit_run_outputs(result, dataset, out, "monitoring")
     pruning_path = out / "monitoring_pruning.csv"
@@ -280,8 +284,9 @@ def cmd_monitor(args) -> int:
     outputs.append(pruning_path)
     inputs = [p for p in (args.model, args.dataset, args.calibration) if p]
     io.write_manifest(
-        out / "monitor_manifest.json", "monitor", _run_settings(config, args.normalization),
-        inputs=inputs, outputs=outputs, seed=args.seed,
+        out / "monitor_manifest.json", "monitor",
+        _run_settings(config, MONITOR_FIELDS, args.normalization),
+        inputs=inputs, outputs=outputs,
         convergence={
             "converged": bool(result.converged),
             "iterations": result.iterations,
@@ -324,7 +329,7 @@ def cmd_report(args) -> int:
     io.write_manifest(
         out / "report_manifest.json", "report", settings,
         inputs=[args.calibration, args.monitoring],
-        outputs=[ratios_path, prob_path, alarms_path, out / "report.json"], seed=args.seed,
+        outputs=[ratios_path, prob_path, alarms_path, out / "report.json"],
     )
     if args.verbose:
         print(f"alarms: {alarms_payload['alarms']}")
@@ -335,8 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file of option values; command-line flags win")
     common.add_argument("--out-dir", default=".", help="output directory (default: current)")
-    common.add_argument("--seed", type=_seed_arg, help="deterministic RNG seed (>= 0)")
     common.add_argument("--verbose", action="store_true")
+
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed_arg, help="deterministic RNG seed (>= 0)")
 
     structure = argparse.ArgumentParser(add_help=False)
     structure.add_argument("--building", help="shear-building shorthand, e.g. shear10")
@@ -348,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     inference = argparse.ArgumentParser(add_help=False)
     inference.add_argument("--dataset", help="modal dataset JSON")
     inference.add_argument("--max-iterations", type=int)
-    inference.add_argument("--normalization", choices=["per_mode", "global", "none"],
-                           default="none")
 
     parser = argparse.ArgumentParser(
         prog="modalbayes",
@@ -358,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: a --config key must name an option exactly, not a prefix of one
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common, structure], allow_abbrev=False,
+    p_sim = sub.add_parser("simulate", parents=[common, seeded, structure], allow_abbrev=False,
                            help="generate a synthetic modal dataset")
     p_sim.add_argument("--modes", type=int, default=4,
                        help="identified modes per segment (default %(default)s)")
@@ -369,14 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"frequency noise c.o.v. (default {NoiseSpec.freq_cov})")
     p_sim.add_argument("--shape-noise", dest="shape_cov", metavar="SHAPE_NOISE", type=float,
                        help="mode-shape noise c.o.v. (default --noise)")
-    p_sim.add_argument("--normalization", choices=["per_mode", "global", "none"],
-                       default="per_mode")
+    p_sim.add_argument("--normalization", choices=NORMALIZATIONS, default="per_mode")
     p_sim.add_argument("--damage", type=_kv_arg, default="",
                        help="1-based substructure=fractional loss pairs, e.g. 3=0.2")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_cal = sub.add_parser("calibrate", parents=[common, structure, inference], allow_abbrev=False,
-                           help="Algorithm 1: calibrate stiffness parameters")
+    p_cal = sub.add_parser("calibrate", parents=[common, seeded, structure, inference],
+                           allow_abbrev=False, help="Algorithm 1: calibrate stiffness parameters")
+    p_cal.add_argument("--normalization", choices=NORMALIZATIONS, default="none")
     p_cal.add_argument("--theta-init", default="nominal",
                        help="nominal | uniform:LO,HI | value | file")
     p_cal.add_argument("--tol-theta", type=float)
@@ -387,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mon = sub.add_parser("monitor", parents=[common, structure, inference], allow_abbrev=False,
                            help="Algorithm 2: sparse stiffness-change inference")
     p_mon.add_argument("--calibration", help="calibration result JSON providing the anchor")
+    p_mon.add_argument("--normalization", choices=NORMALIZATIONS, default=MONITORING_NORMALIZATION)
     p_mon.add_argument("--kappa", type=float, help="floor on every ARD variance; needs --lambda 0")
     p_mon.add_argument("--lambda", "--lambda-fixed", dest="lambda_fixed", type=float,
                        help="pin the ARD rate (0 = classic sparse Bayesian learning)")

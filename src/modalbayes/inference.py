@@ -51,6 +51,8 @@ MONITORING = "monitoring"
 ALPHA_CALIBRATION = 1e9
 # Rate b0 of the Gamma(1, b0) prior on the equation-error precision beta, per stage.
 BETA_PRIOR_RATE = {CALIBRATION: 1.0, MONITORING: 0.1}
+# Shape normalization of monitoring data: the closed-form beta and eta balance at it.
+MONITORING_NORMALIZATION = "global"
 # Caps on the mode-shape and frequency precisions for noise-free data.
 ETA_MAX = 1e12
 RHO_MAX = 1e12
@@ -78,8 +80,8 @@ class AlgorithmConfig:
     ``min_sweeps_before_pruning`` sweeps, until that transient has passed.
     Damage below roughly 7% loss needs a lower threshold (and lower-noise data
     to separate it).  The values were validated on the detection grid G of
-    ROADMAP.md at ``unit_scale=1e6``.  They are in the model's units until
-    roadmap item 4 makes inference unit-free.
+    ROADMAP.md at ``model.BENCHMARK_UNIT_SCALE``.  They are in the model's
+    units until roadmap item 4 makes inference unit-free.
     """
 
     mode: str = CALIBRATION

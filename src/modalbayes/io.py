@@ -23,7 +23,7 @@ from .data import (check_keys, read_json, real_array, real_number, whole_number,
                    write_json)
 from .errors import ConfigurationError
 from .inference import CALIBRATION, MONITORING, InferenceResult, InferenceState
-from .model import ShearBuildingSpec, StructuralModel, shear_building_model
+from .model import BENCHMARK_UNIT_SCALE, ShearBuildingSpec, StructuralModel, shear_building_model
 
 
 # -- model files -------------------------------------------------------------
@@ -43,7 +43,7 @@ def _matrix(payload, name: str, d: int) -> np.ndarray:
 
 
 def model_from_dict(payload: dict) -> StructuralModel:
-    """Parse a model definition, expanding the shear-building shorthand.
+    """Parse a model definition; a shorthand lacking ``unit_scale`` has ``BENCHMARK_UNIT_SCALE``.
 
     The dense ``Ksub`` matrices of a file are reduced to their supports.  A payload
     holds exactly the key ``shear_building`` or the keys ``DENSE_MODEL_KEYS``.
@@ -53,7 +53,7 @@ def model_from_dict(payload: dict) -> StructuralModel:
     if shorthand:
         try:
             short = dict(payload["shear_building"])
-            unit_scale = real_number(short.pop("unit_scale", 1.0), "unit_scale")
+            unit_scale = real_number(short.pop("unit_scale", BENCHMARK_UNIT_SCALE), "unit_scale")
             if "stories" in short:
                 short["stories"] = whole_number(short["stories"], "stories")
             for key in set(short) & {"floor_mass", "story_stiffness"}:

@@ -33,6 +33,8 @@ structurally because of the rho-tau coupling.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import lapack
 
@@ -335,8 +337,9 @@ def cov_report(result, dataset: ModalDataset) -> list:
     rows read the c.o.v. the result derives from Sigma_theta
     (``result.cov_theta``; exactly zero for pruned components).  The scalar
     precisions use conditional c.o.v. values 1/(MAP * sqrt(Hessian
-    diagonal)), which the assembled diagonal entries make independent of the
-    residuals.
+    diagonal)).  The diagonal entries of ``joint_hessian``'s ``core``,
+    dm/(2 beta^2), sqm/(2 eta^2) and q/(2 rho_i^2), reduce these to
+    sqrt(2/dm), sqrt(2/(sqm)) and sqrt(2/q), whatever the MAP.
     """
     state = result.state_map
     dm, m = state.phi.size, state.m
@@ -344,25 +347,12 @@ def cov_report(result, dataset: ModalDataset) -> list:
     cov_theta = result.cov_theta
     rows = [{"parameter": f"theta_{j + 1}", "map": float(state.theta[j]),
              "cov_percent": float(100.0 * cov_theta[j])} for j in range(state.n)]
-    h_bb = dm / 2.0 / state.beta**2
-    rows.append({
-        "parameter": "beta",
-        "map": float(state.beta),
-        "cov_percent": float(100.0 / (state.beta * np.sqrt(h_bb))),
-    })
-    h_ee = 0.5 * s * q * m / state.eta**2
-    rows.append({
-        "parameter": "eta",
-        "map": float(state.eta),
-        "cov_percent": float(100.0 / (state.eta * np.sqrt(h_ee))),
-    })
+    rows.append({"parameter": "beta", "map": float(state.beta),
+                 "cov_percent": 100.0 * math.sqrt(2.0 / dm)})
+    rows.append({"parameter": "eta", "map": float(state.eta),
+                 "cov_percent": 100.0 * math.sqrt(2.0 / (s * q * m))})
     w4_sum = np.sum(dataset.omega2_segments**2, axis=0)
-    for i in range(m):
-        h_rr = 0.5 * q / state.rho[i] ** 2
-        rows.append({
-            "parameter": f"phi_{i + 1}",
-            "map": float(state.rho[i] * w4_sum[i] / q),
-            "cov_percent": float(100.0 / (state.rho[i] * np.sqrt(h_rr))),
-        })
+    rows += [{"parameter": f"phi_{i + 1}", "map": float(state.rho[i] * w4_sum[i] / q),
+              "cov_percent": 100.0 * math.sqrt(2.0 / q)} for i in range(m)]
     return rows
 

@@ -43,7 +43,7 @@ class TestShearBuilding:
 
     def test_substructures_sum_to_full_matrix(self):
         spec = ShearBuildingSpec(stories=5, floor_mass=1.0, story_stiffness=(1.0, 2.0, 3.0, 4.0, 5.0))
-        model = shear_building_model(spec)
+        model = shear_building_model(spec, unit_scale=1.0)
         ks = spec.stiffnesses()
         expected = np.zeros((5, 5))
         for j in range(5):  # direct assembly of the classic tridiagonal form
@@ -56,7 +56,7 @@ class TestShearBuilding:
         np.testing.assert_allclose(assemble_stiffness(model, np.ones(5)), expected, rtol=1e-14)
 
     def test_k0_zero_and_diagonal_mass(self):
-        model = shear_building_model(ShearBuildingSpec(stories=3))
+        model = shear_building_model(ShearBuildingSpec(stories=3), unit_scale=1.0)
         assert np.all(model.k0 == 0.0)
         np.testing.assert_allclose(model.mass, np.diag(np.full(3, 100e3)))
 

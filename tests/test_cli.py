@@ -26,8 +26,8 @@ from modalbayes import cli
 from modalbayes.cli import main
 from modalbayes.errors import ConfigurationError, ModelError, NumericalError
 from modalbayes.inference import AlgorithmConfig
-from modalbayes.io import load_result, model_to_dict, save_result
-from modalbayes.model import ShearBuildingSpec, shear_building_model
+from modalbayes.io import load_model, load_result, model_from_dict, model_to_dict, save_result
+from modalbayes.model import BENCHMARK_UNIT_SCALE, ShearBuildingSpec, shear_building_model
 
 
 class CliRun(NamedTuple):
@@ -315,16 +315,47 @@ def readme_pipeline() -> list[list[str]]:
 
 
 def test_readme_pipeline_restates_no_config_default():
-    """A README option that sets an ``AlgorithmConfig`` field to its default is a second
-    copy of that default, which drifts when the default changes."""
+    """A README option that sets an ``AlgorithmConfig`` field, the shorthand's unit scale
+    or an option of the command's parser to its default is a second copy of that
+    default, which drifts when the default changes."""
     parser = cli.build_parser()
     defaults = {field.name: field.default for field in dataclasses.fields(AlgorithmConfig)}
+    defaults["unit_scale"] = BENCHMARK_UNIT_SCALE
     runs = [argv for argv in readme_pipeline() if argv[0] in ("calibrate", "monitor")]
     assert [argv[0] for argv in runs] == ["calibrate", "monitor"]
     for argv in runs:
         given = vars(parser.parse_args(argv))
         assert [name for name, default in defaults.items()
                 if given.get(name) is not None and given[name] == default] == [], argv
+        # an option whose removal leaves every parsed value as it was restates the
+        # parser's default (--normalization, say)
+        for i, token in enumerate(argv):
+            if token.startswith("--"):
+                end = i + 2 if i + 1 < len(argv) and not argv[i + 1].startswith("--") else i + 1
+                assert vars(parser.parse_args(argv[:i] + argv[end:])) != given, (argv, token)
+
+
+def test_shorthand_model_file_builds_the_building_shorthand(stage_dir, tmp_path):
+    """A model file's shear-building shorthand without ``unit_scale`` is ``--building``'s
+    model, bit for bit, so the pipeline run on that file calibrates and alarms alike."""
+    shorthand = {"shear_building": {"stories": 10}}
+    model = model_from_dict(shorthand)
+    building = load_model(stage_dir / "calib/model.json")  # simulate --building shear10
+    for name in ("mass", "k0", "support", "blocks"):
+        assert np.array_equal(getattr(model, name), getattr(building, name)), name
+    (tmp_path / "short.json").write_text(json.dumps(shorthand))
+    for argv in (["calibrate", "--model", "short.json", "--dataset",
+                  f"{stage_dir}/calib/dataset.json", "--fix-hypers", "eta=1e5,phi=1e4",
+                  "--out-dir", "calib"],
+                 ["monitor", "--model", "short.json", "--dataset", f"{stage_dir}/dmg/dataset.json",
+                  "--calibration", "calib/calibration.json", "--out-dir", "mon"],
+                 ["report", "--calibration", "calib/calibration.json", "--monitoring",
+                  "mon/monitoring.json", "--out-dir", "rep"]):
+        proc = run_cli(argv, cwd=tmp_path)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    assert ((tmp_path / "calib/calibration.json").read_bytes()
+            == (stage_dir / "calib/calibration.json").read_bytes())
+    assert json.loads((tmp_path / "rep/report_alarms.json").read_text())["alarms"] == [3]
 
 
 def test_readme_library_block_runs():
@@ -430,6 +461,30 @@ class TestMonitor:
         pruning = (tmp_path / "hm/monitoring_pruning.csv").read_text().strip().splitlines()
         pruned_ids = sorted(int(line.split(",")[1]) for line in pruning[1:])
         assert pruned_ids == list(range(1, 11))
+
+    def test_default_normalization_needs_no_flag(self, stage_dir, tmp_path):
+        """Damaged data simulated with the default normalization and monitored without
+        --normalization gives the answer of data simulated with --normalization global."""
+        damaged = ["simulate", "--building", "shear10", "--modes", "4", "--segments", "10",
+                   "--noise", "0.01", "--seed", "21", "--damage", "3=0.2"]
+        calibration = f"{stage_dir}/calib/calibration.json"
+        runs = {}
+        for name, flag in (("default", []), ("global", ["--normalization", "global"])):
+            for argv in (damaged + flag + ["--out-dir", f"{name}/dmg"],
+                         ["monitor", "--model", f"{stage_dir}/calib/model.json", "--dataset",
+                          f"{name}/dmg/dataset.json", "--calibration", calibration,
+                          "--out-dir", f"{name}/mon"],
+                         ["report", "--calibration", calibration, "--monitoring",
+                          f"{name}/mon/monitoring.json", "--out-dir", f"{name}/rep"]):
+                proc = run_cli(argv, cwd=tmp_path)
+                assert proc.returncode == 0, (argv, proc.stderr)
+            runs[name] = (json.loads((tmp_path / f"{name}/mon/monitoring.json").read_text()),
+                          json.loads((tmp_path / f"{name}/rep/report_alarms.json").read_text()))
+        (default, default_alarms), (flagged, flagged_alarms) = runs["default"], runs["global"]
+        assert default_alarms["alarms"] == flagged_alarms["alarms"] == [3]
+        assert default["fixed_set"] == flagged["fixed_set"]
+        assert default["iterations"] == flagged["iterations"]
+        np.testing.assert_allclose(default["theta_map"], flagged["theta_map"], rtol=1e-13)
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_lambda_exit_2(self, stage_dir, tmp_path, value):
@@ -641,7 +696,8 @@ class TestReport:
 # options accepted before they were removed
 REMOVED_OPTIONS = [("calibrate", "a0", "1"), ("calibrate", "b0", "1"), ("monitor", "a0", "1"),
                    ("monitor", "b0", "0.1"), ("simulate", "noise_on", "omega"),
-                   ("simulate", "shape_mode", "rms")]
+                   ("simulate", "shape_mode", "rms"), ("monitor", "seed", "1"),
+                   ("report", "seed", "1")]
 
 
 @pytest.mark.parametrize("where", ["flag", "config"])
@@ -656,6 +712,8 @@ def test_removed_option_exit_2(stage_dir, tmp_path, command, name, value, where)
                     f"{stage_dir}/dmg/dataset.json", "--calibration",
                     f"{stage_dir}/calib/calibration.json", "--alpha-min", "2e-4",
                     "--min-sweeps", "15"],
+        "report": ["report", "--calibration", f"{stage_dir}/calib/calibration.json",
+                   "--monitoring", f"{stage_dir}/mon/monitoring.json"],
     }[command]
     flag = "--" + name.replace("_", "-")
     if where == "flag":
@@ -769,7 +827,17 @@ class TestConfigFile:
         assert result["lambda"] == 0.0
 
     def test_manifests_record_full_config(self, stage_dir):
-        fields = {f.name for f in dataclasses.fields(AlgorithmConfig)}
-        for path in ("calib/calibrate_manifest.json", "mon/monitor_manifest.json"):
+        """Each stage's manifest records the settings that stage reads, and no other, so a
+        calibration's config hash does not follow the monitoring defaults."""
+        expected = {
+            "calib/calibrate_manifest.json": (
+                {"mode", "tol_theta", "max_iterations", "fix_hypers", "init_scale",
+                 "normalization", "theta_init"}, "none"),
+            "mon/monitor_manifest.json": (
+                {"mode", "kappa", "alpha_min", "min_sweeps_before_pruning", "tol_log_alpha",
+                 "max_iterations", "lambda_fixed", "normalization"}, "global"),
+        }
+        for path, (names, normalization) in expected.items():
             settings = json.loads((stage_dir / path).read_text())["settings"]
-            assert fields <= set(settings), sorted(fields - set(settings))
+            assert set(settings) == names, path
+            assert settings["normalization"] == normalization

@@ -134,7 +134,7 @@ class TestAssembleStiffness:
     def test_benchmark_tridiagonal(self):
         # ten-story model in SI units: diagonal (2k0,...,2k0,k0), off-diagonal -k0
         k0 = 176.729e6
-        model = shear_building_model(ShearBuildingSpec(stories=10))
+        model = shear_building_model(ShearBuildingSpec(stories=10), unit_scale=1.0)
         k = assemble_stiffness(model, np.ones(10))
         expected = np.zeros((10, 10))
         for i in range(10):
