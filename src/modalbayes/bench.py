@@ -1,6 +1,7 @@
 """Synthetic shear-building benchmark: seeded noisy modal data generation,
 damage scenarios and the calibration/monitoring sweep harness, on the
-buildings of ``model.shear_building_model``.
+buildings of ``model.shear_building_model``.  The harness takes the library's
+own types as keyword arguments: a ``NoiseSpec``, a sensors spec, a story count.
 
 The canonical ten-story building (100 t floors, 176.729 MN/m stories) has its
 first five natural frequencies at 1.00, 2.98, 4.89, 6.69 and 8.34 Hz.
@@ -16,7 +17,6 @@ shape normalization) are ``inference`` defaults, which this module does not repe
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .data import ModalDataset, write_csv
+from .data import INGEST_NORMALIZATION, ModalDataset, write_csv
 from .errors import ConfigurationError
 from .inference import (
     CALIBRATION,
@@ -76,20 +76,26 @@ def full_sensor_dofs(d: int) -> np.ndarray:
     return np.arange(d)
 
 
-def sensor_layout(kind, d: int) -> np.ndarray:
-    """Expand "full"/"partial"/explicit DOF list into observed DOF indices."""
-    if isinstance(kind, str):
-        if kind == "full":
+def sensor_layout(spec, d: int) -> np.ndarray:
+    """Observed DOF indices of a sensors spec: "full", "partial", DOF indices,
+    or those indices as comma-separated text ("0,3,4")."""
+    if isinstance(spec, str):
+        if spec == "full":
             return full_sensor_dofs(d)
-        if kind == "partial":
+        if spec == "partial":
             dofs = np.asarray(PARTIAL_SENSOR_DOFS, dtype=int)
             if d <= dofs[-1]:
                 raise ConfigurationError("partial layout requires at least 10 DOFs")
             return dofs
-        raise ConfigurationError(f"unknown sensor layout {kind!r}")
-    dofs = np.asarray(sorted(int(i) for i in kind), dtype=int)
+        try:
+            spec = [int(v) for v in spec.split(",")]
+        except ValueError as exc:
+            raise ConfigurationError(f"bad sensors spec {spec!r}: expected full, partial or "
+                                     "comma-separated DOF indices") from exc
+    dofs = np.asarray(sorted(int(i) for i in spec), dtype=int)
     if dofs.size and (dofs[0] < 0 or dofs[-1] >= d):
-        raise ConfigurationError(f"sensor DOFs must lie in [0, {d}), got {dofs.tolist()}")
+        raise ConfigurationError(f"bad sensors spec: DOFs must lie in [0, {d}), "
+                                 f"got {dofs.tolist()}")
     return dofs
 
 
@@ -107,7 +113,8 @@ def apply_damage(theta_true, pattern: dict) -> np.ndarray:
 
 
 def simulate_modal_data(model: StructuralModel, theta, m: int, q: int, observed_dofs,
-                        noise: NoiseSpec, normalization: str = "per_mode") -> ModalDataset:
+                        noise: NoiseSpec,
+                        normalization: str = INGEST_NORMALIZATION) -> ModalDataset:
     """Exact eigenpairs plus seeded Gaussian perturbations, per segment and mode.
 
     The random stream splits per (segment, mode), so increasing q reuses the
@@ -137,32 +144,17 @@ def simulate_modal_data(model: StructuralModel, theta, m: int, q: int, observed_
 # benchmark harness
 # ---------------------------------------------------------------------------
 
-DEFAULT_HARNESS_CONFIG = {
-    "building": {"stories": 10},
-    "modes": [3, 4, 5],
-    "segments": [5, 10, 50, 100],
-    "sensors": ["full", "partial"],
-    "noise": {"freq_cov": 0.01, "shape_cov": 0.01, "seed": 2026},
-    "normalization": "per_mode",
-    "theta_init_interval": [2.0, 3.0],
-    "sweeps": {"init_factors": [0.1, 1.0, 10.0, 100.0]},
-    "fixed_eta": 1e5,
-    "fixed_phi": 1e4,
-}
+HARNESS_STORIES = 10
+HARNESS_SEED = 2026
+# Starting-value interval and the comparison method's fixed eta and phi
+# (``benchmarks/workloads.py`` reads these keys).
+DEFAULT_HARNESS_CONFIG = {"theta_init_interval": [2.0, 3.0], "fixed_eta": 1e5, "fixed_phi": 1e4}
 
 
-def merge_config(config: dict | None) -> dict:
-    merged = copy.deepcopy(DEFAULT_HARNESS_CONFIG)
-    for key, value in (config or {}).items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key].update(value)
-        else:
-            merged[key] = value
-    return merged
-
-
-def harness_model(cfg: dict) -> StructuralModel:
-    return shear_building_model(ShearBuildingSpec(**cfg["building"]))
+def comparison_calibration(init_scale: dict | None = None) -> AlgorithmConfig:
+    """Calibration with eta and phi fixed: the comparison method of the benchmark tables."""
+    fixed = {"eta": DEFAULT_HARNESS_CONFIG["fixed_eta"], "phi": DEFAULT_HARNESS_CONFIG["fixed_phi"]}
+    return AlgorithmConfig(mode=CALIBRATION, fix_hypers=fixed, init_scale=init_scale)
 
 
 def harness_theta_init(n: int, interval, seed) -> np.ndarray:
@@ -171,29 +163,26 @@ def harness_theta_init(n: int, interval, seed) -> np.ndarray:
     return rng.uniform(low, high, size=n)
 
 
-def harness_dataset(cfg: dict, m: int, q: int, sensors="full",
-                    damage: dict | None = None, seed: int | None = None) -> ModalDataset:
-    model = harness_model(cfg)
-    noise_cfg = dict(cfg["noise"])
-    if seed is not None:
-        noise_cfg["seed"] = seed
-    noise = NoiseSpec(**noise_cfg)
-    theta = apply_damage(np.ones(model.n), damage or {})
-    observed = sensor_layout(sensors, model.d)
-    return simulate_modal_data(model, theta, m, q, observed, noise,
-                               normalization=cfg["normalization"])
+def harness_dataset(m: int, q: int, sensors="full", damage: dict | None = None,
+                    noise: NoiseSpec = NoiseSpec(seed=HARNESS_SEED), stories: int = HARNESS_STORIES,
+                    normalization: str = INGEST_NORMALIZATION) -> ModalDataset:
+    """Simulated data of the ``stories``-story building with the ``damage`` pattern."""
+    model = shear_building_model(ShearBuildingSpec(stories))
+    theta = apply_damage(np.ones(model.n), damage)
+    return simulate_modal_data(model, theta, m, q, sensor_layout(sensors, model.d), noise,
+                               normalization=normalization)
 
 
-def example1_harness(config: dict | None = None, out_dir=None) -> dict:
+def example1_harness(modes=(3, 4, 5), segments=(5, 10, 50, 100), sensors=("full", "partial"),
+                     init_factors=(0.1, 1.0, 10.0, 100.0), out_dir=None) -> dict:
     """Calibration sweeps over mode counts, initial values and segment counts.
 
     Returns the long-form table rows and iteration traces; writes one CSV per
     table analog and one per trace when ``out_dir`` is given.
     """
-    cfg = merge_config(config)
-    model = harness_model(cfg)
-    theta0 = harness_theta_init(model.n, cfg["theta_init_interval"], cfg["noise"]["seed"])
-    factors = cfg["sweeps"]["init_factors"]
+    model = shear_building_model(ShearBuildingSpec(HARNESS_STORIES))
+    theta0 = harness_theta_init(model.n, DEFAULT_HARNESS_CONFIG["theta_init_interval"],
+                                HARNESS_SEED)
 
     tables: dict[str, list] = {"beta_sweep": [], "all_hypers_sweep": [], "segments": []}
     traced: dict[str, InferenceResult] = {}
@@ -214,29 +203,23 @@ def example1_harness(config: dict | None = None, out_dir=None) -> dict:
 
     # mode-count sweep at q = 3: beta optimized from scaled starts with the
     # mode-shape/frequency precisions fixed, then everything optimized
-    for m in cfg["modes"]:
-        dataset = harness_dataset(cfg, m=m, q=3, sensors="full")
-        for factor in factors:
-            config_fixed = AlgorithmConfig(
-                mode=CALIBRATION,
-                fix_hypers={"eta": cfg["fixed_eta"], "phi": cfg["fixed_phi"]},
-                init_scale={"beta": factor},
-            )
-            result = run_calibration(dataset, model, theta0, config_fixed)
+    for m in modes:
+        dataset = harness_dataset(m, 3)
+        for factor in init_factors:
+            result = run_calibration(dataset, model, theta0,
+                                     comparison_calibration(init_scale={"beta": factor}))
             record("beta_sweep", "full", m, 3, factor, result, dataset)
-            config_free = AlgorithmConfig(
-                mode=CALIBRATION,
-                init_scale={"beta": factor, "eta": factor, "phi": factor},
-            )
-            result_free = run_calibration(dataset, model, theta0, config_free)
+            free = AlgorithmConfig(mode=CALIBRATION,
+                                   init_scale={"beta": factor, "eta": factor, "phi": factor})
+            result_free = run_calibration(dataset, model, theta0, free)
             record("all_hypers_sweep", "full", m, 3, factor, result_free, dataset)
             if factor == 1.0:
                 traced[f"m{m}_q3_full"] = result_free
 
     # segment-count sweep at m = 4 for both sensor scenarios, all hypers free
-    for scenario in cfg["sensors"]:
-        for q in cfg["segments"]:
-            dataset = harness_dataset(cfg, m=4, q=q, sensors=scenario)
+    for scenario in sensors:
+        for q in segments:
+            dataset = harness_dataset(4, q, scenario)
             result = run_calibration(dataset, model, theta0, AlgorithmConfig(mode=CALIBRATION))
             record("segments", scenario, 4, q, 1.0, result, dataset)
             traced[f"m4_q{q}_{scenario}"] = result
@@ -255,36 +238,28 @@ def example1_harness(config: dict | None = None, out_dir=None) -> dict:
     return outputs
 
 
-def run_damage_scenario(cfg: dict | None = None, damage: dict | None = None,
-                        q_calibration: int = 100, q_monitoring: int = 10,
-                        m: int = 4, sensors="full", seed: int | None = None,
+def run_damage_scenario(damage: dict | None = None, q_calibration: int = 100,
+                        q_monitoring: int = 10, m: int = 4, sensors="full",
+                        seed: int = HARNESS_SEED, stories: int = HARNESS_STORIES,
                         monitor_config: AlgorithmConfig | None = None,
                         ) -> tuple[InferenceResult, InferenceResult]:
     """Calibrate on undamaged data, then monitor a (possibly damaged) state.
 
-    The calibration stage uses per-mode-normalized data with the frequency and
-    mode-shape precisions fixed at their comparison values (the treatment whose
-    MAP/c.o.v. results match the benchmark tables).  The monitoring stage
-    ingests its dataset with ``MONITORING_NORMALIZATION``, the stacked-unit-norm
-    rescale: the closed-form starting values of beta and eta balance the
-    mode-shape likelihood against the equation-error prior only at that scale,
-    and an unbalanced start drives the monitoring sweep into a degenerate basin
-    where the damage signal is suppressed before the ARD block ever sees it.
+    The calibration stage uses per-mode-normalized data and ``comparison_calibration()``.
+    The monitoring stage ingests its dataset with ``MONITORING_NORMALIZATION``, the
+    stacked-unit-norm rescale: the closed-form starting values of beta and eta balance the
+    mode-shape likelihood against the equation-error prior only at that scale, and an
+    unbalanced start drives the monitoring sweep into a degenerate basin where the damage
+    signal is suppressed before the ARD block ever sees it.  Both datasets have the default
+    noise of ``NoiseSpec``, seeded ``seed`` and ``seed + 65537``.
     ``monitor_config`` defaults to ``AlgorithmConfig(mode=MONITORING)``.
     """
-    cfg = merge_config(cfg)
-    model = harness_model(cfg)
-    theta0 = harness_theta_init(model.n, cfg["theta_init_interval"], seed if seed is not None else cfg["noise"]["seed"])
-    calib_cfg = dict(cfg, normalization="per_mode")
-    calib_data = harness_dataset(calib_cfg, m=m, q=q_calibration, sensors=sensors, seed=seed)
-    calib = run_calibration(
-        calib_data, model, theta0,
-        AlgorithmConfig(mode=CALIBRATION, fix_hypers={"eta": cfg["fixed_eta"], "phi": cfg["fixed_phi"]}),
-    )
-    monitor_seed = (seed if seed is not None else cfg["noise"]["seed"]) + 65537
-    monitor_cfg = dict(cfg, normalization=MONITORING_NORMALIZATION)
-    monitor_data = harness_dataset(monitor_cfg, m=m, q=q_monitoring, sensors=sensors,
-                                   damage=damage, seed=monitor_seed)
+    model = shear_building_model(ShearBuildingSpec(stories))
+    theta0 = harness_theta_init(model.n, DEFAULT_HARNESS_CONFIG["theta_init_interval"], seed)
+    calib_data = harness_dataset(m, q_calibration, sensors, noise=NoiseSpec(seed=seed),
+                                 stories=stories)
+    calib = run_calibration(calib_data, model, theta0, comparison_calibration())
+    monitor_data = harness_dataset(m, q_monitoring, sensors, damage, NoiseSpec(seed=seed + 65537),
+                                   stories, MONITORING_NORMALIZATION)
     monitor = run_monitoring(monitor_data, model, calib.theta_map, monitor_config)
     return calib, monitor
-

@@ -35,7 +35,8 @@ from .damage import (
     write_probability_csv,
     write_ratios_csv,
 )
-from .data import NORMALIZATIONS, load_dataset, read_json, real_array, save_dataset, write_json
+from .data import (FILE_NORMALIZATION, INGEST_NORMALIZATION, NORMALIZATIONS, load_dataset,
+                   read_json, real_array, save_dataset, write_json)
 from .errors import ConfigurationError, NumericalError
 from .inference import (CALIBRATION, MONITORING, MONITORING_NORMALIZATION, AlgorithmConfig,
                         run_calibration, run_monitoring)
@@ -165,17 +166,6 @@ def _theta_init_arg(args, n: int) -> np.ndarray:
         raise ConfigurationError(f"bad --theta-init {text!r}") from exc
 
 
-def _sensor_arg(text: str):
-    if text in ("full", "partial"):
-        return text
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"bad --sensors {text!r}: expected full, partial or comma-separated DOF indices"
-        ) from exc
-
-
 def _run_settings(config: AlgorithmConfig, fields: tuple, normalization: str, **extra) -> dict:
     """Manifest settings of an inference run: the config fields its stage reads."""
     return {"mode": config.mode, **{name: getattr(config, name) for name in fields},
@@ -204,7 +194,7 @@ def cmd_simulate(args) -> int:
     if "freq_cov" in noise_args:
         noise_args.setdefault("shape_cov", noise_args["freq_cov"])  # --shape-noise follows --noise
     noise = NoiseSpec(**noise_args)
-    observed = sensor_layout(_sensor_arg(args.sensors), model.d)
+    observed = sensor_layout(args.sensors, model.d)
     try:
         pattern = {int(k) - 1: loss for k, loss in args.damage.items()}
     except ValueError as exc:
@@ -374,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"frequency noise c.o.v. (default {NoiseSpec.freq_cov})")
     p_sim.add_argument("--shape-noise", dest="shape_cov", metavar="SHAPE_NOISE", type=float,
                        help="mode-shape noise c.o.v. (default --noise)")
-    p_sim.add_argument("--normalization", choices=NORMALIZATIONS, default="per_mode")
+    p_sim.add_argument("--normalization", choices=NORMALIZATIONS, default=INGEST_NORMALIZATION)
     p_sim.add_argument("--damage", type=_kv_arg, default="",
                        help="1-based substructure=fractional loss pairs, e.g. 3=0.2")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cal = sub.add_parser("calibrate", parents=[common, seeded, structure, inference],
                            allow_abbrev=False, help="Algorithm 1: calibrate stiffness parameters")
-    p_cal.add_argument("--normalization", choices=NORMALIZATIONS, default="none")
+    p_cal.add_argument("--normalization", choices=NORMALIZATIONS, default=FILE_NORMALIZATION)
     p_cal.add_argument("--theta-init", default="nominal",
                        help="nominal | uniform:LO,HI | value | file")
     p_cal.add_argument("--tol-theta", type=float)

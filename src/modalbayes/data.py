@@ -28,6 +28,10 @@ import numpy as np
 from .errors import ConfigurationError
 
 NORMALIZATIONS = ("per_mode", "global", "none")
+# Shape normalization of identified segments as they are ingested.
+INGEST_NORMALIZATION = "per_mode"
+# Normalization of a dataset file read as written: files this package writes are normalized.
+FILE_NORMALIZATION = "none"
 DATASET_KEYS = ("q", "m", "s", "observed_dofs", "segments")  # and, optionally, "units"
 SEGMENT_KEYS = ("omega2", "mode_shapes")
 
@@ -106,7 +110,8 @@ class ModalDataset:
             )
 
     @classmethod
-    def from_segments(cls, omega2, shapes, observed_dofs, normalization: str = "per_mode"):
+    def from_segments(cls, omega2, shapes, observed_dofs,
+                      normalization: str = INGEST_NORMALIZATION):
         """Build a dataset from per-segment arrays, applying the ingestion convention.
 
         Parameters
@@ -219,15 +224,15 @@ def dataset_to_dict(dataset: ModalDataset) -> dict:
     }
 
 
-def dataset_from_dict(payload: dict, normalization: str = "none") -> ModalDataset:
+def dataset_from_dict(payload: dict, normalization: str = FILE_NORMALIZATION) -> ModalDataset:
     """Parse the dataset JSON schema.
 
     Frequencies are rad^2/s^2 by default (``"units": "rad2"``); with
     ``"units": "hz"`` the segment values are natural frequencies in Hz and are
     converted as omega^2 = (2 pi f)^2.  Any other ``units`` value is refused, as are
     a missing or unknown key, a count that is not whole and a value not a number.
-    ``normalization`` defaults to "none" because files written by this package
-    are already normalized at ingestion.
+    ``normalization`` defaults to ``FILE_NORMALIZATION`` because files written by
+    this package are already normalized at ingestion.
     """
     check_keys(payload, "dataset", DATASET_KEYS, optional=("units",))
     q, m, s = (whole_number(payload[key], key) for key in ("q", "m", "s"))
@@ -309,7 +314,7 @@ def read_json(path, kind: str):
         raise ConfigurationError(f"{kind} file {path} is not valid JSON: {exc}") from exc
 
 
-def load_dataset(path, normalization: str = "none") -> ModalDataset:
+def load_dataset(path, normalization: str = FILE_NORMALIZATION) -> ModalDataset:
     return dataset_from_dict(read_json(path, "dataset"), normalization=normalization)
 
 

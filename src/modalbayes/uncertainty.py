@@ -339,7 +339,9 @@ def cov_report(result, dataset: ModalDataset) -> list:
     precisions use conditional c.o.v. values 1/(MAP * sqrt(Hessian
     diagonal)).  The diagonal entries of ``joint_hessian``'s ``core``,
     dm/(2 beta^2), sqm/(2 eta^2) and q/(2 rho_i^2), reduce these to
-    sqrt(2/dm), sqrt(2/(sqm)) and sqrt(2/q), whatever the MAP.
+    sqrt(2/dm), sqrt(2/(sqm)) and sqrt(2/q), whatever the MAP.  The beta, eta
+    and phi rows are these conditional identities, reported whether or not
+    ``fix_hypers`` pinned the parameter, as the benchmark tables report them.
     """
     state = result.state_map
     dm, m = state.phi.size, state.m

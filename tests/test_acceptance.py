@@ -26,11 +26,11 @@ from conftest import (
     shape_residual_sq,
 )
 from modalbayes.bench import (
+    HARNESS_SEED,
+    NoiseSpec,
     ShearBuildingSpec,
     harness_dataset,
-    harness_model,
     harness_theta_init,
-    merge_config,
     run_damage_scenario,
     shear_building_model,
 )
@@ -70,10 +70,9 @@ def test_criterion_1_eigen_baseline():
 
 def test_criterion_2_calibration_robustness():
     start = time.perf_counter()
-    cfg = merge_config(None)
-    model = harness_model(cfg)
-    dataset = harness_dataset(cfg, m=4, q=3, sensors="full")
-    theta0 = harness_theta_init(10, (2.0, 3.0), cfg["noise"]["seed"])
+    model = shear_building_model(ShearBuildingSpec(stories=10))
+    dataset = harness_dataset(m=4, q=3, sensors="full")
+    theta0 = harness_theta_init(10, (2.0, 3.0), HARNESS_SEED)
     assert np.all((theta0 >= 2.0) & (theta0 <= 3.0))
     thetas, betas = [], []
     for factor in (0.1, 1.0, 10.0, 100.0):
@@ -97,13 +96,12 @@ def test_criterion_2_calibration_robustness():
 
 def test_criterion_3_cov_identities():
     start = time.perf_counter()
-    cfg = merge_config(None)
-    model = harness_model(cfg)
-    theta0 = harness_theta_init(10, (2.0, 3.0), cfg["noise"]["seed"])
+    model = shear_building_model(ShearBuildingSpec(stories=10))
+    theta0 = harness_theta_init(10, (2.0, 3.0), HARNESS_SEED)
     checks = []
     phi_covs = {}
     for q in (3, 10, 100):
-        dataset = harness_dataset(cfg, m=4, q=q, sensors="full")
+        dataset = harness_dataset(m=4, q=q, sensors="full")
         result = run_calibration(dataset, model, theta0,
                                  AlgorithmConfig(mode="calibration",
                                                  fix_hypers={"eta": 1e5, "phi": 1e4}))
@@ -128,14 +126,14 @@ def test_criterion_4_monotone_information():
     # q-channel of the conditional theta covariance) rises with q; at 1%
     # noise the b0 = 1 prior freezes beta and no trend exists to test.
     start = time.perf_counter()
-    cfg = merge_config({"noise": {"freq_cov": 0.03, "shape_cov": 0.03}})
-    model = harness_model(cfg)
-    theta0 = harness_theta_init(10, (2.0, 3.0), cfg["noise"]["seed"])
+    model = shear_building_model(ShearBuildingSpec(stories=10))
+    theta0 = harness_theta_init(10, (2.0, 3.0), HARNESS_SEED)
     qs = (5, 10, 50, 100)
     covs = np.zeros((10, len(qs), 10))
     for si, seed in enumerate(range(1, 11)):
         for qi, q in enumerate(qs):
-            dataset = harness_dataset(cfg, m=4, q=q, sensors="full", seed=seed)
+            dataset = harness_dataset(m=4, q=q, sensors="full",
+                                      noise=NoiseSpec(freq_cov=0.03, shape_cov=0.03, seed=seed))
             result = run_calibration(dataset, model, theta0,
                                      AlgorithmConfig(mode="calibration",
                                                      fix_hypers={"eta": 1e5, "phi": 1e4}))

@@ -1,20 +1,23 @@
 """Synthetic benchmark: building assembly, seeded noise, harness sweeps."""
 
+import ast
 import csv
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from modalbayes import bench, cli, damage, inference
 from modalbayes.bench import (
     DEFAULT_HARNESS_CONFIG,
+    HARNESS_SEED,
     NoiseSpec,
     ShearBuildingSpec,
     apply_damage,
     example1_harness,
     harness_dataset,
-    harness_model,
     harness_theta_init,
-    merge_config,
     run_damage_scenario,
     sensor_layout,
     shear_building_model,
@@ -135,6 +138,12 @@ class TestSimulateModalData:
         with pytest.raises(ConfigurationError, match=r"\[0, 10\)"):
             sensor_layout(dofs, 10)
 
+    def test_text_layout(self):
+        np.testing.assert_array_equal(sensor_layout("4,0,3", 10), sensor_layout([0, 3, 4], 10))
+        for text in ("1,a", "", "full,3"):
+            with pytest.raises(ConfigurationError, match="sensors spec"):
+                sensor_layout(text, 10)
+
     def test_q_minimum_enforced(self, toy2_model):
         with pytest.raises(ConfigurationError, match="q >= 3"):
             simulate_modal_data(toy2_model, [1.0, 1.0], m=1, q=2, observed_dofs=[0, 1],
@@ -169,9 +178,9 @@ class TestSimulateModalData:
 class TestNoiseFreePipeline:
     @pytest.mark.parametrize("sensors", ["full", "partial"])
     def test_recovers_truth_exactly(self, sensors):
-        cfg = merge_config({"noise": {"freq_cov": 0.0, "shape_cov": 0.0}})
-        model = harness_model(cfg)
-        ds = harness_dataset(cfg, m=4, q=3, sensors=sensors)
+        model = shear_building_model(ShearBuildingSpec(stories=10))
+        ds = harness_dataset(m=4, q=3, sensors=sensors,
+                             noise=NoiseSpec(freq_cov=0.0, shape_cov=0.0, seed=HARNESS_SEED))
         config = AlgorithmConfig(mode="calibration",
                                  fix_hypers={"eta": 1e5, "phi": 1e4},
                                  tol_theta=1e-10, max_iterations=4000)
@@ -180,19 +189,9 @@ class TestNoiseFreePipeline:
 
 
 class TestHarness:
-    def test_default_building_is_the_spec_default(self):
-        # the harness names only the story count; masses and stiffnesses
-        # come from ShearBuildingSpec
-        assert DEFAULT_HARNESS_CONFIG["building"] == {"stories": 10}
-        model = harness_model(merge_config(None))
-        expected = shear_building_model(ShearBuildingSpec(10), 1e6)
-        for name in ("mass", "k0", "support", "blocks"):
-            np.testing.assert_array_equal(getattr(model, name), getattr(expected, name))
-
     def test_tables_and_traces(self, tmp_path):
-        config = {"modes": [4], "segments": [5, 10],
-                  "sweeps": {"init_factors": [0.1, 1.0]}}
-        out = example1_harness(config, out_dir=tmp_path)
+        out = example1_harness(modes=[4], segments=[5, 10], init_factors=[0.1, 1.0],
+                               out_dir=tmp_path)
         assert (tmp_path / "table_beta_sweep.csv").exists()
         assert (tmp_path / "table_all_hypers_sweep.csv").exists()
         assert (tmp_path / "table_segments.csv").exists()
@@ -235,11 +234,10 @@ class TestHarness:
     def test_converged_beta_range_across_seeds(self):
         # m=4, q=3, 1% noise: the optimized equation-error precision lands in
         # the same band across noise realizations
-        cfg = merge_config(None)
-        model = harness_model(cfg)
-        theta0 = harness_theta_init(10, (2.0, 3.0), cfg["noise"]["seed"])
+        model = shear_building_model(ShearBuildingSpec(stories=10))
+        theta0 = harness_theta_init(10, (2.0, 3.0), HARNESS_SEED)
         for seed in (1, 2, 3):
-            ds = harness_dataset(cfg, m=4, q=3, sensors="full", seed=seed)
+            ds = harness_dataset(m=4, q=3, sensors="full", noise=NoiseSpec(seed=seed))
             result = run_calibration(ds, model, theta0,
                                      AlgorithmConfig(mode="calibration",
                                                      fix_hypers={"eta": 1e5, "phi": 1e4}))
@@ -279,8 +277,8 @@ class TestDetectionGrid:
                 drawn = rng.choice(stories, 1 + seed % 2, replace=False)
                 damage = {int(j): float(rng.choice([0.1, 0.15, 0.2])) for j in drawn}
                 calib, monitor = run_damage_scenario(
-                    {"building": {"stories": stories}}, damage, m=m, sensors=sensors,
-                    seed=seed, monitor_config=AlgorithmConfig(mode="monitoring"))
+                    damage, m=m, sensors=sensors, seed=seed, stories=stories,
+                    monitor_config=AlgorithmConfig(mode="monitoring"))
                 out.append((set(damage), set(build_report(calib, monitor).alarmed_substructures())))
         assert len(out) == 26 and sum(len(damaged) for damaged, _ in out) == 39
         return out
@@ -292,3 +290,68 @@ class TestDetectionGrid:
                                            "ROADMAP item 2 (the lambda rate and alarm rule)")
     def test_no_missed_alarm(self, outcomes):
         assert [sorted(damaged - alarmed) for damaged, alarmed in outcomes] == [[]] * 26
+
+
+class TestWorkloadReads:
+    """What ``benchmarks/workloads.py`` reads from the package exists, so that a change
+    here that would break the benchmark run fails in this suite."""
+
+    SOURCE = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    MODULES = {"bench": bench, "inference": inference, "damage": damage, "cli": cli}
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return ast.parse(self.SOURCE.read_text())
+
+    @pytest.fixture(scope="class")
+    def imported(self, tree):
+        """The names imported from ``modalbayes.inference``."""
+        return {alias.name: getattr(inference, alias.name, None) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "modalbayes.inference"
+                for alias in node.names}
+
+    def test_module_attributes_exist(self, tree):
+        reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in self.MODULES}
+        assert {module for module, _ in reads} == set(self.MODULES)
+        missing = [f"{module}.{name}" for module, name in sorted(reads)
+                   if not hasattr(self.MODULES[module], name)]
+        assert missing == []
+
+    def test_imported_names_exist(self, imported):
+        assert imported and [name for name, value in imported.items() if value is None] == []
+
+    def test_calls_bind_to_signatures(self, tree, imported):
+        checked = 0
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                    and func.value.id in self.MODULES:
+                callee = getattr(self.MODULES[func.value.id], func.attr, None)
+            elif isinstance(func, ast.Name) and func.id in imported:
+                callee = imported[func.id]
+            else:
+                continue
+            assert callable(callee), ast.unparse(func)
+            inspect.signature(callee).bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+            checked += 1
+        assert checked
+
+    def test_harness_config_keys_exist(self, tree):
+        def is_config(node):
+            return isinstance(node, ast.Attribute) and node.attr == "DEFAULT_HARNESS_CONFIG"
+
+        keys = set()
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            aliases = {target.id for node in ast.walk(func)
+                       if isinstance(node, ast.Assign) and is_config(node.value)
+                       for target in node.targets if isinstance(target, ast.Name)}
+            for node in ast.walk(func):
+                if isinstance(node, ast.Subscript) and (
+                        is_config(node.value)
+                        or isinstance(node.value, ast.Name) and node.value.id in aliases):
+                    keys.add(node.slice.value)
+        assert keys and sorted(keys - set(DEFAULT_HARNESS_CONFIG)) == []

@@ -113,6 +113,7 @@ class TestSimulate:
                        cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert "sensors spec" in proc.stderr
 
     def test_bad_damage_id_exit_2(self, tmp_path):
         proc = run_cli(["simulate", "--building", "shear10", "--damage", "a=0.2"], cwd=tmp_path)

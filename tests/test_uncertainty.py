@@ -27,7 +27,6 @@ from modalbayes.bench import (
     NoiseSpec,
     ShearBuildingSpec,
     harness_dataset,
-    merge_config,
     run_damage_scenario,
     shear_building_model,
     simulate_modal_data,
@@ -426,9 +425,8 @@ class TestCovReport:
         # shear10 with a 20% story-3 loss: the undamaged stories are pruned
         _, monitor = run_damage_scenario(damage={2: 0.2}, q_calibration=50,
                                          q_monitoring=10, seed=5)
-        cfg = merge_config(None)
-        dataset = harness_dataset(dict(cfg, normalization="global"), m=4, q=10,
-                                  damage={2: 0.2}, seed=5 + 65537)
+        dataset = harness_dataset(m=4, q=10, damage={2: 0.2}, noise=NoiseSpec(seed=5 + 65537),
+                                  normalization="global")
         rows = cov_report(monitor, dataset)
         theta_rows = np.array([r["cov_percent"] for r in rows[:monitor.theta_map.size]])
         assert monitor.fixed_set and 2 not in monitor.fixed_set
