@@ -24,10 +24,11 @@ the sweep reads the dataset through its ``data.DataTerms``, formed once per
 run, before the first sweep: the identified squared frequencies with their
 segment sums, the observation mask, Gamma^T Psi_hat, and the segment-mean
 shape psi_bar with the spread S0 = sum_r ||psi_r - psi_bar||^2 of the
-segments about it.  Formed once per sweep: everything ``sweep`` lists.
-Formed once, after the last sweep: the full Sigma_theta, from which the
-result derives the c.o.v., and the joint covariance, which reuses the H,
-H^T H and r of the last sweep.
+segments about it.  Formed once per sweep: everything ``sweep`` lists, each
+in the band or support form of ``model``, so a sweep of a banded model costs
+O(d).  Formed once, after the last sweep: the full Sigma_theta, from which
+the result derives the c.o.v., and the joint covariance, which reuses the H
+blocks, the H^T H band and r of the last sweep.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from scipy.linalg import lapack
 from . import uncertainty
 from .data import DataTerms, ModalDataset
 from .errors import ConfigurationError, NumericalError
-from .model import (StructuralModel, assemble_stiffness, build_b, build_H, build_HtH,
-                    eigen_residual, mode_products)
+from .model import (StructuralModel, build_b, build_H, build_HtH, eigen_residual, h_times,
+                    ht_times, mode_products, stiffness_band)
 
 CALIBRATION = "calibration"
 MONITORING = "monitoring"
@@ -306,7 +307,7 @@ def update_mode_shapes(state: InferenceState, terms: DataTerms,
     unobserved DOF with beta = 0, say) is that factor's ``NumericalError``.
     """
     bands = uncertainty.mode_shape_bands(state, terms, model,
-                                         assemble_stiffness(model, state.theta))
+                                         stiffness_band(model, state.theta))
     phi, _ = lapack.dpbtrs(uncertainty.factor_mode_bands(bands),
                            state.eta * terms.gamma_t_psi.reshape(-1), lower=1)
     return phi
@@ -356,17 +357,17 @@ def update_rho(state: InferenceState, terms: DataTerms) -> tuple[np.ndarray, np.
     return rho, 1.0 / rho
 
 
-def update_theta(state: InferenceState, hmat: np.ndarray, hth: np.ndarray, bvec: np.ndarray,
-                 anchor: np.ndarray) -> np.ndarray:
+def update_theta(state: InferenceState, model: StructuralModel, hmat: np.ndarray,
+                 hth: np.ndarray, bvec: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """MAP stiffness scaling parameters from the linear regression H theta = b.
 
-    ``hmat``, its ``hth`` = H^T H (``build_HtH``) and ``bvec`` are the
-    regression matrix and right-hand side (``build_b``) of the current omega2
-    and Phi.  Pruned components (alpha exactly zero) stay pinned at the
-    anchor; the free block solves
+    ``hmat`` holds the blocks of the regression matrix H of ``model``
+    (``build_H``), ``hth`` the band of its H^T H (``build_HtH``), and ``bvec``
+    the right-hand side (``build_b``) of the current omega2 and Phi.  Pruned
+    components (alpha exactly zero) stay pinned at the anchor; the free block solves
     (beta Hf^T Hf + Af^-1) theta_f = beta Hf^T (b - Hp anchor_p) + Af^-1 anchor_f
-    from the Cholesky factor of the precision (``uncertainty.theta_factor``, then
-    LAPACK ``dpotrs``).
+    from the band Cholesky factor of the precision (``uncertainty.theta_factor``,
+    then LAPACK ``dpbtrs``).
     """
     free, factor = uncertainty.theta_factor(state.beta, hth, state.alpha)
     theta_new = anchor.copy()
@@ -375,9 +376,9 @@ def update_theta(state: InferenceState, hmat: np.ndarray, hth: np.ndarray, bvec:
     # H pinned = Hp anchor_p from the anchor with its free entries zeroed, so no column of
     # H is copied; with nothing pinned (calibration) the product is zero and is skipped
     if not np.all(free):
-        bvec = bvec - hmat @ np.where(free, 0.0, anchor)
-    rhs = (state.beta * (hmat.T @ bvec))[free] + anchor[free] / state.alpha[free]
-    theta_new[free], _ = lapack.dpotrs(factor, rhs, lower=1)
+        bvec = bvec - h_times(model, hmat, np.where(free, 0.0, anchor)).reshape(-1)
+    rhs = (state.beta * ht_times(model, hmat, bvec))[free] + anchor[free] / state.alpha[free]
+    theta_new[free], _ = lapack.dpbtrs(factor, rhs, lower=1)
     return theta_new
 
 
@@ -431,31 +432,33 @@ def objective(state: InferenceState, terms: DataTerms, resid: np.ndarray,
     A pruned component (alpha exactly zero) contributes zero to the anchor
     term if its theta equals the anchor, and +inf otherwise.
     """
-    if state.beta <= 0 or state.eta <= 0 or state.nu <= 0:
-        raise ConfigurationError("objective undefined: nonpositive precision")
-    if np.any(state.rho <= 0) or np.any(state.tau <= 0):
+    rho, tau, alpha = state.rho, state.tau, state.alpha
+    if (state.beta <= 0 or state.eta <= 0 or state.nu <= 0 or (rho <= 0).any()
+            or (tau <= 0).any()):
         raise ConfigurationError("objective undefined: nonpositive precision")
     q, m, s = terms.q, terms.m, terms.s
     d = state.phi.size // m
 
     j = state.b0 * state.beta
-    dev = terms.omega2_segments - state.omega2[None, :]
-    j += -0.5 * q * float(np.sum(np.log(state.rho)))
-    j += 0.5 * float(np.sum(state.rho * np.sum(dev * dev, axis=0)))
-    j += -float(np.sum(np.log(state.tau) - state.tau * state.rho))
+    dev = terms.omega2_segments - state.omega2
+    j += -0.5 * q * float(np.log(rho).sum())
+    j += 0.5 * float((rho * (dev * dev).sum(axis=0)).sum())
+    j += -float((np.log(tau) - tau * rho).sum())
     j += -0.5 * s * q * m * math.log(state.eta)
     j += 0.5 * state.eta * shape_sq
     j += -math.log(state.nu) + state.nu * state.eta
 
     diff = anchor - state.theta
-    anchor_terms = np.where(state.alpha > 0,
-                            diff * diff / np.where(state.alpha > 0, state.alpha, 1.0), 0.0)
-    zero_alpha = state.alpha == 0
-    if np.any(zero_alpha & (diff != 0.0)):
+    free = alpha > 0
+    if free.all():
+        anchor_terms = diff * diff / alpha
+    elif (diff[alpha == 0] != 0.0).any():
         return math.inf
-    j += 0.5 * float(np.sum(anchor_terms))
+    else:
+        anchor_terms = np.where(free, diff * diff / np.where(free, alpha, 1.0), 0.0)
+    j += 0.5 * float(anchor_terms.sum())
 
-    j += -0.5 * d * m * math.log(state.beta) + 0.5 * state.beta * float(np.sum(resid * resid))
+    j += -0.5 * d * m * math.log(state.beta) + 0.5 * state.beta * float((resid * resid).sum())
     return j
 
 
@@ -474,18 +477,23 @@ def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, ancho
     at sweep 1, 0 once every component is pruned), and the last H, H^T H and r, which
     only the covariances after the last sweep read.
 
-    Formed once per sweep: the mode-shape update assembles K(theta) once and solves
-    the bands of every mode's positive definite system, built in one expression, by
-    one banded Cholesky call; no (m, d, d) array is formed.  Right after it
-    come four quantities of the new mode shapes: the misfit ||Psi_hat - Gamma Phi||^2
-    = S0 + q ||psi_bar - Gamma_0 Phi||^2, read by the eta update and the objective; H
-    and H^T H, read by the theta update (another Cholesky solve) and the ARD block;
-    and M Phi_i and K0 Phi_i, read by the frequency update and b.  Later blocks read
-    K(theta) Phi_i = K0 Phi_i + (H theta)_i instead of assembling K(theta).  b, built
-    once after the frequency update, feeds the theta update and r = H theta - b.  r
-    is formed after the theta update, read by the beta update and the objective, and
-    formed again only when pruning moves theta.  The ARD block reads only the
-    diagonal of Sigma_theta, from the Cholesky factor of its precision.
+    Formed once per sweep, every one in band or support form, so a sweep of a
+    banded model costs O(d) and no d x d, (m, d, d) or (d m, n) array is formed:
+    the mode-shape update assembles the band of K(theta) once, forms the bands of
+    K^2, K M + M K and M^2 from it by band products, and solves the bands of every
+    mode's positive definite system, built in one expression, by one banded
+    Cholesky call.  Right after it come four quantities of the new mode shapes:
+    the misfit ||Psi_hat - Gamma Phi||^2 = S0 + q ||psi_bar - Gamma_0 Phi||^2, read
+    by the eta update and the objective; the (m, n, s) blocks of H and the band of
+    H^T H, read by the theta update (a banded Cholesky solve) and the ARD block;
+    and the banded products M Phi_i and K0 Phi_i, read by the frequency update and
+    b.  Later blocks read K(theta) Phi_i = K0 Phi_i + (H theta)_i, a scatter-add
+    of the H blocks, instead of assembling K(theta) again.  b, built once after
+    the frequency update, feeds the theta update and r = H theta - b.  r is formed
+    after the theta update, read by the beta update and the objective, and formed
+    again only when pruning moves theta.  The ARD block reads only the diagonal of
+    Sigma_theta, from the band Cholesky factor of its precision, expanded to the
+    dense triangle of the free set.
     """
     state.phi = update_mode_shapes(state, terms, model)
     shape_sq = terms.shape_misfit(state.phi)
@@ -494,13 +502,13 @@ def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, ancho
     mphi, k0phi = mode_products(model, state.phi)
     if not config.fixed("eta"):
         state.eta, state.nu = update_eta(state, terms, shape_sq)
-    kphi = k0phi + (hmat @ state.theta).reshape(k0phi.shape)
+    kphi = k0phi + h_times(model, hmat, state.theta)
     state.omega2 = update_frequencies(state, terms, mphi, kphi)
     bvec = build_b(state.omega2, mphi, k0phi)
     if not config.fixed("phi"):
         state.rho, state.tau = update_rho(state, terms)
     theta_prev, alpha_prev = state.theta, state.alpha
-    state.theta = update_theta(state, hmat, hth, bvec, anchor)
+    state.theta = update_theta(state, model, hmat, hth, bvec, anchor)
     resid = eigen_residual(model, hmat, state.theta, bvec)
     if not config.fixed("beta"):
         state.beta = update_beta(state, resid)

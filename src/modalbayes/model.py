@@ -6,28 +6,38 @@ A model is a known mass matrix ``M`` plus a stiffness matrix parameterized as
 
 with dimensionless scaling parameters ``theta``.  System mode shapes are kept
 as one stacked vector with mode-major blocks (mode 1's d components first);
-every builder here consumes that layout.  Operators that act on one mode at a
-time, such as the eigen-residual operators A_i = K(theta) - omega2_i M, are
-never formed as block-diagonal (d*m, d*m) matrices, nor as one (m, d, d)
-stack: the mode-shape update and the joint Hessian read only the band of
-each A_i A_i, combined from the bands of K^2, K M + M K and M^2
-(``operator_square_bands``).  The half-bandwidth of that band is fixed by
-the model: twice the widest coupling of M, K0 and the substructure supports.
+every builder here consumes that layout.
+
+Every matrix of the inference engine is held in band or support form, so a
+sweep costs O(d) for a banded model.  Symmetric banded matrices are stored as
+their lower band in LAPACK band storage: row r of a (w, d) band holds the
+diagonal r below the main one, entry (j + r, j) in column j, and its last r
+positions, past the last row, are zero.  The model keeps M and K0 as bands;
+``stiffness_band`` writes the band of K(theta) from them and the supports, and
+``band_matvec`` multiplies by any such band.  The operators that act on one
+mode at a time, A_i = K(theta) - omega2_i M, are never formed: the mode-shape
+update and the joint Hessian read only the band of each A_i A_i, combined
+from the bands of K^2, K M + M K and M^2 (``operator_square_bands``), each a
+product of two bands in O(d b^2).  The half-bandwidth u of that band
+is fixed by the model: twice the widest coupling of M, K0 and the supports.
 
 Each substructure stiffens only a few DOFs, so Ksub_j is stored as its DOF
 support and the small dense block on it, never as a d x d matrix.  The
-builders that read the substructures work on the supports: K(theta) is one
-scatter-add, H one gather and batched block product, and H^T H sums only the
-rows where two supports overlap.  A model checks its matrices once, when
-built, and stores read-only arrays of its own: a copy of M, and K0 and the
-blocks as their symmetric parts, so K(theta) is exactly symmetric; the
-builders trust the arrays the engine made.
+regression matrix H, whose column j stacks Ksub_j Phi_i over the modes, is
+kept as its (m, n, s) blocks B_j Phi_i[S_j] (``build_H``): H theta is one
+scatter-add (``h_times``), H^T v one gather and batched product
+(``ht_times``), and H^T H sums only the rows where two supports overlap,
+written straight into the band storage of the n x n matrix (``build_HtH``).
+A model checks its matrices once, when built, and stores read-only arrays of
+its own: a copy of M, and K0 and the blocks as their symmetric parts, so
+K(theta) is exactly symmetric; the builders trust the arrays the engine made.
 
 ``shear_building_model`` builds the shear buildings that model files, the CLI
 shorthand and the harness describe, by default at ``BENCHMARK_UNIT_SCALE``.
 
-The generalized eigensolver ``eigen_solve`` is used only to manufacture
-synthetic data, and returns plain arrays: the (m,) squared frequencies and the
+``assemble_stiffness`` expands the band of K(theta) to the dense matrix for
+the generalized eigensolver ``eigen_solve``, which is used only to manufacture
+synthetic data and returns plain arrays: the (m,) squared frequencies and the
 (m, d) mode shapes, one per row.  The inference path itself never solves an
 eigenproblem.
 """
@@ -39,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import ConfigurationError, ModelError, NumericalError
 
@@ -81,6 +92,78 @@ def _check_symmetric(name: str, a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> N
                                  f"(relative asymmetry {asym[j] / scale[j]:.3e})")
 
 
+def _lower_band(a: np.ndarray, width: int) -> np.ndarray:
+    """The lower band (width + 1, d) of the d x d matrix ``a``: row r holds the entries
+    (j + r, j), and its last r positions are zero."""
+    d = a.shape[0]
+    band = np.zeros((width + 1, d))
+    for r in range(width + 1):
+        band[r, :d - r] = np.diagonal(a, -r)
+    return band
+
+
+def band_to_dense(band: np.ndarray, symmetric: bool = True) -> np.ndarray:
+    """The d x d matrix whose lower band is ``band`` (w, d): the symmetric matrix, or
+    with ``symmetric=False`` the lower triangular one.  The symmetric result mirrors
+    the lower triangle exactly."""
+    width, d = band.shape
+    out = np.zeros((d, d))
+    flat = out.reshape(-1)
+    for r in range(min(width, d)):
+        # entry (j + r, j) sits at flat position r d + j (d + 1), its mirror at r + j (d + 1)
+        flat[r * d::d + 1] = band[r, :d - r]
+        if symmetric:
+            flat[r:(d - r) * d:d + 1] = band[r, :d - r]
+    return out
+
+
+def band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X v along the last axis of ``v`` (..., d), for the symmetric matrix X whose lower
+    band is ``band`` (w, d): one product per stored diagonal and its mirror."""
+    out = band[0] * v
+    for r in range(1, band.shape[0]):
+        lower = band[r, :-r]
+        out[..., r:] += lower * v[..., :-r]
+        out[..., :-r] += lower * v[..., r:]
+    return out
+
+
+def _full_diagonals(band: np.ndarray, pad: int) -> np.ndarray:
+    """(2 b + 1, d + 2 pad) array whose entry (b + o, pad + k) is X[k + o, k], for the
+    symmetric X with lower band ``band`` (b + 1, d) and every offset -b <= o <= b:
+    every diagonal of X, aligned by column and zero outside X."""
+    width, d = band.shape
+    b = width - 1
+    out = np.zeros((2 * b + 1, d + 2 * pad))
+    out[b:, pad:pad + d] = band
+    for r in range(1, width):
+        # X[k - r, k] = X[k, k - r], band entry (r, k - r)
+        out[b - r, pad + r:pad + d] = band[r, :d - r]
+    return out
+
+
+def _band_product(a_full: np.ndarray, b_full: np.ndarray, rows: int) -> np.ndarray:
+    """The lower band (rows, d) of A B, in O(d b_a b_b) operations, for the symmetric A
+    and B whose diagonals ``a_full`` and ``b_full`` hold (``_full_diagonals``, both
+    padded by rows - 1 columns, at least the half-bandwidth of each).
+
+    Entry (j + r, j) of A B sums A[j + r, j + t] B[j + t, j] over the 2 b_b + 1
+    diagonals t of B.  The loop runs over those diagonals; each step adds one
+    diagonal of B, times the matching diagonals of A, to every output row at once.
+    Entries past the last row come out zero, because A has no rows there.
+    """
+    ba, bb, pad = a_full.shape[0] // 2, b_full.shape[0] // 2, rows - 1
+    d = a_full.shape[1] - 2 * pad
+    out = np.zeros((rows, d))
+    for t in range(-bb, bb + 1):
+        lo, hi = max(0, t - ba), min(rows - 1, t + ba)
+        if lo <= hi:
+            # A[j + r, j + t] is diagonal r - t of A at column j + t
+            out[lo:hi + 1] += (a_full[ba + lo - t:ba + hi + 1 - t, pad + t:pad + t + d]
+                               * b_full[bb + t, pad:pad + d])
+    return out
+
+
 @dataclass(frozen=True)
 class StructuralModel:
     """Mass matrix, base stiffness and nominal substructure stiffness matrices.
@@ -102,23 +185,34 @@ class StructuralModel:
         of its block are zero.
     blocks : (n, s, s) array
         Each substructure's stiffness on its support, symmetric.
+
+    Attributes
+    ----------
+    mass_band : (b + 1, d) array
+        The lower band of M, b its half-bandwidth, in this module's band storage.
     """
 
     mass: np.ndarray
     k0: np.ndarray
     support: np.ndarray
     blocks: np.ndarray
-    # flat scatter/gather positions derived from the supports (see __post_init__)
+    mass_band: np.ndarray = field(init=False, repr=False, compare=False)
+    # lower band of K0, and the diagonals of M and the lower band of M^2 (operator_square_bands)
+    _k0_band: np.ndarray = field(init=False, repr=False, compare=False)
+    _mass_diagonals: np.ndarray = field(init=False, repr=False, compare=False)
+    _mass_sq_band: np.ndarray = field(init=False, repr=False, compare=False)
+    # the half-bandwidth of K, and the lower entries of the blocks: flat position in
+    # the K band, owner j and value
+    _k_width: int = field(init=False, repr=False, compare=False)
     _k_index: np.ndarray = field(init=False, repr=False, compare=False)
-    _h_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _k_owner: np.ndarray = field(init=False, repr=False, compare=False)
+    _k_values: np.ndarray = field(init=False, repr=False, compare=False)
+    # flat gather positions in the H blocks and scatter positions in the H^T H band,
+    # and the half-bandwidth of that band
     _gram_left: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_right: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_out: np.ndarray = field(init=False, repr=False, compare=False)
-    # gather positions of the band of A_i A_i, the 0/1 mask of its positions inside the
-    # matrix, and the band of M^2 (operator_square_bands)
-    _band_index: np.ndarray = field(init=False, repr=False, compare=False)
-    _band_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    _mass_sq_band: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram_width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mass = _mass_matrix(self.mass)
@@ -148,46 +242,52 @@ class StructuralModel:
         # stored as (A + A^T) / 2: exactly symmetric, and A itself when A is
         k0 = 0.5 * (k0 + k0.T)
         blocks = 0.5 * (blocks + blocks.swapaxes(1, 2))
-        try:
-            scipy.linalg.cholesky(mass, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise ModelError("mass matrix is not positive definite") from exc
+        mass_width = _half_bandwidth(mass)
+        mass_band = _lower_band(mass, mass_width)
+        _, info = lapack.dpbtrf(mass_band, lower=1)
+        if info != 0:
+            raise ModelError("mass matrix is not positive definite")
 
         support = support.astype(np.intp)
-        # K: entry (S_j[a], S_j[b]) of the d x d matrix receives theta_j B_j[a, b]
-        k_index = (support[:, :, None] * d + support[:, None, :]).reshape(-1)
-        # H: entry (S_j[a], j) of each mode's (d, n) slab receives (B_j Phi_i[S_j])_a
-        h_index = (support * n + np.arange(n)[:, None]).reshape(-1)
-        # H^T H: entry (j, l) sums the products of columns j and l of H over the
-        # rows of every DOF that both substructures stiffen (a nonzero row of B)
+        # K(theta) lies inside the half-bandwidth of K0 and of every support, and each
+        # A_i A_i inside twice the widest of those and M's
+        k0_width = _half_bandwidth(k0)
+        k_width = max(k0_width, int(np.max(support.max(axis=1) - support.min(axis=1))))
+        rows = min(2 * max(k_width, mass_width), d - 1) + 1
+        mass_diagonals = _full_diagonals(mass_band, rows - 1)
+        # K: entry (S_j[a], S_j[b]) with S_j[a] >= S_j[b] of K's band receives theta_j B_j[a, b]
+        below = support[:, :, None] - support[:, None, :]
+        owner, place_a, place_b = np.nonzero(below >= 0)
+        k_index = below[owner, place_a, place_b] * d + support[owner, place_b]
+        # H^T H: entry (j, l), j >= l, of its band sums the products of the blocks of
+        # H at every DOF that both substructures stiffen (a nonzero row of B)
         js, places = np.nonzero(np.any(blocks != 0.0, axis=2))
         dofs = support[js, places]
         order = np.lexsort((js, dofs))
-        dofs, js = dofs[order], js[order]
+        dofs, js, places = dofs[order], js[order], places[order]
         # every ordered pair (p, q) of entries at one DOF: q runs over p's group
         starts = np.searchsorted(dofs, dofs, side="left")
         counts = np.searchsorted(dofs, dofs, side="right") - starts
         p = np.repeat(np.arange(dofs.size), counts)
         q = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(p.size)
-        left, right, out = dofs[p] * n + js[p], dofs[q] * n + js[q], js[p] * n + js[q]
-        # A_i = K(theta) - omega2_i M lies inside the half-bandwidth b of M, K0 and every
-        # support, so A_i A_i lies inside 2 b.  Row r of the LAPACK lower band storage
-        # holds the diagonal r below the main one, (j + r, j); positions past the last
-        # row are clipped onto it and then zeroed by the 0/1 mask of the band.
-        width = max(_half_bandwidth(mass), _half_bandwidth(k0),
-                    int(np.max(support.max(axis=1) - support.min(axis=1))))
-        rows = np.arange(min(2 * width, d - 1) + 1)[:, None] + np.arange(d)
-        band_mask = (rows < d).astype(float)
-        band_index = np.minimum(rows, d - 1) * d + np.arange(d)
-        mass_sq_band = (mass @ mass).take(band_index) * band_mask
+        lower = js[p] >= js[q]
+        p, q = p[lower], q[lower]
+        gap = js[p] - js[q]
 
         for name, value in (("mass", mass.copy()), ("k0", k0), ("support", support),
-                            ("blocks", blocks), ("_k_index", k_index), ("_h_index", h_index),
-                            ("_gram_left", left), ("_gram_right", right), ("_gram_out", out),
-                            ("_band_index", band_index), ("_band_mask", band_mask),
-                            ("_mass_sq_band", mass_sq_band)):
+                            ("blocks", blocks), ("mass_band", mass_band),
+                            ("_k0_band", _lower_band(k0, k0_width)),
+                            ("_mass_diagonals", mass_diagonals),
+                            ("_mass_sq_band", _band_product(mass_diagonals, mass_diagonals, rows)),
+                            ("_k_index", k_index), ("_k_owner", owner),
+                            ("_k_values", blocks[owner, place_a, place_b]),
+                            ("_gram_left", js[p] * s + places[p]),
+                            ("_gram_right", js[q] * s + places[q]),
+                            ("_gram_out", gap * n + js[q])):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_gram_width", int(np.max(gap, initial=0)))
+        object.__setattr__(self, "_k_width", k_width)
 
     @classmethod
     def from_dense(cls, mass, k0, ksub) -> "StructuralModel":
@@ -225,7 +325,7 @@ class StructuralModel:
         u = 2 b for the largest half-bandwidth b of M, K0 and the substructure
         supports: 2 for a shear building, d - 1 for a dense K0.
         """
-        return self._band_index.shape[0] - 1
+        return self._mass_sq_band.shape[0] - 1
 
     def substructure(self, j: int) -> np.ndarray:
         """The full d x d matrix Ksub_j."""
@@ -292,52 +392,74 @@ def _theta_vector(model: StructuralModel, theta) -> np.ndarray:
     return theta
 
 
-def assemble_stiffness(model: StructuralModel, theta) -> np.ndarray:
-    """K(theta) = K0 + sum_j theta_j Ksub_j, exactly symmetric by construction.
+def stiffness_band(model: StructuralModel, theta) -> np.ndarray:
+    """Lower band (b + 1, d) of K(theta) = K0 + sum_j theta_j Ksub_j, b the half-bandwidth
+    of K0 and the supports: the one assembler of K.
 
-    One scatter-add of every theta_j B_j onto the DOF pairs of its support.
-    K0 and each B_j are exactly symmetric, and ``bincount`` sums in input order,
-    so entries (a, b) and (b, a) sum the same terms in the same order.
+    One scatter-add of every theta_j B_j[a, b] onto the band entry of the DOF pair
+    (S_j[a], S_j[b]) on or below the diagonal, then K0 added to its own band.
+    ``bincount`` sums in input order.
     """
     theta = _theta_vector(model, theta)
-    d = model.d
-    weights = (theta[:, None, None] * model.blocks).reshape(-1)
-    return model.k0 + np.bincount(model._k_index, weights, minlength=d * d).reshape(d, d)
+    weights = theta.take(model._k_owner) * model._k_values
+    band = np.bincount(model._k_index, weights,
+                       minlength=(model._k_width + 1) * model.d).reshape(-1, model.d)
+    band[:model._k0_band.shape[0]] += model._k0_band
+    return band
+
+
+def assemble_stiffness(model: StructuralModel, theta) -> np.ndarray:
+    """The dense K(theta) = K0 + sum_j theta_j Ksub_j, exactly symmetric by construction:
+    the band of ``stiffness_band``, mirrored."""
+    return band_to_dense(stiffness_band(model, theta))
 
 
 def build_H(model: StructuralModel, phi: np.ndarray) -> np.ndarray:
-    """(d*m, n) regression matrix with block (i, j) equal to Ksub_j @ Phi_i.
+    """The blocks (m, n, s) of the (d*m, n) regression matrix H whose block (i, j) is
+    Ksub_j @ Phi_i.
 
-    Ksub_j @ Phi_i is B_j @ Phi_i[S_j] on the support S_j and zero elsewhere:
-    one gather of every support, one batched product with the blocks and one
-    write into H.
+    Ksub_j @ Phi_i is B_j @ Phi_i[S_j] on the support S_j and zero elsewhere;
+    entry (i, j, a) holds its value at DOF S_j[a].  One gather of every support
+    and one batched product with the blocks.
     """
     modes = phi.reshape(-1, model.d)
-    m, d, n = modes.shape[0], model.d, model.n
-    local = np.einsum("jab,ijb->ija", model.blocks, modes[:, model.support])
-    h = np.zeros((m, d * n))
-    h[:, model._h_index] = local.reshape(m, -1)
-    return h.reshape(m * d, n)
+    return np.einsum("jab,ijb->ija", model.blocks, modes[:, model.support])
+
+
+def h_times(model: StructuralModel, hmat: np.ndarray, theta) -> np.ndarray:
+    """H theta as (m, d), row i = sum_j theta_j Ksub_j Phi_i, for the blocks ``hmat``
+    (``build_H``): one scatter-add of the blocks onto their supports."""
+    m, d = hmat.shape[0], model.d
+    index = np.add.outer(np.arange(0, m * d, d), model.support.reshape(-1)).reshape(-1)
+    weights = (hmat * np.asarray(theta, dtype=float)[:, None]).reshape(-1)
+    return np.bincount(index, weights, minlength=m * d).reshape(m, d)
+
+
+def ht_times(model: StructuralModel, hmat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H^T v (n,) for the blocks ``hmat`` (``build_H``) and the stacked vector ``v``
+    (d*m or (m, d)): one gather of ``v`` on the supports and one batched product."""
+    return np.einsum("ija,ija->j", hmat, v.reshape(-1, model.d)[:, model.support])
 
 
 def build_HtH(model: StructuralModel, hmat: np.ndarray) -> np.ndarray:
-    """H^T H (n x n) of the regression matrix ``hmat`` (``build_H``) of this model.
+    """Lower band (g + 1, n) of H^T H for the blocks ``hmat`` (``build_H``), g the widest
+    gap |j - l| between two substructures that share a DOF.
 
     Columns j and l of H overlap only in the rows of the DOFs both
     substructures stiffen, so each entry sums m products for each such DOF,
-    over the (DOF, j, l) triples the model lists once.  The result is exactly
-    symmetric.
+    over the (DOF, j, l) triples with j >= l that the model lists once.
     """
     n = model.n
-    slabs = hmat.reshape(-1, model.d * n)
-    prods = np.einsum("it,it->t", slabs[:, model._gram_left], slabs[:, model._gram_right])
-    return np.bincount(model._gram_out, prods, minlength=n * n).reshape(n, n)
+    blocks = hmat.reshape(hmat.shape[0], -1)
+    prods = np.einsum("it,it->t", blocks[:, model._gram_left], blocks[:, model._gram_right])
+    return np.bincount(model._gram_out, prods,
+                       minlength=(model._gram_width + 1) * n).reshape(-1, n)
 
 
 def mode_products(model: StructuralModel, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (m, d) products M Phi_i and K0 Phi_i of every mode, one row per mode."""
     modes = phi.reshape(-1, model.d)
-    return modes @ model.mass.T, modes @ model.k0.T
+    return band_matvec(model.mass_band, modes), band_matvec(model._k0_band, modes)
 
 
 def build_b(omega2, mphi: np.ndarray, k0phi: np.ndarray) -> np.ndarray:
@@ -351,28 +473,29 @@ def build_b(omega2, mphi: np.ndarray, k0phi: np.ndarray) -> np.ndarray:
 
 def operator_square_bands(model: StructuralModel,
                           k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower bands of K^2, K M + M K and M^2 in LAPACK band storage, for the
-    assembled stiffness ``k`` (``assemble_stiffness``).
+    """Lower bands of K^2, K M + M K and M^2, for the band ``k`` of K(theta)
+    (``stiffness_band``).
 
-    Each is (u + 1, d) with u = ``model.operator_bandwidth``: row r holds the
-    entries (j + r, j), and its last r positions, past the last row, are zero.
-    A_i A_i = K^2 - omega2_i (K M + M K) + omega2_i^2 M^2, so the band of every
-    mode's squared operator is one combination of these three, and K is
-    multiplied once for all modes.
+    Each is (u + 1, d) with u = ``model.operator_bandwidth``, in the band
+    storage of this module.  A_i A_i = K^2 - omega2_i (K M + M K) + omega2_i^2 M^2,
+    so the band of every mode's squared operator is one combination of these
+    three; K^2 and K M + M K are band products (``_band_product``), M^2 is the
+    model's own.
     """
-    km = k @ model.mass
-    return ((k @ k).take(model._band_index) * model._band_mask,
-            (km + km.T).take(model._band_index) * model._band_mask, model._mass_sq_band)
+    rows, mass = model._mass_sq_band.shape[0], model._mass_diagonals
+    k = _full_diagonals(k, rows - 1)
+    return (_band_product(k, k, rows),
+            _band_product(k, mass, rows) + _band_product(mass, k, rows), model._mass_sq_band)
 
 
 def eigen_residual(model: StructuralModel, hmat: np.ndarray, theta, bvec: np.ndarray) -> np.ndarray:
     """(m, d) array whose row i is (K(theta) - omega2_i M) @ Phi_i.
 
-    K(theta) is linear in theta, so for the regression matrix ``hmat`` and the
-    right-hand side ``bvec`` (``build_b``) of the same omega2 and Phi the
-    stacked residuals are H theta - b; no K is assembled.
+    K(theta) is linear in theta, so for the blocks ``hmat`` of H (``build_H``)
+    and the right-hand side ``bvec`` (``build_b``) of the same omega2 and Phi
+    the stacked residuals are H theta - b; no K is assembled.
     """
-    return (hmat @ theta - bvec).reshape(-1, model.d)
+    return h_times(model, hmat, theta) - bvec.reshape(-1, model.d)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

@@ -18,10 +18,14 @@ indefinite) matrix.  The exact 1-norm condition numbers of the equilibrated
 Hessian and of each equilibrated mode block, read from the inverses formed,
 decide whether the joint covariance is reported.
 
-The theta precision beta H_f^T H_f + A_f^-1 is factored by one function
-(``theta_factor``), which the theta update solves with.  Sigma_theta is
-formed in full once per run (``theta_covariance_from``); the ARD block of
-each monitoring sweep reads only its diagonal (``theta_variances``).
+The theta precision beta H_f^T H_f + A_f^-1 is banded, because two
+components couple only where their supports overlap.  It is gathered from
+the band of H^T H over the free set, which keeps the band, and factored by
+one function (``theta_factor``, LAPACK ``dpbtrf``), which the theta update
+solves with (``dpbtrs``).  Sigma_theta is formed in full once per run
+(``theta_covariance_from``); the ARD block of each monitoring sweep reads
+only its diagonal (``theta_variances``).  Both expand the band factor to
+the dense lower triangle of the free set and invert that, O(n_f^3).
 
 Reported coefficients of variation follow the conventions of the source
 tables: theta uses the conditional covariance Sigma_theta, and the scalar
@@ -40,7 +44,8 @@ from scipy.linalg import lapack
 
 from .data import DataTerms, ModalDataset
 from .errors import NumericalError
-from .model import StructuralModel, assemble_stiffness, build_H, operator_square_bands
+from .model import (StructuralModel, band_matvec, band_to_dense, build_H, ht_times,
+                    mode_products, operator_square_bands, stiffness_band)
 
 MAX_CONDITION = 1e14
 # entries of the joint inverse read at a time for its 1-norm (a 1 MB slab)
@@ -48,23 +53,31 @@ NORM_SLAB_ENTRIES = 1 << 17
 
 
 def theta_precision(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """beta H_f^T H_f + A_f^-1 (nf x nf) over the free set f of components with alpha > 0.
+    """Lower band (min(g + 1, nf), nf) of beta H_f^T H_f + A_f^-1 over the free set f
+    of the nf components with alpha > 0, for the band ``hth`` (g + 1, n) of H^T H
+    (``model.build_HtH``); one row when nothing is free.
 
-    ``hth`` is the n x n H^T H of the current regression matrix (``model.build_HtH``).
+    Dropping the pruned rows and columns keeps the band: entry (a + r, a) of the
+    free block is H^T H entry (f_{a+r}, f_a), which lies f_{a+r} - f_a >= r below
+    the diagonal, and is zero once that gap passes g.
     """
     free = np.flatnonzero(alpha > 0.0)
-    prec = beta * hth.take(free, axis=0).take(free, axis=1)
-    prec[np.diag_indices_from(prec)] += 1.0 / alpha[free]
+    width, nf = hth.shape[0], free.size
+    rows = np.arange(max(1, min(width, nf)))[:, None] + np.arange(nf)
+    gap = free.take(np.minimum(rows, nf - 1)) - free
+    inside = (rows < nf) & (gap < width)
+    prec = beta * np.where(inside, hth[np.minimum(gap, width - 1), free], 0.0)
+    prec[0] += 1.0 / alpha[free]
     return prec
 
 
 def theta_factor(beta: float, hth: np.ndarray, alpha: np.ndarray):
-    """The free set f (boolean, alpha > 0) and the lower Cholesky factor (LAPACK
-    ``dpotrf``) of the precision ``theta_precision`` over it: the one factorization
-    that the theta update and both forms of Sigma_theta read.  A precision that
-    rounding leaves not positive definite is a ``NumericalError``.
+    """The free set f (boolean, alpha > 0) and the lower band Cholesky factor (LAPACK
+    ``dpbtrf``) of the precision band ``theta_precision`` over it: the one
+    factorization that the theta update and both forms of Sigma_theta read.  A
+    precision that rounding leaves not positive definite is a ``NumericalError``.
     """
-    factor, info = lapack.dpotrf(theta_precision(beta, hth, alpha), lower=1)
+    factor, info = lapack.dpbtrf(theta_precision(beta, hth, alpha), lower=1)
     if info != 0:
         raise NumericalError(f"theta precision is not positive definite: Cholesky "
                              f"factorization failed (LAPACK info {info})")
@@ -74,14 +87,15 @@ def theta_factor(beta: float, hth: np.ndarray, alpha: np.ndarray):
 def theta_covariance_from(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Sigma_theta = (beta H_f^T H_f + A_f^-1)^-1, embedded in the n x n frame.
 
-    ``hth`` is H^T H (``model.build_HtH``).  The precision is inverted from its
-    Cholesky factor (``theta_factor``, then ``dpotri``), so the cost scales with
+    ``hth`` is the band of H^T H (``model.build_HtH``).  The precision is
+    inverted from its band Cholesky factor (``theta_factor``), expanded to the
+    dense lower triangle of the free set, by ``dpotri``, so the cost scales with
     the unpruned set.  Rows and columns of pruned components are exactly zero.
     """
     free, factor = theta_factor(beta, hth, alpha)
     cov = np.zeros((free.size, free.size))
     if np.any(free):
-        inv, _ = lapack.dpotri(factor, lower=1)
+        inv, _ = lapack.dpotri(band_to_dense(factor, symmetric=False), lower=1)
         # dpotri fills the lower triangle only
         cov[np.ix_(free, free)] = np.tril(inv) + np.tril(inv, -1).T
     return cov
@@ -90,16 +104,16 @@ def theta_covariance_from(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np
 def theta_variances(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """The diagonal of Sigma_theta (n,), without forming Sigma_theta.
 
-    With L the Cholesky factor of the precision (``theta_factor``),
-    Sigma_theta = L^-T L^-1, so its diagonal holds the column sums of squares
-    of L^-1 (``dtrtri``).  Pruned components read exactly 0, as they do in
-    ``theta_covariance_from``.
+    With L the Cholesky factor of the precision (``theta_factor``, expanded to
+    the dense lower triangle of the free set), Sigma_theta = L^-T L^-1, so its
+    diagonal holds the column sums of squares of L^-1 (``dtrtri``).  Pruned
+    components read exactly 0, as they do in ``theta_covariance_from``.
     """
     free, factor = theta_factor(beta, hth, alpha)
     var = np.zeros(free.size)
     if np.any(free):
-        # dpotrf zeroes the upper triangle, and dtrtri leaves it as it is
-        inv, _ = lapack.dtrtri(factor, lower=1)
+        # the expanded factor is zero above the diagonal, and dtrtri leaves it as it is
+        inv, _ = lapack.dtrtri(band_to_dense(factor, symmetric=False), lower=1)
         var[free] = np.einsum("ij,ij->j", inv, inv)
     return var
 
@@ -119,7 +133,8 @@ def mode_shape_bands(state, terms: DataTerms, model: StructuralModel,
                      k: np.ndarray) -> np.ndarray:
     """Lower bands (m, u + 1, d) of P_i = beta A_i A_i + eta q diag(mask_i), the system
     the mode-shape update solves and the Phi block of the joint Hessian, for the
-    assembled K(theta) ``k`` of ``state``, in the band storage of ``operator_square_bands``."""
+    band ``k`` of K(theta) of ``state`` (``model.stiffness_band``), in the band storage
+    of ``operator_square_bands``."""
     k_sq, k_m, m_sq = operator_square_bands(model, k)
     w2 = state.omega2[:, None, None]
     bands = state.beta * (k_sq - w2 * k_m + (w2 * w2) * m_sq)
@@ -139,6 +154,14 @@ def factor_mode_bands(bands: np.ndarray) -> np.ndarray:
     return factor
 
 
+def _free_columns(model: StructuralModel, hmat: np.ndarray, free_idx: np.ndarray) -> np.ndarray:
+    """The columns ``free_idx`` of H as (m, nf, d), row (i, c) holding Ksub_{f_c} Phi_i,
+    written from the blocks ``hmat`` (``model.build_H``) onto their supports."""
+    cols = np.zeros((hmat.shape[0], free_idx.size, model.d))
+    cols[:, np.arange(free_idx.size)[:, None], model.support[free_idx]] = hmat[:, free_idx]
+    return cols
+
+
 def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndarray,
                   hth: np.ndarray, resid: np.ndarray):
     """Precision matrix of the objective at the MAP, as the blocks its inverse reads.
@@ -149,11 +172,13 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     between which the Hessian is zero; ``cross`` (dm, k) holds the Phi rows
     of the other k = 3 m + 3 + n_free parameters [beta, omega2, rho, tau, eta,
     nu, theta_free], and ``core`` (k, k) their own block.  ``terms`` holds
-    the run's dataset terms, ``hmat`` is the regression matrix H of
-    ``state.phi``, ``hth`` its H^T H (``model.build_HtH``) and ``resid`` the
-    (m, d) residuals r_i = A_i Phi_i = H theta - b of the same state.  Every
-    block is built from one assembled K, the residuals and H, without loops
-    over substructures.
+    the run's dataset terms, ``hmat`` the blocks of the regression matrix H
+    of ``state.phi`` (``model.build_H``), ``hth`` the band of its H^T H
+    (``model.build_HtH``) and ``resid`` the (m, d) residuals
+    r_i = A_i Phi_i = H theta - b of the same state.  Every block is built
+    from one band of K, the residuals and H, without loops over
+    substructures: K and M act on the Phi rows as band products, and only
+    the free columns of H are expanded, as they fill columns of ``cross``.
     """
     d, m = model.d, state.m
     q, s = terms.q, terms.s
@@ -161,14 +186,14 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     nf = free_idx.size
     dm = d * m
 
-    stiffness = assemble_stiffness(model, state.theta)
+    stiffness = stiffness_band(model, state.theta)
     bands = mode_shape_bands(state, terms, model, stiffness)
-    mphi = state.phi.reshape(m, d) @ model.mass.T
-    hf3 = hmat.reshape(m, d, model.n)[:, :, free_idx]
-    # K and M times r_i, M Phi_i and the free columns of H_i, for every mode in one
-    # batched product; A_i = K - omega2_i M
-    cols = np.concatenate([resid[:, :, None], mphi[:, :, None], hf3], axis=2)
-    k_cols, m_cols = np.matmul(np.stack([stiffness, model.mass])[:, None], cols)
+    mphi, _ = mode_products(model, state.phi)
+    hf = _free_columns(model, hmat, free_idx)
+    # K and M times r_i, M Phi_i and the free columns of H_i, for every mode, as band
+    # products along the DOF axis; A_i = K - omega2_i M
+    cols = np.concatenate([resid[:, None], mphi[:, None], hf], axis=1)
+    k_cols, m_cols = band_matvec(stiffness, cols), band_matvec(model.mass_band, cols)
     a_cols = k_cols - state.omega2[:, None, None] * m_cols
     idx = np.arange(m)
 
@@ -180,13 +205,13 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     # Phi rows of the other parameters; rho, tau and nu do not couple to Phi
     cross = np.zeros((dm, k))
     # F Phi: A_i A_i Phi_i = A_i r_i
-    cross[:, 0] = a_cols[:, :, 0].reshape(-1)
+    cross[:, 0] = a_cols[:, 0].reshape(-1)
     # omega^2-Phi coupling: exact symmetrized mixed partial -beta (M A_i + A_i M) Phi_i
-    cross.reshape(m, d, -1)[idx, :, i_w] = -state.beta * (m_cols[:, :, 0] + a_cols[:, :, 1])
+    cross.reshape(m, d, -1)[idx, :, i_w] = -state.beta * (m_cols[:, 0] + a_cols[:, 1])
     cross[:, i_eta] = q * terms.mask.reshape(-1) * state.phi - terms.gamma_t_psi.reshape(-1)
     # (A_i Ksub_j + Ksub_j A_i) Phi_i = A_i (Ksub_j Phi_i) + Ksub_j r_i
-    l3 = a_cols[:, :, 2:].reshape(dm, nf) + build_H(model, resid.reshape(-1))[:, free_idx]
-    cross[:, i_th] = state.beta * l3
+    l3 = a_cols[:, 2:] + _free_columns(model, build_H(model, resid), free_idx)
+    cross[:, i_th] = state.beta * l3.transpose(0, 2, 1).reshape(dm, nf)
 
     # the upper triangle of the other parameters' own block, mirrored below
     core = np.zeros((k, k))
@@ -202,10 +227,10 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     core[i_eta, i_nu] = 1.0
     core[i_nu, i_nu] = 1.0 / state.nu**2
     # H theta - b stacks the residuals r_i
-    core[0, i_th] = (hmat.T @ resid.reshape(-1))[free_idx]
+    core[0, i_th] = ht_times(model, hmat, resid)[free_idx]
     # Phi_i^T Ksub_j M Phi_i = (M Phi_i) . (Ksub_j Phi_i)
-    core[i_w, i_th] = -state.beta * np.matmul(mphi[:, None, :], hf3)[:, 0, :]
-    core[i_th, i_th] = theta_precision(state.beta, hth, state.alpha)
+    core[i_w, i_th] = -state.beta * np.matmul(hf, mphi[:, :, None])[:, :, 0]
+    core[i_th, i_th] = band_to_dense(theta_precision(state.beta, hth, state.alpha))
     core = np.triu(core) + np.triu(core, 1).T
 
     return bands, cross, core, _hessian_labels(m, d, free_idx)

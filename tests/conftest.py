@@ -27,7 +27,7 @@ from modalbayes.inference import (
     update_mode_shapes,
 )
 from modalbayes.model import (StructuralModel, build_b, build_H, build_HtH, eigen_residual,
-                              mode_products)
+                              h_times, mode_products)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +182,10 @@ def mode_shapes_of(state: InferenceState, dataset: ModalDataset,
 
 def frequencies_of(state: InferenceState, dataset: ModalDataset, model: StructuralModel,
                    hmat: np.ndarray) -> np.ndarray:
-    """The frequency update of ``state``, given the regression matrix ``hmat`` of its Phi."""
+    """The frequency update of ``state``, given the blocks ``hmat`` of the regression
+    matrix of its Phi (``model.build_H``)."""
     mphi, k0phi = mode_products(model, state.phi)
-    kphi = k0phi + (hmat @ state.theta).reshape(mphi.shape)
+    kphi = k0phi + h_times(model, hmat, state.theta)
     return update_frequencies(state, DataTerms.from_dataset(dataset, model.d), mphi, kphi)
 
 
@@ -210,6 +211,29 @@ def dense_blocks(bands):
         for j in range(d - r):
             blocks[:, j + r, j] = blocks[:, j, j + r] = bands[:, r, j]
     return blocks
+
+
+def band_of(a):
+    """The full lower band (d, d) of the symmetric d x d matrix ``a`` in LAPACK band
+    storage: entry (j + r, j) in row r, column j, zero past the last row."""
+    d = a.shape[0]
+    band = np.zeros((d, d))
+    for r in range(d):
+        for j in range(d - r):
+            band[r, j] = a[j + r, j]
+    return band
+
+
+def loop_H(model, phi):
+    """The dense (d*m, n) regression matrix with block (i, j) = Ksub_j @ Phi_i, by loops."""
+    d, n = model.d, model.n
+    modes = phi.reshape(-1, d)
+    m = modes.shape[0]
+    out = np.zeros((d * m, n))
+    for i in range(m):
+        for j in range(n):
+            out[i * d:(i + 1) * d, j] = model.substructure(j) @ modes[i]
+    return out
 
 
 def dense_hessian(bands, cross, core, start):

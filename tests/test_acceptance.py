@@ -178,7 +178,7 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
 
     def apply_theta():
         hmat = build_H(toy2_model, state.phi)
-        state.theta = update_theta(state, hmat, build_HtH(toy2_model, hmat),
+        state.theta = update_theta(state, toy2_model, hmat, build_HtH(toy2_model, hmat),
                                    b_of(toy2_model, state.omega2, state.phi), anchor)
 
     def apply_beta():

@@ -4,6 +4,7 @@ import copy
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     b_of,
     fd_gradient,
     frequencies_of,
+    loop_H,
     mode_shapes_of,
     objective_of,
     pack_state,
@@ -25,7 +27,8 @@ from conftest import (
     two_stage,
     two_stage_data,
 )
-from modalbayes.bench import DEFAULT_HARNESS_CONFIG, NoiseSpec, simulate_modal_data
+from modalbayes.bench import (DEFAULT_HARNESS_CONFIG, NoiseSpec, comparison_calibration,
+                              simulate_modal_data)
 from modalbayes.data import DataTerms, ModalDataset
 from modalbayes.errors import ConfigurationError, NumericalError
 from modalbayes.inference import (
@@ -418,13 +421,14 @@ class TestUpdateTheta:
         state.phi = mode_shapes_of(state, toy2_dataset, toy2_model)
         hmat = build_H(toy2_model, state.phi)
         bvec = b_of(toy2_model, state.omega2, state.phi)
-        ls = np.linalg.solve(hmat.T @ hmat, hmat.T @ bvec)
+        dense = loop_H(toy2_model, state.phi)
+        ls = np.linalg.solve(dense.T @ dense, dense.T @ bvec)
         # default pinned value is close; pushing alpha further converges to LS
         hth = build_HtH(toy2_model, hmat)
-        theta_default = update_theta(state, hmat, hth, bvec, np.array([3.0, 3.0]))
+        theta_default = update_theta(state, toy2_model, hmat, hth, bvec, np.array([3.0, 3.0]))
         np.testing.assert_allclose(theta_default, ls, rtol=1e-4)
         state.alpha = np.full(2, 1e14)
-        theta = update_theta(state, hmat, hth, bvec, np.array([3.0, 3.0]))
+        theta = update_theta(state, toy2_model, hmat, hth, bvec, np.array([3.0, 3.0]))
         np.testing.assert_allclose(theta, ls, rtol=1e-8)
 
     def test_zero_alpha_pins_to_anchor(self, toy2_model, toy2_dataset):
@@ -432,7 +436,7 @@ class TestUpdateTheta:
         state.alpha = np.zeros(2)
         anchor = np.array([0.9, 1.1])
         hmat = build_H(toy2_model, state.phi)
-        theta = update_theta(state, hmat, build_HtH(toy2_model, hmat),
+        theta = update_theta(state, toy2_model, hmat, build_HtH(toy2_model, hmat),
                              b_of(toy2_model, state.omega2, state.phi), anchor)
         assert np.array_equal(theta, anchor)
 
@@ -445,14 +449,16 @@ class TestUpdateTheta:
         bvec = b_of(toy2_model, state.omega2, state.phi)
         beta = state.beta
 
+        dense = loop_H(toy2_model, state.phi)
+
         def quad(th):
-            r = hmat @ th - bvec
+            r = dense @ th - bvec
             d = anchor - th
             return 0.5 * beta * (r @ r) + 0.5 * float(d @ (d / state.alpha))
 
         res = scipy.optimize.minimize(quad, anchor, method="Nelder-Mead",
                                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
-        theta = update_theta(state, hmat, build_HtH(toy2_model, hmat), bvec, anchor)
+        theta = update_theta(state, toy2_model, hmat, build_HtH(toy2_model, hmat), bvec, anchor)
         np.testing.assert_allclose(theta, res.x, rtol=1e-8, atol=1e-10)
 
     def test_scalar_shrinkage_bracket(self):
@@ -472,11 +478,11 @@ class TestUpdateTheta:
         hmat = build_H(model, state.phi)
         bvec = b_of(model, state.omega2, state.phi)
         hth = build_HtH(model, hmat)
-        ls = update_theta(state, hmat, hth, bvec, anchor)[0]
+        ls = update_theta(state, model, hmat, hth, bvec, anchor)[0]
         lo, hi = sorted([ls, anchor[0]])
         for alpha in (1e-6, 1e-3, 1.0, 1e3):
             state.alpha = np.array([alpha])
-            val = update_theta(state, hmat, hth, bvec, anchor)[0]
+            val = update_theta(state, model, hmat, hth, bvec, anchor)[0]
             assert lo - 1e-12 <= val <= hi + 1e-12
 
     def test_stationarity(self, toy2_model, toy2_dataset):
@@ -486,7 +492,7 @@ class TestUpdateTheta:
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         g_before = fd_gradient(fun, pack_state(state))
         hmat = build_H(toy2_model, state.phi)
-        state.theta = update_theta(state, hmat, build_HtH(toy2_model, hmat),
+        state.theta = update_theta(state, toy2_model, hmat, build_HtH(toy2_model, hmat),
                                    b_of(toy2_model, state.omega2, state.phi), anchor)
         g_after = fd_gradient(fun, pack_state(state))
         assert np.linalg.norm(g_after[-2:]) <= 1e-6 * max(np.linalg.norm(g_before), 1e-9)
@@ -640,7 +646,7 @@ class TestObjective:
                         shape_residual_sq(toy2_dataset, 2, state.phi), anchor)
         # hand computation of the two theta-dependent terms
         def theta_terms(theta):
-            hmat = build_H(toy2_model, state.phi)
+            hmat = loop_H(toy2_model, state.phi)
             bvec = b_of(toy2_model, state.omega2, state.phi)
             r = hmat @ theta - bvec
             d = anchor - theta
@@ -819,17 +825,18 @@ class TestSweepKernel:
 
 
 class TestSweepStructure:
-    """Each sweep assembles K(theta) once, builds its regression matrix H and its H^T H
-    once and its right-hand side b once, shared by the theta update and the residual
-    H theta - b; the mode-shape update forms the bands of K^2, K M + M K and M^2 once.
-    The dataset terms (the observation mask, Gamma^T Psi_hat) are formed once per run,
-    before the first sweep, and no sweep forms Sigma_theta: it is formed once, after the last.  The
-    joint covariance reuses the run's H, H^T H and residual: it assembles K(theta)
-    once, forms the bands once from it, builds the H of the residual once and builds
-    no b and no H^T H."""
+    """Each sweep assembles the band of K(theta) once, builds the blocks of its
+    regression matrix H and the band of its H^T H once and its right-hand side b once,
+    shared by the theta update and the residual H theta - b; the mode-shape update
+    forms the bands of K^2, K M + M K and M^2 once.  The dataset terms (the
+    observation mask, Gamma^T Psi_hat) are formed once per run, before the first
+    sweep, and no sweep forms Sigma_theta: it is formed once, after the last.  The
+    joint covariance reuses the run's H, H^T H and residual: it assembles the band of
+    K(theta) once, forms the bands once from it, builds the H of the residual once and
+    builds no b and no H^T H.  No sweep expands K(theta) to a dense matrix."""
 
-    COUNTED = ("assemble_stiffness", "build_H", "build_b", "operator_square_bands",
-               "build_HtH", "theta_covariance_from", "from_dataset")
+    COUNTED = ("stiffness_band", "build_H", "build_b", "operator_square_bands",
+               "build_HtH", "theta_covariance_from", "from_dataset", "assemble_stiffness")
 
     @classmethod
     def count_per_sweep(cls, monkeypatch, run):
@@ -846,7 +853,8 @@ class TestSweepStructure:
             return wrapper
 
         # wrap each function at every name the package looks it up by
-        homes = {"assemble_stiffness": model, "build_H": model, "build_b": model,
+        homes = {"stiffness_band": model, "assemble_stiffness": model, "build_H": model,
+                 "build_b": model,
                  "operator_square_bands": model, "build_HtH": model,
                  "theta_covariance_from": uncertainty, "sweep": inference,
                  "joint_covariance": uncertainty}
@@ -885,12 +893,63 @@ class TestSweepStructure:
         calib_config = AlgorithmConfig(mode="calibration", tol_theta=1e-15, max_iterations=3)
         mon_config = AlgorithmConfig(mode="monitoring", tol_log_alpha=1e-15, max_iterations=3)
         calib = run_calibration(calib_ds, shear10, np.ones(10), calib_config)
-        # (assembly, H, b, operator bands, H^T H, Sigma_theta, dataset terms)
-        expected = ([(0, 1, 1, 0, 0, 0, 1)] + [(1, 1, 1, 1, 1, 0, 0)] * 3
-                    + [(0, 0, 0, 0, 0, 1, 0), (1, 1, 0, 1, 0, 0, 0)])
+        # (K band, H, b, operator bands, H^T H, Sigma_theta, dataset terms, dense K)
+        expected = ([(0, 1, 1, 0, 0, 0, 1, 0)] + [(1, 1, 1, 1, 1, 0, 0, 0)] * 3
+                    + [(0, 0, 0, 0, 0, 1, 0, 0), (1, 1, 0, 1, 0, 0, 0, 0)])
         assert self.count_per_sweep(
             monkeypatch, lambda: run_calibration(calib_ds, shear10, np.ones(10), calib_config)
         ) == expected
         assert self.count_per_sweep(
             monkeypatch, lambda: run_monitoring(mon_ds, shear10, calib.theta_map, mon_config)
         ) == expected
+
+
+class TestBandedScale:
+    """The sweep works on bands and supports, for any bandwidth up to a dense K0."""
+
+    def test_calibration_sweep_allocates_no_dense_matrix(self):
+        # d = 2000: one d x d array takes 32 MB and the dense (d m, n) H 128 MB; the data
+        # are the closed-form modes of the uniform fixed-free building, so no eigensolver runs
+        d, m, q = 2000, 4, 5
+        model = shear_building_model(ShearBuildingSpec(stories=d))
+        order = 2 * np.arange(1, m + 1) - 1
+        modes = np.sin(np.outer(order, np.arange(1, d + 1)) * np.pi / (2 * d + 1))
+        omega2 = (4.0 * model.blocks[1, 0, 0] / model.mass[0, 0]
+                  * np.sin(order * np.pi / (2 * (2 * d + 1))) ** 2)
+        rng = np.random.default_rng(1)
+        ds = ModalDataset.from_segments(omega2 * (1.0 + 0.01 * rng.standard_normal((q, m))),
+                                        modes * (1.0 + 0.01 * rng.standard_normal((q, m, d))),
+                                        np.arange(d))
+        config = AlgorithmConfig(mode="calibration")
+        anchor = np.ones(d)
+        state = initialize(ds, model, anchor, config)
+        terms = DataTerms.from_dataset(ds, d)
+        sweep(state, model, terms, anchor, config, 1)
+        tracemalloc.start()
+        try:
+            sweep(state, model, terms, anchor, config, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_dense_k0_calibrate_and_monitor(self):
+        # a dense K0 on the shear building makes every band full width (u = d - 1); both
+        # stages run through the same band kernels and find the damaged story
+        shear = shear_building_model(ShearBuildingSpec(stories=10))
+        k0 = random_spd(np.random.default_rng(5), 10) / 10.0
+        model = StructuralModel(mass=shear.mass, k0=k0, support=shear.support,
+                                blocks=shear.blocks)
+        assert model.operator_bandwidth == 9
+        calib_ds = simulate_modal_data(model, np.ones(10), m=4, q=50,
+                                       observed_dofs=np.arange(10), noise=NoiseSpec(seed=3))
+        mon_ds = simulate_modal_data(model, np.r_[1.0, 1.0, 0.8, np.ones(7)], m=4, q=10,
+                                     observed_dofs=np.arange(10), noise=NoiseSpec(seed=4),
+                                     normalization="global")
+        calib = run_calibration(calib_ds, model, np.full(10, 1.2), comparison_calibration())
+        monitor = run_monitoring(mon_ds, model, calib.theta_map)
+        assert calib.converged and monitor.converged
+        assert calib.full_cov is not None and monitor.full_cov is not None
+        np.testing.assert_allclose(calib.theta_map, 1.0, atol=0.02)
+        assert monitor.fixed_set == set(range(10)) - {2}
+        np.testing.assert_allclose(monitor.theta_map[2] / calib.theta_map[2], 0.8, atol=0.02)

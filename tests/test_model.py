@@ -5,8 +5,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from modalbayes.bench import ShearBuildingSpec, shear_building_model
 from modalbayes.data import ModalDataset
@@ -15,16 +17,22 @@ from modalbayes.inference import AlgorithmConfig, initialize
 from modalbayes.model import (
     StructuralModel,
     assemble_stiffness,
+    band_to_dense,
     build_H,
     build_HtH,
     eigen_residual,
     eigen_solve,
+    h_times,
+    ht_times,
+    mode_products,
+    operator_square_bands,
+    stiffness_band,
 )
+from modalbayes.uncertainty import (mode_shape_bands, theta_covariance_from, theta_factor,
+                                    theta_precision, theta_variances)
 
-from modalbayes.uncertainty import mode_shape_bands, theta_precision
-
-from conftest import (b_of, dense_blocks, dense_ksub, frequencies_of, random_spd,
-                      random_symmetric)
+from conftest import (b_of, band_of, dense_blocks, dense_ksub, frequencies_of, loop_H,
+                      random_spd, random_symmetric)
 
 
 def square_blocks(model, theta, omega2, beta=1.0, eta=0.0, q=1, mask=None):
@@ -33,7 +41,7 @@ def square_blocks(model, theta, omega2, beta=1.0, eta=0.0, q=1, mask=None):
     omega2 = np.asarray(omega2, dtype=float)
     state = SimpleNamespace(beta=beta, eta=eta, omega2=omega2)
     terms = SimpleNamespace(q=q, mask=np.zeros((omega2.size, model.d)) if mask is None else mask)
-    return dense_blocks(mode_shape_bands(state, terms, model, assemble_stiffness(model, theta)))
+    return dense_blocks(mode_shape_bands(state, terms, model, stiffness_band(model, theta)))
 
 
 def random_model(rng, d=3, n=2):
@@ -172,15 +180,9 @@ class TestAssembleStiffness:
             assemble_stiffness(toy2_model, [1.0])
 
 
-def loop_H(model, phi):
-    d, n = model.d, model.n
-    modes = phi.reshape(-1, d)
-    m = modes.shape[0]
-    out = np.zeros((d * m, n))
-    for i in range(m):
-        for j in range(n):
-            out[i * d:(i + 1) * d, j] = model.substructure(j) @ modes[i]
-    return out
+def expand_H(model, hmat):
+    """The dense (d*m, n) H of the blocks ``hmat``: column j is H e_j (``h_times``)."""
+    return np.stack([h_times(model, hmat, e).reshape(-1) for e in np.eye(model.n)], axis=1)
 
 
 def loop_b(model, omega2, phi):
@@ -200,13 +202,14 @@ class TestBuilders:
         model = StructuralModel.from_dense(mass=np.eye(3), k0=np.zeros((3, 3)),
                                            ksub=np.eye(3)[None])
         phi = np.array([0.3, -0.2, 0.9])
-        np.testing.assert_allclose(build_H(model, phi)[:, 0], phi)
+        np.testing.assert_allclose(h_times(model, build_H(model, phi), [1.0])[0], phi)
 
     def test_H_matches_loop(self):
         rng = np.random.default_rng(21)
         model = random_model(rng, d=3, n=2)
         phi = rng.normal(size=6)  # m = 2
-        np.testing.assert_allclose(build_H(model, phi), loop_H(model, phi), rtol=1e-12)
+        np.testing.assert_allclose(expand_H(model, build_H(model, phi)), loop_H(model, phi),
+                                   rtol=1e-12)
 
     def test_b_zero_cases(self):
         rng = np.random.default_rng(22)
@@ -225,7 +228,8 @@ class TestBuilders:
         hmat = build_H(model, modes)
         bvec = b_of(model, omega2, modes)
         scale = np.abs(bvec).max()
-        np.testing.assert_allclose(hmat @ theta, bvec, atol=1e-8 * scale)
+        np.testing.assert_allclose(h_times(model, hmat, theta).reshape(-1), bvec,
+                                   atol=1e-8 * scale)
 
     def test_b_matches_loop(self):
         rng = np.random.default_rng(24)
@@ -434,10 +438,17 @@ class TestEigenResiduals:
         theta = rng.normal(size=2)
         phi = rng.normal(size=6)
         omega2 = rng.uniform(0.5, 3.0, size=2)
-        stacked = build_H(model, phi) @ theta - b_of(model, omega2, phi)
+        stacked = loop_H(model, phi) @ theta - b_of(model, omega2, phi)
         blocks = stacked.reshape(2, 3)
         np.testing.assert_allclose(np.linalg.norm(blocks, axis=1),
                                    eigen_residuals(model, theta, omega2, phi), rtol=1e-12)
+
+
+def banded_spd(rng, d, width):
+    """A random symmetric positive definite d x d matrix of half-bandwidth ``width``."""
+    a = random_symmetric(rng, d)
+    a[np.abs(np.subtract.outer(np.arange(d), np.arange(d))) > width] = 0.0
+    return a + np.diag(np.abs(a).sum(axis=1) + 1.0)
 
 
 @st.composite
@@ -446,7 +457,9 @@ def sparse_models(draw):
 
     Each substructure stiffens every DOF, a random subset of them (supports of
     unequal size) or none (an all-zero substructure); the DOFs are then
-    renumbered by a random permutation, so supports are not contiguous.
+    renumbered by a random permutation, so supports are not contiguous.  M is
+    diagonal, tridiagonal or dense, and K0 zero, tridiagonal or dense, so the
+    band kernels see every width from a diagonal M up to u = d - 1.
     """
     d = draw(st.integers(1, 7))
     n = draw(st.integers(1, 5))
@@ -454,13 +467,16 @@ def sparse_models(draw):
                      st.lists(st.integers(0, d - 1), unique=True, max_size=d))
     supports = [draw(dofs) for _ in range(n)]
     perm = np.array(draw(st.permutations(range(d))))
+    mass_width = draw(st.sampled_from([0, 1, d - 1]))
+    k0_kind = draw(st.sampled_from(["zero", "banded", "dense"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     ksub = np.zeros((n, d, d))
     for j, support in enumerate(supports):
         ksub[j][np.ix_(support, support)] = random_symmetric(rng, len(support))
     ksub = ksub[:, perm][:, :, perm]
-    model = StructuralModel.from_dense(mass=random_spd(rng, d), k0=random_symmetric(rng, d),
-                                       ksub=ksub)
+    k0 = {"zero": np.zeros((d, d)), "banded": banded_spd(rng, d, 1) - 2.0 * np.eye(d),
+          "dense": random_symmetric(rng, d)}[k0_kind]
+    model = StructuralModel.from_dense(mass=banded_spd(rng, d, mass_width), k0=k0, ksub=ksub)
     m = draw(st.integers(1, 3))
     pruned = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     alpha = np.where(pruned, 0.0, rng.uniform(0.1, 10.0, size=n))
@@ -471,32 +487,77 @@ def close(got, want, rtol=1e-12):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=rtol * np.max(np.abs(want), initial=0.0))
 
 
+def close_band(band, dense, rtol=1e-12):
+    """``band`` holds the lower band of the symmetric ``dense``, which is zero outside it."""
+    full = band_of(dense)
+    close(band, full[:band.shape[0]], rtol)
+    assert not np.any(full[band.shape[0]:])
+
+
 class TestSparseSubstructures:
-    """The support kernels against the dense loop references."""
+    """The support and band kernels against the dense loop references."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(sparse_models())
     def test_kernels_match_dense_references(self, case):
         model, ksub, phi, theta, alpha = case
+        d, n = model.d, model.n
         # the reduction is lossless, so loop_H over the model loops over ksub
         np.testing.assert_array_equal(dense_ksub(model), ksub)
 
         expected_k = model.k0 + sum(t * kj for t, kj in zip(theta, ksub))
+        kband = stiffness_band(model, theta)
+        close_band(kband, expected_k)
         close(assemble_stiffness(model, theta), expected_k)
+
+        # the bands of K^2, K M + M K and M^2 hold the whole of each product
+        mass = model.mass
+        k_sq, k_m, m_sq = operator_square_bands(model, kband)
+        assert k_sq.shape == k_m.shape == m_sq.shape == (model.operator_bandwidth + 1, d)
+        for band, dense in ((k_sq, expected_k @ expected_k),
+                            (k_m, expected_k @ mass + mass @ expected_k), (m_sq, mass @ mass)):
+            close_band(band, dense)
+
+        # the mode-shape systems beta A_i A_i + eta q diag(mask_i) with every other DOF observed
+        modes = phi.reshape(-1, d)
+        omega2 = np.linspace(0.5, 3.0, modes.shape[0])
+        mask = np.tile((np.arange(d) % 2 == 0).astype(float), (modes.shape[0], 1))
+        blocks = square_blocks(model, theta, omega2, beta=1.7, eta=0.3, q=4, mask=mask)
+        for i, w2 in enumerate(omega2):
+            a = expected_k - w2 * mass
+            close(blocks[i], 1.7 * (a @ a) + 0.3 * 4 * np.diag(mask[i]), 1e-11)
+
+        mphi, k0phi = mode_products(model, phi)
+        close(mphi, modes @ mass)
+        close(k0phi, modes @ model.k0)
 
         hmat = build_H(model, phi)
         href = loop_H(model, phi)
-        close(hmat, href)
+        close(h_times(model, hmat, theta).reshape(-1), href @ theta)
+        v = np.linspace(-1.0, 1.0, phi.size)
+        close(ht_times(model, hmat, v), href.T @ v)
+        close_band(build_HtH(model, hmat), href.T @ href)
 
-        hth = build_HtH(model, hmat)
-        np.testing.assert_array_equal(hth, hth.T)
-        close(hth, href.T @ href)
-
+        # the theta precision over the free set, its band factor and what reads it,
+        # against the dense Cholesky of the same matrix
         free = alpha > 0
         beta = 2.5
         hf = href[:, free]
-        close(theta_precision(beta, hth, alpha),
-              beta * (hf.T @ hf) + np.diag(1.0 / alpha[free]))
+        prec = beta * (hf.T @ hf) + np.diag(1.0 / alpha[free])
+        hth = build_HtH(model, hmat)
+        close(band_to_dense(theta_precision(beta, hth, alpha)), prec)
+        got_free, factor = theta_factor(beta, hth, alpha)
+        np.testing.assert_array_equal(got_free, free)
+        chol = scipy.linalg.cholesky(prec, lower=True) if free.any() else prec
+        close(band_to_dense(factor, symmetric=False), chol, 1e-10)
+        cov = np.zeros((n, n))
+        cov[np.ix_(free, free)] = np.linalg.inv(prec)
+        close(theta_covariance_from(beta, hth, alpha), cov, 1e-9)
+        close(theta_variances(beta, hth, alpha), np.diag(cov), 1e-9)
+        if free.any():
+            rhs = np.arange(1.0, free.sum() + 1.0)
+            solved, _ = lapack.dpbtrs(factor, rhs, lower=1)
+            close(solved, np.linalg.solve(prec, rhs), 1e-9)
 
     def test_shear500_storage_and_kernels(self):
         model = shear_building_model(ShearBuildingSpec(stories=500), unit_scale=1e6)
@@ -513,4 +574,5 @@ class TestSparseSubstructures:
         phi = rng.normal(size=500)
         hmat = build_H(model, phi)
         assert np.count_nonzero(hmat) <= 2 * 500
-        close(hmat @ theta, k @ phi)
+        close(h_times(model, hmat, theta)[0], k @ phi)
+        assert stiffness_band(model, theta).shape == (2, 500)

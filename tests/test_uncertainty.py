@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    band_of,
     dense_blocks,
     dense_hessian,
     fd_hessian,
     hessian_inputs,
+    loop_H,
     objective_of,
     pack_state,
     random_spd,
@@ -34,7 +36,7 @@ from modalbayes.bench import (
 from modalbayes.data import DataTerms
 from modalbayes.errors import NumericalError
 from modalbayes.inference import AlgorithmConfig, initialize, run_calibration, update_mode_shapes
-from modalbayes.model import StructuralModel, assemble_stiffness, build_H
+from modalbayes.model import StructuralModel, assemble_stiffness
 from modalbayes.uncertainty import (
     cov_report,
     invert_hessian,
@@ -48,14 +50,14 @@ class TestThetaCovariance:
     def test_zero_alpha_gives_zero(self):
         rng = np.random.default_rng(0)
         hmat = rng.normal(size=(6, 3))
-        cov = theta_covariance_from(2.0, hmat.T @ hmat, np.zeros(3))
+        cov = theta_covariance_from(2.0, band_of(hmat.T @ hmat), np.zeros(3))
         assert np.array_equal(cov, np.zeros((3, 3)))
 
     def test_beta_zero_gives_alpha(self):
         rng = np.random.default_rng(1)
         hmat = rng.normal(size=(6, 3))
         alpha = np.array([0.5, 1.5, 2.5])
-        np.testing.assert_allclose(theta_covariance_from(0.0, hmat.T @ hmat, alpha),
+        np.testing.assert_allclose(theta_covariance_from(0.0, band_of(hmat.T @ hmat), alpha),
                                    np.diag(alpha), rtol=1e-14)
 
     def test_two_forms_agree(self):
@@ -70,7 +72,7 @@ class TestThetaCovariance:
             form2 = amat @ np.linalg.inv(beta * hth @ amat + np.eye(4))
             scale = np.abs(form1).max()
             assert np.abs(form1 - form2).max() <= 1e-10 * scale
-            got = theta_covariance_from(beta, hth, alpha)
+            got = theta_covariance_from(beta, band_of(hth), alpha)
             np.testing.assert_allclose(got, form1, atol=1e-10 * scale)
 
     # unit scale, the calibration alpha and the near-pruning scale of monitoring
@@ -82,14 +84,14 @@ class TestThetaCovariance:
         alpha = alpha_scale * rng.uniform(0.2, 2.0, size=3)
         beta = 1.7
         direct = np.linalg.inv(beta * hmat.T @ hmat + np.diag(1.0 / alpha))
-        np.testing.assert_allclose(theta_covariance_from(beta, hmat.T @ hmat, alpha), direct,
-                                   rtol=1e-9)
+        np.testing.assert_allclose(theta_covariance_from(beta, band_of(hmat.T @ hmat), alpha),
+                                   direct, rtol=1e-9)
 
     def test_pruned_rows_exactly_zero(self):
         rng = np.random.default_rng(4)
         hmat = rng.normal(size=(6, 3))
         alpha = np.array([0.5, 0.0, 1.0])
-        cov = theta_covariance_from(3.0, hmat.T @ hmat, alpha)
+        cov = theta_covariance_from(3.0, band_of(hmat.T @ hmat), alpha)
         assert np.all(cov[1, :] == 0.0) and np.all(cov[:, 1] == 0.0)
         # free block equals the reduced-system covariance
         free = [0, 2]
@@ -208,7 +210,7 @@ class TestJointHessian:
                 kj = model.substructure(j)
                 l3[blk, col] = (a_i @ kj + kj @ a_i) @ modes[i]
                 l2[i, col] = modes[i] @ (kj @ (model.mass @ modes[i]))
-        hmat = build_H(model, state.phi)
+        hmat = loop_H(model, state.phi)
         v_bth = (hmat.T @ (hmat @ state.theta - b_of(model, state.omega2, state.phi)))[free_idx]
         mask = DataTerms.from_dataset(ds, d).mask.reshape(-1)
         phi_block = state.beta * fmat + state.eta * ds.q * np.diag(mask)
@@ -372,8 +374,10 @@ class TestModeFactor:
         assert "condition" in message and str(joint_error.value) == message
 
     def test_one_function_factors_the_mode_blocks(self):
-        # ast scan of the package: dpbtrf is called only in factor_mode_bands, dpbsv nowhere
-        callers = {"dpbtrf": set(), "dpbsv": set()}
+        # ast scan of the package: dpbtrf factors the mode blocks only in factor_mode_bands,
+        # the theta precision only in theta_factor and the mass band only where the model
+        # is built; dpbsv and the dense dpotrf are called nowhere
+        callers = {"dpbtrf": set(), "dpbsv": set(), "dpotrf": set()}
         for path in Path(modalbayes.__file__).parent.glob("*.py"):
             tree = ast.parse(path.read_text())
             owners = {}
@@ -387,7 +391,10 @@ class TestModeFactor:
                         else node.name if isinstance(node, ast.alias) else None)
                 if name in callers:
                     callers[name].add((path.name, owners.get(node)))
-        assert callers == {"dpbtrf": {("uncertainty.py", "factor_mode_bands")}, "dpbsv": set()}
+        assert callers == {"dpbtrf": {("uncertainty.py", "factor_mode_bands"),
+                                      ("uncertainty.py", "theta_factor"),
+                                      ("model.py", "__post_init__")},
+                           "dpbsv": set(), "dpotrf": set()}
 
 
 class TestCovReport:
