@@ -180,9 +180,9 @@ def _emit_run_outputs(result, dataset, out: Path, prefix: str):
     io.write_trace_csv(result, trace_path)
     io.write_cov_table_csv(cov_report(result, dataset), cov_path)
     outputs = [result_path, trace_path, cov_path]
-    if result.full_cov is not None:
+    if result.joint is not None:
         joint_path = out / f"{prefix}_joint_cov.csv"
-        io.write_matrix_csv(result.full_cov, result.full_cov_labels, joint_path)
+        io.write_matrix_csv(result.joint.rows(), result.joint.labels(), joint_path)
         outputs.append(joint_path)
     return outputs
 

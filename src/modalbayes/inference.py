@@ -177,14 +177,17 @@ class SweepRecord:
 
 @dataclass
 class InferenceResult:
-    """MAP state, posterior covariances and the records of the start and each sweep."""
+    """MAP state, posterior covariances and the records of the start and each sweep.
+
+    ``joint`` is the joint covariance in factored form
+    (``uncertainty.JointCovariance``), None when it is unavailable.
+    """
 
     mode: str
     state_map: InferenceState
     theta_anchor: np.ndarray
     theta_cov: np.ndarray
-    full_cov: np.ndarray | None
-    full_cov_labels: list | None
+    joint: uncertainty.JointCovariance | None
     records: list[SweepRecord]
     pruning_events: list
     iterations: int
@@ -193,6 +196,16 @@ class InferenceResult:
     @property
     def theta_map(self) -> np.ndarray:
         return self.state_map.theta
+
+    @property
+    def full_cov(self) -> np.ndarray | None:
+        """The N x N joint covariance, built from ``joint`` on each read (not kept)."""
+        return None if self.joint is None else self.joint.dense()
+
+    @property
+    def full_cov_labels(self) -> list | None:
+        """The names of the rows of ``full_cov``, formatted on each read."""
+        return None if self.joint is None else self.joint.labels()
 
     @property
     def cov_theta(self) -> np.ndarray:
@@ -567,9 +580,9 @@ def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: Algorith
 
     theta_cov = uncertainty.theta_covariance_from(state.beta, hth, state.alpha)
 
-    full_cov = labels = None
+    joint = None
     try:
-        full_cov, labels = uncertainty.joint_covariance(state, terms, model, hmat, hth, resid)
+        joint = uncertainty.joint_covariance(state, terms, model, hmat, hth, resid)
     except NumericalError as exc:
         state.flag(f"joint covariance unavailable: {exc}")
 
@@ -578,8 +591,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: Algorith
         state_map=state,
         theta_anchor=anchor,
         theta_cov=theta_cov,
-        full_cov=full_cov,
-        full_cov_labels=labels,
+        joint=joint,
         records=records,
         pruning_events=[(k, j) for k, record in enumerate(records) for j in record.pruned],
         iterations=len(records) - 1,

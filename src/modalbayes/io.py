@@ -209,9 +209,8 @@ def result_from_dict(payload: dict) -> InferenceResult:
         b0=values["b0"], diagnostics=list(diagnostics))
     result = InferenceResult(
         mode=mode, state_map=state, theta_anchor=values["theta_anchor"],
-        theta_cov=values["theta_cov"], full_cov=None,
-        full_cov_labels=None, records=[], pruning_events=pruning_events, iterations=iterations,
-        converged=converged)
+        theta_cov=values["theta_cov"], joint=None, records=[], pruning_events=pruning_events,
+        iterations=iterations, converged=converged)
     if fixed_set != result.fixed_set:
         raise ConfigurationError(f"result fixed_set {sorted(fixed_set)} is not the alpha = 0 "
                                  f"set {sorted(result.fixed_set)}")
@@ -248,9 +247,12 @@ def write_cov_table_csv(rows: list, path) -> None:
               ([row["parameter"], row["map"], row["cov_percent"]] for row in rows))
 
 
-def write_matrix_csv(matrix: np.ndarray, labels: list, path) -> None:
+def write_matrix_csv(tiles, labels: list, path) -> None:
+    """A labelled square matrix, written from ``tiles``, its rows in order as 2-D blocks
+    (``JointCovariance.rows``), so only one block is held at a time."""
+    rows = (row for tile in tiles for row in tile.tolist())
     write_csv(path, ["parameter"] + list(labels),
-              ([label] + row for label, row in zip(labels, matrix.tolist())))
+              ([label] + row for label, row in zip(labels, rows, strict=True)))
 
 
 def write_pruning_csv(result: InferenceResult, path) -> None:

@@ -213,6 +213,8 @@ class StructuralModel:
     _gram_right: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_out: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_width: int = field(init=False, repr=False, compare=False)
+    # flat scatter positions of the H blocks of m modes in the (m, d) H theta, by m (h_times)
+    _h_index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         mass = _mass_matrix(self.mass)
@@ -428,9 +430,14 @@ def build_H(model: StructuralModel, phi: np.ndarray) -> np.ndarray:
 
 def h_times(model: StructuralModel, hmat: np.ndarray, theta) -> np.ndarray:
     """H theta as (m, d), row i = sum_j theta_j Ksub_j Phi_i, for the blocks ``hmat``
-    (``build_H``): one scatter-add of the blocks onto their supports."""
+    (``build_H``): one scatter-add of the blocks onto their supports, at positions the
+    model builds once per mode count."""
     m, d = hmat.shape[0], model.d
-    index = np.add.outer(np.arange(0, m * d, d), model.support.reshape(-1)).reshape(-1)
+    index = model._h_index.get(m)
+    if index is None:
+        index = np.add.outer(np.arange(0, m * d, d), model.support.reshape(-1)).reshape(-1)
+        index.setflags(write=False)
+        model._h_index[m] = index
     weights = (hmat * np.asarray(theta, dtype=float)[:, None]).reshape(-1)
     return np.bincount(index, weights, minlength=m * d).reshape(m, d)
 

@@ -14,9 +14,23 @@ the m mode bands, the Phi rows of the other k = 3m + 3 + n_free parameters,
 and the k x k block of those parameters.  The joint inverse eliminates the
 mode blocks first, from their banded Cholesky factor, and only the Schur
 complement of the other k rows is inverted as a general (possibly
-indefinite) matrix.  The exact 1-norm condition numbers of the equilibrated
-Hessian and of each equilibrated mode block, read from the inverses formed,
-decide whether the joint covariance is reported.
+indefinite) matrix.
+
+The inverse is kept in that factored form (``JointCovariance``): the
+d x d inverses of the mode blocks, the thin (dm, k) factors Y = P^-1 B and
+Z = Y S^-1, the k x k S^-1 and the equilibration of the other rows.  A run
+holds only these, O(m d^2 + N k); the N x N matrix is built when it is
+asked for (``JointCovariance.dense``) or streamed a tile row at a time
+(``JointCovariance.rows``, which the joint CSV is written from).  The
+covariance is reported only when the exact 1-norm condition numbers of the
+equilibrated Hessian and of each equilibrated mode block are at most
+``MAX_CONDITION``.  The Hessian's is certified without its inverse: with
+t = |S^-1| (|Y|^T 1 + 1), every row sum of |A^-1| is at most
+(|P^-1| 1 + |Y| t)_r on a Phi row and t_c on another, so their largest
+value bounds ||A^-1||_1 from above in O(N k).  When ||A||_1 times that bound
+passes ``MAX_CONDITION``, or is not finite, the exact row sums are read over
+tile rows and decide; as the bound is never below them, every decision is
+the one the exact check makes.
 
 The theta precision beta H_f^T H_f + A_f^-1 is banded, because two
 components couple only where their supports overlap.  It is gathered from
@@ -38,6 +52,7 @@ structurally because of the rho-tau coupling.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -118,7 +133,9 @@ def theta_variances(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarr
     return var
 
 
-def _hessian_labels(m: int, d: int, free_idx: np.ndarray) -> list:
+def hessian_labels(m: int, d: int, free_idx) -> list:
+    """The names of the joint Hessian's rows, in order, for m modes of d DOFs and the
+    free theta components ``free_idx`` (0-based; named from 1)."""
     labels = ["beta"]
     labels += [f"omega2_{i + 1}" for i in range(m)]
     labels += [f"rho_{i + 1}" for i in range(m)]
@@ -166,12 +183,13 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
                   hth: np.ndarray, resid: np.ndarray):
     """Precision matrix of the objective at the MAP, as the blocks its inverse reads.
 
-    Returns (bands, cross, core, labels).  The labelled order is
+    Returns (bands, cross, core, free_idx).  The labelled order is
     [beta, omega2, rho, tau, Phi, eta, nu, theta_free]; the Phi rows start at
     3 m + 1.  ``bands`` holds the diagonal Phi blocks (``mode_shape_bands``),
     between which the Hessian is zero; ``cross`` (dm, k) holds the Phi rows
     of the other k = 3 m + 3 + n_free parameters [beta, omega2, rho, tau, eta,
-    nu, theta_free], and ``core`` (k, k) their own block.  ``terms`` holds
+    nu, theta_free], and ``core`` (k, k) their own block; ``free_idx`` lists the
+    free components (``hessian_labels`` names the rows).  ``terms`` holds
     the run's dataset terms, ``hmat`` the blocks of the regression matrix H
     of ``state.phi`` (``model.build_H``), ``hth`` the band of its H^T H
     (``model.build_HtH``) and ``resid`` the (m, d) residuals
@@ -189,12 +207,14 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     stiffness = stiffness_band(model, state.theta)
     bands = mode_shape_bands(state, terms, model, stiffness)
     mphi, _ = mode_products(model, state.phi)
-    hf = _free_columns(model, hmat, free_idx)
     # K and M times r_i, M Phi_i and the free columns of H_i, for every mode, as band
     # products along the DOF axis; A_i = K - omega2_i M
-    cols = np.concatenate([resid[:, None], mphi[:, None], hf], axis=1)
-    k_cols, m_cols = band_matvec(stiffness, cols), band_matvec(model.mass_band, cols)
-    a_cols = k_cols - state.omega2[:, None, None] * m_cols
+    cols = np.concatenate([resid[:, None], mphi[:, None],
+                           _free_columns(model, hmat, free_idx)], axis=1)
+    hf = cols[:, 2:]
+    m_cols = band_matvec(model.mass_band, cols)
+    a_cols = band_matvec(stiffness, cols)
+    a_cols -= state.omega2[:, None, None] * m_cols
     idx = np.arange(m)
 
     # positions of [beta, omega2, rho, tau, eta, nu, theta_free] in cross and core
@@ -210,7 +230,8 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     cross.reshape(m, d, -1)[idx, :, i_w] = -state.beta * (m_cols[:, 0] + a_cols[:, 1])
     cross[:, i_eta] = q * terms.mask.reshape(-1) * state.phi - terms.gamma_t_psi.reshape(-1)
     # (A_i Ksub_j + Ksub_j A_i) Phi_i = A_i (Ksub_j Phi_i) + Ksub_j r_i
-    l3 = a_cols[:, 2:] + _free_columns(model, build_H(model, resid), free_idx)
+    l3 = a_cols[:, 2:]
+    l3 += _free_columns(model, build_H(model, resid), free_idx)
     cross[:, i_th] = state.beta * l3.transpose(0, 2, 1).reshape(dm, nf)
 
     # the upper triangle of the other parameters' own block, mirrored below
@@ -233,19 +254,154 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     core[i_th, i_th] = band_to_dense(theta_precision(state.beta, hth, state.alpha))
     core = np.triu(core) + np.triu(core, 1).T
 
-    return bands, cross, core, _hessian_labels(m, d, free_idx)
+    return bands, cross, core, free_idx
+
+
+@dataclass(frozen=True, eq=False)
+class JointCovariance:
+    """The joint covariance in the factored form ``invert_hessian`` computes.
+
+    With the Phi rows at ``start`` .. ``stop`` = ``start`` + m d and the other k
+    rows around them, the covariance is
+
+        [[P^-1 + Z Y^T, -Z E_r], [-E_r Z^T, E_r S^-1 E_r]],
+
+    where ``p_inv`` holds the m diagonal blocks of P^-1 (m, d, d) and ``y``
+    Y = P^-1 B (m d, k), both with the equilibration of the Phi rows undone,
+    ``z`` Z = Y S^-1 (m d, k), ``s_inv`` the inverse S^-1 (k, k) of the
+    equilibrated Schur complement, exactly symmetric, and ``eq_rest`` the
+    diagonal of E_r, the equilibration of the other rows (k,).  ``free_idx``
+    lists the free theta components, which name the last rows (``labels``).
+    """
+
+    p_inv: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    s_inv: np.ndarray
+    eq_rest: np.ndarray
+    start: int
+    free_idx: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """N, the number of rows and columns of the covariance."""
+        return self.y.shape[0] + self.y.shape[1]
+
+    def labels(self) -> list:
+        """The names of the rows, formatted on each call (``hessian_labels``)."""
+        m, d, _ = self.p_inv.shape
+        return hessian_labels(m, d, self.free_idx)
+
+    def _tile_row(self, i: int) -> np.ndarray:
+        """The tiles of mode i's rows on and right of the diagonal of the Phi block: one
+        d x k x (m - i) d product, with P_i^-1 added to the diagonal tile, symmetrized."""
+        d = self.p_inv.shape[1]
+        tile_row = self.z[i * d:(i + 1) * d] @ self.y[i * d:].T
+        diag_tile = tile_row[:, :d] + self.p_inv[i]
+        tile_row[:, :d] = 0.5 * (diag_tile + diag_tile.T)
+        return tile_row
+
+    def _outer_blocks(self):
+        """The Phi rows -Z E_r of the other columns, and the block E_r S^-1 E_r."""
+        return self.z * -self.eq_rest, self.s_inv * np.outer(self.eq_rest, self.eq_rest)
+
+    def dense(self) -> np.ndarray:
+        """The N x N covariance, built anew on each call.
+
+        The Phi block is formed one tile row at a time, in mode order
+        (``_tile_row``), and the tiles below the diagonal are written as the
+        transposes of those above it, so the product is half the full one
+        and the result is exactly symmetric.
+        """
+        m, d, _ = self.p_inv.shape
+        start, size = self.start, self.size
+        stop = start + m * d
+        rest = np.r_[0:start, stop:size]
+        cov = np.empty((size, size))
+        for i in range(m):
+            rows = slice(start + i * d, start + (i + 1) * d)
+            tile_row = self._tile_row(i)
+            cov[rows, rows.start:stop] = tile_row
+            cov[rows.stop:stop, rows] = tile_row[:, d:].T
+        cross, core = self._outer_blocks()
+        cov[start:stop, rest] = cross
+        cov[rest, start:stop] = cross.T
+        cov[np.ix_(rest, rest)] = core
+        return cov
+
+    def rows(self):
+        """The rows of ``dense``, bitwise, in order, as blocks: the other rows before the
+        Phi rows, a tile row of d rows per mode, and the other rows after them.
+
+        Only one tile row is held at a time.  The tiles left of the diagonal of
+        mode i's rows are cut from the products of the tile rows above
+        (``_tile_row``), each formed again by the same product as in ``dense``.
+        """
+        m, d, _ = self.p_inv.shape
+        start = self.start
+        cross, core = self._outer_blocks()
+        yield np.concatenate([core[:start, :start], cross[:, :start].T, core[:start, start:]],
+                             axis=1)
+        for i in range(m):
+            rows = slice(i * d, (i + 1) * d)
+            left = [self._tile_row(j)[:, (i - j) * d:(i - j + 1) * d].T for j in range(i)]
+            yield np.concatenate([cross[rows, :start], *left, self._tile_row(i),
+                                  cross[rows, start:]], axis=1)
+        yield np.concatenate([core[start:, :start], cross[:, start:].T, core[start:, start:]],
+                             axis=1)
+
+
+def _inverse_norm_bound(abs_p_inv: np.ndarray, y: np.ndarray, s_inv: np.ndarray) -> float:
+    """An upper bound on ||A^-1||_1 of the equilibrated Hessian A from its factors, in
+    O(N k): ``abs_p_inv`` |P_i^-1| (m, d, d), ``y`` Y = P^-1 B (m d, k) and ``s_inv``.
+
+    With t = |S^-1| (|Y|^T 1 + 1), row r of the Phi rows of |A^-1| sums to at most
+    (|P^-1| 1 + |Y| t)_r and row c of the other rows to at most t_c.  The
+    diagonal tiles are symmetrized, so each row of P^-1 counts the larger of its
+    row and column sums.  The bound is raised by 8 N units of rounding, more than
+    the rounding of the sums of N terms in it and in the exact row sums, so it
+    is never below the exact norm computed from the same factors.  A sum that
+    overflows, or a factor that is not finite, gives inf or nan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_y = np.abs(y)
+        t = np.abs(s_inv) @ (abs_y.sum(axis=0) + 1.0)
+        p_sums = np.maximum(abs_p_inv.sum(axis=1), abs_p_inv.sum(axis=2)).reshape(-1)
+        bound = np.maximum(np.max(p_sums + abs_y @ t, initial=0.0), np.max(t, initial=0.0))
+    return float(bound) * (1.0 + 8.0 * sum(y.shape) * np.finfo(float).eps)
+
+
+def _exact_inverse_norm(joint: JointCovariance, eq: np.ndarray) -> float:
+    """||A^-1||_1 of the equilibrated Hessian A from E A^-1 E (``joint``), E = diag(eq).
+
+    The inverse is exactly symmetric, so its largest column sum is its largest row
+    sum.  The rows are read over the tile rows of ``joint.rows``, a slab of about
+    ``NORM_SLAB_ENTRIES`` entries at a time, so no N x N temporary is formed.
+    """
+    inv_eq = 1.0 / eq
+    slab = max(1, NORM_SLAB_ENTRIES // eq.size)
+    row_sums, pending = [], np.empty((0, eq.size))
+    for tile in joint.rows():
+        pending = np.concatenate([pending, tile])
+        while pending.shape[0] >= slab:
+            row_sums.append(np.abs(pending[:slab]) @ inv_eq)
+            pending = pending[slab:]
+    row_sums.append(np.abs(pending) @ inv_eq)
+    return np.max(np.concatenate(row_sums) * inv_eq, initial=0.0)
 
 
 def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
-                   start: int) -> np.ndarray:
-    """Inverse of the Hessian held as its banded mode blocks and the rest.
+                   start: int, free_idx=()) -> JointCovariance:
+    """Inverse of the Hessian held as its banded mode blocks and the rest, in factored
+    form (``JointCovariance``).
 
     The Hessian has m diagonal d x d blocks P_i, held as their lower bands
     ``bands`` (m, u + 1, d), in rows and columns start .. start + m d, with
     zeros between them; ``cross`` holds those rows in the other k columns and
     ``core`` the symmetric k x k block of the other rows (the
-    ``joint_hessian`` layout).  The inverse is returned in the same order.
-    Empty Phi blocks, bands (0, 1, 0), make ``core`` its own Schur complement.
+    ``joint_hessian`` layout).  The inverse keeps the same order, and
+    ``free_idx`` names its theta rows.  Empty Phi blocks, bands (0, 1, 0),
+    make ``core`` its own Schur complement.
 
     The raw precision matrix mixes parameter scales spanning many orders
     (e.g. eta vs its reciprocal-scale rate), so it is Jacobi-equilibrated
@@ -254,25 +410,18 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
     banded solve (``dpbtrs``) gives each P_i^-1 and Y = P^-1 B.  With B the
     equilibrated ``cross`` and C the equilibrated ``core``, the Schur
     complement S = C - B^T P^-1 B (k x k) can be indefinite at a monitoring
-    MAP and is inverted by LU.  The inverse of
-    the equilibrated matrix A is
+    MAP and is inverted by LU.  The inverse of the equilibrated matrix A is
 
         [[P^-1 + Y S^-1 Y^T, -Y S^-1], [-S^-1 Y^T, S^-1]],
 
-    with the equilibration undone on the thin factors first.  The Phi block
-    P^-1 + Y S^-1 Y^T is formed one tile row at a time, in mode order: tile
-    row i is one d x k x (m - i) d product for the tiles on and right of the
-    diagonal, with P_i^-1 added to its diagonal tile (symmetrized), and the
-    tiles below the diagonal are written as the transposes of those above
-    it.  The product is thus half the full one and the result is exactly
-    symmetric.  Its exact 1-norm condition number ||A||_1 ||A^-1||_1, read
-    from the inverse formed, must not exceed ``MAX_CONDITION``, and neither
-    may that of any equilibrated P_i: the formula cancels the error of a
-    nearly singular P_i^-1 only in exact arithmetic.  ||A^-1||_1 is its
-    largest row sum (the inverse is symmetric), read a slab of about
-    ``NORM_SLAB_ENTRIES`` entries at a time, so no N x N temporary is formed.
-    A P_i that is not positive definite or a singular S fails that check as
-    well.
+    returned with the equilibration undone on its factors.  Its exact 1-norm
+    condition number ||A||_1 ||A^-1||_1 must not exceed ``MAX_CONDITION``, and
+    neither may that of any equilibrated P_i: the formula cancels the error of
+    a nearly singular P_i^-1 only in exact arithmetic.  ||A^-1||_1 is first
+    bounded from the factors (``_inverse_norm_bound``); only when that bound
+    does not certify the condition are the exact row sums read
+    (``_exact_inverse_norm``), and they decide.  A P_i that is not positive
+    definite or a singular S fails that check as well.
     """
     m, width, d = bands.shape
     k = core.shape[0]
@@ -298,11 +447,15 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
     abs_cross = np.abs(cross)
     anorm = max(np.max(p_norms.reshape(-1) + abs_cross.sum(axis=1), initial=0.0),
                 np.max(abs_cross.sum(axis=0) + np.abs(core).sum(axis=0), initial=0.0))
+    del abs_cross
     factor = factor_mode_bands(bands)
-    # P^-1 from the unit columns of each mode, and Y = P^-1 B, in one solve
-    sol = np.concatenate([np.tile(np.eye(d), (m, 1)), cross], axis=1)
+    # P^-1 from the unit columns of each mode, and Y = P^-1 B, in one solve, in place on
+    # right-hand sides laid out in the column order LAPACK reads
+    sol = np.zeros((m * d, d + k), order="F")
+    sol[np.arange(m * d), np.tile(np.arange(d), m)] = 1.0
+    sol[:, d:] = cross
     if m * d:
-        sol, info = lapack.dpbtrs(factor, sol, lower=1)
+        sol, info = lapack.dpbtrs(factor, sol, lower=1, overwrite_b=1)
     p_inv, y = sol[:, :d].reshape(m, d, d), sol[:, d:]
     try:
         s_inv = np.linalg.inv(core - cross.T @ y)
@@ -310,48 +463,36 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
         raise NumericalError(f"hessian is numerically singular (condition: {exc})") from exc
     s_inv = 0.5 * (s_inv + s_inv.T)
 
-    # blocks of E A^-1 E for the equilibration E = diag(eq)
-    y *= eq_p[:, None]
-    z = y @ s_inv
-    p_inv_eq = p_inv * (eq_blocks[:, :, None] * eq_blocks[:, None, :])
-    cov = np.empty((size, size))
-    for i in range(m):
-        # tile row i of the Phi block: the tiles on and right of the diagonal from one
-        # product, the tiles below it as their transposes, so the block is exactly symmetric
-        rows = slice(start + i * d, start + (i + 1) * d)
-        tile_row = z[i * d:(i + 1) * d] @ y[i * d:].T
-        diag_tile = tile_row[:, :d] + p_inv_eq[i]
-        tile_row[:, :d] = 0.5 * (diag_tile + diag_tile.T)
-        cov[rows, rows.start:stop] = tile_row
-        cov[rows.stop:stop, rows] = tile_row[:, d:].T
-    z *= -eq_r[None, :]
-    cov[start:stop, rest] = z
-    cov[rest, start:stop] = z.T
-    cov[np.ix_(rest, rest)] = s_inv * np.outer(eq_r, eq_r)
-    # ||A^-1||_1 from E A^-1 E: the inverse is exactly symmetric, so its largest column
-    # sum is its largest row sum, read a slab of rows at a time
-    inv_eq = 1.0 / eq
-    slab = max(1, NORM_SLAB_ENTRIES // size)
-    row_sums = np.concatenate([np.abs(cov[lo:lo + slab]) @ inv_eq for lo in range(0, size, slab)])
-    inv_norm = np.max(row_sums * inv_eq, initial=0.0)
+    abs_p_inv = np.abs(p_inv)
     # eliminating the P_i first is accurate only while each P_i is well conditioned itself
-    block_cond = (np.max(p_norms, axis=1, initial=0.0)
-                  * np.max(np.abs(p_inv).sum(axis=1), axis=1, initial=0.0))
-    cond = max(anorm * inv_norm, np.max(block_cond, initial=0.0))
+    block_cond = np.max(np.max(p_norms, axis=1, initial=0.0)
+                        * np.max(abs_p_inv.sum(axis=1), axis=1, initial=0.0), initial=0.0)
+    bound = _inverse_norm_bound(abs_p_inv, y, s_inv)
+    # the factors of E A^-1 E for the equilibration E = diag(eq), copied out of the
+    # solution; the temporaries go first, as each is m d^2 or d m k entries at large d
+    del abs_p_inv, cross, sol
+    p_inv = p_inv * (eq_blocks[:, :, None] * eq_blocks[:, None, :])
+    y = y * eq_p[:, None]
+    joint = JointCovariance(p_inv, y, y @ s_inv, s_inv, eq_r, start,
+                            np.asarray(free_idx, dtype=int))
+    if float(anorm) * bound <= MAX_CONDITION and block_cond <= MAX_CONDITION:
+        return joint
+    cond = max(anorm * _exact_inverse_norm(joint, eq), block_cond)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise NumericalError(f"hessian is numerically singular (condition {cond:.3e})")
-    return cov
+    return joint
 
 
 def joint_covariance(state, terms: DataTerms, model: StructuralModel, hmat: np.ndarray,
-                     hth: np.ndarray, resid: np.ndarray):
-    """Inverse of the joint Hessian with labels: marginal variances on the diagonal.
+                     hth: np.ndarray, resid: np.ndarray) -> JointCovariance:
+    """Inverse of the joint Hessian of ``state``, in factored form: ``dense()`` gives the
+    matrix, with the marginal variances on its diagonal, and ``labels()`` its rows.
 
     ``hmat``, ``hth`` and ``resid`` are the regression matrix, its H^T H and
     the residuals of ``state``; ``terms`` the dataset terms of the run.
     """
-    bands, cross, core, labels = joint_hessian(state, terms, model, hmat, hth, resid)
-    return invert_hessian(bands, cross, core, 3 * state.m + 1), labels
+    bands, cross, core, free_idx = joint_hessian(state, terms, model, hmat, hth, resid)
+    return invert_hessian(bands, cross, core, 3 * state.m + 1, free_idx)
 
 
 def cov_report(result, dataset: ModalDataset) -> list:

@@ -34,8 +34,7 @@ def fake_result(theta, sigma, fixed=(), anchor=None, mode="monitoring"):
     )
     return InferenceResult(
         mode=mode, state_map=state, theta_anchor=anchor, theta_cov=np.diag(sigma**2),
-        full_cov=None, full_cov_labels=None,
-        records=[], pruning_events=[], iterations=1, converged=True,
+        joint=None, records=[], pruning_events=[], iterations=1, converged=True,
     )
 
 

@@ -27,6 +27,7 @@ from conftest import (
     two_stage,
     two_stage_data,
 )
+from modalbayes import uncertainty
 from modalbayes.bench import (DEFAULT_HARNESS_CONFIG, NoiseSpec, comparison_calibration,
                               simulate_modal_data)
 from modalbayes.data import DataTerms, ModalDataset
@@ -907,10 +908,11 @@ class TestSweepStructure:
 class TestBandedScale:
     """The sweep works on bands and supports, for any bandwidth up to a dense K0."""
 
-    def test_calibration_sweep_allocates_no_dense_matrix(self):
-        # d = 2000: one d x d array takes 32 MB and the dense (d m, n) H 128 MB; the data
-        # are the closed-form modes of the uniform fixed-free building, so no eigensolver runs
-        d, m, q = 2000, 4, 5
+    @staticmethod
+    def closed_form_start(d, m, q=5):
+        """The shear building of d stories, data from the closed-form modes of the uniform
+        fixed-free building with 1% noise, so no eigensolver runs, and the calibration
+        state after one sweep, with the sweep's H blocks, H^T H band and residuals."""
         model = shear_building_model(ShearBuildingSpec(stories=d))
         order = 2 * np.arange(1, m + 1) - 1
         modes = np.sin(np.outer(order, np.arange(1, d + 1)) * np.pi / (2 * d + 1))
@@ -924,7 +926,12 @@ class TestBandedScale:
         anchor = np.ones(d)
         state = initialize(ds, model, anchor, config)
         terms = DataTerms.from_dataset(ds, d)
-        sweep(state, model, terms, anchor, config, 1)
+        _, products = sweep(state, model, terms, anchor, config, 1)
+        return model, terms, anchor, config, state, products
+
+    def test_calibration_sweep_allocates_no_dense_matrix(self):
+        # d = 2000: one d x d array takes 32 MB and the dense (d m, n) H 128 MB
+        model, terms, anchor, config, state, _ = self.closed_form_start(2000, 4)
         tracemalloc.start()
         try:
             sweep(state, model, terms, anchor, config, 2)
@@ -932,6 +939,21 @@ class TestBandedScale:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_joint_covariance_allocates_no_dense_matrix(self):
+        # d = 400, m = 10, all but 4 components pruned as in a monitoring run: N = 4037,
+        # so one N x N array takes 130 MB, and the factored form about 15 MB (the m
+        # d x d blocks of P^-1 and the thin (d m, k) factors)
+        model, terms, _, _, state, products = self.closed_form_start(400, 10)
+        state.alpha[4:] = 0.0
+        tracemalloc.start()
+        try:
+            joint = uncertainty.joint_covariance(state, terms, model, *products)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert joint.size == 4037
+        assert peak < joint.size ** 2 * 8
 
     def test_dense_k0_calibrate_and_monitor(self):
         # a dense K0 on the shear building makes every band full width (u = d - 1); both

@@ -1,8 +1,9 @@
 """Property tests of the identities the run relies on to form each quantity once: the
 misfit from the segment mean and spread, the ARD block's diagonal of Sigma_theta, and the
-tiled joint inverse."""
+tiled joint inverse and the bound that certifies its condition."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from conftest import band_of, dense_blocks, dense_hessian, random_symmetric, sha
 from modalbayes.data import DataTerms, ModalDataset
 from modalbayes.inference import ETA_MAX, AlgorithmConfig, initialize, update_eta
 from modalbayes.model import ShearBuildingSpec, shear_building_model
+from modalbayes import uncertainty
 from modalbayes.uncertainty import invert_hessian, theta_covariance_from, theta_variances
 
 
@@ -113,7 +115,27 @@ def hessian_cases(draw):
 @given(hessian_cases())
 def test_tiled_inverse_is_symmetric_and_matches_dense(case):
     bands, cross, core, start = case
-    cov = invert_hessian(bands, cross, core, start)
+    cov = invert_hessian(bands, cross, core, start).dense()
     np.testing.assert_array_equal(cov, cov.T)
     want = np.linalg.inv(dense_hessian(bands, cross, core, start))
     np.testing.assert_allclose(cov, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(hessian_cases())
+def test_norm_bound_is_not_below_the_exact_inverse_norm(case):
+    # ||A^-1||_1 of the equilibrated Hessian A: from a dense inverse (to its rounding,
+    # as above) and from the exact row sums of the same factors, which decide when the
+    # bound does not certify (exactly)
+    bands, cross, core, start = case
+    bounds, original = [], uncertainty._inverse_norm_bound
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(uncertainty, "_inverse_norm_bound",
+                      lambda *args: bounds.append(original(*args)) or bounds[-1])
+        joint = invert_hessian(bands, cross, core, start)
+    hess = dense_hessian(bands, cross, core, start)
+    diag = np.diag(hess)
+    eq = 1.0 / np.sqrt(diag) if np.all(diag > 0) else np.ones(diag.size)
+    dense_norm = np.abs(np.linalg.inv(hess * np.outer(eq, eq))).sum(axis=1).max()
+    assert bounds[0] >= (1.0 - 1e-12) * dense_norm
+    assert bounds[0] >= uncertainty._exact_inverse_norm(joint, eq)

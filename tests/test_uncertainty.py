@@ -1,6 +1,7 @@
 """Posterior covariance assembly against finite-difference and identity oracles."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from modalbayes.inference import AlgorithmConfig, initialize, run_calibration, u
 from modalbayes.model import StructuralModel, assemble_stiffness
 from modalbayes.uncertainty import (
     cov_report,
+    hessian_labels,
     invert_hessian,
     joint_covariance,
     joint_hessian,
@@ -102,8 +104,9 @@ class TestThetaCovariance:
 
 def assembled(state, dataset, model):
     """The dense joint Hessian of ``state`` and its labels."""
-    *blocks, labels = joint_hessian(*hessian_inputs(state, dataset, model))
-    return dense_hessian(*blocks, 3 * state.m + 1), labels
+    *blocks, free_idx = joint_hessian(*hessian_inputs(state, dataset, model))
+    return (dense_hessian(*blocks, 3 * state.m + 1),
+            hessian_labels(state.m, model.d, free_idx))
 
 
 class TestJointHessian:
@@ -235,7 +238,7 @@ NO_PHI = np.zeros((0, 1, 0))
 class TestJointCovariance:
     def test_positive_semidefinite_at_map(self, toy2_map, toy2_dataset, toy2_model):
         state = toy2_map.state_map
-        cov, _ = joint_covariance(*hessian_inputs(state, toy2_dataset, toy2_model))
+        cov = joint_covariance(*hessian_inputs(state, toy2_dataset, toy2_model)).dense()
         np.testing.assert_allclose(cov, cov.T, rtol=1e-12)
         eig = np.linalg.eigvalsh(cov)
         assert eig.min() >= -1e-10 * eig.max()
@@ -253,7 +256,7 @@ class TestJointCovariance:
         basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         hess = basis @ np.diag([3.0, -2.0, 1.5, -1.0, 2.5, -0.5]) @ basis.T
         hess = 0.5 * (hess + hess.T)
-        np.testing.assert_allclose(invert_hessian(NO_PHI, np.zeros((0, 6)), hess, 0),
+        np.testing.assert_allclose(invert_hessian(NO_PHI, np.zeros((0, 6)), hess, 0).dense(),
                                    np.linalg.inv(hess), rtol=1e-10)
 
 
@@ -338,17 +341,95 @@ class TestStructuredInverse:
         blocks_of = uncertainty.joint_hessian
 
         def singular_phi(*args):
-            bands, cross, core, labels = blocks_of(*args)
+            bands, cross, core, free_idx = blocks_of(*args)
             # the row and column of DOF 0 of the first mode block become zero
             bands[0, :, 0] = 0.0
-            return bands, cross, core, labels
+            return bands, cross, core, free_idx
 
         monkeypatch.setattr(uncertainty, "joint_hessian", singular_phi)
         _, runs = converged_runs(6, 2, "full", 1)
         for result, _ in runs:
+            assert result.joint is None
             assert result.full_cov is None and result.full_cov_labels is None
             assert any(msg.startswith("joint covariance unavailable") and "condition" in msg
                        for msg in result.state_map.diagnostics), result.state_map.diagnostics
+
+
+class TestConditionCertificate:
+    """The O(N k) bound on ||A^-1||_1 accepts only what the exact check accepts, and the
+    exact row sums, read over tile rows, decide whenever it does not certify."""
+
+    @pytest.fixture(scope="class")
+    def calibration_hessian(self):
+        # a shear10 calibration MAP: condition about 37, bound about 66
+        model, runs = converged_runs(10, 4, "full", 1)
+        result, dataset = runs[0]
+        state = result.state_map
+        bands, cross, core, free_idx = joint_hessian(*hessian_inputs(state, dataset, model))
+        start = 3 * state.m + 1
+        hess = dense_hessian(bands, cross, core, start)
+        eq = 1.0 / np.sqrt(np.diag(hess))
+        reference = invert_hessian(bands, cross, core, start, free_idx).dense()
+        anorm = np.abs(hess * np.outer(eq, eq)).sum(axis=0).max()
+        exact = anorm * np.abs(reference / np.outer(eq, eq)).sum(axis=1).max()
+        return (bands, cross, core, start, free_idx), reference, anorm, exact
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls, original = [], getattr(uncertainty, name)
+
+        def wrapper(*args):
+            calls.append(original(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(uncertainty, name, wrapper)
+        return calls
+
+    def test_exact_check_decides_between_condition_and_bound(self, calibration_hessian,
+                                                              monkeypatch):
+        blocks, reference, anorm, exact = calibration_hessian
+        bounds = self.spy(monkeypatch, "_inverse_norm_bound")
+        exact_norms = self.spy(monkeypatch, "_exact_inverse_norm")
+        invert_hessian(*blocks)
+        bound = anorm * bounds[0]
+        assert bound > 1.5 * exact and not exact_norms
+        # above the condition and below the bound: the exact check runs and accepts
+        monkeypatch.setattr(uncertainty, "MAX_CONDITION", math.sqrt(exact * bound))
+        np.testing.assert_array_equal(invert_hessian(*blocks).dense(), reference)
+        assert len(exact_norms) == 1
+        # below the condition: today's error, naming the exact condition
+        monkeypatch.setattr(uncertainty, "MAX_CONDITION", exact * (1.0 - 1e-6))
+        with pytest.raises(NumericalError) as error:
+            invert_hessian(*blocks)
+        match = re.fullmatch(r"hessian is numerically singular \(condition (\S+)\)",
+                             str(error.value))
+        assert match, str(error.value)
+        np.testing.assert_allclose(float(match.group(1)), exact, rtol=1e-3)
+
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_non_finite_bound_goes_to_exact_check(self, calibration_hessian, monkeypatch, bound):
+        # RuntimeWarnings are errors in this suite: the fallback must raise none
+        blocks, reference, _, _ = calibration_hessian
+        monkeypatch.setattr(uncertainty, "_inverse_norm_bound", lambda *args: bound)
+        exact_norms = self.spy(monkeypatch, "_exact_inverse_norm")
+        np.testing.assert_array_equal(invert_hessian(*blocks).dense(), reference)
+        assert len(exact_norms) == 1
+
+    def test_overflow_and_nan_give_a_non_finite_bound_without_warning(self):
+        abs_p_inv = np.ones((1, 2, 2))
+        assert uncertainty._inverse_norm_bound(abs_p_inv, np.full((2, 3), 1e300),
+                                               np.eye(3)) == math.inf
+        s_inv = np.eye(3)
+        s_inv[1, 2] = s_inv[2, 1] = math.nan
+        assert math.isnan(uncertainty._inverse_norm_bound(abs_p_inv, np.ones((2, 3)), s_inv))
+
+    def test_tile_rows_are_the_dense_rows(self, calibration_hessian):
+        blocks, reference, _, _ = calibration_hessian
+        joint = invert_hessian(*blocks)
+        tiles = list(joint.rows())
+        assert max(tile.shape[0] for tile in tiles) < reference.shape[0]
+        np.testing.assert_array_equal(np.concatenate(tiles), reference)
+        assert joint.labels()[-10:] == [f"theta_{j + 1}" for j in range(10)]
 
 
 class TestModeFactor:
