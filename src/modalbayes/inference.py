@@ -5,7 +5,10 @@ Two run modes share one sweep structure:
 
 * calibration -- the ARD variances are pinned at a large value, so the anchor
   term is inert and the data alone determines the stiffness parameters;
-  convergence is on the max change in theta.
+  convergence is on the max change in theta over one sweep.  The sweeps are
+  accelerated: after the first few, each starts from the type-II Anderson
+  extrapolation of the last ones (Walker & Ni 2011), unless the sweep from it
+  would raise the objective J, so J never rises over the recorded sweeps.
 * monitoring -- the ARD variances, their rate and its rate are optimized each
   sweep from the pseudo-evidence of the calibration anchor; components whose
   variance collapses below ``alpha_min`` are pruned: alpha_j = 0, its only
@@ -34,14 +37,14 @@ blocks, the H^T H band and r of the last sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lapack
 
 from . import uncertainty
 from .data import DataTerms, ModalDataset
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, ModalBayesError, NumericalError
 from .model import (StructuralModel, build_b, build_H, build_HtH, eigen_residual, h_times,
                     ht_times, mode_products, stiffness_band)
 
@@ -57,6 +60,16 @@ MONITORING_NORMALIZATION = "global"
 # Caps on the mode-shape and frequency precisions for noise-free data.
 ETA_MAX = 1e12
 RHO_MAX = 1e12
+# Anderson acceleration of the calibration sweep map: the number of differences of
+# past sweeps that an extrapolation reads at most, and the last sweep that always
+# starts where the sweep before it stopped.
+ANDERSON_DEPTH = 5
+ANDERSON_START = 3
+# A plain calibration sweep is coordinate descent, so J may rise only by rounding; at
+# the fixed point that moves J by at most 4e-16 |J| (shear10 to shear100).  A rise of
+# more than this share of |J| is flagged once, with this message.
+OBJECTIVE_RISE_RTOL = 1e-12
+OBJECTIVE_ROSE = "the objective rose in a plain calibration sweep"
 
 
 @dataclass(frozen=True)
@@ -556,10 +569,89 @@ def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, ancho
     return record, (hmat, hth, resid)
 
 
+def sweep_input(state: InferenceState, config: AlgorithmConfig) -> np.ndarray:
+    """x, all that the next calibration sweep reads of ``state``: theta, log omega2 and
+    the log of each of beta, eta and rho that ``config`` does not pin.  Phi, nu and tau
+    are derived, and a pinned precision stays out, so that it stays bitwise.  A
+    frequency that is not positive has a NaN log, which keeps its sweep out of the
+    history of ``extrapolate``."""
+    parts = [state.theta, state.omega2]
+    if not config.fixed("beta"):
+        parts.append([state.beta])
+    if not config.fixed("eta"):
+        parts.append([state.eta])
+    if not config.fixed("phi"):
+        parts.append(state.rho)
+    x = np.concatenate(parts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x[state.n:] = np.log(x[state.n:])
+    return x
+
+
+def extrapolate(state: InferenceState, history: list,
+                config: AlgorithmConfig) -> InferenceState | None:
+    """The type-II Anderson extrapolation of the calibration sweep map, as a new state
+    to sweep from, or None when it is not finite.
+
+    ``history`` holds (f, g) of the last sweeps, oldest first: g = ``sweep_input`` of
+    the sweep's output and f = g - x of its input x; ``state`` is the last output.
+    With the differences dF and dG of consecutive pairs, gamma = argmin
+    ||f_k - dF gamma|| and the start is g_k - dG gamma, unpacked as ``sweep_input``
+    packs it.  The new state shares every other field of ``state``, and copies its
+    diagnostics, so that ``state`` is still whole if the sweep from the new state is
+    discarded.
+    """
+    f, g = (np.array(column) for column in zip(*history))
+    d_f, d_g = np.diff(f, axis=0), np.diff(g, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.linalg.lstsq(d_f.T, f[-1], rcond=None)[0]
+        x = g[-1] - gamma @ d_g
+        n, m = state.n, state.m
+        theta, rest = x[:n], np.exp(x[n:])
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(rest)) and np.all(rest > 0)):
+        return None
+    new = replace(state, theta=theta, omega2=rest[:m], diagnostics=list(state.diagnostics))
+    rest = rest[m:]
+    if not config.fixed("beta"):
+        new.beta, rest = float(rest[0]), rest[1:]
+    if not config.fixed("eta"):
+        new.eta, rest = float(rest[0]), rest[1:]
+        new.nu = 1.0 / new.eta
+    if not config.fixed("phi"):
+        new.rho, new.tau = rest, 1.0 / rest
+    return new
+
+
+def _extrapolated_sweep(state: InferenceState, model: StructuralModel, terms: DataTerms,
+                        anchor: np.ndarray, config: AlgorithmConfig, index: int, bound: float):
+    """``sweep`` from an extrapolated start, or None when its J is not at most ``bound``:
+    a NaN J, and an overflow or a ``ModalBayesError`` in the sweep, count as a rise."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            outcome = sweep(state, model, terms, anchor, config, index)
+    except ModalBayesError:
+        return None
+    return outcome if outcome[0].objective <= bound else None
+
+
 def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: AlgorithmConfig,
          mode: str) -> InferenceResult:
     """Sweep from the anchor until a record's step is below the mode's tolerance or
-    ``max_iterations`` sweeps have run."""
+    ``max_iterations`` sweeps have been recorded.
+
+    Calibration accelerates the sweep map by type-II Anderson extrapolation
+    (``extrapolate``) over the last ``ANDERSON_DEPTH`` + 1 sweeps: each sweep
+    after sweep ``ANDERSON_START`` starts from the extrapolation when the
+    history holds two sweeps or more.  Such a sweep is discarded when its J is not at most the
+    last record's (a NaN, an overflow or a ``ModalBayesError`` counts as a
+    rise): the state goes back to the last sweep's output, the history is
+    cleared, the sweep runs again from there, and the next extrapolation waits
+    for a full history.  Only the sweeps kept are recorded, so J never rises
+    over the records; a record's step is the max |delta theta| of its own sweep,
+    from where that sweep started.  A plain calibration sweep that raises J by
+    more than rounding (``OBJECTIVE_RISE_RTOL``) is flagged (``OBJECTIVE_ROSE``).
+    Monitoring runs plain sweeps only: pruning makes its sweep map discontinuous.
+    """
     if config.mode != mode:
         raise ConfigurationError(f"run_{mode} requires config.mode == {mode!r}")
     anchor = np.asarray(anchor, dtype=float)
@@ -571,12 +663,36 @@ def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: Algorith
     start = objective(state, terms, resid, terms.shape_misfit(state.phi), anchor)
     records = [SweepRecord(state.theta.copy(), state.alpha.copy(), start, (), math.inf)]
     tol = config.tol_log_alpha if mode == MONITORING else config.tol_theta
+    calibration = mode == CALIBRATION
+    history = []  # (f, g) of the sweeps since the start or the last discard, oldest first
+    needed = 2  # the pairs the next extrapolation needs: a full history after a discard
     for index in range(1, config.max_iterations + 1):
-        record, (hmat, hth, resid) = sweep(state, model, terms, anchor, config, index)
+        last_j = records[-1].objective
+        outcome = None
+        if len(history) >= needed:
+            guess = extrapolate(state, history, config)
+            if guess is not None:
+                x = sweep_input(guess, config)
+                outcome = _extrapolated_sweep(guess, model, terms, anchor, config, index, last_j)
+            if outcome is None:  # discarded: the sweep runs again from the last output
+                history, needed = [], ANDERSON_DEPTH + 1
+            else:
+                state = guess
+        if outcome is None:
+            x = sweep_input(state, config) if calibration else None
+            outcome = sweep(state, model, terms, anchor, config, index)
+            if calibration and outcome[0].objective - last_j > OBJECTIVE_RISE_RTOL * abs(last_j):
+                state.flag(OBJECTIVE_ROSE)
+        record, (hmat, hth, resid) = outcome
         records.append(record)
         converged = record.step < tol
         if converged:
             break
+        # the first extrapolation reads two sweeps, so the history starts a sweep early
+        if calibration and index >= ANDERSON_START - 1:
+            g = sweep_input(state, config)
+            f = g - x
+            history = [*history[-ANDERSON_DEPTH:], (f, g)] if np.all(np.isfinite(f)) else []
 
     theta_cov = uncertainty.theta_covariance_from(state.beta, hth, state.alpha)
 

@@ -17,11 +17,13 @@ complement of the other k rows is inverted as a general (possibly
 indefinite) matrix.
 
 The inverse is kept in that factored form (``JointCovariance``): the
-d x d inverses of the mode blocks, the thin (dm, k) factors Y = P^-1 B and
-Z = Y S^-1, the k x k S^-1 and the equilibration of the other rows.  A run
-holds only these, O(m d^2 + N k); the N x N matrix is built when it is
-asked for (``JointCovariance.dense``) or streamed a tile row at a time
-(``JointCovariance.rows``, which the joint CSV is written from).  The
+d x d inverses of the mode blocks, the thin (dm, k) factor Y = P^-1 B, the
+k x k S^-1 and the equilibration of the other rows.  A run holds only these,
+O(m d^2 + N k); the N x N matrix is built when it is asked for
+(``JointCovariance.dense``) or streamed a tile row at a time
+(``JointCovariance.rows``, which the joint CSV is written from), each from
+Z = Y S^-1, formed once per call, and each d x d tile of the Phi block by
+one product of Z and Y.  The
 covariance is reported only when the exact 1-norm condition numbers of the
 equilibrated Hessian and of each equilibrated mode block are at most
 ``MAX_CONDITION``.  The Hessian's is certified without its inverse: with
@@ -264,19 +266,19 @@ class JointCovariance:
     With the Phi rows at ``start`` .. ``stop`` = ``start`` + m d and the other k
     rows around them, the covariance is
 
-        [[P^-1 + Z Y^T, -Z E_r], [-E_r Z^T, E_r S^-1 E_r]],
+        [[P^-1 + Z Y^T, -Z E_r], [-E_r Z^T, E_r S^-1 E_r]],  Z = Y S^-1,
 
     where ``p_inv`` holds the m diagonal blocks of P^-1 (m, d, d) and ``y``
     Y = P^-1 B (m d, k), both with the equilibration of the Phi rows undone,
-    ``z`` Z = Y S^-1 (m d, k), ``s_inv`` the inverse S^-1 (k, k) of the
-    equilibrated Schur complement, exactly symmetric, and ``eq_rest`` the
-    diagonal of E_r, the equilibration of the other rows (k,).  ``free_idx``
-    lists the free theta components, which name the last rows (``labels``).
+    ``s_inv`` the inverse S^-1 (k, k) of the equilibrated Schur complement,
+    exactly symmetric, and ``eq_rest`` the diagonal of E_r, the equilibration of
+    the other rows (k,).  Z is not kept: ``dense`` and ``rows`` form it once per
+    call.  ``free_idx`` lists the free theta components, which name the last
+    rows (``labels``).
     """
 
     p_inv: np.ndarray
     y: np.ndarray
-    z: np.ndarray
     s_inv: np.ndarray
     eq_rest: np.ndarray
     start: int
@@ -292,38 +294,40 @@ class JointCovariance:
         m, d, _ = self.p_inv.shape
         return hessian_labels(m, d, self.free_idx)
 
-    def _tile_row(self, i: int) -> np.ndarray:
-        """The tiles of mode i's rows on and right of the diagonal of the Phi block: one
-        d x k x (m - i) d product, with P_i^-1 added to the diagonal tile, symmetrized."""
+    def _tile(self, z: np.ndarray, i: int, j: int) -> np.ndarray:
+        """Tile (i, j), i <= j, of the Phi block: Z_i Y_j^T, one d x k x d product, with
+        P_i^-1 added to a diagonal tile, which is then symmetrized."""
         d = self.p_inv.shape[1]
-        tile_row = self.z[i * d:(i + 1) * d] @ self.y[i * d:].T
-        diag_tile = tile_row[:, :d] + self.p_inv[i]
-        tile_row[:, :d] = 0.5 * (diag_tile + diag_tile.T)
-        return tile_row
+        tile = z[i * d:(i + 1) * d] @ self.y[j * d:(j + 1) * d].T
+        if i == j:
+            tile += self.p_inv[i]
+            tile = 0.5 * (tile + tile.T)
+        return tile
 
-    def _outer_blocks(self):
+    def _outer_blocks(self, z: np.ndarray):
         """The Phi rows -Z E_r of the other columns, and the block E_r S^-1 E_r."""
-        return self.z * -self.eq_rest, self.s_inv * np.outer(self.eq_rest, self.eq_rest)
+        return z * -self.eq_rest, self.s_inv * np.outer(self.eq_rest, self.eq_rest)
 
     def dense(self) -> np.ndarray:
         """The N x N covariance, built anew on each call.
 
-        The Phi block is formed one tile row at a time, in mode order
-        (``_tile_row``), and the tiles below the diagonal are written as the
-        transposes of those above it, so the product is half the full one
-        and the result is exactly symmetric.
+        Each tile on and above the diagonal of the Phi block is one product
+        (``_tile``), and the tile below the diagonal is its transpose, so the
+        product is half the full one and the result is exactly symmetric.
         """
         m, d, _ = self.p_inv.shape
         start, size = self.start, self.size
         stop = start + m * d
         rest = np.r_[0:start, stop:size]
+        z = self.y @ self.s_inv
         cov = np.empty((size, size))
         for i in range(m):
             rows = slice(start + i * d, start + (i + 1) * d)
-            tile_row = self._tile_row(i)
-            cov[rows, rows.start:stop] = tile_row
-            cov[rows.stop:stop, rows] = tile_row[:, d:].T
-        cross, core = self._outer_blocks()
+            for j in range(i, m):
+                cols = slice(start + j * d, start + (j + 1) * d)
+                cov[rows, cols] = tile = self._tile(z, i, j)
+                cov[cols, rows] = tile.T
+        cross, core = self._outer_blocks(z)
         cov[start:stop, rest] = cross
         cov[rest, start:stop] = cross.T
         cov[np.ix_(rest, rest)] = core
@@ -333,20 +337,20 @@ class JointCovariance:
         """The rows of ``dense``, bitwise, in order, as blocks: the other rows before the
         Phi rows, a tile row of d rows per mode, and the other rows after them.
 
-        Only one tile row is held at a time.  The tiles left of the diagonal of
-        mode i's rows are cut from the products of the tile rows above
-        (``_tile_row``), each formed again by the same product as in ``dense``.
+        Only one tile row is held at a time.  Each of its tiles is formed once,
+        by the product ``dense`` forms it by: the tiles left of the diagonal as
+        the transposes of the tiles above it (``_tile``).
         """
         m, d, _ = self.p_inv.shape
         start = self.start
-        cross, core = self._outer_blocks()
+        z = self.y @ self.s_inv
+        cross, core = self._outer_blocks(z)
         yield np.concatenate([core[:start, :start], cross[:, :start].T, core[:start, start:]],
                              axis=1)
         for i in range(m):
             rows = slice(i * d, (i + 1) * d)
-            left = [self._tile_row(j)[:, (i - j) * d:(i - j + 1) * d].T for j in range(i)]
-            yield np.concatenate([cross[rows, :start], *left, self._tile_row(i),
-                                  cross[rows, start:]], axis=1)
+            tiles = [self._tile(z, j, i).T if j < i else self._tile(z, i, j) for j in range(m)]
+            yield np.concatenate([cross[rows, :start], *tiles, cross[rows, start:]], axis=1)
         yield np.concatenate([core[start:, :start], cross[:, start:].T, core[start:, start:]],
                              axis=1)
 
@@ -473,8 +477,7 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
     del abs_p_inv, cross, sol
     p_inv = p_inv * (eq_blocks[:, :, None] * eq_blocks[:, None, :])
     y = y * eq_p[:, None]
-    joint = JointCovariance(p_inv, y, y @ s_inv, s_inv, eq_r, start,
-                            np.asarray(free_idx, dtype=int))
+    joint = JointCovariance(p_inv, y, s_inv, eq_r, start, np.asarray(free_idx, dtype=int))
     if float(anorm) * bound <= MAX_CONDITION and block_cond <= MAX_CONDITION:
         return joint
     cond = max(anorm * _exact_inverse_norm(joint, eq), block_cond)

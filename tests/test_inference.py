@@ -1,6 +1,7 @@
 """Coordinate updates against closed-form, fixed-point and FD oracles."""
 
 import copy
+import dataclasses
 import math
 import re
 import sys
@@ -28,17 +29,23 @@ from conftest import (
     two_stage_data,
 )
 from modalbayes import uncertainty
-from modalbayes.bench import (DEFAULT_HARNESS_CONFIG, NoiseSpec, comparison_calibration,
-                              simulate_modal_data)
+from modalbayes import inference
+from modalbayes.bench import (BENCHMARK_UNIT_SCALE, DEFAULT_HARNESS_CONFIG, NoiseSpec,
+                              comparison_calibration, harness_theta_init, simulate_modal_data)
 from modalbayes.data import DataTerms, ModalDataset
 from modalbayes.errors import ConfigurationError, NumericalError
 from modalbayes.inference import (
+    ANDERSON_DEPTH,
+    ANDERSON_START,
+    OBJECTIVE_ROSE,
     AlgorithmConfig,
+    extrapolate,
     initialize,
     objective,
     run_calibration,
     run_monitoring,
     sweep,
+    sweep_input,
     update_alpha,
     update_beta,
     update_eta,
@@ -762,6 +769,42 @@ class TestRunMonitoring:
             assert all(record.alpha[j] == 0.0 for record in result.records[sweep:])
 
 
+def far_start_calibration(stories: int, m: int, fix_hypers=None, tol_theta=1e-3, seed=1):
+    """A shear building in benchmark units, a q = 50 calibration dataset of the intact
+    building, a start drawn from the harness interval [2, 3] and the calibration settings."""
+    model = shear_building_model(ShearBuildingSpec(stories=stories),
+                                 unit_scale=BENCHMARK_UNIT_SCALE)
+    dataset = simulate_modal_data(model, np.ones(model.n), m, 50, np.arange(model.d),
+                                  NoiseSpec(seed=seed))
+    theta0 = harness_theta_init(model.n, DEFAULT_HARNESS_CONFIG["theta_init_interval"], seed)
+    config = AlgorithmConfig(mode="calibration", fix_hypers=fix_hypers, tol_theta=tol_theta)
+    return model, dataset, theta0, config
+
+
+def plain_sweeps(model, dataset, theta0, config) -> list:
+    """The records of plain ``sweep`` calls from ``initialize``, to the stop rule."""
+    state = initialize(dataset, model, theta0, config)
+    terms = DataTerms.from_dataset(dataset, model.d)
+    records = []
+    for index in range(1, config.max_iterations + 1):
+        record, _ = sweep(state, model, terms, np.asarray(theta0, dtype=float), config, index)
+        records.append(record)
+        if record.step < config.tol_theta:
+            return records
+    raise AssertionError("plain sweeps did not converge")
+
+
+def extrapolated_sweeps(result) -> int:
+    """The recorded sweeps that started from an extrapolation: a plain sweep starts at
+    the last record's theta, so its step is the change of theta between the records."""
+    records = result.records
+    return sum(after.step != np.max(np.abs(after.theta - before.theta))
+               for before, after in zip(records[1:], records[2:]))
+
+
+PINNED = {"eta": DEFAULT_HARNESS_CONFIG["fixed_eta"], "phi": DEFAULT_HARNESS_CONFIG["fixed_phi"]}
+
+
 class TestSweepKernel:
     """``sweep`` is the whole iteration: driven by hand from ``initialize`` it gives the
     records of a run bitwise, and each record's step is the one the stop rule reads."""
@@ -800,6 +843,45 @@ class TestSweepKernel:
                 theirs.objective, theirs.pruned, theirs.step)
         assert np.array_equal(state.theta, result.theta_map)
 
+    def test_hand_driven_accelerator_reproduces_the_run(self):
+        # free hyper-parameters from a far start: extrapolations are kept and discarded
+        model, dataset, theta0, config = far_start_calibration(30, 6)
+        result = run_calibration(dataset, model, theta0, config)
+        state = initialize(dataset, model, theta0, config)
+        terms = DataTerms.from_dataset(dataset, model.d)
+        records, history, needed, kept, discarded = result.records[:1], [], 2, 0, 0
+        for index in range(1, config.max_iterations + 1):
+            record = None
+            if len(history) >= needed:
+                guess = extrapolate(state, history, config)
+                if guess is not None:
+                    x = sweep_input(guess, config)
+                    trial, _ = sweep(guess, model, terms, theta0, config, index)
+                    if trial.objective <= records[-1].objective:
+                        state, record, kept = guess, trial, kept + 1
+                if record is None:
+                    history, needed, discarded = [], ANDERSON_DEPTH + 1, discarded + 1
+            if record is None:
+                x = sweep_input(state, config)
+                record, _ = sweep(state, model, terms, theta0, config, index)
+            records.append(record)
+            if record.step < config.tol_theta:
+                break
+            if index >= ANDERSON_START - 1:
+                g = sweep_input(state, config)
+                history = [*history[-ANDERSON_DEPTH:], (g - x, g)]
+        assert kept and discarded and extrapolated_sweeps(result) == kept
+        assert result.converged and len(records) == len(result.records)
+        for mine, theirs in zip(records, result.records, strict=True):
+            assert np.array_equal(mine.theta, theirs.theta)
+            assert np.array_equal(mine.alpha, theirs.alpha)
+            assert (mine.objective, mine.pruned, mine.step) == (
+                theirs.objective, theirs.pruned, theirs.step)
+        assert np.array_equal(state.theta, result.theta_map)
+        assert state.beta == result.state_map.beta and state.eta == result.state_map.eta
+        assert np.array_equal(state.rho, result.state_map.rho)
+
+
     def test_calibration_step_is_max_theta_change(self, shear10_runs):
         records = shear10_runs[1][1].records
         assert records[0].step == math.inf
@@ -823,6 +905,103 @@ class TestSweepKernel:
         pruned = {j for r in records for j in r.pruned}
         assert pruned == {0, 1}
         assert result.pruning_events == [(k, j) for k, r in enumerate(records) for j in r.pruned]
+
+
+class TestAcceleratedCalibration:
+    """Calibration sweeps start from the Anderson extrapolation of the last ones unless
+    the sweep from it would raise J: J never rises over the records, the run reaches
+    the fixed point of the plain sweeps, and a pinned precision stays pinned."""
+
+    @pytest.mark.parametrize("fixed", [None, PINNED], ids=["free", "pinned"])
+    @pytest.mark.parametrize("stories,m", [(10, 4), (30, 6), (100, 10)])
+    def test_objective_never_rises_over_the_records(self, stories, m, fixed):
+        model, dataset, theta0, config = far_start_calibration(stories, m, fixed)
+        result = run_calibration(dataset, model, theta0, config)
+        objectives = [record.objective for record in result.records]
+        assert result.converged and extrapolated_sweeps(result) > 0
+        assert all(after <= before for before, after in zip(objectives, objectives[1:]))
+        assert OBJECTIVE_ROSE not in result.state_map.diagnostics
+
+    @pytest.mark.parametrize("fixed", [None, PINNED], ids=["free", "pinned"])
+    def test_tight_run_reaches_the_plain_fixed_point(self, fixed):
+        model, dataset, theta0, config = far_start_calibration(30, 6, fixed, tol_theta=1e-10)
+        theta_star = plain_sweeps(model, dataset, theta0, config)[-1].theta
+        result = run_calibration(dataset, model, theta0,
+                                 dataclasses.replace(config, tol_theta=1e-8))
+        assert result.converged and extrapolated_sweeps(result) > 0
+        assert np.max(np.abs(result.theta_map - theta_star)) < 1e-5
+
+    @pytest.mark.parametrize("fixed", [{"beta": 20.0}, {"eta": 1e5}, {"phi": 1e4}],
+                             ids=["beta", "eta", "phi"])
+    def test_pinned_precision_stays_bitwise(self, fixed):
+        model, dataset, theta0, config = far_start_calibration(30, 6, fixed, seed=3)
+        start = initialize(dataset, model, theta0, config)
+        result = run_calibration(dataset, model, theta0, config)
+        assert extrapolated_sweeps(result) > 0
+        end = result.state_map
+        name = next(iter(fixed))
+        if name == "phi":
+            assert np.array_equal(end.rho, start.rho) and np.array_equal(end.tau, start.tau)
+        else:
+            assert getattr(end, name) == fixed[name]
+        if name == "eta":
+            assert end.nu == start.nu
+
+    def test_extrapolation_past_the_float_range_is_none(self):
+        model, dataset, theta0, config = far_start_calibration(10, 4)
+        state = initialize(dataset, model, theta0, config)
+        g = sweep_input(state, config)
+        far = g.copy()
+        far[model.n + 4] = 800.0  # log beta: exp overflows
+        history = [(np.full_like(g, 1e-3), far), (np.full_like(g, 2e-3), far)]
+        assert extrapolate(state, history, config) is None
+
+    @pytest.mark.parametrize("spoil", ["not finite", "beta overflows", "sweep fails",
+                                       "theta far"])
+    def test_spoiled_extrapolations_give_the_plain_run(self, monkeypatch, spoil):
+        model, dataset, theta0, config = far_start_calibration(30, 6, PINNED)
+        plain = plain_sweeps(model, dataset, theta0, config)
+        real = inference.extrapolate
+        calls = []
+
+        def spoiled(state, history, config):
+            guess = real(state, history, config)
+            calls.append(guess)
+            if spoil == "not finite":
+                return None
+            if spoil == "beta overflows":
+                guess.beta = 1e308
+            elif spoil == "sweep fails":  # a mode-shape system that is not positive definite
+                guess.eta = -guess.eta
+            else:
+                guess.theta = guess.theta * 50.0
+            return guess
+
+        monkeypatch.setattr(inference, "extrapolate", spoiled)
+        result = run_calibration(dataset, model, theta0, config)
+        assert len(calls) > 1
+        assert len(result.records) == len(plain) + 1
+        for mine, theirs in zip(result.records[1:], plain, strict=True):
+            assert np.array_equal(mine.theta, theirs.theta)
+            assert (mine.objective, mine.step) == (theirs.objective, theirs.step)
+        assert extrapolated_sweeps(result) == 0
+        assert result.state_map.diagnostics == []
+
+    def test_rising_objective_is_flagged_once_in_calibration_only(self, monkeypatch):
+        real = inference.objective
+        calls = []
+
+        def rising(*args):
+            calls.append(None)
+            return real(*args) + 1e3 * len(calls)
+
+        monkeypatch.setattr(inference, "objective", rising)
+        model, dataset, theta0, config = far_start_calibration(10, 4, PINNED)
+        result = run_calibration(dataset, model, theta0, config)
+        assert result.state_map.diagnostics.count(OBJECTIVE_ROSE) == 1
+        monitor = run_monitoring(dataset, model, result.theta_map,
+                                 AlgorithmConfig(mode="monitoring"))
+        assert OBJECTIVE_ROSE not in monitor.state_map.diagnostics
 
 
 class TestSweepStructure:

@@ -423,6 +423,25 @@ class TestConditionCertificate:
         s_inv[1, 2] = s_inv[2, 1] = math.nan
         assert math.isnan(uncertainty._inverse_norm_bound(abs_p_inv, np.ones((2, 3)), s_inv))
 
+    def test_each_tile_is_one_product(self, calibration_hessian, monkeypatch):
+        joint = invert_hessian(*calibration_hessian[0])
+        m = joint.p_inv.shape[0]
+        upper = [(i, j) for i in range(m) for j in range(i, m)]
+        formed, original = [], uncertainty.JointCovariance._tile
+
+        def counted(self, z, i, j):
+            formed.append((i, j))
+            return original(self, z, i, j)
+
+        monkeypatch.setattr(uncertainty.JointCovariance, "_tile", counted)
+        joint.dense()
+        assert formed == upper
+        formed.clear()
+        list(joint.rows())
+        # one product per tile of the m x m tile rows: a tile below the diagonal is the
+        # transpose of the one above it
+        assert len(formed) == m * m and set(formed) == set(upper)
+
     def test_tile_rows_are_the_dense_rows(self, calibration_hessian):
         blocks, reference, _, _ = calibration_hessian
         joint = invert_hessian(*blocks)
