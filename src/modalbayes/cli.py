@@ -29,6 +29,8 @@ from .bench import (
     simulate_modal_data,
 )
 from .damage import (
+    DEFAULT_F_MAX,
+    DEFAULT_F_STEP,
     build_report,
     default_f_grid,
     save_report,
@@ -298,8 +300,9 @@ def cmd_report(args) -> int:
     if not np.array_equal(monitor.theta_anchor, calib.theta_map):
         raise ConfigurationError(
             f"{args.monitoring} is not anchored at the MAP of {args.calibration}")
-    f_grid = default_f_grid(**_given(args, "f_max", "f_step"))
-    report = build_report(calib, monitor, f_grid, **_given(args, "variance_pairing"))
+    grid = {"f_max": DEFAULT_F_MAX, "f_step": DEFAULT_F_STEP, **_given(args, "f_max", "f_step")}
+    report = build_report(calib, monitor, default_f_grid(**grid),
+                          **_given(args, "variance_pairing"))
     ratios_path = out / "report_ratios.csv"
     prob_path = out / "report_probability.csv"
     alarms_path = out / "report_alarms.json"
@@ -313,7 +316,7 @@ def cmd_report(args) -> int:
     }
     write_json(alarms_path, alarms_payload)
     settings = {
-        "fmax": float(f_grid[-1]), "fstep": float(f_grid[1] - f_grid[0]) if f_grid.size > 1 else 0.0,
+        "fmax": float(grid["f_max"]), "fstep": float(grid["f_step"]),
         "variance_pairing": report.variance_pairing,
     }
     io.write_manifest(

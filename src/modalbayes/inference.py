@@ -46,7 +46,7 @@ from . import uncertainty
 from .data import DataTerms, ModalDataset
 from .errors import ConfigurationError, ModalBayesError, NumericalError
 from .model import (StructuralModel, build_b, build_H, build_HtH, eigen_residual, h_times,
-                    ht_times, mode_products, stiffness_band)
+                    ht_times, mode_products, operator_bands, stiffness_band)
 
 CALIBRATION = "calibration"
 MONITORING = "monitoring"
@@ -84,7 +84,7 @@ class AlgorithmConfig:
     ``lambda_fixed=0.0``: the exponential hyper-prior on the precisions.
     ``init_scale`` multiplies the closed-form initial values of
     ``beta``/``eta``/``phi`` for robustness sweeps over starting points.
-    Every float setting must be finite.
+    Every float setting must be finite, and both counts integers.
 
     Only monitoring reads the pruning settings.  At 1% modal noise with q = 10
     the ARD variances of unchanged stories settle in the 1e-6..4e-5 band, while
@@ -123,6 +123,10 @@ class AlgorithmConfig:
         for name, value in floats.items():
             if value is not None and not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
+        for name in ("max_iterations", "min_sweeps_before_pruning"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.kappa < 0:
             raise ConfigurationError("kappa must be nonnegative")
         if self.kappa > 0 and self.lambda_fixed != 0.0:
@@ -327,13 +331,14 @@ def update_mode_shapes(state: InferenceState, terms: DataTerms,
     with the mask and Gamma^T Psi_hat read from the run's ``terms``.  Each is
     symmetric positive definite and banded, and is the Phi block of the joint
     Hessian: ``uncertainty.mode_shape_bands`` builds the (m, u + 1, d) stack of
-    bands for both, and ``uncertainty.factor_mode_bands`` factors all m of them
-    at once, as the block-diagonal banded system they form, which one LAPACK
-    ``dpbtrs`` call solves.  A system that is not positive definite (an
+    bands for both from the stack of A_i (``model.operator_bands``), and
+    ``uncertainty.factor_mode_bands`` factors all m of them at once, as the
+    block-diagonal banded system they form, which one LAPACK ``dpbtrs`` call
+    solves.  A system that is not positive definite (an
     unobserved DOF with beta = 0, say) is that factor's ``NumericalError``.
     """
-    bands = uncertainty.mode_shape_bands(state, terms, model,
-                                         stiffness_band(model, state.theta))
+    ops = operator_bands(model, stiffness_band(model, state.theta), state.omega2)
+    bands = uncertainty.mode_shape_bands(state, terms, model, ops)
     phi, _ = lapack.dpbtrs(uncertainty.factor_mode_bands(bands),
                            state.eta * terms.gamma_t_psi.reshape(-1), lower=1)
     return phi
@@ -505,15 +510,15 @@ def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, ancho
 
     Formed once per sweep, every one in band or support form, so a sweep of a
     banded model costs O(d) and no d x d, (m, d, d) or (d m, n) array is formed:
-    the mode-shape update assembles the band of K(theta) once, forms the bands of
-    K^2, K M + M K and M^2 from it by band products, and solves the bands of every
-    mode's positive definite system, built in one expression, by one banded
-    Cholesky call.  Right after it come four quantities of the new mode shapes:
-    the misfit ||Psi_hat - Gamma Phi||^2 = S0 + q ||psi_bar - Gamma_0 Phi||^2, read
-    by the eta update and the objective; the (m, n, s) blocks of H and the band of
-    H^T H, read by the theta update (a banded Cholesky solve) and the ARD block;
-    and the banded products M Phi_i and K0 Phi_i, read by the frequency update and
-    b.  Later blocks read K(theta) Phi_i = K0 Phi_i + (H theta)_i, a scatter-add
+    the mode-shape update assembles the band of K(theta) once, forms the band of
+    every mode's operator A_i = K(theta) - omega2_i M from it, squares each by one
+    band product into the band of that mode's positive definite system, and
+    solves them all by one banded Cholesky call.  Right after it come four
+    quantities of the new mode shapes: the misfit ||Psi_hat - Gamma Phi||^2 =
+    S0 + q ||psi_bar - Gamma_0 Phi||^2, read by the eta update and the objective;
+    the (m, n, s) blocks of H and the band of H^T H, read by the theta update (a
+    banded Cholesky solve) and the ARD block; and the banded products M Phi_i and
+    K0 Phi_i, read by the frequency update and b.  Later blocks read K(theta) Phi_i = K0 Phi_i + (H theta)_i, a scatter-add
     of the H blocks, instead of assembling K(theta) again.  b, built once after
     the frequency update, feeds the theta update and r = H theta - b.  r is formed
     after the theta update, read by the beta update and the objective, and formed

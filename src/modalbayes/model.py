@@ -14,12 +14,14 @@ their lower band in LAPACK band storage: row r of a (w, d) band holds the
 diagonal r below the main one, entry (j + r, j) in column j, and its last r
 positions, past the last row, are zero.  The model keeps M and K0 as bands;
 ``stiffness_band`` writes the band of K(theta) from them and the supports, and
-``band_matvec`` multiplies by any such band.  The operators that act on one
-mode at a time, A_i = K(theta) - omega2_i M, are never formed: the mode-shape
-update and the joint Hessian read only the band of each A_i A_i, combined
-from the bands of K^2, K M + M K and M^2 (``operator_square_bands``), each a
-product of two bands in O(d b^2).  The half-bandwidth u of that band
-is fixed by the model: twice the widest coupling of M, K0 and the supports.
+``band_matvec`` multiplies by any such band, or by a stack of them.  The
+operators of the modes, A_i = K(theta) - omega2_i M, are one (m, b + 1, d)
+stack of bands (``operator_bands``), b the wider half-bandwidth of K and M.
+The mode-shape update and the joint Hessian each form it once and read the
+band of every A_i A_i from it, one band product per mode in O(d b^2)
+(``band_square``); the joint Hessian also multiplies by it.  The
+half-bandwidth u of every A_i A_i is fixed by the model: twice the widest
+coupling of M, K0 and the supports.
 
 Each substructure stiffens only a few DOFs, so Ksub_j is stored as its DOF
 support and the small dense block on it, never as a d x d matrix.  The
@@ -119,48 +121,48 @@ def band_to_dense(band: np.ndarray, symmetric: bool = True) -> np.ndarray:
 
 def band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
     """X v along the last axis of ``v`` (..., d), for the symmetric matrix X whose lower
-    band is ``band`` (w, d): one product per stored diagonal and its mirror."""
-    out = band[0] * v
-    for r in range(1, band.shape[0]):
-        lower = band[r, :-r]
+    band is ``band`` (..., w, d), the leading axes broadcast against those of ``v``:
+    one product per stored diagonal and its mirror."""
+    out = band[..., 0, :] * v
+    for r in range(1, band.shape[-2]):
+        lower = band[..., r, :-r]
         out[..., r:] += lower * v[..., :-r]
         out[..., :-r] += lower * v[..., r:]
     return out
 
 
 def _full_diagonals(band: np.ndarray, pad: int) -> np.ndarray:
-    """(2 b + 1, d + 2 pad) array whose entry (b + o, pad + k) is X[k + o, k], for the
-    symmetric X with lower band ``band`` (b + 1, d) and every offset -b <= o <= b:
-    every diagonal of X, aligned by column and zero outside X."""
-    width, d = band.shape
+    """(..., 2 b + 1, d + 2 pad) array whose entry (b + o, pad + k) is X[k + o, k], for
+    each symmetric X of the stack of lower bands ``band`` (..., b + 1, d) and every offset
+    -b <= o <= b: every diagonal of X, aligned by column and zero outside X."""
+    *stack, width, d = band.shape
     b = width - 1
-    out = np.zeros((2 * b + 1, d + 2 * pad))
-    out[b:, pad:pad + d] = band
+    out = np.zeros((*stack, 2 * b + 1, d + 2 * pad))
+    out[..., b:, pad:pad + d] = band
     for r in range(1, width):
         # X[k - r, k] = X[k, k - r], band entry (r, k - r)
-        out[b - r, pad + r:pad + d] = band[r, :d - r]
+        out[..., b - r, pad + r:pad + d] = band[..., r, :d - r]
     return out
 
 
-def _band_product(a_full: np.ndarray, b_full: np.ndarray, rows: int) -> np.ndarray:
-    """The lower band (rows, d) of A B, in O(d b_a b_b) operations, for the symmetric A
-    and B whose diagonals ``a_full`` and ``b_full`` hold (``_full_diagonals``, both
-    padded by rows - 1 columns, at least the half-bandwidth of each).
+def band_square(band: np.ndarray, rows: int) -> np.ndarray:
+    """The lower band (..., rows, d) of X X, in O(d b^2) operations, for each symmetric X
+    of the stack of lower bands ``band`` (..., b + 1, d), rows - 1 at least b.
 
-    Entry (j + r, j) of A B sums A[j + r, j + t] B[j + t, j] over the 2 b_b + 1
-    diagonals t of B.  The loop runs over those diagonals; each step adds one
-    diagonal of B, times the matching diagonals of A, to every output row at once.
-    Entries past the last row come out zero, because A has no rows there.
+    Entry (j + r, j) of X X sums X[j + r, j + t] X[j + t, j] over the 2 b + 1
+    diagonals t of X.  The loop runs over those diagonals; each step adds one
+    diagonal of X, times the matching diagonals of X, to every output row at once.
+    Entries past the last row come out zero, because X has no rows there.
     """
-    ba, bb, pad = a_full.shape[0] // 2, b_full.shape[0] // 2, rows - 1
-    d = a_full.shape[1] - 2 * pad
-    out = np.zeros((rows, d))
-    for t in range(-bb, bb + 1):
-        lo, hi = max(0, t - ba), min(rows - 1, t + ba)
-        if lo <= hi:
-            # A[j + r, j + t] is diagonal r - t of A at column j + t
-            out[lo:hi + 1] += (a_full[ba + lo - t:ba + hi + 1 - t, pad + t:pad + t + d]
-                               * b_full[bb + t, pad:pad + d])
+    b, d = band.shape[-2] - 1, band.shape[-1]
+    # padded by b columns on each side, so column j + t exists for every t
+    full = _full_diagonals(band, b)
+    out = np.zeros((*band.shape[:-2], rows, d))
+    for t in range(-b, b + 1):
+        # X[j + r, j + t] is diagonal r - t of X at column j + t, zero once r - t > b
+        top = min(rows, t + b + 1)
+        out[..., :top, :] += (full[..., b - t:b - t + top, b + t:b + t + d]
+                              * full[..., b + t, None, b:b + d])
     return out
 
 
@@ -190,6 +192,10 @@ class StructuralModel:
     ----------
     mass_band : (b + 1, d) array
         The lower band of M, b its half-bandwidth, in this module's band storage.
+    operator_bandwidth : int
+        Half-bandwidth u of every A_i A_i (A_i = K(theta) - omega2_i M), at most
+        d - 1: u = 2 b for the largest half-bandwidth b of M, K0 and the
+        substructure supports, 2 for a shear building and d - 1 for a dense K0.
     """
 
     mass: np.ndarray
@@ -197,10 +203,9 @@ class StructuralModel:
     support: np.ndarray
     blocks: np.ndarray
     mass_band: np.ndarray = field(init=False, repr=False, compare=False)
-    # lower band of K0, and the diagonals of M and the lower band of M^2 (operator_square_bands)
+    operator_bandwidth: int = field(init=False, repr=False, compare=False)
+    # lower band of K0
     _k0_band: np.ndarray = field(init=False, repr=False, compare=False)
-    _mass_diagonals: np.ndarray = field(init=False, repr=False, compare=False)
-    _mass_sq_band: np.ndarray = field(init=False, repr=False, compare=False)
     # the half-bandwidth of K, and the lower entries of the blocks: flat position in
     # the K band, owner j and value
     _k_width: int = field(init=False, repr=False, compare=False)
@@ -255,8 +260,6 @@ class StructuralModel:
         # A_i A_i inside twice the widest of those and M's
         k0_width = _half_bandwidth(k0)
         k_width = max(k0_width, int(np.max(support.max(axis=1) - support.min(axis=1))))
-        rows = min(2 * max(k_width, mass_width), d - 1) + 1
-        mass_diagonals = _full_diagonals(mass_band, rows - 1)
         # K: entry (S_j[a], S_j[b]) with S_j[a] >= S_j[b] of K's band receives theta_j B_j[a, b]
         below = support[:, :, None] - support[:, None, :]
         owner, place_a, place_b = np.nonzero(below >= 0)
@@ -279,8 +282,6 @@ class StructuralModel:
         for name, value in (("mass", mass.copy()), ("k0", k0), ("support", support),
                             ("blocks", blocks), ("mass_band", mass_band),
                             ("_k0_band", _lower_band(k0, k0_width)),
-                            ("_mass_diagonals", mass_diagonals),
-                            ("_mass_sq_band", _band_product(mass_diagonals, mass_diagonals, rows)),
                             ("_k_index", k_index), ("_k_owner", owner),
                             ("_k_values", blocks[owner, place_a, place_b]),
                             ("_gram_left", js[p] * s + places[p]),
@@ -290,6 +291,7 @@ class StructuralModel:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_gram_width", int(np.max(gap, initial=0)))
         object.__setattr__(self, "_k_width", k_width)
+        object.__setattr__(self, "operator_bandwidth", min(2 * max(k_width, mass_width), d - 1))
 
     @classmethod
     def from_dense(cls, mass, k0, ksub) -> "StructuralModel":
@@ -319,15 +321,6 @@ class StructuralModel:
     @property
     def n(self) -> int:
         return self.support.shape[0]
-
-    @property
-    def operator_bandwidth(self) -> int:
-        """Half-bandwidth u of every A_i A_i (A_i = K(theta) - omega2_i M), at most d - 1.
-
-        u = 2 b for the largest half-bandwidth b of M, K0 and the substructure
-        supports: 2 for a shear building, d - 1 for a dense K0.
-        """
-        return self._mass_sq_band.shape[0] - 1
 
     def substructure(self, j: int) -> np.ndarray:
         """The full d x d matrix Ksub_j."""
@@ -478,21 +471,16 @@ def build_b(omega2, mphi: np.ndarray, k0phi: np.ndarray) -> np.ndarray:
     return (np.asarray(omega2, dtype=float)[:, None] * mphi - k0phi).reshape(-1)
 
 
-def operator_square_bands(model: StructuralModel,
-                          k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower bands of K^2, K M + M K and M^2, for the band ``k`` of K(theta)
-    (``stiffness_band``).
-
-    Each is (u + 1, d) with u = ``model.operator_bandwidth``, in the band
-    storage of this module.  A_i A_i = K^2 - omega2_i (K M + M K) + omega2_i^2 M^2,
-    so the band of every mode's squared operator is one combination of these
-    three; K^2 and K M + M K are band products (``_band_product``), M^2 is the
-    model's own.
-    """
-    rows, mass = model._mass_sq_band.shape[0], model._mass_diagonals
-    k = _full_diagonals(k, rows - 1)
-    return (_band_product(k, k, rows),
-            _band_product(k, mass, rows) + _band_product(mass, k, rows), model._mass_sq_band)
+def operator_bands(model: StructuralModel, k: np.ndarray, omega2) -> np.ndarray:
+    """Lower bands (m, b + 1, d) of every mode's operator A_i = K(theta) - omega2_i M, for
+    the band ``k`` of K(theta) (``stiffness_band``) and the (m,) squared frequencies
+    ``omega2``, b the wider half-bandwidth of K and M."""
+    omega2 = np.asarray(omega2, dtype=float)
+    mass = model.mass_band
+    ops = np.zeros((omega2.size, max(k.shape[0], mass.shape[0]), model.d))
+    ops[:, :k.shape[0]] = k
+    ops[:, :mass.shape[0]] -= omega2[:, None, None] * mass
+    return ops
 
 
 def eigen_residual(model: StructuralModel, hmat: np.ndarray, theta, bvec: np.ndarray) -> np.ndarray:

@@ -61,12 +61,10 @@ from scipy.linalg import lapack
 
 from .data import DataTerms, ModalDataset
 from .errors import NumericalError
-from .model import (StructuralModel, band_matvec, band_to_dense, build_H, ht_times,
-                    mode_products, operator_square_bands, stiffness_band)
+from .model import (StructuralModel, band_matvec, band_square, band_to_dense, build_H,
+                    ht_times, mode_products, operator_bands, stiffness_band)
 
 MAX_CONDITION = 1e14
-# entries of the joint inverse read at a time for its 1-norm (a 1 MB slab)
-NORM_SLAB_ENTRIES = 1 << 17
 
 
 def theta_precision(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -149,14 +147,13 @@ def hessian_labels(m: int, d: int, free_idx) -> list:
 
 
 def mode_shape_bands(state, terms: DataTerms, model: StructuralModel,
-                     k: np.ndarray) -> np.ndarray:
+                     ops: np.ndarray) -> np.ndarray:
     """Lower bands (m, u + 1, d) of P_i = beta A_i A_i + eta q diag(mask_i), the system
     the mode-shape update solves and the Phi block of the joint Hessian, for the
-    band ``k`` of K(theta) of ``state`` (``model.stiffness_band``), in the band storage
-    of ``operator_square_bands``."""
-    k_sq, k_m, m_sq = operator_square_bands(model, k)
-    w2 = state.omega2[:, None, None]
-    bands = state.beta * (k_sq - w2 * k_m + (w2 * w2) * m_sq)
+    operator bands ``ops`` (m, b + 1, d) of ``state`` (``model.operator_bands``), u =
+    ``model.operator_bandwidth``: each A_i A_i is one band product of the stack."""
+    bands = band_square(ops, model.operator_bandwidth + 1)
+    bands *= state.beta
     bands[:, 0] += state.eta * terms.q * terms.mask
     return bands
 
@@ -196,9 +193,11 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     of ``state.phi`` (``model.build_H``), ``hth`` the band of its H^T H
     (``model.build_HtH``) and ``resid`` the (m, d) residuals
     r_i = A_i Phi_i = H theta - b of the same state.  Every block is built
-    from one band of K, the residuals and H, without loops over
-    substructures: K and M act on the Phi rows as band products, and only
-    the free columns of H are expanded, as they fill columns of ``cross``.
+    from the operator bands A_i, formed once (``model.operator_bands``), the
+    residuals and H, without loops over substructures: the bands of P_i are
+    the squares of the A_i, each A_i acts on r_i, M Phi_i and the free columns
+    of H_i in one banded product, M alone only on r_i, and only the free
+    columns of H are expanded, as they fill columns of ``cross``.
     """
     d, m = model.d, state.m
     q, s = terms.q, terms.s
@@ -206,17 +205,15 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     nf = free_idx.size
     dm = d * m
 
-    stiffness = stiffness_band(model, state.theta)
-    bands = mode_shape_bands(state, terms, model, stiffness)
+    ops = operator_bands(model, stiffness_band(model, state.theta), state.omega2)
+    bands = mode_shape_bands(state, terms, model, ops)
     mphi, _ = mode_products(model, state.phi)
-    # K and M times r_i, M Phi_i and the free columns of H_i, for every mode, as band
-    # products along the DOF axis; A_i = K - omega2_i M
+    # A_i times r_i, M Phi_i and the free columns of H_i, for every mode, as one band
+    # product along the DOF axis
     cols = np.concatenate([resid[:, None], mphi[:, None],
                            _free_columns(model, hmat, free_idx)], axis=1)
     hf = cols[:, 2:]
-    m_cols = band_matvec(model.mass_band, cols)
-    a_cols = band_matvec(stiffness, cols)
-    a_cols -= state.omega2[:, None, None] * m_cols
+    a_cols = band_matvec(ops[:, None], cols)
     idx = np.arange(m)
 
     # positions of [beta, omega2, rho, tau, eta, nu, theta_free] in cross and core
@@ -229,7 +226,8 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     # F Phi: A_i A_i Phi_i = A_i r_i
     cross[:, 0] = a_cols[:, 0].reshape(-1)
     # omega^2-Phi coupling: exact symmetrized mixed partial -beta (M A_i + A_i M) Phi_i
-    cross.reshape(m, d, -1)[idx, :, i_w] = -state.beta * (m_cols[:, 0] + a_cols[:, 1])
+    cross.reshape(m, d, -1)[idx, :, i_w] = -state.beta * (band_matvec(model.mass_band, resid)
+                                                          + a_cols[:, 1])
     cross[:, i_eta] = q * terms.mask.reshape(-1) * state.phi - terms.gamma_t_psi.reshape(-1)
     # (A_i Ksub_j + Ksub_j A_i) Phi_i = A_i (Ksub_j Phi_i) + Ksub_j r_i
     l3 = a_cols[:, 2:]
@@ -379,18 +377,11 @@ def _exact_inverse_norm(joint: JointCovariance, eq: np.ndarray) -> float:
     """||A^-1||_1 of the equilibrated Hessian A from E A^-1 E (``joint``), E = diag(eq).
 
     The inverse is exactly symmetric, so its largest column sum is its largest row
-    sum.  The rows are read over the tile rows of ``joint.rows``, a slab of about
-    ``NORM_SLAB_ENTRIES`` entries at a time, so no N x N temporary is formed.
+    sum.  The rows are read one tile row of ``joint.rows`` at a time, in place, as
+    each is a new array, so no N x N temporary is formed.
     """
     inv_eq = 1.0 / eq
-    slab = max(1, NORM_SLAB_ENTRIES // eq.size)
-    row_sums, pending = [], np.empty((0, eq.size))
-    for tile in joint.rows():
-        pending = np.concatenate([pending, tile])
-        while pending.shape[0] >= slab:
-            row_sums.append(np.abs(pending[:slab]) @ inv_eq)
-            pending = pending[slab:]
-    row_sums.append(np.abs(pending) @ inv_eq)
+    row_sums = [np.abs(tile, out=tile) @ inv_eq for tile in joint.rows()]
     return np.max(np.concatenate(row_sums) * inv_eq, initial=0.0)
 
 

@@ -539,6 +539,19 @@ class TestReport:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "rep/report_ratios.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("grid, fmax, fstep", [([], 0.25, 0.0025),
+                                                   (["--fmax", "0.3", "--fstep", "0.1"], 0.3, 0.1),
+                                                   (["--fmax", "0", "--fstep", "0.01"], 0.0, 0.01)],
+                             ids=["default", "three_steps", "one_point"])
+    def test_manifest_records_the_given_grid(self, stage_dir, tmp_path, grid, fmax, fstep):
+        # the grid as given, not as a difference of its points (0.1 - 0 reads 0.09999...)
+        code = main(["report", "--calibration", f"{stage_dir}/calib/calibration.json",
+                     "--monitoring", f"{stage_dir}/mon/monitoring.json",
+                     "--out-dir", str(tmp_path / "rep")] + grid)
+        assert code == 0
+        settings = json.loads((tmp_path / "rep/report_manifest.json").read_text())["settings"]
+        assert (settings["fmax"], settings["fstep"]) == (fmax, fstep)
+
     @pytest.mark.parametrize("grid", [["--fstep", "0"], ["--fstep", "-0.01"], ["--fmax", "-0.1"],
                                       ["--fmax", "0.25", "--fstep", "0.1"], ["--fmax", "inf"],
                                       ["--fstep", "1e-300"], ["--fstep", "1e-5"]],

@@ -142,6 +142,15 @@ class TestAlgorithmConfig:
         with pytest.raises(ConfigurationError, match=re.escape(f"{name} must be finite")):
             AlgorithmConfig(mode="monitoring", **kwargs)
 
+    @pytest.mark.parametrize("name", ["max_iterations", "min_sweeps_before_pruning"])
+    def test_non_integer_count_rejected(self, name):
+        # a float count would pass the range checks and fail later in range()
+        for value in (2.5, 3.0, True):
+            with pytest.raises(ConfigurationError,
+                               match=re.escape(f"{name} must be an integer, got {value!r}")):
+                AlgorithmConfig(mode="monitoring", **{name: value})
+        assert getattr(AlgorithmConfig(mode="monitoring", **{name: np.int64(3)}), name) == 3
+
     def test_rho_cannot_be_fixed(self):
         # phi is the one way to pin the frequency precision
         with pytest.raises(ConfigurationError, match=r"fix_hypers has unknown keys: \['rho'\]"):
@@ -1008,14 +1017,15 @@ class TestSweepStructure:
     """Each sweep assembles the band of K(theta) once, builds the blocks of its
     regression matrix H and the band of its H^T H once and its right-hand side b once,
     shared by the theta update and the residual H theta - b; the mode-shape update
-    forms the bands of K^2, K M + M K and M^2 once.  The dataset terms (the
+    forms the operator bands A_i = K(theta) - omega2_i M once.  The dataset terms (the
     observation mask, Gamma^T Psi_hat) are formed once per run, before the first
     sweep, and no sweep forms Sigma_theta: it is formed once, after the last.  The
     joint covariance reuses the run's H, H^T H and residual: it assembles the band of
-    K(theta) once, forms the bands once from it, builds the H of the residual once and
-    builds no b and no H^T H.  No sweep expands K(theta) to a dense matrix."""
+    K(theta) once, forms the operator bands once from it, for both the Phi blocks and
+    the products with A_i, builds the H of the residual once and builds no b and no
+    H^T H.  No sweep expands K(theta) to a dense matrix."""
 
-    COUNTED = ("stiffness_band", "build_H", "build_b", "operator_square_bands",
+    COUNTED = ("stiffness_band", "build_H", "build_b", "operator_bands",
                "build_HtH", "theta_covariance_from", "from_dataset", "assemble_stiffness")
 
     @classmethod
@@ -1035,7 +1045,7 @@ class TestSweepStructure:
         # wrap each function at every name the package looks it up by
         homes = {"stiffness_band": model, "assemble_stiffness": model, "build_H": model,
                  "build_b": model,
-                 "operator_square_bands": model, "build_HtH": model,
+                 "operator_bands": model, "build_HtH": model,
                  "theta_covariance_from": uncertainty, "sweep": inference,
                  "joint_covariance": uncertainty}
         for name, home in homes.items():
