@@ -70,14 +70,19 @@ def damage_probability(calib: InferenceResult, monitor: InferenceResult, f_grid=
     standard deviations of each run's Sigma_theta.  ``variance_pairing``
     selects which variance carries the (1-f)^2 factor: "as_printed" puts it
     on the monitoring variance, "conventional" on the calibration variance.
-    Returns an (n, len(f_grid)) array.
+    Returns an (n, len(f_grid)) array.  A grid that is not one-dimensional,
+    not finite, not inside [0, 1] or not non-decreasing is a
+    ``ConfigurationError``.
     """
     if variance_pairing not in VARIANCE_PAIRINGS:
         raise ConfigurationError(f"unknown variance_pairing {variance_pairing!r}")
     _check_pair(calib, monitor)
     f_grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
-    if np.any(f_grid < 0.0) or np.any(f_grid > 1.0):
-        raise ConfigurationError("f grid values must lie in [0, 1]")
+    # a NaN fails every comparison, so the grid is checked for what it must be
+    if f_grid.ndim != 1 or not (np.all((f_grid >= 0.0) & (f_grid <= 1.0))
+                                and np.all(np.diff(f_grid) >= 0.0)):
+        raise ConfigurationError("the loss grid must be a 1-D array, finite, inside [0, 1] and "
+                                 f"non-decreasing, got {np.array2string(f_grid, threshold=12)}")
     theta_u = calib.theta_map
     theta_d = monitor.theta_map
     sig_u = np.sqrt(np.clip(np.diag(calib.theta_cov), 0.0, None))

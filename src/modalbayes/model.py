@@ -157,8 +157,12 @@ def band_square(band: np.ndarray, rows: int) -> np.ndarray:
     b, d = band.shape[-2] - 1, band.shape[-1]
     # padded by b columns on each side, so column j + t exists for every t
     full = _full_diagonals(band, b)
-    out = np.zeros((*band.shape[:-2], rows, d))
-    for t in range(-b, b + 1):
+    out = np.empty((*band.shape[:-2], rows, d))
+    # the t = -b product reaches only row 0 and is the first term of its sum, so it is
+    # written, not added to zeros; every row sums its products in the same order
+    np.multiply(full[..., 2 * b, :d], full[..., 0, b:b + d], out=out[..., 0, :])
+    out[..., 1:, :] = 0.0
+    for t in range(1 - b, b + 1):
         # X[j + r, j + t] is diagonal r - t of X at column j + t, zero once r - t > b
         top = min(rows, t + b + 1)
         out[..., :top, :] += (full[..., b - t:b - t + top, b + t:b + t + d]

@@ -14,7 +14,11 @@ the m mode bands, the Phi rows of the other k = 3m + 3 + n_free parameters,
 and the k x k block of those parameters.  The joint inverse eliminates the
 mode blocks first, from their banded Cholesky factor, and only the Schur
 complement of the other k rows is inverted as a general (possibly
-indefinite) matrix.
+indefinite) matrix.  The elimination solves the mode blocks for d + k
+right-hand sides at once, [unit columns | Phi rows of the others], by a
+level-3 blocked substitution (``solve_mode_bands``): the inverted diagonal
+blocks of the factor and their couplings are applied by batched matrix
+products, where LAPACK's ``dpbtrs`` would run one serial band pass per column.
 
 The inverse is kept in that factored form (``JointCovariance``): the
 d x d inverses of the mode blocks, the thin (dm, k) factor Y = P^-1 B, the
@@ -65,6 +69,7 @@ from .model import (StructuralModel, band_matvec, band_square, band_to_dense, bu
                     ht_times, mode_products, operator_bands, stiffness_band)
 
 MAX_CONDITION = 1e14
+SOLVE_BLOCK = 8  # rows per block of ``solve_mode_bands``, widened to the bandwidth
 
 
 def theta_precision(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -170,6 +175,59 @@ def factor_mode_bands(bands: np.ndarray) -> np.ndarray:
     return factor
 
 
+def solve_mode_bands(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve P_i X_i = R_i for every mode i, in place on the right-hand sides ``rhs``
+    (m, d, r), from the band Cholesky factor ``factor`` (u + 1, m d) of the mode
+    blocks (``factor_mode_bands``), and return ``rhs``.
+
+    Level-3 blocked substitution: the rows of each factor L_i are cut into blocks
+    of nb = max(``SOLVE_BLOCK``, u) rows, the last one ragged, so the band of a
+    block reaches only the last u rows of the block before it.  The dense
+    lower-triangular diagonal blocks of every mode are inverted in one batched
+    call.  The forward pass L_i Z_i = R_i and the back pass L_i^T X_i = Z_i then
+    take, per block, one (m, u, u) product with the coupling to the neighbouring
+    block and one (m, nb, nb) product with the inverted diagonal block, for every
+    mode and column at once.  For one column, LAPACK ``dpbtrs`` (a pass of
+    u-entry updates) is cheaper, and the sweep's solves keep it.
+    """
+    m, d, _ = rhs.shape
+    u = factor.shape[0] - 1
+    if rhs.size == 0:
+        return rhs
+    nb = max(SOLVE_BLOCK, u)
+    count = -(-d // nb)
+    # entry (j + t, j) of L_i is lower[i, t, j]; it is zero past the mode's last row
+    lower = factor.reshape(u + 1, m, d).transpose(1, 0, 2)
+    # diagonal block c, entry (a, b): L_i[c nb + a, c nb + b], with ones on the diagonal
+    # of the rows past d, so the ragged last block's inverse is its top left corner
+    a = np.arange(nb)
+    gap = a[:, None] - a
+    rows = nb * np.arange(count)[:, None, None] + a[:, None]
+    inside = (gap >= 0) & (gap <= u) & (rows < d)
+    diag = np.where(inside, lower[:, np.clip(gap, 0, u), np.minimum(rows.swapaxes(1, 2), d - 1)],
+                    (gap == 0) & (rows >= d))
+    inv = np.linalg.inv(diag)
+    # coupling of block c >= 1, entry (a, b) for a, b < u: L_i[s + a, s - u + b] with
+    # s = c nb, zero below the diagonal (a > b) and past the last row
+    a = np.arange(u)
+    gap = u + a[:, None] - a
+    starts = nb * np.arange(1, count)[:, None, None]
+    inside = (gap <= u) & (starts + a[:, None] < d)
+    coupling = np.where(inside, lower[:, np.minimum(gap, u), starts - u + a], 0.0)
+    for c in range(count):
+        s, e = c * nb, min((c + 1) * nb, d)
+        if c:
+            rhs[:, s:s + min(u, e - s)] -= coupling[:, c - 1, :e - s] @ rhs[:, s - u:s]
+        rhs[:, s:e] = inv[:, c, :e - s, :e - s] @ rhs[:, s:e]
+    for c in reversed(range(count)):
+        s, e = c * nb, min((c + 1) * nb, d)
+        if e < d:
+            rhs[:, e - u:e] -= (coupling[:, c, :d - e].transpose(0, 2, 1)
+                                @ rhs[:, e:e + min(u, d - e)])
+        rhs[:, s:e] = inv[:, c, :e - s, :e - s].transpose(0, 2, 1) @ rhs[:, s:e]
+    return rhs
+
+
 def _free_columns(model: StructuralModel, hmat: np.ndarray, free_idx: np.ndarray) -> np.ndarray:
     """The columns ``free_idx`` of H as (m, nf, d), row (i, c) holding Ksub_{f_c} Phi_i,
     written from the blocks ``hmat`` (``model.build_H``) onto their supports."""
@@ -231,8 +289,10 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     cross[:, i_eta] = q * terms.mask.reshape(-1) * state.phi - terms.gamma_t_psi.reshape(-1)
     # (A_i Ksub_j + Ksub_j A_i) Phi_i = A_i (Ksub_j Phi_i) + Ksub_j r_i
     l3 = a_cols[:, 2:]
-    l3 += _free_columns(model, build_H(model, resid), free_idx)
-    cross[:, i_th] = state.beta * l3.transpose(0, 2, 1).reshape(dm, nf)
+    # the support DOFs of one substructure are distinct, so the scatter-add is exact
+    l3[:, np.arange(nf)[:, None], model.support[free_idx]] += build_H(model, resid)[:, free_idx]
+    l3 *= state.beta
+    cross.reshape(m, d, k)[:, :, i_th] = l3.transpose(0, 2, 1)
 
     # the upper triangle of the other parameters' own block, mirrored below
     core = np.zeros((k, k))
@@ -402,10 +462,12 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
     (e.g. eta vs its reciprocal-scale rate), so it is Jacobi-equilibrated
     first, the bands in band storage.  The equilibrated P_i are positive
     definite by construction: ``factor_mode_bands`` factors them, and one
-    banded solve (``dpbtrs``) gives each P_i^-1 and Y = P^-1 B.  With B the
-    equilibrated ``cross`` and C the equilibrated ``core``, the Schur
-    complement S = C - B^T P^-1 B (k x k) can be indefinite at a monitoring
-    MAP and is inverted by LU.  The inverse of the equilibrated matrix A is
+    blocked solve of every mode (``solve_mode_bands``), in place on the
+    right-hand sides [I | B_i] laid out as (m, d, d + k), gives each P_i^-1
+    and Y = P^-1 B.  With B the equilibrated ``cross`` and C the equilibrated
+    ``core``, the Schur complement S = C - B^T P^-1 B (k x k) can be
+    indefinite at a monitoring MAP and is inverted by LU.  The inverse of the
+    equilibrated matrix A is
 
         [[P^-1 + Y S^-1 Y^T, -Y S^-1], [-S^-1 Y^T, S^-1]],
 
@@ -444,14 +506,13 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
                 np.max(abs_cross.sum(axis=0) + np.abs(core).sum(axis=0), initial=0.0))
     del abs_cross
     factor = factor_mode_bands(bands)
-    # P^-1 from the unit columns of each mode, and Y = P^-1 B, in one solve, in place on
-    # right-hand sides laid out in the column order LAPACK reads
-    sol = np.zeros((m * d, d + k), order="F")
-    sol[np.arange(m * d), np.tile(np.arange(d), m)] = 1.0
-    sol[:, d:] = cross
-    if m * d:
-        sol, info = lapack.dpbtrs(factor, sol, lower=1, overwrite_b=1)
-    p_inv, y = sol[:, :d].reshape(m, d, d), sol[:, d:]
+    # P_i^-1 from the unit columns of each mode, and Y = P^-1 B, in one solve, in place
+    # on the right-hand sides [I | B_i] of every mode
+    sol = np.zeros((m, d, d + k))
+    sol[:, np.arange(d), np.arange(d)] = 1.0
+    sol[:, :, d:] = cross.reshape(m, d, k)
+    solve_mode_bands(factor, sol)
+    p_inv, y = sol[:, :, :d], sol[:, :, d:].reshape(m * d, k)
     try:
         s_inv = np.linalg.inv(core - cross.T @ y)
     except np.linalg.LinAlgError as exc:

@@ -139,6 +139,18 @@ class TestDamageProbability:
         with pytest.raises(ConfigurationError):
             damage_probability(calib, monitor, [-0.1, 0.5])
 
+    # a NaN loss fraction used to pass the range check and leave its column unwritten, a
+    # descending grid got the curve's monotonicity error from build_report, a scalar grid
+    # a ValueError from NumPy, and a 2-D grid built (n, 1, 2) curves
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 0.1], [0.0, np.inf], [0.1, 0.0], 0.5,
+                                      [[0.1, 0.2]]])
+    def test_malformed_grid_rejected(self, grid):
+        calib = fake_result([1.0], [0.01])
+        monitor = fake_result([0.9], [0.01])
+        for build in (damage_probability, build_report):
+            with pytest.raises(ConfigurationError, match=r"loss grid .*got "):
+                build(calib, monitor, grid)
+
 
 class TestLossGrid:
     def test_whole_steps_accepted(self):

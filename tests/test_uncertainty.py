@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from conftest import (
     band_of,
@@ -29,6 +30,7 @@ from modalbayes.bench import (
     BENCHMARK_UNIT_SCALE,
     NoiseSpec,
     ShearBuildingSpec,
+    comparison_calibration,
     harness_dataset,
     run_damage_scenario,
     shear_building_model,
@@ -40,10 +42,12 @@ from modalbayes.inference import AlgorithmConfig, initialize, run_calibration, u
 from modalbayes.model import StructuralModel, assemble_stiffness
 from modalbayes.uncertainty import (
     cov_report,
+    factor_mode_bands,
     hessian_labels,
     invert_hessian,
     joint_covariance,
     joint_hessian,
+    solve_mode_bands,
     theta_covariance_from,
 )
 
@@ -495,6 +499,94 @@ class TestModeFactor:
                                       ("uncertainty.py", "theta_factor"),
                                       ("model.py", "__post_init__")},
                            "dpbsv": set(), "dpotrf": set()}
+
+
+class TestBlockedSolve:
+    """The level-3 blocked solve of the mode blocks against LAPACK's column-by-column
+    ``dpbtrs`` on the same factor, and the joint inverse built on it against one built
+    on ``dpbtrs``."""
+
+    @staticmethod
+    def random_factor(rng, m, d, u):
+        """The factor (``factor_mode_bands``) of m random diagonally dominant blocks of
+        half-bandwidth u, each band zero past its block's last row."""
+        bands = rng.uniform(-1.0, 1.0, (m, u + 1, d))
+        bands[:, 0] = 2.0 * u + 1.0 + rng.uniform(0.0, 1.0, (m, d))
+        for r in range(1, u + 1):
+            bands[:, r, d - r:] = 0.0
+        return factor_mode_bands(bands)
+
+    @staticmethod
+    def check_against_dpbtrs(factor, rhs):
+        m, d, r = rhs.shape
+        reference, info = lapack.dpbtrs(factor, rhs.reshape(m * d, r), lower=1)
+        assert info == 0
+        solved = solve_mode_bands(factor, rhs.copy())
+        err = np.max(np.abs(solved.reshape(m * d, r) - reference)) / np.max(np.abs(reference))
+        assert err <= 1e-12, err
+
+    # fewer rows than a block, a whole number of blocks, and a ragged last block
+    @pytest.mark.parametrize("d", [uncertainty.SOLVE_BLOCK - 3, 2 * uncertainty.SOLVE_BLOCK,
+                                   2 * uncertainty.SOLVE_BLOCK + 5])
+    def test_matches_dpbtrs(self, d):
+        rng = np.random.default_rng(d)
+        block = uncertainty.SOLVE_BLOCK
+        for u in sorted({0, 1, 2, block - 1, block, block + 1, d - 1}):
+            if u > d - 1:
+                continue
+            for m in (1, 3):
+                for r in (1, 7):
+                    self.check_against_dpbtrs(self.random_factor(rng, m, d, u),
+                                              rng.standard_normal((m, d, r)))
+
+    def test_no_rows_or_columns(self):
+        for m, d, r in [(0, 5, 7), (3, 0, 7), (3, 5, 0)]:
+            rhs = np.zeros((m, d, r))
+            assert solve_mode_bands(np.ones((3, m * d)), rhs) is rhs
+
+    def test_dense_k0_hessian(self):
+        # the calibration of TestBandedScale::test_dense_k0_calibrate_and_monitor, whose
+        # mode blocks are full width, u = d - 1
+        shear = shear_building_model(ShearBuildingSpec(stories=10))
+        k0 = random_spd(np.random.default_rng(5), 10) / 10.0
+        model = StructuralModel(mass=shear.mass, k0=k0, support=shear.support,
+                                blocks=shear.blocks)
+        calib_ds = simulate_modal_data(model, np.ones(10), m=4, q=50,
+                                       observed_dofs=np.arange(10), noise=NoiseSpec(seed=3))
+        calib = run_calibration(calib_ds, model, np.full(10, 1.2), comparison_calibration())
+        bands, cross, _, _ = joint_hessian(*hessian_inputs(calib.state_map, calib_ds, model))
+        assert bands.shape == (4, 10, 10)
+        self.check_against_dpbtrs(factor_mode_bands(bands), cross.reshape(4, 10, -1))
+
+    def test_joint_inverse_matches_dpbtrs_reference(self):
+        model, runs = converged_runs(30, 6, "full", 1)
+        for result, dataset in runs:
+            state = result.state_map
+            bands, cross, core, free_idx = joint_hessian(*hessian_inputs(state, dataset, model))
+            start = 3 * state.m + 1
+            joint = invert_hessian(bands, cross, core, start, free_idx)
+            # the reference elimination: equilibrate, then solve [I | B] by LAPACK dpbtrs
+            m, width, d = bands.shape
+            k = core.shape[0]
+            rest = np.r_[0:start, start + m * d:m * d + k]
+            eq = 1.0 / np.sqrt(np.diag(dense_hessian(bands, cross, core, start)))
+            eq_p, eq_r = eq[start:start + m * d], eq[rest]
+            eq_blocks = eq_p.reshape(m, d)
+            scaled = bands.copy()
+            for r in range(width):
+                scaled[:, r, :d - r] *= eq_blocks[:, r:] * eq_blocks[:, :d - r]
+            b = cross * np.outer(eq_p, eq_r)
+            rhs = np.hstack([np.tile(np.eye(d), (m, 1)), b])
+            sol, info = lapack.dpbtrs(factor_mode_bands(scaled), rhs, lower=1)
+            assert info == 0
+            p_inv = sol[:, :d].reshape(m, d, d) * (eq_blocks[:, :, None] * eq_blocks[:, None, :])
+            s_inv = np.linalg.inv(core * np.outer(eq_r, eq_r) - b.T @ sol[:, d:])
+            reference = {"p_inv": p_inv, "y": sol[:, d:] * eq_p[:, None],
+                         "s_inv": 0.5 * (s_inv + s_inv.T)}
+            for name, expected in reference.items():
+                got = getattr(joint, name)
+                err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+                assert err <= 1e-12, (result.mode, name, err)
 
 
 class TestCovReport:
