@@ -128,14 +128,15 @@ def simulate_modal_data(model: StructuralModel, theta, m: int, q: int, observed_
 
     omega2_seg = np.zeros((max(q, 0), m))
     shapes_seg = np.zeros((max(q, 0), m, observed.size))
+    # the shape noise of mode i is scaled by its RMS entry, the same in every segment
+    shape_scale = [noise.shape_cov * (np.linalg.norm(mode) / np.sqrt(d)) for mode in modes]
     for r in range(q):
         for i in range(m):
             rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(r, i)))
             eps_w = rng.normal()
             eps_s = rng.normal(size=d)
             omega2_seg[r, i] = (omega[i] * (1.0 + noise.freq_cov * eps_w)) ** 2
-            scale = np.linalg.norm(modes[i]) / np.sqrt(d)
-            pert = modes[i] + noise.shape_cov * scale * eps_s
+            pert = modes[i] + shape_scale[i] * eps_s
             shapes_seg[r, i] = pert[observed]
     return ModalDataset.from_segments(omega2_seg, shapes_seg, observed, normalization=normalization)
 

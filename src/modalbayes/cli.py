@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -370,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--normalization", choices=NORMALIZATIONS, default=INGEST_NORMALIZATION)
     p_sim.add_argument("--damage", type=_kv_arg, default="",
                        help="1-based substructure=fractional loss pairs, e.g. 3=0.2")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_cal = sub.add_parser("calibrate", parents=[common, seeded, structure, inference],
                            allow_abbrev=False, help="Algorithm 1: calibrate stiffness parameters")
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--tol-theta", type=float)
     p_cal.add_argument("--fix-hypers", type=_kv_arg, help="e.g. beta=20,eta=1e5 or phi=1e4")
     p_cal.add_argument("--init-scale", type=_kv_arg, help="e.g. beta=0.1,eta=10")
-    p_cal.set_defaults(func=cmd_calibrate)
 
     p_mon = sub.add_parser("monitor", parents=[common, structure, inference], allow_abbrev=False,
                            help="Algorithm 2: sparse stiffness-change inference")
@@ -397,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweeps to hold off pruning while the sparsity rate settles "
                             f"(default {AlgorithmConfig.min_sweeps_before_pruning})")
     p_mon.add_argument("--tol-log-alpha", type=float)
-    p_mon.set_defaults(func=cmd_monitor)
 
     p_rep = sub.add_parser("report", parents=[common], allow_abbrev=False,
                            help="damage ratios, probability curves and alarms")
@@ -406,19 +404,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--fmax", dest="f_max", metavar="FMAX", type=float)
     p_rep.add_argument("--fstep", dest="f_step", metavar="FSTEP", type=float)
     p_rep.add_argument("--variance-pairing", choices=["as_printed", "conventional"])
-    p_rep.set_defaults(func=cmd_report)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process; parsing leaves it unchanged."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
+    # the command is looked up when it runs, so that a replaced cmd_* is the one called
+    command = {"simulate": cmd_simulate, "calibrate": cmd_calibrate, "monitor": cmd_monitor,
+               "report": cmd_report}[args.command]
     try:
         if args.config:
             # argv[0] is the command; its options follow it
             args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
-        return args.func(args)
+        return command(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

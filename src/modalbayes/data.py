@@ -199,9 +199,15 @@ class DataTerms:
         The deviations of the segments from their mean sum to zero, so the
         cross term vanishes; both terms are sums of squares and nothing cancels.
         """
-        picked = phi.reshape(self.mask.shape)[:, self.observed_dofs]  # (m, s)
+        picked = phi.reshape(self.mask.shape).take(self.observed_dofs, axis=1)  # (m, s)
         diff = self.psi_mean - picked
-        return self.spread + self.q * float(np.sum(diff * diff))
+        return self.spread + self.q * float((diff * diff).sum())
+
+    def frequency_misfit(self, omega2: np.ndarray) -> np.ndarray:
+        """sum_r (what_{r,i}^2 - omega2_i)^2 of every mode i (m,): the frequency misfit
+        that the rho update and the objective read."""
+        dev = self.omega2_segments - omega2
+        return (dev * dev).sum(axis=0)
 
 
 def dataset_to_dict(dataset: ModalDataset) -> dict:

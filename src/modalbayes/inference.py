@@ -27,11 +27,15 @@ the sweep reads the dataset through its ``data.DataTerms``, formed once per
 run, before the first sweep: the identified squared frequencies with their
 segment sums, the observation mask, Gamma^T Psi_hat, and the segment-mean
 shape psi_bar with the spread S0 = sum_r ||psi_r - psi_bar||^2 of the
-segments about it.  Formed once per sweep: everything ``sweep`` lists, each
+segments about it.  Formed once per free set: the free set of the ARD
+variances with the gather plan of the theta precision over it
+(``uncertainty.FreeSet``), held in the model's one slot; it changes only when
+a component is pruned.  Formed once per sweep: everything ``sweep`` lists, each
 in the band or support form of ``model``, so a sweep of a banded model costs
-O(d).  Formed once, after the last sweep: the full Sigma_theta, from which
-the result derives the c.o.v., and the joint covariance, which reuses the H
-blocks, the H^T H band and r of the last sweep.
+O(d), and each reduction that two blocks read is done once and passed to both.
+Formed once, after the last sweep: the full Sigma_theta, from which the result
+derives the c.o.v., and the joint covariance, which reuses the H blocks, the
+H^T H band and r of the last sweep and the free set of the slot.
 """
 
 from __future__ import annotations
@@ -375,21 +379,27 @@ def update_frequencies(state: InferenceState, terms: DataTerms, mphi: np.ndarray
     return rhs / lhs
 
 
-def update_rho(state: InferenceState, terms: DataTerms) -> tuple[np.ndarray, np.ndarray]:
-    """rho_i = (q - 2) / sum_r (what_{r,i}^2 - w_i^2)^2 and tau = 1/rho."""
+def update_rho(state: InferenceState, terms: DataTerms,
+               dev_sq: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """rho_i = (q - 2) / sum_r (what_{r,i}^2 - w_i^2)^2 and tau = 1/rho.
+
+    ``dev_sq`` holds those sums of the current omega2 (``DataTerms.frequency_misfit``)
+    when the caller has them, as the sweep does; they are formed here otherwise.
+    """
     q = terms.q
-    dev = terms.omega2_segments - state.omega2[None, :]
-    dev_sq = np.sum(dev * dev, axis=0)
+    if dev_sq is None:
+        dev_sq = terms.frequency_misfit(state.omega2)
     floor = (q - 2.0) / RHO_MAX
     clamped = dev_sq <= floor
-    if np.any(clamped):
+    if clamped.any():
         state.flag("noise-free frequency data: rho clamped at maximum")
     rho = np.where(clamped, RHO_MAX, (q - 2.0) / np.where(clamped, 1.0, dev_sq))
     return rho, 1.0 / rho
 
 
 def update_theta(state: InferenceState, model: StructuralModel, hmat: np.ndarray,
-                 hth: np.ndarray, bvec: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+                 hth: np.ndarray, bvec: np.ndarray, anchor: np.ndarray,
+                 free: uncertainty.FreeSet | None = None) -> np.ndarray:
     """MAP stiffness scaling parameters from the linear regression H theta = b.
 
     ``hmat`` holds the blocks of the regression matrix H of ``model``
@@ -398,43 +408,53 @@ def update_theta(state: InferenceState, model: StructuralModel, hmat: np.ndarray
     components (alpha exactly zero) stay pinned at the anchor; the free block solves
     (beta Hf^T Hf + Af^-1) theta_f = beta Hf^T (b - Hp anchor_p) + Af^-1 anchor_f
     from the band Cholesky factor of the precision (``uncertainty.theta_factor``,
-    then LAPACK ``dpbtrs``).
+    then LAPACK ``dpbtrs``).  ``free`` is the free set of ``state.alpha``, read
+    from the model's slot (``uncertainty.free_set``) when not given.
     """
-    free, factor = uncertainty.theta_factor(state.beta, hth, state.alpha)
+    if free is None:
+        free = uncertainty.free_set(model, state.alpha)
+    _, factor = uncertainty.theta_factor(state.beta, hth, state.alpha, free)
     theta_new = anchor.copy()
-    if not np.any(free):
+    index = free.index
+    if not index.size:
         return theta_new
     # H pinned = Hp anchor_p from the anchor with its free entries zeroed, so no column of
     # H is copied; with nothing pinned (calibration) the product is zero and is skipped
-    if not np.all(free):
-        bvec = bvec - h_times(model, hmat, np.where(free, 0.0, anchor)).reshape(-1)
-    rhs = (state.beta * ht_times(model, hmat, bvec))[free] + anchor[free] / state.alpha[free]
-    theta_new[free], _ = lapack.dpbtrs(factor, rhs, lower=1)
+    if free.pinned.size:
+        bvec = bvec - h_times(model, hmat, np.where(free.mask, 0.0, anchor)).reshape(-1)
+    rhs = (state.beta * ht_times(model, hmat, bvec).take(index)
+           + anchor.take(index) / state.alpha.take(index))
+    theta_new[index], _ = lapack.dpbtrs(factor, rhs, lower=1)
     return theta_new
 
 
-def update_beta(state: InferenceState, resid: np.ndarray) -> float:
+def update_beta(state: InferenceState, resid: np.ndarray,
+                resid_sq: float | None = None) -> float:
     """beta = dm / (2 b0 + sum_i ||(K - w_i^2 M) Phi_i||^2).
 
     The mode of beta under its Gamma(1, b0) prior (``BETA_PRIOR_RATE``) given
     the equation error.  ``resid`` stacks the residuals (K - w_i^2 M) Phi_i
-    of the current state (``model.eigen_residual``).
+    of the current state (``model.eigen_residual``); ``resid_sq`` is its squared
+    norm when the caller has it, as the sweep does.
     """
-    return state.phi.size / (2.0 * state.b0 + float(np.sum(resid * resid)))
+    if resid_sq is None:
+        resid_sq = float((resid * resid).sum())
+    return state.phi.size / (2.0 * state.b0 + resid_sq)
 
 
 def update_alpha(state: InferenceState, anchor: np.ndarray, theta_cov_diag: np.ndarray,
-                 kappa: float = 0.0) -> np.ndarray:
+                 kappa: float = 0.0, free: uncertainty.FreeSet | None = None) -> np.ndarray:
     """Evidence-maximizing ARD variances under an exponential hyper-prior of rate lam.
 
     alpha_j = 2 B_j / (1 + sqrt(1 + 8 lam B_j)) + kappa with
     B_j = (Sigma_theta)_jj + (anchor_j - theta_j)^2: the positive root
     (-1 + sqrt(1 + 8 lam B_j)) / (4 lam) written without cancellation, so
-    lam = 0 gives B_j exactly.  Pruned components keep alpha = 0.
+    lam = 0 gives B_j exactly.  Pruned components keep alpha = 0; ``free`` is the
+    free set of ``state`` (``uncertainty.free_set``) when the caller has it.
     """
     bj = theta_cov_diag + (anchor - state.theta) ** 2
     alpha = 2.0 * bj / (1.0 + np.sqrt(1.0 + 8.0 * state.lam * bj)) + kappa
-    return np.where(state.free_mask(), alpha, 0.0)
+    return np.where(state.free_mask() if free is None else free.mask, alpha, 0.0)
 
 
 def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
@@ -443,7 +463,7 @@ def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
     zeta is kept (not eliminated) so the update stays finite when every alpha
     is temporarily zero.
     """
-    lam = state.n / (float(np.sum(state.alpha)) + state.zeta)
+    lam = state.n / (float(state.alpha.sum()) + state.zeta)
     return lam, 1.0 / lam
 
 
@@ -453,12 +473,17 @@ def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
 
 
 def objective(state: InferenceState, terms: DataTerms, resid: np.ndarray,
-              shape_sq: float, anchor: np.ndarray) -> float:
+              shape_sq: float, anchor: np.ndarray, free: uncertainty.FreeSet | None = None,
+              dev_sq: np.ndarray | None = None, resid_sq: float | None = None) -> float:
     """The minimized function J over [xi, theta], all log terms included.
 
     ``resid`` stacks the residuals (K - w_i^2 M) Phi_i of ``state``
     (``model.eigen_residual``) and ``shape_sq`` is its ||Psi_hat - Gamma Phi||^2
-    (``DataTerms.shape_misfit``).
+    (``DataTerms.shape_misfit``).  ``free`` (the free set,
+    ``uncertainty.free_set``), ``dev_sq`` (the frequency misfits,
+    ``DataTerms.frequency_misfit``) and ``resid_sq`` (||r||^2) are those of
+    ``state`` when the caller has them, as the sweep does; each is formed here
+    otherwise, by the same reduction.
 
     A pruned component (alpha exactly zero) contributes zero to the anchor
     term if its theta equals the anchor, and +inf otherwise.
@@ -469,27 +494,31 @@ def objective(state: InferenceState, terms: DataTerms, resid: np.ndarray,
         raise ConfigurationError("objective undefined: nonpositive precision")
     q, m, s = terms.q, terms.m, terms.s
     d = state.phi.size // m
+    if dev_sq is None:
+        dev_sq = terms.frequency_misfit(state.omega2)
+    if resid_sq is None:
+        resid_sq = float((resid * resid).sum())
+    if free is None:
+        mask = alpha > 0.0
+        pinned = (~mask).nonzero()[0]
+    else:
+        mask, pinned = free.mask, free.pinned
 
     j = state.b0 * state.beta
-    dev = terms.omega2_segments - state.omega2
     j += -0.5 * q * float(np.log(rho).sum())
-    j += 0.5 * float((rho * (dev * dev).sum(axis=0)).sum())
+    j += 0.5 * float((rho * dev_sq).sum())
     j += -float((np.log(tau) - tau * rho).sum())
     j += -0.5 * s * q * m * math.log(state.eta)
     j += 0.5 * state.eta * shape_sq
     j += -math.log(state.nu) + state.nu * state.eta
 
     diff = anchor - state.theta
-    free = alpha > 0
-    if free.all():
-        anchor_terms = diff * diff / alpha
-    elif (diff[alpha == 0] != 0.0).any():
+    if (diff.take(pinned) != 0.0).any():
         return math.inf
-    else:
-        anchor_terms = np.where(free, diff * diff / np.where(free, alpha, 1.0), 0.0)
-    j += 0.5 * float(anchor_terms.sum())
+    # a pinned term is 0 / 1, as its diff is exactly zero
+    j += 0.5 * float((diff * diff / np.where(mask, alpha, 1.0)).sum())
 
-    j += -0.5 * d * m * math.log(state.beta) + 0.5 * state.beta * float((resid * resid).sum())
+    j += -0.5 * d * m * math.log(state.beta) + 0.5 * state.beta * resid_sq
     return j
 
 
@@ -508,6 +537,12 @@ def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, ancho
     at sweep 1, 0 once every component is pruned), and the last H, H^T H and r, which
     only the covariances after the last sweep read.
 
+    The free set of the components, with the plan that gathers the theta
+    precision over it (``uncertainty.free_set``), is read from the model's slot
+    at the start, and again after the ARD block, where pruning may change it: it
+    is built only when it differs from the set the slot holds.  The theta update,
+    the diagonal of Sigma_theta, the ARD update and the objective read it.
+
     Formed once per sweep, every one in band or support form, so a sweep of a
     banded model costs O(d) and no d x d, (m, d, d) or (d m, n) array is formed:
     the mode-shape update assembles the band of K(theta) once, forms the band of
@@ -518,14 +553,18 @@ def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, ancho
     S0 + q ||psi_bar - Gamma_0 Phi||^2, read by the eta update and the objective;
     the (m, n, s) blocks of H and the band of H^T H, read by the theta update (a
     banded Cholesky solve) and the ARD block; and the banded products M Phi_i and
-    K0 Phi_i, read by the frequency update and b.  Later blocks read K(theta) Phi_i = K0 Phi_i + (H theta)_i, a scatter-add
-    of the H blocks, instead of assembling K(theta) again.  b, built once after
-    the frequency update, feeds the theta update and r = H theta - b.  r is formed
-    after the theta update, read by the beta update and the objective, and formed
-    again only when pruning moves theta.  The ARD block reads only the diagonal of
+    K0 Phi_i, read by the frequency update and b.  Later blocks read K(theta)
+    Phi_i = K0 Phi_i + (H theta)_i, a scatter-add of the H blocks, instead of
+    assembling K(theta) again.  b, built once after the frequency update, feeds
+    the theta update and r = H theta - b.  The frequency misfits
+    sum_r (what_{r,i}^2 - omega2_i)^2 of the new frequencies are formed once, read
+    by the rho update and the objective.  r and ||r||^2 are formed after the
+    theta update, read by the beta update and the objective, and formed again
+    only when pruning moves theta.  The ARD block reads only the diagonal of
     Sigma_theta, from the band Cholesky factor of its precision, expanded to the
-    dense triangle of the free set.
+    dense triangle of the free set at the positions of its plan.
     """
+    free = uncertainty.free_set(model, state.alpha)
     state.phi = update_mode_shapes(state, terms, model)
     shape_sq = terms.shape_misfit(state.phi)
     hmat = build_H(model, state.phi)
@@ -536,41 +575,45 @@ def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, ancho
     kphi = k0phi + h_times(model, hmat, state.theta)
     state.omega2 = update_frequencies(state, terms, mphi, kphi)
     bvec = build_b(state.omega2, mphi, k0phi)
+    dev_sq = terms.frequency_misfit(state.omega2)
     if not config.fixed("phi"):
-        state.rho, state.tau = update_rho(state, terms)
+        state.rho, state.tau = update_rho(state, terms, dev_sq)
     theta_prev, alpha_prev = state.theta, state.alpha
-    state.theta = update_theta(state, model, hmat, hth, bvec, anchor)
+    state.theta = update_theta(state, model, hmat, hth, bvec, anchor, free)
     resid = eigen_residual(model, hmat, state.theta, bvec)
+    resid_sq = float((resid * resid).sum())
     if not config.fixed("beta"):
-        state.beta = update_beta(state, resid)
+        state.beta = update_beta(state, resid, resid_sq)
 
     pruned = ()
     if config.mode == CALIBRATION:
-        step = float(np.max(np.abs(state.theta - theta_prev)))
+        step = float(np.abs(state.theta - theta_prev).max())
     else:
-        free = state.free_mask()
-        cov_diag = uncertainty.theta_variances(state.beta, hth, state.alpha)
-        state.alpha = update_alpha(state, anchor, cov_diag, config.kappa)
+        cov_diag = uncertainty.theta_variances(state.beta, hth, state.alpha, free)
+        state.alpha = update_alpha(state, anchor, cov_diag, config.kappa, free)
         if config.lambda_fixed is None:
             state.lam, state.zeta = update_lambda_zeta(state)
         if index >= config.min_sweeps_before_pruning:
-            newly = np.flatnonzero(free & (state.alpha < config.alpha_min))
-            state.alpha[newly] = 0.0
-            state.theta[newly] = anchor[newly]
-            pruned = tuple(newly.tolist())
+            newly = (free.mask & (state.alpha < config.alpha_min)).nonzero()[0]
             if newly.size:
+                state.alpha[newly] = 0.0
+                state.theta[newly] = anchor[newly]
+                pruned = tuple(newly.tolist())
                 resid = eigen_residual(model, hmat, state.theta, bvec)
-        free = state.free_mask()
-        if not np.any(free):
+                resid_sq = float((resid * resid).sum())
+        free = uncertainty.free_set(model, state.alpha)
+        if not free.index.size:
             step = 0.0  # everything pruned: report zero stiffness change
         elif index == 1:
             step = math.inf
         else:
             # a zero alpha stays zero, so every component free now was free before
-            step = float(np.max(np.abs(np.log(state.alpha[free] / alpha_prev[free]))))
+            kept = free.index
+            step = float(np.abs(np.log(state.alpha.take(kept) / alpha_prev.take(kept))).max())
 
     record = SweepRecord(state.theta.copy(), state.alpha.copy(),
-                         objective(state, terms, resid, shape_sq, anchor), pruned, step)
+                         objective(state, terms, resid, shape_sq, anchor, free, dev_sq,
+                                   resid_sq), pruned, step)
     return record, (hmat, hth, resid)
 
 
@@ -613,7 +656,7 @@ def extrapolate(state: InferenceState, history: list,
         x = g[-1] - gamma @ d_g
         n, m = state.n, state.m
         theta, rest = x[:n], np.exp(x[n:])
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(rest)) and np.all(rest > 0)):
+    if not (np.isfinite(theta).all() and np.isfinite(rest).all() and (rest > 0).all()):
         return None
     new = replace(state, theta=theta, omega2=rest[:m], diagnostics=list(state.diagnostics))
     rest = rest[m:]
@@ -697,9 +740,10 @@ def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: Algorith
         if calibration and index >= ANDERSON_START - 1:
             g = sweep_input(state, config)
             f = g - x
-            history = [*history[-ANDERSON_DEPTH:], (f, g)] if np.all(np.isfinite(f)) else []
+            history = [*history[-ANDERSON_DEPTH:], (f, g)] if np.isfinite(f).all() else []
 
-    theta_cov = uncertainty.theta_covariance_from(state.beta, hth, state.alpha)
+    theta_cov = uncertainty.theta_covariance_from(state.beta, hth, state.alpha,
+                                                  uncertainty.free_set(model, state.alpha))
 
     joint = None
     try:

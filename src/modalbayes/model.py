@@ -200,6 +200,9 @@ class StructuralModel:
         Half-bandwidth u of every A_i A_i (A_i = K(theta) - omega2_i M), at most
         d - 1: u = 2 b for the largest half-bandwidth b of M, K0 and the
         substructure supports, 2 for a shear building and d - 1 for a dense K0.
+    gram_bandwidth : int
+        Half-bandwidth g of H^T H (``build_HtH``): the widest gap |j - l| between
+        two substructures that share a DOF, 1 for a shear building.
     """
 
     mass: np.ndarray
@@ -208,6 +211,7 @@ class StructuralModel:
     blocks: np.ndarray
     mass_band: np.ndarray = field(init=False, repr=False, compare=False)
     operator_bandwidth: int = field(init=False, repr=False, compare=False)
+    gram_bandwidth: int = field(init=False, repr=False, compare=False)
     # lower band of K0
     _k0_band: np.ndarray = field(init=False, repr=False, compare=False)
     # the half-bandwidth of K, and the lower entries of the blocks: flat position in
@@ -216,14 +220,17 @@ class StructuralModel:
     _k_index: np.ndarray = field(init=False, repr=False, compare=False)
     _k_owner: np.ndarray = field(init=False, repr=False, compare=False)
     _k_values: np.ndarray = field(init=False, repr=False, compare=False)
-    # flat gather positions in the H blocks and scatter positions in the H^T H band,
-    # and the half-bandwidth of that band
+    # flat gather positions in the H blocks and scatter positions in the H^T H band
     _gram_left: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_right: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_out: np.ndarray = field(init=False, repr=False, compare=False)
-    _gram_width: int = field(init=False, repr=False, compare=False)
     # flat scatter positions of the H blocks of m modes in the (m, d) H theta, by m (h_times)
     _h_index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # one slot each: the free set of the theta precision, replaced when the set changes
+    # (``uncertainty.free_set``), and the index grids of the blocked mode solve, filled
+    # once (``uncertainty.solve_grids``)
+    _free_set: list = field(init=False, repr=False, compare=False, default_factory=list)
+    _solve_grids: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         mass = _mass_matrix(self.mass)
@@ -293,7 +300,7 @@ class StructuralModel:
                             ("_gram_out", gap * n + js[q])):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_gram_width", int(np.max(gap, initial=0)))
+        object.__setattr__(self, "gram_bandwidth", int(np.max(gap, initial=0)))
         object.__setattr__(self, "_k_width", k_width)
         object.__setattr__(self, "operator_bandwidth", min(2 * max(k_width, mass_width), d - 1))
 
@@ -386,7 +393,7 @@ def _theta_vector(model: StructuralModel, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.n,):
         raise ConfigurationError(f"theta must have shape ({model.n},), got {theta.shape}")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ConfigurationError("theta contains non-finite values")
     return theta
 
@@ -457,7 +464,7 @@ def build_HtH(model: StructuralModel, hmat: np.ndarray) -> np.ndarray:
     blocks = hmat.reshape(hmat.shape[0], -1)
     prods = np.einsum("it,it->t", blocks[:, model._gram_left], blocks[:, model._gram_right])
     return np.bincount(model._gram_out, prods,
-                       minlength=(model._gram_width + 1) * n).reshape(-1, n)
+                       minlength=(model.gram_bandwidth + 1) * n).reshape(-1, n)
 
 
 def mode_products(model: StructuralModel, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -42,10 +42,16 @@ The theta precision beta H_f^T H_f + A_f^-1 is banded, because two
 components couple only where their supports overlap.  It is gathered from
 the band of H^T H over the free set, which keeps the band, and factored by
 one function (``theta_factor``, LAPACK ``dpbtrf``), which the theta update
-solves with (``dpbtrs``).  Sigma_theta is formed in full once per run
+solves with (``dpbtrs``).  The positions of that gather, and of the expansion
+below, depend only on the free set, which changes only when a component is
+pruned: they are built once per free set (``FreeSet``) and held in the
+model's one slot (``free_set``), which the sweep, Sigma_theta and the joint
+Hessian read.  Sigma_theta is formed in full once per run
 (``theta_covariance_from``); the ARD block of each monitoring sweep reads
 only its diagonal (``theta_variances``).  Both expand the band factor to
-the dense lower triangle of the free set and invert that, O(n_f^3).
+the dense lower triangle of the free set and invert that, O(n_f^3).  The
+index grids of the blocked mode solve likewise depend only on the model
+(d and u) and are built once into its slot (``solve_grids``).
 
 Reported coefficients of variation follow the conventions of the source
 tables: theta uses the conditional covariance Sigma_theta, and the scalar
@@ -72,69 +78,147 @@ MAX_CONDITION = 1e14
 SOLVE_BLOCK = 8  # rows per block of ``solve_mode_bands``, widened to the bandwidth
 
 
-def theta_precision(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class FreeSet:
+    """The free set f of the stiffness components, those with alpha > 0, and the plan
+    of the theta precision over it for a band of H^T H of ``width`` rows.
+
+    ``mask`` (n,) marks f, ``index`` lists it and ``pinned`` lists the pruned
+    components; the three are read-only.  Entry (r, a) of the precision band
+    (rows, nf), rows = max(1, min(width, nf)), is read at the flat position
+    ``gather`` of the band of H^T H where ``inside`` holds, and is zero elsewhere.
+    The entries of such a band that lie inside the nf x nf matrix sit at the flat
+    positions ``band_pos`` of the band and ``dense_pos`` of the matrix (``lower``).
+    The set changes only when a component is pruned, so a run builds one per set
+    (``free_set``).
+    """
+
+    key: bytes
+    mask: np.ndarray
+    index: np.ndarray
+    pinned: np.ndarray
+    gather: np.ndarray
+    inside: np.ndarray
+    band_pos: np.ndarray
+    dense_pos: np.ndarray
+
+    @classmethod
+    def of(cls, mask: np.ndarray, width: int) -> "FreeSet":
+        """The set marked by ``mask`` (n,) and its plan for a band of ``width`` rows.
+
+        Dropping the pruned rows and columns keeps the band: entry (a + r, a) of
+        the free block is H^T H entry (f_{a+r}, f_a), which lies f_{a+r} - f_a >= r
+        below the diagonal, and is zero once that gap passes width - 1.
+        """
+        mask = np.array(mask, dtype=bool)
+        free, pinned = mask.nonzero()[0], (~mask).nonzero()[0]
+        nf = free.size
+        # band entry (r, a) is matrix entry (a + r, a)
+        below = np.arange(max(1, min(width, nf)))[:, None] + np.arange(nf)
+        gap = free.take(np.minimum(below, nf - 1)) - free
+        within = below < nf
+        band_pos = within.ravel().nonzero()[0]
+        for value in (mask, free, pinned):
+            value.setflags(write=False)
+        return cls(key=mask.tobytes(), mask=mask, index=free, pinned=pinned,
+                   gather=np.minimum(gap, width - 1) * mask.size + free,
+                   inside=within & (gap < width), band_pos=band_pos,
+                   dense_pos=(below * nf + np.arange(nf)).take(band_pos))
+
+    def lower(self, factor: np.ndarray) -> np.ndarray:
+        """The dense nf x nf lower triangle of the band ``factor`` (rows, nf), zero above
+        the diagonal."""
+        nf = self.index.size
+        out = np.zeros((nf, nf))
+        out.put(self.dense_pos, factor.take(self.band_pos))
+        return out
+
+
+def free_set(model: StructuralModel, alpha: np.ndarray) -> FreeSet:
+    """The ``FreeSet`` of ``alpha`` for the band of H^T H of ``model``, from the model's
+    one slot: built only when the set differs from the one it holds, which it
+    then replaces."""
+    mask = alpha > 0.0
+    held = model._free_set[0] if model._free_set else None
+    if held is None or held.key != mask.tobytes():
+        held = FreeSet.of(mask, model.gram_bandwidth + 1)
+        model._free_set[:] = [held]
+    return held
+
+
+def _free_or_own(free: FreeSet | None, alpha: np.ndarray, hth: np.ndarray) -> FreeSet:
+    """``free``, or when it is None the ``FreeSet`` of ``alpha`` for the band ``hth``."""
+    return FreeSet.of(alpha > 0.0, hth.shape[0]) if free is None else free
+
+
+def theta_precision(beta: float, hth: np.ndarray, alpha: np.ndarray,
+                    free: FreeSet | None = None) -> np.ndarray:
     """Lower band (min(g + 1, nf), nf) of beta H_f^T H_f + A_f^-1 over the free set f
     of the nf components with alpha > 0, for the band ``hth`` (g + 1, n) of H^T H
-    (``model.build_HtH``); one row when nothing is free.
-
-    Dropping the pruned rows and columns keeps the band: entry (a + r, a) of the
-    free block is H^T H entry (f_{a+r}, f_a), which lies f_{a+r} - f_a >= r below
-    the diagonal, and is zero once that gap passes g.
+    (``model.build_HtH``); one row when nothing is free.  ``free`` is the
+    ``FreeSet`` of ``alpha`` for that band when the caller holds it (``free_set``),
+    and is built here otherwise: one gather of ``hth`` at its positions.
     """
-    free = np.flatnonzero(alpha > 0.0)
-    width, nf = hth.shape[0], free.size
-    rows = np.arange(max(1, min(width, nf)))[:, None] + np.arange(nf)
-    gap = free.take(np.minimum(rows, nf - 1)) - free
-    inside = (rows < nf) & (gap < width)
-    prec = beta * np.where(inside, hth[np.minimum(gap, width - 1), free], 0.0)
-    prec[0] += 1.0 / alpha[free]
+    free = _free_or_own(free, alpha, hth)
+    prec = np.where(free.inside, hth.take(free.gather), 0.0)
+    prec *= beta
+    prec[0] += 1.0 / alpha.take(free.index)
     return prec
 
 
-def theta_factor(beta: float, hth: np.ndarray, alpha: np.ndarray):
+def theta_factor(beta: float, hth: np.ndarray, alpha: np.ndarray,
+                 free: FreeSet | None = None):
     """The free set f (boolean, alpha > 0) and the lower band Cholesky factor (LAPACK
     ``dpbtrf``) of the precision band ``theta_precision`` over it: the one
     factorization that the theta update and both forms of Sigma_theta read.  A
     precision that rounding leaves not positive definite is a ``NumericalError``.
     """
-    factor, info = lapack.dpbtrf(theta_precision(beta, hth, alpha), lower=1)
+    free = _free_or_own(free, alpha, hth)
+    factor, info = lapack.dpbtrf(theta_precision(beta, hth, alpha, free), lower=1)
     if info != 0:
         raise NumericalError(f"theta precision is not positive definite: Cholesky "
                              f"factorization failed (LAPACK info {info})")
-    return alpha > 0.0, factor
+    return free.mask, factor
 
 
-def theta_covariance_from(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def theta_covariance_from(beta: float, hth: np.ndarray, alpha: np.ndarray,
+                          free: FreeSet | None = None) -> np.ndarray:
     """Sigma_theta = (beta H_f^T H_f + A_f^-1)^-1, embedded in the n x n frame.
 
-    ``hth`` is the band of H^T H (``model.build_HtH``).  The precision is
-    inverted from its band Cholesky factor (``theta_factor``), expanded to the
-    dense lower triangle of the free set, by ``dpotri``, so the cost scales with
-    the unpruned set.  Rows and columns of pruned components are exactly zero.
+    ``hth`` is the band of H^T H (``model.build_HtH``), ``free`` as in
+    ``theta_precision``.  The precision is inverted from its band Cholesky factor
+    (``theta_factor``), expanded to the dense lower triangle of the free set, by
+    ``dpotri``, so the cost scales with the unpruned set.  Rows and columns of
+    pruned components are exactly zero.
     """
-    free, factor = theta_factor(beta, hth, alpha)
-    cov = np.zeros((free.size, free.size))
-    if np.any(free):
-        inv, _ = lapack.dpotri(band_to_dense(factor, symmetric=False), lower=1)
+    free = _free_or_own(free, alpha, hth)
+    _, factor = theta_factor(beta, hth, alpha, free)
+    n = alpha.size
+    cov = np.zeros((n, n))
+    if free.index.size:
+        inv, _ = lapack.dpotri(free.lower(factor), lower=1)
         # dpotri fills the lower triangle only
-        cov[np.ix_(free, free)] = np.tril(inv) + np.tril(inv, -1).T
+        cov[np.ix_(free.index, free.index)] = np.tril(inv) + np.tril(inv, -1).T
     return cov
 
 
-def theta_variances(beta: float, hth: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def theta_variances(beta: float, hth: np.ndarray, alpha: np.ndarray,
+                    free: FreeSet | None = None) -> np.ndarray:
     """The diagonal of Sigma_theta (n,), without forming Sigma_theta.
 
     With L the Cholesky factor of the precision (``theta_factor``, expanded to
     the dense lower triangle of the free set), Sigma_theta = L^-T L^-1, so its
     diagonal holds the column sums of squares of L^-1 (``dtrtri``).  Pruned
     components read exactly 0, as they do in ``theta_covariance_from``.
+    ``free`` is as in ``theta_precision``.
     """
-    free, factor = theta_factor(beta, hth, alpha)
-    var = np.zeros(free.size)
-    if np.any(free):
+    free = _free_or_own(free, alpha, hth)
+    _, factor = theta_factor(beta, hth, alpha, free)
+    var = np.zeros(alpha.size)
+    if free.index.size:
         # the expanded factor is zero above the diagonal, and dtrtri leaves it as it is
-        inv, _ = lapack.dtrtri(band_to_dense(factor, symmetric=False), lower=1)
-        var[free] = np.einsum("ij,ij->j", inv, inv)
+        inv, _ = lapack.dtrtri(free.lower(factor), lower=1)
+        var.put(free.index, np.einsum("ij,ij->j", inv, inv))
     return var
 
 
@@ -175,10 +259,62 @@ def factor_mode_bands(bands: np.ndarray) -> np.ndarray:
     return factor
 
 
-def solve_mode_bands(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class SolveGrids:
+    """The index grids of ``solve_mode_bands`` for mode blocks of d rows and
+    half-bandwidth u: the rows nb of a block and their ``count``, and for the
+    diagonal blocks and the couplings the band row and column of each entry in the
+    factor of one mode, where it lies ``inside`` the band.  Diagonal entries of the
+    rows past d are one (``diag_fill``)."""
+
+    nb: int
+    count: int
+    diag_rows: np.ndarray
+    diag_cols: np.ndarray
+    diag_inside: np.ndarray
+    diag_fill: np.ndarray
+    coupling_rows: np.ndarray
+    coupling_cols: np.ndarray
+    coupling_inside: np.ndarray
+
+    @classmethod
+    def of(cls, d: int, u: int) -> "SolveGrids":
+        nb = max(SOLVE_BLOCK, u)
+        count = -(-d // nb)
+        # diagonal block c, entry (a, b): L_i[c nb + a, c nb + b], with ones on the
+        # diagonal of the rows past d, so the ragged last block's inverse is its top
+        # left corner
+        a = np.arange(nb)
+        gap = a[:, None] - a
+        rows = nb * np.arange(count)[:, None, None] + a[:, None]
+        diag = dict(diag_rows=np.clip(gap, 0, u), diag_cols=np.minimum(rows.swapaxes(1, 2), d - 1),
+                    diag_inside=(gap >= 0) & (gap <= u) & (rows < d),
+                    diag_fill=(gap == 0) & (rows >= d))
+        # coupling of block c >= 1, entry (a, b) for a, b < u: L_i[s + a, s - u + b] with
+        # s = c nb, zero below the diagonal (a > b) and past the last row
+        a = np.arange(u)
+        gap = u + a[:, None] - a
+        starts = nb * np.arange(1, count)[:, None, None]
+        return cls(nb=nb, count=count, **diag, coupling_rows=np.minimum(gap, u),
+                   coupling_cols=starts - u + a,
+                   coupling_inside=(gap <= u) & (starts + a[:, None] < d))
+
+
+def solve_grids(model: StructuralModel) -> SolveGrids:
+    """The ``SolveGrids`` of the mode blocks of ``model``, built into its slot once."""
+    slot = model._solve_grids
+    if not slot:
+        slot.append(SolveGrids.of(model.d, model.operator_bandwidth))
+    return slot[0]
+
+
+def solve_mode_bands(factor: np.ndarray, rhs: np.ndarray,
+                     grids: SolveGrids | None = None) -> np.ndarray:
     """Solve P_i X_i = R_i for every mode i, in place on the right-hand sides ``rhs``
     (m, d, r), from the band Cholesky factor ``factor`` (u + 1, m d) of the mode
-    blocks (``factor_mode_bands``), and return ``rhs``.
+    blocks (``factor_mode_bands``), and return ``rhs``.  ``grids`` are the index
+    grids of (d, u) (``solve_grids``) when the caller holds them, and are built
+    here otherwise.
 
     Level-3 blocked substitution: the rows of each factor L_i are cut into blocks
     of nb = max(``SOLVE_BLOCK``, u) rows, the last one ragged, so the band of a
@@ -194,26 +330,16 @@ def solve_mode_bands(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     u = factor.shape[0] - 1
     if rhs.size == 0:
         return rhs
-    nb = max(SOLVE_BLOCK, u)
-    count = -(-d // nb)
+    if grids is None:
+        grids = SolveGrids.of(d, u)
+    nb, count = grids.nb, grids.count
     # entry (j + t, j) of L_i is lower[i, t, j]; it is zero past the mode's last row
     lower = factor.reshape(u + 1, m, d).transpose(1, 0, 2)
-    # diagonal block c, entry (a, b): L_i[c nb + a, c nb + b], with ones on the diagonal
-    # of the rows past d, so the ragged last block's inverse is its top left corner
-    a = np.arange(nb)
-    gap = a[:, None] - a
-    rows = nb * np.arange(count)[:, None, None] + a[:, None]
-    inside = (gap >= 0) & (gap <= u) & (rows < d)
-    diag = np.where(inside, lower[:, np.clip(gap, 0, u), np.minimum(rows.swapaxes(1, 2), d - 1)],
-                    (gap == 0) & (rows >= d))
+    diag = np.where(grids.diag_inside, lower[:, grids.diag_rows, grids.diag_cols],
+                    grids.diag_fill)
     inv = np.linalg.inv(diag)
-    # coupling of block c >= 1, entry (a, b) for a, b < u: L_i[s + a, s - u + b] with
-    # s = c nb, zero below the diagonal (a > b) and past the last row
-    a = np.arange(u)
-    gap = u + a[:, None] - a
-    starts = nb * np.arange(1, count)[:, None, None]
-    inside = (gap <= u) & (starts + a[:, None] < d)
-    coupling = np.where(inside, lower[:, np.minimum(gap, u), starts - u + a], 0.0)
+    coupling = np.where(grids.coupling_inside,
+                        lower[:, grids.coupling_rows, grids.coupling_cols], 0.0)
     for c in range(count):
         s, e = c * nb, min((c + 1) * nb, d)
         if c:
@@ -259,7 +385,8 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     """
     d, m = model.d, state.m
     q, s = terms.q, terms.s
-    free_idx = np.flatnonzero(state.free_mask())
+    free = free_set(model, state.alpha)
+    free_idx = free.index
     nf = free_idx.size
     dm = d * m
 
@@ -311,7 +438,7 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     core[0, i_th] = ht_times(model, hmat, resid)[free_idx]
     # Phi_i^T Ksub_j M Phi_i = (M Phi_i) . (Ksub_j Phi_i)
     core[i_w, i_th] = -state.beta * np.matmul(hf, mphi[:, :, None])[:, :, 0]
-    core[i_th, i_th] = band_to_dense(theta_precision(state.beta, hth, state.alpha))
+    core[i_th, i_th] = band_to_dense(theta_precision(state.beta, hth, state.alpha, free))
     core = np.triu(core) + np.triu(core, 1).T
 
     return bands, cross, core, free_idx
@@ -446,7 +573,7 @@ def _exact_inverse_norm(joint: JointCovariance, eq: np.ndarray) -> float:
 
 
 def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
-                   start: int, free_idx=()) -> JointCovariance:
+                   start: int, free_idx=(), grids: SolveGrids | None = None) -> JointCovariance:
     """Inverse of the Hessian held as its banded mode blocks and the rest, in factored
     form (``JointCovariance``).
 
@@ -455,7 +582,8 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
     zeros between them; ``cross`` holds those rows in the other k columns and
     ``core`` the symmetric k x k block of the other rows (the
     ``joint_hessian`` layout).  The inverse keeps the same order, and
-    ``free_idx`` names its theta rows.  Empty Phi blocks, bands (0, 1, 0),
+    ``free_idx`` names its theta rows, and ``grids`` are the index grids of the
+    blocked solve (``solve_mode_bands``).  Empty Phi blocks, bands (0, 1, 0),
     make ``core`` its own Schur complement.
 
     The raw precision matrix mixes parameter scales spanning many orders
@@ -511,7 +639,7 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
     sol = np.zeros((m, d, d + k))
     sol[:, np.arange(d), np.arange(d)] = 1.0
     sol[:, :, d:] = cross.reshape(m, d, k)
-    solve_mode_bands(factor, sol)
+    solve_mode_bands(factor, sol, grids)
     p_inv, y = sol[:, :, :d], sol[:, :, d:].reshape(m * d, k)
     try:
         s_inv = np.linalg.inv(core - cross.T @ y)
@@ -547,7 +675,7 @@ def joint_covariance(state, terms: DataTerms, model: StructuralModel, hmat: np.n
     the residuals of ``state``; ``terms`` the dataset terms of the run.
     """
     bands, cross, core, free_idx = joint_hessian(state, terms, model, hmat, hth, resid)
-    return invert_hessian(bands, cross, core, 3 * state.m + 1, free_idx)
+    return invert_hessian(bands, cross, core, 3 * state.m + 1, free_idx, solve_grids(model))
 
 
 def cov_report(result, dataset: ModalDataset) -> list:

@@ -24,6 +24,7 @@ from modalbayes.bench import (
     simulate_modal_data,
 )
 from modalbayes.damage import build_report
+from modalbayes.data import ModalDataset
 from modalbayes.errors import ConfigurationError
 from modalbayes.inference import AlgorithmConfig, run_calibration
 from modalbayes.model import assemble_stiffness, eigen_solve
@@ -102,6 +103,27 @@ class TestSimulateModalData:
                 ref = modes[i] / np.linalg.norm(modes[i])
                 got = ds.psi_segments[r, i]
                 np.testing.assert_allclose(got, ref * np.sign(got @ ref), rtol=1e-12)
+
+    def test_draws_of_one_generator_per_segment_and_mode(self):
+        # segment r, mode i draws from its own generator of the (r, i) spawn key; the
+        # shape noise is scaled by the RMS entry of the exact mode, formed per draw here
+        model = shear_building_model(ShearBuildingSpec(stories=8))
+        noise = NoiseSpec(0.01, 0.02, seed=11)
+        observed = [0, 2, 3, 7]
+        omega2, modes = eigen_solve(model, np.ones(8), 3)
+        w2 = np.zeros((5, 3))
+        shapes = np.zeros((5, 3, len(observed)))
+        for r in range(5):
+            for i in range(3):
+                rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(r, i)))
+                eps_w, eps_s = rng.normal(), rng.normal(size=8)
+                w2[r, i] = (np.sqrt(omega2[i]) * (1.0 + noise.freq_cov * eps_w)) ** 2
+                scale = np.linalg.norm(modes[i]) / np.sqrt(8)
+                shapes[r, i] = (modes[i] + noise.shape_cov * scale * eps_s)[observed]
+        expected = ModalDataset.from_segments(w2, shapes, observed)
+        got = simulate_modal_data(model, np.ones(8), 3, 5, observed, noise)
+        np.testing.assert_array_equal(got.omega2_segments, expected.omega2_segments)
+        np.testing.assert_array_equal(got.psi_segments, expected.psi_segments)
 
     def test_deterministic(self, toy2_model):
         kwargs = dict(m=1, q=4, observed_dofs=[0, 1], noise=NoiseSpec(0.01, 0.01, seed=42))

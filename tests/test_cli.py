@@ -789,6 +789,21 @@ def test_one_exit_code_per_error_class(tmp_path, monkeypatch, error, code, prefi
 
 
 class TestConfigFile:
+    def test_config_values_stay_with_their_call(self, tmp_path):
+        # main keeps one parser for the process: a call with --config and calls without
+        # it, before and after, each parse only their own options
+        (tmp_path / "cfg.json").write_text(json.dumps({"segments": 4, "modes": 2, "seed": 7}))
+        plain = ["simulate", "--building", "shear10", "--seed", "5"]
+        assert run_cli(plain + ["--out-dir", "before"], cwd=tmp_path).returncode == 0
+        assert run_cli(plain + ["--config", "cfg.json", "--out-dir", "config"],
+                       cwd=tmp_path).returncode == 0
+        assert run_cli(plain + ["--out-dir", "after"], cwd=tmp_path).returncode == 0
+        configured = json.loads((tmp_path / "config/dataset.json").read_text())
+        assert (configured["q"], configured["m"]) == (4, 2)
+        before = (tmp_path / "before/dataset.json").read_text()
+        assert (tmp_path / "after/dataset.json").read_text() == before
+        assert (json.loads(before)["q"], json.loads(before)["m"]) == (3, 4)
+
     def test_config_defaults_applied(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({"segments": 4, "modes": 2, "seed": 7}))
         proc = run_cli(["simulate", "--building", "shear10", "--config", "cfg.json",

@@ -1094,6 +1094,73 @@ class TestSweepStructure:
         ) == expected
 
 
+class TestFreeSetPlan:
+    """The plan of the theta precision over the free set is built once per free set: a
+    free set changes only when a component is pruned, and the model's one slot holds
+    the set of the last sweep for the covariances after it.  Reading it from the slot
+    changes no record."""
+
+    @staticmethod
+    def inputs():
+        shear10 = shear_building_model(ShearBuildingSpec(stories=10))
+        calib_ds = simulate_modal_data(shear10, np.ones(10), m=4, q=50,
+                                       observed_dofs=np.arange(10), noise=NoiseSpec(seed=3))
+        mon_ds = simulate_modal_data(shear10, np.r_[1.0, 1.0, 0.8, np.ones(7)], m=4, q=10,
+                                     observed_dofs=np.arange(10), noise=NoiseSpec(seed=4),
+                                     normalization="global")
+        return calib_ds, mon_ds
+
+    @staticmethod
+    def fresh_model():
+        return shear_building_model(ShearBuildingSpec(stories=10))
+
+    def test_one_plan_per_free_set(self, monkeypatch):
+        calib_ds, mon_ds = self.inputs()
+        built = []
+        original = uncertainty.FreeSet.of
+
+        def counting(mask, width):
+            built.append(np.array(mask))
+            return original(mask, width)
+
+        monkeypatch.setattr(uncertainty.FreeSet, "of", staticmethod(counting))
+        calib = run_calibration(calib_ds, self.fresh_model(), np.ones(10),
+                                comparison_calibration())
+        assert calib.iterations > 1 and len(built) == 1 and built[0].all()
+        built.clear()
+        monitor = run_monitoring(mon_ds, self.fresh_model(), calib.theta_map)
+        events = [record.pruned for record in monitor.records if record.pruned]
+        assert events and monitor.fixed_set == set(range(10)) - {2}
+        # the all-free set of the first sweeps, then one set after each pruning sweep
+        assert len(built) == 1 + len(events)
+        assert len({mask.tobytes() for mask in built}) == len(built)
+        np.testing.assert_array_equal(built[-1], monitor.state_map.alpha > 0)
+
+    def test_records_do_not_depend_on_the_slot(self, monkeypatch):
+        calib_ds, mon_ds = self.inputs()
+        calib = run_calibration(calib_ds, self.fresh_model(), np.ones(10),
+                                comparison_calibration())
+
+        def run():
+            result = run_monitoring(mon_ds, self.fresh_model(), calib.theta_map)
+            return result, [(r.theta.tobytes(), r.alpha.tobytes(), r.objective, r.pruned,
+                             r.step) for r in result.records]
+
+        kept, kept_records = run()
+        original = uncertainty.free_set
+
+        def cleared(model, alpha):
+            model._free_set.clear()
+            return original(model, alpha)
+
+        monkeypatch.setattr(uncertainty, "free_set", cleared)
+        fresh, fresh_records = run()
+        assert any(pruned for _, _, _, pruned, _ in kept_records)
+        assert fresh_records == kept_records
+        np.testing.assert_array_equal(fresh.theta_cov, kept.theta_cov)
+        np.testing.assert_array_equal(fresh.full_cov, kept.full_cov)
+
+
 class TestBandedScale:
     """The sweep works on bands and supports, for any bandwidth up to a dense K0."""
 

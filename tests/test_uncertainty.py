@@ -39,7 +39,8 @@ from modalbayes.bench import (
 from modalbayes.data import DataTerms
 from modalbayes.errors import NumericalError
 from modalbayes.inference import AlgorithmConfig, initialize, run_calibration, update_mode_shapes
-from modalbayes.model import StructuralModel, assemble_stiffness
+from modalbayes.model import (StructuralModel, assemble_stiffness, band_to_dense, build_H,
+                              build_HtH)
 from modalbayes.uncertainty import (
     cov_report,
     factor_mode_bands,
@@ -50,6 +51,69 @@ from modalbayes.uncertainty import (
     solve_mode_bands,
     theta_covariance_from,
 )
+
+
+class TestFreeSet:
+    """The theta precision and its band factor, gathered by the plan of the free set
+    that a model holds, against the dense H^T H gathered over the free set plus
+    diag(1 / alpha), over a sequence of free sets that revisits one, so that a plan
+    left from an earlier set would show."""
+
+    @staticmethod
+    def models():
+        shear30 = shear_building_model(ShearBuildingSpec(stories=30))
+        # the dense-K0 model of TestBandedScale::test_dense_k0_calibrate_and_monitor
+        shear10 = shear_building_model(ShearBuildingSpec(stories=10))
+        k0 = random_spd(np.random.default_rng(5), 10) / 10.0
+        dense_k0 = StructuralModel(mass=shear10.mass, k0=k0, support=shear10.support,
+                                   blocks=shear10.blocks)
+        return [shear30, dense_k0]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["shear30", "dense_k0"])
+    def test_plan_matches_dense_reference_over_changing_free_sets(self, which):
+        model = self.models()[which]
+        n = model.n
+        rng = np.random.default_rng(which)
+        phi = rng.standard_normal(3 * model.d)
+        href = loop_H(model, phi)
+        hth = build_HtH(model, build_H(model, phi))
+        gram = href.T @ href
+        beta = 3.0
+        every = rng.uniform(0.5, 2.0, n)
+        first = np.where(np.arange(n) % 4 == 0, 0.0, every)
+        second = np.where(np.arange(n) % 3 == 1, 0.0, every)
+        one = np.where(np.arange(n) == n // 2, every, 0.0)
+        for alpha in (first, second, first, np.zeros(n), one, every):
+            free = alpha > 0
+            plan = uncertainty.free_set(model, alpha)
+            np.testing.assert_array_equal(plan.mask, free)
+            np.testing.assert_array_equal(plan.index, np.flatnonzero(free))
+            np.testing.assert_array_equal(plan.pinned, np.flatnonzero(~free))
+            assert uncertainty.free_set(model, alpha.copy()) is plan
+            prec = beta * gram[np.ix_(free, free)] + np.diag(1.0 / alpha[free])
+            band = uncertainty.theta_precision(beta, hth, alpha, plan)
+            np.testing.assert_allclose(band_to_dense(band), prec, rtol=1e-13,
+                                       atol=1e-13 * np.abs(prec).max(initial=0.0))
+            # the plan of the model slot gathers what a plan built for this call gathers
+            np.testing.assert_array_equal(band, uncertainty.theta_precision(beta, hth, alpha))
+            got_free, factor = uncertainty.theta_factor(beta, hth, alpha, plan)
+            np.testing.assert_array_equal(got_free, free)
+            lower = plan.lower(factor)
+            np.testing.assert_array_equal(lower, band_to_dense(factor, symmetric=False))
+            if free.any():
+                np.testing.assert_allclose(lower, np.linalg.cholesky(prec), rtol=1e-12,
+                                           atol=1e-12 * np.abs(lower).max())
+            else:
+                assert lower.shape == (0, 0)
+
+    def test_model_slot_holds_one_set(self):
+        model = self.models()[0]
+        alpha = np.ones(model.n)
+        first = uncertainty.free_set(model, alpha)
+        alpha[3] = 0.0
+        second = uncertainty.free_set(model, alpha)
+        assert second is not first and model._free_set == [second]
+        assert uncertainty.free_set(model, np.ones(model.n)) is not first
 
 
 class TestThetaCovariance:
@@ -538,6 +602,19 @@ class TestBlockedSolve:
                 for r in (1, 7):
                     self.check_against_dpbtrs(self.random_factor(rng, m, d, u),
                                               rng.standard_normal((m, d, r)))
+
+    def test_model_grids_solve_bitwise_as_built_grids(self):
+        # the grids a model holds are built once, and solve exactly as grids built per call
+        rng = np.random.default_rng(7)
+        for d in (10, 30):
+            model = shear_building_model(ShearBuildingSpec(stories=d))
+            u = model.operator_bandwidth
+            grids = uncertainty.solve_grids(model)
+            assert uncertainty.solve_grids(model) is grids
+            factor = self.random_factor(rng, 4, d, u)
+            rhs = rng.standard_normal((4, d, d + 5))
+            np.testing.assert_array_equal(solve_mode_bands(factor, rhs.copy(), grids),
+                                          solve_mode_bands(factor, rhs.copy()))
 
     def test_no_rows_or_columns(self):
         for m, d, r in [(0, 5, 7), (3, 0, 7), (3, 5, 0)]:
