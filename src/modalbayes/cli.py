@@ -179,13 +179,14 @@ def _emit_run_outputs(result, dataset, out: Path, prefix: str):
     result_path = out / f"{prefix}.json"
     trace_path = out / f"{prefix}_trace.csv"
     cov_path = out / f"{prefix}_cov.csv"
+    joint = result.joint  # formed first, so that the result file holds its diagnostic
     io.save_result(result, result_path)
     io.write_trace_csv(result, trace_path)
     io.write_cov_table_csv(cov_report(result, dataset), cov_path)
     outputs = [result_path, trace_path, cov_path]
-    if result.joint is not None:
+    if joint is not None:
         joint_path = out / f"{prefix}_joint_cov.csv"
-        io.write_matrix_csv(result.joint.rows(), result.joint.labels(), joint_path)
+        io.write_matrix_csv(joint.rows(), joint.labels(), joint_path)
         outputs.append(joint_path)
     return outputs
 

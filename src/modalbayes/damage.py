@@ -90,18 +90,14 @@ def damage_probability(calib: InferenceResult, monitor: InferenceResult, f_grid=
 
     one_minus_f = 1.0 - f_grid[None, :]
     num = one_minus_f * theta_u[:, None] - theta_d[:, None]
-    if variance_pairing == "as_printed":
-        var = one_minus_f**2 * sig_d[:, None] ** 2 + sig_u[:, None] ** 2
-    else:
-        var = one_minus_f**2 * sig_u[:, None] ** 2 + sig_d[:, None] ** 2
-    denom = np.sqrt(var)
+    # the (1 - f)^2 factor scales the monitoring variance as printed
+    scaled, other = (sig_d, sig_u) if variance_pairing == "as_printed" else (sig_u, sig_d)
+    denom = np.sqrt(one_minus_f**2 * scaled[:, None] ** 2 + other[:, None] ** 2)
     prob = np.empty_like(num)
     regular = denom > 0.0
     prob[regular] = ndtr(num[regular] / denom[regular])
     # degenerate: both uncertainties zero -> step function, 0.5 by continuity at 0
-    prob[~regular & (num > 0)] = 1.0
-    prob[~regular & (num < 0)] = 0.0
-    prob[~regular & (num == 0)] = 0.5
+    prob[~regular] = 0.5 + 0.5 * np.sign(num[~regular])
     return prob
 
 

@@ -34,14 +34,15 @@ a component is pruned.  Formed once per sweep: everything ``sweep`` lists, each
 in the band or support form of ``model``, so a sweep of a banded model costs
 O(d), and each reduction that two blocks read is done once and passed to both.
 Formed once, after the last sweep: the full Sigma_theta, from which the result
-derives the c.o.v., and the joint covariance, which reuses the H blocks, the
-H^T H band and r of the last sweep and the free set of the slot.
+derives the c.o.v.  Formed on the first read of the result's ``joint``: the joint
+covariance, from the H blocks, the H^T H band and r of the last sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -198,25 +199,37 @@ class SweepRecord:
 
 @dataclass
 class InferenceResult:
-    """MAP state, posterior covariances and the records of the start and each sweep.
-
-    ``joint`` is the joint covariance in factored form
-    (``uncertainty.JointCovariance``), None when it is unavailable.
-    """
+    """MAP state, posterior covariances and the records of the start and each sweep."""
 
     mode: str
     state_map: InferenceState
     theta_anchor: np.ndarray
     theta_cov: np.ndarray
-    joint: uncertainty.JointCovariance | None
     records: list[SweepRecord]
     pruning_events: list
     iterations: int
     converged: bool
+    joint_inputs: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def theta_map(self) -> np.ndarray:
         return self.state_map.theta
+
+    @cached_property
+    def joint(self) -> uncertainty.JointCovariance | None:
+        """The joint covariance in factored form (``uncertainty.JointCovariance``), formed
+        on the first read from ``state_map`` and ``joint_inputs`` (the run's
+        ``DataTerms``, the model, and the H blocks, H^T H band and r of its last sweep),
+        which that read drops, and kept.  None without them, as for a loaded result,
+        and when the Hessian is numerically singular, which that read flags."""
+        joint = None
+        try:
+            if self.joint_inputs is not None:
+                joint = uncertainty.joint_covariance(self.state_map, *self.joint_inputs)
+        except NumericalError as exc:
+            self.state_map.flag(f"joint covariance unavailable: {exc}")
+        self.joint_inputs = None
+        return joint
 
     @property
     def full_cov(self) -> np.ndarray | None:
@@ -744,23 +757,16 @@ def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: Algorith
 
     theta_cov = uncertainty.theta_covariance_from(state.beta, hth, state.alpha,
                                                   uncertainty.free_set(model, state.alpha))
-
-    joint = None
-    try:
-        joint = uncertainty.joint_covariance(state, terms, model, hmat, hth, resid)
-    except NumericalError as exc:
-        state.flag(f"joint covariance unavailable: {exc}")
-
     return InferenceResult(
         mode=config.mode,
         state_map=state,
         theta_anchor=anchor,
         theta_cov=theta_cov,
-        joint=joint,
         records=records,
         pruning_events=[(k, j) for k, record in enumerate(records) for j in record.pruned],
         iterations=len(records) - 1,
         converged=converged,
+        joint_inputs=(terms, model, hmat, hth, resid),
     )
 
 

@@ -209,7 +209,7 @@ def result_from_dict(payload: dict) -> InferenceResult:
         b0=values["b0"], diagnostics=list(diagnostics))
     result = InferenceResult(
         mode=mode, state_map=state, theta_anchor=values["theta_anchor"],
-        theta_cov=values["theta_cov"], joint=None, records=[], pruning_events=pruning_events,
+        theta_cov=values["theta_cov"], records=[], pruning_events=pruning_events,
         iterations=iterations, converged=converged)
     if fixed_set != result.fixed_set:
         raise ConfigurationError(f"result fixed_set {sorted(fixed_set)} is not the alpha = 0 "

@@ -225,10 +225,7 @@ def theta_variances(beta: float, hth: np.ndarray, alpha: np.ndarray,
 def hessian_labels(m: int, d: int, free_idx) -> list:
     """The names of the joint Hessian's rows, in order, for m modes of d DOFs and the
     free theta components ``free_idx`` (0-based; named from 1)."""
-    labels = ["beta"]
-    labels += [f"omega2_{i + 1}" for i in range(m)]
-    labels += [f"rho_{i + 1}" for i in range(m)]
-    labels += [f"tau_{i + 1}" for i in range(m)]
+    labels = ["beta"] + [f"{name}_{i + 1}" for name in ("omega2", "rho", "tau") for i in range(m)]
     labels += [f"phi_{i + 1}_{k + 1}" for i in range(m) for k in range(d)]
     labels += ["eta", "nu"]
     labels += [f"theta_{j + 1}" for j in free_idx]

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import SOURCE_DATE_EPOCH, cli_env
-from modalbayes import cli
+from modalbayes import cli, uncertainty
 from modalbayes.cli import main
 from modalbayes.errors import ConfigurationError, ModelError, NumericalError
 from modalbayes.inference import AlgorithmConfig
@@ -168,6 +168,28 @@ class TestCalibrate:
         assert (pipeline_dir / "run/calibration_cov.csv").exists()
         assert (pipeline_dir / "run/calibration_joint_cov.csv").exists()
         assert (pipeline_dir / "run/calibrate_manifest.json").exists()
+
+    def test_singular_joint_flagged_in_result_file(self, pipeline_dir, monkeypatch):
+        # the joint covariance is formed when first read; the CLI reads it before it
+        # writes the result file, so a refused joint leaves its diagnostic there
+        blocks_of = uncertainty.joint_hessian
+
+        def singular_phi(*args):
+            bands, cross, core, free_idx = blocks_of(*args)
+            # the row and column of DOF 0 of the first mode block become zero
+            bands[0, :, 0] = 0.0
+            return bands, cross, core, free_idx
+
+        monkeypatch.setattr(uncertainty, "joint_hessian", singular_phi)
+        proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
+                        "run/dataset.json", "--theta-init", "uniform:2,3", "--seed", "7",
+                        "--out-dir", "run"], cwd=pipeline_dir)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads((pipeline_dir / "run/calibration.json").read_text())
+        assert any(msg.startswith("joint covariance unavailable") and "condition" in msg
+                   for msg in result["diagnostics"]), result["diagnostics"]
+        assert (pipeline_dir / "run/calibration_cov.csv").exists()
+        assert not (pipeline_dir / "run/calibration_joint_cov.csv").exists()
 
     def test_fix_hypers_plumbing(self, pipeline_dir):
         proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",

@@ -34,7 +34,7 @@ def fake_result(theta, sigma, fixed=(), anchor=None, mode="monitoring"):
     )
     return InferenceResult(
         mode=mode, state_map=state, theta_anchor=anchor, theta_cov=np.diag(sigma**2),
-        joint=None, records=[], pruning_events=[], iterations=1, converged=True,
+        records=[], pruning_events=[], iterations=1, converged=True,
     )
 
 

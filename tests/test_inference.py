@@ -28,8 +28,7 @@ from conftest import (
     two_stage,
     two_stage_data,
 )
-from modalbayes import uncertainty
-from modalbayes import inference
+from modalbayes import damage, inference, uncertainty
 from modalbayes.bench import (BENCHMARK_UNIT_SCALE, DEFAULT_HARNESS_CONFIG, NoiseSpec,
                               comparison_calibration, harness_theta_init, simulate_modal_data)
 from modalbayes.data import DataTerms, ModalDataset
@@ -1019,11 +1018,12 @@ class TestSweepStructure:
     shared by the theta update and the residual H theta - b; the mode-shape update
     forms the operator bands A_i = K(theta) - omega2_i M once.  The dataset terms (the
     observation mask, Gamma^T Psi_hat) are formed once per run, before the first
-    sweep, and no sweep forms Sigma_theta: it is formed once, after the last.  The
-    joint covariance reuses the run's H, H^T H and residual: it assembles the band of
-    K(theta) once, forms the operator bands once from it, for both the Phi blocks and
-    the products with A_i, builds the H of the residual once and builds no b and no
-    H^T H.  No sweep expands K(theta) to a dense matrix."""
+    sweep, and no sweep forms Sigma_theta: it is formed once, after the last.  A run
+    does not form the joint covariance; its first read reuses the run's H, H^T H and
+    residual: it assembles the band of K(theta) once, forms the operator bands once
+    from it, for both the Phi blocks and the products with A_i, builds the H of the
+    residual once and builds no b and no H^T H.  No sweep expands K(theta) to a dense
+    matrix."""
 
     COUNTED = ("stiffness_band", "build_H", "build_b", "operator_bands",
                "build_HtH", "theta_covariance_from", "from_dataset", "assemble_stiffness")
@@ -1059,12 +1059,15 @@ class TestSweepStructure:
         monkeypatch.setattr(data.DataTerms, "from_dataset",
                             staticmethod(recording("from_dataset", data.DataTerms.from_dataset)))
         result = run()
+        # the run does not form the joint covariance: its one read after the run does
+        joint = len(events)
+        assert "joint_covariance" not in events
+        assert result.joint is not None
         monkeypatch.undo()
-        # each call of sweep is one sweep; Sigma_theta and then the joint covariance
-        # follow the last
+        assert events[joint] == "joint_covariance" and events.count("joint_covariance") == 1
+        # each call of sweep is one sweep; Sigma_theta follows the last
         starts = [i for i, e in enumerate(events) if e == "sweep"]
         ends = [i for i, e in enumerate(events) if e == "/sweep"]
-        joint = events.index("joint_covariance")
         assert len(starts) == result.iterations == 3
         segments = ([events[:starts[0]]] + [events[a + 1:b] for a, b in zip(starts, ends)]
                     + [events[ends[-1] + 1:joint], events[joint + 1:]])
@@ -1159,6 +1162,81 @@ class TestFreeSetPlan:
         assert fresh_records == kept_records
         np.testing.assert_array_equal(fresh.theta_cov, kept.theta_cov)
         np.testing.assert_array_equal(fresh.full_cov, kept.full_cov)
+
+
+class TestLazyJoint:
+    """A run keeps the inputs of its joint covariance, not the covariance: the first read
+    of ``joint`` forms it, bitwise as a call at the end of the run would, whatever run
+    on the same model came between, keeps it and drops the inputs.  Reading it changes
+    no other output of any run."""
+
+    inputs = staticmethod(TestFreeSetPlan.inputs)
+    fresh_model = staticmethod(TestFreeSetPlan.fresh_model)
+
+    def test_formed_once_on_first_read(self, monkeypatch):
+        calib_ds, _ = self.inputs()
+        calib = run_calibration(calib_ds, self.fresh_model(), np.ones(10),
+                                comparison_calibration())
+        calls = []
+        original = uncertainty.joint_covariance
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(uncertainty, "joint_covariance", counting)
+        assert calib.joint_inputs is not None
+        first = calib.full_cov
+        assert calib.joint_inputs is None
+        np.testing.assert_array_equal(calib.full_cov, first)
+        assert calib.full_cov_labels == calib.joint.labels()
+        assert len(calls) == 1
+
+    def test_bitwise_as_formed_at_the_end_of_the_run(self, monkeypatch):
+        calib_ds, mon_ds = self.inputs()
+        model = self.fresh_model()
+        eager = []
+        construct = inference.InferenceResult
+
+        def formed_at_once(**kwargs):
+            result = construct(**kwargs)
+            eager.append(uncertainty.joint_covariance(result.state_map, *result.joint_inputs))
+            return result
+
+        monkeypatch.setattr(inference, "InferenceResult", formed_at_once)
+        calib = run_calibration(calib_ds, model, np.ones(10), comparison_calibration())
+        monitor = run_monitoring(mon_ds, model, calib.theta_map)
+        monkeypatch.undo()
+        # the monitoring run pruned, so the model's slot holds a free set other than
+        # the calibration's when its joint is read: read before and after that
+        assert monitor.fixed_set and model._free_set[0].key != calib.state_map.free_mask().tobytes()
+        for result, formed in ((monitor, eager[1]), (calib, eager[0])):
+            lazy = result.joint
+            for name in ("p_inv", "y", "s_inv", "eq_rest", "free_idx"):
+                np.testing.assert_array_equal(getattr(lazy, name), getattr(formed, name))
+            np.testing.assert_array_equal(result.full_cov, formed.dense())
+            assert result.full_cov_labels == formed.labels()
+
+    def test_reads_change_no_other_output(self):
+        calib_ds, mon_ds = self.inputs()
+
+        def outputs(read):
+            model = self.fresh_model()
+            runs = [run_calibration(calib_ds, model, np.ones(10), comparison_calibration())]
+            for _ in range(2):
+                if read:  # the last run's joint, before the next run on the same model
+                    assert runs[-1].full_cov is not None
+                runs.append(run_monitoring(mon_ds, model, runs[0].theta_map))
+            if read:
+                assert all(result.full_cov is not None for result in runs)
+            return [(result.theta_map.tobytes(), result.theta_cov.tobytes(),
+                     [(r.theta.tobytes(), r.alpha.tobytes(), r.objective, r.pruned, r.step)
+                      for r in result.records], result.pruning_events,
+                     result.state_map.diagnostics,
+                     damage.build_report(runs[0], result).alarms.tobytes())
+                    for result in runs]
+
+        assert outputs(read=True) == outputs(read=False)
 
 
 class TestBandedScale:

@@ -416,11 +416,17 @@ class TestStructuredInverse:
 
         monkeypatch.setattr(uncertainty, "joint_hessian", singular_phi)
         _, runs = converged_runs(6, 2, "full", 1)
+
+        def flagged(result):
+            return any(msg.startswith("joint covariance unavailable") and "condition" in msg
+                       for msg in result.state_map.diagnostics)
+
         for result, _ in runs:
+            # the run does not form the joint covariance: its first read does, and flags
+            assert not flagged(result), result.state_map.diagnostics
             assert result.joint is None
             assert result.full_cov is None and result.full_cov_labels is None
-            assert any(msg.startswith("joint covariance unavailable") and "condition" in msg
-                       for msg in result.state_map.diagnostics), result.state_map.diagnostics
+            assert flagged(result), result.state_map.diagnostics
 
 
 class TestConditionCertificate:
