@@ -127,13 +127,11 @@ def _build_model_arg(args):
         raise ConfigurationError("give either --building or --model, not both")
     if args.building:
         name = args.building
-        if not name.startswith("shear"):
+        digits = name[len("shear"):]
+        # int() would also take "1_0", "+10", " 10" and non-ASCII digits
+        if not (name.startswith("shear") and digits.isascii() and digits.isdigit()):
             raise ConfigurationError(f"unknown building shorthand {name!r} (expected shearN)")
-        try:
-            stories = int(name[len("shear"):])
-        except ValueError as exc:
-            raise ConfigurationError(f"unknown building shorthand {name!r}") from exc
-        spec = dataclasses.asdict(ShearBuildingSpec(stories=stories))
+        spec = dataclasses.asdict(ShearBuildingSpec(stories=int(digits)))
         payload = {"shear_building": {**spec, "unit_scale": BENCHMARK_UNIT_SCALE,
                                       **_given(args, "unit_scale")}}
         return io.model_from_dict(payload), payload

@@ -24,9 +24,9 @@ MAX_F_STEPS = 10_000
 
 def default_f_grid(f_max: float = DEFAULT_F_MAX, f_step: float = DEFAULT_F_STEP) -> np.ndarray:
     """Loss fractions 0, f_step, ..., f_max: a whole number of steps, at most ``MAX_F_STEPS``."""
-    if not (f_step > 0.0 and 0.0 <= f_max <= 1.0):
+    if not (0.0 < f_step < np.inf and 0.0 <= f_max <= 1.0):
         raise ConfigurationError(
-            f"the loss grid needs a positive step and a maximum in [0, 1], "
+            f"the loss grid needs a finite positive step and a maximum in [0, 1], "
             f"got f_step={f_step}, f_max={f_max}"
         )
     steps = f_max / f_step

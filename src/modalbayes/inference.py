@@ -29,13 +29,15 @@ segment sums, the observation mask, Gamma^T Psi_hat, and the segment-mean
 shape psi_bar with the spread S0 = sum_r ||psi_r - psi_bar||^2 of the
 segments about it.  Formed once per free set: the free set of the ARD
 variances with the gather plan of the theta precision over it
-(``uncertainty.FreeSet``), held in the model's one slot; it changes only when
-a component is pruned.  Formed once per sweep: everything ``sweep`` lists, each
-in the band or support form of ``model``, so a sweep of a banded model costs
-O(d), and each reduction that two blocks read is done once and passed to both.
-Formed once, after the last sweep: the full Sigma_theta, from which the result
-derives the c.o.v.  Formed on the first read of the result's ``joint``: the joint
-covariance, from the H blocks, the H^T H band and r of the last sweep.
+(``uncertainty.FreeSet``), owned by the run, which builds it before the first
+sweep and hands it to each; it changes only in a sweep that prunes, which
+builds the new one and returns it.  Formed once per sweep: everything
+``sweep`` lists, each in the band or support form of ``model``, so a sweep of
+a banded model costs O(d), and each reduction that two blocks read is done
+once and passed to both.  Formed once, after the last sweep: the full
+Sigma_theta, from which the result derives the c.o.v.  Formed on the first
+read of the result's ``joint``: the joint covariance, from the free set, the H
+blocks, the H^T H band and r of the last sweep.
 """
 
 from __future__ import annotations
@@ -219,9 +221,10 @@ class InferenceResult:
     def joint(self) -> uncertainty.JointCovariance | None:
         """The joint covariance in factored form (``uncertainty.JointCovariance``), formed
         on the first read from ``state_map`` and ``joint_inputs`` (the run's
-        ``DataTerms``, the model, and the H blocks, H^T H band and r of its last sweep),
-        which that read drops, and kept.  None without them, as for a loaded result,
-        and when the Hessian is numerically singular, which that read flags."""
+        ``DataTerms``, the model, and the free set, H blocks, H^T H band and r of its
+        last sweep), which that read drops, and kept.  None without them, as for a
+        loaded result, and when the Hessian is numerically singular, which that read
+        flags."""
         joint = None
         try:
             if self.joint_inputs is not None:
@@ -393,15 +396,12 @@ def update_frequencies(state: InferenceState, terms: DataTerms, mphi: np.ndarray
 
 
 def update_rho(state: InferenceState, terms: DataTerms,
-               dev_sq: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+               dev_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho_i = (q - 2) / sum_r (what_{r,i}^2 - w_i^2)^2 and tau = 1/rho.
 
-    ``dev_sq`` holds those sums of the current omega2 (``DataTerms.frequency_misfit``)
-    when the caller has them, as the sweep does; they are formed here otherwise.
+    ``dev_sq`` holds those sums of the current omega2 (``DataTerms.frequency_misfit``).
     """
     q = terms.q
-    if dev_sq is None:
-        dev_sq = terms.frequency_misfit(state.omega2)
     floor = (q - 2.0) / RHO_MAX
     clamped = dev_sq <= floor
     if clamped.any():
@@ -412,7 +412,7 @@ def update_rho(state: InferenceState, terms: DataTerms,
 
 def update_theta(state: InferenceState, model: StructuralModel, hmat: np.ndarray,
                  hth: np.ndarray, bvec: np.ndarray, anchor: np.ndarray,
-                 free: uncertainty.FreeSet | None = None) -> np.ndarray:
+                 free: uncertainty.FreeSet) -> np.ndarray:
     """MAP stiffness scaling parameters from the linear regression H theta = b.
 
     ``hmat`` holds the blocks of the regression matrix H of ``model``
@@ -421,12 +421,10 @@ def update_theta(state: InferenceState, model: StructuralModel, hmat: np.ndarray
     components (alpha exactly zero) stay pinned at the anchor; the free block solves
     (beta Hf^T Hf + Af^-1) theta_f = beta Hf^T (b - Hp anchor_p) + Af^-1 anchor_f
     from the band Cholesky factor of the precision (``uncertainty.theta_factor``,
-    then LAPACK ``dpbtrs``).  ``free`` is the free set of ``state.alpha``, read
-    from the model's slot (``uncertainty.free_set``) when not given.
+    then LAPACK ``dpbtrs``).  ``free`` is the free set of ``state.alpha``
+    (``uncertainty.FreeSet``).
     """
-    if free is None:
-        free = uncertainty.free_set(model, state.alpha)
-    _, factor = uncertainty.theta_factor(state.beta, hth, state.alpha, free)
+    factor = uncertainty.theta_factor(state.beta, hth, state.alpha, free)
     theta_new = anchor.copy()
     index = free.index
     if not index.size:
@@ -441,33 +439,28 @@ def update_theta(state: InferenceState, model: StructuralModel, hmat: np.ndarray
     return theta_new
 
 
-def update_beta(state: InferenceState, resid: np.ndarray,
-                resid_sq: float | None = None) -> float:
+def update_beta(state: InferenceState, resid_sq: float) -> float:
     """beta = dm / (2 b0 + sum_i ||(K - w_i^2 M) Phi_i||^2).
 
     The mode of beta under its Gamma(1, b0) prior (``BETA_PRIOR_RATE``) given
-    the equation error.  ``resid`` stacks the residuals (K - w_i^2 M) Phi_i
-    of the current state (``model.eigen_residual``); ``resid_sq`` is its squared
-    norm when the caller has it, as the sweep does.
+    the equation error.  ``resid_sq`` is the squared norm of the residuals
+    (K - w_i^2 M) Phi_i of the current state (``model.eigen_residual``).
     """
-    if resid_sq is None:
-        resid_sq = float((resid * resid).sum())
     return state.phi.size / (2.0 * state.b0 + resid_sq)
 
 
 def update_alpha(state: InferenceState, anchor: np.ndarray, theta_cov_diag: np.ndarray,
-                 kappa: float = 0.0, free: uncertainty.FreeSet | None = None) -> np.ndarray:
+                 kappa: float = 0.0) -> np.ndarray:
     """Evidence-maximizing ARD variances under an exponential hyper-prior of rate lam.
 
     alpha_j = 2 B_j / (1 + sqrt(1 + 8 lam B_j)) + kappa with
     B_j = (Sigma_theta)_jj + (anchor_j - theta_j)^2: the positive root
     (-1 + sqrt(1 + 8 lam B_j)) / (4 lam) written without cancellation, so
-    lam = 0 gives B_j exactly.  Pruned components keep alpha = 0; ``free`` is the
-    free set of ``state`` (``uncertainty.free_set``) when the caller has it.
+    lam = 0 gives B_j exactly.  Pruned components keep alpha = 0.
     """
     bj = theta_cov_diag + (anchor - state.theta) ** 2
     alpha = 2.0 * bj / (1.0 + np.sqrt(1.0 + 8.0 * state.lam * bj)) + kappa
-    return np.where(state.free_mask() if free is None else free.mask, alpha, 0.0)
+    return np.where(state.free_mask(), alpha, 0.0)
 
 
 def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
@@ -485,18 +478,16 @@ def update_lambda_zeta(state: InferenceState) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def objective(state: InferenceState, terms: DataTerms, resid: np.ndarray,
-              shape_sq: float, anchor: np.ndarray, free: uncertainty.FreeSet | None = None,
-              dev_sq: np.ndarray | None = None, resid_sq: float | None = None) -> float:
+def objective(state: InferenceState, terms: DataTerms, anchor: np.ndarray,
+              free: uncertainty.FreeSet, dev_sq: np.ndarray, shape_sq: float,
+              resid_sq: float) -> float:
     """The minimized function J over [xi, theta], all log terms included.
 
-    ``resid`` stacks the residuals (K - w_i^2 M) Phi_i of ``state``
-    (``model.eigen_residual``) and ``shape_sq`` is its ||Psi_hat - Gamma Phi||^2
-    (``DataTerms.shape_misfit``).  ``free`` (the free set,
-    ``uncertainty.free_set``), ``dev_sq`` (the frequency misfits,
-    ``DataTerms.frequency_misfit``) and ``resid_sq`` (||r||^2) are those of
-    ``state`` when the caller has them, as the sweep does; each is formed here
-    otherwise, by the same reduction.
+    ``free`` is the free set of ``state.alpha`` (``uncertainty.FreeSet``), and the
+    misfits are those of ``state``: ``dev_sq`` the frequency misfits
+    (``DataTerms.frequency_misfit``), ``shape_sq`` ||Psi_hat - Gamma Phi||^2
+    (``DataTerms.shape_misfit``) and ``resid_sq`` the squared norm of the
+    residuals (K - w_i^2 M) Phi_i (``model.eigen_residual``).
 
     A pruned component (alpha exactly zero) contributes zero to the anchor
     term if its theta equals the anchor, and +inf otherwise.
@@ -507,15 +498,6 @@ def objective(state: InferenceState, terms: DataTerms, resid: np.ndarray,
         raise ConfigurationError("objective undefined: nonpositive precision")
     q, m, s = terms.q, terms.m, terms.s
     d = state.phi.size // m
-    if dev_sq is None:
-        dev_sq = terms.frequency_misfit(state.omega2)
-    if resid_sq is None:
-        resid_sq = float((resid * resid).sum())
-    if free is None:
-        mask = alpha > 0.0
-        pinned = (~mask).nonzero()[0]
-    else:
-        mask, pinned = free.mask, free.pinned
 
     j = state.b0 * state.beta
     j += -0.5 * q * float(np.log(rho).sum())
@@ -526,10 +508,10 @@ def objective(state: InferenceState, terms: DataTerms, resid: np.ndarray,
     j += -math.log(state.nu) + state.nu * state.eta
 
     diff = anchor - state.theta
-    if (diff.take(pinned) != 0.0).any():
+    if (diff.take(free.pinned) != 0.0).any():
         return math.inf
     # a pinned term is 0 / 1, as its diff is exactly zero
-    j += 0.5 * float((diff * diff / np.where(mask, alpha, 1.0)).sum())
+    j += 0.5 * float((diff * diff / np.where(free.mask, alpha, 1.0)).sum())
 
     j += -0.5 * d * m * math.log(state.beta) + 0.5 * state.beta * resid_sq
     return j
@@ -541,20 +523,19 @@ def objective(state: InferenceState, terms: DataTerms, resid: np.ndarray,
 
 
 def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, anchor: np.ndarray,
-          config: AlgorithmConfig,
-          index: int) -> tuple[SweepRecord, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+          config: AlgorithmConfig, index: int,
+          free: uncertainty.FreeSet) -> tuple[SweepRecord, tuple]:
     """Sweep ``index`` (from 1): update each block of ``state`` once, in place, in the
     fixed order (mode shapes, eta), (frequencies, rho), theta, beta, then the ARD block
     in monitoring mode.  Returns the record, whose step is max|delta theta| in
     calibration and max|delta log alpha| over the free components in monitoring (inf
-    at sweep 1, 0 once every component is pruned), and the last H, H^T H and r, which
-    only the covariances after the last sweep read.
+    at sweep 1, 0 once every component is pruned), and the free set, H, H^T H and r
+    after the sweep, which the next sweep and the covariances after the last read.
 
-    The free set of the components, with the plan that gathers the theta
-    precision over it (``uncertainty.free_set``), is read from the model's slot
-    at the start, and again after the ARD block, where pruning may change it: it
-    is built only when it differs from the set the slot holds.  The theta update,
-    the diagonal of Sigma_theta, the ARD update and the objective read it.
+    ``free`` is the free set of ``state.alpha`` with the plan that gathers the
+    theta precision over it (``uncertainty.FreeSet``), built by the run.  The theta
+    update, the diagonal of Sigma_theta and the objective read it; a sweep that
+    prunes builds the set of the new alpha, the one it returns.
 
     Formed once per sweep, every one in band or support form, so a sweep of a
     banded model costs O(d) and no d x d, (m, d, d) or (d m, n) array is formed:
@@ -575,9 +556,8 @@ def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, ancho
     theta update, read by the beta update and the objective, and formed again
     only when pruning moves theta.  The ARD block reads only the diagonal of
     Sigma_theta, from the band Cholesky factor of its precision, expanded to the
-    dense triangle of the free set at the positions of its plan.
+    dense triangle of the free set.
     """
-    free = uncertainty.free_set(model, state.alpha)
     state.phi = update_mode_shapes(state, terms, model)
     shape_sq = terms.shape_misfit(state.phi)
     hmat = build_H(model, state.phi)
@@ -596,14 +576,14 @@ def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, ancho
     resid = eigen_residual(model, hmat, state.theta, bvec)
     resid_sq = float((resid * resid).sum())
     if not config.fixed("beta"):
-        state.beta = update_beta(state, resid, resid_sq)
+        state.beta = update_beta(state, resid_sq)
 
     pruned = ()
     if config.mode == CALIBRATION:
         step = float(np.abs(state.theta - theta_prev).max())
     else:
         cov_diag = uncertainty.theta_variances(state.beta, hth, state.alpha, free)
-        state.alpha = update_alpha(state, anchor, cov_diag, config.kappa, free)
+        state.alpha = update_alpha(state, anchor, cov_diag, config.kappa)
         if config.lambda_fixed is None:
             state.lam, state.zeta = update_lambda_zeta(state)
         if index >= config.min_sweeps_before_pruning:
@@ -614,7 +594,7 @@ def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, ancho
                 pruned = tuple(newly.tolist())
                 resid = eigen_residual(model, hmat, state.theta, bvec)
                 resid_sq = float((resid * resid).sum())
-        free = uncertainty.free_set(model, state.alpha)
+                free = uncertainty.FreeSet.of(state.free_mask(), model.gram_bandwidth + 1)
         if not free.index.size:
             step = 0.0  # everything pruned: report zero stiffness change
         elif index == 1:
@@ -625,9 +605,9 @@ def sweep(state: InferenceState, model: StructuralModel, terms: DataTerms, ancho
             step = float(np.abs(np.log(state.alpha.take(kept) / alpha_prev.take(kept))).max())
 
     record = SweepRecord(state.theta.copy(), state.alpha.copy(),
-                         objective(state, terms, resid, shape_sq, anchor, free, dev_sq,
-                                   resid_sq), pruned, step)
-    return record, (hmat, hth, resid)
+                         objective(state, terms, anchor, free, dev_sq, shape_sq, resid_sq),
+                         pruned, step)
+    return record, (free, hmat, hth, resid)
 
 
 def sweep_input(state: InferenceState, config: AlgorithmConfig) -> np.ndarray:
@@ -684,12 +664,13 @@ def extrapolate(state: InferenceState, history: list,
 
 
 def _extrapolated_sweep(state: InferenceState, model: StructuralModel, terms: DataTerms,
-                        anchor: np.ndarray, config: AlgorithmConfig, index: int, bound: float):
+                        anchor: np.ndarray, config: AlgorithmConfig, index: int,
+                        free: uncertainty.FreeSet, bound: float):
     """``sweep`` from an extrapolated start, or None when its J is not at most ``bound``:
     a NaN J, and an overflow or a ``ModalBayesError`` in the sweep, count as a rise."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            outcome = sweep(state, model, terms, anchor, config, index)
+            outcome = sweep(state, model, terms, anchor, config, index, free)
     except ModalBayesError:
         return None
     return outcome if outcome[0].objective <= bound else None
@@ -718,10 +699,12 @@ def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: Algorith
     anchor = np.asarray(anchor, dtype=float)
     state = initialize(dataset, model, anchor, config)
     terms = DataTerms.from_dataset(dataset, model.d)
+    free = uncertainty.FreeSet.of(state.free_mask(), model.gram_bandwidth + 1)
 
     resid = eigen_residual(model, build_H(model, state.phi), state.theta,
                            build_b(state.omega2, *mode_products(model, state.phi)))
-    start = objective(state, terms, resid, terms.shape_misfit(state.phi), anchor)
+    start = objective(state, terms, anchor, free, terms.frequency_misfit(state.omega2),
+                      terms.shape_misfit(state.phi), float((resid * resid).sum()))
     records = [SweepRecord(state.theta.copy(), state.alpha.copy(), start, (), math.inf)]
     tol = config.tol_log_alpha if mode == MONITORING else config.tol_theta
     calibration = mode == CALIBRATION
@@ -734,17 +717,18 @@ def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: Algorith
             guess = extrapolate(state, history, config)
             if guess is not None:
                 x = sweep_input(guess, config)
-                outcome = _extrapolated_sweep(guess, model, terms, anchor, config, index, last_j)
+                outcome = _extrapolated_sweep(guess, model, terms, anchor, config, index, free,
+                                              last_j)
             if outcome is None:  # discarded: the sweep runs again from the last output
                 history, needed = [], ANDERSON_DEPTH + 1
             else:
                 state = guess
         if outcome is None:
             x = sweep_input(state, config) if calibration else None
-            outcome = sweep(state, model, terms, anchor, config, index)
+            outcome = sweep(state, model, terms, anchor, config, index, free)
             if calibration and outcome[0].objective - last_j > OBJECTIVE_RISE_RTOL * abs(last_j):
                 state.flag(OBJECTIVE_ROSE)
-        record, (hmat, hth, resid) = outcome
+        record, (free, hmat, hth, resid) = outcome
         records.append(record)
         converged = record.step < tol
         if converged:
@@ -755,8 +739,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: Algorith
             f = g - x
             history = [*history[-ANDERSON_DEPTH:], (f, g)] if np.isfinite(f).all() else []
 
-    theta_cov = uncertainty.theta_covariance_from(state.beta, hth, state.alpha,
-                                                  uncertainty.free_set(model, state.alpha))
+    theta_cov = uncertainty.theta_covariance_from(state.beta, hth, state.alpha, free)
     return InferenceResult(
         mode=config.mode,
         state_map=state,
@@ -766,7 +749,7 @@ def _run(dataset: ModalDataset, model: StructuralModel, anchor, config: Algorith
         pruning_events=[(k, j) for k, record in enumerate(records) for j in record.pruned],
         iterations=len(records) - 1,
         converged=converged,
-        joint_inputs=(terms, model, hmat, hth, resid),
+        joint_inputs=(terms, model, free, hmat, hth, resid),
     )
 
 

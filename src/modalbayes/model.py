@@ -226,10 +226,7 @@ class StructuralModel:
     _gram_out: np.ndarray = field(init=False, repr=False, compare=False)
     # flat scatter positions of the H blocks of m modes in the (m, d) H theta, by m (h_times)
     _h_index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # one slot each: the free set of the theta precision, replaced when the set changes
-    # (``uncertainty.free_set``), and the index grids of the blocked mode solve, filled
-    # once (``uncertainty.solve_grids``)
-    _free_set: list = field(init=False, repr=False, compare=False, default_factory=list)
+    # the index grids of the blocked mode solve, filled once (``uncertainty.solve_grids``)
     _solve_grids: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):

@@ -42,16 +42,16 @@ The theta precision beta H_f^T H_f + A_f^-1 is banded, because two
 components couple only where their supports overlap.  It is gathered from
 the band of H^T H over the free set, which keeps the band, and factored by
 one function (``theta_factor``, LAPACK ``dpbtrf``), which the theta update
-solves with (``dpbtrs``).  The positions of that gather, and of the expansion
-below, depend only on the free set, which changes only when a component is
-pruned: they are built once per free set (``FreeSet``) and held in the
-model's one slot (``free_set``), which the sweep, Sigma_theta and the joint
-Hessian read.  Sigma_theta is formed in full once per run
+solves with (``dpbtrs``).  The positions of that gather depend only on the
+free set, which changes only when a component is pruned: the run builds them
+with the set (``FreeSet``) and passes it to the sweep, Sigma_theta and the
+joint Hessian.  Sigma_theta is formed in full once per run
 (``theta_covariance_from``); the ARD block of each monitoring sweep reads
 only its diagonal (``theta_variances``).  Both expand the band factor to
-the dense lower triangle of the free set and invert that, O(n_f^3).  The
-index grids of the blocked mode solve likewise depend only on the model
-(d and u) and are built once into its slot (``solve_grids``).
+the dense lower triangle of the free set (``model.band_to_dense``) and
+invert that, O(n_f^3).  The index grids of the blocked mode solve depend
+only on the model (d and u) and are built once into its slot
+(``solve_grids``).
 
 Reported coefficients of variation follow the conventions of the source
 tables: theta uses the conditional covariance Sigma_theta, and the scalar
@@ -87,20 +87,15 @@ class FreeSet:
     components; the three are read-only.  Entry (r, a) of the precision band
     (rows, nf), rows = max(1, min(width, nf)), is read at the flat position
     ``gather`` of the band of H^T H where ``inside`` holds, and is zero elsewhere.
-    The entries of such a band that lie inside the nf x nf matrix sit at the flat
-    positions ``band_pos`` of the band and ``dense_pos`` of the matrix (``lower``).
-    The set changes only when a component is pruned, so a run builds one per set
-    (``free_set``).
+    The set changes only when a component is pruned, so a run builds one at its
+    start and one after each sweep that prunes.
     """
 
-    key: bytes
     mask: np.ndarray
     index: np.ndarray
     pinned: np.ndarray
     gather: np.ndarray
     inside: np.ndarray
-    band_pos: np.ndarray
-    dense_pos: np.ndarray
 
     @classmethod
     def of(cls, mask: np.ndarray, width: int) -> "FreeSet":
@@ -116,50 +111,20 @@ class FreeSet:
         # band entry (r, a) is matrix entry (a + r, a)
         below = np.arange(max(1, min(width, nf)))[:, None] + np.arange(nf)
         gap = free.take(np.minimum(below, nf - 1)) - free
-        within = below < nf
-        band_pos = within.ravel().nonzero()[0]
         for value in (mask, free, pinned):
             value.setflags(write=False)
-        return cls(key=mask.tobytes(), mask=mask, index=free, pinned=pinned,
+        return cls(mask=mask, index=free, pinned=pinned,
                    gather=np.minimum(gap, width - 1) * mask.size + free,
-                   inside=within & (gap < width), band_pos=band_pos,
-                   dense_pos=(below * nf + np.arange(nf)).take(band_pos))
-
-    def lower(self, factor: np.ndarray) -> np.ndarray:
-        """The dense nf x nf lower triangle of the band ``factor`` (rows, nf), zero above
-        the diagonal."""
-        nf = self.index.size
-        out = np.zeros((nf, nf))
-        out.put(self.dense_pos, factor.take(self.band_pos))
-        return out
-
-
-def free_set(model: StructuralModel, alpha: np.ndarray) -> FreeSet:
-    """The ``FreeSet`` of ``alpha`` for the band of H^T H of ``model``, from the model's
-    one slot: built only when the set differs from the one it holds, which it
-    then replaces."""
-    mask = alpha > 0.0
-    held = model._free_set[0] if model._free_set else None
-    if held is None or held.key != mask.tobytes():
-        held = FreeSet.of(mask, model.gram_bandwidth + 1)
-        model._free_set[:] = [held]
-    return held
-
-
-def _free_or_own(free: FreeSet | None, alpha: np.ndarray, hth: np.ndarray) -> FreeSet:
-    """``free``, or when it is None the ``FreeSet`` of ``alpha`` for the band ``hth``."""
-    return FreeSet.of(alpha > 0.0, hth.shape[0]) if free is None else free
+                   inside=(below < nf) & (gap < width))
 
 
 def theta_precision(beta: float, hth: np.ndarray, alpha: np.ndarray,
-                    free: FreeSet | None = None) -> np.ndarray:
+                    free: FreeSet) -> np.ndarray:
     """Lower band (min(g + 1, nf), nf) of beta H_f^T H_f + A_f^-1 over the free set f
     of the nf components with alpha > 0, for the band ``hth`` (g + 1, n) of H^T H
     (``model.build_HtH``); one row when nothing is free.  ``free`` is the
-    ``FreeSet`` of ``alpha`` for that band when the caller holds it (``free_set``),
-    and is built here otherwise: one gather of ``hth`` at its positions.
+    ``FreeSet`` of ``alpha`` for that band: one gather of ``hth`` at its positions.
     """
-    free = _free_or_own(free, alpha, hth)
     prec = np.where(free.inside, hth.take(free.gather), 0.0)
     prec *= beta
     prec[0] += 1.0 / alpha.take(free.index)
@@ -167,22 +132,21 @@ def theta_precision(beta: float, hth: np.ndarray, alpha: np.ndarray,
 
 
 def theta_factor(beta: float, hth: np.ndarray, alpha: np.ndarray,
-                 free: FreeSet | None = None):
-    """The free set f (boolean, alpha > 0) and the lower band Cholesky factor (LAPACK
-    ``dpbtrf``) of the precision band ``theta_precision`` over it: the one
-    factorization that the theta update and both forms of Sigma_theta read.  A
-    precision that rounding leaves not positive definite is a ``NumericalError``.
+                 free: FreeSet) -> np.ndarray:
+    """The lower band Cholesky factor (LAPACK ``dpbtrf``) of the precision band
+    ``theta_precision`` over the free set ``free``: the one factorization that the
+    theta update and both forms of Sigma_theta read.  A precision that rounding
+    leaves not positive definite is a ``NumericalError``.
     """
-    free = _free_or_own(free, alpha, hth)
     factor, info = lapack.dpbtrf(theta_precision(beta, hth, alpha, free), lower=1)
     if info != 0:
         raise NumericalError(f"theta precision is not positive definite: Cholesky "
                              f"factorization failed (LAPACK info {info})")
-    return free.mask, factor
+    return factor
 
 
 def theta_covariance_from(beta: float, hth: np.ndarray, alpha: np.ndarray,
-                          free: FreeSet | None = None) -> np.ndarray:
+                          free: FreeSet) -> np.ndarray:
     """Sigma_theta = (beta H_f^T H_f + A_f^-1)^-1, embedded in the n x n frame.
 
     ``hth`` is the band of H^T H (``model.build_HtH``), ``free`` as in
@@ -191,19 +155,18 @@ def theta_covariance_from(beta: float, hth: np.ndarray, alpha: np.ndarray,
     ``dpotri``, so the cost scales with the unpruned set.  Rows and columns of
     pruned components are exactly zero.
     """
-    free = _free_or_own(free, alpha, hth)
-    _, factor = theta_factor(beta, hth, alpha, free)
+    factor = theta_factor(beta, hth, alpha, free)
     n = alpha.size
     cov = np.zeros((n, n))
     if free.index.size:
-        inv, _ = lapack.dpotri(free.lower(factor), lower=1)
+        inv, _ = lapack.dpotri(band_to_dense(factor, symmetric=False), lower=1)
         # dpotri fills the lower triangle only
         cov[np.ix_(free.index, free.index)] = np.tril(inv) + np.tril(inv, -1).T
     return cov
 
 
 def theta_variances(beta: float, hth: np.ndarray, alpha: np.ndarray,
-                    free: FreeSet | None = None) -> np.ndarray:
+                    free: FreeSet) -> np.ndarray:
     """The diagonal of Sigma_theta (n,), without forming Sigma_theta.
 
     With L the Cholesky factor of the precision (``theta_factor``, expanded to
@@ -212,12 +175,11 @@ def theta_variances(beta: float, hth: np.ndarray, alpha: np.ndarray,
     components read exactly 0, as they do in ``theta_covariance_from``.
     ``free`` is as in ``theta_precision``.
     """
-    free = _free_or_own(free, alpha, hth)
-    _, factor = theta_factor(beta, hth, alpha, free)
+    factor = theta_factor(beta, hth, alpha, free)
     var = np.zeros(alpha.size)
     if free.index.size:
         # the expanded factor is zero above the diagonal, and dtrtri leaves it as it is
-        inv, _ = lapack.dtrtri(free.lower(factor), lower=1)
+        inv, _ = lapack.dtrtri(band_to_dense(factor, symmetric=False), lower=1)
         var.put(free.index, np.einsum("ij,ij->j", inv, inv))
     return var
 
@@ -305,13 +267,11 @@ def solve_grids(model: StructuralModel) -> SolveGrids:
     return slot[0]
 
 
-def solve_mode_bands(factor: np.ndarray, rhs: np.ndarray,
-                     grids: SolveGrids | None = None) -> np.ndarray:
+def solve_mode_bands(factor: np.ndarray, rhs: np.ndarray, grids: SolveGrids) -> np.ndarray:
     """Solve P_i X_i = R_i for every mode i, in place on the right-hand sides ``rhs``
     (m, d, r), from the band Cholesky factor ``factor`` (u + 1, m d) of the mode
     blocks (``factor_mode_bands``), and return ``rhs``.  ``grids`` are the index
-    grids of (d, u) (``solve_grids``) when the caller holds them, and are built
-    here otherwise.
+    grids of (d, u) (``SolveGrids``, held by a model in ``solve_grids``).
 
     Level-3 blocked substitution: the rows of each factor L_i are cut into blocks
     of nb = max(``SOLVE_BLOCK``, u) rows, the last one ragged, so the band of a
@@ -327,8 +287,6 @@ def solve_mode_bands(factor: np.ndarray, rhs: np.ndarray,
     u = factor.shape[0] - 1
     if rhs.size == 0:
         return rhs
-    if grids is None:
-        grids = SolveGrids.of(d, u)
     nb, count = grids.nb, grids.count
     # entry (j + t, j) of L_i is lower[i, t, j]; it is zero past the mode's last row
     lower = factor.reshape(u + 1, m, d).transpose(1, 0, 2)
@@ -359,8 +317,8 @@ def _free_columns(model: StructuralModel, hmat: np.ndarray, free_idx: np.ndarray
     return cols
 
 
-def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndarray,
-                  hth: np.ndarray, resid: np.ndarray):
+def joint_hessian(state, terms: DataTerms, model: StructuralModel, free: FreeSet,
+                  hmat: np.ndarray, hth: np.ndarray, resid: np.ndarray):
     """Precision matrix of the objective at the MAP, as the blocks its inverse reads.
 
     Returns (bands, cross, core, free_idx).  The labelled order is
@@ -370,7 +328,8 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     of the other k = 3 m + 3 + n_free parameters [beta, omega2, rho, tau, eta,
     nu, theta_free], and ``core`` (k, k) their own block; ``free_idx`` lists the
     free components (``hessian_labels`` names the rows).  ``terms`` holds
-    the run's dataset terms, ``hmat`` the blocks of the regression matrix H
+    the run's dataset terms, ``free`` the ``FreeSet`` of ``state.alpha`` for the
+    band of H^T H of ``model``, ``hmat`` the blocks of the regression matrix H
     of ``state.phi`` (``model.build_H``), ``hth`` the band of its H^T H
     (``model.build_HtH``) and ``resid`` the (m, d) residuals
     r_i = A_i Phi_i = H theta - b of the same state.  Every block is built
@@ -382,7 +341,6 @@ def joint_hessian(state, terms: DataTerms, model: StructuralModel, hmat: np.ndar
     """
     d, m = model.d, state.m
     q, s = terms.q, terms.s
-    free = free_set(model, state.alpha)
     free_idx = free.index
     nf = free_idx.size
     dm = d * m
@@ -570,7 +528,7 @@ def _exact_inverse_norm(joint: JointCovariance, eq: np.ndarray) -> float:
 
 
 def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
-                   start: int, free_idx=(), grids: SolveGrids | None = None) -> JointCovariance:
+                   start: int, grids: SolveGrids, free_idx=()) -> JointCovariance:
     """Inverse of the Hessian held as its banded mode blocks and the rest, in factored
     form (``JointCovariance``).
 
@@ -578,9 +536,9 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
     ``bands`` (m, u + 1, d), in rows and columns start .. start + m d, with
     zeros between them; ``cross`` holds those rows in the other k columns and
     ``core`` the symmetric k x k block of the other rows (the
-    ``joint_hessian`` layout).  The inverse keeps the same order, and
-    ``free_idx`` names its theta rows, and ``grids`` are the index grids of the
-    blocked solve (``solve_mode_bands``).  Empty Phi blocks, bands (0, 1, 0),
+    ``joint_hessian`` layout).  ``grids`` are the index grids of the blocked
+    solve of those blocks (``solve_mode_bands``).  The inverse keeps the same
+    order, and ``free_idx`` names its theta rows.  Empty Phi blocks, bands (0, 1, 0),
     make ``core`` its own Schur complement.
 
     The raw precision matrix mixes parameter scales spanning many orders
@@ -663,16 +621,17 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
     return joint
 
 
-def joint_covariance(state, terms: DataTerms, model: StructuralModel, hmat: np.ndarray,
-                     hth: np.ndarray, resid: np.ndarray) -> JointCovariance:
+def joint_covariance(state, terms: DataTerms, model: StructuralModel, free: FreeSet,
+                     hmat: np.ndarray, hth: np.ndarray, resid: np.ndarray) -> JointCovariance:
     """Inverse of the joint Hessian of ``state``, in factored form: ``dense()`` gives the
     matrix, with the marginal variances on its diagonal, and ``labels()`` its rows.
 
-    ``hmat``, ``hth`` and ``resid`` are the regression matrix, its H^T H and
-    the residuals of ``state``; ``terms`` the dataset terms of the run.
+    ``free``, ``hmat``, ``hth`` and ``resid`` are the free set, the regression
+    matrix, its H^T H and the residuals of ``state``; ``terms`` the dataset terms
+    of the run.
     """
-    bands, cross, core, free_idx = joint_hessian(state, terms, model, hmat, hth, resid)
-    return invert_hessian(bands, cross, core, 3 * state.m + 1, free_idx, solve_grids(model))
+    bands, cross, core, free_idx = joint_hessian(state, terms, model, free, hmat, hth, resid)
+    return invert_hessian(bands, cross, core, 3 * state.m + 1, solve_grids(model), free_idx)
 
 
 def cov_report(result, dataset: ModalDataset) -> list:

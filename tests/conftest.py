@@ -25,9 +25,11 @@ from modalbayes.inference import (
     run_monitoring,
     update_frequencies,
     update_mode_shapes,
+    update_rho,
 )
 from modalbayes.model import (StructuralModel, build_b, build_H, build_HtH, eigen_residual,
                               h_times, mode_products)
+from modalbayes.uncertainty import FreeSet, SolveGrids
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +191,52 @@ def frequencies_of(state: InferenceState, dataset: ModalDataset, model: Structur
     return update_frequencies(state, DataTerms.from_dataset(dataset, model.d), mphi, kphi)
 
 
+def rho_of(state: InferenceState, terms: DataTerms):
+    """The rho update of ``state``, with its frequency misfits formed here."""
+    return update_rho(state, terms, terms.frequency_misfit(state.omega2))
+
+
 def residual_of(model: StructuralModel, state: InferenceState) -> np.ndarray:
     """The eigen-equation residuals (K - omega2_i M) Phi_i of ``state``, built from scratch."""
     return eigen_residual(model, build_H(model, state.phi), state.theta,
                           b_of(model, state.omega2, state.phi))
 
 
+def residual_sq_of(model: StructuralModel, state: InferenceState) -> float:
+    """The squared norm of ``residual_of``."""
+    resid = residual_of(model, state)
+    return float((resid * resid).sum())
+
+
+def free_of(state: InferenceState, model: StructuralModel) -> FreeSet:
+    """The free set of ``state.alpha`` for the band of H^T H of ``model``, as a run builds it."""
+    return FreeSet.of(state.free_mask(), model.gram_bandwidth + 1)
+
+
+def with_free(beta: float, hth: np.ndarray, alpha: np.ndarray) -> tuple:
+    """The arguments of the theta-precision functions of ``uncertainty``: ``beta``,
+    ``hth`` and ``alpha`` with the free set of ``alpha`` for the band ``hth``."""
+    return beta, hth, alpha, FreeSet.of(alpha > 0.0, hth.shape[0])
+
+
+def objective_at(state: InferenceState, terms: DataTerms, model: StructuralModel,
+                 shape_sq: float, anchor: np.ndarray) -> float:
+    """``objective`` of ``state``, given its shape misfit; the rest is formed here."""
+    return objective(state, terms, anchor, free_of(state, model),
+                     terms.frequency_misfit(state.omega2), shape_sq, residual_sq_of(model, state))
+
+
 def hessian_inputs(state: InferenceState, dataset: ModalDataset, model: StructuralModel):
     """The arguments of ``uncertainty.joint_hessian`` at ``state``, built from scratch."""
     hmat = build_H(model, state.phi)
-    return (state, DataTerms.from_dataset(dataset, model.d), model, hmat,
-            build_HtH(model, hmat), residual_of(model, state))
+    return (state, DataTerms.from_dataset(dataset, model.d), model, free_of(state, model),
+            hmat, build_HtH(model, hmat), residual_of(model, state))
+
+
+def grids_of(bands: np.ndarray) -> SolveGrids:
+    """The index grids of the blocked solve of the mode blocks with lower bands
+    ``bands`` (m, u + 1, d)."""
+    return SolveGrids.of(bands.shape[2], bands.shape[1] - 1)
 
 
 def dense_blocks(bands):
@@ -261,8 +298,8 @@ def objective_of(dataset, model, anchor, template):
 
     def fun(x):
         state = unpack_state(x, template)
-        return objective(state, terms, residual_of(model, state),
-                         shape_residual_sq(dataset, model.d, state.phi), anchor)
+        return objective_at(state, terms, model,
+                            shape_residual_sq(dataset, model.d, state.phi), anchor)
 
     return fun
 

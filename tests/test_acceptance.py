@@ -17,12 +17,14 @@ from conftest import (
     dense_hessian,
     fd_gradient,
     fd_hessian,
+    free_of,
     frequencies_of,
     hessian_inputs,
     mode_shapes_of,
     objective_of,
     pack_state,
-    residual_of,
+    residual_sq_of,
+    rho_of,
     shape_residual_sq,
 )
 from modalbayes.bench import (
@@ -43,7 +45,6 @@ from modalbayes.inference import (
     update_alpha,
     update_beta,
     update_eta,
-    update_rho,
     update_theta,
 )
 from modalbayes.model import build_H, build_HtH, eigen_solve
@@ -174,15 +175,16 @@ def test_criterion_5_stationarity_suite(toy2_model, toy2_dataset):
                                       build_H(toy2_model, state.phi))
 
     def apply_rho_tau():
-        state.rho, state.tau = update_rho(state, terms)
+        state.rho, state.tau = rho_of(state, terms)
 
     def apply_theta():
         hmat = build_H(toy2_model, state.phi)
         state.theta = update_theta(state, toy2_model, hmat, build_HtH(toy2_model, hmat),
-                                   b_of(toy2_model, state.omega2, state.phi), anchor)
+                                   b_of(toy2_model, state.omega2, state.phi), anchor,
+                                   free_of(state, toy2_model))
 
     def apply_beta():
-        state.beta = update_beta(state, residual_of(toy2_model, state))
+        state.beta = update_beta(state, residual_sq_of(toy2_model, state))
 
     updates = [("phi", apply_phi), ("eta_nu", apply_eta_nu), ("omega2", apply_omega2),
                ("rho_tau", apply_rho_tau), ("theta", apply_theta), ("beta", apply_beta)]

@@ -107,6 +107,15 @@ class TestSimulate:
         proc = run_cli(["simulate", "--building", "frame3"], cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
 
+    @pytest.mark.parametrize("building", ["shear1_0", "shear+10", "shear 10", "shear\u0661\u0660"],
+                             ids=["underscore", "plus", "space", "arabic_indic"])
+    def test_loose_building_count_exit_2(self, tmp_path, capsys, building):
+        # the story count is ASCII digits only, though int() reads each of these
+        code = main(["simulate", "--building", building, "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "unknown building shorthand" in capsys.readouterr().err
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
     @pytest.mark.parametrize("sensors", ["1,a", "99"])
     def test_bad_sensors_exit_2(self, tmp_path, sensors):
         proc = run_cli(["simulate", "--building", "shear10", "--sensors", sensors],
@@ -576,10 +585,11 @@ class TestReport:
 
     @pytest.mark.parametrize("grid", [["--fstep", "0"], ["--fstep", "-0.01"], ["--fmax", "-0.1"],
                                       ["--fmax", "0.25", "--fstep", "0.1"], ["--fmax", "inf"],
-                                      ["--fstep", "1e-300"], ["--fstep", "1e-5"]],
+                                      ["--fstep", "1e-300"], ["--fstep", "1e-5"],
+                                      ["--fstep", "inf"]],
                              ids=["fstep_zero", "fstep_negative", "fmax_negative",
                                   "fmax_not_whole_steps", "fmax_inf", "fstep_tiny",
-                                  "more_steps_than_allowed"])
+                                  "more_steps_than_allowed", "fstep_inf"])
     def test_bad_loss_grid_exit_2(self, stage_dir, tmp_path, grid):
         proc = run_cli(["report", "--calibration", f"{stage_dir}/calib/calibration.json",
                         "--monitoring", f"{stage_dir}/mon/monitoring.json",

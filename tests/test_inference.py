@@ -17,13 +17,16 @@ from hypothesis import strategies as st
 from conftest import (
     b_of,
     fd_gradient,
+    free_of,
     frequencies_of,
     loop_H,
     mode_shapes_of,
+    objective_at,
     objective_of,
     pack_state,
     random_spd,
-    residual_of,
+    residual_sq_of,
+    rho_of,
     shape_residual_sq,
     two_stage,
     two_stage_data,
@@ -40,7 +43,6 @@ from modalbayes.inference import (
     AlgorithmConfig,
     extrapolate,
     initialize,
-    objective,
     run_calibration,
     run_monitoring,
     sweep,
@@ -49,7 +51,6 @@ from modalbayes.inference import (
     update_beta,
     update_eta,
     update_lambda_zeta,
-    update_rho,
     update_theta,
 )
 from modalbayes.model import (
@@ -384,7 +385,7 @@ class TestUpdateRho:
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.omega2 = toy2_dataset.omega2_segments.mean(axis=0) + 0.01
         dev = toy2_dataset.omega2_segments - state.omega2
-        rho, tau = update_rho(state, DataTerms.from_dataset(toy2_dataset, 2))
+        rho, tau = rho_of(state, DataTerms.from_dataset(toy2_dataset, 2))
         np.testing.assert_allclose(rho, 1.0 / np.sum(dev**2, axis=0), rtol=1e-12)
         np.testing.assert_allclose(tau, 1.0 / rho, rtol=1e-12)
 
@@ -395,7 +396,7 @@ class TestUpdateRho:
         shifted = ModalDataset.from_segments(
             np.tile(state.omega2, (3, 1)) + 1e-2,
             toy2_dataset.psi_segments, toy2_dataset.observed_dofs, normalization="none")
-        rho, _ = update_rho(state, DataTerms.from_dataset(shifted, 2))
+        rho, _ = rho_of(state, DataTerms.from_dataset(shifted, 2))
         np.testing.assert_allclose(rho, 1.0 / 3e-4, rtol=1e-12)
 
     def test_deviation_scaling(self, toy2_model, toy2_dataset):
@@ -406,7 +407,7 @@ class TestUpdateRho:
             ds = ModalDataset.from_segments(mean + c * base, toy2_dataset.psi_segments,
                                             toy2_dataset.observed_dofs, normalization="none")
             state.omega2 = mean
-            rho, _ = update_rho(state, DataTerms.from_dataset(ds, 2))
+            rho, _ = rho_of(state, DataTerms.from_dataset(ds, 2))
             if c == 1.0:
                 rho1 = rho
         np.testing.assert_allclose(rho, rho1 / 4.0, rtol=1e-12)
@@ -419,14 +420,14 @@ class TestUpdateRho:
         for _ in range(300):
             rho = 3.0 / (2.0 * tau + dev_sq[0])
             tau = 1.0 / rho
-        closed, _ = update_rho(state, DataTerms.from_dataset(toy2_dataset, 2))
+        closed, _ = rho_of(state, DataTerms.from_dataset(toy2_dataset, 2))
         np.testing.assert_allclose(rho, closed[0], rtol=1e-10)
 
     def test_clamp_on_exact_data(self, toy2_model):
         ds = noisefree_dataset(toy2_model, [1.0, 1.0], m=1, q=3, observed=[0, 1])
         state = initialize(ds, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.omega2 = ds.omega2_segments.mean(axis=0)
-        rho, _ = update_rho(state, DataTerms.from_dataset(ds, 2))
+        rho, _ = rho_of(state, DataTerms.from_dataset(ds, 2))
         assert rho[0] == 1e12
         assert any("noise-free" in d for d in state.diagnostics)
 
@@ -441,10 +442,12 @@ class TestUpdateTheta:
         ls = np.linalg.solve(dense.T @ dense, dense.T @ bvec)
         # default pinned value is close; pushing alpha further converges to LS
         hth = build_HtH(toy2_model, hmat)
-        theta_default = update_theta(state, toy2_model, hmat, hth, bvec, np.array([3.0, 3.0]))
+        theta_default = update_theta(state, toy2_model, hmat, hth, bvec, np.array([3.0, 3.0]),
+                                     free_of(state, toy2_model))
         np.testing.assert_allclose(theta_default, ls, rtol=1e-4)
         state.alpha = np.full(2, 1e14)
-        theta = update_theta(state, toy2_model, hmat, hth, bvec, np.array([3.0, 3.0]))
+        theta = update_theta(state, toy2_model, hmat, hth, bvec, np.array([3.0, 3.0]),
+                             free_of(state, toy2_model))
         np.testing.assert_allclose(theta, ls, rtol=1e-8)
 
     def test_zero_alpha_pins_to_anchor(self, toy2_model, toy2_dataset):
@@ -453,7 +456,8 @@ class TestUpdateTheta:
         anchor = np.array([0.9, 1.1])
         hmat = build_H(toy2_model, state.phi)
         theta = update_theta(state, toy2_model, hmat, build_HtH(toy2_model, hmat),
-                             b_of(toy2_model, state.omega2, state.phi), anchor)
+                             b_of(toy2_model, state.omega2, state.phi), anchor,
+                             free_of(state, toy2_model))
         assert np.array_equal(theta, anchor)
 
     def test_matches_generic_quadratic_solver(self, toy2_model, toy2_dataset):
@@ -474,7 +478,8 @@ class TestUpdateTheta:
 
         res = scipy.optimize.minimize(quad, anchor, method="Nelder-Mead",
                                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
-        theta = update_theta(state, toy2_model, hmat, build_HtH(toy2_model, hmat), bvec, anchor)
+        theta = update_theta(state, toy2_model, hmat, build_HtH(toy2_model, hmat), bvec, anchor,
+                             free_of(state, toy2_model))
         np.testing.assert_allclose(theta, res.x, rtol=1e-8, atol=1e-10)
 
     def test_scalar_shrinkage_bracket(self):
@@ -494,11 +499,11 @@ class TestUpdateTheta:
         hmat = build_H(model, state.phi)
         bvec = b_of(model, state.omega2, state.phi)
         hth = build_HtH(model, hmat)
-        ls = update_theta(state, model, hmat, hth, bvec, anchor)[0]
+        ls = update_theta(state, model, hmat, hth, bvec, anchor, free_of(state, model))[0]
         lo, hi = sorted([ls, anchor[0]])
         for alpha in (1e-6, 1e-3, 1.0, 1e3):
             state.alpha = np.array([alpha])
-            val = update_theta(state, model, hmat, hth, bvec, anchor)[0]
+            val = update_theta(state, model, hmat, hth, bvec, anchor, free_of(state, model))[0]
             assert lo - 1e-12 <= val <= hi + 1e-12
 
     def test_stationarity(self, toy2_model, toy2_dataset):
@@ -509,7 +514,8 @@ class TestUpdateTheta:
         g_before = fd_gradient(fun, pack_state(state))
         hmat = build_H(toy2_model, state.phi)
         state.theta = update_theta(state, toy2_model, hmat, build_HtH(toy2_model, hmat),
-                                   b_of(toy2_model, state.omega2, state.phi), anchor)
+                                   b_of(toy2_model, state.omega2, state.phi), anchor,
+                                   free_of(state, toy2_model))
         g_after = fd_gradient(fun, pack_state(state))
         assert np.linalg.norm(g_after[-2:]) <= 1e-6 * max(np.linalg.norm(g_before), 1e-9)
 
@@ -521,7 +527,7 @@ class TestUpdateBeta:
         state.omega2, modes = eigen_solve(toy2_model, [1.0, 1.0], 1)
         state.theta = np.array([1.0, 1.0])
         state.phi = modes.reshape(-1)
-        beta = update_beta(state, residual_of(toy2_model, state))
+        beta = update_beta(state, residual_sq_of(toy2_model, state))
         np.testing.assert_allclose(beta, 2.0 / 2.0, rtol=1e-6)  # dm = 2, b0 = 1
 
     def test_residual_equal_to_two_b0_halves_it(self, toy2_model, toy2_dataset):
@@ -535,7 +541,7 @@ class TestUpdateBeta:
         r = a @ direction
         delta = np.sqrt(2.0 * state.b0) / np.linalg.norm(r)
         state.phi = modes.reshape(-1) + delta * direction
-        beta = update_beta(state, residual_of(toy2_model, state))
+        beta = update_beta(state, residual_sq_of(toy2_model, state))
         np.testing.assert_allclose(beta, 0.5 * (2.0 / 2.0), rtol=1e-6)
 
     def test_stationarity(self, toy2_model, toy2_dataset):
@@ -543,7 +549,7 @@ class TestUpdateBeta:
         state = initialize(toy2_dataset, toy2_model, anchor, AlgorithmConfig(mode="calibration"))
         fun = objective_of(toy2_dataset, toy2_model, anchor, state)
         g_before = fd_gradient(fun, pack_state(state))
-        state.beta = update_beta(state, residual_of(toy2_model, state))
+        state.beta = update_beta(state, residual_sq_of(toy2_model, state))
         g_after = fd_gradient(fun, pack_state(state))
         assert abs(g_after[0]) <= 1e-6 * max(np.linalg.norm(g_before), 1e-9)
 
@@ -656,10 +662,10 @@ class TestObjective:
         s2 = copy.deepcopy(state)
         s2.theta = np.array([1.1, 0.9])
         terms = DataTerms.from_dataset(toy2_dataset, 2)
-        jd = objective(s2, terms, residual_of(toy2_model, s2),
-                       shape_residual_sq(toy2_dataset, 2, s2.phi), anchor) \
-            - objective(state, terms, residual_of(toy2_model, state),
-                        shape_residual_sq(toy2_dataset, 2, state.phi), anchor)
+        jd = objective_at(s2, terms, toy2_model,
+                          shape_residual_sq(toy2_dataset, 2, s2.phi), anchor) \
+            - objective_at(state, terms, toy2_model,
+                           shape_residual_sq(toy2_dataset, 2, state.phi), anchor)
         # hand computation of the two theta-dependent terms
         def theta_terms(theta):
             hmat = loop_H(toy2_model, state.phi)
@@ -683,8 +689,8 @@ class TestObjective:
         state.omega2 = ds.omega2_segments[0].copy()
         scale = np.linalg.norm(state.phi)
         state.phi = state.phi / scale * np.sign(state.phi @ modes.reshape(-1))
-        j = objective(state, DataTerms.from_dataset(ds, 2), residual_of(toy2_model, state),
-                      shape_residual_sq(ds, 2, state.phi), anchor)
+        j = objective_at(state, DataTerms.from_dataset(ds, 2), toy2_model,
+                         shape_residual_sq(ds, 2, state.phi), anchor)
         m, q, s = 1, 3, 2
         expected = (
             state.b0 * state.beta
@@ -703,9 +709,8 @@ class TestObjective:
         state = initialize(toy2_dataset, toy2_model, [1.0, 1.0], AlgorithmConfig(mode="calibration"))
         state.eta = -1.0
         with pytest.raises(ConfigurationError):
-            objective(state, DataTerms.from_dataset(toy2_dataset, 2),
-                      residual_of(toy2_model, state),
-                      shape_residual_sq(toy2_dataset, 2, state.phi), np.ones(2))
+            objective_at(state, DataTerms.from_dataset(toy2_dataset, 2), toy2_model,
+                         shape_residual_sq(toy2_dataset, 2, state.phi), np.ones(2))
 
     def test_monotone_trace_with_frozen_hypers(self, toy2_model, toy2_dataset):
         config = AlgorithmConfig(mode="calibration",
@@ -793,9 +798,11 @@ def plain_sweeps(model, dataset, theta0, config) -> list:
     """The records of plain ``sweep`` calls from ``initialize``, to the stop rule."""
     state = initialize(dataset, model, theta0, config)
     terms = DataTerms.from_dataset(dataset, model.d)
+    free = free_of(state, model)
     records = []
     for index in range(1, config.max_iterations + 1):
-        record, _ = sweep(state, model, terms, np.asarray(theta0, dtype=float), config, index)
+        record, _ = sweep(state, model, terms, np.asarray(theta0, dtype=float), config, index,
+                          free)
         records.append(record)
         if record.step < config.tol_theta:
             return records
@@ -835,9 +842,10 @@ class TestSweepKernel:
         state = initialize(dataset, model, anchor, config)
         terms = DataTerms.from_dataset(dataset, model.d)
         tol = config.tol_theta if stage == 1 else config.tol_log_alpha
+        free = free_of(state, model)
         records = []
         for index in range(1, config.max_iterations + 1):
-            record, _ = sweep(state, model, terms, anchor, config, index)
+            record, (free, *_) = sweep(state, model, terms, anchor, config, index, free)
             records.append(record)
             if record.step < tol:
                 break
@@ -857,6 +865,7 @@ class TestSweepKernel:
         result = run_calibration(dataset, model, theta0, config)
         state = initialize(dataset, model, theta0, config)
         terms = DataTerms.from_dataset(dataset, model.d)
+        free = free_of(state, model)  # calibration prunes nothing
         records, history, needed, kept, discarded = result.records[:1], [], 2, 0, 0
         for index in range(1, config.max_iterations + 1):
             record = None
@@ -864,14 +873,14 @@ class TestSweepKernel:
                 guess = extrapolate(state, history, config)
                 if guess is not None:
                     x = sweep_input(guess, config)
-                    trial, _ = sweep(guess, model, terms, theta0, config, index)
+                    trial, _ = sweep(guess, model, terms, theta0, config, index, free)
                     if trial.objective <= records[-1].objective:
                         state, record, kept = guess, trial, kept + 1
                 if record is None:
                     history, needed, discarded = [], ANDERSON_DEPTH + 1, discarded + 1
             if record is None:
                 x = sweep_input(state, config)
-                record, _ = sweep(state, model, terms, theta0, config, index)
+                record, _ = sweep(state, model, terms, theta0, config, index, free)
             records.append(record)
             if record.step < config.tol_theta:
                 break
@@ -1099,9 +1108,9 @@ class TestSweepStructure:
 
 class TestFreeSetPlan:
     """The plan of the theta precision over the free set is built once per free set: a
-    free set changes only when a component is pruned, and the model's one slot holds
-    the set of the last sweep for the covariances after it.  Reading it from the slot
-    changes no record."""
+    free set changes only when a component is pruned.  The run builds the first, each
+    sweep returns the set of its alpha, and the set of the last sweep goes to the
+    covariances after it."""
 
     @staticmethod
     def inputs():
@@ -1139,29 +1148,26 @@ class TestFreeSetPlan:
         assert len({mask.tobytes() for mask in built}) == len(built)
         np.testing.assert_array_equal(built[-1], monitor.state_map.alpha > 0)
 
-    def test_records_do_not_depend_on_the_slot(self, monkeypatch):
+    def test_carried_set_is_the_set_of_alpha(self, monkeypatch):
         calib_ds, mon_ds = self.inputs()
         calib = run_calibration(calib_ds, self.fresh_model(), np.ones(10),
                                 comparison_calibration())
+        carried, original = [], inference.sweep
 
-        def run():
-            result = run_monitoring(mon_ds, self.fresh_model(), calib.theta_map)
-            return result, [(r.theta.tobytes(), r.alpha.tobytes(), r.objective, r.pruned,
-                             r.step) for r in result.records]
+        def recording(state, model, *args):
+            record, products = original(state, model, *args)
+            carried.append((state.alpha.copy(), model, products[0]))
+            return record, products
 
-        kept, kept_records = run()
-        original = uncertainty.free_set
-
-        def cleared(model, alpha):
-            model._free_set.clear()
-            return original(model, alpha)
-
-        monkeypatch.setattr(uncertainty, "free_set", cleared)
-        fresh, fresh_records = run()
-        assert any(pruned for _, _, _, pruned, _ in kept_records)
-        assert fresh_records == kept_records
-        np.testing.assert_array_equal(fresh.theta_cov, kept.theta_cov)
-        np.testing.assert_array_equal(fresh.full_cov, kept.full_cov)
+        monkeypatch.setattr(inference, "sweep", recording)
+        monitor = run_monitoring(mon_ds, self.fresh_model(), calib.theta_map)
+        assert monitor.pruning_events and len(carried) == monitor.iterations
+        for alpha, model, free in carried:
+            want = uncertainty.FreeSet.of(alpha > 0, model.gram_bandwidth + 1)
+            for name in ("mask", "index", "pinned", "gather", "inside"):
+                np.testing.assert_array_equal(getattr(free, name), getattr(want, name))
+        # the set of the last sweep is the one the joint covariance reads
+        assert monitor.joint_inputs[2] is carried[-1][2]
 
 
 class TestLazyJoint:
@@ -1207,9 +1213,9 @@ class TestLazyJoint:
         calib = run_calibration(calib_ds, model, np.ones(10), comparison_calibration())
         monitor = run_monitoring(mon_ds, model, calib.theta_map)
         monkeypatch.undo()
-        # the monitoring run pruned, so the model's slot holds a free set other than
-        # the calibration's when its joint is read: read before and after that
-        assert monitor.fixed_set and model._free_set[0].key != calib.state_map.free_mask().tobytes()
+        # the monitoring run pruned, so its free set is other than the calibration's:
+        # each joint is read after both runs
+        assert monitor.fixed_set
         for result, formed in ((monitor, eager[1]), (calib, eager[0])):
             lazy = result.joint
             for name in ("p_inv", "y", "s_inv", "eq_rest", "free_idx"):
@@ -1260,15 +1266,15 @@ class TestBandedScale:
         anchor = np.ones(d)
         state = initialize(ds, model, anchor, config)
         terms = DataTerms.from_dataset(ds, d)
-        _, products = sweep(state, model, terms, anchor, config, 1)
+        _, products = sweep(state, model, terms, anchor, config, 1, free_of(state, model))
         return model, terms, anchor, config, state, products
 
     def test_calibration_sweep_allocates_no_dense_matrix(self):
         # d = 2000: one d x d array takes 32 MB and the dense (d m, n) H 128 MB
-        model, terms, anchor, config, state, _ = self.closed_form_start(2000, 4)
+        model, terms, anchor, config, state, products = self.closed_form_start(2000, 4)
         tracemalloc.start()
         try:
-            sweep(state, model, terms, anchor, config, 2)
+            sweep(state, model, terms, anchor, config, 2, products[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1282,7 +1288,8 @@ class TestBandedScale:
         state.alpha[4:] = 0.0
         tracemalloc.start()
         try:
-            joint = uncertainty.joint_covariance(state, terms, model, *products)
+            joint = uncertainty.joint_covariance(state, terms, model, free_of(state, model),
+                                                 *products[1:])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

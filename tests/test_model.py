@@ -34,7 +34,7 @@ from modalbayes.uncertainty import (mode_shape_bands, theta_covariance_from, the
                                     theta_precision, theta_variances)
 
 from conftest import (b_of, band_of, dense_blocks, dense_ksub, frequencies_of, loop_H,
-                      random_spd, random_symmetric)
+                      random_spd, random_symmetric, with_free)
 
 
 def square_blocks(model, theta, omega2, beta=1.0, eta=0.0, q=1, mask=None):
@@ -554,15 +554,16 @@ class TestSparseSubstructures:
         hf = href[:, free]
         prec = beta * (hf.T @ hf) + np.diag(1.0 / alpha[free])
         hth = build_HtH(model, hmat)
-        close(band_to_dense(theta_precision(beta, hth, alpha)), prec)
-        got_free, factor = theta_factor(beta, hth, alpha)
-        np.testing.assert_array_equal(got_free, free)
+        args = with_free(beta, hth, alpha)
+        close(band_to_dense(theta_precision(*args)), prec)
+        factor = theta_factor(*args)
+        np.testing.assert_array_equal(args[3].mask, free)
         chol = scipy.linalg.cholesky(prec, lower=True) if free.any() else prec
         close(band_to_dense(factor, symmetric=False), chol, 1e-10)
         cov = np.zeros((n, n))
         cov[np.ix_(free, free)] = np.linalg.inv(prec)
-        close(theta_covariance_from(beta, hth, alpha), cov, 1e-9)
-        close(theta_variances(beta, hth, alpha), np.diag(cov), 1e-9)
+        close(theta_covariance_from(*args), cov, 1e-9)
+        close(theta_variances(*args), np.diag(cov), 1e-9)
         if free.any():
             rhs = np.arange(1.0, free.sum() + 1.0)
             solved, _ = lapack.dpbtrs(factor, rhs, lower=1)

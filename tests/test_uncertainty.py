@@ -14,6 +14,7 @@ from conftest import (
     dense_blocks,
     dense_hessian,
     fd_hessian,
+    grids_of,
     hessian_inputs,
     loop_H,
     objective_of,
@@ -23,6 +24,7 @@ from conftest import (
     b_of,
     two_stage,
     two_stage_data,
+    with_free,
 )
 import modalbayes
 from modalbayes import uncertainty
@@ -55,9 +57,8 @@ from modalbayes.uncertainty import (
 
 class TestFreeSet:
     """The theta precision and its band factor, gathered by the plan of the free set
-    that a model holds, against the dense H^T H gathered over the free set plus
-    diag(1 / alpha), over a sequence of free sets that revisits one, so that a plan
-    left from an earlier set would show."""
+    that a run builds for its model, against the dense H^T H gathered over the free
+    set plus diag(1 / alpha), over a sequence of free sets that revisits one."""
 
     @staticmethod
     def models():
@@ -85,50 +86,39 @@ class TestFreeSet:
         one = np.where(np.arange(n) == n // 2, every, 0.0)
         for alpha in (first, second, first, np.zeros(n), one, every):
             free = alpha > 0
-            plan = uncertainty.free_set(model, alpha)
+            plan = uncertainty.FreeSet.of(free, model.gram_bandwidth + 1)
             np.testing.assert_array_equal(plan.mask, free)
             np.testing.assert_array_equal(plan.index, np.flatnonzero(free))
             np.testing.assert_array_equal(plan.pinned, np.flatnonzero(~free))
-            assert uncertainty.free_set(model, alpha.copy()) is plan
             prec = beta * gram[np.ix_(free, free)] + np.diag(1.0 / alpha[free])
             band = uncertainty.theta_precision(beta, hth, alpha, plan)
             np.testing.assert_allclose(band_to_dense(band), prec, rtol=1e-13,
                                        atol=1e-13 * np.abs(prec).max(initial=0.0))
-            # the plan of the model slot gathers what a plan built for this call gathers
-            np.testing.assert_array_equal(band, uncertainty.theta_precision(beta, hth, alpha))
-            got_free, factor = uncertainty.theta_factor(beta, hth, alpha, plan)
-            np.testing.assert_array_equal(got_free, free)
-            lower = plan.lower(factor)
-            np.testing.assert_array_equal(lower, band_to_dense(factor, symmetric=False))
+            # the plan for the model's band gathers what a plan for this band gathers
+            np.testing.assert_array_equal(band,
+                                          uncertainty.theta_precision(*with_free(beta, hth, alpha)))
+            factor = uncertainty.theta_factor(beta, hth, alpha, plan)
+            lower = band_to_dense(factor, symmetric=False)
             if free.any():
                 np.testing.assert_allclose(lower, np.linalg.cholesky(prec), rtol=1e-12,
                                            atol=1e-12 * np.abs(lower).max())
             else:
                 assert lower.shape == (0, 0)
 
-    def test_model_slot_holds_one_set(self):
-        model = self.models()[0]
-        alpha = np.ones(model.n)
-        first = uncertainty.free_set(model, alpha)
-        alpha[3] = 0.0
-        second = uncertainty.free_set(model, alpha)
-        assert second is not first and model._free_set == [second]
-        assert uncertainty.free_set(model, np.ones(model.n)) is not first
-
 
 class TestThetaCovariance:
     def test_zero_alpha_gives_zero(self):
         rng = np.random.default_rng(0)
         hmat = rng.normal(size=(6, 3))
-        cov = theta_covariance_from(2.0, band_of(hmat.T @ hmat), np.zeros(3))
+        cov = theta_covariance_from(*with_free(2.0, band_of(hmat.T @ hmat), np.zeros(3)))
         assert np.array_equal(cov, np.zeros((3, 3)))
 
     def test_beta_zero_gives_alpha(self):
         rng = np.random.default_rng(1)
         hmat = rng.normal(size=(6, 3))
         alpha = np.array([0.5, 1.5, 2.5])
-        np.testing.assert_allclose(theta_covariance_from(0.0, band_of(hmat.T @ hmat), alpha),
-                                   np.diag(alpha), rtol=1e-14)
+        cov = theta_covariance_from(*with_free(0.0, band_of(hmat.T @ hmat), alpha))
+        np.testing.assert_allclose(cov, np.diag(alpha), rtol=1e-14)
 
     def test_two_forms_agree(self):
         rng = np.random.default_rng(2)
@@ -142,7 +132,7 @@ class TestThetaCovariance:
             form2 = amat @ np.linalg.inv(beta * hth @ amat + np.eye(4))
             scale = np.abs(form1).max()
             assert np.abs(form1 - form2).max() <= 1e-10 * scale
-            got = theta_covariance_from(beta, band_of(hth), alpha)
+            got = theta_covariance_from(*with_free(beta, band_of(hth), alpha))
             np.testing.assert_allclose(got, form1, atol=1e-10 * scale)
 
     # unit scale, the calibration alpha and the near-pruning scale of monitoring
@@ -154,14 +144,14 @@ class TestThetaCovariance:
         alpha = alpha_scale * rng.uniform(0.2, 2.0, size=3)
         beta = 1.7
         direct = np.linalg.inv(beta * hmat.T @ hmat + np.diag(1.0 / alpha))
-        np.testing.assert_allclose(theta_covariance_from(beta, band_of(hmat.T @ hmat), alpha),
-                                   direct, rtol=1e-9)
+        cov = theta_covariance_from(*with_free(beta, band_of(hmat.T @ hmat), alpha))
+        np.testing.assert_allclose(cov, direct, rtol=1e-9)
 
     def test_pruned_rows_exactly_zero(self):
         rng = np.random.default_rng(4)
         hmat = rng.normal(size=(6, 3))
         alpha = np.array([0.5, 0.0, 1.0])
-        cov = theta_covariance_from(3.0, band_of(hmat.T @ hmat), alpha)
+        cov = theta_covariance_from(*with_free(3.0, band_of(hmat.T @ hmat), alpha))
         assert np.all(cov[1, :] == 0.0) and np.all(cov[:, 1] == 0.0)
         # free block equals the reduced-system covariance
         free = [0, 2]
@@ -313,19 +303,20 @@ class TestJointCovariance:
 
     def test_singular_hessian_raises(self):
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(NO_PHI, np.zeros((0, 3)), np.zeros((3, 3)), 0)
+            invert_hessian(NO_PHI, np.zeros((0, 3)), np.zeros((3, 3)), 0, grids_of(NO_PHI))
 
     def test_rank_one_hessian_raises(self):
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(NO_PHI, np.zeros((0, 3)), np.ones((3, 3)), 0)
+            invert_hessian(NO_PHI, np.zeros((0, 3)), np.ones((3, 3)), 0, grids_of(NO_PHI))
 
     def test_inverse_of_indefinite_matrix(self):
         rng = np.random.default_rng(44)
         basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         hess = basis @ np.diag([3.0, -2.0, 1.5, -1.0, 2.5, -0.5]) @ basis.T
         hess = 0.5 * (hess + hess.T)
-        np.testing.assert_allclose(invert_hessian(NO_PHI, np.zeros((0, 6)), hess, 0).dense(),
-                                   np.linalg.inv(hess), rtol=1e-10)
+        np.testing.assert_allclose(
+            invert_hessian(NO_PHI, np.zeros((0, 6)), hess, 0, grids_of(NO_PHI)).dense(),
+            np.linalg.inv(hess), rtol=1e-10)
 
 
 def converged_runs(stories, m, layout, seed, k0=None):
@@ -403,7 +394,7 @@ class TestStructuredInverse:
         bands[1, 1, :-1] = -1.0
         assert np.linalg.cond(dense_blocks(bands)[1], 1) > 1e14
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(bands, cross, core, 3 * state.m + 1)
+            invert_hessian(bands, cross, core, 3 * state.m + 1, grids_of(bands))
 
     def test_run_with_singular_phi_block_flags(self, monkeypatch):
         blocks_of = uncertainty.joint_hessian
@@ -443,10 +434,10 @@ class TestConditionCertificate:
         start = 3 * state.m + 1
         hess = dense_hessian(bands, cross, core, start)
         eq = 1.0 / np.sqrt(np.diag(hess))
-        reference = invert_hessian(bands, cross, core, start, free_idx).dense()
+        reference = invert_hessian(bands, cross, core, start, grids_of(bands), free_idx).dense()
         anorm = np.abs(hess * np.outer(eq, eq)).sum(axis=0).max()
         exact = anorm * np.abs(reference / np.outer(eq, eq)).sum(axis=1).max()
-        return (bands, cross, core, start, free_idx), reference, anorm, exact
+        return (bands, cross, core, start, grids_of(bands), free_idx), reference, anorm, exact
 
     @staticmethod
     def spy(monkeypatch, name):
@@ -591,7 +582,8 @@ class TestBlockedSolve:
         m, d, r = rhs.shape
         reference, info = lapack.dpbtrs(factor, rhs.reshape(m * d, r), lower=1)
         assert info == 0
-        solved = solve_mode_bands(factor, rhs.copy())
+        grids = uncertainty.SolveGrids.of(d, factor.shape[0] - 1)
+        solved = solve_mode_bands(factor, rhs.copy(), grids)
         err = np.max(np.abs(solved.reshape(m * d, r) - reference)) / np.max(np.abs(reference))
         assert err <= 1e-12, err
 
@@ -619,13 +611,15 @@ class TestBlockedSolve:
             assert uncertainty.solve_grids(model) is grids
             factor = self.random_factor(rng, 4, d, u)
             rhs = rng.standard_normal((4, d, d + 5))
-            np.testing.assert_array_equal(solve_mode_bands(factor, rhs.copy(), grids),
-                                          solve_mode_bands(factor, rhs.copy()))
+            np.testing.assert_array_equal(
+                solve_mode_bands(factor, rhs.copy(), grids),
+                solve_mode_bands(factor, rhs.copy(), uncertainty.SolveGrids.of(d, u)))
 
     def test_no_rows_or_columns(self):
         for m, d, r in [(0, 5, 7), (3, 0, 7), (3, 5, 0)]:
             rhs = np.zeros((m, d, r))
-            assert solve_mode_bands(np.ones((3, m * d)), rhs) is rhs
+            grids = uncertainty.SolveGrids.of(d, 2)
+            assert solve_mode_bands(np.ones((3, m * d)), rhs, grids) is rhs
 
     def test_dense_k0_hessian(self):
         # the calibration of TestBandedScale::test_dense_k0_calibrate_and_monitor, whose
@@ -647,7 +641,7 @@ class TestBlockedSolve:
             state = result.state_map
             bands, cross, core, free_idx = joint_hessian(*hessian_inputs(state, dataset, model))
             start = 3 * state.m + 1
-            joint = invert_hessian(bands, cross, core, start, free_idx)
+            joint = invert_hessian(bands, cross, core, start, grids_of(bands), free_idx)
             # the reference elimination: equilibrate, then solve [I | B] by LAPACK dpbtrs
             m, width, d = bands.shape
             k = core.shape[0]
