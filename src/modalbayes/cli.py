@@ -1,9 +1,11 @@
 """Command-line driver: simulate | calibrate | monitor | report.
 
-Exit codes: 0 success, 2 input/config error, 3 non-convergence, 4 numerical
-failure.  Every command writes a manifest with input/output digests next to
-its outputs; rerunning with identical inputs and seed reproduces identical
-bytes (set SOURCE_DATE_EPOCH to also pin the manifest timestamp).
+Exit codes: 0 success, 2 input/config error (an input too large for the memory
+included), 3 non-convergence, 4 numerical failure.  Every command writes a
+manifest with input/output digests next to its outputs; rerunning with
+identical inputs and seed reproduces identical bytes (set SOURCE_DATE_EPOCH to
+also pin the manifest timestamp).  A command refused for its arguments or inputs
+writes nothing, not even its output directory.
 
 ``--config FILE`` holds a JSON object of option values.  Its entries become
 command-line tokens ahead of the user's own flags, so one parser checks both
@@ -108,6 +110,9 @@ def _given(args, *names) -> dict:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, made if missing.  A command calls this just before its first
+    write, once its arguments and inputs are checked, so a refused command leaves no
+    directory behind."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -190,7 +195,6 @@ def _emit_run_outputs(result, dataset, out: Path, prefix: str):
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     model, shorthand = _build_model_arg(args)
     noise_args = _given(args, "freq_cov", "shape_cov", "seed")
     if "freq_cov" in noise_args:
@@ -214,6 +218,7 @@ def cmd_simulate(args) -> int:
         model, theta, m=args.modes, q=args.segments, observed_dofs=observed, noise=noise,
         normalization=args.normalization,
     )
+    out = _out_dir(args)
     dataset_path = out / "dataset.json"
     model_path = out / "model.json"
     save_dataset(dataset, dataset_path)
@@ -232,7 +237,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    out = _out_dir(args)
     model, _ = _build_model_arg(args)
     if not args.dataset:
         raise ConfigurationError("--dataset is required")
@@ -240,6 +244,7 @@ def cmd_calibrate(args) -> int:
     config = AlgorithmConfig(mode=CALIBRATION, **_given(args, *CALIBRATE_FIELDS))
     theta_init = _theta_init_arg(args, model.n)
     result = run_calibration(dataset, model, theta_init, config)
+    out = _out_dir(args)
     outputs = _emit_run_outputs(result, dataset, out, "calibration")
     io.write_manifest(
         out / "calibrate_manifest.json", "calibrate",
@@ -256,7 +261,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    out = _out_dir(args)
     model, _ = _build_model_arg(args)
     if not args.dataset:
         raise ConfigurationError("--dataset is required")
@@ -270,6 +274,7 @@ def cmd_monitor(args) -> int:
         )
     config = AlgorithmConfig(mode=MONITORING, **_given(args, *MONITOR_FIELDS))
     result = run_monitoring(dataset, model, calib.theta_map, config)
+    out = _out_dir(args)
     outputs = _emit_run_outputs(result, dataset, out, "monitoring")
     pruning_path = out / "monitoring_pruning.csv"
     io.write_pruning_csv(result, pruning_path)
@@ -292,7 +297,6 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = _out_dir(args)
     if not args.calibration or not args.monitoring:
         raise ConfigurationError("--calibration and --monitoring result paths are required")
     calib = _load_stage(args.calibration, CALIBRATION)
@@ -303,6 +307,7 @@ def cmd_report(args) -> int:
     grid = {"f_max": DEFAULT_F_MAX, "f_step": DEFAULT_F_STEP, **_given(args, "f_max", "f_step")}
     report = build_report(calib, monitor, default_f_grid(**grid),
                           **_given(args, "variance_pairing"))
+    out = _out_dir(args)
     ratios_path = out / "report_ratios.csv"
     prob_path = out / "report_probability.csv"
     alarms_path = out / "report_alarms.json"
@@ -430,6 +435,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # numpy's _ArrayMemoryError for an array too large is one
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -148,9 +148,12 @@ def write_ratios_csv(report: DamageReport, path) -> None:
 
 
 def write_probability_csv(report: DamageReport, path) -> None:
-    f_grid = report.f_grid.tolist()
-    substructures = zip(range(1, report.n + 1), report.map_ratios.tolist(),
-                        report.cov_percent.tolist(), report.prob_curves.tolist())
+    """One row per substructure and loss fraction f.  A substructure's ratio and c.o.v.
+    repeat on each of its rows, and each f on the rows of every substructure, so each
+    is turned into text once, as ``write_csv`` would write it."""
+    f_grid = list(map(str, report.f_grid.tolist()))
+    substructures = zip(range(1, report.n + 1), map(str, report.map_ratios.tolist()),
+                        map(str, report.cov_percent.tolist()), report.prob_curves.tolist())
     rows = ((j, ratio, cov, f, prob)
             for j, ratio, cov, curve in substructures for f, prob in zip(f_grid, curve))
     write_csv(path, ["substructure_id", "map_ratio", "cov_percent", "f", "prob"], rows)

@@ -18,9 +18,12 @@ and CSV writers.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import numbers
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -329,15 +332,94 @@ def save_dataset(dataset: ModalDataset, path) -> None:
 
 
 def write_json(path, payload) -> None:
-    """Write ``payload`` as JSON with two-space indents, sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as JSON with two-space indents, sorted keys, ASCII text and a
+    final newline: the bytes of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
+
+    Each float is written in its shortest round-trip form (``float.__repr__``), so a
+    file reads back to the same values and the same payload writes the same bytes.
+    NaN and +-inf are written as ``NaN`` and ``+-Infinity``, as ``json`` writes them,
+    and a value of a type ``json`` cannot write is a ``TypeError``.
+    """
+    Path(path).write_text(_json_text(payload, "") + "\n")
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at the nesting
+    whose lines start with ``indent``.  A list of finite floats, which is most of what
+    the package writes, is one join of their reprs."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            # a finite float's repr holds no "n"; "nan" and "inf" do
+            text = separator.join(map(float.__repr__, value))
+        except TypeError:  # an entry that is not a float
+            text = None
+        if text is None or "n" in text:
+            text = separator.join([_json_text(item, inner) for item in value])
+        return f"[\n{inner}{text}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        text = separator.join([f"{_json_key(key)}: {_json_text(item, inner)}"
+                               for key, item in sorted(value.items())])
+        return f"{{\n{inner}{text}\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == np.inf:
+        return "Infinity"
+    if value == -np.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or a number, bool or None as a string."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:  # a bool is an int
+        return f'"{_json_text(key, "")}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def write_csv(path, header, rows) -> None:
-    """Write the ``header`` row, then ``rows``, as CSV.  Cells are Python numbers or
-    strings (``ndarray.tolist()``, ``float(x)``): each float is written in its shortest
-    round-trip form."""
+    """Write the ``header`` row, then ``rows``, as CSV: the bytes ``csv.writer`` writes.
+
+    Rows end in ``\\r\\n``.  Cells are Python numbers or strings (``ndarray.tolist()``,
+    ``float(x)``); each cell is written as ``str`` writes it, so a float is in its
+    shortest round-trip form, and a string cell that holds a comma, a quote or a line
+    break is quoted as ``csv`` quotes it.  ``rows`` is read one row at a time as the
+    file is written, so a generator of rows is never held whole.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(map(_csv_line, itertools.chain([header], rows)))
+
+
+def _csv_line(row) -> str:
+    line = ",".join(map(str, row))
+    # a line that could differ from csv's (a cell to quote, a None, an empty only cell)
+    # is left to csv
+    if (line.count(",") != len(row) - 1 or '"' in line or "\n" in line or "\r" in line
+            or "None" in line or not line):
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow(row)
+        return buffer.getvalue()
+    return line + "\r\n"

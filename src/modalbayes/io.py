@@ -1,10 +1,12 @@
 """File schemas and run manifests for the CLI pipeline.
 
 All structured inputs/outputs are JSON, tabular numeric outputs CSV, written
-by ``data.write_json`` and ``data.write_csv``; floats are serialized at full
-round-trip precision so pipelines are lossless. Run
-manifests honor SOURCE_DATE_EPOCH for reproducible timestamps, and record the
-numpy and scipy versions and the BLAS thread settings of the environment.
+by ``data.write_json`` (two-space indents, sorted keys, ASCII, a final newline)
+and ``data.write_csv`` (``\\r\\n`` rows, streamed one row at a time).  Each float
+is written in its shortest round-trip form, so pipelines are lossless and
+the same values write the same bytes.  Run manifests honor SOURCE_DATE_EPOCH for
+reproducible timestamps, and record the numpy and scipy versions and the BLAS
+thread settings of the environment.
 """
 
 from __future__ import annotations
@@ -249,8 +251,9 @@ def write_cov_table_csv(rows: list, path) -> None:
 
 def write_matrix_csv(tiles, labels: list, path) -> None:
     """A labelled square matrix, written from ``tiles``, its rows in order as 2-D blocks
-    (``JointCovariance.rows``), so only one block is held at a time."""
-    rows = (row for tile in tiles for row in tile.tolist())
+    (``JointCovariance.rows``), so only one block is held at a time; each row becomes
+    Python floats only as it is written."""
+    rows = (row.tolist() for tile in tiles for row in tile)
     write_csv(path, ["parameter"] + list(labels),
               ([label] + row for label, row in zip(labels, rows, strict=True)))
 

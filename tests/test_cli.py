@@ -114,7 +114,7 @@ class TestSimulate:
         code = main(["simulate", "--building", building, "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "unknown building shorthand" in capsys.readouterr().err
-        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sensors", ["1,a", "99"])
     def test_bad_sensors_exit_2(self, tmp_path, sensors):
@@ -212,6 +212,15 @@ class TestCalibrate:
         proc = run_cli(["calibrate", "--model", "run/model.json",
                         "--dataset", "missing.json"], cwd=pipeline_dir)
         assert proc.returncode == 2, proc.stderr
+
+    @pytest.mark.parametrize("dataset", [[], ["--dataset", "missing.json"]],
+                             ids=["no_flag", "no_file"])
+    def test_refused_calibration_makes_no_out_dir(self, pipeline_dir, dataset):
+        proc = run_cli(["calibrate", "--model", "run/model.json", "--out-dir", "refused"]
+                       + dataset, cwd=pipeline_dir)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (pipeline_dir / "refused").exists()
 
     @pytest.mark.parametrize("key", ["omega2", "mode_shapes"])
     def test_segment_missing_key_exit_2(self, pipeline_dir, key):
@@ -809,7 +818,9 @@ def test_damage_ids_naming_one_story_twice_exit_2(tmp_path):
     (ConfigurationError, 2, "error: "),
     (ModelError, 2, "error: "),
     (NumericalError, 4, "numerical error: "),
-], ids=["configuration", "model", "numerical"])
+    # numpy's error for an array too large to allocate is a MemoryError
+    (MemoryError, 2, "error: not enough memory: "),
+], ids=["configuration", "model", "numerical", "memory"])
 def test_one_exit_code_per_error_class(tmp_path, monkeypatch, error, code, prefix):
     def fail(args):
         raise error("raised by the command")

@@ -1,5 +1,7 @@
 """Stiffness ratios, damage-probability curves and report round trips."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -200,3 +202,17 @@ class TestBuildReport:
         lines = (tmp_path / "prob.csv").read_text().strip().splitlines()
         assert lines[0] == "substructure_id,map_ratio,cov_percent,f,prob"
         assert len(lines) == 3
+
+    def test_probability_csv_is_csv_of_the_report_floats(self, tmp_path):
+        # each ratio, c.o.v. and f is formatted once for all its rows, as csv writes a float
+        calib = fake_result([1.0, 1.1, 0.9], [0.004, 0.01, 0.02])
+        monitor = fake_result([0.9, 1.0, 0.7], [0.004, 0.0, 0.03], fixed=(1,))
+        report = build_report(calib, monitor)
+        write_probability_csv(report, tmp_path / "prob.csv")
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(["substructure_id", "map_ratio", "cov_percent", "f", "prob"])
+        writer.writerows((j + 1, float(report.map_ratios[j]), float(report.cov_percent[j]),
+                          float(f), float(report.prob_curves[j, k]))
+                         for j in range(report.n) for k, f in enumerate(report.f_grid))
+        assert (tmp_path / "prob.csv").read_bytes() == buffer.getvalue().encode()

@@ -2,7 +2,9 @@
 the file writers."""
 
 import ast
+import csv
 import inspect
+import io
 import json
 from pathlib import Path
 
@@ -11,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SOURCE_DATE_EPOCH
 import modalbayes
-from modalbayes import inference, uncertainty
+from modalbayes import cli, damage, data, inference, uncertainty
+from modalbayes import io as io_module
 from modalbayes.data import (
     DataTerms,
     ModalDataset,
@@ -224,6 +228,46 @@ def explicit_gamma(dataset, d):
     return gamma
 
 
+def reference_json(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def reference_write_json(path, payload) -> None:
+    Path(path).write_bytes(reference_json(payload))
+
+
+def reference_write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# text with what JSON escapes and CSV quotes: quotes, backslashes, separators, control
+# and non-ASCII characters; JSON text may hold a lone surrogate, which UTF-8 cannot
+TRICKY_CHARACTERS = 'a,"\\\n\r\t\x00\x1f\x7f \u00e9\u2028\U0001f600'
+CSV_TEXT = st.text(st.sampled_from(TRICKY_CHARACTERS) | st.characters(), max_size=8)
+JSON_TEXT = st.text(st.sampled_from(TRICKY_CHARACTERS + "\ud800") | st.characters(), max_size=8)
+EDGE_FLOATS = [0.1, 1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308, float("nan"),
+               float("inf"), -float("inf")]
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
+
+
+def json_payloads():
+    """Nested dicts, lists and tuples of strings, ints (past 2**63), bools, None and
+    floats, Python's and numpy's."""
+    leaves = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | JSON_TEXT | FLOATS
+              | FLOATS.map(np.float64) | st.lists(FLOATS, max_size=6))
+    return st.recursive(leaves, lambda children: (
+        st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(JSON_TEXT, children, max_size=4)), max_leaves=20)
+
+
+def csv_cells():
+    return (CSV_TEXT | st.just("") | st.none() | st.integers(-2**70, 2**70) | st.booleans()
+            | FLOATS | FLOATS.map(np.float64))
+
+
 class TestFileWriters:
     def test_csv_writes_numpy_and_python_floats_alike(self, tmp_path):
         values = [0.1, 1e-05, 1e16, 25.819888974716108, -3.0, 0.0]
@@ -251,6 +295,90 @@ class TestFileWriters:
                 for name in names:
                     importers.get(name.split(".")[0], set()).add(path.name)
         assert importers == {"csv": {"data.py"}, "json": {"data.py", "io.py"}}
+
+    def test_csv_streams_its_rows(self, tmp_path):
+        # the rows are written as they come: a matrix CSV holds one block of rows at a time
+        def rows():
+            for k in range(3):
+                yield [k, 0.5 * k]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_csv(tmp_path / "a.csv", ["k", "x"], rows())
+        assert (tmp_path / "a.csv").read_bytes() == b"k,x\r\n0,0.0\r\n1,0.5\r\n2,1.0\r\n"
+
+    @pytest.mark.parametrize("payload", [
+        {"a": object()}, [np.int64(1)], {"a": np.bool_(True)}, {(1, 2): 0},
+        {"a": {1: "x", "b": 2}},
+    ], ids=["object", "numpy_int", "numpy_bool", "tuple_key", "mixed_keys"])
+    def test_json_refuses_what_json_refuses(self, tmp_path, payload):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            write_json(tmp_path / "a.json", payload)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("payload", [
+        {1: "a", 10: "b", -2: "c"}, {0.5: 1, 1e16: 2, float("nan"): 3}, {True: 1, False: 0},
+        {None: 1}, "text", 2**64, 1e-05, None, [], {}, [[], {}, [[]]],
+    ])
+    def test_json_matches_json_on_these(self, tmp_path, payload):
+        write_json(tmp_path / "a.json", payload)
+        assert (tmp_path / "a.json").read_bytes() == reference_json(payload)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(json_payloads())
+    def test_json_matches_json(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "parity.json"
+        write_json(path, payload)
+        assert path.read_bytes() == reference_json(payload)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(csv_cells(), max_size=6), max_size=5))
+    def test_csv_matches_csv_writer(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "parity.csv"
+        header, *body = rows or [[]]
+        write_csv(path, header, body)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        writer.writerows(body)
+        assert path.read_bytes() == buffer.getvalue().encode()
+
+    def test_cli_files_match_the_stdlib_writers(self, tmp_path, monkeypatch):
+        # the benchmark's CLI sequence, once with the package's writers and once with
+        # json.dumps and csv.writer in their place, from the same relative paths
+        argvs = [
+            "simulate --building shear10 --modes 4 --segments 50 --noise 0.01 --seed 2 "
+            "--out-dir calib",
+            "simulate --building shear10 --modes 4 --segments 10 --noise 0.01 --seed 3 "
+            "--normalization global --damage 3=0.2,6=0.1 --out-dir dmg",
+            "calibrate --model calib/model.json --dataset calib/dataset.json "
+            "--fix-hypers eta=1e5,phi=1e4 --out-dir calib",
+            "monitor --model calib/model.json --dataset dmg/dataset.json --calibration "
+            "calib/calibration.json --alpha-min 2e-4 --min-sweeps 15 --out-dir mon",
+            "report --calibration calib/calibration.json --monitoring mon/monitoring.json "
+            "--out-dir rep",
+        ]
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", SOURCE_DATE_EPOCH)
+        references = {"write_json": reference_write_json, "write_csv": reference_write_csv}
+        for name in ("package", "stdlib"):
+            if name == "stdlib":
+                for module in (data, io_module, damage, cli):
+                    for writer, reference in references.items():
+                        if hasattr(module, writer):
+                            monkeypatch.setattr(module, writer, reference)
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert [cli.main(argv.split()) for argv in argvs] == [0] * len(argvs)
+        files = sorted(path.relative_to(tmp_path / "package")
+                       for path in (tmp_path / "package").rglob("*") if path.is_file())
+        assert len(files) == 22 and Path("calib/calibration_joint_cov.csv") in files
+        assert files == sorted(path.relative_to(tmp_path / "stdlib")
+                               for path in (tmp_path / "stdlib").rglob("*") if path.is_file())
+        for name in files:
+            assert (tmp_path / "package" / name).read_bytes() == \
+                (tmp_path / "stdlib" / name).read_bytes(), name
 
 
 class TestSelectionHelpers:
