@@ -18,6 +18,7 @@ shape normalization) are ``inference`` defaults, which this module does not repe
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +69,10 @@ class NoiseSpec:
             if not math.isfinite(value) or value < 0:
                 raise ConfigurationError(f"noise level {name} must be finite and nonnegative, "
                                          f"got {value}")
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise ConfigurationError(f"noise seed must be an integer, got {self.seed!r}") from None
         if self.seed < 0:
             raise ConfigurationError(f"noise seed must be nonnegative, got {self.seed}")
 
@@ -112,33 +117,72 @@ def apply_damage(theta_true, pattern: dict) -> np.ndarray:
     return theta
 
 
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _spawned_pcg64_states(seed: int, q: int, m: int) -> list[dict]:
+    """PCG64 states of ``SeedSequence(seed, spawn_key=(r, i))``, row-major in (r, i).
+
+    ``SeedSequence(seed)`` hashes zeros into its pool where a spawned one pads the seed with
+    zero words, so the pools agree; r and i then mix in over (4, q m) uint32 arrays.
+    """
+    def hash_steps(const, mult, skip):  # (before, after) of steps skip..skip+7: (2, 8, 1)
+        consts = [const * pow(mult, k, 1 << 32) & _MASK32 for k in range(skip, skip + 9)]
+        return np.array([consts[:-1], consts[1:]], dtype=np.uint32)[..., None]
+
+    def hashed(value, consts):
+        value = (value ^ consts[0]) * consts[1] & _MASK32
+        return value ^ value >> 16
+
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    # r, then i, mix into all 4 words; the seed took 16 hash steps, plus 4 per word past the pool
+    steps = hash_steps(0x43B0D7E5, 0x931E8875, 16 + 4 * max(0, (seed.bit_length() - 1) // 32 - 3))
+    for k, word in enumerate(np.divmod(np.arange(q * m, dtype=np.uint32), np.uint32(m))):
+        pool = (0xCA01F9DD * pool - 0x4973F715 * hashed(word, steps[:, 4 * k:4 * k + 4])) & _MASK32
+        pool ^= pool >> 16
+    # generate_state(4, uint64): the pool cycled to 8 words and hashed, read as little-endian
+    # uint64 pairs (seed high and low, inc high and low); then PCG64's srandom
+    words = hashed(np.tile(pool, (2, 1)), hash_steps(0x8B51F9DD, 0x58F38DED, 0))
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in words.T.astype("<u4", order="C").view("<u8").tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def simulate_modal_data(model: StructuralModel, theta, m: int, q: int, observed_dofs,
                         noise: NoiseSpec,
                         normalization: str = INGEST_NORMALIZATION) -> ModalDataset:
     """Exact eigenpairs plus seeded Gaussian perturbations, per segment and mode.
 
-    The random stream splits per (segment, mode), so increasing q reuses the
-    noise of the shorter runs and concurrent generation cannot reorder draws.
-    A q below 3, a negative one included, is refused by the dataset.
+    Segment r, mode i draws its frequency noise, then its d shape-noise entries, from the
+    PCG64 stream of ``SeedSequence(noise.seed, spawn_key=(r, i))``, so increasing q reuses
+    the noise of shorter runs.  The states are formed at once and loaded in turn into one
+    generator, seeded with a constant as an unseeded one reads OS entropy.  ``float_power``
+    squares by C ``pow`` as a scalar's ``** 2`` does; an array's is x * x, off in the last bit.
     """
+    if q < 3:
+        raise ConfigurationError(f"insufficient segments: q={q} given, but q >= 3 is required")
     observed = np.asarray(observed_dofs, dtype=int)
     omega2, modes = eigen_solve(model, theta, m)  # (m,), (m, d)
-    omega = np.sqrt(omega2)
     d = model.d
 
-    omega2_seg = np.zeros((max(q, 0), m))
-    shapes_seg = np.zeros((max(q, 0), m, observed.size))
+    generator = np.random.Generator(np.random.PCG64(0))
+    eps = np.empty((q, m, d + 1))  # entry 0: the frequency draw; 1..d: the shape draws
+    for row, state in zip(eps.reshape(q * m, d + 1), _spawned_pcg64_states(noise.seed, q, m)):
+        generator.bit_generator.state = state
+        generator.standard_normal(out=row)
+    omega2_seg = np.float_power(np.sqrt(omega2) * (1.0 + noise.freq_cov * eps[..., 0]), 2.0)
     # the shape noise of mode i is scaled by its RMS entry, the same in every segment
-    shape_scale = [noise.shape_cov * (np.linalg.norm(mode) / np.sqrt(d)) for mode in modes]
-    for r in range(q):
-        for i in range(m):
-            rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(r, i)))
-            eps_w = rng.normal()
-            eps_s = rng.normal(size=d)
-            omega2_seg[r, i] = (omega[i] * (1.0 + noise.freq_cov * eps_w)) ** 2
-            pert = modes[i] + shape_scale[i] * eps_s
-            shapes_seg[r, i] = pert[observed]
-    return ModalDataset.from_segments(omega2_seg, shapes_seg, observed, normalization=normalization)
+    shape_scale = [np.linalg.norm(mode) / np.sqrt(d) for mode in modes]
+    shapes = eps[..., 1:]
+    shapes *= noise.shape_cov * np.array(shape_scale)[:, None]
+    shapes += modes
+    return ModalDataset.from_segments(omega2_seg, shapes.take(observed, axis=2), observed,
+                                      normalization=normalization)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +299,7 @@ def run_damage_scenario(damage: dict | None = None, q_calibration: int = 100,
     noise of ``NoiseSpec``, seeded ``seed`` and ``seed + 65537``.
     ``monitor_config`` defaults to ``AlgorithmConfig(mode=MONITORING)``.
     """
+    seed = NoiseSpec(seed=seed).seed  # a seed that is not an integer is refused here
     model = shear_building_model(ShearBuildingSpec(stories))
     theta0 = harness_theta_init(model.n, DEFAULT_HARNESS_CONFIG["theta_init_interval"], seed)
     calib_data = harness_dataset(m, q_calibration, sensors, noise=NoiseSpec(seed=seed),

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalbayes import bench, cli, damage, inference
 from modalbayes.bench import (
@@ -24,7 +26,7 @@ from modalbayes.bench import (
     simulate_modal_data,
 )
 from modalbayes.damage import build_report
-from modalbayes.data import ModalDataset
+from modalbayes.data import INGEST_NORMALIZATION, ModalDataset
 from modalbayes.errors import ConfigurationError
 from modalbayes.inference import AlgorithmConfig, run_calibration
 from modalbayes.model import assemble_stiffness, eigen_solve
@@ -195,6 +197,83 @@ class TestSimulateModalData:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="seed"):
             NoiseSpec(seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), np.float64(2.0), "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            NoiseSpec(seed=seed)
+
+    def test_non_integer_seed_refused_by_the_harness(self):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            run_damage_scenario(seed=1.5)
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        noise = NoiseSpec(seed=np.int64(5))
+        assert noise.seed == 5 and type(noise.seed) is int
+
+    @pytest.mark.parametrize("q", [-1, 0])
+    def test_q_below_3_named(self, toy2_model, q):
+        with pytest.raises(ConfigurationError, match=rf"q={q} given, but q >= 3"):
+            simulate_modal_data(toy2_model, [1.0, 1.0], m=1, q=q, observed_dofs=[0, 1],
+                                noise=NoiseSpec(0.01, 0.01, seed=1))
+
+
+def reference_simulation(model, theta, m, q, observed_dofs, noise,
+                         normalization=INGEST_NORMALIZATION):
+    """The simulator as one SeedSequence and one generator per (segment, mode) stream."""
+    observed = np.asarray(observed_dofs, dtype=int)
+    omega2, modes = eigen_solve(model, theta, m)
+    omega = np.sqrt(omega2)
+    d = model.d
+    omega2_seg = np.zeros((q, m))
+    shapes_seg = np.zeros((q, m, observed.size))
+    shape_scale = [noise.shape_cov * (np.linalg.norm(mode) / np.sqrt(d)) for mode in modes]
+    for r in range(q):
+        for i in range(m):
+            rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(r, i)))
+            eps_w = rng.normal()
+            eps_s = rng.normal(size=d)
+            omega2_seg[r, i] = (omega[i] * (1.0 + noise.freq_cov * eps_w)) ** 2
+            pert = modes[i] + shape_scale[i] * eps_s
+            shapes_seg[r, i] = pert[observed]
+    return ModalDataset.from_segments(omega2_seg, shapes_seg, observed, normalization=normalization)
+
+
+class TestBatchedSeeding:
+    """The simulator's streams are seeded in one pass, to the states numpy would give."""
+
+    @staticmethod
+    def assert_states_match(seed):
+        states = bench._spawned_pcg64_states(seed, 12, 7)
+        assert len(states) == 12 * 7
+        for k, (r, i) in enumerate(np.ndindex(12, 7)):
+            expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r, i))).state
+            assert states[k] == expected, (r, i)  # (state, inc) and no buffered uint32
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 - 1, 2**128,
+                                      2**130 + 5])
+    def test_states_match_seed_sequence(self, seed):
+        self.assert_states_match(seed)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.integers(0, 2**32), st.integers(0, 2**200)))
+    def test_states_match_seed_sequence_on_drawn_seeds(self, seed):
+        self.assert_states_match(seed)
+
+    @pytest.mark.parametrize("stories, m, q, sensors, noise, normalization", [
+        # at this seed some omega^2 differ in the last bit if squared as x * x, not by pow
+        (30, 6, 10, "full", NoiseSpec(seed=66325), "global"),
+        (10, 4, 7, "partial", NoiseSpec(0.02, 0.03, seed=2**64 + 9), "per_mode"),
+        (12, 3, 5, "0,3,5", NoiseSpec(0.0, 0.02, seed=4), "none"),
+    ])
+    def test_datasets_match_the_per_stream_loop(self, stories, m, q, sensors, noise,
+                                                normalization):
+        model = shear_building_model(ShearBuildingSpec(stories))
+        theta = apply_damage(np.ones(model.n), {2: 0.2})
+        args = (model, theta, m, q, sensor_layout(sensors, model.d), noise, normalization)
+        got, expected = simulate_modal_data(*args), reference_simulation(*args)
+        np.testing.assert_array_equal(got.omega2_segments, expected.omega2_segments)
+        np.testing.assert_array_equal(got.psi_segments, expected.psi_segments)
 
 
 class TestNoiseFreePipeline:

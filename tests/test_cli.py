@@ -103,6 +103,11 @@ class TestSimulate:
         assert proc.returncode == 2, proc.stderr
         assert "q >= 3" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_negative_segments_named(self, tmp_path):
+        proc = run_cli(["simulate", "--building", "shear10", "--segments", "-1"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "q=-1" in proc.stderr and not (tmp_path / "dataset.json").exists()
+
     def test_unknown_building_exit_2(self, tmp_path):
         proc = run_cli(["simulate", "--building", "frame3"], cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
