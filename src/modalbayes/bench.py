@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .data import INGEST_NORMALIZATION, ModalDataset, write_csv
+from .data import INGEST_NORMALIZATION, ModalDataset, real_array, write_csv
 from .errors import ConfigurationError
 from .inference import (
     CALIBRATION,
@@ -69,12 +69,18 @@ class NoiseSpec:
             if not math.isfinite(value) or value < 0:
                 raise ConfigurationError(f"noise level {name} must be finite and nonnegative, "
                                          f"got {value}")
-        try:
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise ConfigurationError(f"noise seed must be an integer, got {self.seed!r}") from None
-        if self.seed < 0:
-            raise ConfigurationError(f"noise seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "seed", _seed_of(self.seed, "noise seed"))
+
+
+def _seed_of(value, name: str) -> int:
+    """``value`` as a nonnegative integer seed, or a ``ConfigurationError`` naming ``name``."""
+    try:
+        seed = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if seed < 0:
+        raise ConfigurationError(f"{name} must be nonnegative, got {seed}")
+    return seed
 
 
 def full_sensor_dofs(d: int) -> np.ndarray:
@@ -203,9 +209,15 @@ def comparison_calibration(init_scale: dict | None = None) -> AlgorithmConfig:
 
 
 def harness_theta_init(n: int, interval, seed) -> np.ndarray:
+    """n starting values of theta, uniform on ``interval`` (low, high), two finite numbers
+    with low <= high, from the stream of the nonnegative integer ``seed``."""
+    seed = _seed_of(seed, "theta init seed")
+    bounds = real_array(interval, "theta init interval")
+    if bounds.shape != (2,) or not (np.all(np.isfinite(bounds)) and bounds[0] <= bounds[1]):
+        raise ConfigurationError(f"theta init interval must be two finite numbers low <= high, "
+                                 f"got {interval!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9999,)))
-    low, high = interval
-    return rng.uniform(low, high, size=n)
+    return rng.uniform(*bounds, size=n)
 
 
 def harness_dataset(m: int, q: int, sensors="full", damage: dict | None = None,

@@ -154,12 +154,10 @@ def _theta_init_arg(args, n: int) -> np.ndarray:
         return np.ones(n)
     if text.startswith("uniform:"):
         try:
-            low, high = (float(v) for v in text[len("uniform:"):].split(","))
-            if not (np.isfinite(low) and np.isfinite(high) and low <= high):
-                raise ValueError("the interval low,high must be finite with low <= high")
-        except ValueError as exc:
+            interval = [float(v) for v in text[len("uniform:"):].split(",")]
+            return harness_theta_init(n, interval, args.seed if args.seed is not None else 0)
+        except (ValueError, ConfigurationError) as exc:
             raise ConfigurationError(f"bad --theta-init {text!r}: {exc}") from exc
-        return harness_theta_init(n, (low, high), args.seed if args.seed is not None else 0)
     path = Path(text)
     if path.is_file():
         values = real_array(read_json(path, "theta init"), f"theta init file {path}")

@@ -43,6 +43,7 @@ blocks, the H^T H band and r of the last sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -121,6 +122,8 @@ class AlgorithmConfig:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         floats = {name: getattr(self, name) for name in
                   ("kappa", "alpha_min", "tol_theta", "tol_log_alpha", "lambda_fixed")}
+        if self.lambda_fixed is None:  # the rate is estimated
+            del floats["lambda_fixed"]
         for group in ("fix_hypers", "init_scale"):
             values = getattr(self, group) or {}
             unknown = set(values) - {"beta", "eta", "phi"}
@@ -128,7 +131,9 @@ class AlgorithmConfig:
                 raise ConfigurationError(f"{group} has unknown keys: {sorted(unknown)}")
             floats.update((f"{group}[{key}]", value) for key, value in values.items())
         for name, value in floats.items():
-            if value is not None and not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
         for name in ("max_iterations", "min_sweeps_before_pruning"):
             value = getattr(self, name)
@@ -281,6 +286,10 @@ def initialize(
     theta = np.array(theta_init, dtype=float)
     if theta.shape != (n,):
         raise ConfigurationError(f"theta_init must have shape ({n},), got {theta.shape}")
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ConfigurationError(f"theta start must be finite, got {theta[bad[0]]} at "
+                                 f"component {bad[0] + 1}")
 
     b0 = BETA_PRIOR_RATE[config.mode]
     beta = d * m / (2.0 * b0)

@@ -226,8 +226,6 @@ class StructuralModel:
     _gram_out: np.ndarray = field(init=False, repr=False, compare=False)
     # flat scatter positions of the H blocks of m modes in the (m, d) H theta, by m (h_times)
     _h_index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # the index grids of the blocked mode solve, filled once (``uncertainty.solve_grids``)
-    _solve_grids: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         mass = _mass_matrix(self.mass)

@@ -49,9 +49,7 @@ joint Hessian.  Sigma_theta is formed in full once per run
 (``theta_covariance_from``); the ARD block of each monitoring sweep reads
 only its diagonal (``theta_variances``).  Both expand the band factor to
 the dense lower triangle of the free set (``model.band_to_dense``) and
-invert that, O(n_f^3).  The index grids of the blocked mode solve depend
-only on the model (d and u) and are built once into its slot
-(``solve_grids``).
+invert that, O(n_f^3).
 
 Reported coefficients of variation follow the conventions of the source
 tables: theta uses the conditional covariance Sigma_theta, and the scalar
@@ -218,60 +216,10 @@ def factor_mode_bands(bands: np.ndarray) -> np.ndarray:
     return factor
 
 
-@dataclass(frozen=True, eq=False)
-class SolveGrids:
-    """The index grids of ``solve_mode_bands`` for mode blocks of d rows and
-    half-bandwidth u: the rows nb of a block and their ``count``, and for the
-    diagonal blocks and the couplings the band row and column of each entry in the
-    factor of one mode, where it lies ``inside`` the band.  Diagonal entries of the
-    rows past d are one (``diag_fill``)."""
-
-    nb: int
-    count: int
-    diag_rows: np.ndarray
-    diag_cols: np.ndarray
-    diag_inside: np.ndarray
-    diag_fill: np.ndarray
-    coupling_rows: np.ndarray
-    coupling_cols: np.ndarray
-    coupling_inside: np.ndarray
-
-    @classmethod
-    def of(cls, d: int, u: int) -> "SolveGrids":
-        nb = max(SOLVE_BLOCK, u)
-        count = -(-d // nb)
-        # diagonal block c, entry (a, b): L_i[c nb + a, c nb + b], with ones on the
-        # diagonal of the rows past d, so the ragged last block's inverse is its top
-        # left corner
-        a = np.arange(nb)
-        gap = a[:, None] - a
-        rows = nb * np.arange(count)[:, None, None] + a[:, None]
-        diag = dict(diag_rows=np.clip(gap, 0, u), diag_cols=np.minimum(rows.swapaxes(1, 2), d - 1),
-                    diag_inside=(gap >= 0) & (gap <= u) & (rows < d),
-                    diag_fill=(gap == 0) & (rows >= d))
-        # coupling of block c >= 1, entry (a, b) for a, b < u: L_i[s + a, s - u + b] with
-        # s = c nb, zero below the diagonal (a > b) and past the last row
-        a = np.arange(u)
-        gap = u + a[:, None] - a
-        starts = nb * np.arange(1, count)[:, None, None]
-        return cls(nb=nb, count=count, **diag, coupling_rows=np.minimum(gap, u),
-                   coupling_cols=starts - u + a,
-                   coupling_inside=(gap <= u) & (starts + a[:, None] < d))
-
-
-def solve_grids(model: StructuralModel) -> SolveGrids:
-    """The ``SolveGrids`` of the mode blocks of ``model``, built into its slot once."""
-    slot = model._solve_grids
-    if not slot:
-        slot.append(SolveGrids.of(model.d, model.operator_bandwidth))
-    return slot[0]
-
-
-def solve_mode_bands(factor: np.ndarray, rhs: np.ndarray, grids: SolveGrids) -> np.ndarray:
+def solve_mode_bands(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve P_i X_i = R_i for every mode i, in place on the right-hand sides ``rhs``
     (m, d, r), from the band Cholesky factor ``factor`` (u + 1, m d) of the mode
-    blocks (``factor_mode_bands``), and return ``rhs``.  ``grids`` are the index
-    grids of (d, u) (``SolveGrids``, held by a model in ``solve_grids``).
+    blocks (``factor_mode_bands``), and return ``rhs``.
 
     Level-3 blocked substitution: the rows of each factor L_i are cut into blocks
     of nb = max(``SOLVE_BLOCK``, u) rows, the last one ragged, so the band of a
@@ -287,14 +235,27 @@ def solve_mode_bands(factor: np.ndarray, rhs: np.ndarray, grids: SolveGrids) -> 
     u = factor.shape[0] - 1
     if rhs.size == 0:
         return rhs
-    nb, count = grids.nb, grids.count
-    # entry (j + t, j) of L_i is lower[i, t, j]; it is zero past the mode's last row
-    lower = factor.reshape(u + 1, m, d).transpose(1, 0, 2)
-    diag = np.where(grids.diag_inside, lower[:, grids.diag_rows, grids.diag_cols],
-                    grids.diag_fill)
+    nb = max(SOLVE_BLOCK, u)
+    count = -(-d // nb)
+    # entry (j + t, j) of L_i is blocks[i, t, j], zero past the mode's last row; the rows
+    # padding the last block to nb rows have a unit diagonal, so that block's inverse is
+    # the inverse of its top left corner
+    blocks = np.zeros((m, u + 1, count * nb))
+    blocks[:, :, :d] = factor.reshape(u + 1, m, d).transpose(1, 0, 2)
+    blocks[:, 0, d:] = 1.0
+    blocks = blocks.reshape(m, u + 1, count, nb)
+    # diagonal block c, entry (a, b): L_i[c nb + a, c nb + b]; coupling c, entry (a, b):
+    # L_i[(c + 1) nb + a, (c + 1) nb - u + b].  The mode is the couplings' fastest axis, so
+    # NumPy multiplies them in its own loop, summing in index order, and not by BLAS
+    diag = np.zeros((m, count, nb, nb))
+    coupling = np.zeros((count - 1, u, u, m)).transpose(3, 0, 1, 2)
+    for t in range(u + 1):
+        a = np.arange(t, nb)
+        diag[:, :, a, a - t] = blocks[:, t, :, :nb - t]
+        if t:
+            a = np.arange(t)
+            coupling[:, :, a, a + u - t] = blocks[:, t, :-1, nb - t:]
     inv = np.linalg.inv(diag)
-    coupling = np.where(grids.coupling_inside,
-                        lower[:, grids.coupling_rows, grids.coupling_cols], 0.0)
     for c in range(count):
         s, e = c * nb, min((c + 1) * nb, d)
         if c:
@@ -528,18 +489,16 @@ def _exact_inverse_norm(joint: JointCovariance, eq: np.ndarray) -> float:
 
 
 def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
-                   start: int, grids: SolveGrids, free_idx=()) -> JointCovariance:
+                   start: int, free_idx=()) -> JointCovariance:
     """Inverse of the Hessian held as its banded mode blocks and the rest, in factored
     form (``JointCovariance``).
 
     The Hessian has m diagonal d x d blocks P_i, held as their lower bands
     ``bands`` (m, u + 1, d), in rows and columns start .. start + m d, with
     zeros between them; ``cross`` holds those rows in the other k columns and
-    ``core`` the symmetric k x k block of the other rows (the
-    ``joint_hessian`` layout).  ``grids`` are the index grids of the blocked
-    solve of those blocks (``solve_mode_bands``).  The inverse keeps the same
-    order, and ``free_idx`` names its theta rows.  Empty Phi blocks, bands (0, 1, 0),
-    make ``core`` its own Schur complement.
+    ``core`` the symmetric k x k block of the other rows (the ``joint_hessian``
+    layout).  The inverse keeps the same order, and ``free_idx`` names its theta
+    rows.  Empty Phi blocks, bands (0, 1, 0), make ``core`` its own Schur complement.
 
     The raw precision matrix mixes parameter scales spanning many orders
     (e.g. eta vs its reciprocal-scale rate), so it is Jacobi-equilibrated
@@ -594,7 +553,7 @@ def invert_hessian(bands: np.ndarray, cross: np.ndarray, core: np.ndarray,
     sol = np.zeros((m, d, d + k))
     sol[:, np.arange(d), np.arange(d)] = 1.0
     sol[:, :, d:] = cross.reshape(m, d, k)
-    solve_mode_bands(factor, sol, grids)
+    solve_mode_bands(factor, sol)
     p_inv, y = sol[:, :, :d], sol[:, :, d:].reshape(m * d, k)
     try:
         s_inv = np.linalg.inv(core - cross.T @ y)
@@ -631,7 +590,7 @@ def joint_covariance(state, terms: DataTerms, model: StructuralModel, free: Free
     of the run.
     """
     bands, cross, core, free_idx = joint_hessian(state, terms, model, free, hmat, hth, resid)
-    return invert_hessian(bands, cross, core, 3 * state.m + 1, solve_grids(model), free_idx)
+    return invert_hessian(bands, cross, core, 3 * state.m + 1, free_idx)
 
 
 def cov_report(result, dataset: ModalDataset) -> list:

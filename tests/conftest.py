@@ -29,7 +29,7 @@ from modalbayes.inference import (
 )
 from modalbayes.model import (StructuralModel, build_b, build_H, build_HtH, eigen_residual,
                               h_times, mode_products)
-from modalbayes.uncertainty import FreeSet, SolveGrids
+from modalbayes.uncertainty import FreeSet
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +231,6 @@ def hessian_inputs(state: InferenceState, dataset: ModalDataset, model: Structur
     hmat = build_H(model, state.phi)
     return (state, DataTerms.from_dataset(dataset, model.d), model, free_of(state, model),
             hmat, build_HtH(model, hmat), residual_of(model, state))
-
-
-def grids_of(bands: np.ndarray) -> SolveGrids:
-    """The index grids of the blocked solve of the mode blocks with lower bands
-    ``bands`` (m, u + 1, d)."""
-    return SolveGrids.of(bands.shape[2], bands.shape[1] - 1)
 
 
 def dense_blocks(bands):

@@ -3,6 +3,7 @@
 import ast
 import csv
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,18 @@ class TestHarness:
                                      AlgorithmConfig(mode="calibration",
                                                      fix_hypers={"eta": 1e5, "phi": 1e4}))
             assert 12.0 <= result.state_map.beta <= 25.0
+
+    @pytest.mark.parametrize("interval, seed, message", [
+        ((2.0, 3.0), 1.5, "theta init seed must be an integer, got 1.5"),
+        ((2.0, 3.0), -1, "theta init seed must be nonnegative, got -1"),
+        ((3.0, 2.0), 0, "theta init interval must be two finite numbers low <= high"),
+        ((2.0, np.nan), 0, "theta init interval must be two finite numbers low <= high"),
+        ((2.0,), 0, "theta init interval must be two finite numbers low <= high"),
+        (("2", 3.0), 0, "theta init interval must hold only numbers"),
+    ], ids=["float_seed", "negative_seed", "reversed", "nan", "one_number", "string"])
+    def test_theta_init_refuses_bad_inputs(self, interval, seed, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            harness_theta_init(10, interval, seed)
 
     def test_optimized_lambda_prunes_at_least_as_much_as_classic(self):
         _, optimized = run_damage_scenario(damage={2: 0.2}, q_calibration=50,

@@ -317,6 +317,18 @@ class TestCalibrate:
         assert proc.returncode == 2, proc.stderr
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("theta_init", ["inf", "nan", "theta.json"],
+                             ids=["inf", "nan", "nan_file"])
+    def test_non_finite_theta_init_exit_2(self, pipeline_dir, theta_init):
+        # json reads NaN; the start is refused before any arithmetic warns about it
+        (pipeline_dir / "theta.json").write_text("[" + ", ".join(["NaN"] + ["1.0"] * 9) + "]")
+        proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
+                        "run/dataset.json", "--theta-init", theta_init, "--out-dir", "bad"],
+                       cwd=pipeline_dir)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: theta start must be finite")
+        assert proc.stderr.count("\n") == 1 and "RuntimeWarning" not in proc.stderr
+
     def test_negative_seed_for_theta_init_exit_2(self, pipeline_dir):
         proc = run_cli(["calibrate", "--model", "run/model.json", "--dataset",
                         "run/dataset.json", "--theta-init", "uniform:2,3", "--seed", "-1",

@@ -142,6 +142,20 @@ class TestAlgorithmConfig:
         with pytest.raises(ConfigurationError, match=re.escape(f"{name} must be finite")):
             AlgorithmConfig(mode="monitoring", **kwargs)
 
+    @pytest.mark.parametrize("name, kwargs", [
+        ("kappa", {"kappa": None}),
+        ("alpha_min", {"alpha_min": None}),
+        ("tol_theta", {"tol_theta": None}),
+        ("kappa", {"kappa": "0.1"}),
+        ("fix_hypers[beta]", {"fix_hypers": {"beta": "20"}}),
+        ("fix_hypers[beta]", {"fix_hypers": {"beta": True}}),
+    ], ids=["kappa_none", "alpha_min_none", "tol_theta_none", "kappa_str", "beta_str",
+            "beta_bool"])
+    def test_non_number_setting_rejected(self, name, kwargs):
+        # None and a string would fail later with a TypeError, and a bool would count as 1.0
+        with pytest.raises(ConfigurationError, match=re.escape(f"{name} must be a number")):
+            AlgorithmConfig(mode="calibration", **kwargs)
+
     @pytest.mark.parametrize("name", ["max_iterations", "min_sweeps_before_pruning"])
     def test_non_integer_count_rejected(self, name):
         # a float count would pass the range checks and fail later in range()
@@ -747,8 +761,21 @@ class TestRunCalibration:
             run_calibration(toy2_dataset, toy2_model, np.ones(2),
                             AlgorithmConfig(mode="monitoring"))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_start_rejected(self, toy2_model, toy2_dataset, value):
+        # refused before any arithmetic, naming the start, not at the first sweep
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"theta start must be finite, got {value}")):
+            run_calibration(toy2_dataset, toy2_model, np.array([1.0, value]))
+
 
 class TestRunMonitoring:
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_anchor_rejected(self, toy2_model, toy2_dataset, value):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"theta start must be finite, got {value}")):
+            run_monitoring(toy2_dataset, toy2_model, np.array([value, 1.0]))
+
     def test_undamaged_prunes_everything(self, toy2_model):
         calib_ds = simulate_modal_data(toy2_model, [1.0, 1.0], m=2, q=30, observed_dofs=[0, 1],
                                        noise=NoiseSpec(0.01, 0.01, seed=8),

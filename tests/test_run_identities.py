@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (band_of, dense_blocks, dense_hessian, grids_of, random_symmetric,
+from conftest import (band_of, dense_blocks, dense_hessian, random_symmetric,
                       shape_residual_sq, with_free)
 from modalbayes.data import DataTerms, ModalDataset
 from modalbayes.inference import ETA_MAX, AlgorithmConfig, initialize, update_eta
@@ -116,7 +116,7 @@ def hessian_cases(draw):
 @given(hessian_cases())
 def test_tiled_inverse_is_symmetric_and_matches_dense(case):
     bands, cross, core, start = case
-    cov = invert_hessian(bands, cross, core, start, grids_of(bands)).dense()
+    cov = invert_hessian(bands, cross, core, start).dense()
     np.testing.assert_array_equal(cov, cov.T)
     want = np.linalg.inv(dense_hessian(bands, cross, core, start))
     np.testing.assert_allclose(cov, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
@@ -133,7 +133,7 @@ def test_norm_bound_is_not_below_the_exact_inverse_norm(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(uncertainty, "_inverse_norm_bound",
                       lambda *args: bounds.append(original(*args)) or bounds[-1])
-        joint = invert_hessian(bands, cross, core, start, grids_of(bands))
+        joint = invert_hessian(bands, cross, core, start)
     hess = dense_hessian(bands, cross, core, start)
     diag = np.diag(hess)
     eq = 1.0 / np.sqrt(diag) if np.all(diag > 0) else np.ones(diag.size)

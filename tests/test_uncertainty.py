@@ -14,7 +14,6 @@ from conftest import (
     dense_blocks,
     dense_hessian,
     fd_hessian,
-    grids_of,
     hessian_inputs,
     loop_H,
     objective_of,
@@ -303,11 +302,11 @@ class TestJointCovariance:
 
     def test_singular_hessian_raises(self):
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(NO_PHI, np.zeros((0, 3)), np.zeros((3, 3)), 0, grids_of(NO_PHI))
+            invert_hessian(NO_PHI, np.zeros((0, 3)), np.zeros((3, 3)), 0)
 
     def test_rank_one_hessian_raises(self):
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(NO_PHI, np.zeros((0, 3)), np.ones((3, 3)), 0, grids_of(NO_PHI))
+            invert_hessian(NO_PHI, np.zeros((0, 3)), np.ones((3, 3)), 0)
 
     def test_inverse_of_indefinite_matrix(self):
         rng = np.random.default_rng(44)
@@ -315,7 +314,7 @@ class TestJointCovariance:
         hess = basis @ np.diag([3.0, -2.0, 1.5, -1.0, 2.5, -0.5]) @ basis.T
         hess = 0.5 * (hess + hess.T)
         np.testing.assert_allclose(
-            invert_hessian(NO_PHI, np.zeros((0, 6)), hess, 0, grids_of(NO_PHI)).dense(),
+            invert_hessian(NO_PHI, np.zeros((0, 6)), hess, 0).dense(),
             np.linalg.inv(hess), rtol=1e-10)
 
 
@@ -394,7 +393,7 @@ class TestStructuredInverse:
         bands[1, 1, :-1] = -1.0
         assert np.linalg.cond(dense_blocks(bands)[1], 1) > 1e14
         with pytest.raises(NumericalError, match="condition"):
-            invert_hessian(bands, cross, core, 3 * state.m + 1, grids_of(bands))
+            invert_hessian(bands, cross, core, 3 * state.m + 1)
 
     def test_run_with_singular_phi_block_flags(self, monkeypatch):
         blocks_of = uncertainty.joint_hessian
@@ -434,10 +433,10 @@ class TestConditionCertificate:
         start = 3 * state.m + 1
         hess = dense_hessian(bands, cross, core, start)
         eq = 1.0 / np.sqrt(np.diag(hess))
-        reference = invert_hessian(bands, cross, core, start, grids_of(bands), free_idx).dense()
+        reference = invert_hessian(bands, cross, core, start, free_idx).dense()
         anorm = np.abs(hess * np.outer(eq, eq)).sum(axis=0).max()
         exact = anorm * np.abs(reference / np.outer(eq, eq)).sum(axis=1).max()
-        return (bands, cross, core, start, grids_of(bands), free_idx), reference, anorm, exact
+        return (bands, cross, core, start, free_idx), reference, anorm, exact
 
     @staticmethod
     def spy(monkeypatch, name):
@@ -562,6 +561,51 @@ class TestModeFactor:
                            "dpbsv": set(), "dpotrf": set()}
 
 
+def reference_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``solve_mode_bands`` as it read the factor through precomputed index grids: for the
+    diagonal blocks and the couplings, the band row and column of each entry in the
+    factor of one mode, masked where it lies outside the band or past the last row."""
+    m, d, _ = rhs.shape
+    u = factor.shape[0] - 1
+    if rhs.size == 0:
+        return rhs
+    nb = max(uncertainty.SOLVE_BLOCK, u)
+    count = -(-d // nb)
+    # diagonal block c, entry (a, b): L_i[c nb + a, c nb + b], with ones on the
+    # diagonal of the rows past d, so the ragged last block's inverse is its top
+    # left corner
+    a = np.arange(nb)
+    gap = a[:, None] - a
+    rows = nb * np.arange(count)[:, None, None] + a[:, None]
+    diag_rows, diag_cols = np.clip(gap, 0, u), np.minimum(rows.swapaxes(1, 2), d - 1)
+    diag_inside = (gap >= 0) & (gap <= u) & (rows < d)
+    diag_fill = (gap == 0) & (rows >= d)
+    # coupling of block c >= 1, entry (a, b) for a, b < u: L_i[s + a, s - u + b] with
+    # s = c nb, zero below the diagonal (a > b) and past the last row
+    a = np.arange(u)
+    gap = u + a[:, None] - a
+    starts = nb * np.arange(1, count)[:, None, None]
+    coupling_rows, coupling_cols = np.minimum(gap, u), starts - u + a
+    coupling_inside = (gap <= u) & (starts + a[:, None] < d)
+    # entry (j + t, j) of L_i is lower[i, t, j]; it is zero past the mode's last row
+    lower = factor.reshape(u + 1, m, d).transpose(1, 0, 2)
+    diag = np.where(diag_inside, lower[:, diag_rows, diag_cols], diag_fill)
+    inv = np.linalg.inv(diag)
+    coupling = np.where(coupling_inside, lower[:, coupling_rows, coupling_cols], 0.0)
+    for c in range(count):
+        s, e = c * nb, min((c + 1) * nb, d)
+        if c:
+            rhs[:, s:s + min(u, e - s)] -= coupling[:, c - 1, :e - s] @ rhs[:, s - u:s]
+        rhs[:, s:e] = inv[:, c, :e - s, :e - s] @ rhs[:, s:e]
+    for c in reversed(range(count)):
+        s, e = c * nb, min((c + 1) * nb, d)
+        if e < d:
+            rhs[:, e - u:e] -= (coupling[:, c, :d - e].transpose(0, 2, 1)
+                                @ rhs[:, e:e + min(u, d - e)])
+        rhs[:, s:e] = inv[:, c, :e - s, :e - s].transpose(0, 2, 1) @ rhs[:, s:e]
+    return rhs
+
+
 class TestBlockedSolve:
     """The level-3 blocked solve of the mode blocks against LAPACK's column-by-column
     ``dpbtrs`` on the same factor, and the joint inverse built on it against one built
@@ -582,8 +626,7 @@ class TestBlockedSolve:
         m, d, r = rhs.shape
         reference, info = lapack.dpbtrs(factor, rhs.reshape(m * d, r), lower=1)
         assert info == 0
-        grids = uncertainty.SolveGrids.of(d, factor.shape[0] - 1)
-        solved = solve_mode_bands(factor, rhs.copy(), grids)
+        solved = solve_mode_bands(factor, rhs.copy())
         err = np.max(np.abs(solved.reshape(m * d, r) - reference)) / np.max(np.abs(reference))
         assert err <= 1e-12, err
 
@@ -601,25 +644,26 @@ class TestBlockedSolve:
                     self.check_against_dpbtrs(self.random_factor(rng, m, d, u),
                                               rng.standard_normal((m, d, r)))
 
-    def test_model_grids_solve_bitwise_as_built_grids(self):
-        # the grids a model holds are built once, and solve exactly as grids built per call
-        rng = np.random.default_rng(7)
-        for d in (10, 30):
-            model = shear_building_model(ShearBuildingSpec(stories=d))
-            u = model.operator_bandwidth
-            grids = uncertainty.solve_grids(model)
-            assert uncertainty.solve_grids(model) is grids
-            factor = self.random_factor(rng, 4, d, u)
-            rhs = rng.standard_normal((4, d, d + 5))
-            np.testing.assert_array_equal(
-                solve_mode_bands(factor, rhs.copy(), grids),
-                solve_mode_bands(factor, rhs.copy(), uncertainty.SolveGrids.of(d, u)))
+    @pytest.mark.parametrize("d", [uncertainty.SOLVE_BLOCK - 3, 2 * uncertainty.SOLVE_BLOCK,
+                                   2 * uncertainty.SOLVE_BLOCK + 5])
+    def test_bitwise_as_reference_solve(self, d):
+        # the blocks read off the padded factor are those the index grids gathered
+        rng = np.random.default_rng(d + 1)
+        block = uncertainty.SOLVE_BLOCK
+        for u in sorted({0, 1, 2, block - 1, block, block + 1, d - 1}):
+            if u > d - 1:
+                continue
+            for m in (1, 3):
+                for r in (1, 7):
+                    factor = self.random_factor(rng, m, d, u)
+                    rhs = rng.standard_normal((m, d, r))
+                    np.testing.assert_array_equal(solve_mode_bands(factor, rhs.copy()),
+                                                  reference_solve(factor, rhs.copy()))
 
     def test_no_rows_or_columns(self):
         for m, d, r in [(0, 5, 7), (3, 0, 7), (3, 5, 0)]:
             rhs = np.zeros((m, d, r))
-            grids = uncertainty.SolveGrids.of(d, 2)
-            assert solve_mode_bands(np.ones((3, m * d)), rhs, grids) is rhs
+            assert solve_mode_bands(np.ones((3, m * d)), rhs) is rhs
 
     def test_dense_k0_hessian(self):
         # the calibration of TestBandedScale::test_dense_k0_calibrate_and_monitor, whose
@@ -641,7 +685,7 @@ class TestBlockedSolve:
             state = result.state_map
             bands, cross, core, free_idx = joint_hessian(*hessian_inputs(state, dataset, model))
             start = 3 * state.m + 1
-            joint = invert_hessian(bands, cross, core, start, grids_of(bands), free_idx)
+            joint = invert_hessian(bands, cross, core, start, free_idx)
             # the reference elimination: equilibrate, then solve [I | B] by LAPACK dpbtrs
             m, width, d = bands.shape
             k = core.shape[0]
